@@ -1,6 +1,6 @@
 //! Batched vs per-edge operator microbenchmark → `BENCH_operators.json`.
 //!
-//! Measures every batched expansion operator (M2L, M2M, L2L, I2I) for
+//! Measures every batched expansion operator (M2L, M2M, L2L, M2I, I2I, I2L) for
 //! Laplace and Yukawa against the per-edge loop the runtime used to run,
 //! plus the particle-class operators (S2T, S2M, L2T) as scalar per-pair
 //! replicas vs the SoA tile engine, prints a table, and writes the
@@ -8,6 +8,9 @@
 //!
 //! Gates (each exits non-zero on failure):
 //! - `--min-m2l-speedup X`: every M2L case must reach `X`× batched speedup.
+//! - `--min-m2i-speedup X` / `--min-i2l-speedup X`: likewise for the stacked
+//!   plane-wave operators; they lean on the register-tiled GEMM, so they
+//!   self-skip without AVX2+FMA like the particle gates.
 //! - `--min-p2p-speedup X`: every S2T case must reach `X`×.
 //! - `--min-s2m-speedup X` / `--min-l2t-speedup X`: likewise for S2M/L2T.
 //!
@@ -27,6 +30,8 @@ struct Args {
     leaf: usize,
     out: PathBuf,
     min_m2l_speedup: Option<f64>,
+    min_m2i_speedup: Option<f64>,
+    min_i2l_speedup: Option<f64>,
     min_p2p_speedup: Option<f64>,
     min_s2m_speedup: Option<f64>,
     min_l2t_speedup: Option<f64>,
@@ -38,6 +43,8 @@ fn parse_args() -> Args {
         leaf: 60,
         out: PathBuf::from("BENCH_operators.json"),
         min_m2l_speedup: None,
+        min_m2i_speedup: None,
+        min_i2l_speedup: None,
         min_p2p_speedup: None,
         min_s2m_speedup: None,
         min_l2t_speedup: None,
@@ -47,6 +54,7 @@ fn parse_args() -> Args {
         eprintln!("error: {msg}");
         eprintln!(
             "usage: {} [--edges N] [--leaf N] [--out PATH] [--min-m2l-speedup X] \
+             [--min-m2i-speedup X] [--min-i2l-speedup X] \
              [--min-p2p-speedup X] [--min-s2m-speedup X] [--min-l2t-speedup X]",
             argv.first()
                 .map(String::as_str)
@@ -86,6 +94,14 @@ fn parse_args() -> Args {
             }
             "--min-m2l-speedup" => {
                 a.min_m2l_speedup = Some(parse_f64("--min-m2l-speedup"));
+                i += 2;
+            }
+            "--min-m2i-speedup" => {
+                a.min_m2i_speedup = Some(parse_f64("--min-m2i-speedup"));
+                i += 2;
+            }
+            "--min-i2l-speedup" => {
+                a.min_i2l_speedup = Some(parse_f64("--min-i2l-speedup"));
                 i += 2;
             }
             "--min-p2p-speedup" => {
@@ -160,11 +176,26 @@ fn main() {
     println!("\nwrote {}", args.out.display());
 
     let mut failed = false;
-    if let Some(min) = args.min_m2l_speedup {
-        for c in cases.iter().filter(|c| c.op == "M2L") {
+    // The stacked plane-wave operators lean on the register-tiled GEMM
+    // (the portable fallback is the per-edge loop); M2L is gated anywhere.
+    for (flag, op, needs_fma) in [
+        (args.min_m2l_speedup, "M2L", false),
+        (args.min_m2i_speedup, "M2I", true),
+        (args.min_i2l_speedup, "I2L", true),
+    ] {
+        let Some(min) = flag else { continue };
+        if needs_fma && !dashmm_linalg::fma_kernel_active() {
+            println!(
+                "GATE SKIP: {op} speedup gate skipped — register-tiled GEMM \
+                 unavailable on this host (no AVX2+FMA)"
+            );
+            continue;
+        }
+        for c in cases.iter().filter(|c| c.op == op) {
             if c.speedup() < min {
                 eprintln!(
-                    "GATE FAIL: M2L/{} batched speedup {:.2}x below required {:.2}x",
+                    "GATE FAIL: {}/{} batched speedup {:.2}x below required {:.2}x",
+                    c.op,
                     c.kernel,
                     c.speedup(),
                     min
@@ -172,7 +203,8 @@ fn main() {
                 failed = true;
             } else {
                 println!(
-                    "GATE OK:   M2L/{} batched speedup {:.2}x >= {:.2}x",
+                    "GATE OK:   {}/{} batched speedup {:.2}x >= {:.2}x",
+                    c.op,
                     c.kernel,
                     c.speedup(),
                     min

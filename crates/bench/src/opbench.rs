@@ -11,14 +11,18 @@
 //!
 //! Both paths do the full per-edge work: the baseline runs the public
 //! per-edge operator (including the operator-cache lookup the runtime
-//! pays on every edge), the batched path gathers the same sources, runs
+//! pays on every edge), the batched path takes the same sources, runs
 //! one blocked multi-RHS product, and copies each output column back
-//! out — so scatter cost is charged to the batched side.
+//! out — so scatter cost is charged to the batched side.  The stacked
+//! plane-wave operators (`M→I`, `I→L`) are batched in flushes of the
+//! runtime's threshold, their baseline is the six per-direction
+//! applications per edge the executor used to run.
 
 use std::io::Write;
 use std::path::Path;
 use std::time::Instant;
 
+use dashmm_amt::DEFAULT_BATCH_THRESHOLD;
 use dashmm_expansion::{batch, ops, AccuracyParams, BatchWorkspace, LevelTables};
 use dashmm_kernels::{Kernel, Laplace, Yukawa};
 use dashmm_tree::{Direction, Point3};
@@ -26,7 +30,7 @@ use dashmm_tree::{Direction, Point3};
 /// One operator's per-edge vs batched timing at a given batch size.
 #[derive(Clone, Debug)]
 pub struct OpBenchCase {
-    /// Operator name (`M2L`, `M2M`, `L2L`, `I2I`).
+    /// Operator name (`M2L`, `M2M`, `L2L`, `M2I`, `I2I`, `I2L`).
     pub op: &'static str,
     /// Kernel name (`laplace`, `yukawa`).
     pub kernel: &'static str,
@@ -183,6 +187,84 @@ pub fn l2l_case(
     }) / edges as f64;
     OpBenchCase {
         op: "L2L",
+        kernel: kernel_name,
+        edges,
+        per_edge_ns,
+        batched_ns,
+    }
+}
+
+/// `M→I`: the six-direction stacked table, one product per flush of the
+/// runtime's batch threshold, vs six per-direction applications per edge.
+pub fn m2i_case(
+    kernel_name: &'static str,
+    t: &LevelTables,
+    edges: usize,
+    reps: usize,
+) -> OpBenchCase {
+    let w = t.planewave_len();
+    let srcs = random_expansions(edges, t.expansion_len(), 37);
+    let refs: Vec<&[f64]> = srcs.iter().map(|s| s.as_slice()).collect();
+    let mut outs = vec![vec![0.0; 6 * w]; edges];
+    let mut ws = BatchWorkspace::new();
+    let per_edge_ns = best_ns(reps, || {
+        for (src, out) in srcs.iter().zip(outs.iter_mut()) {
+            for d in Direction::ALL {
+                ops::m2i(t, d, src, &mut out[d.index() * w..(d.index() + 1) * w]);
+            }
+        }
+    }) / edges as f64;
+    let batched_ns = best_ns(reps, || {
+        for (flush, outs) in refs
+            .chunks(DEFAULT_BATCH_THRESHOLD)
+            .zip(outs.chunks_mut(DEFAULT_BATCH_THRESHOLD))
+        {
+            batch::m2i_batch(t, flush, &mut ws, |i, buf| {
+                outs[i].copy_from_slice(&buf[1..])
+            });
+        }
+    }) / edges as f64;
+    OpBenchCase {
+        op: "M2I",
+        kernel: kernel_name,
+        edges,
+        per_edge_ns,
+        batched_ns,
+    }
+}
+
+/// `I→L`: the six-direction stacked table consuming whole incoming
+/// intermediate expansions in place, vs six per-direction applications
+/// per edge.
+pub fn i2l_case(
+    kernel_name: &'static str,
+    t: &LevelTables,
+    edges: usize,
+    reps: usize,
+) -> OpBenchCase {
+    let (n, w) = (t.expansion_len(), t.planewave_len());
+    let srcs = random_expansions(edges, 6 * w, 43);
+    let refs: Vec<&[f64]> = srcs.iter().map(|s| s.as_slice()).collect();
+    let mut outs = vec![vec![0.0; n]; edges];
+    let mut ws = BatchWorkspace::new();
+    let per_edge_ns = best_ns(reps, || {
+        for (src, out) in srcs.iter().zip(outs.iter_mut()) {
+            out.fill(0.0);
+            for d in Direction::ALL {
+                ops::i2l(t, d, &src[d.index() * w..(d.index() + 1) * w], out);
+            }
+        }
+    }) / edges as f64;
+    let batched_ns = best_ns(reps, || {
+        for (flush, outs) in refs
+            .chunks(DEFAULT_BATCH_THRESHOLD)
+            .zip(outs.chunks_mut(DEFAULT_BATCH_THRESHOLD))
+        {
+            batch::i2l_batch(t, flush, &mut ws, |i, col| outs[i].copy_from_slice(col));
+        }
+    }) / edges as f64;
+    OpBenchCase {
+        op: "I2L",
         kernel: kernel_name,
         edges,
         per_edge_ns,
@@ -456,7 +538,9 @@ pub fn kernel_cases<K: Kernel>(
         m2l_case(kernel, kernel_name, &t, edges, reps),
         m2m_case(kernel_name, &t, edges, reps),
         l2l_case(kernel_name, &t, edges, reps),
+        m2i_case(kernel_name, &t, edges, reps),
         i2i_case(kernel_name, &t, edges, reps),
+        i2l_case(kernel_name, &t, edges, reps),
     ]
 }
 

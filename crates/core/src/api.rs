@@ -496,6 +496,51 @@ mod tests {
         assert!(e < 5e-3, "relative error {e:.2e}");
     }
 
+    /// `M→I` and `I→L` ride the edge batcher: after a complete run no
+    /// deposit is outstanding and nothing is parked, on one locality and
+    /// on two (where their remote edges batch at the destination), and the
+    /// two machines agree.
+    #[test]
+    fn planewave_edges_drain_through_the_batcher_on_one_and_two_localities() {
+        let n = 1500;
+        let sources = uniform_cube(n, 5);
+        let targets = uniform_cube(n, 6);
+        let charges: Vec<f64> = (0..n).map(|i| 1.0 - (i % 4) as f64 * 0.5).collect();
+        let run = |localities: usize| {
+            let eval = DashmmBuilder::new(Laplace)
+                .method(Method::AdvancedFmm)
+                .threshold(20)
+                .machine(localities, 2)
+                .build(&sources, &charges, &targets);
+            // The steps of `evaluate_morton`, keeping the context in hand.
+            let exec = ExecCtx::new(
+                Arc::clone(&eval.problem),
+                Arc::clone(&eval.lib),
+                Arc::clone(&eval.asm),
+                eval.schedule.clone(),
+                false,
+                eval.problem.charges.clone(),
+            );
+            exec.install(&eval.runtime);
+            exec.seed(&eval.runtime);
+            eval.runtime.run();
+            let (remaining, parked, planewave_edges) = exec.batch_audit();
+            assert_eq!((remaining, parked), (0, 0), "{localities} localities");
+            assert!(planewave_edges > 0, "no M→I/I→L edge was keyed");
+            eval.problem
+                .unsort_potentials(&exec.extract(&eval.runtime).0)
+        };
+        let one = run(1);
+        let two = run(2);
+        let e = rel_err(&two, &one);
+        assert!(e <= 1e-12, "2 localities vs 1: {e:.2e}");
+        let want = direct_sum(&Laplace, &p3(&sources), &charges, &p3(&targets), 0);
+        for (got, what) in [(&one, "1 locality"), (&two, "2 localities")] {
+            let e = rel_err(got, &want);
+            assert!(e <= 1e-3, "{what} vs direct sum: {e:.2e}");
+        }
+    }
+
     #[test]
     fn priority_mode_same_answer() {
         let n = 800;

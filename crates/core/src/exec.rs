@@ -11,7 +11,7 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use dashmm_amt::{
     decode_f64s, encode_f64s, ActionId, EdgeBatcher, GlobalAddress, LcoOp, LcoSpec, Parcel,
@@ -68,6 +68,10 @@ enum BatchKey {
     M2L { level: u8, offset: (i8, i8, i8) },
     /// `L→L` into children at `level` in `octant`.
     L2L { level: u8, octant: u8 },
+    /// `M→I` at `level`: the six directions' stacked table.
+    M2I { level: u8 },
+    /// `I→L` at `level`: the six directions' stacked table.
+    I2L { level: u8 },
     /// Diagonal `I→I` at basis `level`, direction `dir`, quarter-box-side
     /// quantised translation `delta`.
     I2I {
@@ -109,8 +113,8 @@ struct BatchEntry {
     len: usize,
     /// Destination LCO.
     dst: GlobalAddress,
-    /// Destination slot prefix for `I→I` (offset-add LCOs); unused
-    /// otherwise.
+    /// Destination offset prefix for `I→I` and `M→I` (offset-add LCOs);
+    /// unused otherwise.
     slot: f64,
     /// Source-tree box of the edge's source node (`S→T` gathers particle
     /// blocks from the tree rather than from `src`); unused otherwise.
@@ -165,6 +169,10 @@ pub struct ExecCtx<K: Kernel> {
     /// expected counts are precomputed in [`ExecCtx::install`] so the last
     /// deposit of every key always flushes.
     batchers: RwLock<Vec<EdgeBatcher<BatchKey, BatchEntry>>>,
+    /// Batching key per flat DAG edge (`None` for the per-edge operators),
+    /// filled by the [`ExecCtx::install`] sweep and read by every later
+    /// application of the edge.
+    edge_keys: OnceLock<Vec<Option<BatchKey>>>,
     /// One byte per flat DAG edge, set when the edge's contribution is
     /// committed at its apply locality (inline application, or deposit into
     /// a batcher).  Replay after a locality loss re-fires whole out-edge
@@ -230,6 +238,7 @@ impl<K: Kernel> ExecCtx<K> {
             lcos: RwLock::new(Vec::new()),
             remote_action: RwLock::new(None),
             batchers: RwLock::new(Vec::new()),
+            edge_keys: OnceLock::new(),
             applied: (0..n_edges).map(|_| AtomicU8::new(0)).collect(),
             dedup_skipped: AtomicU64::new(0),
             ledger: RwLock::new(None),
@@ -324,9 +333,13 @@ impl<K: Kernel> ExecCtx<K> {
         let batchers: Vec<EdgeBatcher<BatchKey, BatchEntry>> = (0..n_loc)
             .map(|_| EdgeBatcher::new(DEFAULT_BATCH_THRESHOLD))
             .collect();
+        let mut edge_keys = vec![None; dag.edges().len()];
         for id in 0..dag.num_nodes() as u32 {
-            for e in dag.out_edges(id) {
-                if let Some(key) = self.batch_key(id, e) {
+            let first = dag.node(id).first_edge as usize;
+            for (i, e) in dag.out_edges(id).iter().enumerate() {
+                let key = self.batch_key(id, e);
+                edge_keys[first + i] = key;
+                if let Some(key) = key {
                     let apply_loc = lcos[e.dst as usize].locality;
                     if rt.is_local(apply_loc) {
                         batchers[apply_loc as usize].expect(key, 1);
@@ -335,6 +348,9 @@ impl<K: Kernel> ExecCtx<K> {
             }
         }
         *self.batchers.write() = batchers;
+        self.edge_keys
+            .set(edge_keys)
+            .expect("install() runs once per evaluation");
 
         *self.lcos.write() = lcos;
     }
@@ -384,9 +400,11 @@ impl<K: Kernel> ExecCtx<K> {
     }
 
     /// Batching key for an edge whose operator is applied batched, `None`
-    /// for the per-edge operators (`S→M`, `S→L`, `M→T`, `L→T`, `M→I`,
-    /// `I→L`).  Near-field `S→T` edges batch per target leaf so one fused
-    /// SoA evaluation covers all of its source boxes.
+    /// for the per-edge operators (the particle-facing `S→M`, `S→L`,
+    /// `M→T`, `L→T`).  Near-field `S→T` edges batch per target leaf so one
+    /// fused SoA evaluation covers all of its source boxes.  Evaluated once
+    /// per edge, by the [`ExecCtx::install`] sweep; everything after reads
+    /// [`ExecCtx::edge_key`].
     fn batch_key(&self, src_id: u32, e: &DagEdge) -> Option<BatchKey> {
         let dag = &self.asm.dag;
         let src_node = dag.node(src_id);
@@ -412,6 +430,12 @@ impl<K: Kernel> ExecCtx<K> {
                     offset: (o.0 as i8, o.1 as i8, o.2 as i8),
                 })
             }
+            EdgeOp::M2I => Some(BatchKey::M2I {
+                level: src_node.level,
+            }),
+            EdgeOp::I2L => Some(BatchKey::I2L {
+                level: src_node.level,
+            }),
             EdgeOp::S2T => Some(BatchKey::S2T { dst: e.dst }),
             EdgeOp::I2I => {
                 let (dir_idx, src_slot, _) = unpack_i2i(e.tag);
@@ -432,6 +456,27 @@ impl<K: Kernel> ExecCtx<K> {
             }
             _ => None,
         }
+    }
+
+    /// The batching key the install sweep computed for flat edge `eid`.
+    fn edge_key(&self, eid: u32) -> Option<BatchKey> {
+        self.edge_keys.get().expect("install() must run first")[eid as usize]
+    }
+
+    /// Over this process's batchers: deposits still expected, entries
+    /// parked, and how many edges the sweep keyed `M→I` or `I→L`.
+    #[cfg(test)]
+    pub(crate) fn batch_audit(&self) -> (usize, usize, usize) {
+        let batchers = self.batchers.read();
+        let planewave =
+            |k: &&Option<BatchKey>| matches!(k, Some(BatchKey::M2I { .. } | BatchKey::I2L { .. }));
+        (
+            batchers.iter().map(|b| b.remaining()).sum(),
+            batchers.iter().map(|b| b.parked()).sum(),
+            self.edge_keys
+                .get()
+                .map_or(0, |keys| keys.iter().filter(planewave).count()),
+        )
     }
 
     /// Data length (in `f64`s) of a node's LCO.
@@ -589,7 +634,7 @@ impl<K: Kernel> ExecCtx<K> {
                         } else {
                             u_non[e.dst as usize] += 1;
                         }
-                        if let Some(k) = self.batch_key(id, e) {
+                        if let Some(k) = self.edge_key(eid) {
                             batchers[loc as usize].expect(k, 1);
                         }
                     }
@@ -895,14 +940,14 @@ impl<K: Kernel> ExecCtx<K> {
     /// Apply one edge: transform `data` and set the destination LCO.
     ///
     /// The operators that share one matrix per (operator, level) —
-    /// `M→M`, `M→L`, `L→L`, `I→I` — and the near-field `S→T` edges
-    /// (which share a target leaf) are not applied here; they deposit
-    /// into this locality's [`EdgeBatcher`] and the whole batch is flushed
-    /// through the blocked multi-RHS (or fused SoA near-field) path when
-    /// full (or when its last expected edge arrives).  Each batched contribution is bitwise
-    /// independent of which batch the edge lands in, so only the LCO
-    /// reduction *order* can differ — exactly the freedom concurrent
-    /// per-edge application already had.
+    /// `M→M`, `M→L`, `L→L`, `M→I`, `I→I`, `I→L` — and the near-field
+    /// `S→T` edges (which share a target leaf) are not applied here; they
+    /// deposit into this locality's [`EdgeBatcher`] and the whole batch is
+    /// flushed through the blocked multi-RHS (or fused SoA near-field)
+    /// path when full (or when its last expected edge arrives).  Each
+    /// batched contribution is bitwise independent of which batch the edge
+    /// lands in, so only the LCO reduction *order* can differ — exactly the
+    /// freedom concurrent per-edge application already had.
     #[allow(clippy::too_many_arguments)]
     fn apply_edge(
         &self,
@@ -931,7 +976,7 @@ impl<K: Kernel> ExecCtx<K> {
         let stree = self.problem.tree.source();
         let ttree = self.problem.tree.target();
         let prio = self.node_priority(e.dst);
-        if let Some(key) = self.batch_key(src_id, e) {
+        if let Some(key) = self.edge_key(eid) {
             let (off, len, slot) = if e.op == EdgeOp::I2I {
                 let (dir_idx, src_slot, dst_slot) = unpack_i2i(e.tag);
                 let layout = self.asm.is_layout[&src_id];
@@ -981,30 +1026,14 @@ impl<K: Kernel> ExecCtx<K> {
                     ctx.lco_set_with_priority(dst, m, prio);
                 });
             }
-            EdgeOp::M2M | EdgeOp::M2L | EdgeOp::L2L | EdgeOp::I2I => {
+            EdgeOp::M2M
+            | EdgeOp::M2L
+            | EdgeOp::L2L
+            | EdgeOp::M2I
+            | EdgeOp::I2I
+            | EdgeOp::I2L
+            | EdgeOp::S2T => {
                 unreachable!("batched operators are deposited above")
-            }
-            EdgeOp::M2I => {
-                let t = self.lib.tables(src_node.level);
-                let w = t.planewave_len();
-                with_scratch(1 + 6 * w, |_, out| {
-                    for d in dashmm_tree::Direction::ALL {
-                        let off = 1 + d.index() * w;
-                        ops::m2i(&t, d, data, &mut out[off..off + w]);
-                    }
-                    ctx.lco_set_with_priority(dst, out, prio);
-                });
-            }
-            EdgeOp::I2L => {
-                let t = self.lib.tables(src_node.level);
-                let w = t.planewave_len();
-                with_scratch(n, |_, out| {
-                    for d in dashmm_tree::Direction::ALL {
-                        let off = d.index() * w;
-                        ops::i2l(&t, d, &data[off..off + w], out);
-                    }
-                    ctx.lco_set_with_priority(dst, out, prio);
-                });
             }
             EdgeOp::S2L => {
                 let sb = stree.node(src_node.box_id);
@@ -1056,9 +1085,6 @@ impl<K: Kernel> ExecCtx<K> {
                     });
                 }
             }
-            EdgeOp::S2T => {
-                unreachable!("near-field edges are deposited into the S2T batcher above")
-            }
         });
     }
 
@@ -1072,43 +1098,54 @@ impl<K: Kernel> ExecCtx<K> {
             BatchKey::M2M { .. } => EdgeOp::M2M.index() as u8,
             BatchKey::L2L { .. } => EdgeOp::L2L.index() as u8,
             BatchKey::M2L { .. } => EdgeOp::M2L.index() as u8,
+            BatchKey::M2I { .. } => EdgeOp::M2I.index() as u8,
             BatchKey::I2I { .. } => EdgeOp::I2I.index() as u8,
+            BatchKey::I2L { .. } => EdgeOp::I2L.index() as u8,
             BatchKey::S2T { .. } => EdgeOp::S2T.index() as u8,
         };
         let mut prev = ctx.now_ns();
         let start = prev;
-        let mut mark = |i: usize| {
+        // Lattice ranks differ between destinations inside one operator
+        // batch, so the LCO-set priority is looked up per entry.
+        let prio = |i: usize| self.node_priority(self.asm.dag.edges()[batch[i].eid as usize].dst);
+        // Hand edge `i`'s contribution to its destination and close its
+        // span where the previous edge's ended.
+        let mut set = |i: usize, data: &[f64]| {
+            ctx.lco_set_with_priority(batch[i].dst, data, prio(i));
             let now = ctx.now_ns();
             ctx.record_span(class, batch[i].eid, prev, now);
             prev = now;
         };
-        // Lattice ranks differ between destinations inside one operator
-        // batch, so the LCO-set priority is looked up per entry.
-        let prio = |i: usize| self.node_priority(self.asm.dag.edges()[batch[i].eid as usize].dst);
+        // A batch never exceeds the flush threshold, so the source windows
+        // fit a fixed array: no per-flush allocation.
+        let mut refs: [&[f64]; DEFAULT_BATCH_THRESHOLD] = [&[]; DEFAULT_BATCH_THRESHOLD];
+        for (r, b) in refs.iter_mut().zip(batch) {
+            *r = &b.src[b.off..b.off + b.len];
+        }
+        let refs = &refs[..batch.len()];
         BATCH_WS.with(|ws| {
             let ws = &mut *ws.borrow_mut();
-            let refs: Vec<&[f64]> = batch.iter().map(|b| &b.src[b.off..b.off + b.len]).collect();
             match key {
                 BatchKey::M2M { level, octant } => {
-                    let t = self.lib.tables(level);
-                    opbatch::m2m_batch(&t, octant, &refs, ws, |i, col| {
-                        ctx.lco_set_with_priority(batch[i].dst, col, prio(i));
-                        mark(i);
-                    });
+                    opbatch::m2m_batch(&self.lib.tables(level), octant, refs, ws, &mut set);
                 }
                 BatchKey::L2L { level, octant } => {
-                    let t = self.lib.tables(level);
-                    opbatch::l2l_batch(&t, octant, &refs, ws, |i, col| {
-                        ctx.lco_set_with_priority(batch[i].dst, col, prio(i));
-                        mark(i);
-                    });
+                    opbatch::l2l_batch(&self.lib.tables(level), octant, refs, ws, &mut set);
                 }
                 BatchKey::M2L { level, offset } => {
                     let t = self.lib.tables(level);
-                    opbatch::m2l_batch(self.lib.kernel(), &t, offset, &refs, ws, |i, col| {
-                        ctx.lco_set_with_priority(batch[i].dst, col, prio(i));
-                        mark(i);
+                    opbatch::m2l_batch(self.lib.kernel(), &t, offset, refs, ws, &mut set);
+                }
+                // The offset-add destinations take `[offset, values…]`:
+                // their operators leave `buf[0]` free for the offset.
+                BatchKey::M2I { level } => {
+                    opbatch::m2i_batch(&self.lib.tables(level), refs, ws, |i, buf| {
+                        buf[0] = batch[i].slot;
+                        set(i, buf);
                     });
+                }
+                BatchKey::I2L { level } => {
+                    opbatch::i2l_batch(&self.lib.tables(level), refs, ws, &mut set);
                 }
                 BatchKey::I2I { level, dir, delta } => {
                     let t = self.lib.tables(level);
@@ -1119,15 +1156,9 @@ impl<K: Kernel> ExecCtx<K> {
                         delta.1 as f64 * quarter,
                         delta.2 as f64 * quarter,
                     );
-                    let fac = t.i2i(d, delta);
-                    let mut out: Vec<f64> = Vec::new();
-                    opbatch::i2i_batch(&fac, &refs, ws, |i, col| {
-                        out.clear();
-                        out.reserve(1 + col.len());
-                        out.push(batch[i].slot);
-                        out.extend_from_slice(col);
-                        ctx.lco_set_with_priority(batch[i].dst, &out, prio(i));
-                        mark(i);
+                    opbatch::i2i_batch_prefixed(&t.i2i(d, delta), refs, ws, |i, buf| {
+                        buf[0] = batch[i].slot;
+                        set(i, buf);
                     });
                 }
                 BatchKey::S2T { dst } => {

@@ -1,22 +1,26 @@
 //! Batched application of translation operators.
 //!
 //! The evaluation DAG applies one per-level operator matrix to many
-//! independent edges.  These entry points gather the edges' source
-//! expansions into a column panel, run one blocked multi-RHS product
-//! ([`dashmm_linalg::Matrix::matvec_batch_acc`]), and hand each output
+//! independent edges.  These entry points take the edges' source
+//! expansions where they lie, run one blocked multi-RHS product
+//! ([`dashmm_linalg::Matrix::matvec_batch_acc_cols`]), and hand each output
 //! column to a caller-supplied sink for scatter into the destination
-//! accumulators.
+//! accumulators.  Every expansion-to-expansion operator goes through here:
+//! `M→M`, `M→L`, `L→L`, the diagonal `I→I`, and `M→I` / `I→L`, whose
+//! tables are stacked over the six plane-wave directions so one product
+//! produces (consumes) a box's whole intermediate expansion.
 //!
 //! Determinism contract: every output column is computed from a zeroed
 //! accumulator by an ascending-`k` contraction that does not depend on the
 //! batch's width or composition, so each edge's contribution is **bitwise
 //! identical no matter how the runtime groups edges into batches** — the
 //! invariant the edge batcher relies on.  Relative to the per-edge path
-//! (`matvec_into` for the dense operators, [`ops::i2i_apply`] for the
-//! diagonal one) the results are bitwise equal under the portable GEMM
-//! kernel and differ only by the fused rounding of each multiply-add
-//! (O(ulp), deterministic per machine) when the AVX2+FMA register-tiled
-//! kernel is active; see `dashmm_linalg`'s `gemm` module docs.
+//! (`matvec_into` for the dense operators, [`ops::m2i`] / [`ops::i2l`] per
+//! direction for the stacked ones, [`ops::i2i_apply`] for the diagonal
+//! one) the results are bitwise equal under the portable GEMM kernel and
+//! differ only by the fused rounding of each multiply-add (O(ulp),
+//! deterministic per machine) when the AVX2+FMA register-tiled kernel is
+//! active; see `dashmm_linalg`'s `gemm` module docs.
 //!
 //! The **fused near-field** path (`ops::p2p_fused`) is the one batched
 //! operator whose output depends on batch composition: it sums all source
@@ -45,7 +49,8 @@ use crate::tables::LevelTables;
 /// test in `tests/particle_ops_proptest.rs`).
 #[derive(Default)]
 pub struct BatchWorkspace {
-    pub(crate) xs: Vec<f64>,
+    /// Result panel of the matrix operators: one cell, then the output
+    /// columns back to back.
     pub(crate) ys: Vec<f64>,
     /// SoA source coordinates and weights for particle-operator tiles.
     pub(crate) sx: Vec<f64>,
@@ -75,8 +80,7 @@ impl BatchWorkspace {
     /// problem shape, repeat operator applications must leave this value
     /// unchanged.
     pub fn scratch_bytes(&self) -> usize {
-        8 * (self.xs.capacity()
-            + self.ys.capacity()
+        8 * (self.ys.capacity()
             + self.sx.capacity()
             + self.sy.capacity()
             + self.sz.capacity()
@@ -90,23 +94,31 @@ impl BatchWorkspace {
             + self.check.capacity())
     }
 
-    /// Gather `srcs` into the column panel, run `ys = op · xs`, and pass
-    /// each output column to `sink(edge_index, column)`.
-    fn run(&mut self, op: &Matrix, srcs: &[&[f64]], sink: &mut dyn FnMut(usize, &[f64])) {
-        let (m, k) = (op.rows(), op.cols());
-        let n = srcs.len();
-        self.xs.clear();
-        self.xs.reserve(k * n);
-        for s in srcs {
-            assert_eq!(s.len(), k, "source expansion length must equal op.cols()");
-            self.xs.extend_from_slice(s);
-        }
+    /// Run `op · [srcs]` and pass each output column to
+    /// `sink(edge_index, buf)` with one writable cell in front of it:
+    /// `buf[1..]` is the column, `buf[0]` is the caller's to set (the
+    /// offset-addressed destinations take `[offset, values…]`, so their
+    /// contribution needs no copy).  The cell overlays the last element of
+    /// the previous column, which has been handed out by then.
+    fn run_prefixed(
+        &mut self,
+        op: &Matrix,
+        srcs: &[&[f64]],
+        sink: &mut dyn FnMut(usize, &mut [f64]),
+    ) {
+        let m = op.rows();
         self.ys.clear();
-        self.ys.resize(m * n, 0.0);
-        op.matvec_batch_acc(&self.xs, &mut self.ys);
-        for (j, col) in self.ys.chunks_exact(m).enumerate() {
-            sink(j, col);
+        self.ys.resize(1 + m * srcs.len(), 0.0);
+        op.matvec_batch_acc_cols(srcs, &mut self.ys[1..]);
+        for j in 0..srcs.len() {
+            sink(j, &mut self.ys[j * m..=(j + 1) * m]);
         }
+    }
+
+    /// Run `op · [srcs]` and pass each output column to
+    /// `sink(edge_index, column)`.
+    fn run(&mut self, op: &Matrix, srcs: &[&[f64]], sink: &mut dyn FnMut(usize, &[f64])) {
+        self.run_prefixed(op, srcs, &mut |j, buf| sink(j, &buf[1..]));
     }
 }
 
@@ -158,24 +170,60 @@ pub fn l2l_batch(
     ws.run(t.l2l(octant), srcs, &mut sink);
 }
 
+/// Batched `M→I`: the level's stacked six-direction table applied to many
+/// multipoles, one product for the whole batch.  `sink(i, buf)` receives
+/// edge `i`'s outgoing intermediate expansion as `buf[1..]` — all six
+/// directions, in the layout of the intermediate node's own region — with
+/// `buf[0]` free for the destination offset.
+pub fn m2i_batch(
+    t: &LevelTables,
+    srcs: &[&[f64]],
+    ws: &mut BatchWorkspace,
+    mut sink: impl FnMut(usize, &mut [f64]),
+) {
+    ws.run_prefixed(t.m2i(), srcs, &mut sink);
+}
+
+/// Batched `I→L`: the level's stacked six-direction table applied to many
+/// incoming intermediate expansions (each `6w` long, read in place).
+/// `sink(i, col)` receives edge `i`'s contribution to its local expansion.
+pub fn i2l_batch(
+    t: &LevelTables,
+    srcs: &[&[f64]],
+    ws: &mut BatchWorkspace,
+    mut sink: impl FnMut(usize, &[f64]),
+) {
+    ws.run(t.i2l(), srcs, &mut sink);
+}
+
 /// Batched `I→I`: apply one cached diagonal factor vector to many
 /// plane-wave coefficient vectors.  The diagonal operator has no GEMM to
 /// win, but batching amortises the factor-cache lookup and keeps `fac`
-/// cache-hot across edges.
+/// cache-hot across edges.  `sink(i, buf)` receives edge `i`'s translated
+/// coefficients as `buf[1..]`, with `buf[0]` free for the destination
+/// offset (see [`m2i_batch`]).
+pub fn i2i_batch_prefixed(
+    fac: &[f64],
+    srcs: &[&[f64]],
+    ws: &mut BatchWorkspace,
+    mut sink: impl FnMut(usize, &mut [f64]),
+) {
+    ws.ys.clear();
+    ws.ys.resize(1 + fac.len(), 0.0);
+    for (j, s) in srcs.iter().enumerate() {
+        ops::i2i_write(fac, s, &mut ws.ys[1..]);
+        sink(j, &mut ws.ys);
+    }
+}
+
+/// [`i2i_batch_prefixed`] handing out the coefficients alone.
 pub fn i2i_batch(
     fac: &[f64],
     srcs: &[&[f64]],
     ws: &mut BatchWorkspace,
     mut sink: impl FnMut(usize, &[f64]),
 ) {
-    let m = fac.len();
-    ws.ys.clear();
-    ws.ys.resize(m, 0.0);
-    for (j, s) in srcs.iter().enumerate() {
-        ws.ys.fill(0.0);
-        ops::i2i_apply(fac, s, &mut ws.ys);
-        sink(j, &ws.ys);
-    }
+    i2i_batch_prefixed(fac, srcs, ws, |j, buf| sink(j, &buf[1..]));
 }
 
 #[cfg(test)]
@@ -299,14 +347,35 @@ mod tests {
         }
     }
 
+    /// The offset cell in front of a column overlays the previous column's
+    /// last element: writing it must not reach any column still to come.
+    #[test]
+    fn prefix_cell_is_writable_without_disturbing_columns() {
+        let t = tables(true);
+        let srcs = sources(5, t.expansion_len(), 7);
+        let refs: Vec<&[f64]> = srcs.iter().map(|s| s.as_slice()).collect();
+        let mut ws = BatchWorkspace::new();
+        let mut plain: Vec<Vec<f64>> = vec![Vec::new(); srcs.len()];
+        m2i_batch(&t, &refs, &mut ws, |i, buf| plain[i] = buf[1..].to_vec());
+        let mut scribbled: Vec<Vec<f64>> = vec![Vec::new(); srcs.len()];
+        m2i_batch(&t, &refs, &mut ws, |i, buf| {
+            buf[0] = 1e300;
+            assert_eq!(buf.len(), 1 + 6 * t.planewave_len());
+            scribbled[i] = buf[1..].to_vec();
+        });
+        assert_eq!(plain, scribbled);
+    }
+
     #[test]
     fn empty_batch_is_noop() {
-        let t = tables(false);
+        let t = tables(true);
         let mut ws = BatchWorkspace::new();
         let mut called = false;
         m2l_batch(&Laplace, &t, (2, 0, 0), &[], &mut ws, |_, _| called = true);
         m2m_batch(&t, 0, &[], &mut ws, |_, _| called = true);
         l2l_batch(&t, 0, &[], &mut ws, |_, _| called = true);
+        m2i_batch(&t, &[], &mut ws, |_, _| called = true);
+        i2l_batch(&t, &[], &mut ws, |_, _| called = true);
         assert!(!called);
     }
 

@@ -25,8 +25,9 @@
 //! `S→L`, `M→T`, `L→T`, `S→T` plus the advanced `M→I`, `I→I`, `I→L`.
 //!
 //! The [`batch`] module adds multi-edge entry points (`m2l_batch`,
-//! `m2m_batch`, `l2l_batch`, `i2i_batch`) that apply one shared operator
-//! matrix to many edges through a single blocked GEMM; each edge's
+//! `m2m_batch`, `l2l_batch`, `m2i_batch`, `i2l_batch`, `i2i_batch`) that
+//! apply one shared operator matrix to many edges through a single
+//! blocked GEMM; each edge's
 //! contribution is bitwise independent of how the runtime groups edges
 //! into batches, and matches the per-edge loop to rounding (see `batch`).
 

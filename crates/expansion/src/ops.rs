@@ -410,34 +410,78 @@ pub fn l2t_grad<K: Kernel>(
     grad_rows(kernel, ws, targets, Point3::new(0.0, 0.0, 0.0), out);
 }
 
-/// `M→I`: form the outgoing plane-wave coefficients of a box in one
-/// direction from its multipole (up-equivalent) densities.  `w` is the
-/// stacked `[Re; Im]` coefficient buffer and is overwritten.
+/// `M→I` for one direction, per edge: form the outgoing plane-wave
+/// coefficients of a box from its multipole (up-equivalent) densities.
+/// `w` is the stacked `[Re; Im]` coefficient buffer and is overwritten.
+///
+/// The evaluation applies `M→I` batched over all six directions at once
+/// ([`crate::batch::m2i_batch`]); this is the reference it is tested and
+/// benchmarked against, reading direction `d`'s row block of the same
+/// stacked table.
 pub fn m2i(t: &LevelTables, d: Direction, m: &[f64], w: &mut [f64]) {
-    t.m2i(d).matvec_into(m, w);
-}
-
-/// `I→I`: translate plane-wave coefficients by the cached diagonal factors
-/// and accumulate.  `fac` is interleaved `(re, im)` per term; `src`/`dst`
-/// are stacked `[Re; Im]`.
-pub fn i2i_apply(fac: &[f64], src: &[f64], dst: &mut [f64]) {
-    let t = src.len() / 2;
-    debug_assert_eq!(fac.len(), src.len());
-    debug_assert_eq!(dst.len(), src.len());
-    let (sre, sim) = src.split_at(t);
-    let (dre, dim) = dst.split_at_mut(t);
-    for k in 0..t {
-        let fr = fac[2 * k];
-        let fi = fac[2 * k + 1];
-        dre[k] += sre[k] * fr - sim[k] * fi;
-        dim[k] += sre[k] * fi + sim[k] * fr;
+    let a = t.m2i();
+    let rows = d.index() * w.len()..(d.index() + 1) * w.len();
+    assert_eq!(m.len(), a.cols(), "multipole length must equal the table's");
+    w.fill(0.0);
+    for (k, &mk) in m.iter().enumerate() {
+        for (o, c) in w.iter_mut().zip(&a.col(k)[rows.clone()]) {
+            *o += c * mk;
+        }
     }
 }
 
-/// `I→L`: convert a direction's accumulated incoming plane-wave
-/// coefficients into the box's local (down-equivalent) densities.
+/// `I→I`: translate plane-wave coefficients by the cached diagonal factors
+/// and accumulate.  `fac` is `[re…; im…]`; `src`/`dst` are stacked
+/// `[Re; Im]` — three unit-stride streams per half.
+pub fn i2i_apply(fac: &[f64], src: &[f64], dst: &mut [f64]) {
+    i2i_kernel::<true>(fac, src, dst);
+}
+
+/// [`i2i_apply`] into a buffer whose previous contents are discarded: the
+/// same products, without the read of (and the zero-fill of) `dst`.
+pub(crate) fn i2i_write(fac: &[f64], src: &[f64], dst: &mut [f64]) {
+    i2i_kernel::<false>(fac, src, dst);
+}
+
+#[inline]
+fn i2i_kernel<const ACC: bool>(fac: &[f64], src: &[f64], dst: &mut [f64]) {
+    let t = src.len() / 2;
+    assert_eq!(fac.len(), 2 * t, "factor length must equal the source's");
+    assert_eq!(
+        dst.len(),
+        2 * t,
+        "destination length must equal the source's"
+    );
+    let (fre, fim) = fac.split_at(t);
+    let (sre, sim) = src.split_at(t);
+    let (dre, dim) = dst.split_at_mut(t);
+    for k in 0..t {
+        let re = sre[k] * fre[k] - sim[k] * fim[k];
+        let im = sre[k] * fim[k] + sim[k] * fre[k];
+        if ACC {
+            dre[k] += re;
+            dim[k] += im;
+        } else {
+            dre[k] = re;
+            dim[k] = im;
+        }
+    }
+}
+
+/// `I→L` for one direction, per edge: convert a direction's accumulated
+/// incoming plane-wave coefficients into the box's local (down-equivalent)
+/// densities, accumulating into `l`.
+///
+/// Reference for [`crate::batch::i2l_batch`], reading direction `d`'s
+/// column block of the same stacked table.
 pub fn i2l(t: &LevelTables, d: Direction, w: &[f64], l: &mut [f64]) {
-    t.i2l(d).matvec_acc(w, l);
+    let a = t.i2l();
+    assert_eq!(l.len(), a.rows(), "local length must equal the table's");
+    for (k, &wk) in w.iter().enumerate() {
+        for (o, c) in l.iter_mut().zip(a.col(d.index() * w.len() + k)) {
+            *o += c * wk;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -783,7 +827,7 @@ mod tests {
 
     #[test]
     fn i2i_apply_accumulates() {
-        let fac = vec![0.5, 0.5, 1.0, 0.0];
+        let fac = vec![0.5, 1.0, 0.5, 0.0]; // re = [0.5, 1], im = [0.5, 0]
         let src = vec![1.0, 2.0, 3.0, 4.0]; // Re = [1,2], Im = [3,4]
         let mut dst = vec![10.0, 10.0, 10.0, 10.0];
         i2i_apply(&fac, &src, &mut dst);

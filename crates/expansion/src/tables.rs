@@ -65,16 +65,22 @@ pub struct LevelTables {
     l2l: [Matrix; 8],
     /// Plane-wave quadrature (present when intermediate expansions are on).
     quad: Option<PlaneWaveQuad>,
-    /// `M→I` per direction: maps up-equivalent densities to the stacked
-    /// `[Re; Im]` outgoing plane-wave coefficients.
-    m2i: Vec<Matrix>,
-    /// `I→L` per direction: maps stacked incoming coefficients directly to
-    /// downward equivalent densities (check evaluation and inverse fused).
-    i2l: Vec<Matrix>,
+    /// `M→I`, the six directions stacked by rows (`6w × n`, `w` =
+    /// [`LevelTables::planewave_len`], direction `d` in rows `d·w..(d+1)·w`):
+    /// maps up-equivalent densities to every direction's `[Re; Im]`
+    /// outgoing plane-wave coefficients at once — the layout of an
+    /// intermediate node's own region.  `0 × n` without plane waves.
+    m2i: Matrix,
+    /// `I→L`, the six directions stacked by columns (`n × 6w`): maps a
+    /// target box's accumulated incoming coefficients of all directions
+    /// directly to downward equivalent densities (check evaluation and
+    /// inverse fused).
+    i2l: Matrix,
     /// Lazily built `M→L` matrices per integer box offset.
     m2l_cache: Mutex<HashMap<(i8, i8, i8), Arc<Matrix>>>,
     /// Lazily built diagonal `I→I` factors per (direction, quarter-box
-    /// quantised offset): interleaved `(re, im)` pairs per term.
+    /// quantised offset): `[re…; im…]`, matching the `[Re; Im]` stacking
+    /// of the coefficients they multiply.
     i2i_cache: Mutex<I2iCache>,
 }
 
@@ -124,43 +130,40 @@ impl LevelTables {
             let kappa = kernel.scaled_screening(side);
             let quad = PlaneWaveQuad::build(QuadSpec::for_l2(params.eps, kappa));
             let t = quad.num_terms();
-            let mut m2i = Vec::with_capacity(6);
-            let mut i2l = Vec::with_capacity(6);
+            let mut m2i = Matrix::zeros(6 * 2 * t, n);
+            let mut ev = Matrix::zeros(n, 6 * 2 * t);
             for d in Direction::ALL {
+                let base = d.index() * 2 * t;
                 // Outgoing coefficients from up-equivalent densities:
                 // W_t = (w_t / side) Σ_i q_i e^{+s_t w_i} e^{-iλ_t(u_i c + v_i s)}.
-                let mut mo = Matrix::zeros(2 * t, n);
                 for (i, p) in ue_pts.iter().enumerate() {
                     let (u, v, w) = rotate_into(d, *p);
                     let (u, v, w) = (u / side, v / side, w / side);
                     for k in 0..t {
                         let phase = quad.lambda[k] * (u * quad.cos_a[k] + v * quad.sin_a[k]);
                         let amp = quad.w[k] / side * (quad.s[k] * w).exp();
-                        mo[(k, i)] = amp * phase.cos();
-                        mo[(t + k, i)] = -amp * phase.sin();
+                        m2i[(base + k, i)] = amp * phase.cos();
+                        m2i[(base + t + k, i)] = -amp * phase.sin();
                     }
                 }
-                m2i.push(mo);
 
-                // Incoming coefficients to down-check potentials, fused with
-                // the check-to-equivalent inverse:
+                // Incoming coefficients to down-check potentials:
                 // φ(p) = Σ_t [Re W_t·e^{-s w}cos φ_p − Im W_t·e^{-s w}sin φ_p].
-                let mut ev = Matrix::zeros(n, 2 * t);
                 for (i, p) in dc_pts.iter().enumerate() {
                     let (u, v, w) = rotate_into(d, *p);
                     let (u, v, w) = (u / side, v / side, w / side);
                     for k in 0..t {
                         let phase = quad.lambda[k] * (u * quad.cos_a[k] + v * quad.sin_a[k]);
                         let amp = (-quad.s[k] * w).exp();
-                        ev[(i, k)] = amp * phase.cos();
-                        ev[(i, t + k)] = -amp * phase.sin();
+                        ev[(i, base + k)] = amp * phase.cos();
+                        ev[(i, base + t + k)] = -amp * phase.sin();
                     }
                 }
-                i2l.push(dc2de.matmul(&ev));
             }
-            (Some(quad), m2i, i2l)
+            // Fuse the check-to-equivalent inverse into the evaluation.
+            (Some(quad), m2i, dc2de.matmul(&ev))
         } else {
-            (None, Vec::new(), Vec::new())
+            (None, Matrix::zeros(0, n), Matrix::zeros(n, 0))
         };
 
         LevelTables {
@@ -249,14 +252,16 @@ impl LevelTables {
         &self.l2l[octant as usize]
     }
 
-    /// `M→I` matrix for a direction.
-    pub fn m2i(&self, d: Direction) -> &Matrix {
-        &self.m2i[d.index()]
+    /// `M→I` for all six directions, stacked by rows (`6w × n`): one
+    /// product yields a box's whole outgoing intermediate expansion.
+    pub fn m2i(&self) -> &Matrix {
+        &self.m2i
     }
 
-    /// Fused `I→L` matrix for a direction.
-    pub fn i2l(&self, d: Direction) -> &Matrix {
-        &self.i2l[d.index()]
+    /// Fused `I→L` for all six directions, stacked by columns (`n × 6w`):
+    /// one product consumes a box's whole incoming intermediate expansion.
+    pub fn i2l(&self) -> &Matrix {
+        &self.i2l
     }
 
     /// `M→L` matrix for the same-level integer box offset
@@ -307,12 +312,12 @@ impl LevelTables {
         let (du, dv, dw) = rotate_into(d, delta);
         let (du, dv, dw) = (du / self.side, dv / self.side, dw / self.side);
         let t = quad.num_terms();
-        let mut fac = Vec::with_capacity(2 * t);
+        let mut fac = vec![0.0; 2 * t];
         for k in 0..t {
             let amp = (-quad.s[k] * dw).exp();
             let phase = quad.lambda[k] * (du * quad.cos_a[k] + dv * quad.sin_a[k]);
-            fac.push(amp * phase.cos());
-            fac.push(amp * phase.sin());
+            fac[k] = amp * phase.cos();
+            fac[t + k] = amp * phase.sin();
         }
         let fac = Arc::new(fac);
         self.i2i_cache.lock().insert(key, fac.clone());
@@ -408,9 +413,10 @@ mod tests {
     fn i2i_zero_offset_is_identity_phase() {
         let t = tables(true);
         let fac = t.i2i(Direction::Up, Point3::ZERO);
-        for pair in fac.chunks(2) {
-            assert!((pair[0] - 1.0).abs() < 1e-12);
-            assert!(pair[1].abs() < 1e-12);
+        let (re, im) = fac.split_at(fac.len() / 2);
+        for (re, im) in re.iter().zip(im) {
+            assert!((re - 1.0).abs() < 1e-12);
+            assert!(im.abs() < 1e-12);
         }
     }
 
@@ -425,11 +431,12 @@ mod tests {
         let fa = t.i2i(Direction::North, a);
         let fb = t.i2i(Direction::North, b);
         let fab = t.i2i(Direction::North, a + b);
-        for i in (0..fa.len()).step_by(2) {
-            let re = fa[i] * fb[i] - fa[i + 1] * fb[i + 1];
-            let im = fa[i] * fb[i + 1] + fa[i + 1] * fb[i];
+        let h = fa.len() / 2;
+        for i in 0..h {
+            let re = fa[i] * fb[i] - fa[h + i] * fb[h + i];
+            let im = fa[i] * fb[h + i] + fa[h + i] * fb[i];
             assert!((re - fab[i]).abs() < 1e-9 * (1.0 + re.abs()));
-            assert!((im - fab[i + 1]).abs() < 1e-9 * (1.0 + im.abs()));
+            assert!((im - fab[h + i]).abs() < 1e-9 * (1.0 + im.abs()));
         }
     }
 

@@ -11,13 +11,17 @@
 //!   equal when the portable GEMM kernel is active, and differs only by the
 //!   fused rounding of each multiply-add when the AVX2+FMA kernel runs.
 //!   The diagonal `i2i_batch` shares the per-edge code path, so it stays
-//!   exactly bitwise.
+//!   exactly bitwise.  For the stacked `m2i_batch` / `i2l_batch` the
+//!   per-edge reference is the per-direction `ops::m2i` / `ops::i2l`.
 
 use std::sync::OnceLock;
 
-use dashmm_expansion::batch::{i2i_batch, l2l_batch, m2l_batch, m2m_batch, BatchWorkspace};
+use dashmm_expansion::batch::{
+    i2i_batch, i2l_batch, l2l_batch, m2i_batch, m2l_batch, m2m_batch, BatchWorkspace,
+};
 use dashmm_expansion::{ops, AccuracyParams, LevelTables};
 use dashmm_kernels::{Laplace, Yukawa};
+use dashmm_linalg::Matrix;
 use dashmm_tree::{Direction, Point3};
 use proptest::prelude::*;
 
@@ -158,8 +162,123 @@ fn check_m2l_composition<K: dashmm_kernels::Kernel>(
     Ok(())
 }
 
+/// `Σ_k |a_ik| |x_k|` per row: the magnitude a contraction's rounding
+/// error is relative to.  The stacked operators sum thousands of terms
+/// that cancel against each other for random coefficients, so their
+/// columns are compared relative to what was summed, not to what is left.
+fn summed_magnitude(a: &Matrix, x: &[f64]) -> Vec<f64> {
+    let mut mag = vec![0.0; a.rows()];
+    for (k, xk) in x.iter().enumerate() {
+        for (o, c) in mag.iter_mut().zip(a.col(k)) {
+            *o += c.abs() * xk.abs();
+        }
+    }
+    mag
+}
+
+fn prop_assert_cols_close_rel(
+    got: &[f64],
+    want: &[f64],
+    mag: &[f64],
+    what: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.len(), want.len(), "{} length", what);
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        prop_assert!(
+            (g - w).abs() <= 1e-13 * mag[i],
+            "{}[{}]: {} vs {} (summed magnitude {})",
+            what,
+            i,
+            g,
+            w,
+            mag[i]
+        );
+    }
+    Ok(())
+}
+
+/// Run `batch` over `refs` cut into consecutive sub-batches of width
+/// `split`, collecting every edge's column.
+fn collect_split(
+    refs: &[&[f64]],
+    split: usize,
+    mut batch: impl FnMut(&[&[f64]], &mut dyn FnMut(usize, &[f64])),
+) -> Vec<Vec<f64>> {
+    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); refs.len()];
+    for (piece, chunk) in refs.chunks(split).enumerate() {
+        batch(chunk, &mut |i, c| cols[piece * split + i] = c.to_vec());
+    }
+    cols
+}
+
+/// One stacked plane-wave operator: every column of one whole batch agrees
+/// with the per-direction per-edge `reference` to rounding, and is bitwise
+/// what any re-splitting of the batch computes.
+fn check_stacked_op(
+    what: &str,
+    table: &Matrix,
+    srcs: &[Vec<f64>],
+    mut batch: impl FnMut(&[&[f64]], &mut dyn FnMut(usize, &[f64])),
+    reference: impl Fn(&[f64]) -> Vec<f64>,
+) -> Result<(), TestCaseError> {
+    let refs: Vec<&[f64]> = srcs.iter().map(|s| s.as_slice()).collect();
+    let whole = collect_split(&refs, refs.len(), &mut batch);
+    for (e, (s, col)) in srcs.iter().zip(&whole).enumerate() {
+        let mag = summed_magnitude(table, s);
+        prop_assert_cols_close_rel(col, &reference(s), &mag, &format!("{what} edge {e}"))?;
+    }
+    for split in [1usize, 2, 5, 8, 32] {
+        let pieces = collect_split(&refs, split, &mut batch);
+        prop_assert_eq!(&whole, &pieces, "{} split {}", what, split);
+    }
+    Ok(())
+}
+
+fn check_stacked(t: &LevelTables, n_edges: usize, seed: u64) -> Result<(), TestCaseError> {
+    let (n, w) = (t.expansion_len(), t.planewave_len());
+    let dir = |d: Direction| d.index() * w..(d.index() + 1) * w;
+    let mut ws = BatchWorkspace::new();
+    check_stacked_op(
+        "m2i",
+        t.m2i(),
+        &edge_sources(n_edges, n, seed),
+        |chunk, sink| m2i_batch(t, chunk, &mut ws, |i, buf| sink(i, &buf[1..])),
+        |s| {
+            let mut want = vec![0.0; 6 * w];
+            for d in Direction::ALL {
+                ops::m2i(t, d, s, &mut want[dir(d)]);
+            }
+            want
+        },
+    )?;
+    check_stacked_op(
+        "i2l",
+        t.i2l(),
+        &edge_sources(n_edges, 6 * w, seed ^ 0x5bd1_e995),
+        |chunk, sink| i2l_batch(t, chunk, &mut ws, |i, c| sink(i, c)),
+        |s| {
+            let mut want = vec![0.0; n];
+            for d in Direction::ALL {
+                ops::i2l(t, d, &s[dir(d)], &mut want);
+            }
+            want
+        },
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn m2i_i2l_batch_match_per_edge_and_any_split(
+        n_edges in 1usize..40,
+        level in 0usize..2,
+        yukawa in proptest::any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let t = if yukawa { &yukawa_tables()[level] } else { &laplace_tables()[level] };
+        check_stacked(t, n_edges, seed)?;
+    }
 
     #[test]
     fn m2l_batch_matches_per_edge_laplace(

@@ -8,9 +8,11 @@
 //!
 //! * [`Matrix`] — a column-major dense matrix of `f64` with the usual
 //!   products and slicing helpers,
-//! * [`gemm_acc_panels`] / [`Matrix::matvec_batch_acc`] — a blocked
-//!   multi-RHS kernel (register-tiled AVX2+FMA when the CPU has it, a
-//!   portable panel kernel otherwise) whose per-column results are bitwise
+//! * [`gemm_acc_panels`] / [`Matrix::matvec_batch_acc`] (right-hand sides
+//!   packed) and [`gemm_acc_cols`] / [`Matrix::matvec_batch_acc_cols`]
+//!   (each its own slice) — a cache-blocked multi-RHS kernel
+//!   (register-tiled AVX2+FMA when the CPU has it, a portable panel
+//!   kernel otherwise) whose per-column results are bitwise
 //!   independent of how edges are grouped into panels (see `gemm.rs` for
 //!   the determinism contract the batched operator path relies on),
 //! * [`cholesky`] / [`CholeskyFactor`] — SPD factorisation and solves,
@@ -29,6 +31,6 @@ mod matrix;
 mod svd;
 
 pub use cholesky::{cholesky, CholeskyFactor};
-pub use gemm::{fma_kernel_active, gemm_acc_panels, gemm_acc_portable, NR};
+pub use gemm::{fma_kernel_active, gemm_acc_cols, gemm_acc_panels, gemm_acc_portable, NR};
 pub use matrix::Matrix;
 pub use svd::{pinv, pinv_tikhonov, svd_jacobi, Svd};
