@@ -9,11 +9,11 @@
 //! single continuation processes the node's out-edge list (paper §IV,
 //! Figure 2).
 
+use dashmm_obs::CLASS_NONE;
 use parking_lot::Mutex;
 
 use crate::parcel::Parcel;
 use crate::runtime::TaskCtx;
-use crate::trace::CLASS_NONE;
 
 /// How an arriving input is folded into the stored data.
 pub enum LcoOp {

@@ -24,8 +24,8 @@
 //!   continuations, exactly the machinery DASHMM builds its implicit DAG
 //!   from (paper §IV, Figure 2),
 //! * a per-locality scheduler with per-worker deques and randomized work
-//!   stealing, plus an optional **binary task priority** — the extension
-//!   the paper's conclusions call for,
+//!   stealing, plus graded **task priorities** ([`Priority`]) — the
+//!   extension the paper's conclusions call for,
 //! * low-overhead event tracing and the utilization-fraction analysis of
 //!   §V-B (Equations 1–2).
 
@@ -36,19 +36,18 @@ pub mod lco;
 pub mod ledger;
 pub mod parcel;
 pub mod runtime;
-pub mod trace;
 pub mod transport;
 
 pub use addr::GlobalAddress;
 pub use batch::{EdgeBatcher, DEFAULT_BATCH_THRESHOLD};
+pub use dashmm_obs::{
+    class_name, utilization_by_class, utilization_total, ClassCounters, ObsLevel, TraceEvent,
+    TraceSet, CLASS_LCO_TRIGGER, CLASS_NET_ACK, CLASS_NET_HEARTBEAT, CLASS_NET_RETRANSMIT,
+    CLASS_NET_RX, CLASS_NET_TX, CLASS_NONE, CLASS_PARCEL_FLUSH, CLASS_RECOVERY, NO_TAG,
+};
 pub use fault::{FaultPlan, FrameFate, KillSpec, StallSpec, ENV_FAULTS};
 pub use lco::{LcoOp, LcoSpec};
 pub use ledger::{ConvictionReason, LedgerSnapshot, PeerFailure, ProgressLedger};
 pub use parcel::{decode_f64s, encode_f64s, ActionId, Parcel, Priority};
 pub use runtime::{RunReport, Runtime, RuntimeConfig, TaskCtx};
-pub use trace::{
-    class_name, utilization_by_class, utilization_total, ClassCounters, ObsLevel, TraceEvent,
-    TraceSet, CLASS_LCO_TRIGGER, CLASS_NET_ACK, CLASS_NET_HEARTBEAT, CLASS_NET_RETRANSMIT,
-    CLASS_NET_RX, CLASS_NET_TX, CLASS_NONE, CLASS_PARCEL_FLUSH, CLASS_RECOVERY, NO_TAG,
-};
 pub use transport::{CoalesceConfig, SharedMem, Transport, TransportHooks, TransportStats};

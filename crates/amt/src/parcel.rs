@@ -47,12 +47,6 @@ impl Priority {
     pub fn level(self) -> u8 {
         self.0
     }
-
-    /// More urgent than default work?
-    #[inline]
-    pub fn is_urgent(self) -> bool {
-        self.0 < Self::Normal.0
-    }
 }
 
 impl Default for Priority {
@@ -98,7 +92,7 @@ impl Parcel {
     }
 
     /// Construct a parcel at an explicit graded priority.
-    pub fn graded(
+    pub fn with_priority(
         action: ActionId,
         target: GlobalAddress,
         payload: Vec<u8>,
@@ -168,7 +162,7 @@ mod tests {
         assert_eq!(p.priority, Priority::Normal);
         let h = Parcel::high(ActionId(0), GlobalAddress::new(0, 0), vec![]);
         assert_eq!(h.priority, Priority::High);
-        let g = Parcel::graded(
+        let g = Parcel::with_priority(
             ActionId(0),
             GlobalAddress::new(0, 0),
             vec![],
@@ -182,8 +176,6 @@ mod tests {
         assert_eq!(Priority::High.level(), 0);
         assert_eq!(Priority::Normal.level(), Priority::CLASSES / 2);
         assert!(Priority::High < Priority::Normal);
-        assert!(Priority::High.is_urgent());
-        assert!(!Priority::Normal.is_urgent());
         // Out-of-range levels clamp to the least-urgent class.
         assert_eq!(Priority::class(200).level(), Priority::CLASSES - 1);
         assert_eq!(Priority::default(), Priority::Normal);

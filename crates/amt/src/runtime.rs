@@ -6,15 +6,15 @@ use std::sync::Arc;
 use std::time::{Instant, SystemTime};
 
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
+use dashmm_obs::{
+    ClassCounters, ObsLevel, SpanRing, TraceEvent, TraceSet, CLASS_LCO_TRIGGER, CLASS_NONE, NO_TAG,
+};
 use parking_lot::{Mutex, RwLock};
 
 use crate::addr::GlobalAddress;
 use crate::lco::{LcoCell, LcoSpec};
 use crate::ledger::PeerFailure;
 use crate::parcel::{decode_f64s, encode_f64s, ActionId, Parcel, Priority};
-use crate::trace::{
-    ClassCounters, ObsLevel, SpanRing, TraceEvent, TraceSet, CLASS_LCO_TRIGGER, CLASS_NONE, NO_TAG,
-};
 use crate::transport::{SharedMem, Transport, TransportHooks};
 
 /// Runtime configuration.
@@ -24,13 +24,6 @@ pub struct RuntimeConfig {
     pub localities: usize,
     /// Scheduler threads per locality (the paper ran one per core).
     pub workers_per_locality: usize,
-    /// Honour graded [`Priority`] classes, most urgent first — the
-    /// scheduling extension proposed in the paper's conclusions,
-    /// generalised to `Priority::CLASSES` indexed run queues so a computed
-    /// priority lattice can interleave phases.  When `false`, the
-    /// scheduler is oblivious to priorities, reproducing the behaviour the
-    /// paper measures.
-    pub priority_scheduling: bool,
     /// How much the run records (paper §V-B): nothing, per-class counters,
     /// or full span rings for timeline export.
     pub obs: ObsLevel,
@@ -41,7 +34,6 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             localities: 1,
             workers_per_locality: 2,
-            priority_scheduling: false,
             obs: ObsLevel::Off,
         }
     }
@@ -452,13 +444,7 @@ impl Runtime {
             "enqueue targets locality {locality}, which another process hosts"
         );
         self.pending.fetch_add(1, Ordering::SeqCst);
-        let l = &self.localities[locality as usize];
-        let priority = if self.cfg.priority_scheduling {
-            task.priority()
-        } else {
-            Priority::Normal
-        };
-        l.push_class(priority, task);
+        self.localities[locality as usize].push_class(task.priority(), task);
     }
 
     fn register_continuation_local(
@@ -716,10 +702,14 @@ impl Runtime {
         // of the former linear high-first deque scan.
         let normal = Priority::Normal.level() as usize;
         let mask = loc.occupancy.load(Ordering::Acquire);
-        if mask != 0 && self.cfg.priority_scheduling {
-            // Anti-starvation escape hatch: periodically serve the least
-            // urgent occupied class so Normal-and-below work still drains
-            // under a sustained stream of urgent tasks.
+        if mask & !(1 << normal) != 0 {
+            // Anti-starvation escape hatch: while graded (non-`Normal`)
+            // work is queued, periodically serve the least urgent occupied
+            // class so Normal-and-below work still drains under a sustained
+            // stream of urgent tasks.  A run that only ever emits `Normal`
+            // work (a flat plan) never enters here: the graded queue fed
+            // one class is the priority-oblivious scheduler the paper
+            // measures.
             let turn = loc.served.fetch_add(1, Ordering::Relaxed);
             if turn % STARVATION_PERIOD == STARVATION_PERIOD - 1 {
                 // Least-urgent work may live in a shared class queue or —
@@ -814,7 +804,7 @@ fn decode_continuation(bytes: &[u8]) -> (Parcel, bool) {
     let priority = Priority::class(bytes[13]);
     let plen = u32::from_le_bytes(bytes[14..18].try_into().unwrap()) as usize;
     let payload = bytes[18..18 + plen].to_vec();
-    let p = Parcel::graded(action, target, payload, priority);
+    let p = Parcel::with_priority(action, target, payload, priority);
     (p, include_data)
 }
 
@@ -849,7 +839,7 @@ impl<'a> TaskCtx<'a> {
     ) {
         self.rt.pending.fetch_add(1, Ordering::SeqCst);
         let task = Task::Local(Box::new(f), priority);
-        if self.rt.cfg.priority_scheduling && priority != Priority::Normal {
+        if priority != Priority::Normal {
             // Graded work goes through the shared class queues so every
             // worker sees its rank; Normal work stays on the cheap local
             // deque as before.
@@ -867,7 +857,7 @@ impl<'a> TaskCtx<'a> {
             self.rt.pending.fetch_add(1, Ordering::SeqCst);
             let task = Task::Parcel(parcel);
             let priority = task.priority();
-            if self.rt.cfg.priority_scheduling && priority != Priority::Normal {
+            if priority != Priority::Normal {
                 self.rt.localities[self.locality as usize].push_class(priority, task);
             } else {
                 self.local.push(task);
@@ -1021,7 +1011,6 @@ mod tests {
         Runtime::new(RuntimeConfig {
             localities,
             workers_per_locality: workers,
-            priority_scheduling: false,
             obs: ObsLevel::Off,
         })
     }
@@ -1224,7 +1213,6 @@ mod tests {
         let r = Runtime::new(RuntimeConfig {
             localities: 1,
             workers_per_locality: 2,
-            priority_scheduling: false,
             obs: ObsLevel::Full,
         });
         r.seed(0, |ctx| {
@@ -1252,7 +1240,6 @@ mod tests {
         let r = Runtime::new(RuntimeConfig {
             localities: 1,
             workers_per_locality: 1,
-            priority_scheduling: false,
             obs: ObsLevel::Counters,
         });
         r.seed(0, |ctx| {
@@ -1269,7 +1256,6 @@ mod tests {
         let r = Runtime::new(RuntimeConfig {
             localities: 1,
             workers_per_locality: 1,
-            priority_scheduling: false,
             obs: ObsLevel::Full,
         });
         let fut = r.lco_new(0, LcoSpec::future(1));
@@ -1478,7 +1464,6 @@ mod tests {
         let r = Runtime::new(RuntimeConfig {
             localities: 1,
             workers_per_locality: 1,
-            priority_scheduling: true,
             obs: ObsLevel::Off,
         });
         let high_done = Arc::new(AtomicU64::new(0));
@@ -1514,13 +1499,12 @@ mod tests {
     }
 
     #[test]
-    fn graded_classes_dequeue_most_urgent_first() {
+    fn classes_dequeue_most_urgent_first() {
         // One worker, seeds parked behind a blocked gate: after release,
         // tasks must drain class 0 → class 7 regardless of enqueue order.
         let r = Runtime::new(RuntimeConfig {
             localities: 1,
             workers_per_locality: 1,
-            priority_scheduling: true,
             obs: ObsLevel::Off,
         });
         let order = Arc::new(Mutex::new(Vec::new()));
@@ -1534,7 +1518,7 @@ mod tests {
         r.seed(0, move |ctx| {
             let _ = &o;
             for level in (0..Priority::CLASSES).rev() {
-                ctx.send(Parcel::graded(
+                ctx.send(Parcel::with_priority(
                     act,
                     GlobalAddress::new(0, level as u32),
                     vec![],

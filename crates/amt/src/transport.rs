@@ -18,9 +18,10 @@
 
 use std::sync::Arc;
 
+use dashmm_obs::TraceEvent;
+
 use crate::ledger::{ConvictionReason, PeerFailure, ProgressLedger};
 use crate::parcel::Parcel;
-use crate::trace::TraceEvent;
 
 /// Coalescing parameters shared verbatim by the real transport
 /// (`dashmm-net`'s per-destination coalescer) and the simulator's

@@ -9,11 +9,10 @@ use dashmm_amt::{
     encode_f64s, GlobalAddress, LcoSpec, ObsLevel, Parcel, Priority, Runtime, RuntimeConfig,
 };
 
-fn rt(localities: usize, workers: usize, priority: bool) -> Arc<Runtime> {
+fn rt(localities: usize, workers: usize) -> Arc<Runtime> {
     Runtime::new(RuntimeConfig {
         localities,
         workers_per_locality: workers,
-        priority_scheduling: priority,
         obs: ObsLevel::Off,
     })
 }
@@ -22,7 +21,7 @@ fn rt(localities: usize, workers: usize, priority: bool) -> Arc<Runtime> {
 fn work_is_stolen_across_workers() {
     // All tasks are seeded to one injector; with several workers and a
     // barrier-ish workload every worker should end up executing some.
-    let r = rt(1, 4, false);
+    let r = rt(1, 4);
     let per_worker: Arc<Vec<AtomicU64>> = Arc::new((0..4).map(|_| AtomicU64::new(0)).collect());
     for _ in 0..64 {
         let pw = Arc::clone(&per_worker);
@@ -48,9 +47,9 @@ fn work_is_stolen_across_workers() {
 
 #[test]
 fn single_worker_priority_order() {
-    // One worker: seed low tasks first, then a high task; with priority
-    // scheduling the high task must run before the queued low tasks.
-    let r = rt(1, 1, true);
+    // One worker: seed low tasks first, then a high task; the high task
+    // must run before the queued low tasks.
+    let r = rt(1, 1);
     let order: Arc<std::sync::Mutex<Vec<u32>>> = Arc::new(std::sync::Mutex::new(Vec::new()));
     // A blocker task enqueues everything else while the worker is busy.
     let o = Arc::clone(&order);
@@ -72,7 +71,7 @@ fn single_worker_priority_order() {
 #[test]
 fn wide_fan_in_reduction() {
     // 2000 inputs into one LCO from 4 localities.
-    let r = rt(4, 2, false);
+    let r = rt(4, 2);
     let sum = r.lco_new(0, LcoSpec::reduce_sum(1, 2000));
     for i in 0..2000u32 {
         let loc = i % 4;
@@ -92,7 +91,7 @@ fn fan_out_tree_across_localities() {
     // A binary fan-out tree of depth 10 rooted on locality 0, with leaves
     // reporting to a reduction — exercises recursive spawning and routing.
     let localities = 3;
-    let r = rt(localities, 2, false);
+    let r = rt(localities, 2);
     let leaves: usize = 1 << 10;
     let sum = r.lco_new(0, LcoSpec::reduce_sum(1, leaves as u32));
     let spawn_action = {
@@ -133,7 +132,7 @@ fn continuation_chain_across_localities() {
     // future(loc 0) → future(loc 1) → future(loc 2) → ... wrap-around,
     // driven purely by continuations carrying data.
     let localities = 4;
-    let r = rt(localities, 1, false);
+    let r = rt(localities, 1);
     let hops = 16;
     let mut futs = Vec::new();
     for i in 0..=hops {
@@ -164,7 +163,7 @@ fn continuation_chain_across_localities() {
 fn quiescence_with_delayed_cascade() {
     // Tasks that sleep before spawning more work: quiescence detection
     // must not fire early.
-    let r = rt(2, 2, false);
+    let r = rt(2, 2);
     let count = Arc::new(AtomicU64::new(0));
     let c0 = Arc::clone(&count);
     r.seed(0, move |ctx| {
@@ -187,7 +186,7 @@ fn quiescence_with_delayed_cascade() {
 #[test]
 fn parcel_payload_roundtrip_through_network() {
     // Send structured f64 payloads across localities and verify framing.
-    let r = rt(2, 1, false);
+    let r = rt(2, 1);
     let out = r.lco_new(1, LcoSpec::reduce_sum(3, 2));
     let action = r.register_action(Arc::new(move |ctx, _t, payload: &[u8]| {
         let vals = dashmm_amt::decode_f64s(payload);

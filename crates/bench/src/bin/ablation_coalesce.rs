@@ -8,6 +8,7 @@
 //! Run: `cargo run --release -p dashmm-bench --bin ablation_coalesce [--n N]`
 
 use dashmm_bench::{banner, build_workload, cost_model, distribute, Opts};
+use dashmm_dag::SchedPlan;
 use dashmm_sim::{simulate, CoalesceConfig, NetworkModel, SimConfig};
 
 const CORES_PER_LOCALITY: usize = 32;
@@ -40,11 +41,10 @@ fn main() {
             let cfg = SimConfig {
                 localities,
                 cores_per_locality: CORES_PER_LOCALITY,
-                priority: false,
                 trace: false,
                 levelwise: false,
             };
-            simulate(&w.asm.dag, &cost, &net, &cfg)
+            simulate(&w.asm.dag, &SchedPlan::flat(&w.asm.dag), &cost, &net, &cfg)
         };
         let on = run(true);
         let off = run(false);

@@ -14,6 +14,7 @@
 //! Run: `cargo run --release -p dashmm-bench --bin ablation_levelwise [--n N]`
 
 use dashmm_bench::{banner, build_workload, cost_model, distribute, Opts};
+use dashmm_dag::SchedPlan;
 use dashmm_kernels::KernelKind;
 use dashmm_sim::{simulate, NetworkModel, SimConfig};
 use dashmm_tree::Distribution;
@@ -51,11 +52,10 @@ fn main() {
                 let cfg = SimConfig {
                     localities,
                     cores_per_locality: CORES_PER_LOCALITY,
-                    priority: false,
                     trace: false,
                     levelwise,
                 };
-                simulate(&w.asm.dag, &cost, &net, &cfg)
+                simulate(&w.asm.dag, &SchedPlan::flat(&w.asm.dag), &cost, &net, &cfg)
             };
             let df = run(false);
             let lw = run(true);

@@ -14,6 +14,7 @@ use dashmm_bench::{banner, build_workload, cost_model, Opts};
 use dashmm_core::block_owner;
 use dashmm_dag::{
     BlockPolicy, DistributionPolicy, FmmPolicy, ItPlacement, LoadBalancedPolicy, NodeClass,
+    SchedPlan,
 };
 use dashmm_sim::{simulate, NetworkModel, SimConfig};
 
@@ -71,11 +72,10 @@ fn main() {
         let cfg = SimConfig {
             localities: LOCALITIES,
             cores_per_locality: 32,
-            priority: false,
             trace: false,
             levelwise: false,
         };
-        let r = simulate(&w.asm.dag, &cost, &net, &cfg);
+        let r = simulate(&w.asm.dag, &SchedPlan::flat(&w.asm.dag), &cost, &net, &cfg);
         let max_busy = r.busy_us.iter().cloned().fold(0.0f64, f64::max);
         let mean_busy: f64 = r.busy_us.iter().sum::<f64>() / LOCALITIES as f64;
         let imbalance = max_busy / mean_busy - 1.0;

@@ -342,12 +342,12 @@ fn rank_eval<K: Kernel>(
     net.coalesce = transport.coalesce_config();
     let sim = simulate(
         eval.dag(),
+        eval.plan(),
         &cost,
         &net,
         &SimConfig {
             localities: opts.localities,
             cores_per_locality: opts.workers,
-            priority: false,
             trace: false,
             levelwise: false,
         },
@@ -395,7 +395,6 @@ fn rank_eval<K: Kernel>(
             &SimConfig {
                 localities: opts.localities,
                 cores_per_locality: opts.workers,
-                priority: false,
                 trace: false,
                 levelwise: false,
             },

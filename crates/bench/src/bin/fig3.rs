@@ -13,6 +13,7 @@
 
 use dashmm_bench::report::write_csv;
 use dashmm_bench::{banner, build_workload, cost_model, distribute, Opts};
+use dashmm_dag::SchedPlan;
 use dashmm_kernels::KernelKind;
 use dashmm_sim::{simulate, NetworkModel, SimConfig};
 use dashmm_tree::Distribution;
@@ -86,11 +87,10 @@ fn main() {
             let cfg = SimConfig {
                 localities,
                 cores_per_locality: CORES_PER_LOCALITY,
-                priority: false,
                 trace: false,
                 levelwise: false,
             };
-            let r = simulate(&w.asm.dag, &cost, &net, &cfg);
+            let r = simulate(&w.asm.dag, &SchedPlan::flat(&w.asm.dag), &cost, &net, &cfg);
             if cores == 32 {
                 t32 = r.makespan_us;
             }

@@ -18,9 +18,9 @@
 use dashmm_amt::{utilization_total, ObsLevel};
 use dashmm_bench::report::{downsample, sparkline, write_csv};
 use dashmm_bench::{banner, build_workload, cost_model, distribute, obsout, socket, Opts};
-use dashmm_core::{DashmmBuilder, LatticeHint, Method, PriorityLattice, SchedPolicy};
+use dashmm_core::{DashmmBuilder, LatticeHint, Method, SchedPlan, SchedPolicy};
 use dashmm_kernels::Laplace;
-use dashmm_sim::{simulate, simulate_lattice, NetworkModel, SimConfig};
+use dashmm_sim::{simulate, NetworkModel, SimConfig};
 
 const INTERVALS: usize = 100;
 const CORES_PER_LOCALITY: usize = 32;
@@ -48,15 +48,15 @@ fn main() {
         let cfg = SimConfig {
             localities,
             cores_per_locality: CORES_PER_LOCALITY,
-            priority: false,
             trace: true,
             levelwise: false,
         };
-        let r = simulate(&w.asm.dag, &cost, &net, &cfg);
+        let dag = &w.asm.dag;
+        let r = simulate(dag, &SchedPlan::flat(dag), &cost, &net, &cfg);
         let u = utilization_total(&r.trace, INTERVALS);
         // Same machine under the computed priority lattice (overlay).
-        let lattice = PriorityLattice::compute(&w.asm.dag, &LatticeHint::uniform());
-        let rl = simulate_lattice(&w.asm.dag, &cost, &net, &cfg, &lattice);
+        let lattice = SchedPlan::lattice(dag, &LatticeHint::uniform());
+        let rl = simulate(dag, &lattice, &cost, &net, &cfg);
         let ul = utilization_total(&rl.trace, INTERVALS);
         eprintln!(
             "n={}: makespan {:.1} ms (lattice {:.1} ms), mean utilization {:.1}%",
@@ -120,12 +120,12 @@ fn main() {
     distribute(&w.problem, &mut w.asm, 1);
     let r1 = simulate(
         &w.asm.dag,
+        &SchedPlan::flat(&w.asm.dag),
         &cost,
         &NetworkModel::ideal(),
         &SimConfig {
             localities: 1,
             cores_per_locality: 32,
-            priority: false,
             trace: true,
             levelwise: false,
         },
@@ -191,9 +191,9 @@ fn main() {
 /// computed lattice and derive the fig4 terminal-dip width from the span
 /// traces.  The dip comparison is advisory — wall-clock trace shapes on a
 /// shared/oversubscribed host are not reproducible enough to gate on (the
-/// hard gates are the deterministic sim troughs above and the sim/measured
-/// lattice-fingerprint parity in `ablation_priority`).  The run still
-/// gates on both schedules completing with span traces.
+/// hard gates are the deterministic sim troughs above, which replay the
+/// same plan type the runtime executes).  The run still gates on both
+/// schedules completing with span traces.
 fn measured_troughs(opts: &Opts) -> bool {
     println!(
         "\n--- measured troughs (threaded runtime, 2 localities × {} workers) ---",

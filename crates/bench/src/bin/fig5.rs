@@ -15,7 +15,7 @@
 use dashmm_amt::{utilization_by_class, utilization_total};
 use dashmm_bench::report::write_csv;
 use dashmm_bench::{banner, build_workload, cost_model, distribute, Opts};
-use dashmm_dag::EdgeOp;
+use dashmm_dag::{EdgeOp, SchedPlan};
 use dashmm_sim::{simulate, NetworkModel, SimConfig};
 
 const INTERVALS: usize = 100;
@@ -32,11 +32,16 @@ fn main() {
     let cfg = SimConfig {
         localities: 4,
         cores_per_locality: 32,
-        priority: false,
         trace: true,
         levelwise: false,
     };
-    let r = simulate(&w.asm.dag, &cost, &NetworkModel::gemini(), &cfg);
+    let r = simulate(
+        &w.asm.dag,
+        &SchedPlan::flat(&w.asm.dag),
+        &cost,
+        &NetworkModel::gemini(),
+        &cfg,
+    );
     let by = utilization_by_class(&r.trace, INTERVALS, EdgeOp::COUNT);
     let total = utilization_total(&r.trace, INTERVALS);
 

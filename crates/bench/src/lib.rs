@@ -14,7 +14,7 @@ pub mod socket;
 use std::sync::Arc;
 
 use dashmm_amt::ObsLevel;
-use dashmm_core::{assemble, per_op_avg_us, Assembly, Method, Problem};
+use dashmm_core::{assemble, per_op_avg_us, Assembly, LatticeHint, Method, Problem, SchedPolicy};
 use dashmm_dag::{DistributionPolicy, FmmPolicy, NodeClass};
 use dashmm_expansion::{AccuracyParams, OperatorLibrary};
 use dashmm_kernels::{Kernel, KernelKind, Laplace, Yukawa};
@@ -61,8 +61,9 @@ pub struct Opts {
     /// the dead rank, re-own its DAG slice, and gate on the *recovered*
     /// answer instead of on a clean abort.
     pub recover: bool,
-    /// Scheduling policy for measured runs (`--schedule fifo|binary|lattice`).
-    pub sched: SchedMode,
+    /// Scheduling policy for measured runs (`--schedule fifo|binary|lattice`;
+    /// the lattice takes the uniform hint).
+    pub sched: SchedPolicy,
     /// Promote the pipelined-scheduling shape checks (utilization troughs,
     /// critical-path shortening) to hard failures (`--trough-gate`).  Kept
     /// separate from `--obs-gate` because the trough shapes only hold at
@@ -71,37 +72,13 @@ pub struct Opts {
     pub trough_gate: bool,
 }
 
-/// Scheduling policy selector for measured runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedMode {
-    /// No priorities (the paper's measured baseline).
-    Fifo,
-    /// The paper's proposed binary up-sweep priority.
-    Binary,
-    /// The computed priority lattice (uniform hint).
-    Lattice,
-}
-
-impl SchedMode {
-    /// Parse `fifo` / `binary` / `lattice`.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "fifo" => Some(SchedMode::Fifo),
-            "binary" => Some(SchedMode::Binary),
-            "lattice" => Some(SchedMode::Lattice),
-            _ => None,
-        }
-    }
-
-    /// The core scheduling policy this selector names.
-    pub fn policy(self) -> dashmm_core::SchedPolicy {
-        match self {
-            SchedMode::Fifo => dashmm_core::SchedPolicy::Fifo,
-            SchedMode::Binary => dashmm_core::SchedPolicy::Binary,
-            SchedMode::Lattice => {
-                dashmm_core::SchedPolicy::Lattice(dashmm_core::LatticeHint::uniform())
-            }
-        }
+/// Parse `--schedule`'s `fifo` / `binary` / `lattice`.
+fn parse_schedule(s: &str) -> Option<SchedPolicy> {
+    match s {
+        "fifo" => Some(SchedPolicy::Fifo),
+        "binary" => Some(SchedPolicy::Binary),
+        "lattice" => Some(SchedPolicy::Lattice(LatticeHint::uniform())),
+        _ => None,
     }
 }
 
@@ -144,7 +121,7 @@ impl Default for Opts {
             faults: None,
             budget_s: None,
             recover: false,
-            sched: SchedMode::Fifo,
+            sched: SchedPolicy::Fifo,
             trough_gate: false,
         }
     }
@@ -270,7 +247,7 @@ impl Opts {
                     i += 1;
                 }
                 "--schedule" => {
-                    o.sched = SchedMode::parse(value(i, "--schedule"))
+                    o.sched = parse_schedule(value(i, "--schedule"))
                         .unwrap_or_else(|| usage("--schedule expects fifo|binary|lattice"));
                     i += 2;
                 }

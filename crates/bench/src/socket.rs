@@ -21,9 +21,9 @@ use dashmm_net::{bootstrap, f64s_to_bytes, merge_sum_f64, Role, SocketTransport}
 use dashmm_obs::json::{obj, Value};
 use dashmm_obs::summary::{utilization_section, write_summary};
 use dashmm_obs::{encode_rank_trace, merged_chrome_trace, validate_chrome_trace};
-use dashmm_sim::{simulate, simulate_lattice, NetworkModel, SimConfig};
+use dashmm_sim::{simulate, NetworkModel, SimConfig};
 
-use crate::{cost_model, Opts, SchedMode, TransportMode};
+use crate::{cost_model, Opts, TransportMode};
 
 /// Relative L2 error of `got` versus `want`.
 fn rel_err(got: &[f64], want: &[f64]) -> f64 {
@@ -105,7 +105,7 @@ fn rank_eval<K: Kernel>(
         .threshold(opts.threshold)
         .machine(opts.localities, opts.workers)
         .obs(opts.obs)
-        .schedule(opts.sched.policy())
+        .schedule(opts.sched.clone())
         .transport(Arc::clone(transport) as Arc<dyn Transport>)
         .build(&sources, &charges, &targets);
     let t0 = Instant::now();
@@ -123,6 +123,11 @@ fn rank_eval<K: Kernel>(
         m.per_dest.iter().map(|d| d.bytes).sum::<u64>() as f64,
     ]);
     let traffic = transport.gather(&my_traffic).expect("traffic gather");
+    // Every rank built its plan independently over its own copy of the DAG.
+    let plan_fp = eval.plan().fingerprint();
+    let plan_fps = transport
+        .gather(&plan_fp.to_le_bytes())
+        .expect("plan fingerprint gather");
     println!("{}", m.digest(rank));
 
     // Gather every rank's span trace at rank 0 (collective, so all ranks
@@ -152,25 +157,16 @@ fn rank_eval<K: Kernel>(
             "[rank 0] merged potentials vs single-process: rel err {e:.2e} [{}]",
             if e < 1e-12 { "ok" } else { "MISMATCH" }
         );
-        if opts.sched == SchedMode::Lattice {
-            // SPMD / sim parity: the measured run's lattice fingerprint
-            // must match a fresh rank-independent computation over the
-            // same DAG (the value the simulator uses too).
-            let sim_fp = dashmm_core::PriorityLattice::compute(
-                eval.dag(),
-                &dashmm_core::LatticeHint::uniform(),
-            )
-            .fingerprint();
-            let measured_fp = out.lattice_fingerprint;
-            let parity = measured_fp == Some(sim_fp);
-            ok &= parity;
-            println!(
-                "[rank 0] lattice fingerprint parity: measured {:016x} vs sim {:016x} [{}]",
-                measured_fp.unwrap_or(0),
-                sim_fp,
-                if parity { "ok" } else { "MISMATCH" }
-            );
-        }
+        // SPMD determinism: the ranks must have scheduled by identical
+        // plans (the same class of invariant as the placement tie-break).
+        let fps = plan_fps.expect("rank 0 gets fingerprint parts");
+        let spmd = fps.iter().all(|fp| fp == &fps[0]);
+        ok &= spmd;
+        println!(
+            "[rank 0] plan fingerprint {plan_fp:016x} identical on all {} ranks [{}]",
+            fps.len(),
+            if spmd { "ok" } else { "MISMATCH" }
+        );
         let communicated = m.per_dest.iter().any(|d| d.parcels > 0 && d.frames > 0);
         ok &= communicated;
         println!(
@@ -248,22 +244,13 @@ fn rank_eval<K: Kernel>(
             let sim_cfg = SimConfig {
                 localities: opts.localities,
                 cores_per_locality: opts.workers,
-                priority: opts.sched == SchedMode::Binary,
                 trace: false,
                 levelwise: false,
             };
-            let sim = if opts.sched == SchedMode::Lattice {
-                let lat = dashmm_core::PriorityLattice::compute(
-                    eval.dag(),
-                    &dashmm_core::LatticeHint::uniform(),
-                );
-                simulate_lattice(eval.dag(), &cost, &net, &sim_cfg, &lat)
-            } else {
-                simulate(eval.dag(), &cost, &net, &sim_cfg)
-            };
+            let sim = simulate(eval.dag(), eval.plan(), &cost, &net, &sim_cfg);
             println!(
                 "[rank 0] simulated: {:.1} ms makespan, {} messages, {} bytes \
-                 (same DAG, distribution and coalescing config)",
+                 (same DAG, plan, distribution and coalescing config)",
                 sim.makespan_us / 1e3,
                 sim.messages,
                 sim.bytes

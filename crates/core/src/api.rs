@@ -9,14 +9,15 @@ use std::time::Instant;
 
 use dashmm_amt::{ObsLevel, PeerFailure, RunReport, Runtime, RuntimeConfig, Transport};
 use dashmm_dag::{
-    BlockPolicy, Dag, DagStats, DistributionPolicy, FmmPolicy, NodeClass, SingleLocality,
+    BlockPolicy, Dag, DagStats, DistributionPolicy, FmmPolicy, LatticeHint, NodeClass, SchedPlan,
+    SingleLocality,
 };
 use dashmm_expansion::{AccuracyParams, OperatorLibrary};
 use dashmm_kernels::Kernel;
 use dashmm_tree::{BuildParams, Point3};
 
 use crate::assemble::{assemble, Assembly};
-use crate::exec::{ExecCtx, RecoveryStats, SchedPolicy};
+use crate::exec::{ExecCtx, RecoveryStats};
 use crate::problem::{block_owner, Method, Problem};
 
 /// Which distribution policy assigns DAG nodes to localities.
@@ -29,6 +30,37 @@ pub enum Policy {
     /// The paper's FMM policy (leaf pinning + communication-aware `It`
     /// placement).
     Fmm,
+}
+
+/// Which scheduling plan the evaluation runs under — the builder-facing
+/// spelling of the three [`SchedPlan`] constructors.
+#[derive(Clone, Debug, Default)]
+pub enum SchedPolicy {
+    /// [`SchedPlan::flat`]: no priorities, every task runs at `Normal` (the
+    /// measured FIFO baseline of paper §V).
+    #[default]
+    Fifo,
+    /// [`SchedPlan::binary`]: the paper's proposed fix (§VI) — the
+    /// source-tree up-sweep (`S` and `M` nodes) runs `High`, everything
+    /// else `Normal`.
+    Binary,
+    /// [`SchedPlan::lattice`]: every DAG node ranked by its weighted
+    /// distance to the critical sink, boundary nodes with remote consumers
+    /// boosted one class.  The hint tilts operator weights from a previous
+    /// run's measured per-class timings; [`LatticeHint::uniform`] works
+    /// from nothing.
+    Lattice(LatticeHint),
+}
+
+impl SchedPolicy {
+    /// Build this policy's plan over a (distributed) DAG.
+    pub fn plan(&self, dag: &Dag) -> SchedPlan {
+        match self {
+            SchedPolicy::Fifo => SchedPlan::flat(dag),
+            SchedPolicy::Binary => SchedPlan::binary(dag),
+            SchedPolicy::Lattice(hint) => SchedPlan::lattice(dag, hint),
+        }
+    }
 }
 
 /// Builder for a DASHMM evaluation.
@@ -94,21 +126,10 @@ impl<K: Kernel> DashmmBuilder<K> {
         self
     }
 
-    /// Enable the binary critical-path priority (the paper's proposal).
-    /// Shorthand for [`DashmmBuilder::schedule`] with
-    /// [`SchedPolicy::Binary`] / [`SchedPolicy::Fifo`].
-    pub fn priority(mut self, on: bool) -> Self {
-        self.schedule = if on {
-            SchedPolicy::Binary
-        } else {
-            SchedPolicy::Fifo
-        };
-        self
-    }
-
     /// Select the scheduling policy: FIFO, the paper's binary priority,
     /// or the computed priority lattice (optionally warmed by a previous
-    /// run's per-operator timings).
+    /// run's per-operator timings).  This is the only scheduling option:
+    /// it picks the constructor of the [`SchedPlan`] the runtime executes.
     pub fn schedule(mut self, p: SchedPolicy) -> Self {
         self.schedule = p;
         self
@@ -214,19 +235,21 @@ impl<K: Kernel> DashmmBuilder<K> {
         let rt_cfg = RuntimeConfig {
             localities: self.localities,
             workers_per_locality: self.workers,
-            priority_scheduling: self.schedule.graded(),
             obs: self.obs,
         };
         let runtime = match self.transport {
             Some(t) => Runtime::with_transport(rt_cfg, t),
             None => Runtime::new(rt_cfg),
         };
+        // The plan is a pure function of the distributed (replicated) DAG,
+        // so every SPMD process builds identical classes.
+        let plan = Arc::new(self.schedule.plan(&asm.dag));
         Evaluation {
             problem,
             lib,
             asm: Arc::new(asm),
             runtime,
-            schedule: self.schedule,
+            plan,
             gradients: self.gradients,
             recover: self.recover,
             tree_ms,
@@ -259,7 +282,7 @@ pub struct Evaluation<K: Kernel> {
     lib: Arc<OperatorLibrary<K>>,
     asm: Arc<Assembly>,
     runtime: Arc<Runtime>,
-    schedule: SchedPolicy,
+    plan: Arc<SchedPlan>,
     gradients: bool,
     recover: bool,
     /// Milliseconds spent building the dual tree.
@@ -300,11 +323,6 @@ pub struct EvalOutput {
     /// complete despite `report.lost_peer` being set.  `None` with
     /// `report.lost_peer` set means the output is partial.
     pub recovery: Option<RecoveryInfo>,
-    /// FNV-1a fingerprint of the computed lattice ranks under
-    /// [`SchedPolicy::Lattice`] (`None` otherwise).  Identical on every
-    /// SPMD process and in the simulator modelling the same DAG — the
-    /// pipeline CI lane's sim/measured parity check compares these.
-    pub lattice_fingerprint: Option<u64>,
 }
 
 impl<K: Kernel> Evaluation<K> {
@@ -343,7 +361,7 @@ impl<K: Kernel> Evaluation<K> {
             Arc::clone(&self.problem),
             Arc::clone(&self.lib),
             Arc::clone(&self.asm),
-            self.schedule.clone(),
+            Arc::clone(&self.plan),
             self.gradients,
             charges_morton,
         );
@@ -384,7 +402,6 @@ impl<K: Kernel> Evaluation<K> {
             }
         }
         let eval_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let lattice_fingerprint = exec.lattice_fingerprint();
         let (pot, grad) = exec.extract(&self.runtime);
         EvalOutput {
             potentials: self.problem.unsort_potentials(&pot),
@@ -400,13 +417,19 @@ impl<K: Kernel> Evaluation<K> {
             report,
             eval_ms,
             recovery,
-            lattice_fingerprint,
         }
     }
 
     /// The explicit DAG.
     pub fn dag(&self) -> &Dag {
         &self.asm.dag
+    }
+
+    /// The scheduling plan every evaluation of this DAG runs under — pass
+    /// it to `dashmm_sim::simulate` to model the schedule the runtime
+    /// executes.
+    pub fn plan(&self) -> &SchedPlan {
+        &self.plan
     }
 
     /// DAG statistics (paper Tables I and II).
@@ -517,7 +540,7 @@ mod tests {
                 Arc::clone(&eval.problem),
                 Arc::clone(&eval.lib),
                 Arc::clone(&eval.asm),
-                eval.schedule.clone(),
+                Arc::clone(&eval.plan),
                 false,
                 eval.problem.charges.clone(),
             );
@@ -542,56 +565,36 @@ mod tests {
     }
 
     #[test]
-    fn priority_mode_same_answer() {
-        let n = 800;
-        let sources = uniform_cube(n, 1);
-        let targets = uniform_cube(n, 2);
-        let charges = vec![1.0; n];
-        let base = DashmmBuilder::new(Laplace)
-            .threshold(20)
-            .build(&sources, &charges, &targets)
-            .evaluate();
-        let prio = DashmmBuilder::new(Laplace)
-            .threshold(20)
-            .priority(true)
-            .build(&sources, &charges, &targets)
-            .evaluate();
-        let e = rel_err(&prio.potentials, &base.potentials);
-        assert!(e < 1e-12, "priority must not change results: {e:.2e}");
-    }
-
-    #[test]
     fn lattice_mode_same_answer_and_fingerprint() {
-        use dashmm_dag::LatticeHint;
         let n = 800;
         let sources = uniform_cube(n, 1);
         let targets = uniform_cube(n, 2);
         let charges = vec![1.0; n];
-        let base = DashmmBuilder::new(Laplace)
-            .threshold(20)
-            .machine(2, 2)
-            .build(&sources, &charges, &targets);
-        let lat = DashmmBuilder::new(Laplace)
-            .threshold(20)
-            .machine(2, 2)
-            .schedule(SchedPolicy::Lattice(LatticeHint::uniform()))
-            .build(&sources, &charges, &targets);
+        let build = |schedule: SchedPolicy| {
+            DashmmBuilder::new(Laplace)
+                .threshold(20)
+                .machine(2, 2)
+                .schedule(schedule)
+                .build(&sources, &charges, &targets)
+        };
+        let base = build(SchedPolicy::Fifo);
         let b = base.evaluate();
-        let a = lat.evaluate();
-        let e = rel_err(&a.potentials, &b.potentials);
+        assert!(base.plan().is_flat());
+        // The binary plan: same answer as the flat one.
+        let e = rel_err(
+            &build(SchedPolicy::Binary).evaluate().potentials,
+            &b.potentials,
+        );
+        assert!(e < 1e-12, "priority must not change results: {e:.2e}");
+        let lat = build(SchedPolicy::Lattice(LatticeHint::uniform()));
+        let e = rel_err(&lat.evaluate().potentials, &b.potentials);
         assert!(e < 1e-12, "lattice must not change results: {e:.2e}");
-        assert!(b.lattice_fingerprint.is_none());
-        let fp = a.lattice_fingerprint.expect("lattice mode fingerprints");
-        // The ranks are a pure function of the DAG: re-evaluating (and a
-        // separately built identical evaluation) reproduces the value.
-        assert_eq!(lat.evaluate().lattice_fingerprint, Some(fp));
-        let again = DashmmBuilder::new(Laplace)
-            .threshold(20)
-            .machine(2, 2)
-            .schedule(SchedPolicy::Lattice(LatticeHint::uniform()))
-            .build(&sources, &charges, &targets)
-            .evaluate();
-        assert_eq!(again.lattice_fingerprint, Some(fp));
+        let fp = lat.plan().fingerprint();
+        assert_ne!(base.plan().fingerprint(), fp);
+        // The classes are a pure function of the DAG: a separately built
+        // identical evaluation reproduces the value.
+        let again = build(SchedPolicy::Lattice(LatticeHint::uniform()));
+        assert_eq!(again.plan().fingerprint(), fp);
     }
 
     #[test]

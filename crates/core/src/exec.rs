@@ -18,7 +18,7 @@ use dashmm_amt::{
     Priority, ProgressLedger, Runtime, TaskCtx, CLASS_NONE, CLASS_RECOVERY,
     DEFAULT_BATCH_THRESHOLD,
 };
-use dashmm_dag::{DagEdge, EdgeOp, LatticeHint, NodeClass, PriorityLattice, PRIORITY_CLASSES};
+use dashmm_dag::{DagEdge, EdgeOp, EdgePart, Fire, NodeClass, SchedPlan, PRIORITY_CLASSES};
 use dashmm_expansion::{batch as opbatch, ops, BatchWorkspace, OperatorLibrary};
 use dashmm_kernels::Kernel;
 use dashmm_tree::Point3;
@@ -27,36 +27,9 @@ use parking_lot::RwLock;
 use crate::assemble::{unpack_i2i, Assembly};
 use crate::problem::Problem;
 
-// The runtime's priority classes and the lattice's quantisation must agree
-// for ranks to map onto parcel priorities byte-for-byte.
+// The runtime's priority classes and the plan's must agree for plan classes
+// to map onto task and parcel priorities byte-for-byte.
 const _: () = assert!(Priority::CLASSES as usize == PRIORITY_CLASSES);
-
-/// How the executor grades task and parcel priorities.
-#[derive(Clone, Debug, Default)]
-pub enum SchedPolicy {
-    /// No priorities: every task runs at `Normal` (the measured FIFO
-    /// baseline of paper §V).
-    #[default]
-    Fifo,
-    /// The paper's proposed binary fix (§VI): source-tree up-sweep work
-    /// (`S` seeds, edges into `M` nodes) runs `High`, everything else
-    /// `Normal`.
-    Binary,
-    /// Computed priority lattice: every DAG node ranked at build time by
-    /// its weighted distance to the critical sink, boundary nodes with
-    /// remote consumers boosted one class, and the rank carried through
-    /// task queues, coalesced parcels, and flush ordering.  The hint
-    /// tilts operator weights from a previous run's measured per-class
-    /// timings; [`LatticeHint::uniform`] works from nothing.
-    Lattice(LatticeHint),
-}
-
-impl SchedPolicy {
-    /// Whether the runtime should honor task priorities at all.
-    pub fn graded(&self) -> bool {
-        !matches!(self, SchedPolicy::Fifo)
-    }
-}
 
 /// Operator identity shared by a batch of edges: everything needed to look
 /// up (or rebuild) the one matrix / factor vector the whole batch applies.
@@ -82,22 +55,6 @@ enum BatchKey {
     /// Near-field `S→T` into the target leaf DAG node `dst`: all source
     /// leaves of one target block fuse into a single SoA evaluation.
     S2T { dst: u32 },
-}
-
-/// Which slice of a node's out-edge list one task processes.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum EdgeSel {
-    /// Every out-edge.
-    All,
-    /// Binary split: up-sweep edges (`S→M`/`M→M`) only.
-    Up,
-    /// Binary split: everything but the up-sweep.
-    Rest,
-    /// Lattice split: edges into destinations ranked more urgent than
-    /// `Normal`.
-    Urgent,
-    /// Lattice split: the non-urgent remainder.
-    Bulk,
 }
 
 /// One deposited edge awaiting its batch.
@@ -152,10 +109,11 @@ pub struct ExecCtx<K: Kernel> {
     pub lib: Arc<OperatorLibrary<K>>,
     /// The explicit DAG and box correspondence.
     pub asm: Arc<Assembly>,
-    /// How tasks and parcels are graded.
-    pub policy: SchedPolicy,
-    /// Node ranks computed at construction under [`SchedPolicy::Lattice`].
-    lattice: Option<PriorityLattice>,
+    /// The scheduling plan: every task, LCO continuation and parcel this
+    /// context emits takes its class from it.  Built once per
+    /// [`crate::Evaluation`] from the distributed DAG, so every SPMD
+    /// process holds identical classes.
+    plan: Arc<SchedPlan>,
     /// Also compute field gradients at the targets.
     pub gradients: bool,
     /// Charges in source-tree Morton order (the iterative use case re-runs
@@ -210,7 +168,7 @@ impl<K: Kernel> ExecCtx<K> {
         problem: Arc<Problem>,
         lib: Arc<OperatorLibrary<K>>,
         asm: Arc<Assembly>,
-        policy: SchedPolicy,
+        plan: Arc<SchedPlan>,
         gradients: bool,
         charges: Vec<f64>,
     ) -> Arc<Self> {
@@ -219,20 +177,17 @@ impl<K: Kernel> ExecCtx<K> {
             problem.tree.source().points().len(),
             "one charge per source"
         );
+        assert_eq!(
+            plan.classes().len(),
+            asm.dag.num_nodes(),
+            "one plan class per DAG node"
+        );
         let n_edges = asm.dag.edges().len();
-        // Ranks are assigned at DAG-build time, before any task runs:
-        // the lattice is a pure function of the (replicated) DAG and
-        // hint, so every SPMD process computes identical ranks.
-        let lattice = match &policy {
-            SchedPolicy::Lattice(hint) => Some(PriorityLattice::compute(&asm.dag, hint)),
-            _ => None,
-        };
         Arc::new(ExecCtx {
             problem,
             lib,
             asm,
-            policy,
-            lattice,
+            plan,
             gradients,
             charges,
             lcos: RwLock::new(Vec::new()),
@@ -255,36 +210,10 @@ impl<K: Kernel> ExecCtx<K> {
         self.ledger.read().clone()
     }
 
-    /// Scheduling priority for work producing into DAG node `dst`: its
-    /// lattice rank under [`SchedPolicy::Lattice`], the binary class rule
-    /// under [`SchedPolicy::Binary`], `Normal` under [`SchedPolicy::Fifo`].
+    /// Scheduling priority for work producing into DAG node `dst` — and so
+    /// of the continuation `dst` fires: its plan class.
     fn node_priority(&self, dst: u32) -> Priority {
-        match &self.lattice {
-            Some(lat) => Priority::class(lat.rank(dst)),
-            None => self.class_priority(self.asm.dag.node(dst).class),
-        }
-    }
-
-    /// The binary rule: tasks producing into `M` nodes run `High`.
-    fn class_priority(&self, class: NodeClass) -> Priority {
-        if matches!(self.policy, SchedPolicy::Binary) && matches!(class, NodeClass::M) {
-            Priority::High
-        } else {
-            Priority::Normal
-        }
-    }
-
-    /// FNV-1a fingerprint of the computed lattice ranks (`None` unless
-    /// running under [`SchedPolicy::Lattice`]).  Every SPMD process — and
-    /// the simulator modelling the same DAG — must produce the same value;
-    /// the pipeline CI lane checks exactly that.
-    pub fn lattice_fingerprint(&self) -> Option<u64> {
-        self.lattice.as_ref().map(|l| l.fingerprint())
-    }
-
-    /// The computed lattice, if any.
-    pub fn lattice(&self) -> Option<&PriorityLattice> {
-        self.lattice.as_ref()
+        Priority::class(self.plan.class(dst))
     }
 
     /// Register the coalesced-parcel action and allocate one LCO per DAG
@@ -501,15 +430,11 @@ impl<K: Kernel> ExecCtx<K> {
             let node = self.asm.dag.node(id);
             let locality = node.locality.min(n_loc - 1);
             let this = Arc::clone(self);
-            let prio = match (&self.policy, &self.lattice) {
-                (SchedPolicy::Lattice(_), Some(lat)) => Priority::class(lat.rank(id)),
-                (SchedPolicy::Binary, _) if node.class == NodeClass::S => Priority::High,
-                _ => Priority::Normal,
-            };
+            let prio = self.node_priority(id);
             rt.seed(locality, move |ctx| {
                 if prio != Priority::Normal {
-                    // Re-spawn at the seed's graded priority so ranked
-                    // work leads from the very first dequeue.
+                    // Re-spawn at the seed's own class so ranked work
+                    // leads from the very first dequeue.
                     let this2 = Arc::clone(&this);
                     ctx.spawn_with_priority(
                         move |ctx2| this2.process_out_edges(ctx2, id, &[]),
@@ -777,75 +702,30 @@ impl<K: Kernel> ExecCtx<K> {
     /// along every out-edge; local edges inline, remote edges coalesced
     /// into one parcel per destination locality.
     ///
-    /// Under binary priority scheduling, a node carrying both critical
-    /// up-sweep edges (`S→M`/`M→M`) and bulk edges processes the up-sweep
-    /// immediately and defers the rest to a separate normal-priority task,
-    /// so the source-tree sweep races ahead of the bulk work (the paper's
-    /// proposed scheduling fix, §VI).  Under the lattice the split is by
-    /// graded urgency instead: edges into nodes ranked more urgent than
-    /// `Normal` go first, and the bulk remainder is deferred at the most
-    /// urgent rank among its own destinations — which is how upward,
-    /// transfer, and downward work interleave rather than running as
-    /// phases.
+    /// What the node spawns is the plan's decision ([`SchedPlan::on_fire`]):
+    /// either this task processes the whole list, or — when the list holds
+    /// both urgent and bulk edges — it processes the urgent slice now and
+    /// defers the bulk to a second task at the class the plan fixed for it.
     fn process_out_edges(self: &Arc<Self>, ctx: &TaskCtx, id: u32, data: &[f64]) {
         if let Some(l) = self.ledger.read().as_ref() {
             l.note_fired(id);
         }
-        let split = match &self.policy {
-            SchedPolicy::Fifo => None,
-            SchedPolicy::Binary => Some((EdgeSel::Up, EdgeSel::Rest)),
-            SchedPolicy::Lattice(_) => Some((EdgeSel::Urgent, EdgeSel::Bulk)),
-        };
-        if let Some((now, deferred)) = split {
-            let edges = self.asm.dag.out_edges(id);
-            let has_now = edges.iter().any(|e| self.edge_selected(e, now));
-            let has_deferred = edges.iter().any(|e| self.edge_selected(e, deferred));
-            if has_now && has_deferred {
-                self.process_edge_part(ctx, id, data, now);
-                // Boundary-first: deferred bulk that feeds a remote consumer
-                // runs one class earlier, so its parcel overlaps the
-                // remaining local bulk instead of serializing at the tail.
-                let lcos = self.lcos.read();
-                let prio = edges
-                    .iter()
-                    .filter(|e| self.edge_selected(e, deferred))
-                    .map(|e| {
-                        let p = self.node_priority(e.dst);
-                        if self.lattice.is_some() && lcos[e.dst as usize].locality != ctx.locality {
-                            Priority::class(p.level().saturating_sub(1))
-                        } else {
-                            p
-                        }
-                    })
-                    .min()
-                    .unwrap_or(Priority::Normal);
-                drop(lcos);
+        match self.plan.on_fire(id) {
+            Fire::One { .. } => self.process_edge_part(ctx, id, data, EdgePart::All),
+            Fire::Split { bulk_class, .. } => {
+                self.process_edge_part(ctx, id, data, EdgePart::Urgent);
                 let this = Arc::clone(self);
                 let data_copy = data.to_vec();
                 ctx.spawn_with_priority(
-                    move |ctx2| this.process_edge_part(ctx2, id, &data_copy, deferred),
-                    prio,
+                    move |ctx2| this.process_edge_part(ctx2, id, &data_copy, EdgePart::Bulk),
+                    Priority::class(bulk_class),
                 );
-                return;
             }
         }
-        self.process_edge_part(ctx, id, data, EdgeSel::All);
     }
 
-    /// Whether `e` belongs to the `sel` slice of an out-edge list.
-    fn edge_selected(&self, e: &DagEdge, sel: EdgeSel) -> bool {
-        let is_up = matches!(e.op, EdgeOp::S2M | EdgeOp::M2M);
-        match sel {
-            EdgeSel::All => true,
-            EdgeSel::Up => is_up,
-            EdgeSel::Rest => !is_up,
-            EdgeSel::Urgent => self.node_priority(e.dst).is_urgent(),
-            EdgeSel::Bulk => !self.node_priority(e.dst).is_urgent(),
-        }
-    }
-
-    /// Process the out-edges selected by `sel`.
-    fn process_edge_part(&self, ctx: &TaskCtx, id: u32, data: &[f64], sel: EdgeSel) {
+    /// Process the `part` slice of the node's out-edges.
+    fn process_edge_part(&self, ctx: &TaskCtx, id: u32, data: &[f64], part: EdgePart) {
         let dag = &self.asm.dag;
         let node = dag.node(id);
         let lcos = self.lcos.read();
@@ -855,7 +735,7 @@ impl<K: Kernel> ExecCtx<K> {
         // (locality, edge flat indices)
         let mut remote: Vec<(u32, Vec<u32>)> = Vec::new();
         for (i, e) in dag.out_edges(id).iter().enumerate() {
-            if !self.edge_selected(e, sel) {
+            if !self.plan.selects(part, e) {
                 continue;
             }
             let dst_loc = lcos[e.dst as usize].locality;
@@ -888,22 +768,11 @@ impl<K: Kernel> ExecCtx<K> {
                 payload.extend_from_slice(&eid.to_le_bytes());
             }
             encode_f64s(data, &mut payload);
-            // A coalesced parcel inherits the most urgent rank among its
-            // edges' destinations, so the wire and the receiving run queue
-            // see the same lattice the local scheduler does.
-            let prio = match &self.lattice {
-                Some(lat) => edge_ids
-                    .iter()
-                    .map(|&eid| Priority::class(lat.rank(dag.edges()[eid as usize].dst)))
-                    .min()
-                    .unwrap_or(Priority::Normal),
-                None => Priority::Normal,
-            };
-            ctx.send(Parcel::graded(
+            ctx.send(Parcel::with_priority(
                 action,
                 GlobalAddress::new(loc, 0),
                 payload,
-                prio,
+                Priority::class(self.plan.bundle_class(dag, &edge_ids)),
             ));
         }
     }
@@ -1105,7 +974,7 @@ impl<K: Kernel> ExecCtx<K> {
         };
         let mut prev = ctx.now_ns();
         let start = prev;
-        // Lattice ranks differ between destinations inside one operator
+        // Plan classes differ between destinations inside one operator
         // batch, so the LCO-set priority is looked up per entry.
         let prio = |i: usize| self.node_priority(self.asm.dag.edges()[batch[i].eid as usize].dst);
         // Hand edge `i`'s contribution to its destination and close its

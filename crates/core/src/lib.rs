@@ -45,10 +45,10 @@ pub mod resident;
 pub mod step;
 pub mod verify;
 
-pub use api::{DashmmBuilder, EvalOutput, Evaluation, Policy, RecoveryInfo};
+pub use api::{DashmmBuilder, EvalOutput, Evaluation, Policy, RecoveryInfo, SchedPolicy};
 pub use assemble::{assemble, Assembly};
-pub use dashmm_dag::{LatticeHint, PriorityLattice};
-pub use exec::{RecoveryStats, SchedPolicy};
+pub use dashmm_dag::{LatticeHint, SchedPlan};
+pub use exec::RecoveryStats;
 pub use measure::per_op_avg_us;
 pub use problem::{block_owner, Method, Problem};
 pub use resident::{EvalProfile, ResidentConfig, ResidentFmm};

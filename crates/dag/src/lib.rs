@@ -14,7 +14,7 @@
 
 pub mod dist;
 pub mod graph;
-pub mod lattice;
+pub mod plan;
 pub mod reuse;
 pub mod stats;
 
@@ -22,6 +22,6 @@ pub use dist::{
     BlockPolicy, DistributionPolicy, FmmPolicy, ItPlacement, LoadBalancedPolicy, SingleLocality,
 };
 pub use graph::{Dag, DagBuilder, DagEdge, DagNode, EdgeOp, NodeClass};
-pub use lattice::{LatticeHint, PriorityLattice, PRIORITY_CLASSES};
+pub use plan::{EdgePart, Fire, LatticeHint, SchedPlan, NORMAL_CLASS, PRIORITY_CLASSES};
 pub use reuse::{InvalidationReport, Invalidator};
 pub use stats::{DagStats, EdgeClassStats, NodeClassStats};

@@ -1,12 +1,15 @@
-//! Property tests of the computed priority lattice over arbitrary DAGs:
-//! determinism (two computes — or two SPMD ranks building the same DAG —
-//! agree byte-for-byte), invariance of the underlying distance ranks under
-//! locality relabeling and redistribution, and the structural invariants
+//! Property tests of the scheduling plan over arbitrary DAGs: determinism
+//! of the lattice (two computes — or two SPMD ranks building the same DAG —
+//! agree byte-for-byte), invariance of its classes and splits under
+//! locality relabeling and redistribution, the structural invariants
 //! (edge monotonicity, sink class, bounded boundary boost) the scheduler
-//! relies on.
+//! relies on, and the dispatch contract all three constructors share
+//! (`Urgent ∪ Bulk` partitions every out-edge list, a flat plan never
+//! splits, the binary plan's urgent edges are exactly `S→M`/`M→M`).
 
 use dashmm_dag::{
-    Dag, DagBuilder, EdgeOp, LatticeHint, NodeClass, PriorityLattice, PRIORITY_CLASSES,
+    Dag, DagBuilder, EdgeOp, EdgePart, Fire, LatticeHint, NodeClass, SchedPlan, NORMAL_CLASS,
+    PRIORITY_CLASSES,
 };
 use proptest::prelude::*;
 
@@ -77,13 +80,13 @@ proptest! {
         localities in 1u32..9,
     ) {
         let dag = random_dag(seed, nodes, extra, localities);
-        let a = PriorityLattice::compute(&dag, &LatticeHint::uniform());
-        let b = PriorityLattice::compute(&dag, &LatticeHint::uniform());
-        prop_assert_eq!(a.ranks(), b.ranks());
+        let a = SchedPlan::lattice(&dag, &LatticeHint::uniform());
+        let b = SchedPlan::lattice(&dag, &LatticeHint::uniform());
+        prop_assert_eq!(a.classes(), b.classes());
         prop_assert_eq!(a.fingerprint(), b.fingerprint());
         // A second "rank" rebuilding the DAG from the same inputs agrees.
         let rebuilt = random_dag(seed, nodes, extra, localities);
-        let c = PriorityLattice::compute(&rebuilt, &LatticeHint::uniform());
+        let c = SchedPlan::lattice(&rebuilt, &LatticeHint::uniform());
         prop_assert_eq!(a.fingerprint(), c.fingerprint());
         prop_assert_eq!(a.histogram().iter().sum::<usize>(), nodes);
     }
@@ -99,16 +102,19 @@ proptest! {
         offset in 1u32..1000,
     ) {
         let dag = random_dag(seed, nodes, extra, localities);
-        let base = PriorityLattice::compute(&dag, &LatticeHint::uniform());
+        let base = SchedPlan::lattice(&dag, &LatticeHint::uniform());
         let mut relabeled = random_dag(seed, nodes, extra, localities);
         for i in 0..nodes {
             // A bijection on ids (shift): preserves equality classes.
             let loc = dag.nodes()[i].locality;
             relabeled.set_locality(i as u32, loc + offset);
         }
-        let shifted = PriorityLattice::compute(&relabeled, &LatticeHint::uniform());
-        prop_assert_eq!(base.ranks(), shifted.ranks());
+        let shifted = SchedPlan::lattice(&relabeled, &LatticeHint::uniform());
+        prop_assert_eq!(base.classes(), shifted.classes());
         prop_assert_eq!(base.fingerprint(), shifted.fingerprint());
+        for i in 0..nodes as u32 {
+            prop_assert_eq!(base.on_fire(i), shifted.on_fire(i));
+        }
     }
 
     /// Redistributing a DAG across any locality count only applies the
@@ -124,8 +130,8 @@ proptest! {
     ) {
         let local = random_dag(seed, nodes, extra, 1);
         let spread = random_dag(seed, nodes, extra, localities);
-        let base = PriorityLattice::compute(&local, &LatticeHint::uniform());
-        let dist = PriorityLattice::compute(&spread, &LatticeHint::uniform());
+        let base = SchedPlan::lattice(&local, &LatticeHint::uniform());
+        let dist = SchedPlan::lattice(&spread, &LatticeHint::uniform());
         for i in 0..nodes as u32 {
             let nd = &spread.nodes()[i as usize];
             let boundary = spread
@@ -133,11 +139,11 @@ proptest! {
                 .iter()
                 .any(|e| spread.nodes()[e.dst as usize].locality != nd.locality);
             let expect = if boundary {
-                base.rank(i).saturating_sub(1)
+                base.class(i).saturating_sub(1)
             } else {
-                base.rank(i)
+                base.class(i)
             };
-            prop_assert_eq!(dist.rank(i), expect);
+            prop_assert_eq!(dist.class(i), expect);
         }
     }
 
@@ -151,15 +157,120 @@ proptest! {
         extra in 0usize..200,
     ) {
         let dag = random_dag(seed, nodes, extra, 1);
-        let lat = PriorityLattice::compute(&dag, &LatticeHint::uniform());
+        let lat = SchedPlan::lattice(&dag, &LatticeHint::uniform());
         for src in 0..nodes as u32 {
             for e in dag.out_edges(src) {
-                prop_assert!(lat.rank(src) <= lat.rank(e.dst));
+                prop_assert!(lat.class(src) <= lat.class(e.dst));
             }
         }
         for (i, nd) in dag.nodes().iter().enumerate() {
             if nd.out_degree == 0 {
-                prop_assert_eq!(lat.rank(i as u32) as usize, PRIORITY_CLASSES - 1);
+                prop_assert_eq!(lat.class(i as u32) as usize, PRIORITY_CLASSES - 1);
+            }
+        }
+    }
+
+    /// The dispatch contract every plan honours: `Urgent` and `Bulk`
+    /// partition each out-edge list, a node splits iff both parts are
+    /// non-empty, its urgent task keeps the node's own class, and its bulk
+    /// task is no more urgent than `NORMAL_CLASS - 1`.
+    #[test]
+    fn urgent_and_bulk_partition_every_out_edge_list(
+        seed in any::<u64>(),
+        nodes in 2usize..100,
+        extra in 0usize..150,
+        localities in 1u32..6,
+    ) {
+        let dag = random_dag(seed, nodes, extra, localities);
+        for plan in [
+            SchedPlan::flat(&dag),
+            SchedPlan::binary(&dag),
+            SchedPlan::lattice(&dag, &LatticeHint::uniform()),
+        ] {
+            for id in 0..nodes as u32 {
+                let (mut urgent, mut bulk) = (0usize, 0usize);
+                for e in dag.out_edges(id) {
+                    prop_assert!(plan.selects(EdgePart::All, e));
+                    let (u, b) = (plan.selects(EdgePart::Urgent, e), plan.selects(EdgePart::Bulk, e));
+                    prop_assert!(u != b, "edge in both or neither part");
+                    prop_assert_eq!(u, plan.class(e.dst) < NORMAL_CLASS);
+                    urgent += u as usize;
+                    bulk += b as usize;
+                }
+                match plan.on_fire(id) {
+                    Fire::One { class } => {
+                        prop_assert!(urgent == 0 || bulk == 0);
+                        prop_assert_eq!(class, plan.class(id));
+                    }
+                    Fire::Split { urgent_class, bulk_class } => {
+                        prop_assert!(urgent > 0 && bulk > 0);
+                        prop_assert_eq!(urgent_class, plan.class(id));
+                        prop_assert!(bulk_class >= NORMAL_CLASS - 1);
+                        prop_assert!((bulk_class as usize) < PRIORITY_CLASSES);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A flat plan emits one class of work: no node splits, nothing is
+    /// urgent, every bundle is `Normal`.
+    #[test]
+    fn flat_plan_never_splits(
+        seed in any::<u64>(),
+        nodes in 2usize..100,
+        extra in 0usize..150,
+        localities in 1u32..6,
+    ) {
+        let dag = random_dag(seed, nodes, extra, localities);
+        let plan = SchedPlan::flat(&dag);
+        prop_assert!(plan.is_flat());
+        for id in 0..nodes as u32 {
+            prop_assert_eq!(plan.on_fire(id), Fire::One { class: NORMAL_CLASS });
+        }
+        let all: Vec<u32> = (0..dag.num_edges() as u32).collect();
+        prop_assert_eq!(plan.bundle_class(&dag, &all), NORMAL_CLASS);
+    }
+
+    /// Over a well-formed FMM DAG — where only `S→M`/`M→M` edges enter `M`
+    /// nodes — the binary plan's urgent edge set is exactly those edges.
+    #[test]
+    fn binary_urgent_set_is_the_up_sweep(
+        seed in any::<u64>(),
+        nodes in 2usize..100,
+        extra in 0usize..150,
+    ) {
+        // Retype the random graph's edges by destination so it is
+        // well-formed in that sense: edges into `M` become `S→M`/`M→M`,
+        // all others `M→L`; `S` nodes with inputs are retyped `L`.
+        let raw = random_dag(seed, nodes, extra, 1);
+        let mut b = DagBuilder::new();
+        for nd in raw.nodes() {
+            let class = if nd.class == NodeClass::S && nd.in_degree > 0 {
+                NodeClass::L
+            } else {
+                nd.class
+            };
+            b.add_node(class, nd.box_id, nd.level, nd.size_bytes);
+        }
+        for src in 0..nodes as u32 {
+            for e in raw.out_edges(src) {
+                let op = match (raw.node(e.dst).class == NodeClass::M, src % 2) {
+                    (true, 0) => EdgeOp::S2M,
+                    (true, _) => EdgeOp::M2M,
+                    (false, _) => EdgeOp::M2L,
+                };
+                b.add_edge(src, op, e.dst, e.bytes, e.tag);
+            }
+        }
+        let dag = b.finish();
+        let plan = SchedPlan::binary(&dag);
+        for src in 0..nodes as u32 {
+            for e in dag.out_edges(src) {
+                prop_assert_eq!(
+                    plan.selects(EdgePart::Urgent, e),
+                    matches!(e.op, EdgeOp::S2M | EdgeOp::M2M)
+                );
             }
         }
     }

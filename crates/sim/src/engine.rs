@@ -4,7 +4,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use dashmm_amt::{TraceEvent, TraceSet};
-use dashmm_dag::{Dag, DagEdge, NodeClass, PriorityLattice, PRIORITY_CLASSES};
+use dashmm_dag::{Dag, EdgePart, Fire, NodeClass, SchedPlan, PRIORITY_CLASSES};
 
 use crate::cost::{CostModel, NetworkModel};
 
@@ -15,14 +15,10 @@ pub struct SimConfig {
     pub localities: usize,
     /// Cores per locality (the paper's Big Red II nodes have 32).
     pub cores_per_locality: usize,
-    /// Enable the binary priority scheduling the paper proposes: the
-    /// continuations of `S` and `M` nodes (the source-tree up-sweep) are
-    /// drained before other ready work.
-    pub priority: bool,
     /// Execute in strict levelwise (BSP) order with global barriers between
     /// phases — the conventional SPMD schedule the paper contrasts the AMT
     /// approach against (§I: "strict levelwise implementations cannot
-    /// exploit all of the available parallelism").
+    /// exploit all of the available parallelism").  Requires a flat plan.
     pub levelwise: bool,
     /// Record virtual trace events for utilization analysis.
     pub trace: bool,
@@ -65,49 +61,20 @@ impl SimResult {
     }
 }
 
-/// Which part of a node's out-edge list a task processes.  Under binary
-/// priority scheduling the critical up-sweep edges (`S→M`, `M→M`) are split
-/// into their own high-priority task ("present work in an order that
-/// emphasizes the critical tasks", paper §VI); under the lattice the split
-/// is by graded destination urgency instead; otherwise one task processes
-/// all edges.
-#[derive(Clone, Copy, PartialEq)]
-enum Part {
-    All,
-    UpOnly,
-    RestOnly,
-    /// Lattice split: edges into destinations ranked more urgent than the
-    /// `Normal` class.
-    Urgent,
-    /// Lattice split: the non-urgent remainder.
-    Bulk,
-}
-
-/// The middle priority class unranked work runs at — the same value the
-/// runtime's `Priority::Normal` maps to, so the simulator's pop order
-/// mirrors the measured scheduler's class for class.
-const NORMAL_CLASS: u8 = (PRIORITY_CLASSES / 2) as u8;
-
 #[derive(Clone)]
 enum TaskKind {
     /// Continuation of a triggered DAG node: process (part of) its
     /// out-edge list.
-    Node(u32, Part),
+    Node(u32, EdgePart),
     /// A coalesced parcel: remote edges of `src` evaluated here.  Carries
     /// the source node's levelwise phase (0 outside levelwise mode).
     Remote { edges: Vec<u32>, phase: u32 },
 }
 
-fn is_up_edge(op: dashmm_dag::EdgeOp) -> bool {
-    matches!(op, dashmm_dag::EdgeOp::S2M | dashmm_dag::EdgeOp::M2M)
-}
-
 #[derive(Clone)]
 struct SimTask {
     kind: TaskKind,
-    /// Graded priority class, 0 = most urgent.  The binary schedule uses
-    /// classes 0 (`High`) and `NORMAL_CLASS` only; the lattice uses all
-    /// `PRIORITY_CLASSES`.
+    /// Priority class from the plan, 0 = most urgent.
     prio: u8,
 }
 
@@ -170,10 +137,15 @@ fn levelwise_phase(dag: &Dag, id: u32, max_level: u8) -> u32 {
     }
 }
 
-/// Replay `dag` on the virtual machine.
+/// Replay `dag` on the virtual machine under `plan`: every task and remote
+/// bundle carries the class the plan gives it, ready queues pop
+/// most-urgent-first, and a fired node spawns what [`SchedPlan::on_fire`]
+/// says — the same calls, on the same plan type, the measured executor
+/// makes.  Pass `Evaluation::plan()` to model the schedule a real run
+/// executes, or build one over `dag` with a [`SchedPlan`] constructor.
 ///
 /// ```
-/// use dashmm_dag::{DagBuilder, EdgeOp, NodeClass};
+/// use dashmm_dag::{DagBuilder, EdgeOp, NodeClass, SchedPlan};
 /// use dashmm_sim::{simulate, CostModel, NetworkModel, SimConfig};
 ///
 /// let mut b = DagBuilder::new();
@@ -185,49 +157,27 @@ fn levelwise_phase(dag: &Dag, id: u32, max_level: u8) -> u32 {
 /// let cfg = SimConfig {
 ///     localities: 1,
 ///     cores_per_locality: 32,
-///     priority: false,
 ///     levelwise: false,
 ///     trace: false,
 /// };
-/// let r = simulate(&dag, &CostModel::paper_table2(), &NetworkModel::gemini(), &cfg);
+/// let plan = SchedPlan::flat(&dag);
+/// let r = simulate(&dag, &plan, &CostModel::paper_table2(), &NetworkModel::gemini(), &cfg);
 /// assert!(r.makespan_us > 0.0);
 /// ```
-pub fn simulate(dag: &Dag, cost: &CostModel, net: &NetworkModel, cfg: &SimConfig) -> SimResult {
-    sim_core(dag, cost, net, cfg, None)
-}
-
-/// Replay `dag` under the computed priority lattice: every task and remote
-/// bundle carries its destination's graded rank, ready queues pop
-/// most-urgent-first, and continuations split urgent/bulk work exactly the
-/// way the measured executor does.  `cfg.priority` is ignored (the lattice
-/// subsumes it); levelwise mode is incompatible.
-pub fn simulate_lattice(
+pub fn simulate(
     dag: &Dag,
+    plan: &SchedPlan,
     cost: &CostModel,
     net: &NetworkModel,
     cfg: &SimConfig,
-    lattice: &PriorityLattice,
-) -> SimResult {
-    assert!(
-        !cfg.levelwise,
-        "levelwise and lattice scheduling are mutually exclusive"
-    );
-    sim_core(dag, cost, net, cfg, Some(lattice))
-}
-
-fn sim_core(
-    dag: &Dag,
-    cost: &CostModel,
-    net: &NetworkModel,
-    cfg: &SimConfig,
-    lattice: Option<&PriorityLattice>,
 ) -> SimResult {
     assert!(cfg.localities >= 1 && cfg.cores_per_locality >= 1);
     assert!(
-        !(cfg.levelwise && cfg.priority),
-        "levelwise and priority scheduling are mutually exclusive"
+        !cfg.levelwise || plan.is_flat(),
+        "levelwise barriers order the run by phase: the plan must be flat"
     );
     let n = dag.num_nodes();
+    assert_eq!(plan.classes().len(), n, "one plan class per DAG node");
     let mut remaining: Vec<u32> = dag.nodes().iter().map(|nd| nd.in_degree).collect();
     let mut locs: Vec<LocState> = (0..cfg.localities)
         .map(|_| LocState {
@@ -249,80 +199,22 @@ fn sim_core(
     };
 
     let node_loc = |id: u32| dag.node(id).locality.min(cfg.localities as u32 - 1);
-    // Whether `e` belongs in the urgent slice of a lattice split.
-    let edge_urgent = |lat: &PriorityLattice, e: &DagEdge| lat.rank(e.dst) < NORMAL_CLASS;
-    // Under binary priority scheduling, a node with both up-sweep and other
-    // edges is split into a high-priority up-sweep task plus a normal task;
-    // under the lattice the same split happens by graded destination rank,
-    // and the continuation itself runs at the node's own rank.
+    // The continuation tasks of a fired node, as the plan splits them.
     let node_tasks = |id: u32| -> Vec<SimTask> {
-        if let Some(lat) = lattice {
-            let rank = lat.rank(id);
-            let edges = dag.out_edges(id);
-            let has_urgent = edges.iter().any(|e| edge_urgent(lat, e));
-            let has_bulk = edges.iter().any(|e| !edge_urgent(lat, e));
-            if has_urgent && has_bulk {
-                // Boundary-first: bulk that feeds a remote consumer runs one
-                // class earlier so its transfer overlaps the remaining local
-                // bulk instead of serializing at the tail.
-                let bulk_prio = edges
-                    .iter()
-                    .filter(|e| !edge_urgent(lat, e))
-                    .map(|e| {
-                        let r = lat.rank(e.dst);
-                        if node_loc(e.dst) != node_loc(id) {
-                            r.saturating_sub(1)
-                        } else {
-                            r
-                        }
-                    })
-                    .min()
-                    .unwrap_or(NORMAL_CLASS);
-                return vec![
-                    SimTask {
-                        kind: TaskKind::Node(id, Part::Urgent),
-                        prio: rank,
-                    },
-                    SimTask {
-                        kind: TaskKind::Node(id, Part::Bulk),
-                        prio: bulk_prio,
-                    },
-                ];
-            }
-            return vec![SimTask {
-                kind: TaskKind::Node(id, Part::All),
-                prio: rank,
-            }];
+        let task = |part, prio| SimTask {
+            kind: TaskKind::Node(id, part),
+            prio,
+        };
+        match plan.on_fire(id) {
+            Fire::One { class } => vec![task(EdgePart::All, class)],
+            Fire::Split {
+                urgent_class,
+                bulk_class,
+            } => vec![
+                task(EdgePart::Urgent, urgent_class),
+                task(EdgePart::Bulk, bulk_class),
+            ],
         }
-        if cfg.priority && matches!(dag.node(id).class, NodeClass::S | NodeClass::M) {
-            let has_up = dag.out_edges(id).iter().any(|e| is_up_edge(e.op));
-            let has_rest = dag.out_edges(id).iter().any(|e| !is_up_edge(e.op));
-            match (has_up, has_rest) {
-                (true, true) => {
-                    return vec![
-                        SimTask {
-                            kind: TaskKind::Node(id, Part::UpOnly),
-                            prio: 0,
-                        },
-                        SimTask {
-                            kind: TaskKind::Node(id, Part::RestOnly),
-                            prio: NORMAL_CLASS,
-                        },
-                    ]
-                }
-                (true, false) => {
-                    return vec![SimTask {
-                        kind: TaskKind::Node(id, Part::All),
-                        prio: 0,
-                    }]
-                }
-                _ => {}
-            }
-        }
-        vec![SimTask {
-            kind: TaskKind::Node(id, Part::All),
-            prio: NORMAL_CLASS,
-        }]
     };
 
     // Strict levelwise mode: every node task belongs to a phase; a phase's
@@ -403,16 +295,8 @@ fn sim_core(
                     let mut remote: Vec<(u32, Vec<u32>, u64)> = Vec::new();
                     let first = dag.node(id).first_edge;
                     for (i, e) in dag.out_edges(id).iter().enumerate() {
-                        match part {
-                            Part::UpOnly if !is_up_edge(e.op) => continue,
-                            Part::RestOnly if is_up_edge(e.op) => continue,
-                            Part::Urgent if !edge_urgent(lattice.expect("lattice split"), e) => {
-                                continue
-                            }
-                            Part::Bulk if edge_urgent(lattice.expect("lattice split"), e) => {
-                                continue
-                            }
-                            _ => {}
+                        if !plan.selects(part, e) {
+                            continue;
                         }
                         let dst_loc = node_loc(e.dst);
                         if dst_loc as usize == loc {
@@ -458,19 +342,11 @@ fn sim_core(
                             ));
                         }
                     }
-                    // Messages posted at task end.  A coalesced bundle
-                    // inherits the most urgent rank among its edges'
-                    // destinations — the same grade the real transport
-                    // stamps on the wire.
+                    // Messages posted at task end, each at its bundle's
+                    // plan class — the grade the real transport stamps on
+                    // the wire.
                     for (dst_loc, list, b) in remote {
-                        let bundle_prio = match lattice {
-                            Some(lat) => list
-                                .iter()
-                                .map(|&ei| lat.rank(dag.edges()[ei as usize].dst))
-                                .min()
-                                .unwrap_or(NORMAL_CLASS),
-                            None => task.prio,
-                        };
+                        let bundle_prio = plan.bundle_class(dag, &list);
                         t += net.send_overhead_us;
                         messages += 1;
                         bytes += b;
@@ -651,11 +527,15 @@ mod tests {
         CostModel::measured([us; EdgeOp::COUNT], 0.0)
     }
 
+    /// Simulate under the flat (priority-oblivious) plan.
+    fn sim(d: &Dag, cost: &CostModel, net: &NetworkModel, cfg: &SimConfig) -> SimResult {
+        simulate(d, &SchedPlan::flat(d), cost, net, cfg)
+    }
+
     fn cfg(localities: usize, cores: usize) -> SimConfig {
         SimConfig {
             localities,
             cores_per_locality: cores,
-            priority: false,
             trace: false,
             levelwise: false,
         }
@@ -677,7 +557,7 @@ mod tests {
     #[test]
     fn chain_makespan_is_sum_of_costs() {
         let d = chain();
-        let r = simulate(&d, &cm(10.0), &NetworkModel::ideal(), &cfg(1, 1));
+        let r = sim(&d, &cm(10.0), &NetworkModel::ideal(), &cfg(1, 1));
         // 3 edge tasks of 10 µs each + final sink trigger (0 overhead).
         assert!(
             (r.makespan_us - 30.0).abs() < 1e-9,
@@ -692,7 +572,7 @@ mod tests {
     fn task_overhead_charged_per_task() {
         let d = chain();
         let cost = CostModel::measured([10.0; EdgeOp::COUNT], 2.0);
-        let r = simulate(&d, &cost, &NetworkModel::ideal(), &cfg(1, 1));
+        let r = sim(&d, &cost, &NetworkModel::ideal(), &cfg(1, 1));
         assert!(
             (r.makespan_us - 38.0).abs() < 1e-9,
             "makespan {}",
@@ -714,9 +594,9 @@ mod tests {
     #[test]
     fn parallel_work_scales_with_cores() {
         let d = wide(16);
-        let t1 = simulate(&d, &cm(10.0), &NetworkModel::ideal(), &cfg(1, 1)).makespan_us;
-        let t4 = simulate(&d, &cm(10.0), &NetworkModel::ideal(), &cfg(1, 4)).makespan_us;
-        let t16 = simulate(&d, &cm(10.0), &NetworkModel::ideal(), &cfg(1, 16)).makespan_us;
+        let t1 = sim(&d, &cm(10.0), &NetworkModel::ideal(), &cfg(1, 1)).makespan_us;
+        let t4 = sim(&d, &cm(10.0), &NetworkModel::ideal(), &cfg(1, 4)).makespan_us;
+        let t16 = sim(&d, &cm(10.0), &NetworkModel::ideal(), &cfg(1, 16)).makespan_us;
         assert!((t1 / t4 - 4.0).abs() < 0.2, "t1={t1} t4={t4}");
         assert!((t1 / t16 - 16.0).abs() < 0.5, "t1={t1} t16={t16}");
     }
@@ -743,7 +623,7 @@ mod tests {
             bytes_per_us: 1e9,
             ..NetworkModel::ideal()
         };
-        let r = simulate(&d, &cm(1.0), &net, &cfg(2, 1));
+        let r = sim(&d, &cm(1.0), &net, &cfg(2, 1));
         assert_eq!(r.messages, 1, "coalesced into one parcel");
         // S2M (1µs) + message (5µs + ~0 transfer) + 3 edges at dest = 9µs.
         assert!(
@@ -756,7 +636,7 @@ mod tests {
             coalesce: CoalesceConfig::disabled(),
             ..net
         };
-        let r2 = simulate(&d, &cm(1.0), &net2, &cfg(2, 1));
+        let r2 = sim(&d, &cm(1.0), &net2, &cfg(2, 1));
         assert_eq!(r2.messages, 3, "one message per edge without coalescing");
         assert!(
             r2.bytes >= r.bytes,
@@ -780,7 +660,7 @@ mod tests {
         b.add_edge(l, EdgeOp::L2T, t, 8, 0);
         let d = b.finish();
         // With 2 cores: S (2 edges, 20µs), then m1 ∥ m2 (10µs), then L (10).
-        let r = simulate(&d, &cm(10.0), &NetworkModel::ideal(), &cfg(1, 2));
+        let r = sim(&d, &cm(10.0), &NetworkModel::ideal(), &cfg(1, 2));
         assert!(
             (r.makespan_us - 40.0).abs() < 1e-9,
             "makespan {}",
@@ -809,12 +689,9 @@ mod tests {
         // comparing makespans: with priority, the S chain completes early,
         // without, it finishes last — but total work is equal either way.
         let base = cfg(1, 1);
-        let with = SimConfig {
-            priority: true,
-            ..base.clone()
-        };
-        let r0 = simulate(&d, &cm(10.0), &NetworkModel::ideal(), &base);
-        let r1 = simulate(&d, &cm(10.0), &NetworkModel::ideal(), &with);
+        let binary = SchedPlan::binary(&d);
+        let r0 = sim(&d, &cm(10.0), &NetworkModel::ideal(), &base);
+        let r1 = simulate(&d, &binary, &cm(10.0), &NetworkModel::ideal(), &base);
         assert!(
             (r0.makespan_us - r1.makespan_us).abs() < 1e-9,
             "same total work"
@@ -822,24 +699,12 @@ mod tests {
         // The discriminating observable: task count & utilization equal,
         // but the priority run must execute S before the It fan drains.
         // Reconstruct via traces.
-        let tr0 = simulate(
-            &d,
-            &cm(10.0),
-            &NetworkModel::ideal(),
-            &SimConfig {
-                trace: true,
-                ..base
-            },
-        );
-        let tr1 = simulate(
-            &d,
-            &cm(10.0),
-            &NetworkModel::ideal(),
-            &SimConfig {
-                trace: true,
-                ..with
-            },
-        );
+        let traced = SimConfig {
+            trace: true,
+            ..base
+        };
+        let tr0 = sim(&d, &cm(10.0), &NetworkModel::ideal(), &traced);
+        let tr1 = simulate(&d, &binary, &cm(10.0), &NetworkModel::ideal(), &traced);
         let first_s2m = |r: &SimResult| {
             r.trace
                 .all_events()
@@ -879,13 +744,13 @@ mod tests {
         b.add_edge(m2, EdgeOp::M2L, l, 8, 0);
         b.add_edge(l, EdgeOp::L2T, t, 8, 0);
         let d = b.finish();
-        let lat = dashmm_dag::PriorityLattice::compute(&d, &LatticeHint::uniform());
+        let lat = SchedPlan::lattice(&d, &LatticeHint::uniform());
         let c = SimConfig {
             trace: true,
             ..cfg(1, 1)
         };
-        let fifo = simulate(&d, &cm(10.0), &NetworkModel::ideal(), &c);
-        let graded = simulate_lattice(&d, &cm(10.0), &NetworkModel::ideal(), &c, &lat);
+        let fifo = sim(&d, &cm(10.0), &NetworkModel::ideal(), &c);
+        let graded = simulate(&d, &lat, &cm(10.0), &NetworkModel::ideal(), &c);
         let bf: f64 = fifo.busy_us.iter().sum();
         let bg: f64 = graded.busy_us.iter().sum();
         assert!((bf - bg).abs() < 1e-9, "work must be schedule-invariant");
@@ -909,10 +774,10 @@ mod tests {
     fn lattice_run_is_deterministic() {
         use dashmm_dag::LatticeHint;
         let d = wide(24);
-        let lat = dashmm_dag::PriorityLattice::compute(&d, &LatticeHint::uniform());
+        let lat = SchedPlan::lattice(&d, &LatticeHint::uniform());
         let c = cfg(2, 3);
-        let a = simulate_lattice(&d, &cm(3.0), &NetworkModel::ideal(), &c, &lat);
-        let b = simulate_lattice(&d, &cm(3.0), &NetworkModel::ideal(), &c, &lat);
+        let a = simulate(&d, &lat, &cm(3.0), &NetworkModel::ideal(), &c);
+        let b = simulate(&d, &lat, &cm(3.0), &NetworkModel::ideal(), &c);
         assert_eq!(a.makespan_us, b.makespan_us);
         assert_eq!(a.tasks, b.tasks);
         assert_eq!(a.messages, b.messages);
@@ -922,7 +787,7 @@ mod tests {
     fn trace_busy_consistency() {
         let d = wide(8);
         let c = cfg(1, 2);
-        let r = simulate(
+        let r = sim(
             &d,
             &cm(5.0),
             &NetworkModel::ideal(),
@@ -943,7 +808,7 @@ mod tests {
             trace: true,
             ..cfg(1, 4)
         };
-        let r = simulate(&d, &cm(5.0), &NetworkModel::ideal(), &c);
+        let r = sim(&d, &cm(5.0), &NetworkModel::ideal(), &c);
         let u = dashmm_amt::utilization_total(&r.trace, 10);
         // Perfectly parallel fan: near-full utilization except the tail.
         assert!(u[2] > 0.9, "mid-run utilization {}", u[2]);
@@ -953,8 +818,8 @@ mod tests {
     fn strong_scaling_saturates_at_dag_width() {
         // 32 independent chains cannot use more than 32 cores.
         let d = wide(32);
-        let t32 = simulate(&d, &cm(10.0), &NetworkModel::ideal(), &cfg(1, 32)).makespan_us;
-        let t64 = simulate(&d, &cm(10.0), &NetworkModel::ideal(), &cfg(1, 64)).makespan_us;
+        let t32 = sim(&d, &cm(10.0), &NetworkModel::ideal(), &cfg(1, 32)).makespan_us;
+        let t64 = sim(&d, &cm(10.0), &NetworkModel::ideal(), &cfg(1, 64)).makespan_us;
         assert!((t32 - t64).abs() < 1e-9, "no benefit past the DAG width");
     }
 
@@ -976,8 +841,8 @@ mod tests {
         }
         let d = b.finish();
         let base = cfg(1, 2);
-        let df = simulate(&d, &cm(10.0), &NetworkModel::ideal(), &base).makespan_us;
-        let lw = simulate(
+        let df = sim(&d, &cm(10.0), &NetworkModel::ideal(), &base).makespan_us;
+        let lw = sim(
             &d,
             &cm(10.0),
             &NetworkModel::ideal(),
@@ -999,8 +864,8 @@ mod tests {
     fn levelwise_same_total_work_as_dataflow() {
         let d = wide(12);
         let base = cfg(1, 3);
-        let a = simulate(&d, &cm(7.0), &NetworkModel::ideal(), &base);
-        let b = simulate(
+        let a = sim(&d, &cm(7.0), &NetworkModel::ideal(), &base);
+        let b = sim(
             &d,
             &cm(7.0),
             &NetworkModel::ideal(),
@@ -1043,8 +908,8 @@ mod tests {
         };
         let plan = dashmm_amt::FaultPlan::parse("seed=5,drop=0.3").unwrap();
         let lossy = base.clone().with_faults(plan);
-        let clean = simulate(&d, &cm(1.0), &base, &cfg(2, 4));
-        let faulty = simulate(&d, &cm(1.0), &lossy, &cfg(2, 4));
+        let clean = sim(&d, &cm(1.0), &base, &cfg(2, 4));
+        let faulty = sim(&d, &cm(1.0), &lossy, &cfg(2, 4));
         assert_eq!(clean.retransmits, 0);
         assert!(
             faulty.retransmits > 0,
@@ -1071,12 +936,12 @@ mod tests {
             ..NetworkModel::ideal()
         };
         let plan = dashmm_amt::FaultPlan::parse("seed=9,drop=0.2,delay=0.1:50").unwrap();
-        let a = simulate(&d, &cm(1.0), &base.clone().with_faults(plan), &cfg(2, 2));
-        let b = simulate(&d, &cm(1.0), &base.clone().with_faults(plan), &cfg(2, 2));
+        let a = sim(&d, &cm(1.0), &base.clone().with_faults(plan), &cfg(2, 2));
+        let b = sim(&d, &cm(1.0), &base.clone().with_faults(plan), &cfg(2, 2));
         assert_eq!(a.retransmits, b.retransmits);
         assert_eq!(a.makespan_us, b.makespan_us);
         let other = dashmm_amt::FaultPlan::parse("seed=10,drop=0.2,delay=0.1:50").unwrap();
-        let c = simulate(&d, &cm(1.0), &base.with_faults(other), &cfg(2, 2));
+        let c = sim(&d, &cm(1.0), &base.with_faults(other), &cfg(2, 2));
         assert_ne!(
             (a.retransmits, a.makespan_us),
             (c.retransmits, c.makespan_us),
@@ -1085,14 +950,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn levelwise_excludes_priority() {
-        let d = wide(2);
+    #[should_panic(expected = "the plan must be flat")]
+    fn levelwise_requires_a_flat_plan() {
+        let d = chain();
         let c = SimConfig {
             levelwise: true,
-            priority: true,
             ..cfg(1, 1)
         };
-        let _ = simulate(&d, &cm(1.0), &NetworkModel::ideal(), &c);
+        let _ = simulate(
+            &d,
+            &SchedPlan::binary(&d),
+            &cm(1.0),
+            &NetworkModel::ideal(),
+            &c,
+        );
     }
 }

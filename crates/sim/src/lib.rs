@@ -8,10 +8,11 @@
 //! * every DAG node is an LCO; when its last input arrives, its
 //!   continuation (the out-edge processor) becomes a ready task at the
 //!   node's locality,
-//! * each locality owns `cores` workers pulling from a shared ready queue —
-//!   FIFO when the scheduler is priority-oblivious (the behaviour the paper
-//!   measures), or two-level when the paper's proposed binary priority is
-//!   enabled,
+//! * each locality owns `cores` workers pulling from per-class ready
+//!   queues, most urgent first; which class a task carries, and whether a
+//!   fired node splits its out-edges, is read from the same
+//!   `dashmm_dag::SchedPlan` the measured executor runs — a flat plan is
+//!   the priority-oblivious FIFO the paper measures,
 //! * out-edges are processed sequentially inside the task (paper §VI);
 //!   local edges deliver inputs as they complete, remote edges are
 //!   **coalesced into one parcel per destination locality** and evaluated
@@ -28,5 +29,5 @@ pub mod recovery;
 
 pub use cost::{CostModel, NetworkModel, StepCounts};
 pub use dashmm_amt::CoalesceConfig;
-pub use engine::{simulate, simulate_lattice, SimConfig, SimResult};
+pub use engine::{simulate, SimConfig, SimResult};
 pub use recovery::{estimate_recovery, RecoveryEstimate};

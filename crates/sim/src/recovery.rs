@@ -128,7 +128,6 @@ mod tests {
         SimConfig {
             localities,
             cores_per_locality: 2,
-            priority: false,
             levelwise: false,
             trace: false,
         }

@@ -9,7 +9,7 @@
 //!
 //! Run: `cargo run --release --example cluster_scaling`
 
-use dashmm::dag::{DistributionPolicy, FmmPolicy, NodeClass};
+use dashmm::dag::{DistributionPolicy, FmmPolicy, NodeClass, SchedPlan};
 use dashmm::expansion::{AccuracyParams, OperatorLibrary};
 use dashmm::kernels::Laplace;
 use dashmm::sim::{simulate, CostModel, NetworkModel, SimConfig};
@@ -67,11 +67,10 @@ fn main() {
         let cfg = SimConfig {
             localities,
             cores_per_locality: 32,
-            priority: false,
             trace: false,
             levelwise: false,
         };
-        let r = simulate(&asm.dag, &cost, &net, &cfg);
+        let r = simulate(&asm.dag, &SchedPlan::flat(&asm.dag), &cost, &net, &cfg);
         if localities == 1 {
             t32 = r.makespan_us;
         }

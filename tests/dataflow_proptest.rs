@@ -79,7 +79,6 @@ fn run_on_runtime(dag: &RandomDag, localities: usize, workers: usize, priority: 
     let rt = Runtime::new(RuntimeConfig {
         localities,
         workers_per_locality: workers,
-        priority_scheduling: priority,
         obs: ObsLevel::Off,
     });
     let n = dag.in_edges.len();
@@ -172,7 +171,7 @@ proptest! {
     }
 
     #[test]
-    fn priority_scheduling_is_semantics_preserving(dag in random_dag()) {
+    fn parcel_priorities_are_semantics_preserving(dag in random_dag()) {
         let want = dag.reference();
         let got = run_on_runtime(&dag, 2, 2, true);
         for (g, w) in got.iter().zip(&want) {

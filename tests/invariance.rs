@@ -4,8 +4,11 @@
 
 use dashmm::kernels::Laplace;
 use dashmm::tree::{uniform_cube, Point3};
-use dashmm::{api::Policy, DashmmBuilder, Method};
+use dashmm::{api::Policy, DashmmBuilder, LatticeHint, Method, SchedPolicy};
 use proptest::prelude::*;
+
+/// The flat (priority-oblivious) plan most cases run under.
+const FIFO: SchedPolicy = SchedPolicy::Fifo;
 
 fn evaluate(
     sources: &[Point3],
@@ -14,14 +17,14 @@ fn evaluate(
     localities: usize,
     workers: usize,
     policy: Policy,
-    priority: bool,
+    schedule: SchedPolicy,
 ) -> Vec<f64> {
     DashmmBuilder::new(Laplace)
         .method(Method::AdvancedFmm)
         .threshold(20)
         .machine(localities, workers)
         .policy(policy)
-        .priority(priority)
+        .schedule(schedule)
         .build(sources, charges, targets)
         .evaluate()
         .potentials
@@ -45,9 +48,9 @@ fn invariant_under_machine_shape() {
     let sources = uniform_cube(n, 31);
     let targets = uniform_cube(n, 32);
     let charges: Vec<f64> = (0..n).map(|i| ((i % 7) as f64 - 3.0) / 3.0).collect();
-    let base = evaluate(&sources, &targets, &charges, 1, 1, Policy::Fmm, false);
+    let base = evaluate(&sources, &targets, &charges, 1, 1, Policy::Fmm, FIFO);
     for (loc, wrk) in [(1, 3), (2, 2), (4, 1), (3, 2)] {
-        let other = evaluate(&sources, &targets, &charges, loc, wrk, Policy::Fmm, false);
+        let other = evaluate(&sources, &targets, &charges, loc, wrk, Policy::Fmm, FIFO);
         let d = max_abs_diff(&base, &other) / scale(&base);
         assert!(
             d < 1e-12,
@@ -62,24 +65,30 @@ fn invariant_under_policy() {
     let sources = uniform_cube(n, 33);
     let targets = uniform_cube(n, 34);
     let charges = vec![0.5; n];
-    let base = evaluate(&sources, &targets, &charges, 3, 1, Policy::Single, false);
+    let base = evaluate(&sources, &targets, &charges, 3, 1, Policy::Single, FIFO);
     for policy in [Policy::Block, Policy::Fmm] {
-        let other = evaluate(&sources, &targets, &charges, 3, 1, policy, false);
+        let other = evaluate(&sources, &targets, &charges, 3, 1, policy, FIFO);
         let d = max_abs_diff(&base, &other) / scale(&base);
         assert!(d < 1e-12, "policy {policy:?} changed results by {d:.2e}");
     }
 }
 
 #[test]
-fn invariant_under_priority_scheduling() {
+fn invariant_under_scheduling_plan() {
     let n = 600;
     let sources = uniform_cube(n, 35);
     let targets = uniform_cube(n, 36);
     let charges = vec![1.0; n];
-    let a = evaluate(&sources, &targets, &charges, 2, 2, Policy::Fmm, false);
-    let b = evaluate(&sources, &targets, &charges, 2, 2, Policy::Fmm, true);
-    let d = max_abs_diff(&a, &b) / scale(&a);
-    assert!(d < 1e-12, "priority changed results by {d:.2e}");
+    let run = |plan| evaluate(&sources, &targets, &charges, 2, 2, Policy::Fmm, plan);
+    let a = run(FIFO);
+    for (name, plan) in [
+        ("flat", FIFO),
+        ("binary", SchedPolicy::Binary),
+        ("lattice", SchedPolicy::Lattice(LatticeHint::uniform())),
+    ] {
+        let d = max_abs_diff(&a, &run(plan)) / scale(&a);
+        assert!(d <= 1e-12, "the {name} plan changed results by {d:.2e}");
+    }
 }
 
 #[test]
@@ -93,8 +102,8 @@ fn rebuilt_evaluations_are_bitwise_identical() {
     let sources = uniform_cube(n, 91);
     let targets = uniform_cube(n, 92);
     let charges = vec![1.0; n];
-    let a = evaluate(&sources, &targets, &charges, 1, 1, Policy::Fmm, false);
-    let b = evaluate(&sources, &targets, &charges, 1, 1, Policy::Fmm, false);
+    let a = evaluate(&sources, &targets, &charges, 1, 1, Policy::Fmm, FIFO);
+    let b = evaluate(&sources, &targets, &charges, 1, 1, Policy::Fmm, FIFO);
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
     }
@@ -109,9 +118,9 @@ fn linearity_in_charges() {
     let q1: Vec<f64> = (0..n).map(|i| (i % 3) as f64).collect();
     let q2: Vec<f64> = (0..n).map(|i| ((i + 1) % 4) as f64 * 0.25).collect();
     let qs: Vec<f64> = q1.iter().zip(&q2).map(|(a, b)| a + b).collect();
-    let f1 = evaluate(&sources, &targets, &q1, 1, 2, Policy::Fmm, false);
-    let f2 = evaluate(&sources, &targets, &q2, 1, 2, Policy::Fmm, false);
-    let fs = evaluate(&sources, &targets, &qs, 1, 2, Policy::Fmm, false);
+    let f1 = evaluate(&sources, &targets, &q1, 1, 2, Policy::Fmm, FIFO);
+    let f2 = evaluate(&sources, &targets, &q2, 1, 2, Policy::Fmm, FIFO);
+    let fs = evaluate(&sources, &targets, &qs, 1, 2, Policy::Fmm, FIFO);
     for i in 0..n {
         let want = f1[i] + f2[i];
         assert!(
@@ -147,8 +156,8 @@ proptest! {
         }
         let targets: Vec<Point3> = sources.iter().map(|p| *p + Point3::new(0.01, -0.02, 0.015)).collect();
         let charges = vec![1.0; sources.len()];
-        let a = evaluate(&sources, &targets, &charges, 1, 2, Policy::Fmm, false);
-        let b = evaluate(&sources, &targets, &charges, 3, 1, Policy::Block, false);
+        let a = evaluate(&sources, &targets, &charges, 1, 2, Policy::Fmm, FIFO);
+        let b = evaluate(&sources, &targets, &charges, 3, 1, Policy::Block, FIFO);
         let d = max_abs_diff(&a, &b) / scale(&a);
         prop_assert!(d < 1e-12, "distribution changed results by {d:.2e}");
     }

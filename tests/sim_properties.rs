@@ -1,8 +1,8 @@
 //! Property-based tests of the discrete-event simulator: classic
 //! list-scheduling bounds and determinism, over random DAGs.
 
-use dashmm::dag::{Dag, DagBuilder, EdgeOp, NodeClass};
-use dashmm::sim::{simulate, CoalesceConfig, CostModel, NetworkModel, SimConfig};
+use dashmm::dag::{Dag, DagBuilder, EdgeOp, LatticeHint, NodeClass, SchedPlan};
+use dashmm::sim::{simulate, CoalesceConfig, CostModel, NetworkModel, SimConfig, SimResult};
 use proptest::prelude::*;
 
 /// Random layered DAG with unit-ish costs, everything on locality 0.
@@ -52,10 +52,14 @@ fn cfg(cores: usize) -> SimConfig {
     SimConfig {
         localities: 1,
         cores_per_locality: cores,
-        priority: false,
         trace: false,
         levelwise: false,
     }
+}
+
+/// Simulate under the flat (priority-oblivious) plan.
+fn sim(dag: &Dag, cost: &CostModel, net: &NetworkModel, cfg: &SimConfig) -> SimResult {
+    simulate(dag, &SchedPlan::flat(dag), cost, net, cfg)
 }
 
 /// Total edge work in µs.
@@ -68,7 +72,7 @@ proptest! {
 
     #[test]
     fn makespan_at_least_both_lower_bounds(dag in random_dag(), cores in 1usize..9) {
-        let r = simulate(&dag, &unit_cost(), &NetworkModel::ideal(), &cfg(cores));
+        let r = sim(&dag, &unit_cost(), &NetworkModel::ideal(), &cfg(cores));
         // Work bound.
         let work = total_work(&dag);
         prop_assert!(r.makespan_us + 1e-9 >= work / cores as f64,
@@ -83,7 +87,7 @@ proptest! {
 
     #[test]
     fn single_core_equals_total_work(dag in random_dag()) {
-        let r = simulate(&dag, &unit_cost(), &NetworkModel::ideal(), &cfg(1));
+        let r = sim(&dag, &unit_cost(), &NetworkModel::ideal(), &cfg(1));
         // One core, no overheads: the schedule is a permutation of all
         // edge work.
         prop_assert!((r.makespan_us - total_work(&dag)).abs() < 1e-6);
@@ -91,8 +95,8 @@ proptest! {
 
     #[test]
     fn simulation_is_deterministic(dag in random_dag(), cores in 1usize..6) {
-        let a = simulate(&dag, &unit_cost(), &NetworkModel::ideal(), &cfg(cores));
-        let b = simulate(&dag, &unit_cost(), &NetworkModel::ideal(), &cfg(cores));
+        let a = sim(&dag, &unit_cost(), &NetworkModel::ideal(), &cfg(cores));
+        let b = sim(&dag, &unit_cost(), &NetworkModel::ideal(), &cfg(cores));
         prop_assert_eq!(a.makespan_us, b.makespan_us);
         prop_assert_eq!(a.tasks, b.tasks);
     }
@@ -101,28 +105,32 @@ proptest! {
     fn more_cores_never_hurt_much(dag in random_dag()) {
         // List scheduling can exhibit Graham anomalies, but they are
         // bounded: T_m ≤ 2·T_{m'} for m ≥ m'.
-        let t2 = simulate(&dag, &unit_cost(), &NetworkModel::ideal(), &cfg(2)).makespan_us;
-        let t8 = simulate(&dag, &unit_cost(), &NetworkModel::ideal(), &cfg(8)).makespan_us;
+        let t2 = sim(&dag, &unit_cost(), &NetworkModel::ideal(), &cfg(2)).makespan_us;
+        let t8 = sim(&dag, &unit_cost(), &NetworkModel::ideal(), &cfg(8)).makespan_us;
         prop_assert!(t8 <= t2 * 2.0 + 1e-9);
     }
 
     #[test]
     fn busy_time_equals_work_on_ideal_network(dag in random_dag(), cores in 1usize..5) {
-        let r = simulate(&dag, &unit_cost(), &NetworkModel::ideal(), &cfg(cores));
+        let r = sim(&dag, &unit_cost(), &NetworkModel::ideal(), &cfg(cores));
         let busy: f64 = r.busy_us.iter().sum();
         prop_assert!((busy - total_work(&dag)).abs() < 1e-6,
             "busy {} vs work {}", busy, total_work(&dag));
     }
 
     #[test]
-    fn priority_mode_preserves_task_count(dag in random_dag(), cores in 1usize..5) {
-        let base = simulate(&dag, &unit_cost(), &NetworkModel::ideal(), &cfg(cores));
-        let pcfg = SimConfig { priority: true, ..cfg(cores) };
-        let prio = simulate(&dag, &unit_cost(), &NetworkModel::ideal(), &pcfg);
-        // Priority splitting may add tasks but never loses edge work.
+    fn binary_and_lattice_plans_preserve_edge_work(dag in random_dag(), cores in 1usize..5) {
+        let base = sim(&dag, &unit_cost(), &NetworkModel::ideal(), &cfg(cores));
         let b: f64 = base.busy_us.iter().sum();
-        let p: f64 = prio.busy_us.iter().sum();
-        prop_assert!((b - p).abs() < 1e-6);
+        for plan in [
+            SchedPlan::binary(&dag),
+            SchedPlan::lattice(&dag, &LatticeHint::uniform()),
+        ] {
+            let prio = simulate(&dag, &plan, &unit_cost(), &NetworkModel::ideal(), &cfg(cores));
+            // Priority splitting may add tasks but never loses edge work.
+            let p: f64 = prio.busy_us.iter().sum();
+            prop_assert!((b - p).abs() < 1e-6);
+        }
     }
 }
 
@@ -149,11 +157,10 @@ fn remote_latency_adds_to_chain() {
     let two = SimConfig {
         localities: 2,
         cores_per_locality: 1,
-        priority: false,
         trace: false,
         levelwise: false,
     };
-    let r = simulate(&dag, &unit_cost(), &net, &two);
+    let r = sim(&dag, &unit_cost(), &net, &two);
     // Two hops of 100 µs latency plus 2×10 µs of edge work.
     assert!(
         (r.makespan_us - 220.0).abs() < 1e-6,

@@ -1,9 +1,10 @@
 //! Cross-validation of the discrete-event simulator against the real
-//! threaded runtime: both execute the *same explicit DAG*, and every edge
-//! is applied exactly once in each, so the per-operator-class event counts
-//! of a traced real run and a traced simulated run must agree exactly.
+//! threaded runtime: both execute the *same explicit DAG* under the *same
+//! scheduling plan*, and every edge is applied exactly once in each, so the
+//! per-operator-class event counts of a traced real run and a traced
+//! simulated run must agree exactly.
 
-use dashmm::dag::EdgeOp;
+use dashmm::dag::{EdgeOp, SchedPlan};
 use dashmm::expansion::{AccuracyParams, OperatorLibrary};
 use dashmm::kernels::Laplace;
 use dashmm::sim::{simulate, CostModel, NetworkModel, SimConfig};
@@ -28,42 +29,25 @@ fn simulator_and_runtime_execute_identical_edge_sets() {
     let charges = vec![1.0; n];
 
     // Real runtime, traced.
-    let real = DashmmBuilder::new(Laplace)
+    let eval = DashmmBuilder::new(Laplace)
         .method(Method::AdvancedFmm)
         .threshold(40)
         .machine(2, 1)
         .tracing(true)
-        .build(&sources, &charges, &targets)
-        .evaluate();
+        .build(&sources, &charges, &targets);
+    let real = eval.evaluate();
     let real_counts = class_counts(&real.report.trace);
 
-    // Simulator over the equivalent explicit DAG (same seeds, same
-    // threshold, same method ⇒ same DAG shape).
-    let problem = Problem::new(
-        &sources,
-        &charges,
-        &targets,
-        BuildParams {
-            threshold: 40,
-            max_level: 20,
-        },
-    );
-    let lib = OperatorLibrary::new(
-        Laplace,
-        AccuracyParams::three_digit(),
-        problem.tree.domain().side(),
-        true,
-    );
-    let asm = assemble(&problem, Method::AdvancedFmm, &lib);
+    // Simulator over the very DAG and plan the runtime executed.
     let cfg = SimConfig {
         localities: 2,
         cores_per_locality: 1,
-        priority: false,
         levelwise: false,
         trace: true,
     };
     let sim = simulate(
-        &asm.dag,
+        eval.dag(),
+        eval.plan(),
         &CostModel::paper_table2(),
         &NetworkModel::gemini(),
         &cfg,
@@ -81,7 +65,7 @@ fn simulator_and_runtime_execute_identical_edge_sets() {
         );
     }
     // And both match the explicit DAG's edge census.
-    let stats = dashmm::dag::DagStats::compute(&asm.dag);
+    let stats = eval.dag_stats();
     for op in EdgeOp::ALL {
         assert_eq!(
             sim_counts[op.index()],
@@ -119,11 +103,16 @@ fn simulator_work_conservation_matches_cost_model() {
     let cfg = SimConfig {
         localities: 1,
         cores_per_locality: 4,
-        priority: false,
         levelwise: false,
         trace: true,
     };
-    let r = simulate(&asm.dag, &cost, &NetworkModel::ideal(), &cfg);
+    let r = simulate(
+        &asm.dag,
+        &SchedPlan::flat(&asm.dag),
+        &cost,
+        &NetworkModel::ideal(),
+        &cfg,
+    );
     let traced_us: f64 = r
         .trace
         .all_events()
