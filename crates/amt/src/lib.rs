@@ -48,6 +48,6 @@ pub use dashmm_obs::{
 pub use fault::{FaultPlan, FrameFate, KillSpec, StallSpec, ENV_FAULTS};
 pub use lco::{LcoOp, LcoSpec};
 pub use ledger::{ConvictionReason, LedgerSnapshot, PeerFailure, ProgressLedger};
-pub use parcel::{decode_f64s, encode_f64s, ActionId, Parcel, Priority};
+pub use parcel::{decode_f64s, decode_f64s_into, encode_f64s, ActionId, Parcel, Priority};
 pub use runtime::{RunReport, Runtime, RuntimeConfig, TaskCtx};
 pub use transport::{CoalesceConfig, SharedMem, Transport, TransportHooks, TransportStats};

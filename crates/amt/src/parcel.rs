@@ -81,16 +81,6 @@ impl Parcel {
         }
     }
 
-    /// Construct a high-priority parcel.
-    pub fn high(action: ActionId, target: GlobalAddress, payload: Vec<u8>) -> Self {
-        Parcel {
-            action,
-            target,
-            payload,
-            priority: Priority::High,
-        }
-    }
-
     /// Construct a parcel at an explicit graded priority.
     pub fn with_priority(
         action: ActionId,
@@ -113,16 +103,32 @@ impl Parcel {
     }
 }
 
-/// Append `f64` values to a byte buffer (little endian).
+/// Append `f64` values to a byte buffer (little endian): one growth, then
+/// one pass the compiler turns into a bulk copy on little-endian targets.
 pub fn encode_f64s(values: &[f64], out: &mut Vec<u8>) {
-    out.reserve(values.len() * 8);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
+    let start = out.len();
+    out.resize(start + values.len() * 8, 0);
+    for (c, v) in out[start..].chunks_exact_mut(8).zip(values) {
+        c.copy_from_slice(&v.to_le_bytes());
     }
 }
 
+/// Decode little-endian `f64`s from `bytes` off a wire into `out`; `false`,
+/// with `out` untouched, unless `bytes` is exactly `out.len()` values long.
+#[must_use]
+pub fn decode_f64s_into(bytes: &[u8], out: &mut [f64]) -> bool {
+    if bytes.len() != std::mem::size_of_val(out) {
+        return false;
+    }
+    for (v, c) in out.iter_mut().zip(bytes.chunks_exact(8)) {
+        *v = f64::from_le_bytes(c.try_into().expect("8-byte chunk"));
+    }
+    true
+}
+
 /// Decode a byte slice as little-endian `f64`s.  Panics when the length is
-/// not a multiple of 8 — payload framing is the sender's responsibility.
+/// not a multiple of 8 — for the runtime's own parcels, whose framing is
+/// the sender's responsibility.
 pub fn decode_f64s(bytes: &[u8]) -> Vec<f64> {
     assert_eq!(bytes.len() % 8, 0, "payload is not a whole number of f64s");
     bytes
@@ -151,6 +157,19 @@ mod tests {
     }
 
     #[test]
+    fn decode_into_checks_the_length_and_leaves_out_alone() {
+        let mut buf = Vec::new();
+        encode_f64s(&[1.5, -2.0], &mut buf);
+        let mut out = [9.0; 2];
+        assert!(!decode_f64s_into(&buf[..15], &mut out));
+        assert!(!decode_f64s_into(&buf, &mut out[..1]));
+        assert_eq!(out, [9.0; 2]);
+        assert!(decode_f64s_into(&buf, &mut out));
+        assert_eq!(out, [1.5, -2.0]);
+        assert!(decode_f64s_into(&[], &mut []));
+    }
+
+    #[test]
     fn wire_bytes_include_header() {
         let p = Parcel::new(ActionId(1), GlobalAddress::new(0, 0), vec![0; 24]);
         assert_eq!(p.wire_bytes(), 40);
@@ -160,8 +179,6 @@ mod tests {
     fn priorities() {
         let p = Parcel::new(ActionId(0), GlobalAddress::new(0, 0), vec![]);
         assert_eq!(p.priority, Priority::Normal);
-        let h = Parcel::high(ActionId(0), GlobalAddress::new(0, 0), vec![]);
-        assert_eq!(h.priority, Priority::High);
         let g = Parcel::with_priority(
             ActionId(0),
             GlobalAddress::new(0, 0),

@@ -255,6 +255,17 @@ fn rank_eval<K: Kernel>(
                 sim.messages,
                 sim.bytes
             );
+            // The model prices a bundle at its whole source node; the
+            // runtime ships only the regions the bundled edges read — a
+            // subset, so measured may fall below simulated, never above.
+            let within = bytes <= sim.bytes;
+            ok &= within;
+            println!(
+                "[rank 0] payload bytes measured / simulated: {bytes} / {} = {:.3} [{}]",
+                sim.bytes,
+                bytes as f64 / sim.bytes as f64,
+                if within { "ok" } else { "MISMATCH" }
+            );
         }
     }
     ok

@@ -323,6 +323,10 @@ pub struct EvalOutput {
     /// complete despite `report.lost_peer` being set.  `None` with
     /// `report.lost_peer` set means the output is partial.
     pub recovery: Option<RecoveryInfo>,
+    /// Remote-edge parcels this process dropped because their bytes did not
+    /// describe a bundle of its DAG.  Zero in any run between processes of
+    /// one build; otherwise the potentials miss those contributions.
+    pub malformed_parcels: u64,
 }
 
 impl<K: Kernel> Evaluation<K> {
@@ -417,6 +421,7 @@ impl<K: Kernel> Evaluation<K> {
             report,
             eval_ms,
             recovery,
+            malformed_parcels: exec.malformed_parcels(),
         }
     }
 
@@ -450,6 +455,23 @@ impl<K: Kernel> Evaluation<K> {
     /// The runtime (for custom inspection).
     pub fn runtime(&self) -> &Arc<Runtime> {
         &self.runtime
+    }
+
+    /// The first steps of `evaluate_morton` — a fresh context with its LCO
+    /// network installed, not yet seeded — keeping the context in hand.
+    #[cfg(test)]
+    pub(crate) fn installed_ctx(&self) -> Arc<ExecCtx<K>> {
+        self.runtime.reset();
+        let exec = ExecCtx::new(
+            Arc::clone(&self.problem),
+            Arc::clone(&self.lib),
+            Arc::clone(&self.asm),
+            Arc::clone(&self.plan),
+            self.gradients,
+            self.problem.charges.clone(),
+        );
+        exec.install(&self.runtime);
+        exec
     }
 }
 
@@ -535,16 +557,7 @@ mod tests {
                 .threshold(20)
                 .machine(localities, 2)
                 .build(&sources, &charges, &targets);
-            // The steps of `evaluate_morton`, keeping the context in hand.
-            let exec = ExecCtx::new(
-                Arc::clone(&eval.problem),
-                Arc::clone(&eval.lib),
-                Arc::clone(&eval.asm),
-                Arc::clone(&eval.plan),
-                false,
-                eval.problem.charges.clone(),
-            );
-            exec.install(&eval.runtime);
+            let exec = eval.installed_ctx();
             exec.seed(&eval.runtime);
             eval.runtime.run();
             let (remaining, parked, planewave_edges) = exec.batch_audit();
@@ -562,6 +575,78 @@ mod tests {
             let e = rel_err(got, &want);
             assert!(e <= 1e-3, "{what} vs direct sum: {e:.2e}");
         }
+    }
+
+    /// A bundle ships the union of what its edges read, exactly: the run
+    /// report's byte count equals a sum made here from the DAG alone, one
+    /// marked-index bitmap per (node, remote locality), and is strictly
+    /// below what shipping every node whole would cost.
+    #[test]
+    fn two_locality_bytes_are_the_referenced_regions_exactly() {
+        use crate::assemble::unpack_i2i;
+        use dashmm_dag::{EdgeOp, NodeClass};
+        let n = 1500;
+        let sources = uniform_cube(n, 5);
+        let targets = uniform_cube(n, 6);
+        let charges: Vec<f64> = (0..n).map(|i| 1.0 - (i % 4) as f64 * 0.5).collect();
+        let eval = DashmmBuilder::new(Laplace)
+            .method(Method::AdvancedFmm)
+            .threshold(20)
+            .machine(2, 2)
+            .build(&sources, &charges, &targets);
+        let report = eval.evaluate().report;
+
+        let dag = eval.dag();
+        let data_len = |id: u32| {
+            let node = dag.node(id);
+            match node.class {
+                NodeClass::S | NodeClass::T => 0,
+                NodeClass::M | NodeClass::L => eval.lib.params().surface_points(),
+                NodeClass::Is => eval.asm.is_layout[&id].total_len(),
+                NodeClass::It => 6 * eval.lib.tables(node.level).planewave_len(),
+            }
+        };
+        let (mut sliced, mut whole, mut bundles) = (0u64, 0u64, 0u64);
+        for id in 0..dag.num_nodes() as u32 {
+            let home = dag.node(id).locality;
+            // Per remote locality: its edge count and which values they read.
+            let mut per_dest: Vec<(usize, Vec<bool>)> = vec![(0, vec![false; data_len(id)]); 2];
+            for e in dag.out_edges(id) {
+                let (edges, read) = &mut per_dest[dag.node(e.dst).locality as usize];
+                *edges += 1;
+                let window = if e.op == EdgeOp::I2I {
+                    let layout = eval.asm.is_layout[&id];
+                    let (dir, src_slot, _) = unpack_i2i(e.tag);
+                    let (own, merged) = (layout.own_w as usize, layout.merged_w as usize);
+                    match src_slot {
+                        0 => dir * own..(dir + 1) * own,
+                        k => {
+                            let at = 6 * own + (k as usize - 1) * merged;
+                            at..at + merged
+                        }
+                    }
+                } else {
+                    0..read.len()
+                };
+                read[window].fill(true);
+            }
+            for (dest, (edges, read)) in per_dest.iter().enumerate() {
+                if dest as u32 == home || *edges == 0 {
+                    continue;
+                }
+                let values = read.iter().filter(|&&r| r).count();
+                // Parcel header, then id | n_edges | eids, then the values.
+                sliced += (16 + 4 * (2 + edges) + 8 * values) as u64;
+                whole += (16 + 4 * (2 + edges) + 8 * read.len()) as u64;
+                bundles += 1;
+            }
+        }
+        assert_eq!(report.messages, bundles);
+        assert_eq!(report.bytes, sliced, "bytes sent vs the DAG's own sum");
+        assert!(
+            sliced < whole,
+            "regions ({sliced} B) must undercut whole nodes ({whole} B)"
+        );
     }
 
     #[test]

@@ -10,11 +10,12 @@
 //! the edge descriptors, evaluated as normal on arrival.
 
 use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use dashmm_amt::{
-    decode_f64s, encode_f64s, ActionId, EdgeBatcher, GlobalAddress, LcoOp, LcoSpec, Parcel,
+    decode_f64s_into, encode_f64s, ActionId, EdgeBatcher, GlobalAddress, LcoOp, LcoSpec, Parcel,
     Priority, ProgressLedger, Runtime, TaskCtx, CLASS_NONE, CLASS_RECOVERY,
     DEFAULT_BATCH_THRESHOLD,
 };
@@ -139,6 +140,8 @@ pub struct ExecCtx<K: Kernel> {
     applied: Vec<AtomicU8>,
     /// Replayed edge applications suppressed by the `applied` bitmap.
     dedup_skipped: AtomicU64,
+    /// Remote-edge parcels dropped: their bytes were no bundle of this DAG.
+    malformed_parcels: AtomicU64,
     /// Durable progress ledger (installed alongside the LCO network and
     /// handed to the transport for heartbeat gossip).
     ledger: RwLock<Option<Arc<ProgressLedger>>>,
@@ -196,6 +199,7 @@ impl<K: Kernel> ExecCtx<K> {
             edge_keys: OnceLock::new(),
             applied: (0..n_edges).map(|_| AtomicU8::new(0)).collect(),
             dedup_skipped: AtomicU64::new(0),
+            malformed_parcels: AtomicU64::new(0),
             ledger: RwLock::new(None),
         })
     }
@@ -203,6 +207,12 @@ impl<K: Kernel> ExecCtx<K> {
     /// Replayed edge applications suppressed by the dedup bitmap.
     pub fn dedup_skipped(&self) -> u64 {
         self.dedup_skipped.load(Ordering::Relaxed)
+    }
+
+    /// Remote-edge parcels dropped as malformed; anything but zero means a
+    /// peer sent bytes this build cannot produce, and the result is partial.
+    pub fn malformed_parcels(&self) -> u64 {
+        self.malformed_parcels.load(Ordering::Relaxed)
     }
 
     /// The progress ledger installed for this evaluation.
@@ -421,6 +431,21 @@ impl<K: Kernel> ExecCtx<K> {
                 per * self.problem.tree.target().node(node.box_id).count
             }
         }
+    }
+
+    /// The window of node `src_id`'s data that edge `e` reads — one own or
+    /// merged slot of an `Is` node for `I→I`, all of it otherwise: what
+    /// [`ExecCtx::apply_edge`] hands the operator and a bundle has to carry.
+    fn source_range(&self, src_id: u32, e: &DagEdge) -> Range<usize> {
+        if e.op != EdgeOp::I2I {
+            return 0..self.data_len(src_id);
+        }
+        let layout = self.asm.is_layout[&src_id];
+        let (off, w) = match unpack_i2i(e.tag) {
+            (dir_idx, 0, _) => (layout.own_offset(dir_idx), layout.own_w),
+            (_, src_slot, _) => (layout.merged_offset(src_slot - 1), layout.merged_w),
+        };
+        off..off + w as usize
     }
 
     /// Seed the evaluation: spawn the zero-input nodes' continuations.
@@ -761,13 +786,8 @@ impl<K: Kernel> ExecCtx<K> {
         }
         let action = self.remote_action.read().expect("install() must run first");
         for (loc, edge_ids) in remote {
-            let mut payload = Vec::with_capacity(8 + edge_ids.len() * 4 + data.len() * 8);
-            payload.extend_from_slice(&id.to_le_bytes());
-            payload.extend_from_slice(&(edge_ids.len() as u32).to_le_bytes());
-            for eid in &edge_ids {
-                payload.extend_from_slice(&eid.to_le_bytes());
-            }
-            encode_f64s(data, &mut payload);
+            let ranges = self.bundle_ranges(id, &edge_ids);
+            let payload = encode_bundle(id, &edge_ids, data, &ranges);
             ctx.send(Parcel::with_priority(
                 action,
                 GlobalAddress::new(loc, 0),
@@ -777,22 +797,36 @@ impl<K: Kernel> ExecCtx<K> {
         }
     }
 
-    /// Evaluate a coalesced parcel at its destination locality.
+    /// The windows of node `id`'s data that the edges `eids` read — what a
+    /// bundle carries.  Both ends derive them from the edge list alone.
+    fn bundle_ranges(&self, id: u32, eids: &[u32]) -> Vec<Range<usize>> {
+        let edges = self.asm.dag.edges();
+        let read = |&eid: &u32| self.source_range(id, &edges[eid as usize]);
+        distinct(eids.iter().map(read).collect())
+    }
+
+    /// Evaluate a coalesced parcel at its destination locality.  The bytes
+    /// came off a wire: anything but a bundle of this DAG — truncated, an
+    /// unknown node, an edge that is not the node's or does not apply here,
+    /// a value count other than those edges read — is dropped and counted.
     fn remote_parcel(&self, ctx: &TaskCtx, payload: &[u8]) {
-        let id = u32::from_le_bytes(payload[0..4].try_into().unwrap());
-        let n = u32::from_le_bytes(payload[4..8].try_into().unwrap()) as usize;
-        let mut edge_ids = Vec::with_capacity(n);
-        for i in 0..n {
-            let off = 8 + i * 4;
-            edge_ids.push(u32::from_le_bytes(
-                payload[off..off + 4].try_into().unwrap(),
-            ));
-        }
-        let data: Arc<[f64]> = decode_f64s(&payload[8 + n * 4..]).into();
+        let (dag, lcos) = (&self.asm.dag, self.lcos.read());
+        let bundle = split_bundle(payload).and_then(|(id, eids, values)| {
+            let node = dag.nodes().get(id as usize)?;
+            let own = node.first_edge..node.first_edge + node.out_degree;
+            let here = |eid: u32| lcos[dag.edges()[eid as usize].dst as usize].locality;
+            let valid = |&eid: &u32| own.contains(&eid) && here(eid) == ctx.locality;
+            eids.iter().all(valid).then_some(())?;
+            let data = scatter(values, self.data_len(id), &self.bundle_ranges(id, &eids))?;
+            Some((id, eids, data))
+        });
+        let Some((id, eids, data)) = bundle else {
+            self.malformed_parcels.fetch_add(1, Ordering::Relaxed);
+            return;
+        };
         let mut shared = Some(Arc::clone(&data));
-        let lcos = self.lcos.read();
-        for eid in edge_ids {
-            let e = self.asm.dag.edges()[eid as usize];
+        for eid in eids {
+            let e = dag.edges()[eid as usize];
             self.apply_edge(ctx, id, eid, &e, &data, &mut shared, &lcos);
         }
     }
@@ -846,29 +880,20 @@ impl<K: Kernel> ExecCtx<K> {
         let ttree = self.problem.tree.target();
         let prio = self.node_priority(e.dst);
         if let Some(key) = self.edge_key(eid) {
-            let (off, len, slot) = if e.op == EdgeOp::I2I {
-                let (dir_idx, src_slot, dst_slot) = unpack_i2i(e.tag);
-                let layout = self.asm.is_layout[&src_id];
-                let (src_off, w) = if src_slot == 0 {
-                    (layout.own_offset(dir_idx), layout.own_w as usize)
-                } else {
-                    (layout.merged_offset(src_slot - 1), layout.merged_w as usize)
-                };
-                let slot = if dst_node.class == NodeClass::It {
-                    (dir_idx * w) as f64
-                } else {
-                    self.asm.is_layout[&e.dst].merged_offset(dst_slot) as f64
-                };
-                (src_off, w, slot)
+            let window = self.source_range(src_id, e);
+            let slot = if e.op != EdgeOp::I2I {
+                0.0
+            } else if dst_node.class == NodeClass::It {
+                (unpack_i2i(e.tag).0 * window.len()) as f64
             } else {
-                (0, data.len(), 0.0)
+                self.asm.is_layout[&e.dst].merged_offset(unpack_i2i(e.tag).2) as f64
             };
             let src = Arc::clone(shared.get_or_insert_with(|| Arc::from(data)));
             let entry = BatchEntry {
                 eid,
                 src,
-                off,
-                len,
+                off: window.start,
+                len: window.len(),
                 dst,
                 slot,
                 src_box: src_node.box_id,
@@ -1076,6 +1101,53 @@ impl<K: Kernel> ExecCtx<K> {
     }
 }
 
+/// `reads` sorted, duplicates dropped.  Two edges of one node read the same
+/// window or disjoint ones, so this is their union.
+fn distinct(mut reads: Vec<Range<usize>>) -> Vec<Range<usize>> {
+    reads.sort_by_key(|r| r.start);
+    reads.dedup();
+    reads
+}
+
+/// Encode node `id`'s remote-edge bundle for one destination locality —
+/// `id u32 | n_edges u32 | eid u32 × n_edges | data[range] f64s, per range`:
+/// the expansion travels once, and only what the bundled edges read of it.
+fn encode_bundle(id: u32, eids: &[u32], data: &[f64], ranges: &[Range<usize>]) -> Vec<u8> {
+    let n_values: usize = ranges.iter().map(Range::len).sum();
+    let mut out = Vec::with_capacity(8 + 4 * eids.len() + 8 * n_values);
+    for word in [id, eids.len() as u32].iter().chain(eids) {
+        out.extend_from_slice(&word.to_le_bytes());
+    }
+    for r in ranges {
+        encode_f64s(&data[r.clone()], &mut out);
+    }
+    out
+}
+
+/// Split a bundle into `(id, eids, value bytes)`; `None` unless the bytes
+/// hold every edge id they announce.
+fn split_bundle(p: &[u8]) -> Option<(u32, Vec<u32>, &[u8])> {
+    let word = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4-byte chunk"));
+    let (head, rest) = p.split_at_checked(8)?;
+    let (id, n_edges) = (word(&head[..4]), word(&head[4..]) as usize);
+    let (eids, values) = rest.split_at_checked(n_edges.checked_mul(4)?)?;
+    Some((id, eids.chunks_exact(4).map(word).collect(), values))
+}
+
+/// A node's data as its bundled edges see it: `values` decoded into
+/// `ranges` of the allocation the batch entries will share, zeros wherever
+/// no edge reads.  `None` unless `values` is exactly the ranges' worth.
+fn scatter(mut values: &[u8], data_len: usize, ranges: &[Range<usize>]) -> Option<Arc<[f64]>> {
+    let mut data: Arc<[f64]> = std::iter::repeat_n(0.0, data_len).collect();
+    let buf = Arc::get_mut(&mut data).expect("not shared yet");
+    for r in ranges {
+        let (bytes, rest) = values.split_at_checked(8 * r.len())?;
+        decode_f64s_into(bytes, &mut buf[r.clone()]).then_some(())?;
+        values = rest;
+    }
+    values.is_empty().then_some(data)
+}
+
 /// The splitmix64 finalizer: the stable mixer behind coordination-free
 /// re-ownership.  Every survivor evaluates it over the same replicated
 /// Morton keys and reaches the same assignment without exchanging a
@@ -1110,6 +1182,189 @@ mod tests {
         assert_eq!(data, vec![0.0, 0.0, 1.0, 10.0, 0.0, 0.0]);
         offset_add(&mut data, &[2.0, 1.0, 1.0]);
         assert_eq!(data, vec![0.0, 0.0, 2.0, 11.0, 0.0, 0.0]);
+    }
+
+    fn values(n: usize) -> Vec<f64> {
+        (0..n).map(|i| 1.0 + i as f64 * 0.25).collect()
+    }
+
+    proptest::proptest! {
+        /// Any `Is` layout, any subset of its slots read any number of
+        /// times: the windows shipped are exactly the union of the reads,
+        /// and scattering them back reproduces every value some edge reads
+        /// and zeros everywhere else.
+        #[test]
+        fn bundle_round_trips_the_union_of_its_reads(
+            id in proptest::prelude::any::<u32>(),
+            own_w in 0usize..40,
+            merged_w in 0usize..30,
+            n_merged in 0usize..9,
+            picks in proptest::collection::vec(proptest::prelude::any::<usize>(), 0..24),
+            whole in proptest::prelude::any::<bool>(),
+        ) {
+            // The slots of the layout: six own windows, then the merged ones.
+            let slots: Vec<Range<usize>> = (0..6)
+                .map(|d| d * own_w..(d + 1) * own_w)
+                .chain((0..n_merged).map(|k| 6 * own_w + k * merged_w..6 * own_w + (k + 1) * merged_w))
+                .collect();
+            let data_len = 6 * own_w + n_merged * merged_w;
+            let data = values(data_len);
+            // One read per edge: a slot each, or (any other operator) all.
+            let reads: Vec<Range<usize>> = picks
+                .iter()
+                .map(|p| if whole { 0..data_len } else { slots[p % slots.len()].clone() })
+                .collect();
+            let eids: Vec<u32> = picks.iter().map(|&p| p as u32).collect();
+            let mut read = vec![false; data_len];
+            for r in &reads {
+                read[r.clone()].fill(true);
+            }
+            let ranges = distinct(reads);
+            // Sorted, disjoint where non-empty, and covering exactly the marks.
+            let mut covered = vec![false; data_len];
+            for r in &ranges {
+                proptest::prop_assert!(covered[r.clone()].iter().all(|c| !c), "overlap at {:?}", r);
+                covered[r.clone()].fill(true);
+            }
+            proptest::prop_assert!(ranges.windows(2).all(|w| w[0].start <= w[1].start));
+            proptest::prop_assert_eq!(&covered, &read);
+
+            let payload = encode_bundle(id, &eids, &data, &ranges);
+            let n_values = read.iter().filter(|&&r| r).count();
+            proptest::prop_assert_eq!(payload.len(), 8 + 4 * eids.len() + 8 * n_values);
+            let (got_id, got_eids, bytes) = split_bundle(&payload).expect("own encoding");
+            proptest::prop_assert_eq!((got_id, &got_eids), (id, &eids));
+            let got = scatter(bytes, data_len, &ranges).expect("the ranges' worth of values");
+            proptest::prop_assert_eq!(got.len(), data_len);
+            for i in 0..data_len {
+                proptest::prop_assert_eq!(got[i], if read[i] { data[i] } else { 0.0 });
+            }
+            // Neither a value short nor a byte long scatters.
+            let mut longer = bytes.to_vec();
+            longer.push(0);
+            proptest::prop_assert!(scatter(&longer, data_len, &ranges).is_none());
+            if n_values > 0 {
+                proptest::prop_assert!(scatter(&bytes[8..], data_len, &ranges).is_none());
+            }
+            // A bundle cut anywhere inside its descriptors does not split.
+            for cut in 0..8 + 4 * eids.len() {
+                proptest::prop_assert!(split_bundle(&payload[..cut]).is_none(), "cut at {}", cut);
+            }
+        }
+    }
+
+    /// Bytes off the wire that are not a bundle of this DAG — truncated,
+    /// out of range, inconsistent or plain garbage — are each counted and
+    /// dropped: nothing panics and the answer does not move.
+    #[test]
+    fn malformed_bundles_are_counted_dropped_and_harmless() {
+        use crate::{DashmmBuilder, Method};
+        use dashmm_kernels::Laplace;
+        use dashmm_tree::uniform_cube;
+        let n = 1200;
+        let (sources, targets) = (uniform_cube(n, 3), uniform_cube(n, 4));
+        let charges: Vec<f64> = (0..n).map(|i| 1.0 - (i % 3) as f64).collect();
+        let eval = DashmmBuilder::new(Laplace)
+            .method(Method::AdvancedFmm)
+            .threshold(20)
+            .machine(2, 1)
+            .build(&sources, &charges, &targets);
+        let clean = eval.evaluate();
+        assert_eq!(clean.malformed_parcels, 0);
+
+        let rt = eval.runtime();
+        let exec = eval.installed_ctx();
+        let dag = eval.dag();
+        // A genuine bundle to damage: an `Is` node at locality 0 with
+        // `I→I` edges into locality 1.
+        let into_1 = |id: u32, e: &DagEdge| {
+            dag.node(id).locality == 0 && e.op == EdgeOp::I2I && dag.node(e.dst).locality == 1
+        };
+        let id = (0..dag.num_nodes() as u32)
+            .find(|&id| dag.out_edges(id).iter().any(|e| into_1(id, e)))
+            .expect("an Is node with remote I→I edges");
+        let first = dag.node(id).first_edge;
+        let (mut eids, mut local_eid) = (Vec::new(), None);
+        for (i, e) in dag.out_edges(id).iter().enumerate() {
+            if into_1(id, e) {
+                eids.push(first + i as u32);
+            } else if dag.node(e.dst).locality == 0 {
+                local_eid = Some(first + i as u32);
+            }
+        }
+        let data = values(exec.data_len(id));
+        let ranges = exec.bundle_ranges(id, &eids);
+        assert!(ranges.iter().map(Range::len).sum::<usize>() < data.len());
+        let good = encode_bundle(id, &eids, &data, &ranges);
+
+        let with_eids = |eids: &[u32]| encode_bundle(id, eids, &data, &ranges);
+        let patched = |at: usize, v: u32| {
+            let mut p = good.clone();
+            p[at..at + 4].copy_from_slice(&v.to_le_bytes());
+            p
+        };
+        let whole = [0..data.len(), 0..0];
+        let mut table: Vec<(&str, Vec<u8>)> = vec![
+            ("empty", Vec::new()),
+            ("three bytes", vec![1, 2, 3]),
+            ("half a header", good[..4].to_vec()),
+            ("cut inside the edge list", good[..10].to_vec()),
+            ("no values", good[..8 + 4 * eids.len()].to_vec()),
+            ("a value short", good[..good.len() - 8].to_vec()),
+            ("ragged tail", good[..good.len() - 3].to_vec()),
+            ("trailing byte", [&good[..], &[0]].concat()),
+            ("a value long", [&good[..], &[0; 8]].concat()),
+            ("the whole node", encode_bundle(id, &eids, &data, &whole)),
+            ("node id past the DAG", patched(0, dag.num_nodes() as u32)),
+            ("node id u32::MAX", patched(0, u32::MAX)),
+            ("another node's id", patched(0, id + 1)),
+            ("edge count u32::MAX", patched(4, u32::MAX)),
+            ("edge count one too many", patched(4, eids.len() as u32 + 1)),
+            ("edge count one too few", patched(4, eids.len() as u32 - 1)),
+            (
+                "edge id past the DAG",
+                with_eids(&[dag.edges().len() as u32]),
+            ),
+            ("edge id u32::MAX", with_eids(&[eids[0], u32::MAX])),
+            (
+                "another node's edge",
+                with_eids(&[first + dag.node(id).out_degree]),
+            ),
+        ];
+        if let Some(eid) = local_eid {
+            table.push(("an edge that applies elsewhere", with_eids(&[eid])));
+        }
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for len in [1usize, 7, 8, 16, 33, 257, 4096] {
+            let garbage = (0..len).map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            });
+            table.push(("garbage", garbage.collect()));
+        }
+
+        let action = exec.remote_action.read().expect("installed");
+        let sent = table.len() as u64;
+        rt.seed(0, move |ctx| {
+            for (_, payload) in table {
+                ctx.send(Parcel::new(action, GlobalAddress::new(1, 0), payload));
+            }
+        });
+        exec.seed(rt);
+        rt.run();
+        assert_eq!(exec.malformed_parcels(), sent);
+        let got = eval.problem().unsort_potentials(&exec.extract(rt).0);
+        let worst = got
+            .iter()
+            .zip(&clean.potentials)
+            .map(|(a, b)| (a - b).abs() / b.abs().max(1.0))
+            .fold(0.0, f64::max);
+        assert!(
+            worst <= 1e-12,
+            "dropped garbage moved the answer: {worst:.2e}"
+        );
     }
 
     #[test]

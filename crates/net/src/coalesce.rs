@@ -14,18 +14,19 @@
 use dashmm_amt::{CoalesceConfig, Parcel, Priority};
 
 use crate::metrics::FlushReason;
-use crate::wire::{encode_parcel, parcel_wire_len, parcels_body};
+use crate::wire::{encode_parcel, parcel_wire_len, seal_parcels, PARCELS_AT};
 
-/// One parcels body the coalescer decided to ship.  The transport wraps it
-/// in a frame — stamping the reliability layer's sequence number and
-/// piggybacked ack at transmission time, which is why the coalescer emits
-/// bodies rather than finished frames.
+/// One parcel buffer the coalescer decided to ship.  The transport finishes
+/// it as a frame in place — stamping the reliability layer's sequence
+/// number and piggybacked ack at transmission time, which is why the
+/// coalescer emits sealed buffers rather than finished frames.
 #[derive(Debug)]
 pub struct Flush {
     /// Destination rank.
     pub dest: u32,
-    /// Parcels body (`epoch | count | parcels`), unframed.
-    pub body: Vec<u8>,
+    /// [`PARCELS_AT`] bytes of frame room (its `epoch | count` tail
+    /// stamped), then the encoded parcels.
+    pub frame: Vec<u8>,
     /// Parcels inside.
     pub parcels: u32,
     /// What triggered the flush.
@@ -36,7 +37,8 @@ pub struct Flush {
 }
 
 struct DestBuf {
-    encoded: Vec<u8>,
+    /// Frame room, then the parcels encoded so far.
+    frame: Vec<u8>,
     count: u32,
     first_ns: u64,
     /// Most urgent priority level buffered (lattice class, 0 = most
@@ -44,13 +46,38 @@ struct DestBuf {
     urgency: u8,
 }
 
-impl Default for DestBuf {
-    fn default() -> Self {
+impl DestBuf {
+    /// An empty buffer with room for `parcel_bytes` of encoded parcels.
+    fn with_room(parcel_bytes: usize) -> Self {
+        let mut frame = Vec::with_capacity(PARCELS_AT + parcel_bytes);
+        frame.resize(PARCELS_AT, 0);
         DestBuf {
-            encoded: Vec::new(),
+            frame,
             count: 0,
             first_ns: 0,
             urgency: Priority::CLASSES - 1,
+        }
+    }
+
+    fn encoded_len(&self) -> usize {
+        self.frame.len() - PARCELS_AT
+    }
+
+    fn push(&mut self, parcel: &Parcel) {
+        self.urgency = self.urgency.min(parcel.priority.level());
+        encode_parcel(parcel, &mut self.frame);
+        self.count += 1;
+    }
+
+    fn seal(self, dest: u32, epoch: u32, reason: FlushReason) -> Flush {
+        let mut frame = self.frame;
+        seal_parcels(&mut frame, epoch, self.count);
+        Flush {
+            dest,
+            frame,
+            parcels: self.count,
+            reason,
+            urgency: self.urgency,
         }
     }
 }
@@ -69,7 +96,7 @@ impl Coalescer {
         Coalescer {
             cfg,
             epoch: 0,
-            bufs: (0..ranks).map(|_| DestBuf::default()).collect(),
+            bufs: (0..ranks).map(|_| DestBuf::with_room(0)).collect(),
         }
     }
 
@@ -80,24 +107,11 @@ impl Coalescer {
         self.epoch = epoch;
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &CoalesceConfig {
-        &self.cfg
-    }
-
+    /// Ship `dest`'s standing buffer; its successor starts with the
+    /// capacity a full one needs, so steady-state pushes never regrow it.
     fn seal(&mut self, dest: u32, reason: FlushReason) -> Flush {
-        let buf = &mut self.bufs[dest as usize];
-        let flush = Flush {
-            dest,
-            body: parcels_body(self.epoch, buf.count, &buf.encoded),
-            parcels: buf.count,
-            reason,
-            urgency: buf.urgency,
-        };
-        buf.encoded.clear();
-        buf.count = 0;
-        buf.urgency = Priority::CLASSES - 1;
-        flush
+        let next = DestBuf::with_room(self.cfg.max_bytes);
+        std::mem::replace(&mut self.bufs[dest as usize], next).seal(dest, self.epoch, reason)
     }
 
     /// Add one parcel bound for `dest`.  Returns the frames (0, 1 or 2)
@@ -108,32 +122,23 @@ impl Coalescer {
     pub fn push(&mut self, dest: u32, parcel: &Parcel, now_ns: u64) -> Vec<Flush> {
         debug_assert_eq!(dest, parcel.target.locality);
         let mut out = Vec::new();
+        let add = parcel_wire_len(parcel);
         if !self.cfg.enabled {
-            let mut encoded = Vec::with_capacity(parcel_wire_len(parcel));
-            encode_parcel(parcel, &mut encoded);
-            out.push(Flush {
-                dest,
-                body: parcels_body(self.epoch, 1, &encoded),
-                parcels: 1,
-                reason: FlushReason::Unbatched,
-                urgency: parcel.priority.level(),
-            });
+            let mut alone = DestBuf::with_room(add);
+            alone.push(parcel);
+            out.push(alone.seal(dest, self.epoch, FlushReason::Unbatched));
             return out;
         }
-        let add = parcel_wire_len(parcel);
-        if self.bufs[dest as usize].count > 0
-            && self.bufs[dest as usize].encoded.len() + add > self.cfg.max_bytes
-        {
+        let buf = &self.bufs[dest as usize];
+        if buf.count > 0 && buf.encoded_len() + add > self.cfg.max_bytes {
             out.push(self.seal(dest, FlushReason::Size));
         }
         let buf = &mut self.bufs[dest as usize];
         if buf.count == 0 {
             buf.first_ns = now_ns;
         }
-        buf.urgency = buf.urgency.min(parcel.priority.level());
-        encode_parcel(parcel, &mut buf.encoded);
-        buf.count += 1;
-        if buf.encoded.len() >= self.cfg.max_bytes {
+        buf.push(parcel);
+        if buf.encoded_len() >= self.cfg.max_bytes {
             out.push(self.seal(dest, FlushReason::Size));
         }
         out
@@ -176,11 +181,6 @@ impl Coalescer {
             .collect()
     }
 
-    /// Encoded bytes currently buffered across destinations.
-    pub fn buffered_bytes(&self) -> usize {
-        self.bufs.iter().map(|b| b.encoded.len()).sum()
-    }
-
     /// Whether every buffer is empty.
     pub fn is_empty(&self) -> bool {
         self.bufs.iter().all(|b| b.count == 0)
@@ -192,6 +192,11 @@ mod tests {
     use super::*;
     use crate::wire::decode_parcels_body;
     use dashmm_amt::{ActionId, GlobalAddress};
+
+    /// The `epoch | count | parcels` body inside a sealed buffer.
+    fn body(f: &Flush) -> &[u8] {
+        &f.frame[PARCELS_AT - 8..]
+    }
 
     fn parcel(dest: u32, len: usize) -> Parcel {
         Parcel::new(ActionId(1), GlobalAddress::new(dest, 0), vec![0xAA; len])
@@ -217,7 +222,7 @@ mod tests {
         assert_eq!(f.dest, 1);
         assert_eq!(f.reason, FlushReason::Size);
         assert!(f.parcels >= 2, "coalesced {} parcels", f.parcels);
-        let (_, ps) = decode_parcels_body(&f.body).unwrap();
+        let (_, ps) = decode_parcels_body(body(f)).unwrap();
         assert_eq!(ps.len() as u32, f.parcels);
     }
 
@@ -304,13 +309,76 @@ mod tests {
         assert_eq!(aged[1].dest, 0);
     }
 
+    /// The frame the send path finishes in place is, byte for byte, the one
+    /// the copying chain builds — and re-sealing it for a retransmission
+    /// changes the piggybacked ack and the checksum, nothing else.
+    #[test]
+    fn frame_sealed_in_place_equals_the_copying_chain() {
+        use crate::wire::{
+            decode_frame_exact, decode_seq_parcels_body, encode_frame, parcels_body,
+            seal_seq_parcels, seq_parcels_body, FrameKind,
+        };
+        let parcels: Vec<Parcel> = (0..5u8)
+            .map(|i| {
+                let mut p = parcel(1, 3 + 40 * i as usize);
+                p.payload.iter_mut().for_each(|b| *b = i.wrapping_mul(37));
+                p.priority = Priority::class(i % Priority::CLASSES);
+                p
+            })
+            .collect();
+        for enabled in [true, false] {
+            let mut c = Coalescer::new(
+                2,
+                0,
+                if enabled {
+                    cfg(1 << 20)
+                } else {
+                    CoalesceConfig::disabled()
+                },
+            );
+            c.set_epoch(9);
+            let mut flushes: Vec<Flush> = parcels.iter().flat_map(|p| c.push(1, p, 0)).collect();
+            flushes.extend(c.flush_all(FlushReason::Idle));
+            assert_eq!(flushes.len(), if enabled { 1 } else { parcels.len() });
+            let mut next = parcels.iter();
+            for (i, f) in flushes.into_iter().enumerate() {
+                let mut encoded = Vec::new();
+                for p in next.by_ref().take(f.parcels as usize) {
+                    encode_parcel(p, &mut encoded);
+                }
+                let chain = |seq, ack| {
+                    let inner = parcels_body(9, f.parcels, &encoded);
+                    encode_frame(
+                        FrameKind::SeqParcels,
+                        7,
+                        &seq_parcels_body(seq, ack, &inner),
+                    )
+                };
+                let seq = 11 + i as u64;
+                let mut frame = f.frame;
+                seal_seq_parcels(&mut frame, 7, seq, 4);
+                assert_eq!(frame, chain(seq, 4));
+                // The retransmission: a newer ack patched in, re-checksummed.
+                seal_seq_parcels(&mut frame, 7, seq, 6);
+                assert_eq!(frame, chain(seq, 6));
+                let decoded = decode_frame_exact(&frame).expect("CRC holds after the patch");
+                let (s, a, inner) = decode_seq_parcels_body(&decoded.body).unwrap();
+                assert_eq!((s, a), (seq, 6));
+                assert_eq!(
+                    decode_parcels_body(inner).unwrap().1.len() as u32,
+                    f.parcels
+                );
+            }
+        }
+    }
+
     #[test]
     fn epoch_stamped_into_frames() {
         let mut c = Coalescer::new(2, 1, cfg(1 << 20));
         c.set_epoch(7);
         c.push(0, &parcel(0, 4), 0);
         let fs = c.flush_all(FlushReason::Shutdown);
-        let (epoch, ps) = decode_parcels_body(&fs[0].body).unwrap();
+        let (epoch, ps) = decode_parcels_body(body(&fs[0])).unwrap();
         assert_eq!(epoch, 7);
         assert_eq!(ps.len(), 1);
     }

@@ -30,6 +30,8 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use crate::wire::SharedFrame;
+
 /// Retransmission tuning knobs (documented in `FAULTS.md`).
 #[derive(Clone, Copy, Debug)]
 pub struct RetransmitConfig {
@@ -71,10 +73,8 @@ impl Default for RetransmitConfig {
 #[derive(Clone, Debug)]
 struct Pending {
     seq: u64,
-    /// The inner parcels body (epoch | count | parcels).  Stored unframed
-    /// so every (re)transmission can wrap it with a *fresh* piggybacked
-    /// ack.
-    body: Vec<u8>,
+    /// The frame as it went out: the same allocation the write queue holds.
+    body: SharedFrame,
     parcels: u64,
     attempts: u32,
     due_ns: u64,
@@ -85,7 +85,7 @@ struct Pending {
 pub struct Retransmit {
     /// Original sequence number (unchanged across attempts).
     pub seq: u64,
-    /// Inner parcels body to re-wrap and resend.
+    /// A copy of the retained frame, for the caller to re-seal under a fresh ack.
     pub body: Vec<u8>,
     /// Retransmission attempt count (1 = first resend).
     pub attempt: u32,
@@ -109,15 +109,17 @@ impl SeqSender {
         SeqSender::default()
     }
 
-    /// Register an outbound parcels body carrying `parcels` parcels at time
-    /// `now_ns`; returns the sequence number to stamp on the frame.
+    /// Register an outbound frame carrying `parcels` parcels at time
+    /// `now_ns`; returns its sequence number — [`SeqSender::frames_sent`]
+    /// plus one, so the caller can have stamped it into the frame already.
     pub fn on_send(
         &mut self,
-        body: Vec<u8>,
+        body: impl Into<SharedFrame>,
         parcels: u64,
         now_ns: u64,
         cfg: &RetransmitConfig,
     ) -> u64 {
+        let body = body.into();
         self.next_seq += 1;
         let seq = self.next_seq;
         self.unacked_bytes += body.len();
@@ -169,7 +171,7 @@ impl SeqSender {
             p.due_ns = now_ns + ((backoff_us as f64 * scale) as u64).max(1) * 1_000;
             out.push(Retransmit {
                 seq: p.seq,
-                body: p.body.clone(),
+                body: Vec::clone(&p.body),
                 attempt: p.attempts,
             });
         }
@@ -235,6 +237,9 @@ impl SeqSender {
 /// What the receiver did with one arriving frame.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct RxOutcome {
+    /// The frame was the next in sequence: under [`SeqReceiver::accept`]
+    /// the caller delivers the body it still holds, then `deliver`.
+    pub in_order: bool,
     /// Parcel bodies now deliverable, in sequence order.
     pub deliver: Vec<Vec<u8>>,
     /// The frame repeated an already-delivered sequence number.
@@ -270,23 +275,37 @@ impl SeqReceiver {
         }
     }
 
-    /// Accept frame `seq` with the given inner parcels body.
-    pub fn on_frame(&mut self, seq: u64, body: Vec<u8>, cfg: &RetransmitConfig) -> RxOutcome {
+    /// Accept frame `seq` whose inner parcels body is `body`.  An in-order
+    /// body is not copied: the outcome says `in_order` and lists only the
+    /// held successors it released.  Only a frame that has to wait is
+    /// copied, into the reorder buffer.
+    pub fn accept(&mut self, seq: u64, body: &[u8], cfg: &RetransmitConfig) -> RxOutcome {
         let mut out = RxOutcome::default();
         if seq < self.next_expected || self.held.contains_key(&seq) {
             self.duplicates += 1;
             out.duplicate = true;
-            return out;
-        }
-        if seq >= self.next_expected + cfg.reorder_window.max(1) as u64 {
+        } else if seq >= self.next_expected + cfg.reorder_window.max(1) as u64 {
             self.overflows += 1;
             out.overflow = true;
-            return out;
-        }
-        self.held.insert(seq, body);
-        while let Some(body) = self.held.remove(&self.next_expected) {
+        } else if seq > self.next_expected {
+            self.held.insert(seq, body.to_vec());
+        } else {
+            out.in_order = true;
             self.next_expected += 1;
-            out.deliver.push(body);
+            while let Some(body) = self.held.remove(&self.next_expected) {
+                self.next_expected += 1;
+                out.deliver.push(body);
+            }
+        }
+        out
+    }
+
+    /// [`SeqReceiver::accept`] for a caller that hands the body over: an
+    /// in-order one leads `deliver`, unmoved.
+    pub fn on_frame(&mut self, seq: u64, body: Vec<u8>, cfg: &RetransmitConfig) -> RxOutcome {
+        let mut out = self.accept(seq, &body, cfg);
+        if out.in_order {
+            out.deliver.insert(0, body);
         }
         out
     }

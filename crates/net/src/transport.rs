@@ -72,7 +72,7 @@
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
@@ -89,7 +89,7 @@ use crate::metrics::{CommMetrics, FlushReason};
 use crate::reliable::{RetransmitConfig, SeqReceiver, SeqSender};
 use crate::wire::{
     ack_body, decode_ack_body, decode_parcels_body, decode_seq_parcels_body, encode_frame,
-    parcel_wire_len, seq_parcels_body, FrameDecoder, FrameKind, HEADER_BYTES,
+    parcel_wire_len, seal_seq_parcels, FrameDecoder, FrameKind, SharedFrame, HEADER_BYTES,
 };
 
 /// Trace class of socket-write spans (owned by `dashmm-obs`).
@@ -107,6 +107,8 @@ pub const TRACE_CLASS_HEARTBEAT: u8 = dashmm_amt::CLASS_NET_HEARTBEAT;
 const TRACE_CAP: usize = 1 << 20;
 /// Minimum interval between STATUS reports from an idle rank.
 const STATUS_INTERVAL_NS: u64 = 200_000;
+/// Reads (of up to 256 KiB each) one peer gets per progress iteration.
+const READS_PER_PUMP: usize = 4;
 /// Sentinel for "no peer down".
 const PEER_NONE: u32 = u32::MAX;
 /// Default suspicion timeout (override with `DASHMM_SUSPICION_MS`).
@@ -174,7 +176,7 @@ struct Outbound {
     coalescer: Coalescer,
     /// Per-destination frames awaiting socket writes (`is_parcels` marks
     /// frames that count toward parcel-emptiness).
-    queues: Vec<VecDeque<(Vec<u8>, bool)>>,
+    queues: Vec<VecDeque<(SharedFrame, bool)>>,
     /// Write offset into the front frame of each queue.
     offsets: Vec<usize>,
     /// Unwritten bytes across all queues (the backpressure quantity).
@@ -183,13 +185,25 @@ struct Outbound {
     parcel_frames: usize,
     /// Injector holds: frames delayed in flight, `(release_ns, dest,
     /// frame)`.
-    delayed: Vec<(u64, u32, Vec<u8>)>,
+    delayed: Vec<(u64, u32, SharedFrame)>,
     /// Injector holds: one-slot reorder pockets per destination (a
     /// pocketed frame ships after its successor).
-    pocket: Vec<Option<Vec<u8>>>,
+    pocket: Vec<Option<SharedFrame>>,
     /// Idle/aged coalescer flushes deferred on per-destination queue
     /// pressure (satellite: an unwritable socket must not grow the queue).
     deferred: VecDeque<Flush>,
+}
+
+impl Outbound {
+    /// Forget every frame queued toward `dest` (it is gone), written part
+    /// of the head frame included.
+    fn drop_queue(&mut self, dest: usize) {
+        let queued: usize = self.queues[dest].iter().map(|(f, _)| f.len()).sum();
+        self.queued_bytes -= queued - self.offsets[dest];
+        self.parcel_frames -= self.queues[dest].iter().filter(|(_, p)| *p).count();
+        self.queues[dest].clear();
+        self.offsets[dest] = 0;
+    }
 }
 
 struct Shared {
@@ -448,6 +462,34 @@ impl SocketTransport {
         Ok(())
     }
 
+    /// Block until `ready` yields under the sync lock; fails fast once a
+    /// peer is declared down, and at the collective timeout.
+    fn wait_sync<T>(
+        &self,
+        what: &str,
+        gen: u32,
+        mut ready: impl FnMut(&mut SyncState) -> Option<T>,
+    ) -> std::io::Result<T> {
+        let s = &self.shared;
+        let deadline = Instant::now() + s.timeout;
+        let mut sync = s.sync.lock().unwrap();
+        loop {
+            if let Some(done) = ready(&mut sync) {
+                return Ok(done);
+            }
+            self.check_peer_down(what)?;
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::TimedOut,
+                    format!("{what} generation {gen} timed out"),
+                ));
+            }
+            let wait = left.min(Duration::from_millis(20));
+            sync = s.sync_cv.wait_timeout(sync, wait).unwrap().0;
+        }
+    }
+
     /// Block until every rank reached this barrier (generation-numbered;
     /// call it the same number of times on every rank).  Fails fast if a
     /// peer has been declared down.
@@ -460,29 +502,9 @@ impl SocketTransport {
         } else {
             enqueue_control(s, 0, FrameKind::Barrier, &gen.to_le_bytes());
         }
-        let deadline = Instant::now() + s.timeout;
-        let mut sync = s.sync.lock().unwrap();
-        while sync.barrier_release_gen < gen {
-            drop(sync);
-            self.check_peer_down("barrier")?;
-            sync = s.sync.lock().unwrap();
-            if sync.barrier_release_gen >= gen {
-                break;
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    format!("barrier generation {gen} timed out"),
-                ));
-            }
-            let (g, _) = s
-                .sync_cv
-                .wait_timeout(sync, left.min(Duration::from_millis(20)))
-                .unwrap();
-            sync = g;
-        }
-        Ok(())
+        self.wait_sync("barrier", gen, |sync| {
+            (sync.barrier_release_gen >= gen).then_some(())
+        })
     }
 
     /// Gather one byte blob per rank at rank 0.  Returns `Some(parts)`
@@ -507,31 +529,8 @@ impl SocketTransport {
                 .or_insert_with(|| vec![None; ranks])[0] = Some(part.to_vec());
         }
         check_gather_complete(s, gen);
-        let deadline = Instant::now() + s.timeout;
-        let mut sync = s.sync.lock().unwrap();
-        loop {
-            if let Some(parts) = sync.gather_ready.remove(&gen) {
-                return Ok(Some(parts));
-            }
-            drop(sync);
-            self.check_peer_down("gather")?;
-            sync = s.sync.lock().unwrap();
-            if let Some(parts) = sync.gather_ready.remove(&gen) {
-                return Ok(Some(parts));
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    format!("gather generation {gen} timed out"),
-                ));
-            }
-            let (g, _) = s
-                .sync_cv
-                .wait_timeout(sync, left.min(Duration::from_millis(20)))
-                .unwrap();
-            sync = g;
-        }
+        self.wait_sync("gather", gen, |sync| sync.gather_ready.remove(&gen))
+            .map(Some)
     }
 
     /// Drain outbound buffers, say goodbye to the peers and stop the
@@ -737,13 +736,8 @@ impl Transport for SocketTransport {
             let mut coalesced_dropped = 0u64;
             {
                 let mut out = s.out.lock().unwrap();
-                let d = dead as usize;
-                let queued: usize = out.queues[d].iter().map(|(f, _)| f.len()).sum();
-                out.queued_bytes -= queued - out.offsets[d];
-                out.parcel_frames -= out.queues[d].iter().filter(|(_, p)| *p).count();
-                out.queues[d].clear();
-                out.offsets[d] = 0;
-                out.pocket[d] = None;
+                out.drop_queue(dead as usize);
+                out.pocket[dead as usize] = None;
                 out.delayed.retain(|(_, dest, _)| *dest != dead);
                 out.deferred.retain(|f| {
                     if f.dest == dead {
@@ -831,7 +825,7 @@ fn mark_peer_down(s: &Shared, r: u32, reason: ConvictionReason, why: &str) {
 }
 
 /// Append a ready-to-write frame to `dest`'s queue (stats + accounting).
-fn enqueue_raw(s: &Shared, out: &mut Outbound, dest: u32, frame: Vec<u8>, is_parcels: bool) {
+fn enqueue_raw(s: &Shared, out: &mut Outbound, dest: u32, frame: SharedFrame, is_parcels: bool) {
     let len = frame.len();
     s.stat_frames_sent.fetch_add(1, Ordering::SeqCst);
     s.stat_bytes_sent.fetch_add(len as u64, Ordering::SeqCst);
@@ -856,7 +850,7 @@ fn transmit_parcel_frame(
     dest: u32,
     seq: u64,
     attempt: u32,
-    mut frame: Vec<u8>,
+    mut frame: SharedFrame,
 ) {
     if let Some(plan) = &s.faults {
         let fate = plan.fate(s.rank, dest, seq, attempt);
@@ -883,10 +877,11 @@ fn transmit_parcel_frame(
         }
         if fate.corrupt {
             // Flip a body bit but leave the header intact, so the receiver
-            // can skip the frame by its length and resynchronise.
+            // can skip the frame by its length and resynchronise.  The damage
+            // goes into a copy: the retransmit queue shares this allocation.
             let at = HEADER_BYTES + (seq as usize % (frame.len() - HEADER_BYTES).max(1));
             if at < frame.len() {
-                frame[at] ^= 0x55;
+                Arc::make_mut(&mut frame)[at] ^= 0x55;
             }
         }
         if fate.dup {
@@ -915,28 +910,25 @@ fn transmit_parcel_frame(
     enqueue_raw(s, out, dest, frame, true);
 }
 
-/// Queue a sealed coalescer flush: assign its sequence number, wrap it as
-/// a [`FrameKind::SeqParcels`] frame with a piggybacked ack, and transmit.
+/// Queue a sealed coalescer flush: assign its sequence number, finish it in
+/// place as a [`FrameKind::SeqParcels`] frame with a piggybacked ack, and
+/// transmit; write queue and retransmit queue share that one buffer.
 fn enqueue_flush(s: &Shared, out: &mut Outbound, f: Flush) {
     let now = s.hooks.get().map(|h| (h.now_ns)()).unwrap_or(0);
     s.metrics
         .lock()
         .record_flush(f.dest as usize, f.parcels as u64, f.reason);
     let dest = f.dest;
+    let mut frame = f.frame;
     let (seq, frame) = {
         let mut arq = s.arq.lock();
         let ack = arq.receivers[dest as usize].cum_ack();
         arq.acked_sent[dest as usize] = arq.acked_sent[dest as usize].max(ack);
         let sender = &mut arq.senders[dest as usize];
-        // The frame body must be built before `on_send` takes ownership of
-        // the parcels body; the sequence it will assign is known.
-        let body = seq_parcels_body(sender.frames_sent() + 1, ack, &f.body);
-        let seq = sender.on_send(f.body, f.parcels as u64, now, &s.rcfg);
-        debug_assert_eq!(seq, decode_seq_parcels_body(&body).unwrap().0);
-        (
-            seq,
-            encode_frame(FrameKind::SeqParcels, s.rank as u16, &body),
-        )
+        seal_seq_parcels(&mut frame, s.rank as u16, sender.frames_sent() + 1, ack);
+        let frame = Arc::new(frame);
+        let seq = sender.on_send(Arc::clone(&frame), f.parcels as u64, now, &s.rcfg);
+        (seq, frame)
     };
     push_trace(s, CLASS_PARCEL_FLUSH, now, now);
     transmit_parcel_frame(s, out, dest, seq, 0, frame);
@@ -952,7 +944,7 @@ fn enqueue_control_locked(s: &Shared, out: &mut Outbound, dest: u32, kind: Frame
     debug_assert_ne!(dest, s.rank);
     let frame = encode_frame(kind, s.rank as u16, body);
     out.queued_bytes += frame.len();
-    out.queues[dest as usize].push_back((frame, false));
+    out.queues[dest as usize].push_back((Arc::new(frame), false));
 }
 
 /// Deliver decoded parcels into the scheduler, counting them received
@@ -1034,13 +1026,13 @@ fn process_parcels_body(s: &Shared, src: u32, body: &[u8], start: u64) {
 }
 
 /// Handle one inbound frame on the progress thread.
-fn handle_frame(s: &Shared, src: u32, kind: FrameKind, body: Vec<u8>, peer_closed: &mut bool) {
+fn handle_frame(s: &Shared, src: u32, kind: FrameKind, body: &[u8], peer_closed: &mut bool) {
     let le_u32 = |b: &[u8]| u32::from_le_bytes(b[..4].try_into().unwrap());
     let le_u64 = |b: &[u8]| u64::from_le_bytes(b[..8].try_into().unwrap());
     match kind {
         FrameKind::SeqParcels => {
             let start = s.hooks.get().map(|h| (h.now_ns)()).unwrap_or(0);
-            let (seq, ack, inner) = match decode_seq_parcels_body(&body) {
+            let (seq, ack, inner) = match decode_seq_parcels_body(body) {
                 Ok(x) => x,
                 Err(e) => fatal(&format!(
                     "rank {}: bad seq-parcels frame from {src}: {e}",
@@ -1050,7 +1042,7 @@ fn handle_frame(s: &Shared, src: u32, kind: FrameKind, body: Vec<u8>, peer_close
             let outcome = {
                 let mut arq = s.arq.lock();
                 arq.senders[src as usize].on_ack(ack);
-                let outcome = arq.receivers[src as usize].on_frame(seq, inner.to_vec(), &s.rcfg);
+                let outcome = arq.receivers[src as usize].accept(seq, inner, &s.rcfg);
                 if outcome.duplicate || outcome.overflow {
                     // Our ack (or reorder window) evidently lagged; re-ack
                     // so the sender stops retransmitting.
@@ -1059,12 +1051,17 @@ fn handle_frame(s: &Shared, src: u32, kind: FrameKind, body: Vec<u8>, peer_close
                 outcome
             };
             s.metrics.lock().rx_frames += 1;
-            for inner_body in outcome.deliver {
-                process_parcels_body(s, src, &inner_body, start);
+            // An in-order body is decoded where it lies in the receive
+            // buffer; only held successors it released were ever copied.
+            if outcome.in_order {
+                process_parcels_body(s, src, inner, start);
+            }
+            for held in outcome.deliver {
+                process_parcels_body(s, src, &held, start);
             }
         }
         FrameKind::Ack => {
-            let ack = match decode_ack_body(&body) {
+            let ack = match decode_ack_body(body) {
                 Ok(a) => a,
                 Err(e) => fatal(&format!("rank {}: bad ack from {src}: {e}", s.rank)),
             };
@@ -1078,18 +1075,11 @@ fn handle_frame(s: &Shared, src: u32, kind: FrameKind, body: Vec<u8>, peer_close
             // Progress-ledger gossip: merge the peer's snapshot (monotone,
             // so stale or reordered gossip is harmless).  Malformed bodies
             // are dropped — gossip is best-effort by design.
-            if let Some(snap) = LedgerSnapshot::decode(&body) {
+            if let Some(snap) = LedgerSnapshot::decode(body) {
                 if let Some(ledger) = s.ledger.lock().as_ref() {
                     ledger.merge_peer(&snap);
                 }
             }
-        }
-        FrameKind::Parcels => {
-            // Legacy unsequenced path (not emitted by this build, but the
-            // wire format still admits it).
-            let start = s.hooks.get().map(|h| (h.now_ns)()).unwrap_or(0);
-            s.metrics.lock().rx_frames += 1;
-            process_parcels_body(s, src, &body, start);
         }
         FrameKind::Status => {
             if body.len() != 28 {
@@ -1100,7 +1090,7 @@ fn handle_frame(s: &Shared, src: u32, kind: FrameKind, body: Vec<u8>, peer_close
                 ));
             }
             let st = RankStatus {
-                epoch: le_u32(&body),
+                epoch: le_u32(body),
                 seq: le_u64(&body[4..]),
                 sent: le_u64(&body[12..]),
                 recv: le_u64(&body[20..]),
@@ -1111,16 +1101,16 @@ fn handle_frame(s: &Shared, src: u32, kind: FrameKind, body: Vec<u8>, peer_close
             }
         }
         FrameKind::Done => {
-            let epoch = le_u32(&body);
+            let epoch = le_u32(body);
             s.done_epoch.fetch_max(epoch, Ordering::SeqCst);
         }
         FrameKind::Barrier => {
-            let gen = le_u32(&body);
+            let gen = le_u32(body);
             let mut c = s.coord.lock();
             c.barrier_arrived[src as usize] = c.barrier_arrived[src as usize].max(gen);
         }
         FrameKind::Gather => {
-            let gen = le_u32(&body);
+            let gen = le_u32(body);
             let len = le_u32(&body[4..]) as usize;
             let part = body[8..8 + len].to_vec();
             {
@@ -1133,7 +1123,7 @@ fn handle_frame(s: &Shared, src: u32, kind: FrameKind, body: Vec<u8>, peer_close
             check_gather_complete(s, gen);
         }
         FrameKind::BarrierRelease => {
-            let gen = le_u32(&body);
+            let gen = le_u32(body);
             let mut sync = s.sync.lock().unwrap();
             sync.barrier_release_gen = sync.barrier_release_gen.max(gen);
             drop(sync);
@@ -1142,7 +1132,8 @@ fn handle_frame(s: &Shared, src: u32, kind: FrameKind, body: Vec<u8>, peer_close
         FrameKind::Bye => {
             *peer_closed = true;
         }
-        FrameKind::Hello | FrameKind::PortMap => {
+        // Parcels travel sequenced; this build never emits the bare kind.
+        FrameKind::Hello | FrameKind::PortMap | FrameKind::Parcels => {
             fatal(&format!(
                 "rank {}: unexpected {kind:?} after rendezvous",
                 s.rank
@@ -1249,55 +1240,44 @@ fn pump_reads(s: &Shared, r: u32) -> bool {
         None => return false,
     };
     let mut progressed = false;
-    let mut frames = Vec::new();
-    // A clean goodbye and the EOF often land in the same pump; the verdict
-    // on a hangup must wait until the buffered frames (the Bye among them)
-    // have been handled.
+    // A clean goodbye and the EOF often land in the same pump; every read is
+    // followed by handling the frames it completed (the Bye among them),
+    // so the verdict on a hangup always comes after them.
     let mut hangup: Option<String> = None;
     {
-        let mut peer = peer_cell.lock();
+        let peer = &mut *peer_cell.lock();
         if peer.closed {
             return false;
         }
-        let mut buf = [0u8; 64 * 1024];
-        loop {
-            match peer.stream.read(&mut buf) {
-                Ok(0) => {
-                    hangup = Some("hung up".into());
-                    break;
-                }
-                Ok(n) => {
+        // A bounded number of reads per pump: a peer that never stops
+        // sending must not keep this thread from its writes, acks and timers.
+        for _ in 0..READS_PER_PUMP {
+            if hangup.is_some() {
+                break;
+            }
+            match peer.decoder.read_from(&mut peer.stream) {
+                Ok(0) => hangup = Some("hung up".into()),
+                Ok(_) => {
                     progressed = true;
                     peer.last_rx = Instant::now();
-                    peer.decoder.push(&buf[..n]);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    hangup = Some(format!("read failed: {e}"));
-                    break;
+                Err(e) => hangup = Some(format!("read failed: {e}")),
+            }
+            // Frames are handled where they lie in the receive buffer.
+            loop {
+                match peer.decoder.next_ref() {
+                    Ok(Some((kind, _, body))) => handle_frame(s, r, kind, body, &mut peer.closed),
+                    Ok(None) => break,
+                    Err(e) => {
+                        // Structural corruption is unrecoverable for this
+                        // connection (the decoder stays poisoned): hard-fail
+                        // the *link*, not the process.
+                        hangup = Some(format!("stream corrupt: {e}"));
+                        break;
+                    }
                 }
             }
-        }
-        loop {
-            match peer.decoder.next_frame() {
-                Ok(Some(f)) => frames.push(f),
-                Ok(None) => break,
-                Err(e) => {
-                    // Structural corruption is unrecoverable for this
-                    // connection (the decoder stays poisoned): hard-fail
-                    // the *link*, not the process.
-                    hangup = Some(format!("stream corrupt: {e}"));
-                    break;
-                }
-            }
-        }
-    }
-    for f in frames {
-        let mut closed = false;
-        handle_frame(s, r, f.kind, f.body, &mut closed);
-        if closed {
-            peer_cell.lock().closed = true;
         }
     }
     if let Some(why) = hangup {
@@ -1339,32 +1319,24 @@ fn pump_writes(s: &Shared) -> bool {
             None => continue,
         };
         let mut peer = peer_cell.lock();
-        while let Some((frame, is_parcels)) = out.queues[r as usize].pop_front() {
+        // The head frame stays queued (cloning counts a reference) until written.
+        while let Some((frame, is_parcels)) = out.queues[r as usize].front().cloned() {
             let off = out.offsets[r as usize];
             match peer.stream.write(&frame[off..]) {
                 Ok(0) => fatal(&format!("rank {}: zero-length write to rank {r}", s.rank)),
                 Ok(n) => {
                     progressed = true;
                     out.queued_bytes -= n;
-                    if off + n == frame.len() {
-                        out.offsets[r as usize] = 0;
-                        if is_parcels {
-                            out.parcel_frames -= 1;
-                        }
-                    } else {
+                    if off + n < frame.len() {
                         out.offsets[r as usize] = off + n;
-                        out.queues[r as usize].push_front((frame, is_parcels));
                         break;
                     }
+                    out.offsets[r as usize] = 0;
+                    out.queues[r as usize].pop_front();
+                    out.parcel_frames -= usize::from(is_parcels);
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    out.queues[r as usize].push_front((frame, is_parcels));
-                    break;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
-                    out.queues[r as usize].push_front((frame, is_parcels));
-                    continue;
-                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => {
                     let known_gone = s.stop.load(Ordering::Relaxed)
                         || peer.closed
@@ -1382,16 +1354,7 @@ fn pump_writes(s: &Shared) -> bool {
                     // socket died under this very write — the same crash
                     // signal the reader sees as a hangup, racing it here):
                     // drop its queue.
-                    let mut dropped = frame.len() - off;
-                    dropped += out.queues[r as usize]
-                        .iter()
-                        .map(|(f, _)| f.len())
-                        .sum::<usize>();
-                    out.queued_bytes -= dropped;
-                    out.parcel_frames -= out.queues[r as usize].iter().filter(|(_, p)| *p).count()
-                        + usize::from(is_parcels);
-                    out.offsets[r as usize] = 0;
-                    out.queues[r as usize].clear();
+                    out.drop_queue(r as usize);
                     if !known_gone {
                         // Mirror the read-side hangup discipline: convict
                         // while the epoch's work is open, otherwise just
@@ -1465,12 +1428,10 @@ fn pump_reliability(s: &Shared, now: u64) -> bool {
                 let ack = arq.receivers[r as usize].cum_ack();
                 arq.acked_sent[r as usize] = arq.acked_sent[r as usize].max(ack);
                 let count = due.len() as u64;
-                for rt in due {
-                    let frame = encode_frame(
-                        FrameKind::SeqParcels,
-                        s.rank as u16,
-                        &seq_parcels_body(rt.seq, ack, &rt.body),
-                    );
+                for mut rt in due {
+                    // Patch the fresh ack in and re-checksum, in place.
+                    seal_seq_parcels(&mut rt.body, s.rank as u16, rt.seq, ack);
+                    let frame = Arc::new(rt.body);
                     transmit_parcel_frame(s, &mut out, r, rt.seq, rt.attempt, frame);
                 }
                 s.metrics.lock().retransmit_frames += count;

@@ -28,6 +28,7 @@
 //! or misaligns the magic of the following frame.
 
 use std::fmt;
+use std::io::Read;
 
 use dashmm_amt::{ActionId, GlobalAddress, Parcel, Priority};
 
@@ -179,45 +180,61 @@ pub struct Frame {
 }
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected), the checksum guarding frame
-/// bodies.  Implemented locally: the workspace builds offline.
+/// bodies.  Implemented locally (the workspace builds offline) as
+/// slicing-by-8: eight independent table lookups retire eight input bytes
+/// per step of the dependency chain through `crc`, not one.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
+    static TABLES: std::sync::OnceLock<[[u32; 256]; 8]> = std::sync::OnceLock::new();
+    let t = TABLES.get_or_init(|| {
+        let mut t = [[0u32; 256]; 8];
+        for i in 0..256 {
+            t[0][i] = (0..8).fold(i as u32, |c, _| {
+                (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg())
+            });
+        }
+        // t[k][i]: the CRC of byte `i` followed by `k` zero bytes.
+        for k in 1..8 {
+            for i in 0..256 {
+                t[k][i] = t[0][(t[k - 1][i] & 0xFF) as usize] ^ (t[k - 1][i] >> 8);
             }
-            *e = c;
         }
         t
     });
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let w = u64::from_le_bytes(c.try_into().expect("8-byte chunk")) ^ crc as u64;
+        crc = (0..8).fold(0, |x, k| x ^ t[7 - k][(w >> (8 * k)) as usize & 0xFF]);
+    }
+    for &b in chunks.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
 
-/// Encode one frame (header + body) into a fresh buffer.
-pub fn encode_frame(kind: FrameKind, src: u16, body: &[u8]) -> Vec<u8> {
+/// Write the header of the frame held in `frame`, whose body already sits
+/// behind [`HEADER_BYTES`] of reserved room: length and checksum are taken
+/// over the body in place.
+pub fn seal_frame(kind: FrameKind, src: u16, frame: &mut [u8]) {
+    let (header, body) = frame.split_at_mut(HEADER_BYTES);
     assert!(
         body.len() <= MAX_FRAME_BODY,
         "frame body over the wire limit"
     );
+    header[..4].copy_from_slice(&MAGIC.to_le_bytes());
+    header[4] = VERSION;
+    header[5] = kind as u8;
+    header[6..8].copy_from_slice(&src.to_le_bytes());
+    header[8..12].copy_from_slice(&(body.len() as u32).to_le_bytes());
+    header[12..].copy_from_slice(&crc32(body).to_le_bytes());
+}
+
+/// Encode one frame (header + body) into a fresh buffer.
+pub fn encode_frame(kind: FrameKind, src: u16, body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_BYTES + body.len());
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.push(VERSION);
-    out.push(kind as u8);
-    out.extend_from_slice(&src.to_le_bytes());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(body).to_le_bytes());
+    out.resize(HEADER_BYTES, 0);
     out.extend_from_slice(body);
+    seal_frame(kind, src, &mut out);
     out
 }
 
@@ -229,21 +246,13 @@ fn le_u64(b: &[u8]) -> u64 {
     u64::from_le_bytes(b[..8].try_into().unwrap())
 }
 
-/// Decode one frame from the front of `buf`.  `Ok(Some((frame, consumed)))`
-/// on success, `Ok(None)` when `buf` holds a valid prefix that needs more
-/// bytes, `Err` on structural corruption.
-pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, WireError> {
-    decode_frame_capped(buf, MAX_FRAME_BODY)
-}
-
-/// [`decode_frame`] with a caller-chosen body cap.  A declared length over
-/// `max_body` is rejected the moment the header arrives — the hostile case
-/// where a peer advertises a huge frame must fail the connection rather
-/// than commit the receiver to buffering it.
-pub fn decode_frame_capped(
-    buf: &[u8],
-    max_body: usize,
-) -> Result<Option<(Frame, usize)>, WireError> {
+/// Validate the frame at the front of `buf` without copying it:
+/// `Ok(Some((kind, src, body_len)))` once header, length and checksum hold
+/// (the body follows the [`HEADER_BYTES`]), `Ok(None)` when `buf` is a valid
+/// prefix that needs more bytes.  A declared length over `max_body` is
+/// rejected the moment the header arrives — a peer advertising a huge frame
+/// must fail the connection, not commit the receiver to buffering it.
+fn peek_frame(buf: &[u8], max_body: usize) -> Result<Option<(FrameKind, u16, usize)>, WireError> {
     if buf.len() < HEADER_BYTES {
         // Reject garbage early even before a full header arrives.
         if !MAGIC.to_le_bytes().starts_with(&buf[..buf.len().min(4)]) {
@@ -266,18 +275,20 @@ pub fn decode_frame_capped(
     if buf.len() < HEADER_BYTES + len {
         return Ok(None);
     }
-    let body = &buf[HEADER_BYTES..HEADER_BYTES + len];
-    if crc32(body) != le_u32(&buf[12..]) {
+    if crc32(&buf[HEADER_BYTES..HEADER_BYTES + len]) != le_u32(&buf[12..]) {
         return Err(WireError::Corrupt);
     }
-    Ok(Some((
-        Frame {
-            kind,
-            src,
-            body: body.to_vec(),
-        },
-        HEADER_BYTES + len,
-    )))
+    Ok(Some((kind, src, len)))
+}
+
+/// Decode one frame from the front of `buf`.  `Ok(Some((frame, consumed)))`
+/// on success, `Ok(None)` when `buf` holds a valid prefix that needs more
+/// bytes, `Err` on structural corruption.
+pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, WireError> {
+    Ok(peek_frame(buf, MAX_FRAME_BODY)?.map(|(kind, src, len)| {
+        let body = buf[HEADER_BYTES..HEADER_BYTES + len].to_vec();
+        (Frame { kind, src, body }, HEADER_BYTES + len)
+    }))
 }
 
 /// Decode a complete buffer holding exactly one frame; trailing input or a
@@ -289,6 +300,12 @@ pub fn decode_frame_exact(buf: &[u8]) -> Result<Frame, WireError> {
         None => Err(WireError::Truncated),
     }
 }
+
+/// A frame's kind, source rank and body, the body still in the receive buffer.
+pub type FrameRef<'a> = (FrameKind, u16, &'a [u8]);
+
+/// Most bytes one [`FrameDecoder::read_from`] call takes off a stream.
+const READ_CHUNK: usize = 256 * 1024;
 
 /// Streaming frame decoder: feed arbitrary chunks, take whole frames out.
 pub struct FrameDecoder {
@@ -337,14 +354,36 @@ impl FrameDecoder {
         self.skip_corrupt = skip;
     }
 
-    /// Append received bytes.
-    pub fn push(&mut self, bytes: &[u8]) {
-        // Compact lazily so the buffer does not grow without bound.
+    /// Drop consumed bytes: free when all were (the common case, a peer
+    /// writes whole frames), otherwise lazily, bounding the buffer.
+    fn compact(&mut self) {
         if self.pos > 0 && (self.pos >= self.buf.len() || self.pos > 64 * 1024) {
             self.buf.drain(..self.pos);
             self.pos = 0;
         }
+    }
+
+    /// Append received bytes.
+    pub fn push(&mut self, bytes: &[u8]) {
+        self.compact();
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// Read up to [`READ_CHUNK`] bytes from `r` straight into the buffer's
+    /// spare capacity and return how many arrived; `Ok(0)` is end of stream.
+    /// An error (`WouldBlock` included) surfaces only if no byte preceded it.
+    pub fn read_from(&mut self, r: &mut impl Read) -> std::io::Result<usize> {
+        self.compact();
+        self.buf.reserve(READ_CHUNK);
+        let before = self.buf.len();
+        let res = r
+            .by_ref()
+            .take(READ_CHUNK as u64)
+            .read_to_end(&mut self.buf);
+        match self.buf.len() - before {
+            0 => res,
+            n => Ok(n),
+        }
     }
 
     /// Take the next complete frame, `Ok(None)` when more bytes are needed.
@@ -353,14 +392,25 @@ impl FrameDecoder {
     /// not loss) — except checksum failures under
     /// [`FrameDecoder::set_skip_corrupt`], which are skipped and counted.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
+        Ok(self.next_ref()?.map(|(kind, src, body)| Frame {
+            kind,
+            src,
+            body: body.to_vec(),
+        }))
+    }
+
+    /// [`FrameDecoder::next_frame`] without the copy: `(kind, src, body)`
+    /// with the body borrowed from the receive buffer until the next call.
+    pub fn next_ref(&mut self) -> Result<Option<FrameRef<'_>>, WireError> {
         if let Some(e) = self.poisoned {
             return Err(e);
         }
         loop {
-            match decode_frame_capped(&self.buf[self.pos..], self.max_body) {
-                Ok(Some((f, used))) => {
-                    self.pos += used;
-                    return Ok(Some(f));
+            match peek_frame(&self.buf[self.pos..], self.max_body) {
+                Ok(Some((kind, src, len))) => {
+                    let at = self.pos + HEADER_BYTES;
+                    self.pos = at + len;
+                    return Ok(Some((kind, src, &self.buf[at..at + len])));
                 }
                 Ok(None) => return Ok(None),
                 Err(WireError::Corrupt) if self.skip_corrupt => {
@@ -470,8 +520,10 @@ pub fn decode_parcels_body(body: &[u8]) -> Result<(u32, Vec<Parcel>), WireError>
 pub const SEQ_HEADER_BYTES: usize = 16;
 
 /// Build a [`FrameKind::SeqParcels`] body: sequence number, piggybacked
-/// cumulative ack, then an ordinary parcels body.
-pub fn seq_parcels_body(seq: u64, ack: u64, parcels: &[u8]) -> Vec<u8> {
+/// cumulative ack, then an ordinary parcels body.  The copying form of
+/// [`seal_seq_parcels`], kept as its oracle.
+#[cfg(test)]
+pub(crate) fn seq_parcels_body(seq: u64, ack: u64, parcels: &[u8]) -> Vec<u8> {
     let mut body = Vec::with_capacity(SEQ_HEADER_BYTES + parcels.len());
     body.extend_from_slice(&seq.to_le_bytes());
     body.extend_from_slice(&ack.to_le_bytes());
@@ -485,6 +537,29 @@ pub fn decode_seq_parcels_body(body: &[u8]) -> Result<(u64, u64, &[u8]), WireErr
         return Err(WireError::Truncated);
     }
     Ok((le_u64(body), le_u64(&body[8..]), &body[SEQ_HEADER_BYTES..]))
+}
+
+/// Room a parcel frame built in place keeps ahead of its first parcel: the
+/// frame header, `seq | ack`, then `epoch | count`.  Parcels are encoded
+/// behind it, so sealing, sequencing and checksumming never move them.
+pub const PARCELS_AT: usize = HEADER_BYTES + SEQ_HEADER_BYTES + 8;
+
+/// A finished frame: one allocation for write queue and retransmit queue.
+pub type SharedFrame = std::sync::Arc<Vec<u8>>;
+
+/// Stamp `epoch | count` into the room just ahead of [`PARCELS_AT`].
+pub fn seal_parcels(frame: &mut [u8], epoch: u32, count: u32) {
+    frame[PARCELS_AT - 8..PARCELS_AT - 4].copy_from_slice(&epoch.to_le_bytes());
+    frame[PARCELS_AT - 4..PARCELS_AT].copy_from_slice(&count.to_le_bytes());
+}
+
+/// Finish a sealed parcel buffer as a [`FrameKind::SeqParcels`] frame in
+/// place: stamp `seq | ack`, then the header over the body as it lies.  A
+/// retransmission repeats it with a fresher ack: a patch and a re-checksum.
+pub fn seal_seq_parcels(frame: &mut [u8], src: u16, seq: u64, ack: u64) {
+    frame[HEADER_BYTES..HEADER_BYTES + 8].copy_from_slice(&seq.to_le_bytes());
+    frame[HEADER_BYTES + 8..HEADER_BYTES + 16].copy_from_slice(&ack.to_le_bytes());
+    seal_frame(FrameKind::SeqParcels, src, frame);
 }
 
 /// Build a [`FrameKind::Ack`] body.
@@ -510,11 +585,67 @@ mod tests {
         p
     }
 
+    /// The textbook one-table, one-byte-per-step CRC-32: the oracle the
+    /// sliced implementation must agree with.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    /// A buffer holding `len` pseudo-random bytes from the returned offset
+    /// on, the first of them at an address ≡ `align` (mod 8).
+    fn aligned_bytes(seed: u64, align: usize, len: usize) -> (Vec<u8>, usize) {
+        let mut x = seed | 1;
+        let buf: Vec<u8> = (0..len + 8)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect();
+        let off = (align + 8 - buf.as_ptr() as usize % 8) % 8;
+        (buf, off)
+    }
+
     #[test]
     fn crc32_known_vector() {
         // The canonical IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn crc32_sliced_matches_bytewise_at_every_short_length_and_alignment() {
+        for len in 0..=70 {
+            for align in 0..8 {
+                let (buf, off) = aligned_bytes((len * 8 + align) as u64, align, len);
+                let b = &buf[off..off + len];
+                assert_eq!(crc32(b), crc32_bytewise(b), "len {len} align {align}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn crc32_sliced_matches_bytewise_up_to_a_mebibyte(
+            seed in proptest::prelude::any::<u64>(),
+            align in 0usize..8,
+            len in 0usize..=(1 << 20),
+        ) {
+            let (buf, off) = aligned_bytes(seed, align, len);
+            let b = &buf[off..off + len];
+            proptest::prop_assert_eq!(crc32(b), crc32_bytewise(b));
+        }
     }
 
     #[test]
@@ -629,6 +760,52 @@ mod tests {
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].kind, FrameKind::Status);
         assert_eq!(got[1].kind, FrameKind::Done);
+        assert_eq!(dec.pending_bytes(), 0);
+    }
+
+    /// A non-blocking stream in miniature: would-block, then at most seven
+    /// bytes, then would-block again…, and end of stream once drained.
+    struct Trickle<'a>(&'a [u8], bool);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.1 = !self.1;
+            if self.1 && !self.0.is_empty() {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let n = self.0.len().min(7).min(buf.len());
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn read_from_takes_what_is_there_and_borrowed_frames_match_owned_ones() {
+        let mut stream = encode_frame(FrameKind::Status, 1, &[1; 40]);
+        stream.extend_from_slice(&encode_frame(FrameKind::Done, 2, &[2; 4]));
+        let mut src = Trickle(&stream, false);
+        let mut dec = FrameDecoder::new();
+        let mut owned = FrameDecoder::new();
+        owned.push(&stream);
+        let (mut got, mut dry) = (0, 0);
+        loop {
+            match dec.read_from(&mut src) {
+                Ok(0) => break,
+                Ok(n) => assert!(n <= 7, "one short read per call"),
+                Err(e) => {
+                    assert_eq!(e.kind(), std::io::ErrorKind::WouldBlock);
+                    dry += 1;
+                }
+            }
+            while let Some((kind, from, body)) = dec.next_ref().unwrap() {
+                let want = owned.next_frame().unwrap().unwrap();
+                assert_eq!((kind, from, body), (want.kind, want.src, &want.body[..]));
+                got += 1;
+            }
+        }
+        assert_eq!(got, 2);
+        assert!(dry > 0, "a dry stream reports would-block");
         assert_eq!(dec.pending_bytes(), 0);
     }
 
