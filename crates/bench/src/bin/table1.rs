@@ -10,6 +10,9 @@
 use dashmm_bench::{banner, build_workload, socket, Opts};
 use dashmm_dag::{DagStats, NodeClass};
 
+/// Points (sources + targets) of the paper's Table I workload.
+const PAPER_POINTS: f64 = 60e6;
+
 /// Paper Table I, for reference printing.
 const PAPER: [(&str, u64, &str, u32, u32, u32, u32); 6] = [
     ("S", 2_097_148, "32-1920", 0, 0, 9, 28),
@@ -61,6 +64,38 @@ fn main() {
     for (name, count, size, dn, dx, on, ox) in PAPER {
         println!("{name:<6} {count:>10}  {size:>14}  {dn:>7}/{dx:<7}  {on:>7}/{ox:<7}");
     }
+
+    // Σ node bytes per class: the LCO network one `evaluate()` installs, by
+    // owner.  The paper prints one size for M / Is / It / L, so its column
+    // is count × size; its S and T sizes are ranges and stay blank.
+    println!("\n--- bytes by owner (Σ node payload per class) ---");
+    println!("Type     this run [MB]   B/point     paper [MB]   B/point");
+    let points = 2.0 * opts.n as f64;
+    let (mut ours, mut paper) = (0u64, 0u64);
+    for (c, (name, count, size, ..)) in NodeClass::ALL.into_iter().zip(PAPER) {
+        let total = stats.nodes[c.index()].size_total;
+        ours += total;
+        let theirs = size.parse::<u64>().ok().map(|size| count * size);
+        paper += theirs.unwrap_or(0);
+        let (mb, per_point) = theirs.map_or(("-".to_string(), "-".to_string()), |b| {
+            (
+                format!("{:.1}", b as f64 / 1e6),
+                format!("{:.1}", b as f64 / PAPER_POINTS),
+            )
+        });
+        println!(
+            "{name:<6} {:>15.1} {:>9.1} {mb:>14} {per_point:>9}",
+            total as f64 / 1e6,
+            total as f64 / points
+        );
+    }
+    println!(
+        "total  {:>15.1} {:>9.1} {:>14.1} {:>9.1}   (paper: M + Is + It + L only)",
+        ours as f64 / 1e6,
+        ours as f64 / points,
+        paper as f64 / 1e6,
+        paper as f64 / PAPER_POINTS
+    );
 
     // Shape checks the reproduction should satisfy.
     println!("\n--- shape checks ---");

@@ -602,7 +602,7 @@ mod tests {
             match node.class {
                 NodeClass::S | NodeClass::T => 0,
                 NodeClass::M | NodeClass::L => eval.lib.params().surface_points(),
-                NodeClass::Is => eval.asm.is_layout[&id].total_len(),
+                NodeClass::Is => eval.asm.is_layout[id as usize].total_len(),
                 NodeClass::It => 6 * eval.lib.tables(node.level).planewave_len(),
             }
         };
@@ -615,7 +615,7 @@ mod tests {
                 let (edges, read) = &mut per_dest[dag.node(e.dst).locality as usize];
                 *edges += 1;
                 let window = if e.op == EdgeOp::I2I {
-                    let layout = eval.asm.is_layout[&id];
+                    let layout = eval.asm.is_layout[id as usize];
                     let (dir, src_slot, _) = unpack_i2i(e.tag);
                     let (own, merged) = (layout.own_w as usize, layout.merged_w as usize);
                     match src_slot {

@@ -16,7 +16,7 @@
 //! the same group, which is what reduces the per-box translation count from
 //! up to 189 toward the ~40 the paper cites.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use dashmm_dag::{Dag, DagBuilder, EdgeOp, NodeClass};
 use dashmm_expansion::OperatorLibrary;
@@ -92,8 +92,9 @@ pub struct Assembly {
     pub l_of: Vec<i32>,
     /// `T` node per target box.
     pub t_of: Vec<i32>,
-    /// Layout of each `Is` node (indexed by DAG node id).
-    pub is_layout: HashMap<u32, IsLayout>,
+    /// Layout of each `Is` node, indexed by DAG node id (the default,
+    /// empty layout for every other class).
+    pub is_layout: Vec<IsLayout>,
 }
 
 impl Assembly {
@@ -260,7 +261,7 @@ fn assemble_fmm<K: Kernel>(
     let mut it_of = vec![-1i32; nt];
     let mut l_of = vec![-1i32; nt];
     let mut t_of = vec![-1i32; nt];
-    let mut is_layout = HashMap::new();
+    let mut is_layout: Vec<IsLayout> = Vec::new();
 
     for s in 0..ns as u32 {
         let node = src.node(s);
@@ -289,7 +290,8 @@ fn assemble_fmm<K: Kernel>(
             };
             let id = b.add_node(NodeClass::Is, s, level, (layout.total_len() * 8) as u32);
             is_of[s as usize] = id as i32;
-            is_layout.insert(id, layout);
+            is_layout.resize(id as usize + 1, IsLayout::default());
+            is_layout[id as usize] = layout;
         }
         for t in 0..nt as u32 {
             if it_needed[t as usize] {
@@ -338,7 +340,7 @@ fn assemble_fmm<K: Kernel>(
         }
         // M→I.
         if is_of[s as usize] >= 0 {
-            let layout = is_layout[&(is_of[s as usize] as u32)];
+            let layout = is_layout[is_of[s as usize] as usize];
             if layout.own_w > 0 {
                 debug_assert!(m_of[s as usize] >= 0);
                 b.add_edge(
@@ -355,7 +357,7 @@ fn assemble_fmm<K: Kernel>(
     for ((parent, _dir_idx, _mask), info) in &merged_slots {
         let dst = is_of[*parent as usize];
         debug_assert!(dst >= 0);
-        let layout = is_layout[&(dst as u32)];
+        let layout = is_layout[dst as usize];
         for &m in &info.members {
             let src_is = is_of[m as usize];
             debug_assert!(src_is >= 0);
@@ -374,7 +376,7 @@ fn assemble_fmm<K: Kernel>(
         let d_it = it_of[tbox as usize];
         debug_assert!(s_is >= 0 && d_it >= 0);
         let w = {
-            let layout = is_layout[&(s_is as u32)];
+            let layout = is_layout[s_is as usize];
             if src_slot == 0 {
                 layout.own_w
             } else {
@@ -469,8 +471,10 @@ fn assemble_fmm<K: Kernel>(
         }
     }
 
+    let dag = b.finish();
+    is_layout.resize(dag.num_nodes(), IsLayout::default());
     Assembly {
-        dag: b.finish(),
+        dag,
         s_of,
         m_of,
         is_of,
@@ -602,15 +606,17 @@ fn assemble_bh<K: Kernel>(problem: &Problem, theta: f64, lib: &OperatorLibrary<K
         }
     }
 
+    let dag = b.finish();
+    let is_layout = vec![IsLayout::default(); dag.num_nodes()];
     Assembly {
-        dag: b.finish(),
+        dag,
         s_of,
         m_of,
         is_of: vec![-1; ns],
         it_of: vec![-1; nt],
         l_of: vec![-1; nt],
         t_of,
-        is_layout: HashMap::new(),
+        is_layout,
     }
 }
 
@@ -620,6 +626,7 @@ mod tests {
     use dashmm_expansion::AccuracyParams;
     use dashmm_kernels::Laplace;
     use dashmm_tree::{uniform_cube, BuildParams};
+    use std::collections::HashMap;
 
     fn build(n: usize, method: Method, threshold: usize) -> (Problem, Assembly) {
         let sources = uniform_cube(n, 11);

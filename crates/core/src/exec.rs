@@ -424,7 +424,7 @@ impl<K: Kernel> ExecCtx<K> {
         match node.class {
             NodeClass::S => 0,
             NodeClass::M | NodeClass::L => self.lib.params().surface_points(),
-            NodeClass::Is => self.asm.is_layout[&id].total_len(),
+            NodeClass::Is => self.asm.is_layout[id as usize].total_len(),
             NodeClass::It => 6 * self.lib.tables(node.level).planewave_len(),
             NodeClass::T => {
                 let per = if self.gradients { 4 } else { 1 };
@@ -440,7 +440,7 @@ impl<K: Kernel> ExecCtx<K> {
         if e.op != EdgeOp::I2I {
             return 0..self.data_len(src_id);
         }
-        let layout = self.asm.is_layout[&src_id];
+        let layout = self.asm.is_layout[src_id as usize];
         let (off, w) = match unpack_i2i(e.tag) {
             (dir_idx, 0, _) => (layout.own_offset(dir_idx), layout.own_w),
             (_, src_slot, _) => (layout.merged_offset(src_slot - 1), layout.merged_w),
@@ -886,7 +886,7 @@ impl<K: Kernel> ExecCtx<K> {
             } else if dst_node.class == NodeClass::It {
                 (unpack_i2i(e.tag).0 * window.len()) as f64
             } else {
-                self.asm.is_layout[&e.dst].merged_offset(unpack_i2i(e.tag).2) as f64
+                self.asm.is_layout[e.dst as usize].merged_offset(unpack_i2i(e.tag).2) as f64
             };
             let src = Arc::clone(shared.get_or_insert_with(|| Arc::from(data)));
             let entry = BatchEntry {
@@ -997,7 +997,11 @@ impl<K: Kernel> ExecCtx<K> {
             BatchKey::I2L { .. } => EdgeOp::I2L.index() as u8,
             BatchKey::S2T { .. } => EdgeOp::S2T.index() as u8,
         };
-        let mut prev = ctx.now_ns();
+        // `record_span` drops everything with observability off; spare the
+        // clock reads (one per edge) as well.
+        let timed = ctx.obs_level().enabled();
+        let clock = || if timed { ctx.now_ns() } else { 0 };
+        let mut prev = clock();
         let start = prev;
         // Plan classes differ between destinations inside one operator
         // batch, so the LCO-set priority is looked up per entry.
@@ -1006,7 +1010,7 @@ impl<K: Kernel> ExecCtx<K> {
         // span where the previous edge's ended.
         let mut set = |i: usize, data: &[f64]| {
             ctx.lco_set_with_priority(batch[i].dst, data, prio(i));
-            let now = ctx.now_ns();
+            let now = clock();
             ctx.record_span(class, batch[i].eid, prev, now);
             prev = now;
         };
@@ -1088,7 +1092,7 @@ impl<K: Kernel> ExecCtx<K> {
                         }
                         ctx.lco_set_with_priority(batch[0].dst, out, prio);
                     });
-                    let end = ctx.now_ns();
+                    let end = clock();
                     let m = batch.len() as u64;
                     for (i, b) in batch.iter().enumerate() {
                         let a = start + (end - start) * i as u64 / m;

@@ -9,6 +9,8 @@ pub struct NodeClassStats {
     pub count: u64,
     pub size_min: u32,
     pub size_max: u32,
+    /// Σ node sizes: what the class's LCO payloads occupy once installed.
+    pub size_total: u64,
     pub din_min: u32,
     pub din_max: u32,
     pub dout_min: u32,
@@ -54,6 +56,7 @@ impl DagStats {
             s.count += 1;
             s.size_min = s.size_min.min(n.size_bytes);
             s.size_max = s.size_max.max(n.size_bytes);
+            s.size_total += n.size_bytes as u64;
             s.din_min = s.din_min.min(n.in_degree);
             s.din_max = s.din_max.max(n.in_degree);
             s.dout_min = s.dout_min.min(n.out_degree);

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dashmm_kernels::Kernel;
+use dashmm_kernels::{Kernel, PlaneWaveQuad};
 use parking_lot::Mutex;
 
 use crate::params::AccuracyParams;
@@ -19,6 +19,10 @@ pub struct OperatorLibrary<K: Kernel> {
     root_side: f64,
     with_planewave: bool,
     levels: Mutex<HashMap<u8, Arc<LevelTables>>>,
+    /// Plane-wave rules by the bits of the scaled screening they were built
+    /// for (the accuracy is the library's): one for every level of a
+    /// scale-invariant kernel, one per level otherwise.
+    rules: Mutex<HashMap<u64, Arc<PlaneWaveQuad>>>,
 }
 
 impl<K: Kernel> OperatorLibrary<K> {
@@ -33,6 +37,7 @@ impl<K: Kernel> OperatorLibrary<K> {
             root_side,
             with_planewave,
             levels: Mutex::new(HashMap::new()),
+            rules: Mutex::new(HashMap::new()),
         }
     }
 
@@ -58,27 +63,41 @@ impl<K: Kernel> OperatorLibrary<K> {
 
     /// Tables for one level, building them on first request.
     pub fn tables(&self, level: u8) -> Arc<LevelTables> {
-        if let Some(t) = self.levels.lock().get(&level) {
-            return t.clone();
-        }
-        // Build outside the lock: table assembly is expensive and other
-        // levels' lookups must not stall behind it.  A racing builder for
-        // the same level wastes one build; the first insert wins.
-        let t = Arc::new(LevelTables::build(
-            &self.kernel,
-            &self.params,
-            level,
-            self.side_at(level),
-            self.with_planewave,
-        ));
-        let mut map = self.levels.lock();
-        Arc::clone(map.entry(level).or_insert(t))
+        get_or_build(&self.levels, level, || {
+            let side = self.side_at(level);
+            let rule = self.with_planewave.then(|| self.rule(side));
+            LevelTables::build_with(&self.kernel, &self.params, level, side, rule)
+        })
+    }
+
+    /// The plane-wave rule for boxes of side `side`, built on first request.
+    fn rule(&self, side: f64) -> Arc<PlaneWaveQuad> {
+        let key = self.kernel.scaled_screening(side).to_bits();
+        get_or_build(&self.rules, key, || {
+            LevelTables::planewave_rule(&self.kernel, &self.params, side)
+        })
     }
 
     /// Number of levels built so far.
     pub fn built_levels(&self) -> usize {
         self.levels.lock().len()
     }
+}
+
+/// The cached value for `key`, built on first request.  The build runs
+/// outside the lock: it is expensive and lookups of other keys must not
+/// stall behind it.  A racing builder for the same key wastes one build; the
+/// first insert wins.
+fn get_or_build<Q: std::hash::Hash + Eq, V>(
+    cache: &Mutex<HashMap<Q, Arc<V>>>,
+    key: Q,
+    build: impl FnOnce() -> V,
+) -> Arc<V> {
+    if let Some(v) = cache.lock().get(&key) {
+        return v.clone();
+    }
+    let v = Arc::new(build());
+    Arc::clone(cache.lock().entry(key).or_insert(v))
 }
 
 #[cfg(test)]
@@ -121,6 +140,22 @@ mod tests {
             (k4 - 0.25).abs() < 1e-12,
             "level 4 side 0.125 → κ̂ = 0.25, got {k4}"
         );
+    }
+
+    #[test]
+    fn laplace_levels_share_one_planewave_rule() {
+        let lib = OperatorLibrary::new(Laplace, AccuracyParams::three_digit(), 2.0, true);
+        let rules: Vec<_> = (2..=6).map(|l| lib.tables(l)).collect();
+        let first = rules[0].quad().unwrap();
+        for t in &rules[1..] {
+            assert!(std::ptr::eq(first, t.quad().unwrap()));
+        }
+        assert_eq!(lib.rules.lock().len(), 1);
+
+        let lib = OperatorLibrary::new(Yukawa::new(2.0), AccuracyParams::three_digit(), 2.0, true);
+        let (a, b) = (lib.tables(2), lib.tables(4));
+        assert!(!std::ptr::eq(a.quad().unwrap(), b.quad().unwrap()));
+        assert_eq!(lib.rules.lock().len(), 2);
     }
 
     #[test]

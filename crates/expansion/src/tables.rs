@@ -63,8 +63,9 @@ pub struct LevelTables {
     /// Child octant local-to-local operators (this table's level is the
     /// *child* level; the source expansion belongs to the parent).
     l2l: [Matrix; 8],
-    /// Plane-wave quadrature (present when intermediate expansions are on).
-    quad: Option<PlaneWaveQuad>,
+    /// Plane-wave quadrature (present when intermediate expansions are on);
+    /// levels with the same scaled screening share one rule.
+    quad: Option<Arc<PlaneWaveQuad>>,
     /// `M→I`, the six directions stacked by rows (`6w × n`, `w` =
     /// [`LevelTables::planewave_len`], direction `d` in rows `d·w..(d+1)·w`):
     /// maps up-equivalent densities to every direction's `[Re; Im]`
@@ -85,13 +86,38 @@ pub struct LevelTables {
 }
 
 impl LevelTables {
-    /// Assemble the tables for boxes of side `side` at `level`.
+    /// Assemble the tables for boxes of side `side` at `level`, building
+    /// this level's own plane-wave rule when `with_planewave`.
     pub fn build<K: Kernel>(
         kernel: &K,
         params: &AccuracyParams,
         level: u8,
         side: f64,
         with_planewave: bool,
+    ) -> Self {
+        let quad = with_planewave.then(|| Arc::new(Self::planewave_rule(kernel, params, side)));
+        Self::build_with(kernel, params, level, side, quad)
+    }
+
+    /// The plane-wave rule a level of box side `side` needs: it depends on
+    /// the accuracy and the screening scaled to the box, nothing else.
+    pub(crate) fn planewave_rule<K: Kernel>(
+        kernel: &K,
+        params: &AccuracyParams,
+        side: f64,
+    ) -> PlaneWaveQuad {
+        PlaneWaveQuad::build(QuadSpec::for_l2(params.eps, kernel.scaled_screening(side)))
+    }
+
+    /// Assemble the tables around a plane-wave rule built elsewhere (`None`
+    /// disables intermediate expansions); `quad` must be
+    /// [`LevelTables::planewave_rule`] for this kernel, accuracy and side.
+    pub(crate) fn build_with<K: Kernel>(
+        kernel: &K,
+        params: &AccuracyParams,
+        level: u8,
+        side: f64,
+        quad: Option<Arc<PlaneWaveQuad>>,
     ) -> Self {
         let h = side * 0.5;
         let q = params.surface_q;
@@ -126,9 +152,7 @@ impl LevelTables {
             dc2de.matmul(&eval_matrix(kernel, &dc_pts, &shifted))
         });
 
-        let (quad, m2i, i2l) = if with_planewave {
-            let kappa = kernel.scaled_screening(side);
-            let quad = PlaneWaveQuad::build(QuadSpec::for_l2(params.eps, kappa));
+        let (m2i, i2l) = if let Some(quad) = &quad {
             let t = quad.num_terms();
             let mut m2i = Matrix::zeros(6 * 2 * t, n);
             let mut ev = Matrix::zeros(n, 6 * 2 * t);
@@ -161,9 +185,9 @@ impl LevelTables {
                 }
             }
             // Fuse the check-to-equivalent inverse into the evaluation.
-            (Some(quad), m2i, dc2de.matmul(&ev))
+            (m2i, dc2de.matmul(&ev))
         } else {
-            (None, Matrix::zeros(0, n), Matrix::zeros(n, 0))
+            (Matrix::zeros(0, n), Matrix::zeros(n, 0))
         };
 
         LevelTables {
@@ -209,7 +233,7 @@ impl LevelTables {
 
     /// The plane-wave quadrature, if built.
     pub fn quad(&self) -> Option<&PlaneWaveQuad> {
-        self.quad.as_ref()
+        self.quad.as_deref()
     }
 
     /// Upward equivalent surface points (box-center relative).
