@@ -8,6 +8,11 @@
 //! network of user-defined LCOs whose stored data is an expansion and whose
 //! single continuation processes the node's out-edge list (paper §IV,
 //! Figure 2).
+//!
+//! An LCO can be armed again once its run is over ([`crate::Runtime::rearm`]),
+//! so one network serves every evaluation of the same DAG.
+
+use std::sync::Arc;
 
 use dashmm_obs::CLASS_NONE;
 use parking_lot::Mutex;
@@ -30,8 +35,11 @@ pub enum LcoOp {
 /// A user-defined reduction: folds one input into the stored data.
 pub type ReduceFn = Box<dyn Fn(&mut [f64], &[f64]) + Send + Sync>;
 
-/// A local closure run on trigger with a view of the LCO data.
-pub type TriggerFn = Box<dyn FnOnce(&TaskCtx, &[f64]) + Send>;
+/// A local closure run each time the LCO triggers, with the LCO's payload.
+/// The payload is handed over shared, not copied: the closure may keep
+/// clones of the handle for the rest of the run, and the LCO can only be
+/// re-armed once every clone is gone.
+pub type TriggerFn = Box<dyn Fn(&TaskCtx, &Arc<[f64]>) + Send + Sync>;
 
 /// Specification of an LCO at allocation time.
 pub struct LcoSpec {
@@ -97,61 +105,103 @@ impl LcoSpec {
 
 pub(crate) struct LcoCell {
     pub(crate) state: Mutex<LcoState>,
+    /// Inputs expected per arming.
+    inputs: u32,
+    /// Outside the lock: the continuation runs it without taking one.
+    pub(crate) on_trigger: Option<TriggerFn>,
+    pub(crate) trace_class: u8,
 }
 
 pub(crate) struct LcoState {
-    pub(crate) data: Vec<f64>,
+    /// Mutated in place while inputs arrive; shared with the continuation
+    /// once triggered.
+    pub(crate) data: Arc<[f64]>,
     pub(crate) remaining: u32,
     pub(crate) triggered: bool,
-    pub(crate) op: LcoOp,
-    pub(crate) on_trigger: Option<TriggerFn>,
+    /// `data` still holds the previous arming's values: the first input
+    /// zeroes it before folding in.
+    stale: bool,
+    op: LcoOp,
     /// Continuation parcels registered before the trigger; drained when it
     /// fires.  `include_data == true` appends the LCO data to the payload.
     pub(crate) waiting: Vec<(Parcel, bool)>,
-    pub(crate) trace_class: u8,
 }
 
 impl LcoCell {
     pub(crate) fn new(spec: LcoSpec) -> Self {
-        let triggered = spec.inputs == 0;
+        // SAFETY: all-zero bits are the f64 value 0.0.  Zeroed by the
+        // allocator, so the pages of a payload no input ever reaches (an
+        // LCO of a locality another process hosts) are never touched.
+        let data = unsafe { Arc::<[f64]>::new_zeroed_slice(spec.size).assume_init() };
         LcoCell {
             state: Mutex::new(LcoState {
-                data: vec![0.0; spec.size],
+                data,
                 remaining: spec.inputs,
-                triggered,
+                triggered: spec.inputs == 0,
+                stale: false,
                 op: spec.op,
-                on_trigger: spec.on_trigger,
                 waiting: Vec::new(),
-                trace_class: spec.trace_class,
             }),
+            inputs: spec.inputs,
+            on_trigger: spec.on_trigger,
+            trace_class: spec.trace_class,
         }
+    }
+
+    /// Arm again for another run: the allocation-time input count, no
+    /// registered continuations, and a payload zeroed lazily by its first
+    /// input if any input reached it since it was last zero (an LCO with
+    /// no inputs is zeroed here and stays triggered).
+    pub(crate) fn rearm(&self) {
+        let mut st = self.state.lock();
+        let st = &mut *st;
+        let data = Arc::get_mut(&mut st.data).expect("LCO payload still shared at re-arm");
+        if self.inputs == 0 {
+            data.fill(0.0);
+        } else {
+            st.stale |= st.remaining < self.inputs;
+        }
+        st.remaining = self.inputs;
+        st.triggered = self.inputs == 0;
+        st.waiting.clear();
     }
 }
 
 impl LcoState {
+    /// Whether an input of `len` values can be folded in now: the LCO has
+    /// not triggered, and the length is the data's for the reductions that
+    /// define one.
+    pub(crate) fn accepts(&self, len: usize) -> bool {
+        self.remaining > 0
+            && match self.op {
+                LcoOp::Add | LcoOp::Overwrite => len == self.data.len(),
+                LcoOp::Gate | LcoOp::Custom(_) => true,
+            }
+    }
+
     /// Fold one input; returns whether this input triggered the LCO.
     pub(crate) fn reduce(&mut self, input: &[f64]) -> bool {
         assert!(
             self.remaining > 0,
             "LCO received an input after triggering (inputs over-subscribed)"
         );
+        let data = Arc::get_mut(&mut self.data).expect("LCO payload shared before its trigger");
+        if std::mem::take(&mut self.stale) {
+            data.fill(0.0);
+        }
         match &self.op {
             LcoOp::Add => {
-                assert_eq!(input.len(), self.data.len(), "Add input length mismatch");
-                for (d, v) in self.data.iter_mut().zip(input) {
+                assert_eq!(input.len(), data.len(), "Add input length mismatch");
+                for (d, v) in data.iter_mut().zip(input) {
                     *d += v;
                 }
             }
             LcoOp::Overwrite => {
-                assert_eq!(
-                    input.len(),
-                    self.data.len(),
-                    "Overwrite input length mismatch"
-                );
-                self.data.copy_from_slice(input);
+                assert_eq!(input.len(), data.len(), "Overwrite input length mismatch");
+                data.copy_from_slice(input);
             }
             LcoOp::Gate => {}
-            LcoOp::Custom(f) => f(&mut self.data, input),
+            LcoOp::Custom(f) => f(data, input),
         }
         self.remaining -= 1;
         if self.remaining == 0 {
@@ -175,7 +225,7 @@ mod tests {
         assert!(!st.triggered);
         assert!(st.reduce(&[0.5, 0.5, 0.5]));
         assert!(st.triggered);
-        assert_eq!(st.data, vec![1.5, 2.5, 3.5]);
+        assert_eq!(&st.data[..], [1.5, 2.5, 3.5]);
     }
 
     #[test]
@@ -183,7 +233,7 @@ mod tests {
         let cell = LcoCell::new(LcoSpec::future(2));
         let mut st = cell.state.lock();
         assert!(st.reduce(&[9.0, 8.0]));
-        assert_eq!(st.data, vec![9.0, 8.0]);
+        assert_eq!(&st.data[..], [9.0, 8.0]);
     }
 
     #[test]
@@ -226,6 +276,65 @@ mod tests {
         let mut st = cell.state.lock();
         let _ = st.reduce(&[3.0]);
         let _ = st.reduce(&[2.0]);
-        assert_eq!(st.data, vec![3.0]);
+        assert_eq!(&st.data[..], [3.0]);
+    }
+
+    #[test]
+    fn rearm_restores_the_count_and_the_first_input_zeroes_the_payload() {
+        // Offset-add style: each input touches one element, so whatever the
+        // first input does not overwrite must read zero, not last run's value.
+        let spec = LcoSpec {
+            size: 3,
+            inputs: 2,
+            op: LcoOp::Custom(Box::new(|d, i| d[i[0] as usize] += i[1])),
+            on_trigger: None,
+            trace_class: CLASS_NONE,
+        };
+        let cell = LcoCell::new(spec);
+        for round in 0..3 {
+            {
+                let mut st = cell.state.lock();
+                assert!(!st.reduce(&[0.0, 1.0 + round as f64]));
+                assert!(st.reduce(&[2.0, 5.0]));
+                assert_eq!(&st.data[..], [1.0 + round as f64, 0.0, 5.0]);
+            }
+            cell.rearm();
+            let st = cell.state.lock();
+            assert_eq!((st.remaining, st.triggered), (2, false));
+        }
+        // An LCO with no inputs is zeroed at re-arm and stays triggered.
+        let none = LcoCell::new(LcoSpec {
+            inputs: 0,
+            ..LcoSpec::future(2)
+        });
+        Arc::get_mut(&mut none.state.lock().data).unwrap()[1] = 7.0;
+        none.rearm();
+        let st = none.state.lock();
+        assert!(st.triggered);
+        assert_eq!(&st.data[..], [0.0, 0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "still shared")]
+    fn rearm_refuses_a_payload_still_shared() {
+        let cell = LcoCell::new(LcoSpec::future(1));
+        let held = {
+            let mut st = cell.state.lock();
+            assert!(st.reduce(&[1.0]));
+            Arc::clone(&st.data)
+        };
+        cell.rearm();
+        drop(held);
+    }
+
+    #[test]
+    fn accepts_checks_count_and_length() {
+        let cell = LcoCell::new(LcoSpec::reduce_sum(2, 1));
+        let mut st = cell.state.lock();
+        assert!(!st.accepts(1) && !st.accepts(3) && st.accepts(2));
+        assert!(st.reduce(&[1.0, 2.0]));
+        assert!(!st.accepts(2), "triggered");
+        let gate = LcoCell::new(LcoSpec::and_gate(1));
+        assert!(gate.state.lock().accepts(5), "a gate ignores values");
     }
 }

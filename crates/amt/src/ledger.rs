@@ -15,7 +15,9 @@
 //!
 //! * **Monotonicity** — fired bits never clear and acked watermarks never
 //!   move backwards, locally or through [`ProgressLedger::merge_peer`].
-//!   Out-of-order or duplicated gossip cannot regress a peer view.
+//!   Out-of-order or duplicated gossip cannot regress a peer view.  (The
+//!   one exception is [`ProgressLedger::clear`], between two evaluations
+//!   of the same DAG.)
 //! * **No phantom cementing** — a peer view only ever contains state the
 //!   peer itself published.  A snapshot truncated mid-wire (crash during
 //!   gossip) fails to decode and mutates nothing.
@@ -232,6 +234,16 @@ impl ProgressLedger {
         }
     }
 
+    /// Start over for another evaluation of the same DAG: no node has
+    /// fired, no peer view is held.  The acked watermarks count the
+    /// transport's whole life and stay.  Between runs only.
+    pub fn clear(&self) {
+        self.fired.lock().fill(0);
+        self.fired_count.store(0, Ordering::Relaxed);
+        self.peers.lock().fill(None);
+        self.generation.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Raise the cumulative acked-parcel watermark toward `peer` to at
     /// least `cum` (monotone; stale values are ignored).
     pub fn note_acked(&self, peer: u32, cum: u64) {
@@ -337,6 +349,23 @@ mod tests {
         let s = l.snapshot();
         assert_eq!(s.fired_count(), 3);
         assert!(s.is_fired(129) && !s.is_fired(128));
+    }
+
+    #[test]
+    fn clear_forgets_fired_nodes_and_peers_but_keeps_acks() {
+        let l = ProgressLedger::new(0, 70, 2);
+        l.note_fired(3);
+        l.note_acked(1, 9);
+        let peer = ProgressLedger::new(1, 70, 2);
+        peer.note_fired(5);
+        assert!(l.merge_peer(&peer.snapshot()));
+        let before = l.snapshot().generation;
+        l.clear();
+        let s = l.snapshot();
+        assert_eq!((l.fired_count(), s.fired_count()), (0, 0));
+        assert!(!l.is_fired(3) && l.peer(1).is_none());
+        assert_eq!(s.acked, vec![0, 9]);
+        assert!(s.generation > before);
     }
 
     #[test]

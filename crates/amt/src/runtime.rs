@@ -12,7 +12,7 @@ use dashmm_obs::{
 use parking_lot::{Mutex, RwLock};
 
 use crate::addr::GlobalAddress;
-use crate::lco::{LcoCell, LcoSpec};
+use crate::lco::{LcoCell, LcoSpec, LcoState};
 use crate::ledger::PeerFailure;
 use crate::parcel::{decode_f64s, encode_f64s, ActionId, Parcel, Priority};
 use crate::transport::{SharedMem, Transport, TransportHooks};
@@ -82,7 +82,10 @@ struct Locality {
     occupancy: AtomicU32,
     /// Dequeues served, driving the anti-starvation escape hatch.
     served: AtomicU64,
-    lcos: RwLock<Vec<Arc<LcoCell>>>,
+    /// The LCO slab.  [`Runtime::lco_new`] grows it between runs; during a
+    /// run every worker holds a clone of the `Arc` taken at run start and
+    /// indexes it without a lock.
+    lcos: Mutex<Arc<Vec<LcoCell>>>,
     blocks: RwLock<Vec<RwLock<Vec<u8>>>>,
     msgs_sent: AtomicU64,
     bytes_sent: AtomicU64,
@@ -94,7 +97,7 @@ impl Locality {
             queues: std::array::from_fn(|_| Injector::new()),
             occupancy: AtomicU32::new(0),
             served: AtomicU64::new(0),
-            lcos: RwLock::new(Vec::new()),
+            lcos: Mutex::new(Arc::default()),
             blocks: RwLock::new(Vec::new()),
             msgs_sent: AtomicU64::new(0),
             bytes_sent: AtomicU64::new(0),
@@ -167,6 +170,11 @@ pub struct RunReport {
     pub counters: ClassCounters,
     /// Span events overwritten because a worker's ring filled up.
     pub trace_dropped: u64,
+    /// Parcels dropped because their bytes did not make a valid call: an
+    /// action id never registered, an LCO past the target's slab, an
+    /// `LCO_SET` the LCO cannot take (ragged, the wrong length, after its
+    /// trigger), or a truncated continuation registration.
+    pub dropped_parcels: u64,
     /// Realtime clock at run start (ns since the unix epoch) — the anchor
     /// cross-process trace merging aligns rank clocks with.
     pub run_start_unix_ns: u64,
@@ -212,6 +220,7 @@ pub struct Runtime {
     actions: RwLock<Vec<ActionFn>>,
     pending: AtomicI64,
     tasks_run: AtomicU64,
+    dropped_parcels: AtomicU64,
     shutdown: AtomicBool,
     running: AtomicBool,
     epoch: Instant,
@@ -249,6 +258,7 @@ impl Runtime {
             actions: RwLock::new(Vec::new()),
             pending: AtomicI64::new(0),
             tasks_run: AtomicU64::new(0),
+            dropped_parcels: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             running: AtomicBool::new(false),
             epoch: Instant::now(),
@@ -282,16 +292,22 @@ impl Runtime {
             locally_idle,
             now_ns,
         });
-        // Built-in actions.
+        // Built-in actions.  Their parcels may come off a wire: bytes that
+        // do not make a valid call are dropped and counted, not a panic.
         let a0 = rt.register_action(Arc::new(|ctx: &TaskCtx, target, payload: &[u8]| {
-            let data = decode_f64s(payload);
-            ctx.lco_set(target, &data);
+            let landed = payload.len().is_multiple_of(8)
+                && ctx.reduce_local(target.index, &decode_f64s(payload), Priority::Normal, true);
+            if !landed {
+                ctx.rt.dropped_parcels.fetch_add(1, Ordering::Relaxed);
+            }
         }));
         debug_assert_eq!(a0, ACTION_LCO_SET);
         let a1 = rt.register_action(Arc::new(|ctx: &TaskCtx, target, payload: &[u8]| {
-            let (parcel, include_data) = decode_continuation(payload);
-            ctx.runtime()
-                .register_continuation_local(ctx, target, parcel, include_data);
+            let registered = decode_continuation(payload, ctx.rt.num_localities())
+                .is_some_and(|(parcel, include)| ctx.register_local(target.index, parcel, include));
+            if !registered {
+                ctx.rt.dropped_parcels.fetch_add(1, Ordering::Relaxed);
+            }
         }));
         debug_assert_eq!(a1, ACTION_REGISTER_CONT);
         rt
@@ -325,37 +341,39 @@ impl Runtime {
         ActionId(acts.len() as u32 - 1)
     }
 
-    /// Allocate an LCO on a locality.
+    /// Allocate an LCO on a locality.  Between runs only: a run's workers
+    /// index the slab as it was when the run started, so allocating during
+    /// a run panics.
     pub fn lco_new(&self, locality: u32, spec: LcoSpec) -> GlobalAddress {
-        let cell = Arc::new(LcoCell::new(spec));
-        let mut lcos = self.localities[locality as usize].lcos.write();
-        lcos.push(cell);
-        GlobalAddress::new(locality, lcos.len() as u32 - 1)
+        let mut slab = self.localities[locality as usize].lcos.lock();
+        let cells = Arc::get_mut(&mut slab).expect("lco_new() during a run");
+        cells.push(LcoCell::new(spec));
+        GlobalAddress::new(locality, cells.len() as u32 - 1)
     }
 
-    fn lco(&self, addr: GlobalAddress) -> Arc<LcoCell> {
-        self.localities[addr.locality as usize].lcos.read()[addr.index as usize].clone()
+    /// The LCO slab of `locality` as it stands.
+    fn slab(&self, locality: u32) -> Arc<Vec<LcoCell>> {
+        Arc::clone(&self.localities[locality as usize].lcos.lock())
+    }
+
+    /// `f` applied to the state of the LCO at `addr`, outside any task.
+    fn with_lco<R>(&self, addr: GlobalAddress, f: impl FnOnce(&mut LcoState) -> R) -> R {
+        f(&mut self.slab(addr.locality)[addr.index as usize].state.lock())
     }
 
     /// Read a triggered LCO's data (post-run); `None` if not yet triggered.
     pub fn lco_get(&self, addr: GlobalAddress) -> Option<Vec<f64>> {
-        let cell = self.lco(addr);
-        let st = cell.state.lock();
-        if st.triggered {
-            Some(st.data.clone())
-        } else {
-            None
-        }
+        self.with_lco(addr, |st| st.triggered.then(|| st.data.to_vec()))
     }
 
     /// Whether the LCO at `addr` has triggered.
     pub fn lco_triggered(&self, addr: GlobalAddress) -> bool {
-        self.lco(addr).state.lock().triggered
+        self.with_lco(addr, |st| st.triggered)
     }
 
     /// Inputs the LCO at `addr` still expects (0 once triggered).
     pub fn lco_remaining(&self, addr: GlobalAddress) -> u32 {
-        self.lco(addr).state.lock().remaining
+        self.with_lco(addr, |st| st.remaining)
     }
 
     /// Re-arm an *untriggered* LCO with a new expected-input count, for
@@ -367,21 +385,21 @@ impl Runtime {
     /// has already triggered; must not race an active run.
     pub fn lco_rearm(&self, addr: GlobalAddress, remaining: u32) -> bool {
         assert!(remaining > 0, "re-arming with 0 inputs would never trigger");
-        let cell = self.lco(addr);
-        let mut st = cell.state.lock();
-        if st.triggered {
-            return false;
-        }
-        st.remaining = remaining;
-        true
+        self.with_lco(addr, |st| {
+            if !st.triggered {
+                st.remaining = remaining;
+            }
+            !st.triggered
+        })
     }
 
     /// Drop every LCO, memory block and user-registered action, keeping
-    /// only the built-in actions.  For the iterative use case: each DAG
-    /// evaluation instantiates a fresh LCO network, and without a reset the
-    /// slabs of completed evaluations would accumulate.  All previously
-    /// returned addresses and action ids (other than the built-ins) are
-    /// invalidated; must not be called during a run.
+    /// only the built-in actions — before building a *different* network
+    /// on this runtime (a new DAG, or after a run that lost a peer, whose
+    /// recovery re-owned LCOs).  Evaluating the same network again needs
+    /// no reset: [`Runtime::rearm`] it.  All previously returned addresses
+    /// and action ids (other than the built-ins) are invalidated; must not
+    /// be called during a run.
     pub fn reset(&self) {
         assert_eq!(
             self.pending.load(Ordering::SeqCst),
@@ -389,10 +407,30 @@ impl Runtime {
             "reset() must not race an active run"
         );
         for loc in &self.localities {
-            loc.lcos.write().clear();
+            *loc.lcos.lock() = Arc::default();
             loc.blocks.write().clear();
         }
         self.actions.write().truncate(2);
+    }
+
+    /// Arm every LCO of the localities this process hosts for another run
+    /// of the same network (the iterative use case, paper §IV): input
+    /// counts go back to their allocation-time values, registered
+    /// continuations are cleared, and every payload an input reached is
+    /// marked stale, to be zeroed by its next first input; an LCO with no
+    /// inputs is zeroed here and stays triggered.  Allocations, trigger closures, addresses and
+    /// actions are kept.  Panics during a run, and if a payload is still
+    /// shared — a continuation of the last run kept its handle.
+    pub fn rearm(&self) {
+        assert!(
+            !self.running.load(Ordering::SeqCst),
+            "rearm() must not race an active run"
+        );
+        for (id, loc) in self.localities.iter().enumerate() {
+            if self.is_local(id as u32) {
+                loc.lcos.lock().iter().for_each(LcoCell::rearm);
+            }
+        }
     }
 
     /// Allocate a raw global memory block (the memput/memget face of the
@@ -447,31 +485,6 @@ impl Runtime {
         self.localities[locality as usize].push_class(task.priority(), task);
     }
 
-    fn register_continuation_local(
-        &self,
-        ctx: &TaskCtx,
-        addr: GlobalAddress,
-        parcel: Parcel,
-        include_data: bool,
-    ) {
-        debug_assert_eq!(
-            addr.locality, ctx.locality,
-            "continuation registration must be local"
-        );
-        let cell = self.lco(addr);
-        let mut st = cell.state.lock();
-        if st.triggered {
-            let mut p = parcel;
-            if include_data {
-                encode_f64s(&st.data, &mut p.payload);
-            }
-            drop(st);
-            ctx.send(p);
-        } else {
-            st.waiting.push((parcel, include_data));
-        }
-    }
-
     /// Execute until quiescence: every enqueued task (and everything they
     /// transitively spawn) has completed — on *every* participating
     /// process when the transport is distributed.  Returns run statistics.
@@ -489,6 +502,7 @@ impl Runtime {
             .sum();
         let net0 = self.transport.stats();
         let tasks0 = self.tasks_run.load(Ordering::Relaxed);
+        let dropped0 = self.dropped_parcels.load(Ordering::Relaxed);
         let run_start_ns = self.epoch.elapsed().as_nanos() as u64;
         // Captured at the same instant as the monotonic run clock: the
         // realtime anchor cross-process trace merging aligns ranks with.
@@ -522,6 +536,7 @@ impl Runtime {
                     continue;
                 }
                 n_local += 1;
+                let slab = self.slab(loc_id as u32);
                 // Per-locality worker deques with intra-locality stealing
                 // (HPX-5 was configured with local randomized workstealing).
                 let workers: Vec<Worker<Task>> = (0..self.cfg.workers_per_locality)
@@ -531,8 +546,9 @@ impl Runtime {
                     Arc::new(workers.iter().map(|w| w.stealer()).collect());
                 for (wid, w) in workers.into_iter().enumerate() {
                     let stealers = Arc::clone(&stealers);
+                    let slab = Arc::clone(&slab);
                     scope.spawn(move || {
-                        self.worker_loop(loc_id as u32, wid, w, &stealers, loc);
+                        self.worker_loop(loc_id as u32, wid, w, &stealers, loc, slab);
                     });
                 }
             }
@@ -641,6 +657,7 @@ impl Runtime {
             trace,
             counters,
             trace_dropped,
+            dropped_parcels: self.dropped_parcels.load(Ordering::Relaxed) - dropped0,
             run_start_unix_ns,
             lost_peer,
             fenced,
@@ -654,12 +671,14 @@ impl Runtime {
         local: Worker<Task>,
         stealers: &[Stealer<Task>],
         loc: &Locality,
+        lcos: Arc<Vec<LcoCell>>,
     ) {
         let ctx = TaskCtx {
             rt: self,
             locality,
             worker,
             local,
+            lcos,
             trace: RefCell::new(SpanRing::with_level(self.cfg.obs)),
         };
         let mut idle = 0u32;
@@ -780,8 +799,14 @@ impl Runtime {
                     p.target.locality, ctx.locality,
                     "parcel delivered to wrong locality"
                 );
-                let action = self.actions.read()[p.action.0 as usize].clone();
-                action(ctx, p.target, &p.payload);
+                let action = self.actions.read().get(p.action.0 as usize).cloned();
+                match action {
+                    Some(action) => action(ctx, p.target, &p.payload),
+                    // An id off a wire that names no registered action.
+                    None => {
+                        self.dropped_parcels.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
             }
             Task::Local(f, _) => f(ctx),
         }
@@ -797,15 +822,18 @@ fn encode_continuation(parcel: &Parcel, include_data: bool, out: &mut Vec<u8>) {
     out.extend_from_slice(&parcel.payload);
 }
 
-fn decode_continuation(bytes: &[u8]) -> (Parcel, bool) {
-    let action = ActionId(u32::from_le_bytes(bytes[0..4].try_into().unwrap()));
-    let target = GlobalAddress::unpack(u64::from_le_bytes(bytes[4..12].try_into().unwrap()));
-    let include_data = bytes[12] != 0;
-    let priority = Priority::class(bytes[13]);
-    let plen = u32::from_le_bytes(bytes[14..18].try_into().unwrap()) as usize;
-    let payload = bytes[18..18 + plen].to_vec();
-    let p = Parcel::with_priority(action, target, payload, priority);
-    (p, include_data)
+/// Decode a continuation registration; `None` unless `bytes` is exactly
+/// one [`encode_continuation`] of a parcel to one of `localities`.
+fn decode_continuation(bytes: &[u8], localities: u32) -> Option<(Parcel, bool)> {
+    let (head, payload) = bytes.split_at_checked(18)?;
+    let word = |at: usize| u32::from_le_bytes(head[at..at + 4].try_into().expect("4 bytes"));
+    let target =
+        GlobalAddress::unpack(u64::from_le_bytes(head[4..12].try_into().expect("8 bytes")));
+    let priority = Priority::class(head[13]);
+    (word(14) as usize == payload.len() && target.locality < localities).then(|| {
+        let parcel = Parcel::with_priority(ActionId(word(0)), target, payload.to_vec(), priority);
+        (parcel, head[12] != 0)
+    })
 }
 
 /// Per-task execution context: the facing API of the runtime inside
@@ -817,6 +845,8 @@ pub struct TaskCtx<'a> {
     /// Worker index within the locality.
     pub worker: usize,
     local: Worker<Task>,
+    /// This locality's LCO slab as it was when the run started.
+    lcos: Arc<Vec<LcoCell>>,
     trace: RefCell<SpanRing>,
 }
 
@@ -894,51 +924,86 @@ impl<'a> TaskCtx<'a> {
             self.send(p);
             return;
         }
-        let cell = self.rt.lco(addr);
+        self.reduce_local(addr.index, data, priority, false);
+    }
+
+    /// Fold `data` into this locality's LCO `index` and, if it was the last
+    /// input, spawn the continuation with the payload.  `checked` is for
+    /// inputs off a wire: one the LCO cannot take — past the slab, after
+    /// the trigger, the wrong length — is refused (`false`), where local
+    /// code that sends it panics.
+    fn reduce_local(&self, index: u32, data: &[f64], priority: Priority, checked: bool) -> bool {
+        let Some(cell) = self.lcos.get(index as usize) else {
+            assert!(
+                checked,
+                "LCO {index} is past locality {}'s slab",
+                self.locality
+            );
+            return false;
+        };
         let fired = {
             let mut st = cell.state.lock();
-            let t0 = if self.rt.cfg.obs.enabled() && st.trace_class != CLASS_NONE {
-                Some((st.trace_class, self.now_ns()))
+            if checked && !st.accepts(data.len()) {
+                return false;
+            }
+            let t0 = if self.rt.cfg.obs.enabled() && cell.trace_class != CLASS_NONE {
+                Some(self.now_ns())
             } else {
                 None
             };
             let fired = st.reduce(data);
-            if let Some((class, start)) = t0 {
+            if let Some(start) = t0 {
                 let end = self.now_ns();
                 self.trace
                     .borrow_mut()
-                    .record_span(class, NO_TAG, start, end);
+                    .record_span(cell.trace_class, NO_TAG, start, end);
             }
-            fired
+            fired.then(|| (Arc::clone(&st.data), std::mem::take(&mut st.waiting)))
         };
-        if fired {
+        if let Some((payload, waiting)) = fired {
             if self.rt.cfg.obs.spans() {
                 let now = self.now_ns();
                 self.trace
                     .borrow_mut()
                     .record_instant(CLASS_LCO_TRIGGER, now);
             }
-            let cell2 = Arc::clone(&cell);
-            self.spawn_with_priority(
-                move |ctx| {
-                    let (on_trigger, waiting) = {
-                        let mut st = cell2.state.lock();
-                        (st.on_trigger.take(), std::mem::take(&mut st.waiting))
-                    };
-                    let st = cell2.state.lock();
-                    if let Some(f) = on_trigger {
-                        f(ctx, &st.data);
-                    }
-                    for (mut parcel, include_data) in waiting {
-                        if include_data {
-                            encode_f64s(&st.data, &mut parcel.payload);
-                        }
-                        ctx.send(parcel);
-                    }
-                },
-                priority,
-            );
+            self.spawn_with_priority(move |ctx| ctx.fire(index, &payload, waiting), priority);
         }
+        true
+    }
+
+    /// The continuation of this locality's triggered LCO `index`: its
+    /// trigger closure, then the parcels registered on it.
+    fn fire(&self, index: u32, payload: &Arc<[f64]>, waiting: Vec<(Parcel, bool)>) {
+        if let Some(f) = &self.lcos[index as usize].on_trigger {
+            f(self, payload);
+        }
+        for (mut parcel, include_data) in waiting {
+            if include_data {
+                encode_f64s(payload, &mut parcel.payload);
+            }
+            self.send(parcel);
+        }
+    }
+
+    /// Register a continuation parcel on this locality's LCO `index`, or
+    /// send it now if the LCO has triggered; `false` if `index` is past the
+    /// slab.
+    fn register_local(&self, index: u32, mut parcel: Parcel, include_data: bool) -> bool {
+        let Some(cell) = self.lcos.get(index as usize) else {
+            return false;
+        };
+        let mut st = cell.state.lock();
+        if st.triggered {
+            if include_data {
+                encode_f64s(&st.data, &mut parcel.payload);
+            }
+            drop(st);
+            self.send(parcel);
+        } else {
+            st.waiting.push((parcel, include_data));
+        }
+        true
     }
 
     /// Register a continuation parcel to fire (once) when the LCO triggers;
@@ -946,8 +1011,10 @@ impl<'a> TaskCtx<'a> {
     /// appends the LCO data to the parcel payload.
     pub fn register_continuation(&self, addr: GlobalAddress, parcel: Parcel, include_data: bool) {
         if addr.locality == self.locality {
-            self.rt
-                .register_continuation_local(self, addr, parcel, include_data);
+            assert!(
+                self.register_local(addr.index, parcel, include_data),
+                "continuation registered on LCO {addr:?}, past the slab"
+            );
         } else {
             let mut payload = Vec::new();
             encode_continuation(&parcel, include_data, &mut payload);
@@ -1285,6 +1352,93 @@ mod tests {
         assert_eq!(r.lco_get(b), Some(vec![2.0]));
         // Built-in actions survive the reset (lco_set above crossed the
         // network via ACTION_LCO_SET).
+    }
+
+    #[test]
+    fn rearmed_network_runs_again_from_zero() {
+        // The trigger closure fires once per arming, and each run's sums
+        // start from zero rather than from the last run's payload.
+        let r = rt(2, 1);
+        let out = r.lco_new(0, LcoSpec::reduce_sum(1, 1));
+        let spec = LcoSpec::reduce_sum(2, 2).with_trigger(Box::new(move |ctx, data| {
+            ctx.lco_set(out, &[data[0] + data[1]]);
+        }));
+        let sum = r.lco_new(0, spec);
+        for round in 1..=3 {
+            let x = round as f64;
+            r.seed(1, move |ctx| ctx.lco_set(sum, &[x, 0.0])); // a parcel
+            r.seed(0, move |ctx| ctx.lco_set(sum, &[0.0, 10.0 * x]));
+            r.run();
+            assert_eq!(r.lco_get(sum), Some(vec![x, 10.0 * x]));
+            assert_eq!(r.lco_get(out), Some(vec![11.0 * x]));
+            r.rearm();
+            assert!(!r.lco_triggered(sum));
+            assert_eq!(r.lco_remaining(sum), 2);
+        }
+    }
+
+    #[test]
+    fn bad_parcels_are_counted_and_dropped_and_good_ones_land() {
+        let r = rt(2, 2);
+        let sum = r.lco_new(1, LcoSpec::reduce_sum(2, 1));
+        let done = r.lco_new(
+            1,
+            LcoSpec {
+                inputs: 0,
+                ..LcoSpec::future(2)
+            },
+        );
+        let gate = r.lco_new(1, LcoSpec::and_gate(1));
+        let past = GlobalAddress::new(1, 99);
+        let set = |target, payload| Parcel::new(ACTION_LCO_SET, target, payload);
+        let f64s = |values: &[f64]| {
+            let mut out = Vec::new();
+            encode_f64s(values, &mut out);
+            out
+        };
+        let cont = |target| {
+            let mut out = Vec::new();
+            encode_continuation(&set(target, Vec::new()), false, &mut out);
+            out
+        };
+        let register = |on, payload| Parcel::new(ACTION_REGISTER_CONT, on, payload);
+        let mut bad = vec![
+            (
+                "an unknown action",
+                Parcel::new(ActionId(77), sum, f64s(&[1.0, 2.0])),
+            ),
+            ("an index past the slab", set(past, f64s(&[1.0, 2.0]))),
+            ("a short set", set(sum, f64s(&[1.0]))),
+            ("a long set", set(sum, f64s(&[1.0, 2.0, 3.0]))),
+            ("a ragged set", set(sum, vec![0; 11])),
+            ("a set after the trigger", set(done, f64s(&[1.0, 2.0]))),
+            ("a registration past the slab", register(past, cont(gate))),
+            (
+                "a continuation to no locality",
+                register(sum, cont(GlobalAddress::new(9, 0))),
+            ),
+            (
+                "a continuation a byte too long",
+                register(sum, [cont(gate), vec![0]].concat()),
+            ),
+        ];
+        let whole = cont(gate);
+        for cut in 0..whole.len() {
+            bad.push(("a cut continuation", register(sum, whole[..cut].to_vec())));
+        }
+        let n_bad = bad.len() as u64;
+        for (_, parcel) in bad {
+            r.seed_parcel(parcel);
+        }
+        // Good parcels in the same run: a set, and a continuation that
+        // signals the gate once the set has landed.
+        r.seed_parcel(register(sum, whole));
+        r.seed_parcel(set(sum, f64s(&[1.5, -2.0])));
+        let rep = r.run();
+        assert_eq!(rep.dropped_parcels, n_bad);
+        assert_eq!(r.lco_get(sum), Some(vec![1.5, -2.0]));
+        assert!(r.lco_triggered(gate), "the good continuation fired");
+        assert_eq!(r.run().dropped_parcels, 0, "counted per run");
     }
 
     #[test]

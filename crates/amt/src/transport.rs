@@ -169,7 +169,8 @@ pub trait Transport: Send + Sync {
 
     /// Install the progress ledger the transport should update with ARQ
     /// ack watermarks and gossip to peers on the heartbeat path.  Called
-    /// by the executor once per evaluation; transports without a wire
+    /// by the executor once per built evaluation graph (re-armed between
+    /// evaluations with [`ProgressLedger::clear`]); transports without a wire
     /// (or without gossip support) may ignore it.
     fn set_ledger(&self, _ledger: Arc<ProgressLedger>) {}
 }

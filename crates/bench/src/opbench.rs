@@ -1,8 +1,7 @@
 //! Per-edge vs batched operator micro-measurements.
 //!
-//! Backs both the `batched_vs_peredge` criterion bench and the
-//! `bench_operators` binary that emits `BENCH_operators.json` — the CI
-//! artifact gating the batched hot path's speedup claim.  Alongside the
+//! Backs the `bench_operators` binary that emits `BENCH_operators.json` —
+//! the CI artifact gating the batched hot path's speedup claim.  Alongside the
 //! expansion operators, the particle-class operators (`S→T`, `S→M`,
 //! `L→T`) are measured as scalar per-pair replicas of the loops the SoA
 //! tile engine replaced vs the batched-kernel path, reported per

@@ -15,6 +15,7 @@ use dashmm_dag::{
 use dashmm_expansion::{AccuracyParams, OperatorLibrary};
 use dashmm_kernels::Kernel;
 use dashmm_tree::{BuildParams, Point3};
+use parking_lot::Mutex;
 
 use crate::assemble::{assemble, Assembly};
 use crate::exec::{ExecCtx, RecoveryStats};
@@ -252,6 +253,7 @@ impl<K: Kernel> DashmmBuilder<K> {
             plan,
             gradients: self.gradients,
             recover: self.recover,
+            graph: Mutex::new(None),
             tree_ms,
             dag_ms,
         }
@@ -268,6 +270,7 @@ fn merge_reports(first: &RunReport, mut second: RunReport) -> RunReport {
     second.messages += first.messages;
     second.bytes += first.bytes;
     second.trace_dropped += first.trace_dropped;
+    second.dropped_parcels += first.dropped_parcels;
     for (s, f) in second.counters.0.iter_mut().zip(first.counters.0.iter()) {
         s.count += f.count;
         s.total_ns += f.total_ns;
@@ -285,6 +288,10 @@ pub struct Evaluation<K: Kernel> {
     plan: Arc<SchedPlan>,
     gradients: bool,
     recover: bool,
+    /// The LCO network on `runtime`: built by the first `evaluate()`,
+    /// re-armed by every later one, dropped after a run that lost a peer
+    /// (recovery re-owned its LCOs).
+    graph: Mutex<Option<Arc<ExecCtx<K>>>>,
     /// Milliseconds spent building the dual tree.
     pub tree_ms: f64,
     /// Milliseconds spent assembling the explicit DAG.
@@ -316,16 +323,19 @@ pub struct EvalOutput {
     pub gradients: Option<Vec<[f64; 3]>>,
     /// Runtime statistics (tasks, messages, trace).
     pub report: RunReport,
-    /// Milliseconds spent in DAG evaluation (LCO allocation excluded).
+    /// Milliseconds from the start of the run to quiescence, recovery
+    /// included; building or re-arming the LCO network and reading the
+    /// results back are not counted.
     pub eval_ms: f64,
     /// Present when a locality failed mid-run and the survivors recovered
     /// the evaluation ([`DashmmBuilder::recover`]): the potentials are
     /// complete despite `report.lost_peer` being set.  `None` with
     /// `report.lost_peer` set means the output is partial.
     pub recovery: Option<RecoveryInfo>,
-    /// Remote-edge parcels this process dropped because their bytes did not
-    /// describe a bundle of its DAG.  Zero in any run between processes of
-    /// one build; otherwise the potentials miss those contributions.
+    /// Parcels this process dropped because their bytes did not describe a
+    /// bundle of its DAG, or any valid runtime call
+    /// ([`RunReport::dropped_parcels`]).  Zero in any run between processes
+    /// of one build; otherwise the potentials miss those contributions.
     pub malformed_parcels: u64,
 }
 
@@ -337,8 +347,9 @@ impl<K: Kernel> Evaluation<K> {
 
     /// Re-run the evaluation with *new* charges — the paper's iterative use
     /// case (§IV): the trees, interaction lists, operator tables, explicit
-    /// DAG, and distribution are all reused; only the LCO network is
-    /// re-instantiated.  `charges` are in the caller's original source
+    /// DAG, distribution and the LCO network itself are all reused; the
+    /// network is only re-armed (input counts restored, payloads zeroed by
+    /// their first input).  `charges` are in the caller's original source
     /// order.
     pub fn evaluate_with_charges(&self, charges: &[f64]) -> EvalOutput {
         assert_eq!(
@@ -358,18 +369,10 @@ impl<K: Kernel> Evaluation<K> {
     }
 
     fn evaluate_morton(&self, charges_morton: Vec<f64>) -> EvalOutput {
-        // Each evaluation instantiates a fresh LCO network; drop the
-        // previous one so iterative use does not accumulate memory.
-        self.runtime.reset();
-        let exec = ExecCtx::new(
-            Arc::clone(&self.problem),
-            Arc::clone(&self.lib),
-            Arc::clone(&self.asm),
-            Arc::clone(&self.plan),
-            self.gradients,
-            charges_morton,
-        );
-        exec.install(&self.runtime);
+        // Held for the whole evaluation: one evaluation at a time runs on
+        // the network.
+        let mut graph = self.graph.lock();
+        let exec = self.armed(&mut graph, charges_morton);
         exec.seed(&self.runtime);
         let t0 = Instant::now();
         let mut report = self.runtime.run();
@@ -407,6 +410,10 @@ impl<K: Kernel> Evaluation<K> {
         }
         let eval_ms = t0.elapsed().as_secs_f64() * 1e3;
         let (pot, grad) = exec.extract(&self.runtime);
+        if report.lost_peer.is_some() {
+            *graph = None;
+        }
+        let malformed_parcels = exec.malformed_parcels() + report.dropped_parcels;
         EvalOutput {
             potentials: self.problem.unsort_potentials(&pot),
             gradients: grad.map(|g| {
@@ -421,8 +428,26 @@ impl<K: Kernel> Evaluation<K> {
             report,
             eval_ms,
             recovery,
-            malformed_parcels: exec.malformed_parcels(),
+            malformed_parcels,
         }
+    }
+
+    /// The LCO network in `graph` — built first, on a runtime cleared of
+    /// any earlier one, if there is none — armed with `charges`.
+    fn armed(&self, graph: &mut Option<Arc<ExecCtx<K>>>, charges: Vec<f64>) -> Arc<ExecCtx<K>> {
+        let exec = graph.get_or_insert_with(|| {
+            self.runtime.reset();
+            ExecCtx::new(
+                Arc::clone(&self.problem),
+                Arc::clone(&self.lib),
+                Arc::clone(&self.asm),
+                Arc::clone(&self.plan),
+                self.gradients,
+                &self.runtime,
+            )
+        });
+        exec.rearm(&self.runtime, charges);
+        Arc::clone(exec)
     }
 
     /// The explicit DAG.
@@ -457,21 +482,12 @@ impl<K: Kernel> Evaluation<K> {
         &self.runtime
     }
 
-    /// The first steps of `evaluate_morton` — a fresh context with its LCO
-    /// network installed, not yet seeded — keeping the context in hand.
+    /// The first steps of `evaluate_morton` — the network built or kept,
+    /// armed with the build-time charges, not yet seeded — keeping it in
+    /// hand.
     #[cfg(test)]
-    pub(crate) fn installed_ctx(&self) -> Arc<ExecCtx<K>> {
-        self.runtime.reset();
-        let exec = ExecCtx::new(
-            Arc::clone(&self.problem),
-            Arc::clone(&self.lib),
-            Arc::clone(&self.asm),
-            Arc::clone(&self.plan),
-            self.gradients,
-            self.problem.charges.clone(),
-        );
-        exec.install(&self.runtime);
-        exec
+    pub(crate) fn armed_graph(&self) -> Arc<ExecCtx<K>> {
+        self.armed(&mut self.graph.lock(), self.problem.charges.clone())
     }
 }
 
@@ -557,7 +573,7 @@ mod tests {
                 .threshold(20)
                 .machine(localities, 2)
                 .build(&sources, &charges, &targets);
-            let exec = eval.installed_ctx();
+            let exec = eval.armed_graph();
             exec.seed(&eval.runtime);
             eval.runtime.run();
             let (remaining, parked, planewave_edges) = exec.batch_audit();
@@ -726,6 +742,50 @@ mod tests {
             classes.len() >= 4,
             "expected several operator classes, got {classes:?}"
         );
+    }
+
+    /// One built network, re-armed four times with alternating charges:
+    /// on one worker every output is bitwise a fresh build's, on two
+    /// localities within 1e-12, and after every call each batcher has
+    /// drained and each LCO has triggered.
+    #[test]
+    fn a_rearmed_graph_matches_a_fresh_build() {
+        let n = 1500;
+        let sources = uniform_cube(n, 9);
+        let targets = uniform_cube(n, 10);
+        let qa: Vec<f64> = (0..n).map(|i| 1.0 - (i % 3) as f64).collect();
+        let qb: Vec<f64> = (0..n).map(|i| ((i * 7) % 5) as f64 - 2.5).collect();
+        for ((localities, workers), tol) in [((1, 1), 0.0), ((2, 2), 1e-12)] {
+            let build = || {
+                DashmmBuilder::new(Laplace)
+                    .method(Method::AdvancedFmm)
+                    .threshold(20)
+                    .machine(localities, workers)
+                    .build(&sources, &qa, &targets)
+            };
+            let fresh = |q: &[f64]| build().evaluate_with_charges(q).potentials;
+            let want = [fresh(&qa), fresh(&qb)];
+            let eval = build();
+            for call in 0..5 {
+                let q = if call % 2 == 0 { &qa } else { &qb };
+                let got = eval.evaluate_with_charges(q).potentials;
+                let want = &want[call % 2];
+                if tol == 0.0 {
+                    let same = got
+                        .iter()
+                        .zip(want)
+                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                    assert!(same, "call {call}: not bitwise a fresh build's");
+                } else {
+                    let e = rel_err(&got, want);
+                    assert!(e <= tol, "call {call} on {localities} localities: {e:.2e}");
+                }
+                let graph = eval.graph.lock().clone().expect("the graph is kept");
+                let (remaining, parked, _) = graph.batch_audit();
+                assert_eq!((remaining, parked), (0, 0), "call {call}");
+                assert!(graph.all_triggered(&eval.runtime), "call {call}");
+            }
+        }
     }
 
     #[test]

@@ -8,11 +8,16 @@
 //! are transformed and set sequentially; remote edges are coalesced into a
 //! single parcel per destination locality carrying the expansion data and
 //! the edge descriptors, evaluated as normal on arrival.
+//!
+//! The network is built once per [`crate::Evaluation`] and re-armed for
+//! every later evaluation ([`ExecCtx::rearm`]): the paper's iterative use
+//! case pays for allocation, the batch plan and the action table once.
 
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Weak};
 
 use dashmm_amt::{
     decode_f64s_into, encode_f64s, ActionId, EdgeBatcher, GlobalAddress, LcoOp, LcoSpec, Parcel,
@@ -20,7 +25,7 @@ use dashmm_amt::{
     DEFAULT_BATCH_THRESHOLD,
 };
 use dashmm_dag::{DagEdge, EdgeOp, EdgePart, Fire, NodeClass, SchedPlan, PRIORITY_CLASSES};
-use dashmm_expansion::{batch as opbatch, ops, BatchWorkspace, OperatorLibrary};
+use dashmm_expansion::{batch as opbatch, ops, BatchWorkspace, LevelTables, OperatorLibrary};
 use dashmm_kernels::Kernel;
 use dashmm_tree::Point3;
 use parking_lot::RwLock;
@@ -32,8 +37,8 @@ use crate::problem::Problem;
 // to map onto task and parcel priorities byte-for-byte.
 const _: () = assert!(Priority::CLASSES as usize == PRIORITY_CLASSES);
 
-/// Operator identity shared by a batch of edges: everything needed to look
-/// up (or rebuild) the one matrix / factor vector the whole batch applies.
+/// Operator identity shared by a batch of edges: what the build sweep
+/// numbers each distinct key by.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 enum BatchKey {
     /// `M→M` into parents at `level` from children in `octant`.
@@ -58,12 +63,54 @@ enum BatchKey {
     S2T { dst: u32 },
 }
 
+/// What every flush of one batch key applies, resolved when the graph is
+/// built so a flush looks nothing up: the tables of the key's level, then
+/// the key's own fields — or for `I→I` the factor vector itself.
+enum KeyOp {
+    M2M(Arc<LevelTables>, u8),
+    M2L(Arc<LevelTables>, (i8, i8, i8)),
+    L2L(Arc<LevelTables>, u8),
+    M2I(Arc<LevelTables>),
+    I2L(Arc<LevelTables>),
+    I2I(Arc<Vec<f64>>),
+    S2T(u32),
+}
+
+impl KeyOp {
+    /// The operator's trace class.
+    fn class(&self) -> u8 {
+        let op = match self {
+            KeyOp::M2M(..) => EdgeOp::M2M,
+            KeyOp::M2L(..) => EdgeOp::M2L,
+            KeyOp::L2L(..) => EdgeOp::L2L,
+            KeyOp::M2I(..) => EdgeOp::M2I,
+            KeyOp::I2L(..) => EdgeOp::I2L,
+            KeyOp::I2I(..) => EdgeOp::I2I,
+            KeyOp::S2T(..) => EdgeOp::S2T,
+        };
+        op.index() as u8
+    }
+}
+
+/// The dense batch plan: each distinct [`BatchKey`] numbered once, in edge
+/// order, so the batchers are indexed rather than hashed.
+struct BatchPlan {
+    /// Per key: what its flushes apply.
+    ops: Vec<KeyOp>,
+    /// Per flat DAG edge: its key, `None` for the per-edge operators.
+    edge_key: Vec<Option<u32>>,
+    /// Per locality, per key: the deposits one run brings.  Zero at the
+    /// localities another process hosts — their edges drain there.
+    expected: Vec<Vec<u32>>,
+}
+
 /// One deposited edge awaiting its batch.
 struct BatchEntry {
     /// Flat DAG edge index, tagged onto the flush span so the observed
     /// critical path can attribute batched work to individual edges.
     eid: u32,
-    /// Source expansion, shared between all of the node's deposited edges.
+    /// Source expansion: the fired LCO's own payload, shared between all of
+    /// the node's deposited edges.
     src: Arc<[f64]>,
     /// Window of `src` the operator consumes (an `I→I` slot; the whole
     /// vector for the dense operators).
@@ -101,10 +148,10 @@ fn with_scratch<R>(len: usize, f: impl FnOnce(&mut BatchWorkspace, &mut Vec<f64>
     })
 }
 
-/// Shared execution context: everything a task needs to transform an
-/// expansion along an edge.
+/// The built evaluation graph: the LCO network of one DAG on one runtime,
+/// with everything a task needs to transform an expansion along an edge.
 pub struct ExecCtx<K: Kernel> {
-    /// The problem (trees + charges).
+    /// The problem (trees + build-time charges).
     pub problem: Arc<Problem>,
     /// Operator tables.
     pub lib: Arc<OperatorLibrary<K>>,
@@ -117,21 +164,21 @@ pub struct ExecCtx<K: Kernel> {
     plan: Arc<SchedPlan>,
     /// Also compute field gradients at the targets.
     pub gradients: bool,
-    /// Charges in source-tree Morton order (the iterative use case re-runs
-    /// the same DAG with fresh charges).
-    charges: Vec<f64>,
-    /// LCO address per DAG node (S nodes hold a placeholder).
-    lcos: RwLock<Vec<GlobalAddress>>,
+    /// This evaluation's charges in source-tree Morton order, swapped in
+    /// by [`ExecCtx::rearm`].
+    charges: RwLock<Vec<f64>>,
+    /// LCO address per DAG node, packed (S nodes hold a placeholder).
+    /// Written at build and by recovery, between runs only: spawning a
+    /// run's workers orders those writes before every read, so the loads
+    /// are relaxed.
+    lcos: Vec<AtomicU64>,
     /// Action evaluating a coalesced remote-edge parcel.
-    remote_action: RwLock<Option<ActionId>>,
-    /// Per-locality edge batchers grouping out-edges by shared operator;
-    /// expected counts are precomputed in [`ExecCtx::install`] so the last
+    remote_action: ActionId,
+    batch: BatchPlan,
+    /// Per-locality edge batchers grouping out-edges by shared operator,
+    /// refilled from [`BatchPlan::expected`] at every re-arm so the last
     /// deposit of every key always flushes.
-    batchers: RwLock<Vec<EdgeBatcher<BatchKey, BatchEntry>>>,
-    /// Batching key per flat DAG edge (`None` for the per-edge operators),
-    /// filled by the [`ExecCtx::install`] sweep and read by every later
-    /// application of the edge.
-    edge_keys: OnceLock<Vec<Option<BatchKey>>>,
+    batchers: Vec<EdgeBatcher<BatchEntry>>,
     /// One byte per flat DAG edge, set when the edge's contribution is
     /// committed at its apply locality (inline application, or deposit into
     /// a batcher).  Replay after a locality loss re-fires whole out-edge
@@ -142,9 +189,9 @@ pub struct ExecCtx<K: Kernel> {
     dedup_skipped: AtomicU64,
     /// Remote-edge parcels dropped: their bytes were no bundle of this DAG.
     malformed_parcels: AtomicU64,
-    /// Durable progress ledger (installed alongside the LCO network and
-    /// handed to the transport for heartbeat gossip).
-    ledger: RwLock<Option<Arc<ProgressLedger>>>,
+    /// Durable progress ledger, handed to the transport for heartbeat
+    /// gossip and cleared at every re-arm.
+    ledger: Arc<ProgressLedger>,
 }
 
 /// What one call to [`ExecCtx::prepare_recovery`] rebuilt, for the
@@ -166,42 +213,103 @@ pub struct RecoveryStats {
 }
 
 impl<K: Kernel> ExecCtx<K> {
-    /// Create the context.
+    /// Build the graph on `rt`: number the batch keys and resolve their
+    /// operators, register the coalesced-parcel action, hand the transport
+    /// a progress ledger, and allocate one LCO per DAG node at its assigned
+    /// locality.  Every SPMD process builds it in the same order, so the
+    /// addresses and the action id agree.  [`ExecCtx::rearm`] before each
+    /// run.
     pub fn new(
         problem: Arc<Problem>,
         lib: Arc<OperatorLibrary<K>>,
         asm: Arc<Assembly>,
         plan: Arc<SchedPlan>,
         gradients: bool,
-        charges: Vec<f64>,
+        rt: &Runtime,
     ) -> Arc<Self> {
-        assert_eq!(
-            charges.len(),
-            problem.tree.source().points().len(),
-            "one charge per source"
-        );
+        let dag = &asm.dag;
         assert_eq!(
             plan.classes().len(),
-            asm.dag.num_nodes(),
+            dag.num_nodes(),
             "one plan class per DAG node"
         );
-        let n_edges = asm.dag.edges().len();
-        Arc::new(ExecCtx {
-            problem,
-            lib,
-            asm,
-            plan,
-            gradients,
-            charges,
-            lcos: RwLock::new(Vec::new()),
-            remote_action: RwLock::new(None),
-            batchers: RwLock::new(Vec::new()),
-            edge_keys: OnceLock::new(),
-            applied: (0..n_edges).map(|_| AtomicU8::new(0)).collect(),
-            dedup_skipped: AtomicU64::new(0),
-            malformed_parcels: AtomicU64::new(0),
-            ledger: RwLock::new(None),
-        })
+        let n_loc = rt.num_localities();
+        let batch = BatchPlan::build(&problem, &lib, &asm, rt);
+        let batchers = (0..n_loc)
+            .map(|_| EdgeBatcher::new(batch.ops.len(), DEFAULT_BATCH_THRESHOLD))
+            .collect();
+        // The durable progress ledger: one fired-node watermark per rank,
+        // gossiped by the transport on its heartbeat path so survivors can
+        // account a dead rank's cemented work.
+        let transport = rt.transport();
+        let ledger = Arc::new(ProgressLedger::new(
+            transport.rank(),
+            dag.num_nodes(),
+            transport.num_ranks(),
+        ));
+        transport.set_ledger(Arc::clone(&ledger));
+        let (n_nodes, n_edges) = (dag.num_nodes(), dag.edges().len());
+        let exec = Arc::new_cyclic(|this: &Weak<Self>| {
+            let this = Weak::clone(this);
+            let remote_action = rt.register_action(Arc::new(move |ctx, _target, payload| {
+                if let Some(this) = this.upgrade() {
+                    this.remote_parcel(ctx, payload);
+                }
+            }));
+            ExecCtx {
+                problem,
+                lib,
+                asm,
+                plan,
+                gradients,
+                charges: RwLock::new(Vec::new()),
+                lcos: (0..n_nodes).map(|_| AtomicU64::new(0)).collect(),
+                remote_action,
+                batch,
+                batchers,
+                applied: (0..n_edges).map(|_| AtomicU8::new(0)).collect(),
+                dedup_skipped: AtomicU64::new(0),
+                malformed_parcels: AtomicU64::new(0),
+                ledger,
+            }
+        });
+        let s2t_in = exec.s2t_in_counts();
+        for id in 0..n_nodes as u32 {
+            let node = exec.asm.dag.node(id);
+            let locality = node.locality.min(n_loc - 1);
+            // Source data lives in the trees; S "nodes" are seed tasks.
+            let addr = if node.class == NodeClass::S {
+                GlobalAddress::new(locality, u32::MAX)
+            } else {
+                rt.lco_new(locality, exec.node_spec(id, s2t_in[id as usize]))
+            };
+            exec.lcos[id as usize].store(addr.pack(), Ordering::Relaxed);
+        }
+        exec
+    }
+
+    /// Arm the graph for one evaluation with `charges` (source-tree Morton
+    /// order): every LCO back to its installed input count ([`Runtime::rearm`]),
+    /// the `applied` bitmap cleared, every batcher refilled from
+    /// the build's counts, the ledger and the per-evaluation counters
+    /// zeroed.  Between runs only; must precede [`ExecCtx::seed`].
+    pub fn rearm(&self, rt: &Runtime, charges: Vec<f64>) {
+        assert_eq!(
+            charges.len(),
+            self.problem.tree.source().points().len(),
+            "one charge per source"
+        );
+        *self.charges.write() = charges;
+        rt.rearm();
+        for a in &self.applied {
+            a.store(0, Ordering::Relaxed);
+        }
+        for (b, expected) in self.batchers.iter().zip(&self.batch.expected) {
+            b.refill(expected);
+        }
+        self.ledger.clear();
+        self.dedup_skipped.store(0, Ordering::Relaxed);
+        self.malformed_parcels.store(0, Ordering::Relaxed);
     }
 
     /// Replayed edge applications suppressed by the dedup bitmap.
@@ -215,83 +323,15 @@ impl<K: Kernel> ExecCtx<K> {
         self.malformed_parcels.load(Ordering::Relaxed)
     }
 
-    /// The progress ledger installed for this evaluation.
-    pub fn ledger(&self) -> Option<Arc<ProgressLedger>> {
-        self.ledger.read().clone()
+    /// The LCO address of DAG node `id`.
+    fn lco(&self, id: u32) -> GlobalAddress {
+        GlobalAddress::unpack(self.lcos[id as usize].load(Ordering::Relaxed))
     }
 
     /// Scheduling priority for work producing into DAG node `dst` — and so
     /// of the continuation `dst` fires: its plan class.
     fn node_priority(&self, dst: u32) -> Priority {
         Priority::class(self.plan.class(dst))
-    }
-
-    /// Register the coalesced-parcel action and allocate one LCO per DAG
-    /// node at its assigned locality.  Must run before [`ExecCtx::seed`].
-    pub fn install(self: &Arc<Self>, rt: &Runtime) {
-        let this = Arc::clone(self);
-        let action = rt.register_action(Arc::new(move |ctx, _target, payload| {
-            this.remote_parcel(ctx, payload);
-        }));
-        *self.remote_action.write() = Some(action);
-
-        let dag = &self.asm.dag;
-        let n_loc = rt.num_localities();
-        let s2t_in = self.s2t_in_counts();
-        let mut lcos = Vec::with_capacity(dag.num_nodes());
-        for id in 0..dag.num_nodes() as u32 {
-            let node = dag.node(id);
-            let locality = node.locality.min(n_loc - 1);
-            if node.class == NodeClass::S {
-                // Source data lives in the trees; S "nodes" are seed tasks.
-                lcos.push(GlobalAddress::new(locality, u32::MAX));
-                continue;
-            }
-            lcos.push(rt.lco_new(locality, self.node_spec(id, s2t_in[id as usize])));
-        }
-
-        // The durable progress ledger: one fired-node watermark per rank,
-        // gossiped by the transport on its heartbeat path so survivors can
-        // account a dead rank's cemented work.
-        let transport = rt.transport();
-        let ledger = Arc::new(ProgressLedger::new(
-            transport.rank(),
-            dag.num_nodes(),
-            transport.num_ranks(),
-        ));
-        transport.set_ledger(Arc::clone(&ledger));
-        *self.ledger.write() = Some(ledger);
-
-        // Pre-count the batched edges per (apply locality, operator): both
-        // local and coalesced remote edges apply at the destination LCO's
-        // locality, so a DAG sweep gives exact drain totals and the last
-        // deposit of every key is guaranteed to flush its batch.  Only
-        // localities this process hosts get expectations — an edge applied
-        // at a remote process deposits into *its* batcher, and counting it
-        // here would hold the local drain count open forever.
-        let batchers: Vec<EdgeBatcher<BatchKey, BatchEntry>> = (0..n_loc)
-            .map(|_| EdgeBatcher::new(DEFAULT_BATCH_THRESHOLD))
-            .collect();
-        let mut edge_keys = vec![None; dag.edges().len()];
-        for id in 0..dag.num_nodes() as u32 {
-            let first = dag.node(id).first_edge as usize;
-            for (i, e) in dag.out_edges(id).iter().enumerate() {
-                let key = self.batch_key(id, e);
-                edge_keys[first + i] = key;
-                if let Some(key) = key {
-                    let apply_loc = lcos[e.dst as usize].locality;
-                    if rt.is_local(apply_loc) {
-                        batchers[apply_loc as usize].expect(key, 1);
-                    }
-                }
-            }
-        }
-        *self.batchers.write() = batchers;
-        self.edge_keys
-            .set(edge_keys)
-            .expect("install() runs once per evaluation");
-
-        *self.lcos.write() = lcos;
     }
 
     /// Per-node count of incoming near-field `S→T` edges.  These arrive
@@ -313,8 +353,7 @@ impl<K: Kernel> ExecCtx<K> {
     }
 
     /// The LCO specification of a non-`S` DAG node, shared between the
-    /// initial [`ExecCtx::install`] and the fresh allocations recovery
-    /// makes for re-owned nodes.
+    /// build and the fresh allocations recovery makes for re-owned nodes.
     fn node_spec(self: &Arc<Self>, id: u32, e_s2t: u32) -> LcoSpec {
         let node = self.asm.dag.node(id);
         let op = match node.class {
@@ -338,84 +377,26 @@ impl<K: Kernel> ExecCtx<K> {
         spec
     }
 
-    /// Batching key for an edge whose operator is applied batched, `None`
-    /// for the per-edge operators (the particle-facing `S→M`, `S→L`,
-    /// `M→T`, `L→T`).  Near-field `S→T` edges batch per target leaf so one
-    /// fused SoA evaluation covers all of its source boxes.  Evaluated once
-    /// per edge, by the [`ExecCtx::install`] sweep; everything after reads
-    /// [`ExecCtx::edge_key`].
-    fn batch_key(&self, src_id: u32, e: &DagEdge) -> Option<BatchKey> {
-        let dag = &self.asm.dag;
-        let src_node = dag.node(src_id);
-        let dst_node = dag.node(e.dst);
-        match e.op {
-            EdgeOp::M2M => Some(BatchKey::M2M {
-                level: dst_node.level,
-                octant: e.tag as u8,
-            }),
-            EdgeOp::L2L => Some(BatchKey::L2L {
-                level: dst_node.level,
-                octant: e.tag as u8,
-            }),
-            EdgeOp::M2L => {
-                let stree = self.problem.tree.source();
-                let ttree = self.problem.tree.target();
-                let o = ttree
-                    .node(dst_node.box_id)
-                    .key
-                    .offset(&stree.node(src_node.box_id).key);
-                Some(BatchKey::M2L {
-                    level: src_node.level,
-                    offset: (o.0 as i8, o.1 as i8, o.2 as i8),
-                })
-            }
-            EdgeOp::M2I => Some(BatchKey::M2I {
-                level: src_node.level,
-            }),
-            EdgeOp::I2L => Some(BatchKey::I2L {
-                level: src_node.level,
-            }),
-            EdgeOp::S2T => Some(BatchKey::S2T { dst: e.dst }),
-            EdgeOp::I2I => {
-                let (dir_idx, src_slot, _) = unpack_i2i(e.tag);
-                let level = if src_slot == 0 {
-                    src_node.level
-                } else {
-                    src_node.level + 1
-                };
-                let quarter = self.lib.tables(level).side() * 0.25;
-                let delta = self.center_of(dst_node.class, dst_node.box_id)
-                    - self.center_of(src_node.class, src_node.box_id);
-                let quant = |x: f64| (x / quarter).round() as i16;
-                Some(BatchKey::I2I {
-                    level,
-                    dir: dir_idx as u8,
-                    delta: (quant(delta.x), quant(delta.y), quant(delta.z)),
-                })
-            }
-            _ => None,
-        }
-    }
-
-    /// The batching key the install sweep computed for flat edge `eid`.
-    fn edge_key(&self, eid: u32) -> Option<BatchKey> {
-        self.edge_keys.get().expect("install() must run first")[eid as usize]
-    }
-
     /// Over this process's batchers: deposits still expected, entries
     /// parked, and how many edges the sweep keyed `M→I` or `I→L`.
     #[cfg(test)]
     pub(crate) fn batch_audit(&self) -> (usize, usize, usize) {
-        let batchers = self.batchers.read();
-        let planewave =
-            |k: &&Option<BatchKey>| matches!(k, Some(BatchKey::M2I { .. } | BatchKey::I2L { .. }));
+        let planewave = |k: &&Option<u32>| {
+            k.is_some_and(|k| matches!(self.batch.ops[k as usize], KeyOp::M2I(_) | KeyOp::I2L(_)))
+        };
         (
-            batchers.iter().map(|b| b.remaining()).sum(),
-            batchers.iter().map(|b| b.parked()).sum(),
-            self.edge_keys
-                .get()
-                .map_or(0, |keys| keys.iter().filter(planewave).count()),
+            self.batchers.iter().map(|b| b.remaining()).sum(),
+            self.batchers.iter().map(|b| b.parked()).sum(),
+            self.batch.edge_key.iter().filter(planewave).count(),
         )
+    }
+
+    /// Whether every LCO of the graph has triggered.
+    #[cfg(test)]
+    pub(crate) fn all_triggered(&self, rt: &Runtime) -> bool {
+        (0..self.lcos.len() as u32)
+            .map(|id| self.lco(id))
+            .all(|addr| addr.index == u32::MAX || rt.lco_triggered(addr))
     }
 
     /// Data length (in `f64`s) of a node's LCO.
@@ -457,16 +438,19 @@ impl<K: Kernel> ExecCtx<K> {
             let this = Arc::clone(self);
             let prio = self.node_priority(id);
             rt.seed(locality, move |ctx| {
+                // Each seed its own (empty) payload: batch entries clone
+                // it, so sharing one would share its reference count.
+                let data: Arc<[f64]> = Arc::from(Vec::new());
                 if prio != Priority::Normal {
                     // Re-spawn at the seed's own class so ranked work
                     // leads from the very first dequeue.
                     let this2 = Arc::clone(&this);
                     ctx.spawn_with_priority(
-                        move |ctx2| this2.process_out_edges(ctx2, id, &[]),
+                        move |ctx2| this2.process_out_edges(ctx2, id, &data),
                         prio,
                     );
                 } else {
-                    this.process_out_edges(ctx, id, &[]);
+                    this.process_out_edges(ctx, id, &data);
                 }
             });
         }
@@ -478,7 +462,8 @@ impl<K: Kernel> ExecCtx<K> {
     /// runs (no tasks in flight), on every surviving process, with the
     /// same `dead`; every step is deterministic over replicated state, so
     /// the survivors reach identical re-ownership and identical fresh LCO
-    /// addresses without a coordination round.
+    /// addresses without a coordination round.  The graph cannot be
+    /// re-armed afterwards: the caller drops it.
     ///
     /// Steps: (1) every node the dead locality owned is re-owned to a
     /// survivor picked by a stable hash of its Morton key — and gets a
@@ -492,7 +477,7 @@ impl<K: Kernel> ExecCtx<K> {
     /// their new owner.  The `applied` bitmap absorbs every duplicate the
     /// replay re-fires, so LCO accounting stays exact.
     pub fn prepare_recovery(self: &Arc<Self>, rt: &Runtime, dead: u32) -> RecoveryStats {
-        use std::collections::{HashMap, HashSet};
+        use std::collections::HashSet;
         let dag = &self.asm.dag;
         let n_loc = rt.num_localities();
         assert!(
@@ -515,7 +500,6 @@ impl<K: Kernel> ExecCtx<K> {
         {
             let stree = self.problem.tree.source();
             let ttree = self.problem.tree.target();
-            let mut lcos = self.lcos.write();
             for id in 0..n as u32 {
                 if orig_owner[id as usize] != dead {
                     continue;
@@ -532,31 +516,33 @@ impl<K: Kernel> ExecCtx<K> {
                 };
                 let h = splitmix64(key.code() ^ ((key.level as u64) << 48) ^ (salt << 56));
                 let new_owner = survivors[(h % survivors.len() as u64) as usize];
-                lcos[id as usize] = if node.class == NodeClass::S {
+                let addr = if node.class == NodeClass::S {
                     GlobalAddress::new(new_owner, u32::MAX)
                 } else {
                     rt.lco_new(new_owner, self.node_spec(id, s2t_in[id as usize]))
                 };
+                self.lcos[id as usize].store(addr.pack(), Ordering::Relaxed);
                 stats.reowned_nodes += 1;
             }
         }
-        let lcos: Vec<GlobalAddress> = self.lcos.read().clone();
+        let lcos: Vec<GlobalAddress> = (0..n as u32).map(|id| self.lco(id)).collect();
 
         for loc in 0..n_loc {
             if loc == dead || !rt.is_local(loc) {
                 continue;
             }
+            let batcher = &self.batchers[loc as usize];
             // (2) Drain the batches parked behind expectations that run 1
             // could no longer satisfy (their missing edges came from, or
             // applied at, the dead locality).
-            let drained = self.batchers.read()[loc as usize].drain_parked();
+            let drained = batcher.drain_parked();
             stats.parked_batches += drained.len() as u64;
             let mut p_non: HashMap<u32, u32> = HashMap::new();
             let mut p_s2t: HashSet<u32> = HashSet::new();
             for (key, entries) in &drained {
                 // A force-flushed S2T batch makes one fused contribution;
                 // every other parked entry contributes per edge.
-                if matches!(key, BatchKey::S2T { .. }) {
+                if matches!(self.batch.ops[*key], KeyOp::S2T(_)) {
                     p_s2t.insert(entries[0].dst.index);
                 } else {
                     for e in entries {
@@ -570,23 +556,20 @@ impl<K: Kernel> ExecCtx<K> {
             // exactly these deposits will arrive in the recovery run.
             let mut u_non = vec![0u32; n];
             let mut u_s2t = vec![0u32; n];
-            {
-                let batchers = self.batchers.read();
-                for id in 0..n as u32 {
-                    let node = dag.node(id);
-                    for (i, e) in dag.out_edges(id).iter().enumerate() {
-                        let eid = node.first_edge + i as u32;
-                        if bit(eid) || lcos[e.dst as usize].locality != loc {
-                            continue;
-                        }
-                        if e.op == EdgeOp::S2T {
-                            u_s2t[e.dst as usize] += 1;
-                        } else {
-                            u_non[e.dst as usize] += 1;
-                        }
-                        if let Some(k) = self.edge_key(eid) {
-                            batchers[loc as usize].expect(k, 1);
-                        }
+            for id in 0..n as u32 {
+                let node = dag.node(id);
+                for (i, e) in dag.out_edges(id).iter().enumerate() {
+                    let eid = node.first_edge + i as u32;
+                    if bit(eid) || lcos[e.dst as usize].locality != loc {
+                        continue;
+                    }
+                    if e.op == EdgeOp::S2T {
+                        u_s2t[e.dst as usize] += 1;
+                    } else {
+                        u_non[e.dst as usize] += 1;
+                    }
+                    if let Some(k) = self.batch.edge_key[eid as usize] {
+                        batcher.expect(k as usize, 1);
                     }
                 }
             }
@@ -624,7 +607,7 @@ impl<K: Kernel> ExecCtx<K> {
                 rt.seed(loc, move |ctx| {
                     ctx.record_instant(CLASS_RECOVERY);
                     for (key, entries) in &drained {
-                        this.flush_batch(ctx, *key, entries);
+                        this.flush_batch(ctx, &this.batch.ops[*key], entries);
                     }
                 });
             }
@@ -650,11 +633,10 @@ impl<K: Kernel> ExecCtx<K> {
                 }
                 // Seeds (zero-input nodes) all fired in run 1; everything
                 // else fired iff its LCO triggered.
-                let data = if node.in_degree == 0 {
-                    Vec::new()
-                } else if rt.lco_triggered(lcos[id as usize]) {
-                    rt.lco_get(lcos[id as usize])
-                        .expect("triggered LCO has data")
+                let data: Arc<[f64]> = if node.in_degree == 0 {
+                    Arc::from(Vec::new())
+                } else if let Some(data) = rt.lco_get(lcos[id as usize]) {
+                    Arc::from(data)
                 } else {
                     continue; // will fire on its own in the recovery run
                 };
@@ -682,7 +664,7 @@ impl<K: Kernel> ExecCtx<K> {
                 let this = Arc::clone(self);
                 rt.seed(loc, move |ctx| {
                     ctx.record_instant(CLASS_RECOVERY);
-                    this.process_out_edges(ctx, id, &[]);
+                    this.process_out_edges(ctx, id, &Arc::from(Vec::new()));
                 });
             }
         }
@@ -705,7 +687,7 @@ impl<K: Kernel> ExecCtx<K> {
                 continue;
             }
             let node = tgt.node(tbox as u32);
-            let addr = self.lcos.read()[tid as usize];
+            let addr = self.lco(tid as u32);
             if addr.index == u32::MAX {
                 continue;
             }
@@ -731,18 +713,15 @@ impl<K: Kernel> ExecCtx<K> {
     /// either this task processes the whole list, or — when the list holds
     /// both urgent and bulk edges — it processes the urgent slice now and
     /// defers the bulk to a second task at the class the plan fixed for it.
-    fn process_out_edges(self: &Arc<Self>, ctx: &TaskCtx, id: u32, data: &[f64]) {
-        if let Some(l) = self.ledger.read().as_ref() {
-            l.note_fired(id);
-        }
+    fn process_out_edges(self: &Arc<Self>, ctx: &TaskCtx, id: u32, data: &Arc<[f64]>) {
+        self.ledger.note_fired(id);
         match self.plan.on_fire(id) {
             Fire::One { .. } => self.process_edge_part(ctx, id, data, EdgePart::All),
             Fire::Split { bulk_class, .. } => {
                 self.process_edge_part(ctx, id, data, EdgePart::Urgent);
-                let this = Arc::clone(self);
-                let data_copy = data.to_vec();
+                let (this, data) = (Arc::clone(self), Arc::clone(data));
                 ctx.spawn_with_priority(
-                    move |ctx2| this.process_edge_part(ctx2, id, &data_copy, EdgePart::Bulk),
+                    move |ctx2| this.process_edge_part(ctx2, id, &data, EdgePart::Bulk),
                     Priority::class(bulk_class),
                 );
             }
@@ -750,46 +729,31 @@ impl<K: Kernel> ExecCtx<K> {
     }
 
     /// Process the `part` slice of the node's out-edges.
-    fn process_edge_part(&self, ctx: &TaskCtx, id: u32, data: &[f64], part: EdgePart) {
+    fn process_edge_part(&self, ctx: &TaskCtx, id: u32, data: &Arc<[f64]>, part: EdgePart) {
         let dag = &self.asm.dag;
         let node = dag.node(id);
-        let lcos = self.lcos.read();
-        // Source data shared between this node's batched edges, built
-        // lazily on the first deposit.
-        let mut shared: Option<Arc<[f64]>> = None;
         // (locality, edge flat indices)
         let mut remote: Vec<(u32, Vec<u32>)> = Vec::new();
         for (i, e) in dag.out_edges(id).iter().enumerate() {
             if !self.plan.selects(part, e) {
                 continue;
             }
-            let dst_loc = lcos[e.dst as usize].locality;
+            let eid = node.first_edge + i as u32;
+            let dst_loc = self.lco(e.dst).locality;
             if dst_loc == ctx.locality {
-                self.apply_edge(
-                    ctx,
-                    id,
-                    node.first_edge + i as u32,
-                    e,
-                    data,
-                    &mut shared,
-                    &lcos,
-                );
+                self.apply_edge(ctx, id, eid, e, data);
             } else {
                 match remote.iter_mut().find(|(l, _)| *l == dst_loc) {
-                    Some((_, v)) => v.push(node.first_edge + i as u32),
-                    None => remote.push((dst_loc, vec![node.first_edge + i as u32])),
+                    Some((_, v)) => v.push(eid),
+                    None => remote.push((dst_loc, vec![eid])),
                 }
             }
         }
-        if remote.is_empty() {
-            return;
-        }
-        let action = self.remote_action.read().expect("install() must run first");
         for (loc, edge_ids) in remote {
             let ranges = self.bundle_ranges(id, &edge_ids);
             let payload = encode_bundle(id, &edge_ids, data, &ranges);
             ctx.send(Parcel::with_priority(
-                action,
+                self.remote_action,
                 GlobalAddress::new(loc, 0),
                 payload,
                 Priority::class(self.plan.bundle_class(dag, &edge_ids)),
@@ -810,11 +774,11 @@ impl<K: Kernel> ExecCtx<K> {
     /// unknown node, an edge that is not the node's or does not apply here,
     /// a value count other than those edges read — is dropped and counted.
     fn remote_parcel(&self, ctx: &TaskCtx, payload: &[u8]) {
-        let (dag, lcos) = (&self.asm.dag, self.lcos.read());
+        let dag = &self.asm.dag;
         let bundle = split_bundle(payload).and_then(|(id, eids, values)| {
             let node = dag.nodes().get(id as usize)?;
             let own = node.first_edge..node.first_edge + node.out_degree;
-            let here = |eid: u32| lcos[dag.edges()[eid as usize].dst as usize].locality;
+            let here = |eid: u32| self.lco(dag.edges()[eid as usize].dst).locality;
             let valid = |&eid: &u32| own.contains(&eid) && here(eid) == ctx.locality;
             eids.iter().all(valid).then_some(())?;
             let data = scatter(values, self.data_len(id), &self.bundle_ranges(id, &eids))?;
@@ -824,19 +788,9 @@ impl<K: Kernel> ExecCtx<K> {
             self.malformed_parcels.fetch_add(1, Ordering::Relaxed);
             return;
         };
-        let mut shared = Some(Arc::clone(&data));
         for eid in eids {
             let e = dag.edges()[eid as usize];
-            self.apply_edge(ctx, id, eid, &e, &data, &mut shared, &lcos);
-        }
-    }
-
-    fn center_of(&self, class: NodeClass, box_id: u32) -> Point3 {
-        match class {
-            NodeClass::S | NodeClass::M | NodeClass::Is => {
-                self.problem.tree.source().center_of(box_id)
-            }
-            _ => self.problem.tree.target().center_of(box_id),
+            self.apply_edge(ctx, id, eid, &e, &data);
         }
     }
 
@@ -851,17 +805,7 @@ impl<K: Kernel> ExecCtx<K> {
     /// batched contribution is bitwise independent of which batch the edge
     /// lands in, so only the LCO reduction *order* can differ — exactly the
     /// freedom concurrent per-edge application already had.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_edge(
-        &self,
-        ctx: &TaskCtx,
-        src_id: u32,
-        eid: u32,
-        e: &DagEdge,
-        data: &[f64],
-        shared: &mut Option<Arc<[f64]>>,
-        lcos: &[GlobalAddress],
-    ) {
+    fn apply_edge(&self, ctx: &TaskCtx, src_id: u32, eid: u32, e: &DagEdge, data: &Arc<[f64]>) {
         // Exactly-once commit point: the first application (or batch
         // deposit) of an edge at its apply locality wins; recovery replay
         // re-fires whole out-edge lists and every duplicate dies here
@@ -873,13 +817,13 @@ impl<K: Kernel> ExecCtx<K> {
         let dag = &self.asm.dag;
         let src_node = dag.node(src_id);
         let dst_node = dag.node(e.dst);
-        let dst = lcos[e.dst as usize];
+        let dst = self.lco(e.dst);
         let kernel = self.lib.kernel();
         let n = self.lib.params().surface_points();
         let stree = self.problem.tree.source();
         let ttree = self.problem.tree.target();
         let prio = self.node_priority(e.dst);
-        if let Some(key) = self.edge_key(eid) {
+        if let Some(key) = self.batch.edge_key[eid as usize] {
             let window = self.source_range(src_id, e);
             let slot = if e.op != EdgeOp::I2I {
                 0.0
@@ -888,10 +832,9 @@ impl<K: Kernel> ExecCtx<K> {
             } else {
                 self.asm.is_layout[e.dst as usize].merged_offset(unpack_i2i(e.tag).2) as f64
             };
-            let src = Arc::clone(shared.get_or_insert_with(|| Arc::from(data)));
             let entry = BatchEntry {
                 eid,
-                src,
+                src: Arc::clone(data),
                 off: window.start,
                 len: window.len(),
                 dst,
@@ -901,11 +844,10 @@ impl<K: Kernel> ExecCtx<K> {
             // Batched edges are traced at flush time only: the flush's
             // chained per-edge spans are the single account of each edge
             // (exactly one event per DAG edge, no double-counted busy
-            // time in Eq. 2).  The deposit itself is a hash insert —
-            // negligible and untraced.
-            let ready = self.batchers.read()[ctx.locality as usize].deposit(key, entry);
+            // time in Eq. 2).  The deposit itself is untraced.
+            let ready = self.batchers[ctx.locality as usize].deposit(key as usize, entry);
             if let Some(batch) = ready {
-                self.flush_batch(ctx, key, &batch);
+                self.flush_batch(ctx, &self.batch.ops[key as usize], &batch);
             }
             return;
         }
@@ -913,7 +855,8 @@ impl<K: Kernel> ExecCtx<K> {
             EdgeOp::S2M => {
                 let sb = stree.node(src_node.box_id);
                 let pts = stree.points_of(src_node.box_id);
-                let q = &self.charges[sb.first..sb.first + sb.count];
+                let charges = self.charges.read();
+                let q = &charges[sb.first..sb.first + sb.count];
                 let t = self.lib.tables(src_node.level);
                 with_scratch(n, |ws, m| {
                     ops::s2m(kernel, &t, stree.center_of(src_node.box_id), pts, q, ws, m);
@@ -932,7 +875,8 @@ impl<K: Kernel> ExecCtx<K> {
             EdgeOp::S2L => {
                 let sb = stree.node(src_node.box_id);
                 let pts = stree.points_of(src_node.box_id);
-                let q = &self.charges[sb.first..sb.first + sb.count];
+                let charges = self.charges.read();
+                let q = &charges[sb.first..sb.first + sb.count];
                 let t = self.lib.tables(dst_node.level);
                 with_scratch(n, |ws, out| {
                     ops::s2l(
@@ -987,16 +931,8 @@ impl<K: Kernel> ExecCtx<K> {
     /// time is split into chained per-edge spans (each starting where the
     /// previous ended), so traces attribute batched work to individual
     /// DAG edges without double-counting busy time.
-    fn flush_batch(&self, ctx: &TaskCtx, key: BatchKey, batch: &[BatchEntry]) {
-        let class = match key {
-            BatchKey::M2M { .. } => EdgeOp::M2M.index() as u8,
-            BatchKey::L2L { .. } => EdgeOp::L2L.index() as u8,
-            BatchKey::M2L { .. } => EdgeOp::M2L.index() as u8,
-            BatchKey::M2I { .. } => EdgeOp::M2I.index() as u8,
-            BatchKey::I2I { .. } => EdgeOp::I2I.index() as u8,
-            BatchKey::I2L { .. } => EdgeOp::I2L.index() as u8,
-            BatchKey::S2T { .. } => EdgeOp::S2T.index() as u8,
-        };
+    fn flush_batch(&self, ctx: &TaskCtx, op: &KeyOp, batch: &[BatchEntry]) {
+        let class = op.class();
         // `record_span` drops everything with observability off; spare the
         // clock reads (one per edge) as well.
         let timed = ctx.obs_level().enabled();
@@ -1023,61 +959,43 @@ impl<K: Kernel> ExecCtx<K> {
         let refs = &refs[..batch.len()];
         BATCH_WS.with(|ws| {
             let ws = &mut *ws.borrow_mut();
-            match key {
-                BatchKey::M2M { level, octant } => {
-                    opbatch::m2m_batch(&self.lib.tables(level), octant, refs, ws, &mut set);
-                }
-                BatchKey::L2L { level, octant } => {
-                    opbatch::l2l_batch(&self.lib.tables(level), octant, refs, ws, &mut set);
-                }
-                BatchKey::M2L { level, offset } => {
-                    let t = self.lib.tables(level);
-                    opbatch::m2l_batch(self.lib.kernel(), &t, offset, refs, ws, &mut set);
+            match op {
+                KeyOp::M2M(t, octant) => opbatch::m2m_batch(t, *octant, refs, ws, &mut set),
+                KeyOp::L2L(t, octant) => opbatch::l2l_batch(t, *octant, refs, ws, &mut set),
+                KeyOp::M2L(t, offset) => {
+                    opbatch::m2l_batch(self.lib.kernel(), t, *offset, refs, ws, &mut set);
                 }
                 // The offset-add destinations take `[offset, values…]`:
                 // their operators leave `buf[0]` free for the offset.
-                BatchKey::M2I { level } => {
-                    opbatch::m2i_batch(&self.lib.tables(level), refs, ws, |i, buf| {
-                        buf[0] = batch[i].slot;
-                        set(i, buf);
-                    });
-                }
-                BatchKey::I2L { level } => {
-                    opbatch::i2l_batch(&self.lib.tables(level), refs, ws, &mut set);
-                }
-                BatchKey::I2I { level, dir, delta } => {
-                    let t = self.lib.tables(level);
-                    let quarter = t.side() * 0.25;
-                    let d = dashmm_tree::Direction::ALL[dir as usize];
-                    let delta = Point3::new(
-                        delta.0 as f64 * quarter,
-                        delta.1 as f64 * quarter,
-                        delta.2 as f64 * quarter,
-                    );
-                    opbatch::i2i_batch_prefixed(&t.i2i(d, delta), refs, ws, |i, buf| {
-                        buf[0] = batch[i].slot;
-                        set(i, buf);
-                    });
-                }
-                BatchKey::S2T { dst } => {
+                KeyOp::M2I(t) => opbatch::m2i_batch(t, refs, ws, |i, buf| {
+                    buf[0] = batch[i].slot;
+                    set(i, buf);
+                }),
+                KeyOp::I2L(t) => opbatch::i2l_batch(t, refs, ws, &mut set),
+                KeyOp::I2I(fac) => opbatch::i2i_batch_prefixed(fac, refs, ws, |i, buf| {
+                    buf[0] = batch[i].slot;
+                    set(i, buf);
+                }),
+                KeyOp::S2T(dst) => {
                     // All entries share one target leaf: gather every
                     // source block into the workspace's SoA buffers and
                     // evaluate the fused near field in one pass, then make
                     // a single LCO contribution for the whole batch (the
                     // LCO's input count was reduced accordingly in
-                    // `install`).  The fused evaluation is one
+                    // `node_spec`).  The fused evaluation is one
                     // indivisible interval, so it is attributed to the
                     // edges as evenly split chained spans.
                     let kernel = self.lib.kernel();
                     let stree = self.problem.tree.source();
-                    let dst_node = self.asm.dag.node(dst);
+                    let dst_node = self.asm.dag.node(*dst);
                     let tpts = self.problem.tree.target().points_of(dst_node.box_id);
                     let prio = prio(0);
+                    let charges = self.charges.read();
                     let blocks = batch.iter().map(|b| {
                         let sb = stree.node(b.src_box);
                         (
                             stree.points_of(b.src_box),
-                            &self.charges[sb.first..sb.first + sb.count],
+                            &charges[sb.first..sb.first + sb.count],
                         )
                     });
                     let per = if self.gradients { 4 } else { 1 };
@@ -1102,6 +1020,143 @@ impl<K: Kernel> ExecCtx<K> {
                 }
             }
         });
+    }
+}
+
+impl BatchPlan {
+    /// Sweep the DAG once: number every distinct key of a batched edge,
+    /// resolve what its flushes apply, and count per apply locality the
+    /// deposits a run brings.  Both local and coalesced remote edges apply
+    /// at the destination LCO's locality, so the counts are exact and the
+    /// last deposit of every key flushes.  Only localities this process
+    /// hosts are counted — an edge applied at a remote process deposits
+    /// into *its* batcher.
+    fn build<K: Kernel>(
+        problem: &Problem,
+        lib: &OperatorLibrary<K>,
+        asm: &Assembly,
+        rt: &Runtime,
+    ) -> BatchPlan {
+        let dag = &asm.dag;
+        let n_loc = rt.num_localities();
+        let mut index: HashMap<BatchKey, u32> = HashMap::new();
+        let mut ops = Vec::new();
+        let mut edge_key = vec![None; dag.edges().len()];
+        let mut expected: Vec<Vec<u32>> = vec![Vec::new(); n_loc as usize];
+        for id in 0..dag.num_nodes() as u32 {
+            let first = dag.node(id).first_edge as usize;
+            for (i, e) in dag.out_edges(id).iter().enumerate() {
+                let Some(key) = batch_key(problem, lib, asm, id, e) else {
+                    continue;
+                };
+                let k = *index.entry(key).or_insert_with(|| {
+                    ops.push(key_op(lib, key));
+                    expected.iter_mut().for_each(|counts| counts.push(0));
+                    ops.len() as u32 - 1
+                });
+                edge_key[first + i] = Some(k);
+                let apply = dag.node(e.dst).locality.min(n_loc - 1);
+                if rt.is_local(apply) {
+                    expected[apply as usize][k as usize] += 1;
+                }
+            }
+        }
+        BatchPlan {
+            ops,
+            edge_key,
+            expected,
+        }
+    }
+}
+
+/// Batching key for an edge whose operator is applied batched, `None`
+/// for the per-edge operators (the particle-facing `S→M`, `S→L`,
+/// `M→T`, `L→T`).  Near-field `S→T` edges batch per target leaf so one
+/// fused SoA evaluation covers all of its source boxes.  Evaluated once
+/// per edge, by the [`BatchPlan::build`] sweep.
+fn batch_key<K: Kernel>(
+    problem: &Problem,
+    lib: &OperatorLibrary<K>,
+    asm: &Assembly,
+    src_id: u32,
+    e: &DagEdge,
+) -> Option<BatchKey> {
+    let dag = &asm.dag;
+    let src_node = dag.node(src_id);
+    let dst_node = dag.node(e.dst);
+    let stree = problem.tree.source();
+    let ttree = problem.tree.target();
+    match e.op {
+        EdgeOp::M2M => Some(BatchKey::M2M {
+            level: dst_node.level,
+            octant: e.tag as u8,
+        }),
+        EdgeOp::L2L => Some(BatchKey::L2L {
+            level: dst_node.level,
+            octant: e.tag as u8,
+        }),
+        EdgeOp::M2L => {
+            let o = ttree
+                .node(dst_node.box_id)
+                .key
+                .offset(&stree.node(src_node.box_id).key);
+            Some(BatchKey::M2L {
+                level: src_node.level,
+                offset: (o.0 as i8, o.1 as i8, o.2 as i8),
+            })
+        }
+        EdgeOp::M2I => Some(BatchKey::M2I {
+            level: src_node.level,
+        }),
+        EdgeOp::I2L => Some(BatchKey::I2L {
+            level: src_node.level,
+        }),
+        EdgeOp::S2T => Some(BatchKey::S2T { dst: e.dst }),
+        EdgeOp::I2I => {
+            let (dir_idx, src_slot, _) = unpack_i2i(e.tag);
+            let level = if src_slot == 0 {
+                src_node.level
+            } else {
+                src_node.level + 1
+            };
+            let quarter = lib.tables(level).side() * 0.25;
+            let center = |class: NodeClass, box_id: u32| match class {
+                NodeClass::S | NodeClass::M | NodeClass::Is => stree.center_of(box_id),
+                _ => ttree.center_of(box_id),
+            };
+            let delta =
+                center(dst_node.class, dst_node.box_id) - center(src_node.class, src_node.box_id);
+            let quant = |x: f64| (x / quarter).round() as i16;
+            Some(BatchKey::I2I {
+                level,
+                dir: dir_idx as u8,
+                delta: (quant(delta.x), quant(delta.y), quant(delta.z)),
+            })
+        }
+        _ => None,
+    }
+}
+
+/// What every flush of `key` applies, from the same tables and the same
+/// `i2i` factor cache a per-flush lookup would reach.
+fn key_op<K: Kernel>(lib: &OperatorLibrary<K>, key: BatchKey) -> KeyOp {
+    match key {
+        BatchKey::M2M { level, octant } => KeyOp::M2M(lib.tables(level), octant),
+        BatchKey::M2L { level, offset } => KeyOp::M2L(lib.tables(level), offset),
+        BatchKey::L2L { level, octant } => KeyOp::L2L(lib.tables(level), octant),
+        BatchKey::M2I { level } => KeyOp::M2I(lib.tables(level)),
+        BatchKey::I2L { level } => KeyOp::I2L(lib.tables(level)),
+        BatchKey::I2I { level, dir, delta } => {
+            let t = lib.tables(level);
+            let quarter = t.side() * 0.25;
+            let delta = Point3::new(
+                delta.0 as f64 * quarter,
+                delta.1 as f64 * quarter,
+                delta.2 as f64 * quarter,
+            );
+            KeyOp::I2I(t.i2i(dashmm_tree::Direction::ALL[dir as usize], delta))
+        }
+        BatchKey::S2T { dst } => KeyOp::S2T(dst),
     }
 }
 
@@ -1277,7 +1332,7 @@ mod tests {
         assert_eq!(clean.malformed_parcels, 0);
 
         let rt = eval.runtime();
-        let exec = eval.installed_ctx();
+        let exec = eval.armed_graph();
         let dag = eval.dag();
         // A genuine bundle to damage: an `Is` node at locality 0 with
         // `I→I` edges into locality 1.
@@ -1349,7 +1404,7 @@ mod tests {
             table.push(("garbage", garbage.collect()));
         }
 
-        let action = exec.remote_action.read().expect("installed");
+        let action = exec.remote_action;
         let sent = table.len() as u64;
         rt.seed(0, move |ctx| {
             for (_, payload) in table {

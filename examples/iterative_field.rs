@@ -6,7 +6,8 @@
 //! This example runs a damped self-consistency loop: charges are relaxed
 //! toward a target potential profile, re-evaluating with
 //! `evaluate_with_charges` each sweep — trees, interaction lists, operator
-//! tables, the explicit DAG and its distribution are all built once.
+//! tables, the explicit DAG, its distribution and its LCO network are all
+//! built once.
 //!
 //! Run: `cargo run --release --example iterative_field`
 
