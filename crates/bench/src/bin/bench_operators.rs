@@ -3,7 +3,7 @@
 //! Measures every batched expansion operator (M2L, M2M, L2L, M2I, I2I, I2L) for
 //! Laplace and Yukawa against the per-edge loop the runtime used to run,
 //! plus the particle-class operators (S2T, S2M, L2T) as scalar per-pair
-//! replicas vs the SoA tile engine, prints a table, and writes the
+//! replicas vs the kernel rows, prints a table, and writes the
 //! machine-readable JSON artifact.
 //!
 //! Gates (each exits non-zero on failure):

@@ -380,7 +380,7 @@ impl CostMode {
     }
 }
 
-/// Measure the particle-class operators through the SoA tile engine at
+/// Measure the particle-class operators through the kernel rows at
 /// leaf occupancy `leaf` and splice the per-edge costs into `base` (the
 /// simulator's particle-cost recalibration; see
 /// [`CostModel::with_particle_us`] for which rows change).

@@ -3,8 +3,8 @@
 //! Backs the `bench_operators` binary that emits `BENCH_operators.json` —
 //! the CI artifact gating the batched hot path's speedup claim.  Alongside the
 //! expansion operators, the particle-class operators (`S→T`, `S→M`,
-//! `L→T`) are measured as scalar per-pair replicas of the loops the SoA
-//! tile engine replaced vs the batched-kernel path, reported per
+//! `L→T`) are measured as scalar per-pair replicas of the loops the
+//! kernel rows replaced vs the row path, reported per
 //! application, per kernel pair, and per target point — the numbers the
 //! simulator's particle-cost refresh splices into its Table II baseline.
 //!
@@ -320,7 +320,7 @@ pub struct ParticleBenchCase {
     /// Nanoseconds per application through the scalar per-pair loop the
     /// SoA engine replaced.
     pub scalar_ns: f64,
-    /// Nanoseconds per application through the batched tile engine.
+    /// Nanoseconds per application through the kernel rows.
     pub batched_ns: f64,
 }
 
@@ -358,7 +358,7 @@ fn particle_cloud(center: Point3, side: f64, n: usize, salt: u64) -> (Vec<Point3
     (pts, charges)
 }
 
-/// The scalar per-pair near-field loop the tile engine replaced.
+/// The scalar per-pair near-field loop the kernel rows replaced.
 fn scalar_p2p<K: Kernel>(k: &K, src: &[Point3], q: &[f64], tgt: &[Point3], out: &mut [f64]) {
     for (tp, o) in tgt.iter().zip(out.iter_mut()) {
         let mut acc = 0.0;
@@ -433,8 +433,9 @@ pub fn s2m_particle_case<K: Kernel>(
     let n = t.expansion_len();
     let mut check = vec![0.0; n];
     let mut m = vec![0.0; n];
+    let uc = t.uc_pts();
     let scalar_ns = best_ns(reps, || {
-        for (i, cp) in t.uc_pts().iter().enumerate() {
+        for (i, cp) in uc.iter().enumerate() {
             let p = c + *cp;
             let mut acc = 0.0;
             for (s, &w) in src.iter().zip(&q) {
@@ -451,7 +452,7 @@ pub fn s2m_particle_case<K: Kernel>(
     ParticleBenchCase {
         op: "S2M",
         kernel: kernel_name,
-        pairs: t.uc_pts().len() * leaf,
+        pairs: uc.len() * leaf,
         points: n,
         scalar_ns,
         batched_ns,
@@ -472,11 +473,12 @@ pub fn l2t_particle_case<K: Kernel>(
     let n = t.expansion_len();
     let l = random_expansions(1, n, 41).pop().unwrap();
     let mut out = vec![0.0; leaf];
+    let de = t.de().points();
     let scalar_ns = best_ns(reps, || {
         out.fill(0.0);
         for (tp, o) in tgt.iter().zip(out.iter_mut()) {
             let mut acc = 0.0;
-            for (j, ep) in t.de_pts().iter().enumerate() {
+            for (j, ep) in de.iter().enumerate() {
                 acc += l[j] * kernel.eval(tp.dist(&(c + *ep)));
             }
             *o += acc;
@@ -490,7 +492,7 @@ pub fn l2t_particle_case<K: Kernel>(
     ParticleBenchCase {
         op: "L2T",
         kernel: kernel_name,
-        pairs: t.de_pts().len() * leaf,
+        pairs: de.len() * leaf,
         points: leaf,
         scalar_ns,
         batched_ns,

@@ -24,7 +24,7 @@ use dashmm_amt::{
     Priority, ProgressLedger, Runtime, TaskCtx, CLASS_NONE, CLASS_RECOVERY,
     DEFAULT_BATCH_THRESHOLD,
 };
-use dashmm_dag::{DagEdge, EdgeOp, EdgePart, Fire, NodeClass, SchedPlan, PRIORITY_CLASSES};
+use dashmm_dag::{Dag, DagEdge, EdgeOp, EdgePart, Fire, NodeClass, SchedPlan, PRIORITY_CLASSES};
 use dashmm_expansion::{batch as opbatch, ops, BatchWorkspace, LevelTables, OperatorLibrary};
 use dashmm_kernels::Kernel;
 use dashmm_tree::Point3;
@@ -155,6 +155,9 @@ pub struct ExecCtx<K: Kernel> {
     pub problem: Arc<Problem>,
     /// Operator tables.
     pub lib: Arc<OperatorLibrary<K>>,
+    /// The tables the per-edge operators apply, by level, resolved at
+    /// build ([`edge_tables`]) so applying an edge looks nothing up.
+    levels: Vec<Option<Arc<LevelTables>>>,
     /// The explicit DAG and box correspondence.
     pub asm: Arc<Assembly>,
     /// The scheduling plan: every task, LCO continuation and parcel this
@@ -235,6 +238,7 @@ impl<K: Kernel> ExecCtx<K> {
         );
         let n_loc = rt.num_localities();
         let batch = BatchPlan::build(&problem, &lib, &asm, rt);
+        let levels = edge_tables(&lib, dag);
         let batchers = (0..n_loc)
             .map(|_| EdgeBatcher::new(batch.ops.len(), DEFAULT_BATCH_THRESHOLD))
             .collect();
@@ -259,6 +263,7 @@ impl<K: Kernel> ExecCtx<K> {
             ExecCtx {
                 problem,
                 lib,
+                levels,
                 asm,
                 plan,
                 gradients,
@@ -406,12 +411,19 @@ impl<K: Kernel> ExecCtx<K> {
             NodeClass::S => 0,
             NodeClass::M | NodeClass::L => self.lib.params().surface_points(),
             NodeClass::Is => self.asm.is_layout[id as usize].total_len(),
-            NodeClass::It => 6 * self.lib.tables(node.level).planewave_len(),
+            NodeClass::It => 6 * self.tables(node.level).planewave_len(),
             NodeClass::T => {
                 let per = if self.gradients { 4 } else { 1 };
                 per * self.problem.tree.target().node(node.box_id).count
             }
         }
+    }
+
+    /// The tables of `level`, resolved at build.
+    fn tables(&self, level: u8) -> &LevelTables {
+        self.levels[level as usize]
+            .as_deref()
+            .expect("every per-edge operator's tables are resolved at build")
     }
 
     /// The window of node `src_id`'s data that edge `e` reads — one own or
@@ -857,9 +869,9 @@ impl<K: Kernel> ExecCtx<K> {
                 let pts = stree.points_of(src_node.box_id);
                 let charges = self.charges.read();
                 let q = &charges[sb.first..sb.first + sb.count];
-                let t = self.lib.tables(src_node.level);
+                let t = self.tables(src_node.level);
                 with_scratch(n, |ws, m| {
-                    ops::s2m(kernel, &t, stree.center_of(src_node.box_id), pts, q, ws, m);
+                    ops::s2m(kernel, t, stree.center_of(src_node.box_id), pts, q, ws, m);
                     ctx.lco_set_with_priority(dst, m, prio);
                 });
             }
@@ -877,48 +889,40 @@ impl<K: Kernel> ExecCtx<K> {
                 let pts = stree.points_of(src_node.box_id);
                 let charges = self.charges.read();
                 let q = &charges[sb.first..sb.first + sb.count];
-                let t = self.lib.tables(dst_node.level);
+                let t = self.tables(dst_node.level);
                 with_scratch(n, |ws, out| {
-                    ops::s2l(
-                        kernel,
-                        &t,
-                        ttree.center_of(dst_node.box_id),
-                        pts,
-                        q,
-                        ws,
-                        out,
-                    );
+                    ops::s2l(kernel, t, ttree.center_of(dst_node.box_id), pts, q, ws, out);
                     ctx.lco_set_with_priority(dst, out, prio);
                 });
             }
             EdgeOp::L2T => {
-                let t = self.lib.tables(src_node.level);
+                let t = self.tables(src_node.level);
                 let pts = ttree.points_of(dst_node.box_id);
                 let center = ttree.center_of(src_node.box_id);
                 if self.gradients {
                     with_scratch(4 * pts.len(), |ws, out| {
-                        ops::l2t_grad(kernel, &t, center, data, pts, ws, out);
+                        ops::l2t_grad(kernel, t, center, data, pts, ws, out);
                         ctx.lco_set_with_priority(dst, out, prio);
                     });
                 } else {
                     with_scratch(pts.len(), |ws, out| {
-                        ops::l2t(kernel, &t, center, data, pts, ws, out);
+                        ops::l2t(kernel, t, center, data, pts, ws, out);
                         ctx.lco_set_with_priority(dst, out, prio);
                     });
                 }
             }
             EdgeOp::M2T => {
-                let t = self.lib.tables(src_node.level);
+                let t = self.tables(src_node.level);
                 let pts = ttree.points_of(dst_node.box_id);
                 let center = stree.center_of(src_node.box_id);
                 if self.gradients {
                     with_scratch(4 * pts.len(), |ws, out| {
-                        ops::m2t_grad(kernel, &t, center, data, pts, ws, out);
+                        ops::m2t_grad(kernel, t, center, data, pts, ws, out);
                         ctx.lco_set_with_priority(dst, out, prio);
                     });
                 } else {
                     with_scratch(pts.len(), |ws, out| {
-                        ops::m2t(kernel, &t, center, data, pts, ws, out);
+                        ops::m2t(kernel, t, center, data, pts, ws, out);
                         ctx.lco_set_with_priority(dst, out, prio);
                     });
                 }
@@ -1135,6 +1139,36 @@ fn batch_key<K: Kernel>(
         }
         _ => None,
     }
+}
+
+/// The tables the per-edge operators apply, by level: `S→M`, `M→T` and
+/// `L→T` read their source node's level, `S→L` its destination's, and an
+/// `It` node's length is its level's plane-wave length.  Only levels some
+/// edge uses are resolved, so the build builds no table the evaluation
+/// would not.
+fn edge_tables<K: Kernel>(lib: &OperatorLibrary<K>, dag: &Dag) -> Vec<Option<Arc<LevelTables>>> {
+    let mut levels: Vec<Option<Arc<LevelTables>>> = Vec::new();
+    let mut resolve = |level: u8| {
+        let l = level as usize;
+        if levels.len() <= l {
+            levels.resize(l + 1, None);
+        }
+        levels[l].get_or_insert_with(|| lib.tables(level));
+    };
+    for id in 0..dag.num_nodes() as u32 {
+        let node = dag.node(id);
+        if node.class == NodeClass::It {
+            resolve(node.level);
+        }
+        for e in dag.out_edges(id) {
+            match e.op {
+                EdgeOp::S2M | EdgeOp::M2T | EdgeOp::L2T => resolve(node.level),
+                EdgeOp::S2L => resolve(dag.node(e.dst).level),
+                _ => {}
+            }
+        }
+    }
+    levels
 }
 
 /// What every flush of `key` applies, from the same tables and the same

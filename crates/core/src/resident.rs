@@ -14,12 +14,18 @@
 //! 2. **Query** (per batch): a treecode descent from the root under the
 //!    same `θ` acceptance criterion the one-shot Barnes–Hut assembly uses,
 //!    batching accepted boxes through `M→T` and leaf neighbours through
-//!    `S→T` with the vectorized particle operators.
+//!    `S→T` with the vectorized kernel rows.  The descent is one
+//!    `(node, range)` stack over an index arena in a per-thread query
+//!    workspace, the tables are resolved per level when the engine
+//!    is built, and `M→T` reads the level's equivalent surface with the
+//!    box's cached multipole as weights, so a warm query allocates nothing.
 //! 3. **Step** (optional, see [`crate::step`]): sparse displacements and
 //!    charge updates refit the tree in place and recompute only the
 //!    expansions reachable from dirty leaves; everything else — tree
 //!    buffers, interaction lists, the persistent step DAG, the arena
-//!    allocation — is reused verbatim.
+//!    allocation — is reused verbatim.  The lists and the step DAG are
+//!    built by the first step, so an engine that only answers queries
+//!    never holds them.
 //!
 //! The tree lives in refit form ([`RefitTree`]) from the start: per-leaf
 //! point blocks whose initial order is exactly the builder's Morton
@@ -31,19 +37,21 @@
 //! target's (box, operator) interaction set and accumulation order is a
 //! function of that target's position alone — the descent partitions the
 //! active target set per node, it never lets one target's acceptance
-//! decision steer another's path, and the batched operators evaluate
-//! independent per-target rows.  A service may therefore fuse requests
-//! from different clients into one tile and still hand every client
-//! exactly what a single-shot evaluation of its own batch would produce.
+//! decision steer another's path, and the kernel rows compute each target
+//! with arithmetic that does not depend on the other targets of its call
+//! (`dashmm_kernels::simd`, "Block invariance").  A service may therefore
+//! fuse requests from different clients into one tile and still hand every
+//! client bitwise what a single-shot evaluation of its own batch produces.
 
 use std::cell::RefCell;
+use std::sync::Arc;
 
-use dashmm_expansion::{ops, AccuracyParams, BatchWorkspace, OperatorLibrary};
+use dashmm_expansion::{ops, AccuracyParams, BatchWorkspace, LevelTables, OperatorLibrary};
 use dashmm_kernels::Kernel;
-use dashmm_refit::{DirtySet, RefitTree, StepLists};
+use dashmm_refit::{DirtySet, RefitTree};
 use dashmm_tree::{BuildParams, Domain, Octree, Point3};
 
-use crate::step::StepDag;
+use crate::step::Stepping;
 
 /// Configuration of a resident evaluation engine.
 #[derive(Clone, Copy, Debug)]
@@ -69,10 +77,45 @@ impl Default for ResidentConfig {
     }
 }
 
+/// Per-thread scratch of resident queries: the operators' workspace and
+/// the descent's.  Every buffer keeps its capacity, so once warm a query
+/// allocates nothing.
+#[derive(Default)]
+struct QueryWorkspace {
+    ops: BatchWorkspace,
+    descent: Descent,
+}
+
+/// The descent's `(node, range)` stack over an index arena.
+#[derive(Default)]
+struct Descent {
+    /// Active target indices: the root's range, then each visited node's
+    /// near subset, appended behind the ranges still on the stack.
+    arena: Vec<u32>,
+    /// Boxes still to visit, each with its range of `arena`.
+    stack: Vec<(u32, u32, u32)>,
+    /// Targets that accept the box being visited.
+    far: Vec<u32>,
+    /// One box's operator results, before they are added to the output.
+    vals: Vec<f64>,
+}
+
+impl QueryWorkspace {
+    /// Bytes currently reserved across every buffer.
+    #[cfg(test)]
+    fn reserved_bytes(&self) -> usize {
+        let d = &self.descent;
+        self.ops.scratch_bytes()
+            + 4 * (d.arena.capacity() + d.far.capacity())
+            + 12 * d.stack.capacity()
+            + 8 * d.vals.capacity()
+    }
+}
+
 thread_local! {
-    /// Per-thread gather/result buffers, so concurrent query threads of a
-    /// service share the cached expansions without sharing scratch.
-    static QUERY_WS: RefCell<BatchWorkspace> = RefCell::new(BatchWorkspace::new());
+    /// So concurrent query threads of a service share the cached
+    /// expansions without sharing scratch.
+    static QUERY_WS: RefCell<QueryWorkspace> = RefCell::new(QueryWorkspace::default());
 }
 
 /// Where one evaluation's time went, split by operator family, plus the
@@ -93,6 +136,9 @@ pub struct EvalProfile {
 pub struct ResidentFmm<K: Kernel> {
     pub(crate) tree: RefitTree,
     pub(crate) lib: OperatorLibrary<K>,
+    /// The tables of every level of the tree, resolved at build and grown
+    /// when a step deepens it.
+    pub(crate) levels: Vec<Arc<LevelTables>>,
     pub(crate) theta: f64,
     /// Flat multipole arena: node slot `i`'s expansion is
     /// `multipoles[i*n_exp .. (i+1)*n_exp]` (stale for dead slots).
@@ -100,10 +146,8 @@ pub struct ResidentFmm<K: Kernel> {
     pub(crate) n_exp: usize,
     /// Dirty flags of the most recent step (empty before any step).
     pub(crate) dirty: DirtySet,
-    /// Per-box interaction lists, patched incrementally.
-    pub(crate) lists: StepLists,
-    /// Persistent step DAG over the current structure.
-    pub(crate) dag: StepDag,
+    /// Interaction lists and the step DAG, built by the first step.
+    pub(crate) stepping: Option<Stepping>,
     pub(crate) invalidator: dashmm_dag::Invalidator,
     pub(crate) recompute_scratch: Vec<u32>,
     pub(crate) seed_scratch: Vec<u32>,
@@ -142,6 +186,7 @@ impl<K: Kernel> ResidentFmm<K> {
             .map(|&i| charges[i as usize])
             .collect();
         let lib = OperatorLibrary::new(kernel, cfg.accuracy, domain.side(), false);
+        let levels: Vec<_> = (0..=octree.depth()).map(|l| lib.tables(l)).collect();
         let n_exp = cfg.accuracy.surface_points();
         let mut multipoles = vec![0.0f64; octree.num_nodes() * n_exp];
         let mut ws = BatchWorkspace::new();
@@ -155,12 +200,12 @@ impl<K: Kernel> ResidentFmm<K> {
                 if node.count == 0 {
                     continue;
                 }
+                let t = &levels[level as usize];
                 if node.is_leaf() {
-                    let t = lib.tables(level);
                     let out = &mut multipoles[id as usize * n_exp..(id as usize + 1) * n_exp];
                     ops::s2m(
                         lib.kernel(),
-                        &t,
+                        t,
                         octree.center_of(id),
                         octree.points_of(id),
                         &permuted[node.first..node.first + node.count],
@@ -168,7 +213,6 @@ impl<K: Kernel> ResidentFmm<K> {
                         out,
                     );
                 } else {
-                    let t = lib.tables(level);
                     let children: Vec<u32> = node.child_ids().collect();
                     for c in children {
                         let cn = octree.node(c);
@@ -180,23 +224,21 @@ impl<K: Kernel> ResidentFmm<K> {
                         );
                         let parent =
                             &mut multipoles[id as usize * n_exp..(id as usize + 1) * n_exp];
-                        ops::m2m(&t, cn.key.octant(), &child_m, parent);
+                        ops::m2m(t, cn.key.octant(), &child_m, parent);
                     }
                 }
             }
         }
         let tree = RefitTree::from_octree(&octree, charges);
-        let lists = StepLists::build(&tree);
-        let dag = StepDag::assemble(&tree, &lists, n_exp);
         ResidentFmm {
             tree,
             lib,
+            levels,
             theta: cfg.theta,
             multipoles,
             n_exp,
             dirty: DirtySet::new(),
-            lists,
-            dag,
+            stepping: None,
             invalidator: dashmm_dag::Invalidator::new(),
             recompute_scratch: Vec::new(),
             seed_scratch: Vec::new(),
@@ -269,7 +311,10 @@ impl<K: Kernel> ResidentFmm<K> {
     /// engine (the step-loop footprint-stability probe).
     pub fn resident_bytes(&self) -> usize {
         self.tree.footprint_bytes()
-            + self.lists.footprint_bytes()
+            + self
+                .stepping
+                .as_ref()
+                .map_or(0, |s| s.lists.footprint_bytes())
             + self.dirty.scratch_bytes()
             + self.invalidator.scratch_bytes()
             + 8 * (self.multipoles.capacity() + self.child_scratch.capacity())
@@ -277,135 +322,144 @@ impl<K: Kernel> ResidentFmm<K> {
     }
 
     /// Evaluate the potential at each target, overwriting `out`
-    /// (`out.len() == targets.len()`), using the caller's workspace.
+    /// (`out.len() == targets.len()`), using the caller's workspace for
+    /// the operators and this thread's query workspace for the descent.
     pub fn eval_points(&self, targets: &[Point3], ws: &mut BatchWorkspace, out: &mut [f64]) {
-        self.eval_points_impl::<false>(targets, ws, out);
+        QUERY_WS.with(|q| {
+            let d = &mut q.borrow_mut().descent;
+            self.descend::<false>(targets.len(), |i| targets[i as usize], ws, d, out);
+        });
     }
 
-    /// [`eval_points`](Self::eval_points) plus an operator-level time and
-    /// interaction-volume breakdown.  The unprofiled path pays nothing:
-    /// clock reads are compiled out unless the profile is requested.
-    pub fn eval_points_profiled(
+    /// Evaluate at raw `[x, y, z]` targets (the service wire shape),
+    /// overwriting `out`.  Uses this thread's query workspace, so a
+    /// server may call this from several worker threads concurrently.
+    pub fn evaluate(&self, targets: &[[f64; 3]], out: &mut [f64]) {
+        self.evaluate_impl::<false>(targets, out);
+    }
+
+    /// [`evaluate`](Self::evaluate) with the operator-level time and
+    /// interaction-volume breakdown a serving layer forwards into its
+    /// telemetry plane.  The unprofiled path pays nothing: clock reads are
+    /// compiled out unless the profile is requested.
+    pub fn evaluate_profiled(&self, targets: &[[f64; 3]], out: &mut [f64]) -> EvalProfile {
+        self.evaluate_impl::<true>(targets, out)
+    }
+
+    fn evaluate_impl<const PROFILE: bool>(
         &self,
-        targets: &[Point3],
-        ws: &mut BatchWorkspace,
+        targets: &[[f64; 3]],
         out: &mut [f64],
     ) -> EvalProfile {
-        self.eval_points_impl::<true>(targets, ws, out)
+        let at = |i: u32| {
+            let [x, y, z] = targets[i as usize];
+            Point3::new(x, y, z)
+        };
+        QUERY_WS.with(|q| {
+            let QueryWorkspace { ops, descent } = &mut *q.borrow_mut();
+            self.descend::<PROFILE>(targets.len(), at, ops, descent, out)
+        })
     }
 
-    fn eval_points_impl<const PROFILE: bool>(
+    /// The treecode descent over targets `0..n` (positions from `at`),
+    /// overwriting `out`.  Each node's range of the arena is partitioned
+    /// into the targets accepting the box (one `M→T`) and the rest, which
+    /// go on to the leaf's `S→T` or are appended once as the children's
+    /// shared range.  Every acceptance decision reads one target's position
+    /// and one box, so each target follows the path it would follow alone —
+    /// the invariance the module docs promise.
+    fn descend<const PROFILE: bool>(
         &self,
-        targets: &[Point3],
+        n: usize,
+        at: impl Fn(u32) -> Point3,
         ws: &mut BatchWorkspace,
+        d: &mut Descent,
         out: &mut [f64],
     ) -> EvalProfile {
         let mut profile = EvalProfile::default();
-        assert_eq!(targets.len(), out.len(), "one output per target");
+        assert_eq!(n, out.len(), "one output per target");
         out.fill(0.0);
-        if targets.is_empty() {
+        if n == 0 {
             return profile;
         }
-        // Treecode descent with per-node partitioning of the active target
-        // set.  Every acceptance decision reads one target's position and
-        // one box, so each target follows the path it would follow alone —
-        // the invariance the module docs promise.
-        let mut stack: Vec<(u32, Vec<u32>)> = vec![(0, (0..targets.len() as u32).collect())];
-        let mut far: Vec<u32> = Vec::new();
-        let mut near: Vec<u32> = Vec::new();
-        let mut batch_pts: Vec<Point3> = Vec::new();
-        let mut batch_out: Vec<f64> = Vec::new();
-        while let Some((s, active)) = stack.pop() {
+        let kernel = self.lib.kernel();
+        let Descent {
+            arena,
+            stack,
+            far,
+            vals,
+        } = d;
+        arena.clear();
+        arena.extend(0..n as u32);
+        stack.clear();
+        stack.push((0, 0, n as u32));
+        while let Some((s, a, b)) = stack.pop() {
+            // The ranges still on the stack end at or before this one: what
+            // lies past it was a finished subtree's.
+            arena.truncate(b as usize);
             let node = self.tree.node(s);
             let sc = self.tree.center_of(s);
             let sh = self.tree.half_of(s);
             far.clear();
-            near.clear();
-            for &ti in &active {
-                let delta = sc - targets[ti as usize];
+            for k in a as usize..b as usize {
+                let ti = arena[k];
+                let delta = sc - at(ti);
                 // Point targets: the max-norm gap test of the one-shot BH
                 // assembly with a zero target half-width.
                 let gap = delta.x.abs().max(delta.y.abs()).max(delta.z.abs());
-                let dist = delta.norm();
-                if gap >= 2.96 * sh && 2.0 * sh <= self.theta * dist {
+                if gap >= 2.96 * sh && 2.0 * sh <= self.theta * delta.norm() {
                     far.push(ti);
                 } else {
-                    near.push(ti);
+                    arena.push(ti);
                 }
             }
+            let near = b as usize..arena.len();
             if !far.is_empty() {
-                // Well-separated: one batched M→T over the accepted
-                // targets against this box's cached multipole.
-                let t = self.lib.tables(node.key.level);
-                batch_pts.clear();
-                batch_pts.extend(far.iter().map(|&i| targets[i as usize]));
-                batch_out.clear();
-                batch_out.resize(far.len(), 0.0);
+                // Well-separated: one `M→T` of the accepted targets against
+                // this box's cached multipole.
                 let t0 = PROFILE.then(std::time::Instant::now);
-                ops::m2t(
-                    self.lib.kernel(),
-                    &t,
-                    sc,
-                    self.multipole(s),
-                    &batch_pts,
-                    ws,
-                    &mut batch_out,
-                );
+                let t = &self.levels[node.key.level as usize];
+                vals.clear();
+                vals.resize(far.len(), 0.0);
+                let m = self.multipole(s);
+                ops::m2t(kernel, t, sc, m, far.iter().map(|&i| at(i)), ws, vals);
+                add_at(out, far, vals);
                 if let Some(t0) = t0 {
                     profile.m2t_us += t0.elapsed().as_secs_f64() * 1e6;
                     profile.far_pairs += far.len() as u64;
                 }
-                for (k, &ti) in far.iter().enumerate() {
-                    out[ti as usize] += batch_out[k];
-                }
             }
-            if !near.is_empty() {
-                if node.is_leaf() {
-                    let (pts, q) = self.tree.leaf_points(s);
-                    batch_pts.clear();
-                    batch_pts.extend(near.iter().map(|&i| targets[i as usize]));
-                    batch_out.clear();
-                    batch_out.resize(near.len(), 0.0);
-                    let t0 = PROFILE.then(std::time::Instant::now);
-                    ops::p2p(self.lib.kernel(), pts, q, &batch_pts, ws, &mut batch_out);
-                    if let Some(t0) = t0 {
-                        profile.p2p_us += t0.elapsed().as_secs_f64() * 1e6;
-                        profile.near_pairs += (near.len() * pts.len()) as u64;
-                    }
-                    for (k, &ti) in near.iter().enumerate() {
-                        out[ti as usize] += batch_out[k];
-                    }
-                } else {
-                    for c in node.child_ids() {
-                        if self.tree.node(c).count > 0 {
-                            stack.push((c, near.clone()));
-                        }
+            if near.is_empty() {
+                continue;
+            }
+            if node.is_leaf() {
+                let (pts, q) = self.tree.leaf_points(s);
+                let near = &arena[near];
+                let t0 = PROFILE.then(std::time::Instant::now);
+                vals.clear();
+                vals.resize(near.len(), 0.0);
+                ops::p2p(kernel, pts, q, near.iter().map(|&i| at(i)), ws, vals);
+                add_at(out, near, vals);
+                if let Some(t0) = t0 {
+                    profile.p2p_us += t0.elapsed().as_secs_f64() * 1e6;
+                    profile.near_pairs += (near.len() * pts.len()) as u64;
+                }
+            } else {
+                for c in node.child_ids() {
+                    if self.tree.node(c).count > 0 {
+                        stack.push((c, near.start as u32, near.end as u32));
                     }
                 }
             }
         }
         profile
     }
+}
 
-    /// Evaluate at raw `[x, y, z]` targets (the service wire shape),
-    /// overwriting `out`.  Uses a per-thread workspace, so a server may
-    /// call this from several worker threads concurrently.
-    pub fn evaluate(&self, targets: &[[f64; 3]], out: &mut [f64]) {
-        let pts: Vec<Point3> = targets
-            .iter()
-            .map(|t| Point3::new(t[0], t[1], t[2]))
-            .collect();
-        QUERY_WS.with(|ws| self.eval_points(&pts, &mut ws.borrow_mut(), out));
-    }
-
-    /// [`evaluate`](Self::evaluate) with the operator-level breakdown a
-    /// serving layer forwards into its telemetry plane.
-    pub fn evaluate_profiled(&self, targets: &[[f64; 3]], out: &mut [f64]) -> EvalProfile {
-        let pts: Vec<Point3> = targets
-            .iter()
-            .map(|t| Point3::new(t[0], t[1], t[2]))
-            .collect();
-        QUERY_WS.with(|ws| self.eval_points_profiled(&pts, &mut ws.borrow_mut(), out))
+/// `out[idx[k]] += vals[k]`: one box's results into the targets' outputs.
+fn add_at(out: &mut [f64], idx: &[u32], vals: &[f64]) {
+    for (&i, v) in idx.iter().zip(vals) {
+        out[i as usize] += v;
     }
 }
 
@@ -506,19 +560,79 @@ mod tests {
         assert_eq!(off, targets.len());
 
         for i in 0..targets.len() {
-            let scale = fused[i].abs().max(1.0);
-            assert!(
-                (fused[i] - single[i]).abs() / scale <= 1e-12,
-                "target {i}: fused {} vs single {}",
-                fused[i],
-                single[i]
+            assert_eq!(
+                fused[i].to_bits(),
+                single[i].to_bits(),
+                "target {i}: fused vs single"
             );
-            assert!(
-                (fused[i] - ragged[i]).abs() / scale <= 1e-12,
-                "target {i}: fused {} vs ragged {}",
-                fused[i],
-                ragged[i]
+            assert_eq!(
+                fused[i].to_bits(),
+                ragged[i].to_bits(),
+                "target {i}: fused vs ragged"
             );
+        }
+    }
+
+    /// `probe`'s answer at every slot of batches of 1 to 9 is bitwise
+    /// its single-shot answer.
+    fn probe_every_position<K: Kernel>(fmm: &ResidentFmm<K>, others: &[[f64; 3]], probe: [f64; 3]) {
+        let mut alone = [0.0];
+        fmm.evaluate(&[probe], &mut alone);
+        for len in 1..=9 {
+            for pos in 0..len {
+                let mut batch = others[..len].to_vec();
+                batch[pos] = probe;
+                let mut out = vec![0.0; len];
+                fmm.evaluate(&batch, &mut out);
+                assert_eq!(
+                    out[pos].to_bits(),
+                    alone[0].to_bits(),
+                    "len {len} pos {pos}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_block_position_is_bitwise_single_shot() {
+        // The kernel rows take targets four at a time with a remainder
+        // block: a target's answer must not depend on which block or slot
+        // it lands in, nor on its neighbours.
+        let n = 1000;
+        let sources = uniform_cube(n, 9);
+        let q = charges(n);
+        let laplace = ResidentFmm::build(Laplace, &sources, &q, ResidentConfig::default());
+        let yukawa = ResidentFmm::build(Yukawa::new(1.5), &sources, &q, ResidentConfig::default());
+        let others = raw(&uniform_cube(9, 41));
+        for probe in raw(&uniform_cube(6, 43)) {
+            probe_every_position(&laplace, &others, probe);
+            probe_every_position(&yukawa, &others, probe);
+        }
+    }
+
+    #[test]
+    fn repeated_queries_reserve_nothing_new() {
+        // A warm query allocates nothing: after one pass over the batches,
+        // further passes leave the query workspace's reservation unchanged.
+        let n = 2000;
+        let sources = uniform_cube(n, 15);
+        let q = charges(n);
+        let fmm = ResidentFmm::build(Laplace, &sources, &q, ResidentConfig::default());
+        let batches: Vec<Vec<[f64; 3]>> = (0..4).map(|s| raw(&uniform_cube(16, 50 + s))).collect();
+        let mut out = vec![0.0; 16];
+        let reserved = || QUERY_WS.with(|ws| ws.borrow().reserved_bytes());
+        for b in &batches {
+            fmm.evaluate(b, &mut out);
+            fmm.evaluate_profiled(b, &mut out);
+        }
+        let warm = reserved();
+        assert!(warm > 0, "the warm-up must have sized the workspace");
+        for _ in 0..3 {
+            for b in &batches {
+                fmm.evaluate(b, &mut out);
+                fmm.evaluate_profiled(b, &mut out);
+                assert_eq!(reserved(), warm, "a warm query grew the workspace");
+            }
         }
     }
 

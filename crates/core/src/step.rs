@@ -165,6 +165,22 @@ impl StepDag {
     }
 }
 
+/// What stepping keeps between steps: the interaction lists and the step
+/// DAG over the current structure.  The first step builds it from the
+/// tree as built, so an engine that only answers queries never holds it.
+pub(crate) struct Stepping {
+    pub(crate) lists: StepLists,
+    pub(crate) dag: StepDag,
+}
+
+impl Stepping {
+    fn build(tree: &RefitTree, n_exp: usize) -> Self {
+        let lists = StepLists::build(tree);
+        let dag = StepDag::assemble(tree, &lists, n_exp);
+        Stepping { lists, dag }
+    }
+}
+
 /// Everything one call to [`ResidentFmm::step`] did.
 #[derive(Clone, Debug)]
 pub struct StepReport {
@@ -216,11 +232,19 @@ impl<K: Kernel> ResidentFmm<K> {
     /// from-scratch [`ResidentFmm::build_in_domain`] over the current
     /// positions (same domain) to better than 1e-12 relative error.
     pub fn step(&mut self, moves: &[Displacement], charges: &[ChargeUpdate]) -> StepReport {
+        if self.stepping.is_none() {
+            self.stepping = Some(Stepping::build(&self.tree, self.n_exp));
+        }
         let t0 = std::time::Instant::now();
         let refit = self.tree.apply_step(moves, charges, &mut self.dirty);
         self.dirty.propagate(&self.tree);
         let refit_us = t0.elapsed().as_secs_f64() * 1e6;
         let t1 = std::time::Instant::now();
+
+        // A step that deepens the tree brings its new levels' tables.
+        while self.levels.len() <= self.tree.depth() as usize {
+            self.levels.push(self.lib.tables(self.levels.len() as u8));
+        }
 
         // The arena is indexed by node slot and only ever grows; slot
         // reuse is safe because recycled slots are always dirty (CREATED).
@@ -246,13 +270,13 @@ impl<K: Kernel> ResidentFmm<K> {
         for i in 0..self.recompute_scratch.len() {
             let id = self.recompute_scratch[i];
             let node = *self.tree.node(id);
-            let t = self.lib.tables(node.key.level);
+            let t = &self.levels[node.key.level as usize];
             if node.is_leaf() {
                 let (pts, q) = self.tree.leaf_points(id);
                 let out = &mut self.multipoles[id as usize * n_exp..(id as usize + 1) * n_exp];
                 dashmm_expansion::ops::s2m(
                     self.lib.kernel(),
-                    &t,
+                    t,
                     self.tree.center_of(id),
                     pts,
                     q,
@@ -280,24 +304,28 @@ impl<K: Kernel> ResidentFmm<K> {
                     children[k] = (octs[k], &self.child_scratch[k * n_exp..(k + 1) * n_exp]);
                 }
                 let out = &mut self.multipoles[id as usize * n_exp..(id as usize + 1) * n_exp];
-                dashmm_expansion::ops::m2m_refresh(&t, &children[..nc], out);
+                dashmm_expansion::ops::m2m_refresh(t, &children[..nc], out);
                 recomputed_interiors += 1;
             }
         }
 
         let recompute_us = t1.elapsed().as_secs_f64() * 1e6;
         let t2 = std::time::Instant::now();
-        let lists_recomputed = self.lists.patch(&self.tree, &refit.changed_keys);
+        let st = self
+            .stepping
+            .as_mut()
+            .expect("built at the top of the step");
+        let lists_recomputed = st.lists.patch(&self.tree, &refit.changed_keys);
         let lists_us = t2.elapsed().as_secs_f64() * 1e6;
 
         let t3 = std::time::Instant::now();
         let dag_rebuilt = refit.structural();
         if dag_rebuilt {
-            self.dag = StepDag::assemble(&self.tree, &self.lists, n_exp);
+            st.dag = StepDag::assemble(&self.tree, &st.lists, n_exp);
         }
         let mut seeds = std::mem::take(&mut self.seed_scratch);
-        self.dag.seeds(&self.tree, &self.dirty, &mut seeds);
-        let dag_report = self.invalidator.run(self.dag.dag(), seeds.iter().copied());
+        st.dag.seeds(&self.tree, &self.dirty, &mut seeds);
+        let dag_report = self.invalidator.run(st.dag.dag(), seeds.iter().copied());
         self.seed_scratch = seeds;
         let dag_us = t3.elapsed().as_secs_f64() * 1e6;
 
@@ -400,7 +428,10 @@ mod tests {
         let sources = uniform_cube(n, 13);
         let q = charges(n);
         let mut fmm = ResidentFmm::build(Laplace, &sources, &q, ResidentConfig::default());
-        let edges_total = fmm.dag.dag().num_edges() as u64;
+        let lists = StepLists::build(fmm.tree());
+        let edges_total = StepDag::assemble(fmm.tree(), &lists, fmm.expansion_len())
+            .dag()
+            .num_edges() as u64;
         // Charge-only step: no motion at all.
         let report = fmm.step(
             &[],
@@ -441,7 +472,9 @@ mod tests {
         let q = charges(n);
         let fmm = ResidentFmm::build(Laplace, &sources, &q, ResidentConfig::default());
         let tree = fmm.tree();
-        let dag = fmm.dag.dag();
+        let lists = StepLists::build(tree);
+        let step_dag = StepDag::assemble(tree, &lists, fmm.expansion_len());
+        let dag = step_dag.dag();
         let leaves = tree
             .alive_ids()
             .filter(|&id| tree.node(id).is_leaf())

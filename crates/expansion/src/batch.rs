@@ -24,9 +24,9 @@
 //!
 //! The **fused near-field** path (`ops::p2p_fused`) is the one batched
 //! operator whose output depends on batch composition: it sums all source
-//! blocks of a target leaf in deposit order, so grouping S→T edges
-//! differently reorders the floating-point accumulation (O(ulp) per
-//! contribution).  That is exactly the freedom the destination LCOs'
+//! blocks of a target leaf in one row per target, in deposit order, so
+//! grouping S→T edges differently reorders the floating-point accumulation
+//! (O(ulp) per contribution).  That is exactly the freedom the destination LCOs'
 //! unordered reduction already grants every per-edge operator, so the
 //! executor's determinism tolerances are unchanged.
 
@@ -40,32 +40,23 @@ use crate::tables::LevelTables;
 ///
 /// One workspace per worker thread avoids both allocation on the hot path
 /// and false sharing between workers.  Besides the column panels of the
-/// matrix operators it owns the SoA coordinate/weight buffers and the
-/// squared-separation, kernel-value and displacement tiles of the
-/// particle-facing operators (`ops::p2p`, `ops::s2m`, …), plus the check-
-/// surface scratch those operators used to allocate per call — after the
-/// first call at a given problem shape, repeat applications perform zero
-/// allocations (pinned by `scratch_bytes` and the capacity-stability
-/// test in `tests/particle_ops_proptest.rs`).
+/// matrix operators it owns the SoA buffers the particle-facing operators
+/// gather their point sources into (`ops::p2p`, `ops::s2m`, …) and the
+/// check-surface potentials of `S→M` / `S→L` — after the first call at a
+/// given problem shape, repeat applications perform zero allocations
+/// (pinned by `scratch_bytes` and the capacity-stability test in
+/// `tests/particle_ops_proptest.rs`).
 #[derive(Default)]
 pub struct BatchWorkspace {
     /// Result panel of the matrix operators: one cell, then the output
     /// columns back to back.
     pub(crate) ys: Vec<f64>,
-    /// SoA source coordinates and weights for particle-operator tiles.
+    /// SoA coordinates and weights of gathered point sources.
     pub(crate) sx: Vec<f64>,
     pub(crate) sy: Vec<f64>,
     pub(crate) sz: Vec<f64>,
     pub(crate) sw: Vec<f64>,
-    /// Squared-separation / kernel-value / scaled-derivative tiles.
-    pub(crate) r2: Vec<f64>,
-    pub(crate) kv: Vec<f64>,
-    pub(crate) dv: Vec<f64>,
-    /// Displacement tiles for the gradient accumulations.
-    pub(crate) dx: Vec<f64>,
-    pub(crate) dy: Vec<f64>,
-    pub(crate) dz: Vec<f64>,
-    /// Check-surface potentials for `s2m`/`s2l` (was a per-call `vec!`).
+    /// Check-surface potentials for `s2m`/`s2l`.
     pub(crate) check: Vec<f64>,
 }
 
@@ -85,12 +76,6 @@ impl BatchWorkspace {
             + self.sy.capacity()
             + self.sz.capacity()
             + self.sw.capacity()
-            + self.r2.capacity()
-            + self.kv.capacity()
-            + self.dv.capacity()
-            + self.dx.capacity()
-            + self.dy.capacity()
-            + self.dz.capacity()
             + self.check.capacity())
     }
 

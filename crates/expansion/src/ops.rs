@@ -6,166 +6,89 @@
 //! nothing beyond what the operator caches build once per level.
 //!
 //! The particle-facing operators (`p2p`, `s2m`, `s2l`, `m2t`, `l2t` and
-//! their gradient variants) are blocked tile evaluations: sources are
-//! gathered once into the workspace's SoA coordinate buffers, each target
-//! row computes a squared-separation tile, makes **one** batched kernel
-//! call ([`Kernel::eval_into`] — AVX2+FMA on capable hardware), and
-//! accumulates.  All scratch comes from the caller's per-worker
-//! [`BatchWorkspace`]; no per-call `vec!` remains on the hot path.
+//! their gradient variants) are calls into the kernel's row API
+//! ([`Kernel::potential_rows`] / [`Kernel::field_rows`], AVX2+FMA on
+//! capable hardware): each target's sum over a run of SoA sources is formed
+//! in registers.  What is a target and what is a source:
+//!
+//! * `S→T`: the tree's points are the targets; the source leaves are
+//!   gathered once into the workspace's SoA buffers.
+//! * `S→M` / `S→L`: the level's check surface, placed at the box center,
+//!   is the targets ([`Surface::at`]); the leaf's points are gathered as
+//!   the sources.
+//! * `M→T` / `L→T`: the level's equivalent surface is read in place as the
+//!   sources, the expansion being its weights ([`Surface::sources`]); the
+//!   targets are taken relative to the box center.  Nothing is gathered,
+//!   and `ws` is not touched.
+//!
+//! All scratch comes from the caller's per-worker [`BatchWorkspace`]; no
+//! per-call `vec!` remains on the hot path.
 
-use dashmm_kernels::Kernel;
+use std::borrow::Borrow;
+
+use dashmm_kernels::{Kernel, Sources};
 use dashmm_tree::{Direction, Point3};
 
 use crate::batch::BatchWorkspace;
+use crate::surface::Surface;
 use crate::tables::LevelTables;
 
-/// Tile width of the blocked particle-operator loops: large enough to
-/// amortise the batched kernel dispatch, small enough that the four SoA
-/// tiles stay L1-resident.
-const TILE: usize = 1024;
-
-/// Drop the workspace's gathered sources.
-fn soa_clear(ws: &mut BatchWorkspace) {
+/// Gather point blocks and their weights into the workspace's SoA source
+/// buffers.  Capacity is retained across calls, so steady-state gathers
+/// allocate nothing.
+fn gather<'w, 'a>(
+    ws: &'w mut BatchWorkspace,
+    blocks: impl IntoIterator<Item = (&'a [Point3], &'a [f64])>,
+) -> Sources<'w> {
     ws.sx.clear();
     ws.sy.clear();
     ws.sz.clear();
     ws.sw.clear();
-}
-
-/// Append `pts` (translated by `shift`) with `weights` to the workspace's
-/// SoA source buffers.  Capacity is retained across calls, so steady-state
-/// gathers allocate nothing.
-fn soa_push(ws: &mut BatchWorkspace, pts: &[Point3], weights: &[f64], shift: Point3) {
-    debug_assert_eq!(pts.len(), weights.len());
-    ws.sx.extend(pts.iter().map(|p| p.x + shift.x));
-    ws.sy.extend(pts.iter().map(|p| p.y + shift.y));
-    ws.sz.extend(pts.iter().map(|p| p.z + shift.z));
-    ws.sw.extend_from_slice(weights);
-}
-
-/// Ensure the per-tile scratch is at capacity (stable after first use).
-fn soa_reserve_tiles(ws: &mut BatchWorkspace, grad: bool) {
-    if ws.r2.len() < TILE {
-        ws.r2.resize(TILE, 0.0);
-        ws.kv.resize(TILE, 0.0);
+    for (pts, weights) in blocks {
+        debug_assert_eq!(pts.len(), weights.len());
+        ws.sx.extend(pts.iter().map(|p| p.x));
+        ws.sy.extend(pts.iter().map(|p| p.y));
+        ws.sz.extend(pts.iter().map(|p| p.z));
+        ws.sw.extend_from_slice(weights);
     }
-    if grad && ws.dv.len() < TILE {
-        ws.dv.resize(TILE, 0.0);
-        ws.dx.resize(TILE, 0.0);
-        ws.dy.resize(TILE, 0.0);
-        ws.dz.resize(TILE, 0.0);
+    Sources {
+        x: &ws.sx,
+        y: &ws.sy,
+        z: &ws.sz,
+        w: &ws.sw,
     }
 }
 
-/// `out[i] += Σⱼ wⱼ·K(|tᵢ + shift − sⱼ|)` over the gathered SoA sources.
-///
-/// One row per target: distance tile → one batched kernel eval →
-/// four-way unrolled weighted reduction.  `r2 = 0` lanes contribute `0`
-/// (the kernel contract), which is the self-interaction exclusion.
-fn potential_rows<K: Kernel>(
+/// `targets` as row targets relative to `origin`.
+fn rel(
+    targets: impl IntoIterator<Item = impl Borrow<Point3>>,
+    origin: Point3,
+) -> impl Iterator<Item = [f64; 3]> {
+    targets.into_iter().map(move |p| {
+        let p = p.borrow();
+        [p.x - origin.x, p.y - origin.y, p.z - origin.z]
+    })
+}
+
+/// The potentials of `sources` on a check surface placed at `center`, in
+/// `ws.check`.
+fn check_potentials<K: Kernel>(
     kernel: &K,
+    surface: &Surface,
+    center: Point3,
+    sources: &[Point3],
+    charges: &[f64],
     ws: &mut BatchWorkspace,
-    targets: &[Point3],
-    shift: Point3,
-    out: &mut [f64],
 ) {
-    debug_assert_eq!(targets.len(), out.len());
-    soa_reserve_tiles(ws, false);
-    let n = ws.sx.len();
-    for (t, o) in targets.iter().zip(out.iter_mut()) {
-        let (tx, ty, tz) = (t.x + shift.x, t.y + shift.y, t.z + shift.z);
-        let mut acc = 0.0;
-        let mut j = 0;
-        while j < n {
-            let w = (n - j).min(TILE);
-            {
-                let sx = &ws.sx[j..j + w];
-                let sy = &ws.sy[j..j + w];
-                let sz = &ws.sz[j..j + w];
-                let r2 = &mut ws.r2[..w];
-                for i in 0..w {
-                    let dx = tx - sx[i];
-                    let dy = ty - sy[i];
-                    let dz = tz - sz[i];
-                    r2[i] = dx * dx + dy * dy + dz * dz;
-                }
-            }
-            kernel.eval_into(&ws.r2[..w], &mut ws.kv[..w]);
-            let sw = &ws.sw[j..j + w];
-            let kv = &ws.kv[..w];
-            let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-            let mut i = 0;
-            while i + 4 <= w {
-                a0 += sw[i] * kv[i];
-                a1 += sw[i + 1] * kv[i + 1];
-                a2 += sw[i + 2] * kv[i + 2];
-                a3 += sw[i + 3] * kv[i + 3];
-                i += 4;
-            }
-            while i < w {
-                a0 += sw[i] * kv[i];
-                i += 1;
-            }
-            acc += (a0 + a1) + (a2 + a3);
-            j += w;
-        }
-        *o += acc;
-    }
-}
-
-/// Gradient companion of [`potential_rows`]: `out` holds 4 values per
-/// target, accumulated as `(φ, ∂φ/∂x, ∂φ/∂y, ∂φ/∂z)`.  Uses the kernels'
-/// batched scaled derivative `K'(r)/r`, which is `0` at `r = 0` — the
-/// self-interaction skip of the scalar loop this replaces.
-fn grad_rows<K: Kernel>(
-    kernel: &K,
-    ws: &mut BatchWorkspace,
-    targets: &[Point3],
-    shift: Point3,
-    out: &mut [f64],
-) {
-    debug_assert_eq!(out.len(), 4 * targets.len());
-    soa_reserve_tiles(ws, true);
-    let n = ws.sx.len();
-    for (ti, t) in targets.iter().enumerate() {
-        let (tx, ty, tz) = (t.x + shift.x, t.y + shift.y, t.z + shift.z);
-        let (mut p, mut gx, mut gy, mut gz) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-        let mut j = 0;
-        while j < n {
-            let w = (n - j).min(TILE);
-            {
-                let sx = &ws.sx[j..j + w];
-                let sy = &ws.sy[j..j + w];
-                let sz = &ws.sz[j..j + w];
-                let r2 = &mut ws.r2[..w];
-                let dx = &mut ws.dx[..w];
-                let dy = &mut ws.dy[..w];
-                let dz = &mut ws.dz[..w];
-                for i in 0..w {
-                    dx[i] = tx - sx[i];
-                    dy[i] = ty - sy[i];
-                    dz[i] = tz - sz[i];
-                    r2[i] = dx[i] * dx[i] + dy[i] * dy[i] + dz[i] * dz[i];
-                }
-            }
-            kernel.eval_into(&ws.r2[..w], &mut ws.kv[..w]);
-            kernel.deriv_into(&ws.r2[..w], &mut ws.dv[..w]);
-            let sw = &ws.sw[j..j + w];
-            for i in 0..w {
-                let wk = sw[i];
-                p += wk * ws.kv[i];
-                let c = wk * ws.dv[i];
-                gx += c * ws.dx[i];
-                gy += c * ws.dy[i];
-                gz += c * ws.dz[i];
-            }
-            j += w;
-        }
-        out[4 * ti] += p;
-        out[4 * ti + 1] += gx;
-        out[4 * ti + 2] += gy;
-        out[4 * ti + 3] += gz;
-    }
+    let mut check = std::mem::take(&mut ws.check);
+    check.clear();
+    check.resize(surface.len(), 0.0);
+    kernel.potential_rows(
+        surface.at(center),
+        gather(ws, [(sources, charges)]),
+        &mut check,
+    );
+    ws.check = check;
 }
 
 /// `S→M`: project the sources of a leaf box onto its upward equivalent
@@ -182,14 +105,8 @@ pub fn s2m<K: Kernel>(
 ) {
     debug_assert_eq!(sources.len(), charges.len());
     debug_assert_eq!(out.len(), t.expansion_len());
-    soa_clear(ws);
-    soa_push(ws, sources, charges, Point3::new(0.0, 0.0, 0.0));
-    let mut check = std::mem::take(&mut ws.check);
-    check.clear();
-    check.resize(t.expansion_len(), 0.0);
-    potential_rows(kernel, ws, t.uc_pts(), center, &mut check);
-    t.uc2ue().matvec_into(&check, out);
-    ws.check = check;
+    check_potentials(kernel, t.uc(), center, sources, charges, ws);
+    t.uc2ue().matvec_into(&ws.check, out);
 }
 
 /// `M→M`: accumulate a child multipole into its parent.  `t` is the
@@ -245,48 +162,37 @@ pub fn s2l<K: Kernel>(
     ws: &mut BatchWorkspace,
     tgt_l: &mut [f64],
 ) {
-    soa_clear(ws);
-    soa_push(ws, sources, charges, Point3::new(0.0, 0.0, 0.0));
-    let mut check = std::mem::take(&mut ws.check);
-    check.clear();
-    check.resize(t.expansion_len(), 0.0);
-    potential_rows(kernel, ws, t.dc_pts(), tgt_center, &mut check);
-    t.dc2de().matvec_acc(&check, tgt_l);
-    ws.check = check;
+    check_potentials(kernel, t.dc(), tgt_center, sources, charges, ws);
+    t.dc2de().matvec_acc(&ws.check, tgt_l);
 }
 
-/// `M→T`: evaluate a multipole expansion at target points (`L3`).
-/// `t` is the *source* level's tables.
+/// `M→T`: evaluate a multipole expansion at target points (`L3`), adding
+/// to `out` (one value per target).  `t` is the *source* level's tables;
+/// `ws` is not touched.
 pub fn m2t<K: Kernel>(
     kernel: &K,
     t: &LevelTables,
     src_center: Point3,
     m: &[f64],
-    targets: &[Point3],
-    ws: &mut BatchWorkspace,
+    targets: impl IntoIterator<Item = impl Borrow<Point3>>,
+    _ws: &mut BatchWorkspace,
     out: &mut [f64],
 ) {
-    debug_assert_eq!(targets.len(), out.len());
-    soa_clear(ws);
-    soa_push(ws, t.ue_pts(), m, src_center);
-    potential_rows(kernel, ws, targets, Point3::new(0.0, 0.0, 0.0), out);
+    kernel.potential_rows(rel(targets, src_center), t.ue().sources(m), out);
 }
 
-/// `L→T`: evaluate a local expansion at the targets of a leaf box.
-/// `t` is the *target* level's tables.
+/// `L→T`: evaluate a local expansion at the targets of a leaf box, adding
+/// to `out`.  `t` is the *target* level's tables; `ws` is not touched.
 pub fn l2t<K: Kernel>(
     kernel: &K,
     t: &LevelTables,
     tgt_center: Point3,
     l: &[f64],
-    targets: &[Point3],
-    ws: &mut BatchWorkspace,
+    targets: impl IntoIterator<Item = impl Borrow<Point3>>,
+    _ws: &mut BatchWorkspace,
     out: &mut [f64],
 ) {
-    debug_assert_eq!(targets.len(), out.len());
-    soa_clear(ws);
-    soa_push(ws, t.de_pts(), l, tgt_center);
-    potential_rows(kernel, ws, targets, Point3::new(0.0, 0.0, 0.0), out);
+    kernel.potential_rows(rel(targets, tgt_center), t.de().sources(l), out);
 }
 
 /// `S→T`: direct near-field interaction (`L1`).
@@ -294,7 +200,7 @@ pub fn p2p<K: Kernel>(
     kernel: &K,
     sources: &[Point3],
     charges: &[f64],
-    targets: &[Point3],
+    targets: impl IntoIterator<Item = impl Borrow<Point3>>,
     ws: &mut BatchWorkspace,
     out: &mut [f64],
 ) {
@@ -304,78 +210,45 @@ pub fn p2p<K: Kernel>(
 /// Fused `S→T`: one near-field evaluation of *several* source leaves
 /// against a single target block.  The executor's S2T batcher routes all
 /// near-field edges of a target leaf here, so the sources are gathered
-/// into one SoA buffer and each target row makes `⌈n/TILE⌉` batched
-/// kernel calls instead of one tiny call per source box.
+/// into one SoA run and each target makes one row over all of them.
 ///
 /// Summation order follows block deposit order, so results may differ
 /// from edge-at-a-time accumulation by O(ulp) — the same freedom the
 /// LCOs' unordered contribution reduction already has.
-pub fn p2p_fused<'a, K, I>(
+pub fn p2p_fused<'a, K: Kernel>(
     kernel: &K,
-    blocks: I,
-    targets: &[Point3],
-    ws: &mut BatchWorkspace,
-    out: &mut [f64],
-) where
-    K: Kernel,
-    I: IntoIterator<Item = (&'a [Point3], &'a [f64])>,
-{
-    debug_assert_eq!(targets.len(), out.len());
-    soa_clear(ws);
-    for (pts, q) in blocks {
-        soa_push(ws, pts, q, Point3::new(0.0, 0.0, 0.0));
-    }
-    potential_rows(kernel, ws, targets, Point3::new(0.0, 0.0, 0.0), out);
-}
-
-/// Accumulate potential *and* gradient of a set of weighted kernel sources
-/// at target points.  `out` holds 4 values per target: `(φ, ∂φ/∂x, ∂φ/∂y,
-/// ∂φ/∂z)`.  This is the shared core of the gradient variants of `S→T`,
-/// `M→T` and `L→T`: the expansion representations are unchanged — only the
-/// final evaluation at target points differentiates the kernel.
-pub fn eval_grad_acc<K: Kernel>(
-    kernel: &K,
-    positions: &[Point3],
-    weights: &[f64],
-    targets: &[Point3],
+    blocks: impl IntoIterator<Item = (&'a [Point3], &'a [f64])>,
+    targets: impl IntoIterator<Item = impl Borrow<Point3>>,
     ws: &mut BatchWorkspace,
     out: &mut [f64],
 ) {
-    debug_assert_eq!(out.len(), 4 * targets.len());
-    soa_clear(ws);
-    soa_push(ws, positions, weights, Point3::new(0.0, 0.0, 0.0));
-    grad_rows(kernel, ws, targets, Point3::new(0.0, 0.0, 0.0), out);
+    kernel.potential_rows(rel(targets, Point3::ZERO), gather(ws, blocks), out);
 }
 
-/// `S→T` with gradients.
+/// `S→T` with gradients.  `out` holds 4 values per target, accumulated as
+/// `(φ, ∂φ/∂x, ∂φ/∂y, ∂φ/∂z)`.  The expansion representations are the
+/// same as for the potential: only the final evaluation at the targets
+/// differentiates the kernel ([`Kernel::field_rows`]).
 pub fn p2p_grad<K: Kernel>(
     kernel: &K,
     sources: &[Point3],
     charges: &[f64],
-    targets: &[Point3],
+    targets: impl IntoIterator<Item = impl Borrow<Point3>>,
     ws: &mut BatchWorkspace,
     out: &mut [f64],
 ) {
-    eval_grad_acc(kernel, sources, charges, targets, ws, out);
+    p2p_grad_fused(kernel, [(sources, charges)], targets, ws, out);
 }
 
 /// Fused `S→T` with gradients — the 4-wide companion of [`p2p_fused`].
-pub fn p2p_grad_fused<'a, K, I>(
+pub fn p2p_grad_fused<'a, K: Kernel>(
     kernel: &K,
-    blocks: I,
-    targets: &[Point3],
+    blocks: impl IntoIterator<Item = (&'a [Point3], &'a [f64])>,
+    targets: impl IntoIterator<Item = impl Borrow<Point3>>,
     ws: &mut BatchWorkspace,
     out: &mut [f64],
-) where
-    K: Kernel,
-    I: IntoIterator<Item = (&'a [Point3], &'a [f64])>,
-{
-    debug_assert_eq!(out.len(), 4 * targets.len());
-    soa_clear(ws);
-    for (pts, q) in blocks {
-        soa_push(ws, pts, q, Point3::new(0.0, 0.0, 0.0));
-    }
-    grad_rows(kernel, ws, targets, Point3::new(0.0, 0.0, 0.0), out);
+) {
+    kernel.field_rows(rel(targets, Point3::ZERO), gather(ws, blocks), out);
 }
 
 /// `M→T` with gradients: evaluate the multipole's equivalent sources.
@@ -384,14 +257,11 @@ pub fn m2t_grad<K: Kernel>(
     t: &LevelTables,
     src_center: Point3,
     m: &[f64],
-    targets: &[Point3],
-    ws: &mut BatchWorkspace,
+    targets: impl IntoIterator<Item = impl Borrow<Point3>>,
+    _ws: &mut BatchWorkspace,
     out: &mut [f64],
 ) {
-    debug_assert_eq!(out.len(), 4 * targets.len());
-    soa_clear(ws);
-    soa_push(ws, t.ue_pts(), m, src_center);
-    grad_rows(kernel, ws, targets, Point3::new(0.0, 0.0, 0.0), out);
+    kernel.field_rows(rel(targets, src_center), t.ue().sources(m), out);
 }
 
 /// `L→T` with gradients: evaluate the local expansion's equivalent sources.
@@ -400,14 +270,11 @@ pub fn l2t_grad<K: Kernel>(
     t: &LevelTables,
     tgt_center: Point3,
     l: &[f64],
-    targets: &[Point3],
-    ws: &mut BatchWorkspace,
+    targets: impl IntoIterator<Item = impl Borrow<Point3>>,
+    _ws: &mut BatchWorkspace,
     out: &mut [f64],
 ) {
-    debug_assert_eq!(out.len(), 4 * targets.len());
-    soa_clear(ws);
-    soa_push(ws, t.de_pts(), l, tgt_center);
-    grad_rows(kernel, ws, targets, Point3::new(0.0, 0.0, 0.0), out);
+    kernel.field_rows(rel(targets, tgt_center), t.de().sources(l), out);
 }
 
 /// `M→I` for one direction, per edge: form the outgoing plane-wave
@@ -547,7 +414,7 @@ mod tests {
         .enumerate()
         {
             let mut out = [0.0];
-            m2t(&k, &t, c, &m, &[*tp], &mut ws, &mut out);
+            m2t(&k, &t, c, &m, [*tp], &mut ws, &mut out);
             let want = direct(&k, &src, &q, tp);
             let qsum: f64 = q.iter().map(|x| x.abs()).sum();
             check_err(out[0], want, qsum / SIDE, 2e-3, &format!("target {i}"));
@@ -570,7 +437,7 @@ mod tests {
         m2m(&parent_t, 5, &child_m, &mut parent_m);
         let tp = Point3::new(2.2 * SIDE, -1.1 * SIDE, 2.0 * SIDE);
         let mut out = [0.0];
-        m2t(&k, &parent_t, pc, &parent_m, &[tp], &mut ws, &mut out);
+        m2t(&k, &parent_t, pc, &parent_m, [tp], &mut ws, &mut out);
         let want = direct(&k, &src, &q, &tp);
         let qsum: f64 = q.iter().map(|x| x.abs()).sum();
         check_err(out[0], want, qsum / SIDE, 2e-3, "m2m far field");
@@ -728,7 +595,7 @@ mod tests {
             i2l(&t, d, &w_in, &mut l);
             let tp = tc + Point3::new(0.1 * SIDE, -0.15 * SIDE, 0.05 * SIDE);
             let mut out = [0.0];
-            l2t(&k, &t, tc, &l, &[tp], &mut ws, &mut out);
+            l2t(&k, &t, tc, &l, [tp], &mut ws, &mut out);
             let want = direct(&k, &src, &q, &tp);
             check_err(out[0], want, qsum / SIDE, 3e-3, &format!("direction {d:?}"));
         }
@@ -787,9 +654,9 @@ mod tests {
         let tp = Point3::new(2.2 * SIDE, 0.4 * SIDE, -1.9 * SIDE);
         // m2t_grad potential must agree with m2t, gradient with central FD.
         let mut g = vec![0.0; 4];
-        m2t_grad(&k, &t, sc, &m, &[tp], &mut ws, &mut g);
+        m2t_grad(&k, &t, sc, &m, [tp], &mut ws, &mut g);
         let mut p = [0.0];
-        m2t(&k, &t, sc, &m, &[tp], &mut ws, &mut p);
+        m2t(&k, &t, sc, &m, [tp], &mut ws, &mut p);
         assert!((g[0] - p[0]).abs() < 1e-12);
         let h = 1e-5;
         for axis in 0..3 {
@@ -800,8 +667,8 @@ mod tests {
                 _ => dp.z = h,
             }
             let (mut a, mut b) = ([0.0], [0.0]);
-            m2t(&k, &t, sc, &m, &[tp + dp], &mut ws, &mut a);
-            m2t(&k, &t, sc, &m, &[tp + dp * -1.0], &mut ws, &mut b);
+            m2t(&k, &t, sc, &m, [tp + dp], &mut ws, &mut a);
+            m2t(&k, &t, sc, &m, [tp + dp * -1.0], &mut ws, &mut b);
             let fd = (a[0] - b[0]) / (2.0 * h);
             assert!(
                 (g[1 + axis] - fd).abs() < 1e-5 * (1.0 + fd.abs()),
@@ -819,7 +686,7 @@ mod tests {
         let q = vec![2.0];
         let tp = Point3::new(2.0, 0.0, 0.0);
         let mut out = vec![0.0; 4];
-        p2p_grad(&k, &src, &q, &[tp], &mut ws, &mut out);
+        p2p_grad(&k, &src, &q, [tp], &mut ws, &mut out);
         assert!((out[0] - 1.0).abs() < 1e-14); // 2/2
         assert!((out[1] + 0.5).abs() < 1e-14); // d(2/r)/dx = -2/r² = -0.5
         assert!(out[2].abs() < 1e-14 && out[3].abs() < 1e-14);

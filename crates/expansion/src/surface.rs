@@ -1,6 +1,68 @@
 //! Cubic surface lattices for equivalent/check representations.
 
+use dashmm_kernels::Sources;
 use dashmm_tree::Point3;
+
+/// A surface lattice stored as structure of arrays, relative to the box
+/// center: the layout the kernel rows read.  A check surface is a set of
+/// row targets ([`Surface::at`]); an equivalent surface, weighted by an
+/// expansion, is a set of row sources ([`Surface::sources`]).
+pub struct Surface {
+    x: Vec<f64>,
+    y: Vec<f64>,
+    z: Vec<f64>,
+}
+
+impl Surface {
+    /// The SoA copy of `pts`.
+    pub fn new(pts: &[Point3]) -> Self {
+        Surface {
+            x: pts.iter().map(|p| p.x).collect(),
+            y: pts.iter().map(|p| p.y).collect(),
+            z: pts.iter().map(|p| p.z).collect(),
+        }
+    }
+
+    /// Number of points.
+    pub fn len(&self) -> usize {
+        self.x.len()
+    }
+
+    /// Whether the surface has no points.
+    pub fn is_empty(&self) -> bool {
+        self.x.is_empty()
+    }
+
+    /// The points gathered back into `Point3`s (references and tests).
+    pub fn points(&self) -> Vec<Point3> {
+        (0..self.len())
+            .map(|i| Point3::new(self.x[i], self.y[i], self.z[i]))
+            .collect()
+    }
+
+    /// The points placed around `center`, as row targets.
+    pub fn at(&self, center: Point3) -> impl Iterator<Item = [f64; 3]> + '_ {
+        (0..self.len()).map(move |i| {
+            [
+                self.x[i] + center.x,
+                self.y[i] + center.y,
+                self.z[i] + center.z,
+            ]
+        })
+    }
+
+    /// The points weighted by the densities `w`, as row sources relative to
+    /// the box center.
+    pub fn sources<'a>(&'a self, w: &'a [f64]) -> Sources<'a> {
+        debug_assert_eq!(w.len(), self.len());
+        Sources {
+            x: &self.x,
+            y: &self.y,
+            z: &self.z,
+            w,
+        }
+    }
+}
 
 /// The points of a `q × q × q` lattice that lie on the boundary of the cube
 /// `[-r, r]³`, i.e. the standard KIFMM surface grid with

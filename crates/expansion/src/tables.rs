@@ -18,7 +18,7 @@ use dashmm_tree::{Direction, Point3};
 use parking_lot::Mutex;
 
 use crate::params::AccuracyParams;
-use crate::surface::surface_lattice;
+use crate::surface::{surface_lattice, Surface};
 
 /// Diagonal translation factors keyed by (direction, quantised offset).
 type I2iCache = HashMap<(u8, i16, i16, i16), Arc<Vec<f64>>>;
@@ -43,14 +43,14 @@ pub struct LevelTables {
     level: u8,
     side: f64,
     n: usize,
-    /// Upward equivalent surface points, relative to the box center.
-    ue_pts: Vec<Point3>,
-    /// Upward check surface points.
-    uc_pts: Vec<Point3>,
-    /// Downward equivalent surface points.
-    de_pts: Vec<Point3>,
-    /// Downward check surface points.
-    dc_pts: Vec<Point3>,
+    /// Upward equivalent surface, relative to the box center.
+    ue: Surface,
+    /// Upward check surface.
+    uc: Surface,
+    /// Downward equivalent surface.
+    de: Surface,
+    /// Downward check surface.
+    dc: Surface,
     /// Regularised inverse mapping upward-check potentials to upward
     /// equivalent densities.
     uc2ue: Matrix,
@@ -194,10 +194,10 @@ impl LevelTables {
             level,
             side,
             n,
-            ue_pts,
-            uc_pts,
-            de_pts,
-            dc_pts,
+            ue: Surface::new(&ue_pts),
+            uc: Surface::new(&uc_pts),
+            de: Surface::new(&de_pts),
+            dc: Surface::new(&dc_pts),
             uc2ue,
             dc2de,
             m2m,
@@ -236,24 +236,31 @@ impl LevelTables {
         self.quad.as_deref()
     }
 
-    /// Upward equivalent surface points (box-center relative).
-    pub fn ue_pts(&self) -> &[Point3] {
-        &self.ue_pts
+    /// Upward equivalent surface (box-center relative): the sources of
+    /// `M→T`, weighted by the multipole.
+    pub fn ue(&self) -> &Surface {
+        &self.ue
     }
 
-    /// Upward check surface points.
-    pub fn uc_pts(&self) -> &[Point3] {
-        &self.uc_pts
+    /// Upward check surface: the targets of `S→M`.
+    pub fn uc(&self) -> &Surface {
+        &self.uc
     }
 
-    /// Downward equivalent surface points.
-    pub fn de_pts(&self) -> &[Point3] {
-        &self.de_pts
+    /// Downward equivalent surface: the sources of `L→T`, weighted by the
+    /// local expansion.
+    pub fn de(&self) -> &Surface {
+        &self.de
     }
 
-    /// Downward check surface points.
-    pub fn dc_pts(&self) -> &[Point3] {
-        &self.dc_pts
+    /// Downward check surface: the targets of `S→L`.
+    pub fn dc(&self) -> &Surface {
+        &self.dc
+    }
+
+    /// Upward check surface points, gathered (references and tests).
+    pub fn uc_pts(&self) -> Vec<Point3> {
+        self.uc.points()
     }
 
     /// Upward check-to-equivalent inverse.
@@ -299,10 +306,10 @@ impl LevelTables {
             offset.1 as f64 * self.side,
             offset.2 as f64 * self.side,
         );
-        let shifted: Vec<Point3> = self.ue_pts.iter().map(|p| *p + shift).collect();
+        let shifted: Vec<Point3> = self.ue.points().iter().map(|p| *p + shift).collect();
         let m = Arc::new(
             self.dc2de
-                .matmul(&eval_matrix(kernel, &self.dc_pts, &shifted)),
+                .matmul(&eval_matrix(kernel, &self.dc.points(), &shifted)),
         );
         self.m2l_cache.lock().insert(offset, m.clone());
         m
@@ -386,7 +393,7 @@ mod tests {
         let t = tables(false);
         let h = t.side() * 0.5;
         let p = AccuracyParams::three_digit();
-        for pt in t.ue_pts() {
+        for pt in t.ue().points() {
             assert!((pt.norm_max() - p.inner_scale * h).abs() < 1e-12);
         }
         for pt in t.uc_pts() {
@@ -406,7 +413,7 @@ mod tests {
         let mut m = vec![0.0; t.expansion_len()];
         t.uc2ue().matvec_into(&check, &mut m);
         // Reconstruct the check potentials from the equivalent densities.
-        let a = eval_matrix(&k, t.uc_pts(), t.ue_pts());
+        let a = eval_matrix(&k, &t.uc_pts(), &t.ue().points());
         let back = a.matvec(&m);
         for (b, c) in back.iter().zip(&check) {
             assert!((b - c).abs() < 1e-6 * c.abs().max(1.0), "{b} vs {c}");

@@ -2,73 +2,61 @@
 //!
 //! Every multipole method in this workspace is validated against this
 //! routine.  It is parallelised over target chunks with scoped threads so
-//! the oracle itself stays usable at a few hundred thousand points, and
-//! (like the production near-field operators) it evaluates the kernel in
-//! batches over squared-separation tiles, so the vectorized
-//! [`Kernel::eval_into`] path speeds verification up too.
+//! the oracle itself stays usable at a few hundred thousand points, and it
+//! sums through the same kernel rows ([`Kernel::potential_rows`]) as the
+//! near-field operator, so the `kernels.pairs_per_s` probe that times
+//! [`direct_sum_at`] measures the loop `S→T` runs.
 
-use crate::kernel::Kernel;
+use std::cell::RefCell;
+
+use crate::kernel::{Kernel, Sources};
 
 /// Position triple used by the oracle (kept independent of `dashmm-tree` to
 /// avoid a dependency cycle; the core crate converts transparently).
 pub type P3 = [f64; 3];
 
-/// Squared-separation tile width: big enough to amortise the batched
-/// kernel dispatch, small enough to stay in L1.
-const TILE: usize = 1024;
+/// Sources gathered to SoA per row call: big enough to amortise the call,
+/// small enough that the gathered coordinates stay in L1.
+const CHUNK: usize = 1024;
 
-#[inline]
-fn dist2(a: &P3, b: &P3) -> f64 {
-    let dx = a[0] - b[0];
-    let dy = a[1] - b[1];
-    let dz = a[2] - b[2];
-    dx * dx + dy * dy + dz * dz
+thread_local! {
+    /// Gathered source coordinates, kept across calls so a gather writes
+    /// each value once and allocates nothing.
+    static SOA: RefCell<[Vec<f64>; 3]> = RefCell::new(Default::default());
 }
 
-/// Shared evaluation core: potentials of `targets` due to all sources,
-/// written into `out`, with caller-supplied tile scratch so the threaded
-/// oracle keeps one pair of tiles per worker.
+/// Add the potentials of `targets` due to all sources to `out`: the
+/// sources go through the rows one gathered chunk at a time.
 fn sum_into<K: Kernel>(
     kernel: &K,
     sources: &[P3],
     charges: &[f64],
     targets: &[P3],
-    r2: &mut [f64; TILE],
-    kv: &mut [f64; TILE],
     out: &mut [f64],
 ) {
     debug_assert_eq!(targets.len(), out.len());
-    for (o, t) in out.iter_mut().zip(targets) {
-        let mut acc = 0.0;
-        let mut j = 0;
-        while j < sources.len() {
-            let w = (sources.len() - j).min(TILE);
-            for (i, s) in sources[j..j + w].iter().enumerate() {
-                r2[i] = dist2(s, t);
+    SOA.with(|soa| {
+        let [x, y, z] = &mut *soa.borrow_mut();
+        for (src, w) in sources.chunks(CHUNK).zip(charges.chunks(CHUNK)) {
+            for (v, a) in [&mut *x, &mut *y, &mut *z].into_iter().zip(0..3) {
+                v.clear();
+                v.extend(src.iter().map(|s| s[a]));
             }
-            kernel.eval_into(&r2[..w], &mut kv[..w]);
-            for (i, &q) in charges[j..j + w].iter().enumerate() {
-                acc += q * kv[i];
-            }
-            j += w;
+            let s = Sources { x, y, z, w };
+            kernel.potential_rows(targets.iter().copied(), s, out);
         }
-        *o = acc;
-    }
+    });
 }
 
 /// Potential at a single target due to all sources.
 pub fn direct_sum_at<K: Kernel>(kernel: &K, sources: &[P3], charges: &[f64], target: &P3) -> f64 {
     debug_assert_eq!(sources.len(), charges.len());
-    let mut r2 = [0.0; TILE];
-    let mut kv = [0.0; TILE];
     let mut out = [0.0];
     sum_into(
         kernel,
         sources,
         charges,
         std::slice::from_ref(target),
-        &mut r2,
-        &mut kv,
         &mut out,
     );
     out[0]
@@ -94,21 +82,13 @@ pub fn direct_sum<K: Kernel>(
     };
     let mut out = vec![0.0f64; targets.len()];
     if nthreads <= 1 || targets.len() < 256 {
-        let mut r2 = [0.0; TILE];
-        let mut kv = [0.0; TILE];
-        sum_into(
-            kernel, sources, charges, targets, &mut r2, &mut kv, &mut out,
-        );
+        sum_into(kernel, sources, charges, targets, &mut out);
         return out;
     }
     let chunk = targets.len().div_ceil(nthreads);
     crossbeam::thread::scope(|scope| {
         for (ochunk, tchunk) in out.chunks_mut(chunk).zip(targets.chunks(chunk)) {
-            scope.spawn(move |_| {
-                let mut r2 = [0.0; TILE];
-                let mut kv = [0.0; TILE];
-                sum_into(kernel, sources, charges, tchunk, &mut r2, &mut kv, ochunk);
-            });
+            scope.spawn(move |_| sum_into(kernel, sources, charges, tchunk, ochunk));
         }
     })
     .expect("direct summation worker panicked");
@@ -119,6 +99,13 @@ pub fn direct_sum<K: Kernel>(
 mod tests {
     use super::*;
     use crate::kernel::{Gauss, Laplace, Yukawa};
+
+    fn dist2(a: &P3, b: &P3) -> f64 {
+        let dx = a[0] - b[0];
+        let dy = a[1] - b[1];
+        let dz = a[2] - b[2];
+        dx * dx + dy * dy + dz * dz
+    }
 
     #[test]
     fn two_body_laplace() {
@@ -168,7 +155,7 @@ mod tests {
             state ^= state << 17;
             (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
         };
-        for n in [1usize, 7, TILE - 1, TILE, TILE + 3] {
+        for n in [1usize, 7, CHUNK - 1, CHUNK, CHUNK + 3] {
             let sources: Vec<P3> = (0..n).map(|_| [next(), next(), next()]).collect();
             let charges: Vec<f64> = (0..n).map(|_| next() * 2.0).collect();
             let t = [0.3, -0.1, 0.2];

@@ -17,34 +17,35 @@ pub trait Kernel: Clone + Send + Sync + 'static {
     /// `s` is `-q·K'(r)·(t−s)/r`.
     fn deriv(&self, r: f64) -> f64;
 
-    /// Batched evaluation over **squared** separations: `out[i] = K(√r2[i])`,
-    /// with `r2[i] = 0` (the excluded self-interaction) evaluating to `0`.
-    /// `r2` and `out` must have equal lengths.
+    /// Potential rows: `out[i] += Σⱼ wⱼ·K(|tᵢ − sⱼ|)` for each target `tᵢ`
+    /// over the SoA `sources`, one output per target.  Coincident pairs
+    /// contribute `K(0) = 0`, the self-interaction exclusion.
     ///
-    /// The default is the portable scalar path; the built-in kernels
-    /// override it with AVX2+FMA vectorizations (runtime-detected, see
-    /// [`crate::simd`]) that agree with the scalar path to ≤ 1e-14 relative
-    /// error.  Squared separations are the natural tile currency: the
-    /// distance tiles the particle operators build never need the `sqrt`
-    /// the scalar API forces, and the Laplace specialization replaces it
-    /// with a reciprocal-square-root refinement outright.
-    fn eval_into(&self, r2: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(r2.len(), out.len());
-        for (o, &d2) in out.iter_mut().zip(r2) {
-            *o = self.eval(d2.sqrt());
-        }
+    /// The default is the portable scalar loop over [`Kernel::eval`]; the
+    /// built-in kernels override it with the AVX2+FMA row loop
+    /// ([`crate::simd`]), which sums each target in registers and agrees
+    /// with this loop to ≤ 1e-14 of `Σ|wⱼ·K|`.  Either way each target's
+    /// sum depends on that target and the sources alone, not on the others.
+    fn potential_rows(
+        &self,
+        targets: impl IntoIterator<Item = [f64; 3]>,
+        sources: Sources<'_>,
+        out: &mut [f64],
+    ) {
+        scalar_rows::<Self, false>(self, targets, sources, out);
     }
 
-    /// Batched *scaled* radial derivative over squared separations:
-    /// `out[i] = K'(r)/r` at `r = √r2[i]` (`0` at `r2 = 0`) — the chain
-    /// factor the gradient accumulations multiply by the displacement
-    /// vector, so no per-pair division survives in the tile loop.
-    fn deriv_into(&self, r2: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(r2.len(), out.len());
-        for (o, &d2) in out.iter_mut().zip(r2) {
-            let r = d2.sqrt();
-            *o = if r > 0.0 { self.deriv(r) / r } else { 0.0 };
-        }
+    /// Field rows: four values per target, `(φ, ∂φ/∂x, ∂φ/∂y, ∂φ/∂z)`
+    /// added to `out[4i..4i + 4]`, where `∇φ = Σⱼ wⱼ·K'(r)·(tᵢ − sⱼ)/r`;
+    /// coincident pairs contribute nothing.  Same contract as
+    /// [`Kernel::potential_rows`], scalar default over [`Kernel::deriv`].
+    fn field_rows(
+        &self,
+        targets: impl IntoIterator<Item = [f64; 3]>,
+        sources: Sources<'_>,
+        out: &mut [f64],
+    ) {
+        scalar_rows::<Self, true>(self, targets, sources, out);
     }
 
     /// Whether the kernel is scale-variant (Yukawa: operator tables and
@@ -62,6 +63,76 @@ pub trait Kernel: Clone + Send + Sync + 'static {
     fn relative_weight(&self) -> f64 {
         1.0
     }
+}
+
+/// Sources of a row evaluation as structure of arrays: positions `x`, `y`,
+/// `z` and weights `w`, all of one length.
+#[derive(Clone, Copy, Debug)]
+pub struct Sources<'a> {
+    pub x: &'a [f64],
+    pub y: &'a [f64],
+    pub z: &'a [f64],
+    pub w: &'a [f64],
+}
+
+/// One source's contribution to a target's row accumulator `acc`
+/// (`[φ]`, or `[φ, ∇φ]` for a field row) at displacement `d = t − s`.
+/// The scalar default and the vector loop's source tail both go through
+/// here.
+#[inline]
+pub(crate) fn pair<K: Kernel, const FIELD: bool>(k: &K, d: [f64; 3], w: f64, acc: &mut [f64; 4]) {
+    let r = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
+    acc[0] += w * k.eval(r);
+    if FIELD && r > 0.0 {
+        let c = w * k.deriv(r) / r;
+        for a in 0..3 {
+            acc[1 + a] += c * d[a];
+        }
+    }
+}
+
+/// The portable row loop: one target at a time, its sources in order.
+pub(crate) fn scalar_rows<K: Kernel, const FIELD: bool>(
+    k: &K,
+    targets: impl IntoIterator<Item = [f64; 3]>,
+    s: Sources<'_>,
+    out: &mut [f64],
+) {
+    let mut rows = out.chunks_exact_mut(if FIELD { 4 } else { 1 });
+    for t in targets {
+        let row = rows.next().expect("one output row per target");
+        let mut acc = [0.0; 4];
+        for j in 0..s.w.len() {
+            let d = [t[0] - s.x[j], t[1] - s.y[j], t[2] - s.z[j]];
+            pair::<K, FIELD>(k, d, s.w[j], &mut acc);
+        }
+        for (o, a) in row.iter_mut().zip(acc) {
+            *o += a;
+        }
+    }
+}
+
+/// The row API of a kernel with a vector lane function ([`crate::simd::Lane`]).
+macro_rules! vector_rows {
+    () => {
+        fn potential_rows(
+            &self,
+            targets: impl IntoIterator<Item = [f64; 3]>,
+            sources: Sources<'_>,
+            out: &mut [f64],
+        ) {
+            crate::simd::rows::<_, false>(self, targets, sources, out);
+        }
+
+        fn field_rows(
+            &self,
+            targets: impl IntoIterator<Item = [f64; 3]>,
+            sources: Sources<'_>,
+            out: &mut [f64],
+        ) {
+            crate::simd::rows::<_, true>(self, targets, sources, out);
+        }
+    };
 }
 
 /// Enumerates the built-in kernels for CLIs and trace labels.
@@ -116,32 +187,7 @@ impl Kernel for Laplace {
         }
     }
 
-    fn eval_into(&self, r2: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(r2.len(), out.len());
-        #[cfg(target_arch = "x86_64")]
-        if crate::simd::avx2::active() {
-            // Safety: AVX2+FMA presence was just checked.
-            unsafe { crate::simd::avx2::laplace_eval(r2, out) };
-            return;
-        }
-        for (o, &d2) in out.iter_mut().zip(r2) {
-            *o = self.eval(d2.sqrt());
-        }
-    }
-
-    fn deriv_into(&self, r2: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(r2.len(), out.len());
-        #[cfg(target_arch = "x86_64")]
-        if crate::simd::avx2::active() {
-            // Safety: AVX2+FMA presence was just checked.
-            unsafe { crate::simd::avx2::laplace_deriv(r2, out) };
-            return;
-        }
-        for (o, &d2) in out.iter_mut().zip(r2) {
-            let r = d2.sqrt();
-            *o = if r > 0.0 { self.deriv(r) / r } else { 0.0 };
-        }
-    }
+    vector_rows!();
 
     fn scale_variant(&self) -> bool {
         false
@@ -192,32 +238,7 @@ impl Kernel for Yukawa {
         }
     }
 
-    fn eval_into(&self, r2: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(r2.len(), out.len());
-        #[cfg(target_arch = "x86_64")]
-        if crate::simd::avx2::active() {
-            // Safety: AVX2+FMA presence was just checked.
-            unsafe { crate::simd::avx2::yukawa_eval(self.lambda, r2, out) };
-            return;
-        }
-        for (o, &d2) in out.iter_mut().zip(r2) {
-            *o = self.eval(d2.sqrt());
-        }
-    }
-
-    fn deriv_into(&self, r2: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(r2.len(), out.len());
-        #[cfg(target_arch = "x86_64")]
-        if crate::simd::avx2::active() {
-            // Safety: AVX2+FMA presence was just checked.
-            unsafe { crate::simd::avx2::yukawa_deriv(self.lambda, r2, out) };
-            return;
-        }
-        for (o, &d2) in out.iter_mut().zip(r2) {
-            let r = d2.sqrt();
-            *o = if r > 0.0 { self.deriv(r) / r } else { 0.0 };
-        }
-    }
+    vector_rows!();
 
     fn scale_variant(&self) -> bool {
         true
@@ -238,9 +259,9 @@ impl Kernel for Yukawa {
 ///
 /// Unlike Laplace/Yukawa it is not a fundamental solution, so the
 /// equivalent-surface expansion machinery does not apply; it is provided
-/// for the **near-field paths only** (`p2p`, `direct_sum`, and the batched
-/// `eval_into`/`deriv_into` APIs), where its reciprocal-free evaluation
-/// makes it the cheapest of the vectorized kernels.  `eval(0) = 0` keeps
+/// for the **near-field paths only** (`p2p`, `direct_sum` and the row
+/// APIs), where its reciprocal-free evaluation makes it the cheapest of
+/// the vectorized kernels.  `eval(0) = 0` keeps
 /// the trait's self-interaction-exclusion convention.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Gauss {
@@ -256,7 +277,7 @@ impl Gauss {
     }
 
     #[inline]
-    fn inv_s2(&self) -> f64 {
+    pub(crate) fn inv_s2(&self) -> f64 {
         1.0 / (self.sigma * self.sigma)
     }
 }
@@ -284,32 +305,7 @@ impl Kernel for Gauss {
         }
     }
 
-    fn eval_into(&self, r2: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(r2.len(), out.len());
-        #[cfg(target_arch = "x86_64")]
-        if crate::simd::avx2::active() {
-            // Safety: AVX2+FMA presence was just checked.
-            unsafe { crate::simd::avx2::gauss_eval(self.inv_s2(), r2, out) };
-            return;
-        }
-        for (o, &d2) in out.iter_mut().zip(r2) {
-            *o = self.eval(d2.sqrt());
-        }
-    }
-
-    fn deriv_into(&self, r2: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(r2.len(), out.len());
-        #[cfg(target_arch = "x86_64")]
-        if crate::simd::avx2::active() {
-            // Safety: AVX2+FMA presence was just checked.
-            unsafe { crate::simd::avx2::gauss_deriv(self.inv_s2(), r2, out) };
-            return;
-        }
-        for (o, &d2) in out.iter_mut().zip(r2) {
-            let r = d2.sqrt();
-            *o = if r > 0.0 { self.deriv(r) / r } else { 0.0 };
-        }
-    }
+    vector_rows!();
 
     fn scale_variant(&self) -> bool {
         false

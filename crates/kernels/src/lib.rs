@@ -6,9 +6,10 @@
 //! crate provides:
 //!
 //! * the [`Kernel`] trait with [`Laplace`], [`Yukawa`] and [`Gauss`]
-//!   implementations — including batched `eval_into`/`deriv_into` slice
-//!   APIs over squared separations with runtime-detected AVX2+FMA
-//!   vectorizations ([`simd`]) and portable scalar fallbacks,
+//!   implementations — including the row APIs (`potential_rows`,
+//!   `field_rows`) every particle-facing operator sums through, over SoA
+//!   [`Sources`], with a runtime-detected AVX2+FMA loop ([`simd`]) and
+//!   the portable scalar default,
 //! * a parallel **direct summation** oracle ([`direct::direct_sum`]) used to
 //!   validate every multipole method against the exact O(N²) answer,
 //! * [`gauss::gauss_legendre`] nodes/weights,
@@ -25,6 +26,6 @@ pub mod sommerfeld;
 
 pub use direct::{direct_sum, direct_sum_at};
 pub use gauss::gauss_legendre;
-pub use kernel::{Gauss, Kernel, KernelKind, Laplace, Yukawa};
+pub use kernel::{Gauss, Kernel, KernelKind, Laplace, Sources, Yukawa};
 pub use simd::simd_kernels_active;
 pub use sommerfeld::{PlaneWaveQuad, QuadSpec};

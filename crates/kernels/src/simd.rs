@@ -1,32 +1,47 @@
-//! AVX2+FMA batched kernel evaluation.
+//! The AVX2+FMA row loop behind the built-in kernels.
 //!
-//! The particle-facing operators (`S→T`, `S→M`, `S→L`, `M→T`, `L→T`) spend
-//! their time evaluating `K(r)` over tiles of squared separations.  This
-//! module supplies the vectorized inner loops behind the `Kernel` trait's
-//! [`eval_into`](crate::Kernel::eval_into) /
-//! [`deriv_into`](crate::Kernel::deriv_into) batch APIs:
+//! Every particle-facing evaluation — `S→T`, `S→M`, `S→L`, `M→T`, `L→T`,
+//! the direct-sum oracle and the resident query — is a set of rows: one
+//! target summed over a run of SoA sources ([`Kernel::potential_rows`],
+//! [`Kernel::field_rows`]).  This module holds the one vector loop the
+//! built-in kernels route their rows through:
 //!
-//! * **Laplace** uses the 12-bit hardware reciprocal-square-root estimate
-//!   (`_mm_rsqrt_ps`) widened to f64 and refined by three Newton steps
-//!   (12 → 24 → 48 → full f64 precision), avoiding both the `sqrt` and the
-//!   divide of the scalar path.
-//! * **Yukawa** and **Gauss** use a vectorized `exp` (Cody–Waite range
-//!   reduction + degree-13 Horner polynomial + exponent-bit scaling).
+//! * targets go in blocks of four; each source vector is loaded once per
+//!   block, and every target keeps its sums in registers, so no separation,
+//!   kernel-value or displacement tile is stored and read back;
+//! * lanes outside the vector estimate's range — `r² = 0` (the excluded
+//!   self-interaction), below the normal-f32 floor the `rsqrt` estimate
+//!   needs, past the kernel's underflow cutoff — are recomputed by the
+//!   scalar [`Kernel::eval`] / [`Kernel::deriv`] and blended in before the
+//!   multiply-add, so correctness never depends on the estimate's domain;
+//! * the last `n mod 4` sources take the scalar pair path after the
+//!   horizontal reduction.
+//!
+//! A kernel supplies only its lane function (`Lane`): **Laplace** the
+//! 12-bit hardware `rsqrt` estimate refined by a Newton step and a
+//! third-order step (no `sqrt`, no divide); **Yukawa** `sqrt`, a vector
+//! `exp` and a divide;
+//! **Gauss** the vector `exp` alone.  The `exp` is a Cody–Waite range
+//! reduction, a degree-13 Horner polynomial and exponent-bit scaling.
+//!
+//! **Block invariance.**  The block width is a const generic: a remainder
+//! block of one to three targets is its own instantiation, not a padded
+//! block of four.  Each target has one accumulator per value, walks the
+//! sources in order and is reduced the same way at every width and slot,
+//! so a target's row is bitwise the same whichever targets share its call —
+//! what keeps the resident engine batch-composition invariant to 0 ulp.
 //!
 //! Dispatch follows `dashmm_linalg`'s `gemm` module: AVX2+FMA presence is
-//! detected once at runtime (`is_x86_feature_detected!`, cached) and the
-//! scalar trait defaults remain the portable fallback on every other
-//! machine.
-//!
-//! Accuracy contract: each vector path matches the scalar path to ≤ 1e-14
-//! relative error over the ranges the property tests cover (enforced in
-//! `tests/batched_kernels.rs`).  Lanes whose squared separation falls
-//! outside the f32-representable range the rsqrt estimate needs — zeros
-//! (the excluded self-interaction), denormal-range, or astronomically large
-//! values — are recomputed through the scalar path, so correctness never
-//! depends on the estimate's domain.
+//! detected once at runtime and cached, and the scalar trait default is
+//! the portable fallback on every other machine.  The vector rows agree
+//! with the scalar rows to ≤ 1e-14 of `Σ|w·K|` (`tests/batched_kernels.rs`).
 
-/// Whether the vectorized kernel paths are in use on this machine.
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::*;
+
+use crate::kernel::{scalar_rows, Gauss, Kernel, Laplace, Sources, Yukawa};
+
+/// Whether the vectorized kernel rows are in use on this machine.
 pub fn simd_kernels_active() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -38,44 +53,178 @@ pub fn simd_kernels_active() -> bool {
     }
 }
 
+/// Squared separations a lane function may see: the `rsqrt` estimate needs
+/// its input representable as a positive normal f32.  Zero and
+/// denormal-range values fall below the floor and take the scalar fix-up.
+const R2_MIN: f64 = 1.2e-38;
+const R2_MAX: f64 = 3.0e38;
+
+/// A kernel's vector lane function: four squared separations in
+/// `[R2_MIN, r2_max()]` to `K(r)` (and `K'(r)/r`).
+///
+/// # Safety
+///
+/// `potential` and `field` may be called only where AVX2+FMA is present.
+pub(crate) trait Lane: Kernel {
+    /// Largest squared separation the lane function evaluates.
+    fn r2_max(&self) -> f64 {
+        R2_MAX
+    }
+
+    /// `K(r)` at `r = √r2`.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn potential(&self, r2: __m256d) -> __m256d;
+
+    /// `(K(r), K'(r)/r)` at `r = √r2`.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn field(&self, r2: __m256d) -> (__m256d, __m256d);
+}
+
+/// The rows of a kernel with a lane function: the vector loop where
+/// AVX2+FMA is present, the scalar default elsewhere.
+pub(crate) fn rows<K: Lane, const FIELD: bool>(
+    k: &K,
+    targets: impl IntoIterator<Item = [f64; 3]>,
+    s: Sources<'_>,
+    out: &mut [f64],
+) {
+    let n = s.w.len();
+    assert!(
+        s.x.len() == n && s.y.len() == n && s.z.len() == n,
+        "one position per source weight"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if avx2::active() {
+        // SAFETY: AVX2+FMA presence was just checked and the source slices
+        // have one length.
+        unsafe { avx2::rows::<K, FIELD>(k, targets, s, out) };
+        return;
+    }
+    scalar_rows::<K, FIELD>(k, targets, s, out);
+}
+
+impl Lane for Laplace {
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn potential(&self, r2: __m256d) -> __m256d {
+        avx2::rsqrt_nr(r2)
+    }
+
+    /// `K'(r)/r = −1/r³`.
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn field(&self, r2: __m256d) -> (__m256d, __m256d) {
+        let rinv = avx2::rsqrt_nr(r2);
+        let rinv3 = _mm256_mul_pd(_mm256_mul_pd(rinv, rinv), rinv);
+        (rinv, _mm256_mul_pd(rinv3, _mm256_set1_pd(-1.0)))
+    }
+}
+
+/// `r` comes from the correctly rounded `sqrt`, so the `exp` argument is
+/// bitwise the scalar path's; otherwise the `λr`-scaled sensitivity of the
+/// exponential would eat the error budget.
+impl Lane for Yukawa {
+    /// Past this `e^{−λr}` underflows anyway: the scalar path decides, and
+    /// the vector `exp` stays off the subnormal-result range.
+    fn r2_max(&self) -> f64 {
+        ((700.0 / self.lambda) * (700.0 / self.lambda)).min(R2_MAX)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn potential(&self, r2: __m256d) -> __m256d {
+        let r = _mm256_sqrt_pd(r2);
+        let e = avx2::exp_nonpos(_mm256_mul_pd(_mm256_set1_pd(-self.lambda), r));
+        _mm256_div_pd(e, r)
+    }
+
+    /// `K'(r)/r = −(1+λr)·e^{−λr}/r³`, grouped as the scalar `−(t/r²)/r`.
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn field(&self, r2: __m256d) -> (__m256d, __m256d) {
+        let r = _mm256_sqrt_pd(r2);
+        let e = avx2::exp_nonpos(_mm256_mul_pd(_mm256_set1_pd(-self.lambda), r));
+        let t = _mm256_mul_pd(
+            _mm256_fmadd_pd(_mm256_set1_pd(self.lambda), r, _mm256_set1_pd(1.0)),
+            e,
+        );
+        let d = _mm256_div_pd(_mm256_div_pd(t, r2), r);
+        (_mm256_div_pd(e, r), _mm256_sub_pd(_mm256_setzero_pd(), d))
+    }
+}
+
+/// The exponent is formed from the rounded square `(√r2)²`, bitwise the
+/// scalar path's argument: at deep decay that double rounding is the whole
+/// error budget.  No reciprocal and no divide anywhere.
+impl Lane for Gauss {
+    /// Keeps the `exp` argument above the underflow fix-up threshold.
+    fn r2_max(&self) -> f64 {
+        (690.0 / self.inv_s2()).min(R2_MAX)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn potential(&self, r2: __m256d) -> __m256d {
+        let r = _mm256_sqrt_pd(r2);
+        let x = _mm256_mul_pd(_mm256_set1_pd(-self.inv_s2()), _mm256_mul_pd(r, r));
+        avx2::exp_nonpos(x)
+    }
+
+    /// `K'(r)/r = −2/σ²·e^{−r²/σ²}`.
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn field(&self, r2: __m256d) -> (__m256d, __m256d) {
+        let e = self.potential(r2);
+        (e, _mm256_mul_pd(_mm256_set1_pd(-2.0 * self.inv_s2()), e))
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
-pub(crate) mod avx2 {
+mod avx2 {
     use std::arch::x86_64::*;
     use std::sync::OnceLock;
 
+    use super::{Lane, R2_MIN};
+    use crate::kernel::{pair, Sources};
+
     /// Runtime AVX2+FMA detection, cached.
-    pub(crate) fn active() -> bool {
+    pub(super) fn active() -> bool {
         static AVAIL: OnceLock<bool> = OnceLock::new();
         *AVAIL.get_or_init(|| is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"))
     }
 
-    /// Squared separations outside this range bypass the vector path: the
-    /// rsqrt estimate needs its input representable as a positive normal
-    /// f32.  Zero (self-interaction) and denormal-range values fall below
-    /// the floor and take the scalar fix-up.
-    const R2_MIN: f64 = 1.2e-38;
-    const R2_MAX: f64 = 3.0e38;
-
-    /// `1/√x` for four positive normal-f32-range lanes: hardware 12-bit
-    /// estimate refined by three Newton–Raphson steps
-    /// `y ← y·(3/2 − x/2·y²)`, doubling the correct bits each step.
+    /// `1/√x` for four positive normal-f32-range lanes: the hardware
+    /// 12-bit estimate, one Newton–Raphson step `y ← y·(3/2 − x/2·y²)`
+    /// (24 bits), then one third-order step `y ← y + y·e·(1/2 + 3/8·e)`
+    /// with `e = 1 − x·y²` (72 bits, so rounding-limited).
+    #[inline]
     #[target_feature(enable = "avx2,fma")]
-    fn rsqrt_nr(x: __m256d) -> __m256d {
-        let mut y = _mm256_cvtps_pd(_mm_rsqrt_ps(_mm256_cvtpd_ps(x)));
+    pub(super) fn rsqrt_nr(x: __m256d) -> __m256d {
+        let y = _mm256_cvtps_pd(_mm_rsqrt_ps(_mm256_cvtpd_ps(x)));
         let half_x = _mm256_mul_pd(_mm256_set1_pd(0.5), x);
-        let three_half = _mm256_set1_pd(1.5);
-        for _ in 0..3 {
-            let y2 = _mm256_mul_pd(y, y);
-            y = _mm256_mul_pd(y, _mm256_fnmadd_pd(half_x, y2, three_half));
-        }
-        y
+        let y = _mm256_mul_pd(
+            y,
+            _mm256_fnmadd_pd(half_x, _mm256_mul_pd(y, y), _mm256_set1_pd(1.5)),
+        );
+        let e = _mm256_fnmadd_pd(x, _mm256_mul_pd(y, y), _mm256_set1_pd(1.0));
+        let c = _mm256_mul_pd(
+            e,
+            _mm256_fmadd_pd(e, _mm256_set1_pd(0.375), _mm256_set1_pd(0.5)),
+        );
+        _mm256_fmadd_pd(y, c, y)
     }
 
     /// `exp(x)` for non-positive lanes (the kernels only need decaying
-    /// exponentials); lanes below the f64 underflow threshold flush to 0
-    /// (the scalar fix-up recomputes anything that close to underflow).
+    /// exponentials); lanes below the f64 underflow threshold flush to 0.
+    #[inline]
     #[target_feature(enable = "avx2,fma")]
-    fn exp_nonpos(x: __m256d) -> __m256d {
+    pub(super) fn exp_nonpos(x: __m256d) -> __m256d {
         const LOG2E: f64 = std::f64::consts::LOG2_E;
         // Cody–Waite split of ln 2: the high part is exact in 32 bits, so
         // `x − n·LN2_HI` is exact and the reduced argument keeps full
@@ -130,368 +279,171 @@ pub(crate) mod avx2 {
         _mm256_and_pd(y, keep)
     }
 
-    /// Lane mask (bit per lane) of squared separations the vector path may
-    /// evaluate: positive, normal-f32-representable, and below `hi`.
-    #[target_feature(enable = "avx2,fma")]
-    fn ok_mask(v: __m256d, hi: f64) -> i32 {
-        _mm256_movemask_pd(_mm256_and_pd(
-            _mm256_cmp_pd(v, _mm256_set1_pd(R2_MIN), _CMP_GE_OQ),
-            _mm256_cmp_pd(v, _mm256_set1_pd(hi), _CMP_LE_OQ),
-        ))
-    }
-
-    // Scalar references for fix-up lanes and tails.  These must match the
-    // `Kernel` trait's scalar `eval`/`deriv` arithmetic exactly so every
-    // lane the vector path declines is bitwise the scalar path.
-
-    #[inline]
-    fn s_laplace_eval(r2: f64) -> f64 {
-        let r = r2.sqrt();
-        if r > 0.0 {
-            1.0 / r
-        } else {
-            0.0
-        }
-    }
-
-    #[inline]
-    fn s_laplace_deriv_over_r(r2: f64) -> f64 {
-        let r = r2.sqrt();
-        if r > 0.0 {
-            -1.0 / (r * r) / r
-        } else {
-            0.0
-        }
-    }
-
-    #[inline]
-    fn s_yukawa_eval(lambda: f64, r2: f64) -> f64 {
-        let r = r2.sqrt();
-        if r > 0.0 {
-            (-lambda * r).exp() / r
-        } else {
-            0.0
-        }
-    }
-
-    #[inline]
-    fn s_yukawa_deriv_over_r(lambda: f64, r2: f64) -> f64 {
-        let r = r2.sqrt();
-        if r > 0.0 {
-            -(1.0 + lambda * r) * (-lambda * r).exp() / (r * r) / r
-        } else {
-            0.0
-        }
-    }
-
-    #[inline]
-    fn s_gauss_eval(inv_s2: f64, r2: f64) -> f64 {
-        let r = r2.sqrt();
-        if r > 0.0 {
-            (-(r * r) * inv_s2).exp()
-        } else {
-            0.0
-        }
-    }
-
-    #[inline]
-    fn s_gauss_deriv_over_r(inv_s2: f64, r2: f64) -> f64 {
-        let r = r2.sqrt();
-        if r > 0.0 {
-            -2.0 * r * inv_s2 * (-(r * r) * inv_s2).exp() / r
-        } else {
-            0.0
-        }
-    }
-
-    /// `out[i] = 1/√r2[i]` (0 at 0).
-    #[target_feature(enable = "avx2,fma")]
-    pub(crate) unsafe fn laplace_eval(r2: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(r2.len(), out.len());
-        let n = r2.len();
-        let mut i = 0;
-        while i + 4 <= n {
-            let v = _mm256_loadu_pd(r2.as_ptr().add(i));
-            let y = rsqrt_nr(v);
-            _mm256_storeu_pd(out.as_mut_ptr().add(i), y);
-            let ok = ok_mask(v, R2_MAX);
-            if ok != 0xf {
-                for l in 0..4 {
-                    if ok & (1 << l) == 0 {
-                        out[i + l] = s_laplace_eval(r2[i + l]);
-                    }
-                }
-            }
-            i += 4;
-        }
-        for j in i..n {
-            out[j] = s_laplace_eval(r2[j]);
-        }
-    }
-
-    /// `out[i] = K'(r)/r = −1/r³` at `r = √r2[i]` (0 at 0).
-    #[target_feature(enable = "avx2,fma")]
-    pub(crate) unsafe fn laplace_deriv(r2: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(r2.len(), out.len());
-        let n = r2.len();
-        let neg = _mm256_set1_pd(-1.0);
-        let mut i = 0;
-        while i + 4 <= n {
-            let v = _mm256_loadu_pd(r2.as_ptr().add(i));
-            let rinv = rsqrt_nr(v);
-            let rinv2 = _mm256_mul_pd(rinv, rinv);
-            let y = _mm256_mul_pd(_mm256_mul_pd(rinv2, rinv), neg);
-            _mm256_storeu_pd(out.as_mut_ptr().add(i), y);
-            let ok = ok_mask(v, R2_MAX);
-            if ok != 0xf {
-                for l in 0..4 {
-                    if ok & (1 << l) == 0 {
-                        out[i + l] = s_laplace_deriv_over_r(r2[i + l]);
-                    }
-                }
-            }
-            i += 4;
-        }
-        for j in i..n {
-            out[j] = s_laplace_deriv_over_r(r2[j]);
-        }
-    }
-
-    /// Squared-separation cutoff above which `e^{−λr}` underflows anyway
-    /// and the scalar path decides; keeps the vector `exp` off the
-    /// subnormal-result range.
-    fn yukawa_hi(lambda: f64) -> f64 {
-        ((700.0 / lambda) * (700.0 / lambda)).min(R2_MAX)
-    }
-
-    /// `out[i] = e^{−λr}/r` at `r = √r2[i]` (0 at 0).
+    /// Rows in blocks of four targets, the remainder block at its own width.
     ///
-    /// `r` comes from the correctly rounded `_mm256_sqrt_pd` so the `exp`
-    /// argument matches the scalar path's bitwise; otherwise the `λr`-
-    /// scaled sensitivity of the exponential would eat the error budget.
-    #[target_feature(enable = "avx2,fma")]
-    pub(crate) unsafe fn yukawa_eval(lambda: f64, r2: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(r2.len(), out.len());
-        let n = r2.len();
-        let hi = yukawa_hi(lambda);
-        let mlam = _mm256_set1_pd(-lambda);
-        let mut i = 0;
-        while i + 4 <= n {
-            let v = _mm256_loadu_pd(r2.as_ptr().add(i));
-            let r = _mm256_sqrt_pd(v);
-            let e = exp_nonpos(_mm256_mul_pd(mlam, r));
-            let y = _mm256_div_pd(e, r);
-            _mm256_storeu_pd(out.as_mut_ptr().add(i), y);
-            let ok = ok_mask(v, hi);
-            if ok != 0xf {
-                for l in 0..4 {
-                    if ok & (1 << l) == 0 {
-                        out[i + l] = s_yukawa_eval(lambda, r2[i + l]);
-                    }
-                }
-            }
-            i += 4;
-        }
-        for j in i..n {
-            out[j] = s_yukawa_eval(lambda, r2[j]);
-        }
-    }
-
-    /// `out[i] = K'(r)/r = −(1+λr)·e^{−λr}/r³` at `r = √r2[i]` (0 at 0).
-    #[target_feature(enable = "avx2,fma")]
-    pub(crate) unsafe fn yukawa_deriv(lambda: f64, r2: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(r2.len(), out.len());
-        let n = r2.len();
-        let hi = yukawa_hi(lambda);
-        let mlam = _mm256_set1_pd(-lambda);
-        let lam = _mm256_set1_pd(lambda);
-        let one = _mm256_set1_pd(1.0);
-        let mut i = 0;
-        while i + 4 <= n {
-            let v = _mm256_loadu_pd(r2.as_ptr().add(i));
-            let r = _mm256_sqrt_pd(v);
-            let e = exp_nonpos(_mm256_mul_pd(mlam, r));
-            let t = _mm256_mul_pd(_mm256_fmadd_pd(lam, r, one), e);
-            // −t / r³ = −(t / r²) / r, matching the scalar grouping.
-            let y = _mm256_sub_pd(_mm256_setzero_pd(), _mm256_div_pd(_mm256_div_pd(t, v), r));
-            _mm256_storeu_pd(out.as_mut_ptr().add(i), y);
-            let ok = ok_mask(v, hi);
-            if ok != 0xf {
-                for l in 0..4 {
-                    if ok & (1 << l) == 0 {
-                        out[i + l] = s_yukawa_deriv_over_r(lambda, r2[i + l]);
-                    }
-                }
-            }
-            i += 4;
-        }
-        for j in i..n {
-            out[j] = s_yukawa_deriv_over_r(lambda, r2[j]);
-        }
-    }
-
-    /// Squared-separation cutoff for the Gauss vector path: keep the `exp`
-    /// argument above the underflow fix-up threshold.
-    fn gauss_hi(inv_s2: f64) -> f64 {
-        (690.0 / inv_s2).min(R2_MAX)
-    }
-
-    /// `out[i] = e^{−r²/σ²}` at `r = √r2[i]` (0 at 0).
+    /// # Safety
     ///
-    /// The exponent is formed from the rounded square `(√r2)²`, bitwise the
-    /// argument the scalar path uses — the `λr`-style sensitivity of the
-    /// exponential makes that double rounding the whole error budget at
-    /// deep decay, so matching it exactly keeps the uniform ≤ 1e-14
-    /// contract.  (No reciprocal or divide anywhere: the Gaussian remains
-    /// the cheapest vector path.)
+    /// AVX2+FMA must be present and every slice of `s` must have the
+    /// length of `s.w`.
     #[target_feature(enable = "avx2,fma")]
-    pub(crate) unsafe fn gauss_eval(inv_s2: f64, r2: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(r2.len(), out.len());
-        let n = r2.len();
-        let hi = gauss_hi(inv_s2);
-        let minv = _mm256_set1_pd(-inv_s2);
-        let mut i = 0;
-        while i + 4 <= n {
-            let v = _mm256_loadu_pd(r2.as_ptr().add(i));
-            let r = _mm256_sqrt_pd(v);
-            let y = exp_nonpos(_mm256_mul_pd(minv, _mm256_mul_pd(r, r)));
-            _mm256_storeu_pd(out.as_mut_ptr().add(i), y);
-            let ok = ok_mask(v, hi);
-            if ok != 0xf {
-                for l in 0..4 {
-                    if ok & (1 << l) == 0 {
-                        out[i + l] = s_gauss_eval(inv_s2, r2[i + l]);
-                    }
-                }
+    pub(super) unsafe fn rows<K: Lane, const FIELD: bool>(
+        k: &K,
+        targets: impl IntoIterator<Item = [f64; 3]>,
+        s: Sources<'_>,
+        out: &mut [f64],
+    ) {
+        let per = if FIELD { 4 } else { 1 };
+        let mut targets = targets.into_iter();
+        let mut done = 0;
+        loop {
+            let mut t = [[0.0; 3]; 4];
+            let mut b = 0;
+            while b < 4 {
+                let Some(p) = targets.next() else { break };
+                t[b] = p;
+                b += 1;
             }
-            i += 4;
-        }
-        for j in i..n {
-            out[j] = s_gauss_eval(inv_s2, r2[j]);
-        }
-    }
-
-    /// `out[i] = K'(r)/r = −2/σ²·e^{−r2[i]/σ²}` (0 at 0).
-    #[target_feature(enable = "avx2,fma")]
-    pub(crate) unsafe fn gauss_deriv(inv_s2: f64, r2: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(r2.len(), out.len());
-        let n = r2.len();
-        let hi = gauss_hi(inv_s2);
-        let minv = _mm256_set1_pd(-inv_s2);
-        let scale = _mm256_set1_pd(-2.0 * inv_s2);
-        let mut i = 0;
-        while i + 4 <= n {
-            let v = _mm256_loadu_pd(r2.as_ptr().add(i));
-            let r = _mm256_sqrt_pd(v);
-            let e = exp_nonpos(_mm256_mul_pd(minv, _mm256_mul_pd(r, r)));
-            let y = _mm256_mul_pd(scale, e);
-            _mm256_storeu_pd(out.as_mut_ptr().add(i), y);
-            let ok = ok_mask(v, hi);
-            if ok != 0xf {
-                for l in 0..4 {
-                    if ok & (1 << l) == 0 {
-                        out[i + l] = s_gauss_deriv_over_r(inv_s2, r2[i + l]);
-                    }
-                }
+            let o = &mut out[per * done..per * (done + b)];
+            match b {
+                4 => block::<K, 4, FIELD>(k, &t, s, o),
+                3 => block::<K, 3, FIELD>(k, &t, s, o),
+                2 => block::<K, 2, FIELD>(k, &t, s, o),
+                1 => block::<K, 1, FIELD>(k, &t, s, o),
+                _ => {}
             }
-            i += 4;
-        }
-        for j in i..n {
-            out[j] = s_gauss_deriv_over_r(inv_s2, r2[j]);
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        fn radii() -> Vec<f64> {
-            let mut r2 = vec![0.0, 1.0, 0.25, 4.0, 1e-6, 1e6, 0.1, 2.0, 9.0];
-            let mut state = 0x1234_5678_u64;
-            for _ in 0..103 {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                let u = (state >> 11) as f64 / (1u64 << 53) as f64;
-                r2.push(10f64.powf(-6.0 + 12.0 * u));
-            }
-            r2
-        }
-
-        #[test]
-        fn vector_paths_match_scalar_references() {
-            if !active() {
-                eprintln!("skipping: AVX2+FMA not available");
+            if b < 4 {
                 return;
             }
-            let r2 = radii();
-            let mut out = vec![0.0; r2.len()];
-            type Case = (
-                &'static str,
-                Box<dyn Fn(&[f64], &mut [f64])>,
-                Box<dyn Fn(f64) -> f64>,
-            );
-            let cases: Vec<Case> = vec![
-                (
-                    "laplace_eval",
-                    Box::new(|a: &[f64], b: &mut [f64]| unsafe { laplace_eval(a, b) }),
-                    Box::new(s_laplace_eval),
-                ),
-                (
-                    "laplace_deriv",
-                    Box::new(|a: &[f64], b: &mut [f64]| unsafe { laplace_deriv(a, b) }),
-                    Box::new(s_laplace_deriv_over_r),
-                ),
-                (
-                    "yukawa_eval",
-                    Box::new(|a: &[f64], b: &mut [f64]| unsafe { yukawa_eval(1.3, a, b) }),
-                    Box::new(|x| s_yukawa_eval(1.3, x)),
-                ),
-                (
-                    "yukawa_deriv",
-                    Box::new(|a: &[f64], b: &mut [f64]| unsafe { yukawa_deriv(1.3, a, b) }),
-                    Box::new(|x| s_yukawa_deriv_over_r(1.3, x)),
-                ),
-                (
-                    "gauss_eval",
-                    Box::new(|a: &[f64], b: &mut [f64]| unsafe { gauss_eval(0.7, a, b) }),
-                    Box::new(|x| s_gauss_eval(0.7, x)),
-                ),
-                (
-                    "gauss_deriv",
-                    Box::new(|a: &[f64], b: &mut [f64]| unsafe { gauss_deriv(0.7, a, b) }),
-                    Box::new(|x| s_gauss_deriv_over_r(0.7, x)),
-                ),
-            ];
-            for (name, vf, sf) in cases {
-                vf(&r2, &mut out);
-                for (i, &d2) in r2.iter().enumerate() {
-                    let want = sf(d2);
-                    let scale = want.abs().max(1e-300);
-                    let err = (out[i] - want).abs() / scale;
-                    assert!(
-                        err <= 1e-14 || (out[i] == 0.0 && want == 0.0),
-                        "{name}[{i}] r2={d2:e}: got {} want {want} (rel {err:e})",
-                        out[i]
-                    );
+            done += b;
+        }
+    }
+
+    /// The first `B` targets of `t` against every source, `out` holding
+    /// their rows.  Each target's arithmetic is independent of `B` and of
+    /// its slot.
+    ///
+    /// # Safety
+    ///
+    /// As for [`rows`].
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn block<K: Lane, const B: usize, const FIELD: bool>(
+        k: &K,
+        t: &[[f64; 3]; 4],
+        s: Sources<'_>,
+        out: &mut [f64],
+    ) {
+        let n = s.w.len();
+        let zero = _mm256_setzero_pd();
+        let mut tv = [[zero; 3]; B];
+        for b in 0..B {
+            for a in 0..3 {
+                tv[b][a] = _mm256_set1_pd(t[b][a]);
+            }
+        }
+        let mut acc = [[zero; 4]; B];
+        let mut j = 0;
+        while j + 4 <= n {
+            // SAFETY: j + 4 ≤ n, and every source slice has length n.
+            let sx = _mm256_loadu_pd(s.x.as_ptr().add(j));
+            let sy = _mm256_loadu_pd(s.y.as_ptr().add(j));
+            let sz = _mm256_loadu_pd(s.z.as_ptr().add(j));
+            let sw = _mm256_loadu_pd(s.w.as_ptr().add(j));
+            let (mut d, mut r2, mut kv, mut dv) = ([[zero; 3]; B], [zero; B], [zero; B], [zero; B]);
+            let mut ok = _mm256_cmp_pd(zero, zero, _CMP_TRUE_UQ);
+            for b in 0..B {
+                d[b] = [
+                    _mm256_sub_pd(tv[b][0], sx),
+                    _mm256_sub_pd(tv[b][1], sy),
+                    _mm256_sub_pd(tv[b][2], sz),
+                ];
+                let [dx, dy, dz] = d[b];
+                r2[b] = _mm256_fmadd_pd(dz, dz, _mm256_fmadd_pd(dy, dy, _mm256_mul_pd(dx, dx)));
+                (kv[b], dv[b]) = if FIELD {
+                    k.field(r2[b])
+                } else {
+                    (k.potential(r2[b]), zero)
+                };
+                ok = _mm256_and_pd(ok, in_range(k, r2[b]));
+            }
+            if _mm256_movemask_pd(ok) != 0xf {
+                (kv, dv) = fix_up::<K, B, FIELD>(k, r2, kv, dv);
+            }
+            for b in 0..B {
+                let a = &mut acc[b];
+                a[0] = _mm256_fmadd_pd(sw, kv[b], a[0]);
+                if FIELD {
+                    let c = _mm256_mul_pd(sw, dv[b]);
+                    for v in 0..3 {
+                        a[1 + v] = _mm256_fmadd_pd(c, d[b][v], a[1 + v]);
+                    }
                 }
             }
+            j += 4;
         }
+        let per = if FIELD { 4 } else { 1 };
+        for b in 0..B {
+            let mut sum = [0.0; 4];
+            for v in 0..per {
+                let mut l = [0.0; 4];
+                _mm256_storeu_pd(l.as_mut_ptr(), acc[b][v]);
+                sum[v] = (l[0] + l[1]) + (l[2] + l[3]);
+            }
+            for i in j..n {
+                let d = [t[b][0] - s.x[i], t[b][1] - s.y[i], t[b][2] - s.z[i]];
+                pair::<K, FIELD>(k, d, s.w[i], &mut sum);
+            }
+            for v in 0..per {
+                out[per * b + v] += sum[v];
+            }
+        }
+    }
 
-        #[test]
-        fn exp_handles_deep_underflow_lanes() {
-            if !active() {
-                return;
+    /// Lanes whose squared separation the lane function may evaluate.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn in_range<K: Lane>(k: &K, r2: __m256d) -> __m256d {
+        _mm256_and_pd(
+            _mm256_cmp_pd(r2, _mm256_set1_pd(R2_MIN), _CMP_GE_OQ),
+            _mm256_cmp_pd(r2, _mm256_set1_pd(k.r2_max()), _CMP_LE_OQ),
+        )
+    }
+
+    /// Recompute the lanes out of range by the scalar `eval` / `deriv` and
+    /// blend them into `kv` (and `dv` for a field row).  Off the hot path:
+    /// its arguments travel by value, so nothing of the caller's
+    /// accumulation has to live in memory.
+    #[cold]
+    #[inline(never)]
+    #[target_feature(enable = "avx2,fma")]
+    fn fix_up<K: Lane, const B: usize, const FIELD: bool>(
+        k: &K,
+        r2: [__m256d; B],
+        mut kv: [__m256d; B],
+        mut dv: [__m256d; B],
+    ) -> ([__m256d; B], [__m256d; B]) {
+        for b in 0..B {
+            let ok = _mm256_movemask_pd(in_range(k, r2[b]));
+            let (mut d2, mut kl, mut dl) = ([0.0; 4], [0.0; 4], [0.0; 4]);
+            // SAFETY: each array holds exactly one vector.
+            unsafe {
+                _mm256_storeu_pd(d2.as_mut_ptr(), r2[b]);
+                _mm256_storeu_pd(kl.as_mut_ptr(), kv[b]);
+                _mm256_storeu_pd(dl.as_mut_ptr(), dv[b]);
             }
-            // λr far past the underflow cutoff: the vector lane must come
-            // back 0 (or scalar-fixed), never NaN/garbage.
-            let r2 = vec![1e12, 1.0, 4e10, 2.25];
-            let mut out = vec![f64::NAN; 4];
-            unsafe { yukawa_eval(2.0, &r2, &mut out) };
-            for (i, o) in out.iter().enumerate() {
-                assert!(o.is_finite(), "lane {i} not finite: {o}");
+            for l in (0..4).filter(|l| ok & (1 << l) == 0) {
+                let r = d2[l].sqrt();
+                kl[l] = k.eval(r);
+                if FIELD {
+                    dl[l] = if r > 0.0 { k.deriv(r) / r } else { 0.0 };
+                }
             }
-            assert_eq!(out[0], 0.0);
+            // SAFETY: as above.
+            unsafe {
+                kv[b] = _mm256_loadu_pd(kl.as_ptr());
+                dv[b] = _mm256_loadu_pd(dl.as_ptr());
+            }
         }
+        (kv, dv)
     }
 }

@@ -1,138 +1,224 @@
-//! Property tests: the batched `eval_into`/`deriv_into` kernel APIs match
-//! the scalar `eval`/`deriv` path to ≤ 1e-14 relative error for every
-//! built-in kernel, across random squared separations **including** the
-//! `r = 0` self-interaction exclusion, denormal-range inputs, and values
-//! far outside the f32 range the AVX2 rsqrt estimate can represent.
+//! Property tests: the kernel row APIs (`potential_rows`, `field_rows`)
+//! match a per-pair scalar `eval` / `deriv` reference to ≤ 1e-14 of
+//! `Σ|w·K|` (`Σ|w·K'|` for the gradient) for every built-in kernel, over
+//! 1–9 targets and source runs with 0–7 tail sources behind whole vectors,
+//! including coincident pairs (the `r = 0` exclusion) and pairs the vector
+//! lanes hand to the scalar fix-up: separations below the normal-f32 floor,
+//! past Yukawa's underflow cutoff and past the f32 range.
 //!
-//! On machines without AVX2+FMA the batch APIs fall back to the scalar
-//! loop and these tests degenerate to exact identities — they are kept
-//! unconditional so the contract is pinned on every platform.
+//! On machines without AVX2+FMA the rows are the scalar default and these
+//! tests degenerate to summation-order identities; they are unconditional
+//! so the contract is pinned on every platform.
 
-use dashmm_kernels::{Gauss, Kernel, Laplace, Yukawa};
+use dashmm_kernels::{Gauss, Kernel, Laplace, Sources, Yukawa};
 use proptest::prelude::*;
 
-/// Scalar reference for `eval_into`: `K(√r2)`.
-fn scalar_eval<K: Kernel>(k: &K, r2: f64) -> f64 {
-    k.eval(r2.sqrt())
+/// SoA source positions and weights.
+struct Soa {
+    x: Vec<f64>,
+    y: Vec<f64>,
+    z: Vec<f64>,
+    w: Vec<f64>,
 }
 
-/// Scalar reference for `deriv_into`: `K'(r)/r` (0 at r = 0).
-fn scalar_deriv_over_r<K: Kernel>(k: &K, r2: f64) -> f64 {
-    let r = r2.sqrt();
-    if r > 0.0 {
-        k.deriv(r) / r
-    } else {
-        0.0
-    }
-}
-
-/// Relative agreement that tolerates exactly equal extremes (0, ±inf,
-/// subnormal flushes handled by the scalar fix-up path).
-fn assert_close(got: f64, want: f64, what: &str, r2: f64) {
-    if got.to_bits() == want.to_bits() {
-        return;
-    }
-    let scale = want.abs().max(f64::MIN_POSITIVE);
-    let err = (got - want).abs() / scale;
-    assert!(
-        err <= 1e-14,
-        "{what} at r2={r2:e}: got {got:e}, want {want:e}, rel err {err:e}"
-    );
-}
-
-/// A batch of squared separations: random log-uniform magnitudes salted
-/// with the adversarial cases — zeros, denormals, f32-underflow-range and
-/// f32-overflow-range values — at positions that exercise both full SIMD
-/// blocks and scalar tails.
-fn r2_batch() -> impl Strategy<Value = Vec<f64>> {
-    (1usize..80, any::<u64>()).prop_map(|(n, seed)| {
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
-        let mut v: Vec<f64> = (0..n).map(|_| 10f64.powf(-8.0 + 12.0 * next())).collect();
-        let extremes = [
-            0.0, 5e-324, // smallest subnormal f64
-            1e-320, 1e-300, 1e-45, // subnormal as f32
-            1.1e-38, 1.3e-38, // straddling the normal-f32 floor
-            3.3e38,  // above f32::MAX
-            1e300,
-        ];
-        for (i, &e) in extremes.iter().enumerate() {
-            let pos = (seed as usize).wrapping_mul(31).wrapping_add(i * 7) % (v.len() + 1);
-            v.insert(pos.min(v.len()), e);
+impl Soa {
+    fn view(&self) -> Sources<'_> {
+        Sources {
+            x: &self.x,
+            y: &self.y,
+            z: &self.z,
+            w: &self.w,
         }
-        v
-    })
+    }
 }
 
-fn check_kernel<K: Kernel>(k: &K, r2: &[f64]) {
-    let mut out = vec![f64::NAN; r2.len()];
-    k.eval_into(r2, &mut out);
-    for (i, &d2) in r2.iter().enumerate() {
-        assert_close(
-            out[i],
-            scalar_eval(k, d2),
-            &format!("{} eval", k.name()),
-            d2,
-        );
+fn rng(seed: u64) -> impl FnMut() -> f64 {
+    let mut state = seed | 1;
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
     }
-    let mut out = vec![f64::NAN; r2.len()];
-    k.deriv_into(r2, &mut out);
-    for (i, &d2) in r2.iter().enumerate() {
-        assert_close(
-            out[i],
-            scalar_deriv_over_r(k, d2),
-            &format!("{} deriv", k.name()),
-            d2,
+}
+
+/// `nt` targets and `ns` sources in a unit cube, the sources salted with
+/// the adversarial cases: exact coincidences with targets, sub-f32-normal
+/// separations, and sources so far away that the vector lanes decline them.
+fn case(nt: usize, ns: usize, seed: u64) -> (Vec<[f64; 3]>, Soa) {
+    let mut next = rng(seed);
+    let mut targets: Vec<[f64; 3]> = (0..nt).map(|_| [next(), next(), next()]).collect();
+    // Near the origin, so a sub-f32-normal separation is representable.
+    targets[0] = [1e-21, -2e-21, 0.0];
+    let mut src = Soa {
+        x: Vec::new(),
+        y: Vec::new(),
+        z: Vec::new(),
+        w: Vec::new(),
+    };
+    for j in 0..ns {
+        let t = targets[j % nt];
+        let p = match (seed as usize + j) % 7 {
+            0 => t,
+            1 => [3e-20, 1e-20, -2e-20],
+            2 => [t[0] + 1e4, t[1], t[2]],
+            3 => [t[0], t[1] - 3e19, t[2]],
+            _ => [next(), next(), next()],
+        };
+        src.x.push(p[0]);
+        src.y.push(p[1]);
+        src.z.push(p[2]);
+        src.w.push(2.0 * next());
+    }
+    (targets, src)
+}
+
+/// Per-pair reference rows and their scales `Σ|w·K|`, `Σ|w·K'|`.
+fn reference<K: Kernel>(k: &K, targets: &[[f64; 3]], s: &Soa) -> (Vec<f64>, Vec<[f64; 2]>) {
+    let mut out = vec![0.0; 4 * targets.len()];
+    let mut scale = vec![[0.0; 2]; targets.len()];
+    for (i, t) in targets.iter().enumerate() {
+        for j in 0..s.w.len() {
+            let d = [t[0] - s.x[j], t[1] - s.y[j], t[2] - s.z[j]];
+            let r = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
+            if r == 0.0 {
+                continue;
+            }
+            let (kv, dv) = (k.eval(r), k.deriv(r));
+            out[4 * i] += s.w[j] * kv;
+            for a in 0..3 {
+                out[4 * i + 1 + a] += s.w[j] * dv * d[a] / r;
+            }
+            scale[i][0] += (s.w[j] * kv).abs();
+            scale[i][1] += (s.w[j] * dv).abs();
+        }
+    }
+    (out, scale)
+}
+
+fn check_rows<K: Kernel>(k: &K, nt: usize, ns: usize, seed: u64) {
+    let (targets, src) = case(nt, ns, seed);
+    let (want, scale) = reference(k, &targets, &src);
+    let close = |got: f64, want: f64, scale: f64, what: &str| {
+        let err = (got - want).abs();
+        assert!(
+            err <= 1e-14 * scale || got.to_bits() == want.to_bits(),
+            "{} {what} nt={nt} ns={ns} seed={seed}: got {got:e}, want {want:e}, err {:e}",
+            k.name(),
+            err / scale
         );
+    };
+    let mut pot = vec![0.0; nt];
+    k.potential_rows(targets.iter().copied(), src.view(), &mut pot);
+    let mut field = vec![0.0; 4 * nt];
+    k.field_rows(targets.iter().copied(), src.view(), &mut field);
+    for i in 0..nt {
+        close(pot[i], want[4 * i], scale[i][0], "potential");
+        close(field[4 * i], want[4 * i], scale[i][0], "field φ");
+        for a in 1..4 {
+            close(field[4 * i + a], want[4 * i + a], scale[i][1], "field ∇φ");
+        }
     }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn laplace_batch_matches_scalar(r2 in r2_batch()) {
-        check_kernel(&Laplace, &r2);
+    fn laplace_rows_match_scalar(nt in 1usize..10, vecs in 0usize..12, tail in 0usize..8, seed in any::<u64>()) {
+        check_rows(&Laplace, nt, 4 * vecs + tail, seed);
     }
 
     #[test]
-    fn yukawa_batch_matches_scalar(r2 in r2_batch(), lambda in 0.2f64..4.0) {
-        check_kernel(&Yukawa::new(lambda), &r2);
+    fn yukawa_rows_match_scalar(nt in 1usize..10, vecs in 0usize..12, tail in 0usize..8, seed in any::<u64>(), lambda in 0.2f64..4.0) {
+        check_rows(&Yukawa::new(lambda), nt, 4 * vecs + tail, seed);
     }
 
     #[test]
-    fn gauss_batch_matches_scalar(r2 in r2_batch(), sigma in 0.3f64..3.0) {
-        check_kernel(&Gauss::new(sigma), &r2);
+    fn gauss_rows_match_scalar(nt in 1usize..10, vecs in 0usize..12, tail in 0usize..8, seed in any::<u64>(), sigma in 0.3f64..3.0) {
+        check_rows(&Gauss::new(sigma), nt, 4 * vecs + tail, seed);
     }
 }
 
-#[test]
-fn zero_separation_is_excluded_in_batches() {
-    let r2 = vec![0.0; 9];
-    let mut out = vec![f64::NAN; 9];
-    Laplace.eval_into(&r2, &mut out);
-    assert!(out.iter().all(|&x| x == 0.0));
-    Yukawa::new(1.0).deriv_into(&r2, &mut out);
-    assert!(out.iter().all(|&x| x == 0.0));
-    Gauss::new(1.0).eval_into(&r2, &mut out);
-    assert!(out.iter().all(|&x| x == 0.0));
-}
-
-#[test]
-fn batch_length_tails_are_covered() {
-    // 1..=9 elements: exercises the pure-tail, one-block, and
-    // block-plus-tail shapes of the vector drivers.
-    for n in 1..=9usize {
-        let r2: Vec<f64> = (0..n).map(|i| 0.25 + i as f64).collect();
-        let mut out = vec![f64::NAN; n];
-        Laplace.eval_into(&r2, &mut out);
-        for (i, &d2) in r2.iter().enumerate() {
-            assert_close(out[i], scalar_eval(&Laplace, d2), "tail eval", d2);
+/// A target's row is bitwise the same alone, in a remainder block, and at
+/// every slot of a full block: other targets never change its arithmetic.
+fn block_invariance<K: Kernel>(k: &K) {
+    let (others, src) = case(9, 4 * 9 + 3, 77);
+    let probe = [0.11, -0.23, 0.31];
+    let mut alone = [0.0; 4];
+    k.field_rows([probe], src.view(), &mut alone);
+    for len in 1..=9 {
+        for pos in 0..len {
+            let mut targets = others[..len].to_vec();
+            targets[pos] = probe;
+            let mut pot = vec![0.0; len];
+            k.potential_rows(targets.iter().copied(), src.view(), &mut pot);
+            let mut field = vec![0.0; 4 * len];
+            k.field_rows(targets.iter().copied(), src.view(), &mut field);
+            assert_eq!(
+                pot[pos].to_bits(),
+                alone[0].to_bits(),
+                "{} len={len} pos={pos}",
+                k.name()
+            );
+            assert_eq!(
+                field[4 * pos..4 * pos + 4],
+                alone,
+                "{} len={len} pos={pos}",
+                k.name()
+            );
         }
     }
+}
+
+#[test]
+fn rows_are_block_invariant() {
+    block_invariance(&Laplace);
+    block_invariance(&Yukawa::new(1.3));
+    block_invariance(&Gauss::new(0.7));
+}
+
+#[test]
+fn coincident_sources_contribute_nothing() {
+    let t = [[0.25, -0.5, 0.75]; 6];
+    let src = Soa {
+        x: vec![0.25; 9],
+        y: vec![-0.5; 9],
+        z: vec![0.75; 9],
+        w: vec![1.5; 9],
+    };
+    let mut out = vec![0.0; 4 * 6];
+    Laplace.field_rows(t.iter().copied(), src.view(), &mut out);
+    assert!(out.iter().all(|&x| x == 0.0));
+    let mut out = vec![0.0; 6];
+    Yukawa::new(1.0).potential_rows(t.iter().copied(), src.view(), &mut out);
+    Gauss::new(1.0).potential_rows(t.iter().copied(), src.view(), &mut out);
+    assert!(out.iter().all(|&x| x == 0.0));
+}
+
+#[test]
+fn rows_accumulate_into_out() {
+    let (targets, src) = case(5, 11, 3);
+    let mut once = vec![0.0; 5];
+    Laplace.potential_rows(targets.iter().copied(), src.view(), &mut once);
+    let mut twice = vec![1.0; 5];
+    Laplace.potential_rows(targets.iter().copied(), src.view(), &mut twice);
+    for (a, b) in once.iter().zip(&twice) {
+        assert_eq!(a + 1.0, *b);
+    }
+}
+
+#[test]
+fn underflowing_yukawa_lanes_are_finite() {
+    // λr far past the underflow cutoff: the vector lanes must come back 0
+    // through the fix-up, never NaN or garbage.
+    let src = Soa {
+        x: vec![1e6, 1.0, 2e5, 1.5],
+        y: vec![0.0; 4],
+        z: vec![0.0; 4],
+        w: vec![1.0, 0.0, 1.0, 0.0],
+    };
+    let mut out = [0.0; 4];
+    Yukawa::new(2.0).field_rows([[0.0; 3]], src.view(), &mut out);
+    assert_eq!(out, [0.0; 4]);
 }
