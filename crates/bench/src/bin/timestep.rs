@@ -13,7 +13,7 @@
 //!
 //! Gates (each exits non-zero):
 //! - any step's max relative error vs the rebuild over `--rel-err`
-//!   (default 1e-12),
+//!   (default 1e-12; a step equals a rebuild bitwise, so CI passes 0),
 //! - mean cost of steps 2..N over `--gate-ratio` × the step-1 build time
 //!   (default 0.5 — an incremental step must beat half a rebuild).
 //!
@@ -33,7 +33,6 @@ use dashmm_obs::refit::{refit_section, StepObs};
 use dashmm_obs::summary::write_summary;
 use dashmm_obs::LogHistogram;
 use dashmm_refit::{ChargeUpdate, Displacement};
-use dashmm_sim::{CostModel, StepCounts};
 use dashmm_tree::{uniform_cube, BuildParams, Domain, Point3};
 use rand::distributions::{Distribution as _, Uniform};
 use rand::rngs::StdRng;
@@ -158,7 +157,6 @@ fn verify_against_rebuild(engine: &ResidentFmm<Laplace>, args: &Args, probes: &[
 
 fn main() {
     let args = parse_args();
-    let model = CostModel::paper_table2();
 
     let sources = uniform_cube(args.n, args.seed);
     let charges: Vec<f64> = (0..args.n)
@@ -225,11 +223,9 @@ fn main() {
     // build, a different regime, and would skew every percentile).
     let hist_refit = LogHistogram::new();
     let hist_recompute = LogHistogram::new();
-    let hist_lists = LogHistogram::new();
-    let hist_dag = LogHistogram::new();
     let hist_total = LogHistogram::new();
-    let mut reused_edges_total = 0u64;
-    let mut invalidated_edges_total = 0u64;
+    let mut reused_total = 0u64;
+    let mut recomputed_total = 0u64;
 
     let mut worst: Option<String> = None;
     for step in 2..=args.steps {
@@ -277,11 +273,9 @@ fn main() {
         let total_us = t.elapsed().as_secs_f64() * 1e6;
         hist_refit.record_us(report.refit_us);
         hist_recompute.record_us(report.recompute_us);
-        hist_lists.record_us(report.lists_us);
-        hist_dag.record_us(report.dag_us);
         hist_total.record_us(total_us);
-        reused_edges_total += report.dag.reused_edges;
-        invalidated_edges_total += report.dag.invalidated_edges;
+        reused_total += report.reused_expansions as u64;
+        recomputed_total += report.dirty_boxes as u64;
 
         let verify_rel_err = if args.verify {
             let e = verify_against_rebuild(&engine, &args, &probes);
@@ -296,20 +290,14 @@ fn main() {
             f64::NAN
         };
 
-        let predicted_us = model.predicted_step_us(&StepCounts::from_invalidated(
-            report.dag.invalidated_by_op,
-            report.dag.invalidated_nodes as u64,
-        ));
         eprintln!(
-            "timestep: step {step} {:.0}us (refit {:.0} recompute {:.0} lists {:.0} dag {:.0}) \
-             dirty {:.1}% reused {} edges{}",
+            "timestep: step {step} {:.0}us (refit {:.0} recompute {:.0}) \
+             dirty {:.1}% reused {} expansions{}",
             total_us,
             report.refit_us,
             report.recompute_us,
-            report.lists_us,
-            report.dag_us,
             report.dirty_fraction() * 100.0,
-            report.dag.reused_edges,
+            report.reused_expansions,
             if args.verify {
                 format!(" err {verify_rel_err:.1e}")
             } else {
@@ -320,19 +308,14 @@ fn main() {
             step,
             refit_us: report.refit_us,
             recompute_us: report.recompute_us,
-            lists_us: report.lists_us,
-            dag_us: report.dag_us,
             total_us,
-            predicted_us,
             dirty_fraction: report.dirty_fraction(),
             moved: report.refit.moved as u64,
             rebinned: report.refit.rebinned as u64,
             splits: report.refit.splits as u64,
             merges: report.refit.merges as u64,
-            lists_recomputed: report.lists_recomputed as u64,
-            dag_rebuilt: report.dag_rebuilt,
-            invalidated_edges: report.dag.invalidated_edges,
-            reused_edges: report.dag.reused_edges,
+            recomputed_expansions: report.dirty_boxes as u64,
+            reused_expansions: report.reused_expansions as u64,
             verify_rel_err,
         });
     }
@@ -385,18 +368,15 @@ fn main() {
                     obj(vec![
                         ("refit_us", hist_refit.snapshot().to_json()),
                         ("recompute_us", hist_recompute.snapshot().to_json()),
-                        ("lists_us", hist_lists.snapshot().to_json()),
-                        ("dag_us", hist_dag.snapshot().to_json()),
                         ("total_us", hist_total.snapshot().to_json()),
                     ]),
                 ),
-                ("reused_edges", Value::from(reused_edges_total)),
-                ("invalidated_edges", Value::from(invalidated_edges_total)),
+                ("reused_expansions", Value::from(reused_total)),
+                ("recomputed_expansions", Value::from(recomputed_total)),
                 (
                     "reuse_ratio",
-                    Value::from(if reused_edges_total + invalidated_edges_total > 0 {
-                        reused_edges_total as f64
-                            / (reused_edges_total + invalidated_edges_total) as f64
+                    Value::from(if reused_total + recomputed_total > 0 {
+                        reused_total as f64 / (reused_total + recomputed_total) as f64
                     } else {
                         0.0
                     }),

@@ -165,14 +165,14 @@ impl dashmm_net::StepEngine for SteppingResident {
         match self.apply_step(moves, charges) {
             Some(report) => dashmm_net::StepOutcome {
                 applied: true,
-                reused_edges: report.dag.reused_edges,
-                invalidated_edges: report.dag.invalidated_edges,
+                reused_expansions: report.reused_expansions as u64,
+                recomputed_expansions: report.dirty_boxes as u64,
                 total_us: t0.elapsed().as_secs_f64() * 1e6,
             },
             None => dashmm_net::StepOutcome {
                 applied: false,
-                reused_edges: 0,
-                invalidated_edges: 0,
+                reused_expansions: 0,
+                recomputed_expansions: 0,
                 total_us: t0.elapsed().as_secs_f64() * 1e6,
             },
         }

@@ -52,5 +52,5 @@ pub use exec::RecoveryStats;
 pub use measure::per_op_avg_us;
 pub use problem::{block_owner, Method, Problem};
 pub use resident::{EvalProfile, ResidentConfig, ResidentFmm};
-pub use step::{StepDag, StepReport};
+pub use step::StepReport;
 pub use verify::{check_accuracy, AccuracyReport};

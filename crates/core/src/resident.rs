@@ -8,9 +8,10 @@
 //! has the opposite shape — one source ensemble, an open-ended stream of
 //! small target batches — so [`ResidentFmm`] splits the work:
 //!
-//! 1. **Build** (once): octree over the sources, charges permuted to tree
-//!    order, `S→M` at every leaf, `M→M` up to the root.  The flat
-//!    multipole arena (`node slots × expansion_len`) is the cached state.
+//! 1. **Build** (once): octree over the sources, converted to refit form,
+//!    then one batched upward pass over every box (see
+//!    "Upward pass" below).  The flat multipole arena
+//!    (`node slots × expansion_len`) is the cached state.
 //! 2. **Query** (per batch): a treecode descent from the root under the
 //!    same `θ` acceptance criterion the one-shot Barnes–Hut assembly uses,
 //!    batching accepted boxes through `M→T` and leaf neighbours through
@@ -20,12 +21,22 @@
 //!    is built, and `M→T` reads the level's equivalent surface with the
 //!    box's cached multipole as weights, so a warm query allocates nothing.
 //! 3. **Step** (optional, see [`crate::step`]): sparse displacements and
-//!    charge updates refit the tree in place and recompute only the
-//!    expansions reachable from dirty leaves; everything else — tree
-//!    buffers, interaction lists, the persistent step DAG, the arena
-//!    allocation — is reused verbatim.  The lists and the step DAG are
-//!    built by the first step, so an engine that only answers queries
-//!    never holds them.
+//!    charge updates refit the tree in place, and the same upward pass
+//!    runs over the dirty boxes only; the tree buffers, the arena and the
+//!    pass's scratch are reused verbatim.
+//!
+//! **Upward pass.**  One routine serves the build and every step: the
+//! boxes to (re)compute, deepest level first, leaves before interiors of a
+//! level, in chunks of at most [`UPWARD_CHUNK`] boxes.  A chunk of leaves
+//! writes its check-surface potentials into a panel ([`ops::s2m_check`])
+//! and solves them with one `uc2ue` GEMM; a chunk of interiors runs eight
+//! `M→M` GEMMs in ascending octant order into a zeroed panel, each reading
+//! the children's expansions where they lie in the arena (a shared zero
+//! column for an absent child).  That is the per-box accumulation order,
+//! and the GEMM computes each column independently of the others in its
+//! panel (`dashmm_linalg::gemm`), so an expansion does not depend on how
+//! many boxes were dirty with it: a stepped engine stays bitwise equal to
+//! a rebuild over the same points.
 //!
 //! The tree lives in refit form ([`RefitTree`]) from the start: per-leaf
 //! point blocks whose initial order is exactly the builder's Morton
@@ -48,10 +59,13 @@ use std::sync::Arc;
 
 use dashmm_expansion::{ops, AccuracyParams, BatchWorkspace, LevelTables, OperatorLibrary};
 use dashmm_kernels::Kernel;
+use dashmm_linalg::{gemm_acc_cols, gemm_acc_panels};
 use dashmm_refit::{DirtySet, RefitTree};
 use dashmm_tree::{BuildParams, Domain, Octree, Point3};
 
-use crate::step::Stepping;
+/// Boxes per panel of the upward pass: bounds its scratch (two
+/// expansion-sized panels) whatever the number of boxes.
+pub(crate) const UPWARD_CHUNK: usize = 64;
 
 /// Configuration of a resident evaluation engine.
 #[derive(Clone, Copy, Debug)]
@@ -146,13 +160,29 @@ pub struct ResidentFmm<K: Kernel> {
     pub(crate) n_exp: usize,
     /// Dirty flags of the most recent step (empty before any step).
     pub(crate) dirty: DirtySet,
-    /// Interaction lists and the step DAG, built by the first step.
-    pub(crate) stepping: Option<Stepping>,
-    pub(crate) invalidator: dashmm_dag::Invalidator,
-    pub(crate) recompute_scratch: Vec<u32>,
-    pub(crate) seed_scratch: Vec<u32>,
-    pub(crate) child_scratch: Vec<f64>,
-    pub(crate) upward_ws: BatchWorkspace,
+    pub(crate) upward: Upward,
+}
+
+/// Scratch of the upward pass, bounded by one chunk.
+#[derive(Default)]
+pub(crate) struct Upward {
+    /// The boxes of the current pass.
+    pub(crate) order: Vec<u32>,
+    /// A chunk's check-surface potentials, one column per leaf.
+    check: Vec<f64>,
+    /// A chunk's expansions, one column per box.
+    panel: Vec<f64>,
+    /// The column of an absent child.
+    zero: Vec<f64>,
+    ws: BatchWorkspace,
+}
+
+impl Upward {
+    fn bytes(&self) -> usize {
+        4 * self.order.capacity()
+            + 8 * (self.check.capacity() + self.panel.capacity() + self.zero.capacity())
+            + self.ws.scratch_bytes()
+    }
 }
 
 impl<K: Kernel> ResidentFmm<K> {
@@ -180,71 +210,110 @@ impl<K: Kernel> ResidentFmm<K> {
         assert!(!sources.is_empty(), "at least one source required");
         assert!(cfg.theta > 0.0, "theta must be positive");
         let octree = Octree::build(domain, sources, cfg.build);
-        let permuted: Vec<f64> = octree
-            .permutation()
-            .iter()
-            .map(|&i| charges[i as usize])
-            .collect();
         let lib = OperatorLibrary::new(kernel, cfg.accuracy, domain.side(), false);
-        let levels: Vec<_> = (0..=octree.depth()).map(|l| lib.tables(l)).collect();
         let n_exp = cfg.accuracy.surface_points();
-        let mut multipoles = vec![0.0f64; octree.num_nodes() * n_exp];
-        let mut ws = BatchWorkspace::new();
-        let mut child_m = vec![0.0f64; n_exp];
-        // Bottom-up by level: leaves project their sources (`S→M`),
-        // interior boxes accumulate their children (`M→M`, parent-level
-        // tables).
-        for level in (0..=octree.depth()).rev() {
-            for &id in octree.level_nodes(level) {
-                let node = octree.node(id);
-                if node.count == 0 {
-                    continue;
-                }
-                let t = &levels[level as usize];
-                if node.is_leaf() {
-                    let out = &mut multipoles[id as usize * n_exp..(id as usize + 1) * n_exp];
-                    ops::s2m(
-                        lib.kernel(),
-                        t,
-                        octree.center_of(id),
-                        octree.points_of(id),
-                        &permuted[node.first..node.first + node.count],
-                        &mut ws,
-                        out,
-                    );
-                } else {
-                    let children: Vec<u32> = node.child_ids().collect();
-                    for c in children {
-                        let cn = octree.node(c);
-                        if cn.count == 0 {
-                            continue;
-                        }
-                        child_m.copy_from_slice(
-                            &multipoles[c as usize * n_exp..(c as usize + 1) * n_exp],
-                        );
-                        let parent =
-                            &mut multipoles[id as usize * n_exp..(id as usize + 1) * n_exp];
-                        ops::m2m(t, cn.key.octant(), &child_m, parent);
-                    }
-                }
-            }
+        let mut fmm = ResidentFmm {
+            tree: RefitTree::from_octree(&octree, charges),
+            lib,
+            levels: Vec::new(),
+            theta: cfg.theta,
+            multipoles: Vec::new(),
+            n_exp,
+            dirty: DirtySet::new(),
+            upward: Upward::default(),
+        };
+        drop(octree);
+        fmm.upward.order.extend(fmm.tree.alive_ids());
+        fmm.upward_pass();
+        fmm
+    }
+
+    /// Recompute the expansion of every box in `self.upward.order` (see
+    /// "Upward pass" in the module docs), returning how many leaves and
+    /// interiors it computed.  Every box's children must be in the set or
+    /// already final.
+    pub(crate) fn upward_pass(&mut self) -> (usize, usize) {
+        // A step that deepens the tree brings its new levels' tables.
+        while self.levels.len() <= self.tree.depth() as usize {
+            self.levels.push(self.lib.tables(self.levels.len() as u8));
         }
-        let tree = RefitTree::from_octree(&octree, charges);
-        ResidentFmm {
+        // The arena is indexed by node slot and only ever grows; slot
+        // reuse is safe because recycled slots are always recomputed.
+        let n_exp = self.n_exp;
+        let need = self.tree.num_slots() * n_exp;
+        if self.multipoles.len() < need {
+            self.multipoles.resize(need, 0.0);
+        }
+        let ResidentFmm {
             tree,
             lib,
             levels,
-            theta: cfg.theta,
             multipoles,
-            n_exp,
-            dirty: DirtySet::new(),
-            stepping: None,
-            invalidator: dashmm_dag::Invalidator::new(),
-            recompute_scratch: Vec::new(),
-            seed_scratch: Vec::new(),
-            child_scratch: Vec::new(),
-            upward_ws: ws,
+            upward,
+            ..
+        } = self;
+        let Upward {
+            order,
+            check,
+            panel,
+            zero,
+            ws,
+        } = upward;
+        order.sort_unstable_by_key(|&id| {
+            let n = tree.node(id);
+            (std::cmp::Reverse(n.key.level), !n.is_leaf())
+        });
+        zero.resize(n_exp, 0.0);
+        panel.resize(UPWARD_CHUNK * n_exp, 0.0);
+        let (mut leaves, mut interiors) = (0, 0);
+        let mut rest = &order[..];
+        while let Some(&first) = rest.first() {
+            let (level, leaf) = (tree.node(first).key.level, tree.node(first).is_leaf());
+            let run = rest
+                .iter()
+                .position(|&id| {
+                    let n = tree.node(id);
+                    n.key.level != level || n.is_leaf() != leaf
+                })
+                .unwrap_or(rest.len());
+            let t = &levels[level as usize];
+            for chunk in rest[..run].chunks(UPWARD_CHUNK) {
+                let out = &mut panel[..chunk.len() * n_exp];
+                out.fill(0.0);
+                if leaf {
+                    let n_check = t.uc().len();
+                    check.resize(UPWARD_CHUNK * n_check, 0.0);
+                    for (&id, col) in chunk.iter().zip(check.chunks_exact_mut(n_check)) {
+                        let (pts, q) = tree.leaf_points(id);
+                        ops::s2m_check(lib.kernel(), t, tree.center_of(id), pts, q, ws, col);
+                    }
+                    gemm_acc_panels(t.uc2ue(), &check[..chunk.len() * n_check], out);
+                } else {
+                    let mut cols = [&zero[..]; UPWARD_CHUNK];
+                    for octant in 0..8u8 {
+                        for (&id, col) in chunk.iter().zip(cols.iter_mut()) {
+                            let c = tree.node(id).children[octant as usize];
+                            *col = if c >= 0 {
+                                &multipoles[c as usize * n_exp..(c as usize + 1) * n_exp]
+                            } else {
+                                &zero[..]
+                            };
+                        }
+                        gemm_acc_cols(t.m2m(octant), &cols[..chunk.len()], out);
+                    }
+                }
+                for (&id, col) in chunk.iter().zip(out.chunks_exact(n_exp)) {
+                    multipoles[id as usize * n_exp..(id as usize + 1) * n_exp].copy_from_slice(col);
+                }
+            }
+            if leaf {
+                leaves += run;
+            } else {
+                interiors += run;
+            }
+            rest = &rest[run..];
         }
+        (leaves, interiors)
     }
 
     /// Number of cached sources.
@@ -311,14 +380,9 @@ impl<K: Kernel> ResidentFmm<K> {
     /// engine (the step-loop footprint-stability probe).
     pub fn resident_bytes(&self) -> usize {
         self.tree.footprint_bytes()
-            + self
-                .stepping
-                .as_ref()
-                .map_or(0, |s| s.lists.footprint_bytes())
             + self.dirty.scratch_bytes()
-            + self.invalidator.scratch_bytes()
-            + 8 * (self.multipoles.capacity() + self.child_scratch.capacity())
-            + 4 * (self.recompute_scratch.capacity() + self.seed_scratch.capacity())
+            + 8 * self.multipoles.capacity()
+            + self.upward.bytes()
     }
 
     /// Evaluate the potential at each target, overwriting `out`

@@ -15,7 +15,6 @@
 pub mod dist;
 pub mod graph;
 pub mod plan;
-pub mod reuse;
 pub mod stats;
 
 pub use dist::{
@@ -23,5 +22,4 @@ pub use dist::{
 };
 pub use graph::{Dag, DagBuilder, DagEdge, DagNode, EdgeOp, NodeClass};
 pub use plan::{EdgePart, Fire, LatticeHint, SchedPlan, NORMAL_CLASS, PRIORITY_CLASSES};
-pub use reuse::{InvalidationReport, Invalidator};
 pub use stats::{DagStats, EdgeClassStats, NodeClassStats};

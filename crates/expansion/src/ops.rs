@@ -109,27 +109,28 @@ pub fn s2m<K: Kernel>(
     t.uc2ue().matvec_into(&ws.check, out);
 }
 
+/// The check-surface potentials of a leaf's sources: the right-hand side
+/// `S→M` solves with `uc2ue`, written to `check` (length `t.uc().len()`).
+/// The batched upward pass stacks one column per leaf into a panel and
+/// solves them all with one GEMM.
+pub fn s2m_check<K: Kernel>(
+    kernel: &K,
+    t: &LevelTables,
+    center: Point3,
+    sources: &[Point3],
+    charges: &[f64],
+    ws: &mut BatchWorkspace,
+    check: &mut [f64],
+) {
+    debug_assert_eq!(sources.len(), charges.len());
+    check.fill(0.0);
+    kernel.potential_rows(t.uc().at(center), gather(ws, [(sources, charges)]), check);
+}
+
 /// `M→M`: accumulate a child multipole into its parent.  `t` is the
 /// *parent* level's tables.
 pub fn m2m(t: &LevelTables, octant: u8, child_m: &[f64], parent_m: &mut [f64]) {
     t.m2m(octant).matvec_acc(child_m, parent_m);
-}
-
-/// Selective upward-pass recompute of one parent multipole: zero it and
-/// re-accumulate every child in the given order.
-///
-/// A time-stepping engine that refits the tree recomputes only the dirty
-/// interior boxes; re-gathering *all* cached children (rather than
-/// subtracting the stale contribution and adding the new one) keeps the
-/// accumulation identical to a from-scratch build, so clean boxes stay
-/// bitwise equal across a step and dirty ones differ from a rebuild only
-/// by leaf-level summation-order rounding.  Pass children in ascending
-/// octant order to match the build's accumulation order.
-pub fn m2m_refresh(t: &LevelTables, children: &[(u8, &[f64])], parent_m: &mut [f64]) {
-    parent_m.fill(0.0);
-    for &(octant, child_m) in children {
-        m2m(t, octant, child_m, parent_m);
-    }
 }
 
 /// `M→L`: accumulate a same-level well-separated multipole into a target
@@ -393,6 +394,23 @@ mod tests {
     fn check_err(got: f64, want: f64, scale: f64, tol: f64, what: &str) {
         let err = (got - want).abs() / scale;
         assert!(err < tol, "{what}: got {got}, want {want}, err {err:.2e}");
+    }
+
+    #[test]
+    fn s2m_check_is_the_right_hand_side_s2m_solves() {
+        let mut ws = BatchWorkspace::default();
+        let k = Laplace;
+        let t = tb(&k, false);
+        let c = Point3::new(0.25, 0.25, 0.25);
+        let (src, q) = cloud(c, SIDE, 40, 1);
+        // A stale column must be overwritten, not added to.
+        let mut check = vec![1.0; t.uc().len()];
+        s2m_check(&k, &t, c, &src, &q, &mut ws, &mut check);
+        let mut via_check = vec![0.0; t.expansion_len()];
+        t.uc2ue().matvec_into(&check, &mut via_check);
+        let mut m = vec![0.0; t.expansion_len()];
+        s2m(&k, &t, c, &src, &q, &mut ws, &mut m);
+        assert_eq!(via_check, m);
     }
 
     #[test]

@@ -528,9 +528,9 @@ pub trait StepEngine: EvalEngine {
     /// answered to the client as [`RespStatus::BadRequest`].
     fn step(&self, moves: &[(u32, [f64; 3])], charges: &[(u32, f64)]) -> bool;
 
-    /// Apply the update *and* report its reuse outcome for telemetry.
+    /// Apply the update *and* report its expansion reuse for telemetry.
     /// The default wraps [`StepEngine::step`] with wall-clock timing and
-    /// zero edge counts; engines with real DAG-reuse accounting
+    /// zero counts; engines that know what they recomputed
     /// (`ResidentFmm::step`) override it so the stats snapshot's
     /// step-engine reuse ratio is populated.
     fn step_traced(&self, moves: &[(u32, [f64; 3])], charges: &[(u32, f64)]) -> StepOutcome {
@@ -538,8 +538,8 @@ pub trait StepEngine: EvalEngine {
         let applied = self.step(moves, charges);
         StepOutcome {
             applied,
-            reused_edges: 0,
-            invalidated_edges: 0,
+            reused_expansions: 0,
+            recomputed_expansions: 0,
             total_us: t0.elapsed().as_secs_f64() * 1e6,
         }
     }
@@ -550,10 +550,10 @@ pub trait StepEngine: EvalEngine {
 pub struct StepOutcome {
     /// Whether the update was applied.
     pub applied: bool,
-    /// DAG edges reused verbatim from the previous step.
-    pub reused_edges: u64,
-    /// DAG edges invalidated and re-executed.
-    pub invalidated_edges: u64,
+    /// Expansions reused bitwise from the previous step.
+    pub reused_expansions: u64,
+    /// Expansions the step recomputed.
+    pub recomputed_expansions: u64,
     /// Wall time of the step.
     pub total_us: f64,
 }
@@ -1592,8 +1592,8 @@ fn handle_frame(frame: Frame, conn_id: u64, handle: &ConnHandle, shared: &Shared
             drop(core);
             if outcome.applied {
                 shared.hub.record_step(
-                    outcome.reused_edges,
-                    outcome.invalidated_edges,
+                    outcome.reused_expansions,
+                    outcome.recomputed_expansions,
                     outcome.total_us,
                 );
             }

@@ -1,9 +1,9 @@
 //! Per-step observability for the incremental time-stepping engine.
 //!
 //! Each call to `ResidentFmm::step` produces one [`StepObs`] row: wall
-//! times of the four step phases (refit, expansion recompute, list patch,
-//! DAG invalidation), the refit's structural counters, the invalidation
-//! breakdown, and the verification error against a from-scratch rebuild.
+//! times of the two step phases (refit, upward pass), the refit's
+//! structural counters, the recomputed/reused expansion counts, and the
+//! verification error against a from-scratch rebuild.
 //! [`refit_section`] turns the rows into the `"timestep"` section of
 //! `BENCH_timestep.json` — per-step detail plus the aggregates the CI
 //! gate reads (mean steady-state cost vs the step-1 build cost).
@@ -17,16 +17,10 @@ pub struct StepObs {
     pub step: u32,
     /// Wall time of the tree refit (rebin, split/merge, dirty marking).
     pub refit_us: f64,
-    /// Wall time of the dirty-expansion recompute (S2M + M2M refresh).
+    /// Wall time of the upward pass over the dirty boxes.
     pub recompute_us: f64,
-    /// Wall time of the interaction-list patch.
-    pub lists_us: f64,
-    /// Wall time of DAG reassembly (structural steps) + invalidation BFS.
-    pub dag_us: f64,
-    /// Total wall time of the step (refit through invalidation).
+    /// Total wall time of the step.
     pub total_us: f64,
-    /// Model-predicted serial cost of the step's invalidated subgraph.
-    pub predicted_us: f64,
     /// Fraction of alive boxes dirtied this step.
     pub dirty_fraction: f64,
     /// Points whose position changed.
@@ -37,14 +31,10 @@ pub struct StepObs {
     pub splits: u64,
     /// Subtree merges performed by the refit.
     pub merges: u64,
-    /// Interaction lists recomputed by the patch (0 on content-only steps).
-    pub lists_recomputed: u64,
-    /// Whether the step DAG was reassembled (structural step).
-    pub dag_rebuilt: bool,
-    /// DAG edges re-executed this step.
-    pub invalidated_edges: u64,
-    /// DAG edges reused verbatim from the previous step.
-    pub reused_edges: u64,
+    /// Expansions recomputed by the upward pass.
+    pub recomputed_expansions: u64,
+    /// Expansions reused bitwise from the previous step.
+    pub reused_expansions: u64,
     /// Max relative error of the stepped engine vs a from-scratch rebuild
     /// over the probe set (NaN when the step was not verified).
     pub verify_rel_err: f64,
@@ -79,14 +69,13 @@ pub fn refit_section(steps: &[StepObs]) -> Value {
             "mean_dirty_fraction",
             Value::from(mean(|s| s.dirty_fraction)),
         ),
-        ("mean_predicted_us", Value::from(mean(|s| s.predicted_us))),
         (
-            "reused_edges_total",
-            Value::from(steady.iter().map(|s| s.reused_edges).sum::<u64>()),
+            "reused_expansions_total",
+            Value::from(steady.iter().map(|s| s.reused_expansions).sum::<u64>()),
         ),
         (
-            "invalidated_edges_total",
-            Value::from(steady.iter().map(|s| s.invalidated_edges).sum::<u64>()),
+            "recomputed_expansions_total",
+            Value::from(steady.iter().map(|s| s.recomputed_expansions).sum::<u64>()),
         ),
         (
             "max_verify_rel_err",
@@ -106,19 +95,17 @@ fn step_row(s: &StepObs) -> Value {
         ("step", Value::from(s.step as u64)),
         ("refit_us", Value::from(s.refit_us)),
         ("recompute_us", Value::from(s.recompute_us)),
-        ("lists_us", Value::from(s.lists_us)),
-        ("dag_us", Value::from(s.dag_us)),
         ("total_us", Value::from(s.total_us)),
-        ("predicted_us", Value::from(s.predicted_us)),
         ("dirty_fraction", Value::from(s.dirty_fraction)),
         ("moved", Value::from(s.moved)),
         ("rebinned", Value::from(s.rebinned)),
         ("splits", Value::from(s.splits)),
         ("merges", Value::from(s.merges)),
-        ("lists_recomputed", Value::from(s.lists_recomputed)),
-        ("dag_rebuilt", Value::Bool(s.dag_rebuilt)),
-        ("invalidated_edges", Value::from(s.invalidated_edges)),
-        ("reused_edges", Value::from(s.reused_edges)),
+        (
+            "recomputed_expansions",
+            Value::from(s.recomputed_expansions),
+        ),
+        ("reused_expansions", Value::from(s.reused_expansions)),
         (
             "verify_rel_err",
             if s.verify_rel_err.is_finite() {
@@ -139,8 +126,8 @@ mod tests {
             step,
             total_us,
             dirty_fraction: 0.1,
-            reused_edges: 900,
-            invalidated_edges: 100,
+            reused_expansions: 900,
+            recomputed_expansions: 100,
             verify_rel_err: 1.0e-15,
             ..StepObs::default()
         }
@@ -154,7 +141,8 @@ mod tests {
         assert_eq!(num("step1_us"), 1000.0);
         assert_eq!(num("mean_step_us"), 250.0);
         assert_eq!(num("mean_step_over_step1"), 0.25);
-        assert_eq!(num("reused_edges_total"), 1800.0);
+        assert_eq!(num("reused_expansions_total"), 1800.0);
+        assert_eq!(num("recomputed_expansions_total"), 200.0);
         assert_eq!(num("max_verify_rel_err"), 1.0e-15);
         assert_eq!(v.get("steps").and_then(Value::as_arr).unwrap().len(), 3);
         // The section must serialize.

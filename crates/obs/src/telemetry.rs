@@ -412,10 +412,10 @@ pub struct TelemetryHub {
     pub near_pairs: Counter,
     /// Incremental steps applied by the stepping engine.
     pub steps: Counter,
-    /// DAG edges reused verbatim across steps.
-    pub reused_edges: Counter,
-    /// DAG edges invalidated and re-executed across steps.
-    pub invalidated_edges: Counter,
+    /// Expansions reused bitwise across steps.
+    pub reused_expansions: Counter,
+    /// Expansions recomputed by the steps' upward passes.
+    pub recomputed_expansions: Counter,
     /// Wall time per incremental step.
     pub step_total_us: LogHistogram,
     /// Stats snapshots served.
@@ -439,8 +439,8 @@ impl TelemetryHub {
             far_pairs: Counter::new(),
             near_pairs: Counter::new(),
             steps: Counter::new(),
-            reused_edges: Counter::new(),
-            invalidated_edges: Counter::new(),
+            reused_expansions: Counter::new(),
+            recomputed_expansions: Counter::new(),
             step_total_us: LogHistogram::new(),
             stats_polls: Counter::new(),
         }
@@ -459,11 +459,11 @@ impl TelemetryHub {
         self.near_pairs.add(near_pairs);
     }
 
-    /// Record one incremental step's reuse outcome.
-    pub fn record_step(&self, reused_edges: u64, invalidated_edges: u64, total_us: f64) {
+    /// Record one incremental step's expansion reuse.
+    pub fn record_step(&self, reused_expansions: u64, recomputed_expansions: u64, total_us: f64) {
         self.steps.inc();
-        self.reused_edges.add(reused_edges);
-        self.invalidated_edges.add(invalidated_edges);
+        self.reused_expansions.add(reused_expansions);
+        self.recomputed_expansions.add(recomputed_expansions);
         self.step_total_us.record_us(total_us);
     }
 
@@ -478,19 +478,20 @@ impl TelemetryHub {
         ])
     }
 
-    /// `"step"` snapshot section (reuse ratio across all steps served).
+    /// `"step"` snapshot section (expansion reuse ratio across all steps
+    /// served).
     pub fn step_json(&self) -> Value {
-        let reused = self.reused_edges.get();
-        let invalidated = self.invalidated_edges.get();
-        let ratio = if reused + invalidated > 0 {
-            reused as f64 / (reused + invalidated) as f64
+        let reused = self.reused_expansions.get();
+        let recomputed = self.recomputed_expansions.get();
+        let ratio = if reused + recomputed > 0 {
+            reused as f64 / (reused + recomputed) as f64
         } else {
             0.0
         };
         obj(vec![
             ("steps", Value::from(self.steps.get())),
-            ("reused_edges", Value::from(reused)),
-            ("invalidated_edges", Value::from(invalidated)),
+            ("reused_expansions", Value::from(reused)),
+            ("recomputed_expansions", Value::from(recomputed)),
             ("reuse_ratio", Value::from(ratio)),
             ("step_total_us", self.step_total_us.snapshot().to_json()),
         ])
@@ -663,7 +664,14 @@ mod tests {
         hub.record_step(800, 200, 2345.0);
         let v = hub.step_json();
         assert_eq!(v.get("steps").and_then(Value::as_f64), Some(2.0));
-        assert_eq!(v.get("reused_edges").and_then(Value::as_f64), Some(1700.0));
+        assert_eq!(
+            v.get("reused_expansions").and_then(Value::as_f64),
+            Some(1700.0)
+        );
+        assert_eq!(
+            v.get("recomputed_expansions").and_then(Value::as_f64),
+            Some(300.0)
+        );
         let ratio = v.get("reuse_ratio").and_then(Value::as_f64).unwrap();
         assert!((ratio - 0.85).abs() < 1e-12);
     }

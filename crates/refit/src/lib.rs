@@ -4,9 +4,7 @@
 //! different inputs every step: most points barely move, most charges
 //! are constant, and the tree over them is almost identical to the last
 //! step's.  Rebuilding everything from scratch throws that away.  This
-//! crate keeps the tree, its interaction lists and (through the stepping
-//! engine in `dashmm-core`) the task DAG and expansion arenas *resident*
-//! and patches them in place:
+//! crate keeps the tree *resident* and patches it in place:
 //!
 //! * [`RefitTree`] — an octree with per-leaf point blocks that re-bins
 //!   only leaf-crossing points and splits/merges only the boxes whose
@@ -14,22 +12,15 @@
 //!   builder's rules so the result always equals a from-scratch build
 //!   over the current positions;
 //! * [`DirtySet`] — per-step reason-tagged dirty flags over boxes, with
-//!   ancestor propagation, so downstream consumers recompute only what a
-//!   changed leaf can reach;
-//! * [`StepLists`] — per-box interaction lists patched locally around
-//!   structural changes (everything whose parent is not adjacent to a
-//!   changed box's parent is reused verbatim).
+//!   ancestor propagation, so the stepping engine recomputes only the
+//!   expansions a changed leaf can reach.
 //!
-//! The companion DAG-side piece — forward-closure invalidation with
-//! per-operator reuse accounting — lives in `dashmm_dag::reuse`, and the
-//! user-facing `step()` API in `dashmm_core`.
+//! The user-facing `step()` API lives in `dashmm_core`.
 
 pub mod dirty;
-pub mod lists;
 pub mod tree;
 
 pub use dirty::{reason, DirtySet};
-pub use lists::StepLists;
 pub use tree::{ChargeUpdate, Displacement, RefitNode, RefitStats, RefitTree};
 
 #[cfg(test)]
@@ -194,51 +185,16 @@ mod tests {
     }
 
     #[test]
-    fn patched_lists_equal_rebuilt_lists() {
-        let (_, mut rt, mut mirror) = setup(4000, 23);
-        let mut rng = StdRng::seed_from_u64(29);
-        let mut dirty = DirtySet::new();
-        let mut lists = StepLists::build(&rt);
-        let side = rt.domain().side();
-        for step in 0..6 {
-            let vel = if step % 2 == 1 {
-                0.15 * side
-            } else {
-                0.02 * side
-            };
-            let (moves, charges) = random_step(&mut rng, &mut mirror, 6, vel);
-            let stats = rt.apply_step(&moves, &charges, &mut dirty);
-            let recomputed = lists.patch(&rt, &stats.changed_keys);
-            if !stats.structural() {
-                assert_eq!(recomputed, 0, "content-only step must reuse all lists");
-            }
-            let fresh = StepLists::build(&rt);
-            for id in rt.alive_ids() {
-                let (a, b) = (lists.of(id), fresh.of(id));
-                assert_eq!(a.l1, b.l1, "l1 mismatch at box {id} step {step}");
-                assert_eq!(a.l2, b.l2, "l2 mismatch at box {id} step {step}");
-                assert_eq!(a.l3, b.l3, "l3 mismatch at box {id} step {step}");
-                assert_eq!(a.l4, b.l4, "l4 mismatch at box {id} step {step}");
-            }
-        }
-    }
-
-    #[test]
     fn footprint_stabilizes_under_reversible_cycles() {
         let (_, mut rt, mut mirror) = setup(3000, 41);
         let mut dirty = DirtySet::new();
-        let mut lists = StepLists::build(&rt);
         let side = rt.domain().side();
         // Every cycle re-seeds, so each performs *identical* reversible
         // work — after warmup no buffer may grow at all.
-        let cycle = |rt: &mut RefitTree,
-                     mirror: &mut Mirror,
-                     dirty: &mut DirtySet,
-                     lists: &mut StepLists| {
+        let cycle = |rt: &mut RefitTree, mirror: &mut Mirror, dirty: &mut DirtySet| {
             let mut rng = StdRng::seed_from_u64(43);
             let (moves, charges) = random_step(&mut rng, mirror, 5, 0.1 * side);
-            let stats = rt.apply_step(&moves, &charges, dirty);
-            lists.patch(rt, &stats.changed_keys);
+            rt.apply_step(&moves, &charges, dirty);
             // Undo: reverse displacements and charge flips.
             let back: Vec<Displacement> = moves
                 .iter()
@@ -265,16 +221,15 @@ mod tests {
                     }
                 })
                 .collect();
-            let stats = rt.apply_step(&back, &unflip, dirty);
-            lists.patch(rt, &stats.changed_keys);
+            rt.apply_step(&back, &unflip, dirty);
         };
         for _ in 0..3 {
-            cycle(&mut rt, &mut mirror, &mut dirty, &mut lists);
+            cycle(&mut rt, &mut mirror, &mut dirty);
         }
-        let warm = rt.footprint_bytes() + lists.footprint_bytes() + dirty.scratch_bytes();
+        let warm = rt.footprint_bytes() + dirty.scratch_bytes();
         for _ in 0..3 {
-            cycle(&mut rt, &mut mirror, &mut dirty, &mut lists);
-            let now = rt.footprint_bytes() + lists.footprint_bytes() + dirty.scratch_bytes();
+            cycle(&mut rt, &mut mirror, &mut dirty);
+            let now = rt.footprint_bytes() + dirty.scratch_bytes();
             assert_eq!(now, warm, "footprint grew after warmup");
         }
     }

@@ -25,7 +25,7 @@
 //! steps, so a converged stepping loop allocates nothing.
 
 use dashmm_tree::morton::{deep_code, MAX_LEVEL};
-use dashmm_tree::{BuildParams, Domain, MortonKey, Octree, Point3, TreeTopology};
+use dashmm_tree::{BuildParams, Domain, MortonKey, Octree, Point3};
 
 use crate::dirty::{reason, DirtySet};
 
@@ -65,17 +65,12 @@ pub struct RefitStats {
     pub created_boxes: usize,
     /// Boxes deleted (emptied subtrees, merged descendants).
     pub deleted_boxes: usize,
-    /// Keys of every box whose existence or leaf-ness changed: created,
-    /// deleted, split roots and merge roots.  Interaction lists of boxes
-    /// near these keys must be re-derived; empty means the step was
-    /// purely a content update and every list is reused verbatim.
-    pub changed_keys: Vec<MortonKey>,
 }
 
 impl RefitStats {
     /// Whether the tree's structure (not just its contents) changed.
     pub fn structural(&self) -> bool {
-        !self.changed_keys.is_empty()
+        self.splits + self.merges + self.created_boxes + self.deleted_boxes > 0
     }
 }
 
@@ -570,7 +565,6 @@ impl RefitTree {
         let node = &mut self.nodes[id as usize];
         debug_assert!(node.alive);
         node.alive = false;
-        stats.changed_keys.push(node.key);
         stats.deleted_boxes += 1;
         self.num_alive -= 1;
         self.free_nodes.push(id);
@@ -639,7 +633,6 @@ impl RefitTree {
                 self.nodes[n as usize].children[oct] = child as i32;
                 dirty.mark(child, reason::CREATED | reason::MEMBERSHIP);
                 stats.created_boxes += 1;
-                stats.changed_keys.push(self.nodes[child as usize].key);
                 child
             };
         }
@@ -680,7 +673,6 @@ impl RefitTree {
     fn merge(&mut self, a: u32, dirty: &mut DirtySet, stats: &mut RefitStats) {
         let nb = self.alloc_block();
         stats.merges += 1;
-        stats.changed_keys.push(self.nodes[a as usize].key);
         let mut stack: Vec<u32> = Vec::new();
         for c in self.nodes[a as usize].children.iter().rev() {
             if *c >= 0 {
@@ -735,7 +727,6 @@ impl RefitTree {
         let taken = std::mem::take(&mut self.blocks[bi as usize]);
         self.nodes[l as usize].block = -1;
         stats.splits += 1;
-        stats.changed_keys.push(key);
         let shift = 3 * (MAX_LEVEL - key.level - 1);
         for k in 0..taken.len() {
             let code = taken.codes[k];
@@ -748,7 +739,6 @@ impl RefitTree {
                 self.nodes[l as usize].children[oct] = child as i32;
                 dirty.mark(child, reason::CREATED | reason::MEMBERSHIP);
                 stats.created_boxes += 1;
-                stats.changed_keys.push(self.nodes[child as usize].key);
                 child
             };
             self.nodes[child as usize].count += 1;
@@ -771,20 +761,5 @@ impl RefitTree {
                 }
             }
         }
-    }
-}
-
-impl TreeTopology for RefitTree {
-    fn key_of(&self, id: u32) -> MortonKey {
-        self.nodes[id as usize].key
-    }
-    fn is_leaf(&self, id: u32) -> bool {
-        self.nodes[id as usize].is_leaf()
-    }
-    fn children_of(&self, id: u32) -> [i32; 8] {
-        self.nodes[id as usize].children
-    }
-    fn parent_of(&self, id: u32) -> i32 {
-        self.nodes[id as usize].parent
     }
 }

@@ -81,47 +81,6 @@ impl CostModel {
     pub fn edge_us(&self, op: EdgeOp) -> f64 {
         self.op_us[op.index()]
     }
-
-    /// Predicted serial compute cost of one *incremental* time step: the
-    /// invalidated edge counts of the step's subgraph (what actually
-    /// re-executes) priced by this model, plus per-task overhead for
-    /// every re-triggered node.  The timestep bench reports this next to
-    /// the measured step time so model drift is visible per step.
-    pub fn predicted_step_us(&self, counts: &StepCounts) -> f64 {
-        let mut us = self.task_overhead_us * counts.tasks as f64;
-        for (i, &n) in counts.by_op.iter().enumerate() {
-            us += self.op_us[i] * n as f64;
-        }
-        us
-    }
-}
-
-/// Per-operator re-executed edge counts of one incremental step (the
-/// shape `dashmm_dag`'s invalidation report produces), plus the number of
-/// re-triggered tasks.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StepCounts {
-    /// Re-executed edges per operator class, indexed by [`EdgeOp::index`].
-    pub by_op: [u64; EdgeOp::COUNT],
-    /// Nodes (tasks) that re-execute.
-    pub tasks: u64,
-}
-
-impl StepCounts {
-    /// Counts from an invalidation breakdown.
-    pub fn from_invalidated(by_op: [u64; EdgeOp::COUNT], tasks: u64) -> Self {
-        StepCounts { by_op, tasks }
-    }
-
-    /// Add `n` re-executed edges of one operator class.
-    pub fn add(&mut self, op: EdgeOp, n: u64) {
-        self.by_op[op.index()] += n;
-    }
-
-    /// Total re-executed edges.
-    pub fn total_edges(&self) -> u64 {
-        self.by_op.iter().sum()
-    }
 }
 
 /// Interconnect model.
@@ -230,20 +189,6 @@ mod tests {
     fn scaling_multiplies() {
         let m = CostModel::paper_table2().scaled(2.0);
         assert_eq!(m.edge_us(EdgeOp::M2I), 59.2);
-    }
-
-    #[test]
-    fn step_prediction_prices_invalidated_edges_and_tasks() {
-        let m = CostModel::paper_table2();
-        let mut c = StepCounts::default();
-        c.add(EdgeOp::S2M, 3);
-        c.add(EdgeOp::M2M, 5);
-        c.tasks = 8;
-        assert_eq!(c.total_edges(), 8);
-        let want = 3.0 * 10.9 + 5.0 * 4.60 + 8.0 * 1.0;
-        assert!((m.predicted_step_us(&c) - want).abs() < 1e-12);
-        // An all-clean step costs nothing.
-        assert_eq!(m.predicted_step_us(&StepCounts::default()), 0.0);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod cost;
 pub mod engine;
 pub mod recovery;
 
-pub use cost::{CostModel, NetworkModel, StepCounts};
+pub use cost::{CostModel, NetworkModel};
 pub use dashmm_amt::CoalesceConfig;
 pub use engine::{simulate, SimConfig, SimResult};
 pub use recovery::{estimate_recovery, RecoveryEstimate};
