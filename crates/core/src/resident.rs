@@ -25,18 +25,29 @@
 //!    runs over the dirty boxes only; the tree buffers, the arena and the
 //!    pass's scratch are reused verbatim.
 //!
-//! **Upward pass.**  One routine serves the build and every step: the
-//! boxes to (re)compute, deepest level first, leaves before interiors of a
-//! level, in chunks of at most [`UPWARD_CHUNK`] boxes.  A chunk of leaves
-//! writes its check-surface potentials into a panel ([`ops::s2m_check`])
-//! and solves them with one `uc2ue` GEMM; a chunk of interiors runs eight
-//! `M→M` GEMMs in ascending octant order into a zeroed panel, each reading
-//! the children's expansions where they lie in the arena (a shared zero
-//! column for an absent child).  That is the per-box accumulation order,
-//! and the GEMM computes each column independently of the others in its
-//! panel (`dashmm_linalg::gemm`), so an expansion does not depend on how
-//! many boxes were dirty with it: a stepped engine stays bitwise equal to
-//! a rebuild over the same points.
+//! **Upward pass.**  One routine serves the build and every step, on
+//! every core of the host.  The boxes to (re)compute are sorted so that
+//! every leaf, at every level, comes first: leaves depend on nothing, so
+//! they are one parallel sweep.  The interiors follow, deepest level
+//! first, with one barrier before each interior level.  Each level's run
+//! is cut into chunks of at most [`UPWARD_CHUNK`] boxes, and the threads
+//! claim chunks from one atomic counter.  A chunk of leaves writes its
+//! check-surface potentials into a panel ([`ops::s2m_check`]) and solves
+//! them with one `uc2ue` GEMM; a chunk of interiors runs eight `M→M` GEMMs
+//! in ascending octant order into a zeroed panel, each reading the
+//! children's expansions where they lie in the arena (a shared zero column
+//! for an absent child).  The thread then copies the panel's columns into
+//! the boxes' arena slots.  Every thread owns its scratch; the engine
+//! keeps the calling thread's, and a spawned thread's lives for one pass.
+//!
+//! That is the per-box accumulation order, and the GEMM computes each
+//! column independently of the others in its panel
+//! (`dashmm_linalg::gemm`), so an expansion depends neither on how many
+//! boxes were dirty with it, nor on its chunk, nor on the thread that
+//! claimed the chunk: a stepped engine stays bitwise equal to a rebuild
+//! over the same points at any thread count.  The thread count is the
+//! host's parallelism, capped at the number of leaf chunks.  With one
+//! thread the same code runs inline on the caller and spawns nothing.
 //!
 //! The tree lives in refit form ([`RefitTree`]) from the start: per-leaf
 //! point blocks whose initial order is exactly the builder's Morton
@@ -55,7 +66,9 @@
 //! client bitwise what a single-shot evaluation of its own batch produces.
 
 use std::cell::RefCell;
-use std::sync::Arc;
+use std::cmp::Reverse;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier, OnceLock};
 
 use dashmm_expansion::{ops, AccuracyParams, BatchWorkspace, LevelTables, OperatorLibrary};
 use dashmm_kernels::Kernel;
@@ -63,9 +76,15 @@ use dashmm_linalg::{gemm_acc_cols, gemm_acc_panels};
 use dashmm_refit::{DirtySet, RefitTree};
 use dashmm_tree::{BuildParams, Domain, Octree, Point3};
 
-/// Boxes per panel of the upward pass: bounds its scratch (two
+/// Boxes per panel of the upward pass: bounds each thread's scratch (two
 /// expansion-sized panels) whatever the number of boxes.
 pub(crate) const UPWARD_CHUNK: usize = 64;
+
+/// The threads an upward pass may use: the host's parallelism.
+pub(crate) fn host_threads() -> usize {
+    static N: OnceLock<usize> = OnceLock::new();
+    *N.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
 
 /// Configuration of a resident evaluation engine.
 #[derive(Clone, Copy, Debug)]
@@ -163,25 +182,150 @@ pub struct ResidentFmm<K: Kernel> {
     pub(crate) upward: Upward,
 }
 
-/// Scratch of the upward pass, bounded by one chunk.
+/// The upward pass's order and the calling thread's scratch, kept across
+/// passes.  A thread the pass spawns gets scratch for that pass only, so
+/// an engine holds one thread's scratch whatever the host's parallelism.
 #[derive(Default)]
 pub(crate) struct Upward {
     /// The boxes of the current pass.
     pub(crate) order: Vec<u32>,
+    /// The chunks, as ranges of `order`: boxes of one level, all leaves or
+    /// all interiors.
+    chunks: Vec<(u32, u32)>,
+    /// Where each phase ends in `chunks`: the leaves, then one phase per
+    /// interior level, deepest first.
+    phases: Vec<usize>,
+    /// The column of an absent child, read by every thread.
+    zero: Vec<f64>,
+    /// The calling thread's scratch.
+    scratch: Scratch,
+}
+
+/// One thread's scratch, bounded by one chunk.
+#[derive(Default)]
+struct Scratch {
     /// A chunk's check-surface potentials, one column per leaf.
     check: Vec<f64>,
     /// A chunk's expansions, one column per box.
     panel: Vec<f64>,
-    /// The column of an absent child.
-    zero: Vec<f64>,
     ws: BatchWorkspace,
+}
+
+impl Scratch {
+    /// Size for any chunk of a pass: check surfaces of up to `n_check`
+    /// points, expansions of `n_exp` terms, leaves of up to `max_leaf`
+    /// points.
+    fn fit(&mut self, n_check: usize, n_exp: usize, max_leaf: usize) {
+        self.check.resize(UPWARD_CHUNK * n_check, 0.0);
+        self.panel.resize(UPWARD_CHUNK * n_exp, 0.0);
+        self.ws.reserve_sources(max_leaf);
+    }
 }
 
 impl Upward {
     fn bytes(&self) -> usize {
+        let s = &self.scratch;
         4 * self.order.capacity()
-            + 8 * (self.check.capacity() + self.panel.capacity() + self.zero.capacity())
-            + self.ws.scratch_bytes()
+            + 8 * (self.chunks.capacity() + self.phases.capacity() + self.zero.capacity())
+            + 8 * (s.check.capacity() + s.panel.capacity())
+            + s.ws.scratch_bytes()
+    }
+}
+
+/// The multipole arena as the threads of one pass share it.
+///
+/// A pass writes the slots of the boxes in its order, each box in exactly
+/// one chunk and each chunk claimed by exactly one thread, so no two
+/// threads write one slot.  A chunk reads only its interiors' children:
+/// leaves, or interiors one level deeper, whose chunks were finished
+/// before the barrier ahead of its phase, or clean boxes no pass writes.
+#[derive(Clone, Copy)]
+struct Arena {
+    base: *mut f64,
+    n_exp: usize,
+}
+
+// SAFETY: `n_exp` is never written; `base` is only read, and the threads
+// of a pass touch the memory behind it only through `slot` and `write`,
+// under the access rule of the type docs.
+unsafe impl Sync for Arena {}
+
+impl Arena {
+    /// Slot `id`'s expansion.
+    ///
+    /// # Safety
+    ///
+    /// `id` is a slot of the arena, and no thread writes it while the
+    /// borrow lives.
+    unsafe fn slot(&self, id: u32) -> &[f64] {
+        std::slice::from_raw_parts(self.base.add(id as usize * self.n_exp), self.n_exp)
+    }
+
+    /// Overwrite slot `id` with `col`.
+    ///
+    /// # Safety
+    ///
+    /// `id` is a slot of the arena, `col` is one expansion long, and no
+    /// other thread reads or writes the slot meanwhile.
+    unsafe fn write(&self, id: u32, col: &[f64]) {
+        debug_assert_eq!(col.len(), self.n_exp);
+        let dst = self.base.add(id as usize * self.n_exp);
+        std::ptr::copy_nonoverlapping(col.as_ptr(), dst, self.n_exp);
+    }
+}
+
+/// What every thread of one upward pass reads.
+struct Pass<'a, K: Kernel> {
+    tree: &'a RefitTree,
+    kernel: &'a K,
+    levels: &'a [Arc<LevelTables>],
+    order: &'a [u32],
+    chunks: &'a [(u32, u32)],
+    zero: &'a [f64],
+    arena: Arena,
+}
+
+impl<K: Kernel> Pass<'_, K> {
+    /// Compute chunk `c` and write its expansions into their arena slots.
+    fn run(&self, c: usize, s: &mut Scratch) {
+        let Scratch { check, panel, ws } = s;
+        let n_exp = self.arena.n_exp;
+        let (a, b) = self.chunks[c];
+        let ids = &self.order[a as usize..b as usize];
+        let node = self.tree.node(ids[0]);
+        let t = &self.levels[node.key.level as usize];
+        let out = &mut panel[..ids.len() * n_exp];
+        out.fill(0.0);
+        if node.is_leaf() {
+            let n_check = t.uc().len();
+            for (&id, col) in ids.iter().zip(check.chunks_exact_mut(n_check)) {
+                let (pts, q) = self.tree.leaf_points(id);
+                let center = self.tree.center_of(id);
+                ops::s2m_check(self.kernel, t.uc(), center, pts, q, ws, col);
+            }
+            gemm_acc_panels(t.uc2ue(), &check[..ids.len() * n_check], out);
+        } else {
+            let mut cols = [self.zero; UPWARD_CHUNK];
+            for octant in 0..8u8 {
+                for (&id, col) in ids.iter().zip(cols.iter_mut()) {
+                    let child = self.tree.node(id).children[octant as usize];
+                    *col = if child >= 0 {
+                        // SAFETY: a child is a leaf or a deeper interior,
+                        // finished before this phase's barrier (`Arena`).
+                        unsafe { self.arena.slot(child as u32) }
+                    } else {
+                        self.zero
+                    };
+                }
+                gemm_acc_cols(t.m2m(octant), &cols[..ids.len()], out);
+            }
+        }
+        for (&id, col) in ids.iter().zip(out.chunks_exact(n_exp)) {
+            // SAFETY: box `id` is in this chunk alone, the chunk was
+            // claimed by this thread alone, and no box of this phase reads
+            // it (`Arena`).
+            unsafe { self.arena.write(id, col) };
+        }
     }
 }
 
@@ -206,6 +350,19 @@ impl<K: Kernel> ResidentFmm<K> {
         cfg: ResidentConfig,
         domain: Domain,
     ) -> Self {
+        Self::build_in_domain_on(kernel, sources, charges, cfg, domain, host_threads())
+    }
+
+    /// [`build_in_domain`](Self::build_in_domain) with an upward pass on at
+    /// most `threads` threads.
+    pub(crate) fn build_in_domain_on(
+        kernel: K,
+        sources: &[Point3],
+        charges: &[f64],
+        cfg: ResidentConfig,
+        domain: Domain,
+        threads: usize,
+    ) -> Self {
         assert_eq!(sources.len(), charges.len(), "one charge per source");
         assert!(!sources.is_empty(), "at least one source required");
         assert!(cfg.theta > 0.0, "theta must be positive");
@@ -224,15 +381,15 @@ impl<K: Kernel> ResidentFmm<K> {
         };
         drop(octree);
         fmm.upward.order.extend(fmm.tree.alive_ids());
-        fmm.upward_pass();
+        fmm.upward_pass(threads);
         fmm
     }
 
     /// Recompute the expansion of every box in `self.upward.order` (see
-    /// "Upward pass" in the module docs), returning how many leaves and
-    /// interiors it computed.  Every box's children must be in the set or
-    /// already final.
-    pub(crate) fn upward_pass(&mut self) -> (usize, usize) {
+    /// "Upward pass" in the module docs) on at most `threads` threads,
+    /// returning how many leaves and interiors it computed.  Every box's
+    /// children must be in the set or already final.
+    pub(crate) fn upward_pass(&mut self, threads: usize) -> (usize, usize) {
         // A step that deepens the tree brings its new levels' tables.
         while self.levels.len() <= self.tree.depth() as usize {
             self.levels.push(self.lib.tables(self.levels.len() as u8));
@@ -254,65 +411,102 @@ impl<K: Kernel> ResidentFmm<K> {
         } = self;
         let Upward {
             order,
-            check,
-            panel,
+            chunks,
+            phases,
             zero,
-            ws,
+            scratch,
         } = upward;
         order.sort_unstable_by_key(|&id| {
             let n = tree.node(id);
-            (std::cmp::Reverse(n.key.level), !n.is_leaf())
+            (!n.is_leaf(), Reverse(n.key.level))
         });
-        zero.resize(n_exp, 0.0);
-        panel.resize(UPWARD_CHUNK * n_exp, 0.0);
-        let (mut leaves, mut interiors) = (0, 0);
-        let mut rest = &order[..];
-        while let Some(&first) = rest.first() {
-            let (level, leaf) = (tree.node(first).key.level, tree.node(first).is_leaf());
-            let run = rest
+        chunks.clear();
+        phases.clear();
+        let (mut leaves, mut interiors, mut max_leaf) = (0, 0, 0);
+        let mut start = 0;
+        while start < order.len() {
+            let first = tree.node(order[start]);
+            let (level, leaf) = (first.key.level, first.is_leaf());
+            let end = order[start..]
                 .iter()
                 .position(|&id| {
                     let n = tree.node(id);
                     n.key.level != level || n.is_leaf() != leaf
                 })
-                .unwrap_or(rest.len());
-            let t = &levels[level as usize];
-            for chunk in rest[..run].chunks(UPWARD_CHUNK) {
-                let out = &mut panel[..chunk.len() * n_exp];
-                out.fill(0.0);
-                if leaf {
-                    let n_check = t.uc().len();
-                    check.resize(UPWARD_CHUNK * n_check, 0.0);
-                    for (&id, col) in chunk.iter().zip(check.chunks_exact_mut(n_check)) {
-                        let (pts, q) = tree.leaf_points(id);
-                        ops::s2m_check(lib.kernel(), t, tree.center_of(id), pts, q, ws, col);
-                    }
-                    gemm_acc_panels(t.uc2ue(), &check[..chunk.len() * n_check], out);
-                } else {
-                    let mut cols = [&zero[..]; UPWARD_CHUNK];
-                    for octant in 0..8u8 {
-                        for (&id, col) in chunk.iter().zip(cols.iter_mut()) {
-                            let c = tree.node(id).children[octant as usize];
-                            *col = if c >= 0 {
-                                &multipoles[c as usize * n_exp..(c as usize + 1) * n_exp]
-                            } else {
-                                &zero[..]
-                            };
-                        }
-                        gemm_acc_cols(t.m2m(octant), &cols[..chunk.len()], out);
-                    }
-                }
-                for (&id, col) in chunk.iter().zip(out.chunks_exact(n_exp)) {
-                    multipoles[id as usize * n_exp..(id as usize + 1) * n_exp].copy_from_slice(col);
-                }
+                .map_or(order.len(), |run| start + run);
+            for a in (start..end).step_by(UPWARD_CHUNK) {
+                chunks.push((a as u32, end.min(a + UPWARD_CHUNK) as u32));
             }
             if leaf {
-                leaves += run;
+                leaves += end - start;
+                for &id in &order[start..end] {
+                    max_leaf = max_leaf.max(tree.leaf_points(id).0.len());
+                }
             } else {
-                interiors += run;
+                interiors += end - start;
             }
-            rest = &rest[run..];
+            // All leaves are one phase; every interior level is its own.
+            match phases.last_mut() {
+                Some(last) if leaf => *last = chunks.len(),
+                _ => phases.push(chunks.len()),
+            }
+            start = end;
         }
+        let leaf_chunks = if leaves > 0 { phases[0] } else { 0 };
+        let threads = threads.min(leaf_chunks).max(1);
+
+        let n_check = levels.iter().map(|t| t.uc().len()).max().unwrap_or(0);
+        scratch.fit(n_check, n_exp, max_leaf);
+        zero.resize(n_exp, 0.0);
+
+        let pass = Pass {
+            tree,
+            kernel: lib.kernel(),
+            levels,
+            order,
+            chunks,
+            zero,
+            arena: Arena {
+                base: multipoles.as_mut_ptr(),
+                n_exp,
+            },
+        };
+        // The counter only hands out chunk indices (`Relaxed`); the
+        // barriers and the scope's join order the arena's writes before
+        // their reads.  On one thread the barrier returns at once and the
+        // scope spawns nothing: the pass runs inline on the caller.
+        let next = AtomicUsize::new(0);
+        let barrier = Barrier::new(threads);
+        let work = |s: &mut Scratch| {
+            let mut c = next.fetch_add(1, Ordering::Relaxed);
+            for (p, &end) in phases.iter().enumerate() {
+                while c < end {
+                    pass.run(c, s);
+                    c = next.fetch_add(1, Ordering::Relaxed);
+                }
+                // Every chunk of this phase has been claimed, and each
+                // thread arrives only after finishing its own.
+                if p + 1 < phases.len() {
+                    barrier.wait();
+                }
+            }
+        };
+        let work = &work;
+        // A spawned thread's scratch is allocated here, by the caller, and
+        // freed with the pass.
+        let mut spawned: Vec<Scratch> = (1..threads)
+            .map(|_| {
+                let mut s = Scratch::default();
+                s.fit(n_check, n_exp, max_leaf);
+                s
+            })
+            .collect();
+        std::thread::scope(|sc| {
+            for s in &mut spawned {
+                sc.spawn(move || work(s));
+            }
+            work(scratch);
+        });
         (leaves, interiors)
     }
 

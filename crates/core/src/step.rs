@@ -12,11 +12,12 @@
 //!    differ from a from-scratch rebuild is known exactly.
 //! 2. **Upward pass** — the build's own batched pass
 //!    (`ResidentFmm::upward_pass`, see the `resident` module docs) runs
-//!    over the dirty boxes only: per level, deepest first, one `uc2ue`
-//!    GEMM per chunk of dirty leaves and eight `M→M` GEMMs per chunk of
-//!    dirty interiors.  Each expansion is computed exactly as the build
-//!    computes it, so a stepped engine equals a rebuild bitwise, and every
-//!    clean box keeps its expansion untouched.
+//!    over the dirty boxes only, on every core: all dirty leaves in one
+//!    parallel sweep, one `uc2ue` GEMM per chunk, then the dirty interiors
+//!    level by level, deepest first, eight `M→M` GEMMs per chunk.  Each
+//!    expansion is computed exactly as the build computes it, whatever the
+//!    thread count, so a stepped engine equals a rebuild bitwise, and
+//!    every clean box keeps its expansion untouched.
 //!
 //! Queries descend the tree under the acceptance criterion and read the
 //! arena directly, so nothing else is kept between steps.  The returned
@@ -26,7 +27,7 @@
 use dashmm_kernels::Kernel;
 use dashmm_refit::{ChargeUpdate, Displacement, RefitStats};
 
-use crate::resident::ResidentFmm;
+use crate::resident::{host_threads, ResidentFmm};
 
 /// Everything one call to [`ResidentFmm::step`] did.
 #[derive(Clone, Debug)]
@@ -74,6 +75,17 @@ impl<K: Kernel> ResidentFmm<K> {
     /// [`ResidentFmm::build_in_domain`] over the current positions (same
     /// domain) answers them.
     pub fn step(&mut self, moves: &[Displacement], charges: &[ChargeUpdate]) -> StepReport {
+        self.step_on(moves, charges, host_threads())
+    }
+
+    /// [`step`](Self::step) with an upward pass on at most `threads`
+    /// threads.
+    pub(crate) fn step_on(
+        &mut self,
+        moves: &[Displacement],
+        charges: &[ChargeUpdate],
+        threads: usize,
+    ) -> StepReport {
         let t0 = std::time::Instant::now();
         let refit = self.tree.apply_step(moves, charges, &mut self.dirty);
         self.dirty.propagate(&self.tree);
@@ -82,7 +94,7 @@ impl<K: Kernel> ResidentFmm<K> {
         let t1 = std::time::Instant::now();
         self.upward.order.clear();
         self.upward.order.extend(self.dirty.dirty_boxes(&self.tree));
-        let (recomputed_leaves, recomputed_interiors) = self.upward_pass();
+        let (recomputed_leaves, recomputed_interiors) = self.upward_pass(threads);
         let recompute_us = t1.elapsed().as_secs_f64() * 1e6;
 
         let dirty_boxes = recomputed_leaves + recomputed_interiors;
@@ -231,7 +243,7 @@ mod tests {
         if node.is_leaf() {
             let (pts, q) = tree.leaf_points(id);
             let mut check = vec![0.0; t.uc().len()];
-            ops::s2m_check(&Laplace, t, tree.center_of(id), pts, q, ws, &mut check);
+            ops::s2m_check(&Laplace, t.uc(), tree.center_of(id), pts, q, ws, &mut check);
             abs_acc(t.uc2ue(), &check, &mut mag);
             ops::s2m(&Laplace, t, tree.center_of(id), pts, q, ws, &mut m);
         } else {
@@ -324,5 +336,62 @@ mod tests {
                 diff / norm
             );
         }
+    }
+
+    /// The arena slots of every live box, as bits.
+    fn arena_bits(fmm: &ResidentFmm<Laplace>) -> Vec<(u32, Vec<u64>)> {
+        fmm.tree()
+            .alive_ids()
+            .map(|id| (id, fmm.multipole(id).iter().map(|x| x.to_bits()).collect()))
+            .collect()
+    }
+
+    #[test]
+    fn upward_pass_is_bitwise_at_any_thread_count() {
+        let n = 20_000;
+        let cfg = ResidentConfig {
+            build: BuildParams {
+                threshold: 30,
+                ..BuildParams::default()
+            },
+            ..ResidentConfig::default()
+        };
+        let sources = uniform_cube(n, 11);
+        let q = charges(n);
+        let domain = Domain::containing(&[&sources], cfg.pad);
+        let build =
+            |threads| ResidentFmm::build_in_domain_on(Laplace, &sources, &q, cfg, domain, threads);
+        let (mut one, mut three) = (build(1), build(3));
+        let tree = one.tree();
+        let leaves = tree.alive_ids().filter(|&id| tree.node(id).is_leaf());
+        assert!(
+            leaves.count() > 3 * UPWARD_CHUNK,
+            "three threads need leaf chunks to share"
+        );
+        assert_eq!(arena_bits(&one), arena_bits(&three), "after the build");
+
+        // Every 9th point moves a tenth of the domain: leaves split and
+        // merge, and a strict subset of the boxes goes dirty.
+        let side = domain.side();
+        let moves: Vec<Displacement> = (0..n)
+            .step_by(9)
+            .map(|i| Displacement {
+                index: i as u32,
+                delta: [0.1 * side * ((i % 3) as f64 - 1.0), 0.05 * side, 0.0],
+            })
+            .collect();
+        let a = one.step_on(&moves, &[], 1);
+        let b = three.step_on(&moves, &[], 3);
+        assert!(a.refit.structural(), "the step must split or merge");
+        assert!(a.dirty_boxes < a.total_boxes);
+        assert_eq!(
+            (a.recomputed_leaves, a.recomputed_interiors),
+            (b.recomputed_leaves, b.recomputed_interiors)
+        );
+        assert_eq!(arena_bits(&one), arena_bits(&three), "after the step");
+
+        // A spawned thread's scratch lives for one pass: the engine keeps
+        // only the caller's, so both hold the same bytes.
+        assert_eq!(three.resident_bytes(), one.resident_bytes());
     }
 }

@@ -66,6 +66,16 @@ impl BatchWorkspace {
         Self::default()
     }
 
+    /// Reserve the gather buffers for `n` point sources, so a caller that
+    /// hands one workspace leaves of up to `n` points sizes it once,
+    /// whichever of those leaves it is handed.
+    pub fn reserve_sources(&mut self, n: usize) {
+        for v in [&mut self.sx, &mut self.sy, &mut self.sz, &mut self.sw] {
+            v.clear();
+            v.reserve(n);
+        }
+    }
+
     /// Total bytes currently reserved across all scratch buffers.  Test
     /// hook for the zero-per-edge-allocation contract: once warmed up at a
     /// problem shape, repeat operator applications must leave this value

@@ -6,20 +6,22 @@
 //! nothing beyond what the operator caches build once per level.
 //!
 //! The particle-facing operators (`p2p`, `s2m`, `s2l`, `m2t`, `l2t` and
-//! their gradient variants) are calls into the kernel's row API
-//! ([`Kernel::potential_rows`] / [`Kernel::field_rows`], AVX2+FMA on
-//! capable hardware): each target's sum over a run of SoA sources is formed
-//! in registers.  What is a target and what is a source:
+//! their gradient variants) are calls into the kernel's vectorized sums
+//! (AVX2+FMA on capable hardware), each value formed in registers.  What
+//! is a target and what is a source:
 //!
-//! * `S→T`: the tree's points are the targets; the source leaves are
-//!   gathered once into the workspace's SoA buffers.
-//! * `S→M` / `S→L`: the level's check surface, placed at the box center,
-//!   is the targets ([`Surface::at`]); the leaf's points are gathered as
-//!   the sources.
+//! * `S→T`: the tree's points are the targets of rows
+//!   ([`Kernel::potential_rows`] / [`Kernel::field_rows`]); the source
+//!   leaves are gathered once into the workspace's SoA buffers.
+//! * `S→M` / `S→L`: the level's check surface is summed as surface
+//!   columns ([`Kernel::surface_potentials`]): its SoA coordinates are read
+//!   in place ([`Surface::coords`]) and placed at the box center lane by
+//!   lane; the leaf's points are gathered as the sources.  Both go through
+//!   [`s2m_check`], on the upward or the downward check surface.
 //! * `M→T` / `L→T`: the level's equivalent surface is read in place as the
-//!   sources, the expansion being its weights ([`Surface::sources`]); the
-//!   targets are taken relative to the box center.  Nothing is gathered,
-//!   and `ws` is not touched.
+//!   sources of rows, the expansion being its weights
+//!   ([`Surface::sources`]); the targets are taken relative to the box
+//!   center.  Nothing is gathered, and `ws` is not touched.
 //!
 //! All scratch comes from the caller's per-worker [`BatchWorkspace`]; no
 //! per-call `vec!` remains on the hot path.
@@ -70,27 +72,6 @@ fn rel(
     })
 }
 
-/// The potentials of `sources` on a check surface placed at `center`, in
-/// `ws.check`.
-fn check_potentials<K: Kernel>(
-    kernel: &K,
-    surface: &Surface,
-    center: Point3,
-    sources: &[Point3],
-    charges: &[f64],
-    ws: &mut BatchWorkspace,
-) {
-    let mut check = std::mem::take(&mut ws.check);
-    check.clear();
-    check.resize(surface.len(), 0.0);
-    kernel.potential_rows(
-        surface.at(center),
-        gather(ws, [(sources, charges)]),
-        &mut check,
-    );
-    ws.check = check;
-}
-
 /// `S→M`: project the sources of a leaf box onto its upward equivalent
 /// densities.  `sources` are world positions; `out` (length
 /// `expansion_len`) is overwritten.
@@ -103,19 +84,22 @@ pub fn s2m<K: Kernel>(
     ws: &mut BatchWorkspace,
     out: &mut [f64],
 ) {
-    debug_assert_eq!(sources.len(), charges.len());
     debug_assert_eq!(out.len(), t.expansion_len());
-    check_potentials(kernel, t.uc(), center, sources, charges, ws);
-    t.uc2ue().matvec_into(&ws.check, out);
+    let mut check = std::mem::take(&mut ws.check);
+    check.resize(t.uc().len(), 0.0);
+    s2m_check(kernel, t.uc(), center, sources, charges, ws, &mut check);
+    t.uc2ue().matvec_into(&check, out);
+    ws.check = check;
 }
 
-/// The check-surface potentials of a leaf's sources: the right-hand side
-/// `S→M` solves with `uc2ue`, written to `check` (length `t.uc().len()`).
-/// The batched upward pass stacks one column per leaf into a panel and
-/// solves them all with one GEMM.
+/// The potentials of a leaf's `sources` on a check `surface` placed at
+/// `center`, written to `check` (length `surface.len()`): the right-hand
+/// side `S→M` solves with `uc2ue` on the upward check surface, and `S→L`
+/// with `dc2de` on the downward one.  The batched upward pass stacks one
+/// column per leaf into a panel and solves them all with one GEMM.
 pub fn s2m_check<K: Kernel>(
     kernel: &K,
-    t: &LevelTables,
+    surface: &Surface,
     center: Point3,
     sources: &[Point3],
     charges: &[f64],
@@ -124,7 +108,12 @@ pub fn s2m_check<K: Kernel>(
 ) {
     debug_assert_eq!(sources.len(), charges.len());
     check.fill(0.0);
-    kernel.potential_rows(t.uc().at(center), gather(ws, [(sources, charges)]), check);
+    kernel.surface_potentials(
+        surface.coords(),
+        [center.x, center.y, center.z],
+        gather(ws, [(sources, charges)]),
+        check,
+    );
 }
 
 /// `M→M`: accumulate a child multipole into its parent.  `t` is the
@@ -163,8 +152,11 @@ pub fn s2l<K: Kernel>(
     ws: &mut BatchWorkspace,
     tgt_l: &mut [f64],
 ) {
-    check_potentials(kernel, t.dc(), tgt_center, sources, charges, ws);
-    t.dc2de().matvec_acc(&ws.check, tgt_l);
+    let mut check = std::mem::take(&mut ws.check);
+    check.resize(t.dc().len(), 0.0);
+    s2m_check(kernel, t.dc(), tgt_center, sources, charges, ws, &mut check);
+    t.dc2de().matvec_acc(&check, tgt_l);
+    ws.check = check;
 }
 
 /// `M→T`: evaluate a multipole expansion at target points (`L3`), adding
@@ -405,7 +397,7 @@ mod tests {
         let (src, q) = cloud(c, SIDE, 40, 1);
         // A stale column must be overwritten, not added to.
         let mut check = vec![1.0; t.uc().len()];
-        s2m_check(&k, &t, c, &src, &q, &mut ws, &mut check);
+        s2m_check(&k, t.uc(), c, &src, &q, &mut ws, &mut check);
         let mut via_check = vec![0.0; t.expansion_len()];
         t.uc2ue().matvec_into(&check, &mut via_check);
         let mut m = vec![0.0; t.expansion_len()];

@@ -4,9 +4,9 @@ use dashmm_kernels::Sources;
 use dashmm_tree::Point3;
 
 /// A surface lattice stored as structure of arrays, relative to the box
-/// center: the layout the kernel rows read.  A check surface is a set of
-/// row targets ([`Surface::at`]); an equivalent surface, weighted by an
-/// expansion, is a set of row sources ([`Surface::sources`]).
+/// center: the layout the kernel loops read.  A check surface is the
+/// points of surface columns ([`Surface::coords`]); an equivalent surface,
+/// weighted by an expansion, is a set of row sources ([`Surface::sources`]).
 pub struct Surface {
     x: Vec<f64>,
     y: Vec<f64>,
@@ -40,15 +40,10 @@ impl Surface {
             .collect()
     }
 
-    /// The points placed around `center`, as row targets.
-    pub fn at(&self, center: Point3) -> impl Iterator<Item = [f64; 3]> + '_ {
-        (0..self.len()).map(move |i| {
-            [
-                self.x[i] + center.x,
-                self.y[i] + center.y,
-                self.z[i] + center.z,
-            ]
-        })
+    /// The SoA coordinates relative to the box center: a check surface as
+    /// the points of surface columns (`Kernel::surface_potentials`).
+    pub fn coords(&self) -> [&[f64]; 3] {
+        [&self.x, &self.y, &self.z]
     }
 
     /// The points weighted by the densities `w`, as row sources relative to

@@ -48,6 +48,29 @@ pub trait Kernel: Clone + Send + Sync + 'static {
         scalar_rows::<Self, true>(self, targets, sources, out);
     }
 
+    /// Surface potentials: `out[i] += Σⱼ wⱼ·K(|pᵢ − sⱼ|)` at each point
+    /// `pᵢ = surface[·][i] + center` of a lattice stored as SoA coordinates
+    /// relative to `center` (a check surface), one output per point.  The
+    /// displacement is formed as `(surface + center) − source`, exactly as
+    /// a row target placed at `center` would form it.
+    ///
+    /// The shape of `S→M` / `S→L`: many points against a short run of
+    /// sources.  Rows would pay their per-target set-up for every point, so
+    /// the built-in kernels override the scalar default with a loop that
+    /// puts the points in the vector lanes and broadcasts each source
+    /// ([`crate::simd`], "Surface columns").  Either way each point sums the
+    /// sources in order, with arithmetic that depends on that point and the
+    /// sources alone.
+    fn surface_potentials(
+        &self,
+        surface: [&[f64]; 3],
+        center: [f64; 3],
+        sources: Sources<'_>,
+        out: &mut [f64],
+    ) {
+        scalar_surface(self, surface, center, sources, out);
+    }
+
     /// Whether the kernel is scale-variant (Yukawa: operator tables and
     /// plane-wave quadratures depend on the tree level, paper §V-A).
     fn scale_variant(&self) -> bool;
@@ -112,7 +135,32 @@ pub(crate) fn scalar_rows<K: Kernel, const FIELD: bool>(
     }
 }
 
-/// The row API of a kernel with a vector lane function ([`crate::simd::Lane`]).
+/// The portable surface loop: one point at a time, the sources in order.
+pub(crate) fn scalar_surface<K: Kernel>(
+    k: &K,
+    p: [&[f64]; 3],
+    c: [f64; 3],
+    s: Sources<'_>,
+    out: &mut [f64],
+) {
+    let m = p[0].len();
+    assert!(
+        p[1].len() == m && p[2].len() == m && out.len() == m,
+        "one output per surface point"
+    );
+    for (i, o) in out.iter_mut().enumerate() {
+        let t = [p[0][i] + c[0], p[1][i] + c[1], p[2][i] + c[2]];
+        let mut acc = [0.0; 4];
+        for j in 0..s.w.len() {
+            let d = [t[0] - s.x[j], t[1] - s.y[j], t[2] - s.z[j]];
+            pair::<K, false>(k, d, s.w[j], &mut acc);
+        }
+        *o += acc[0];
+    }
+}
+
+/// The row and surface API of a kernel with a vector lane function
+/// ([`crate::simd::Lane`]).
 macro_rules! vector_rows {
     () => {
         fn potential_rows(
@@ -131,6 +179,16 @@ macro_rules! vector_rows {
             out: &mut [f64],
         ) {
             crate::simd::rows::<_, true>(self, targets, sources, out);
+        }
+
+        fn surface_potentials(
+            &self,
+            surface: [&[f64]; 3],
+            center: [f64; 3],
+            sources: Sources<'_>,
+            out: &mut [f64],
+        ) {
+            crate::simd::surface(self, surface, center, sources, out);
         }
     };
 }

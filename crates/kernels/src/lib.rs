@@ -7,9 +7,10 @@
 //!
 //! * the [`Kernel`] trait with [`Laplace`], [`Yukawa`] and [`Gauss`]
 //!   implementations — including the row APIs (`potential_rows`,
-//!   `field_rows`) every particle-facing operator sums through, over SoA
-//!   [`Sources`], with a runtime-detected AVX2+FMA loop ([`simd`]) and
-//!   the portable scalar default,
+//!   `field_rows`) and the surface columns (`surface_potentials`) every
+//!   particle-facing operator sums through, over SoA [`Sources`], with
+//!   runtime-detected AVX2+FMA loops ([`simd`]) and the portable scalar
+//!   defaults,
 //! * a parallel **direct summation** oracle ([`direct::direct_sum`]) used to
 //!   validate every multipole method against the exact O(N²) answer,
 //! * [`gauss::gauss_legendre`] nodes/weights,

@@ -1,21 +1,34 @@
-//! The AVX2+FMA row loop behind the built-in kernels.
+//! The AVX2+FMA loops behind the built-in kernels.
 //!
-//! Every particle-facing evaluation — `S→T`, `S→M`, `S→L`, `M→T`, `L→T`,
-//! the direct-sum oracle and the resident query — is a set of rows: one
+//! Every particle-facing evaluation has one of two shapes.  `S→T`, `M→T`,
+//! `L→T`, the direct-sum oracle and the resident query are **rows**: one
 //! target summed over a run of SoA sources ([`Kernel::potential_rows`],
-//! [`Kernel::field_rows`]).  This module holds the one vector loop the
-//! built-in kernels route their rows through:
+//! [`Kernel::field_rows`]).  `S→M` and `S→L` are **surface columns**: every
+//! point of a check surface summed over one leaf's sources
+//! ([`Kernel::surface_potentials`]).  This module holds the vector loop of
+//! each shape; the built-in kernels route both through it.
+//!
+//! **Rows.**
 //!
 //! * targets go in blocks of four; each source vector is loaded once per
 //!   block, and every target keeps its sums in registers, so no separation,
 //!   kernel-value or displacement tile is stored and read back;
-//! * lanes outside the vector estimate's range — `r² = 0` (the excluded
-//!   self-interaction), below the normal-f32 floor the `rsqrt` estimate
-//!   needs, past the kernel's underflow cutoff — are recomputed by the
-//!   scalar [`Kernel::eval`] / [`Kernel::deriv`] and blended in before the
-//!   multiply-add, so correctness never depends on the estimate's domain;
 //! * the last `n mod 4` sources take the scalar pair path after the
 //!   horizontal reduction.
+//!
+//! **Surface columns.**  A leaf has a dozen or so sources, so a row per
+//! check point would be mostly set-up, reduction and scalar tail.  Instead
+//! the points go in the lanes: four points per vector, four vectors per
+//! block, and each source is broadcast once per block.  Every point sums the
+//! sources in order in its own lane, so there is no reduction and no tail;
+//! the last vector of the surface is padded with a copy of its last point,
+//! whose lanes are computed and dropped.
+//!
+//! In both loops, lanes outside the vector estimate's range — `r² = 0` (the
+//! excluded self-interaction), below the normal-f32 floor the `rsqrt`
+//! estimate needs, past the kernel's underflow cutoff — are recomputed by
+//! the scalar [`Kernel::eval`] / [`Kernel::deriv`] and blended in before
+//! the multiply-add, so correctness never depends on the estimate's domain.
 //!
 //! A kernel supplies only its lane function (`Lane`): **Laplace** the
 //! 12-bit hardware `rsqrt` estimate refined by a Newton step and a
@@ -25,21 +38,23 @@
 //! reduction, a degree-13 Horner polynomial and exponent-bit scaling.
 //!
 //! **Block invariance.**  The block width is a const generic: a remainder
-//! block of one to three targets is its own instantiation, not a padded
-//! block of four.  Each target has one accumulator per value, walks the
-//! sources in order and is reduced the same way at every width and slot,
-//! so a target's row is bitwise the same whichever targets share its call —
-//! what keeps the resident engine batch-composition invariant to 0 ulp.
+//! block of one to three targets (of one to three surface vectors) is its
+//! own instantiation, not a padded full block.  Each target (each surface
+//! point) has one accumulator per value, walks the sources in order and is
+//! reduced the same way at every width and slot, so its value is bitwise
+//! the same whichever targets share its call, and a surface point's value
+//! is bitwise the same on any prefix of its surface — what keeps the
+//! resident engine batch-composition invariant to 0 ulp.
 //!
 //! Dispatch follows `dashmm_linalg`'s `gemm` module: AVX2+FMA presence is
 //! detected once at runtime and cached, and the scalar trait default is
-//! the portable fallback on every other machine.  The vector rows agree
-//! with the scalar rows to ≤ 1e-14 of `Σ|w·K|` (`tests/batched_kernels.rs`).
+//! the portable fallback on every other machine.  The vector loops agree
+//! with the scalar ones to ≤ 1e-14 of `Σ|w·K|` (`tests/batched_kernels.rs`).
 
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
 
-use crate::kernel::{scalar_rows, Gauss, Kernel, Laplace, Sources, Yukawa};
+use crate::kernel::{scalar_rows, scalar_surface, Gauss, Kernel, Laplace, Sources, Yukawa};
 
 /// Whether the vectorized kernel rows are in use on this machine.
 pub fn simd_kernels_active() -> bool {
@@ -101,6 +116,35 @@ pub(crate) fn rows<K: Lane, const FIELD: bool>(
         return;
     }
     scalar_rows::<K, FIELD>(k, targets, s, out);
+}
+
+/// The surface potentials of a kernel with a lane function: the vector
+/// loop where AVX2+FMA is present, the scalar default elsewhere.
+pub(crate) fn surface<K: Lane>(
+    k: &K,
+    p: [&[f64]; 3],
+    c: [f64; 3],
+    s: Sources<'_>,
+    out: &mut [f64],
+) {
+    let (m, n) = (p[0].len(), s.w.len());
+    assert!(
+        p[1].len() == m && p[2].len() == m && out.len() == m,
+        "one output per surface point"
+    );
+    assert!(
+        s.x.len() == n && s.y.len() == n && s.z.len() == n,
+        "one position per source weight"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if avx2::active() {
+        // SAFETY: AVX2+FMA presence was just checked, the surface
+        // coordinates and `out` have one length and the source slices
+        // another.
+        unsafe { avx2::surface(k, p, c, s, out) };
+        return;
+    }
+    scalar_surface(k, p, c, s, out);
 }
 
 impl Lane for Laplace {
@@ -395,6 +439,101 @@ mod avx2 {
             }
             for v in 0..per {
                 out[per * b + v] += sum[v];
+            }
+        }
+    }
+
+    /// Surface columns in blocks of four vectors of four points, the
+    /// remainder block at its own width.
+    ///
+    /// # Safety
+    ///
+    /// AVX2+FMA must be present, the three coordinate slices of `p` and
+    /// `out` must have one length, and every slice of `s` the length of
+    /// `s.w`.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn surface<K: Lane>(
+        k: &K,
+        p: [&[f64]; 3],
+        c: [f64; 3],
+        s: Sources<'_>,
+        out: &mut [f64],
+    ) {
+        let m = out.len();
+        let mut i = 0;
+        while i < m {
+            let o = &mut out[i..];
+            match (m - i).div_ceil(4) {
+                1 => column_block::<K, 1>(k, p, c, i, s, o),
+                2 => column_block::<K, 2>(k, p, c, i, s, o),
+                3 => column_block::<K, 3>(k, p, c, i, s, o),
+                _ => column_block::<K, 4>(k, p, c, i, s, o),
+            }
+            i += 16;
+        }
+    }
+
+    /// Surface points `i0 .. i0 + 4V` (the last vector padded with copies
+    /// of point `m − 1`) against every source, adding to `out[..]` from
+    /// the block's first point.  Each lane's arithmetic is independent of
+    /// `V`, of its vector and of its lane.
+    ///
+    /// # Safety
+    ///
+    /// As for [`surface`]; `i0` is below the surface length.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn column_block<K: Lane, const V: usize>(
+        k: &K,
+        p: [&[f64]; 3],
+        c: [f64; 3],
+        i0: usize,
+        s: Sources<'_>,
+        out: &mut [f64],
+    ) {
+        let m = p[0].len();
+        let zero = _mm256_setzero_pd();
+        let mut tv = [[zero; 3]; V];
+        for v in 0..V {
+            let i = i0 + 4 * v;
+            for a in 0..3 {
+                let x = if i + 4 <= m {
+                    // SAFETY: i + 4 ≤ m, the length of every coordinate slice.
+                    _mm256_loadu_pd(p[a].as_ptr().add(i))
+                } else {
+                    let l: [f64; 4] = std::array::from_fn(|q| p[a][(i + q).min(m - 1)]);
+                    _mm256_loadu_pd(l.as_ptr())
+                };
+                tv[v][a] = _mm256_add_pd(x, _mm256_set1_pd(c[a]));
+            }
+        }
+        let mut acc = [zero; V];
+        let sources = s.x.iter().zip(s.y).zip(s.z).zip(s.w);
+        for (((x, y), z), w) in sources {
+            let (sx, sy) = (_mm256_broadcast_sd(x), _mm256_broadcast_sd(y));
+            let (sz, sw) = (_mm256_broadcast_sd(z), _mm256_broadcast_sd(w));
+            let (mut r2, mut kv) = ([zero; V], [zero; V]);
+            let mut ok = _mm256_cmp_pd(zero, zero, _CMP_TRUE_UQ);
+            for v in 0..V {
+                let dx = _mm256_sub_pd(tv[v][0], sx);
+                let dy = _mm256_sub_pd(tv[v][1], sy);
+                let dz = _mm256_sub_pd(tv[v][2], sz);
+                r2[v] = _mm256_fmadd_pd(dz, dz, _mm256_fmadd_pd(dy, dy, _mm256_mul_pd(dx, dx)));
+                kv[v] = k.potential(r2[v]);
+                ok = _mm256_and_pd(ok, in_range(k, r2[v]));
+            }
+            if _mm256_movemask_pd(ok) != 0xf {
+                (kv, _) = fix_up::<K, V, false>(k, r2, kv, [zero; V]);
+            }
+            for v in 0..V {
+                acc[v] = _mm256_fmadd_pd(sw, kv[v], acc[v]);
+            }
+        }
+        for v in 0..V {
+            let mut l = [0.0; 4];
+            _mm256_storeu_pd(l.as_mut_ptr(), acc[v]);
+            for (o, x) in out.iter_mut().skip(4 * v).take(4).zip(l) {
+                *o += x;
             }
         }
     }

@@ -6,6 +6,11 @@
 //! lanes hand to the scalar fix-up: separations below the normal-f32 floor,
 //! past Yukawa's underflow cutoff and past the f32 range.
 //!
+//! The surface columns (`surface_potentials`) are held to the same bound
+//! against the same reference, on lattices whose length is not a multiple
+//! of the vector block, with coincident and beyond-cutoff sources, and
+//! every point's value must not change when the surface is cut short.
+//!
 //! On machines without AVX2+FMA the rows are the scalar default and these
 //! tests degenerate to summation-order identities; they are unconditional
 //! so the contract is pinned on every platform.
@@ -221,4 +226,128 @@ fn underflowing_yukawa_lanes_are_finite() {
     let mut out = [0.0; 4];
     Yukawa::new(2.0).field_rows([[0.0; 3]], src.view(), &mut out);
     assert_eq!(out, [0.0; 4]);
+}
+
+/// The `q × q × q` lattice points on the boundary of `[-r, r]³`, as SoA
+/// coordinates (the layout of a check surface).
+fn lattice(q: usize, r: f64) -> [Vec<f64>; 3] {
+    let step = 2.0 * r / (q - 1) as f64;
+    let mut p = [Vec::new(), Vec::new(), Vec::new()];
+    for i in 0..q {
+        for j in 0..q {
+            for k in 0..q {
+                if [i, j, k].iter().any(|&x| x == 0 || x == q - 1) {
+                    for (a, x) in [i, j, k].into_iter().enumerate() {
+                        p[a].push(-r + x as f64 * step);
+                    }
+                }
+            }
+        }
+    }
+    p
+}
+
+/// A `q`-lattice around a center and `ns` sources salted with a source on
+/// a surface point (`r² = 0`), sources past the vector lanes' range and
+/// past Yukawa's underflow cutoff, and random sources inside the box.
+fn surface_case(q: usize, ns: usize, seed: u64) -> ([Vec<f64>; 3], [f64; 3], Soa) {
+    let mut next = rng(seed);
+    let p = lattice(q, 0.4);
+    let c = [next(), next(), next()];
+    let m = p[0].len();
+    let mut src = Soa {
+        x: Vec::new(),
+        y: Vec::new(),
+        z: Vec::new(),
+        w: Vec::new(),
+    };
+    for j in 0..ns {
+        let i = (7 * j + seed as usize) % m;
+        let on = [p[0][i] + c[0], p[1][i] + c[1], p[2][i] + c[2]];
+        let s = match (seed as usize + j) % 6 {
+            0 => on,
+            1 => [on[0] + 1e4, on[1], on[2]],
+            2 => [on[0], on[1] - 3e19, on[2]],
+            _ => [
+                c[0] + 0.3 * next(),
+                c[1] + 0.3 * next(),
+                c[2] + 0.3 * next(),
+            ],
+        };
+        src.x.push(s[0]);
+        src.y.push(s[1]);
+        src.z.push(s[2]);
+        src.w.push(2.0 * next());
+    }
+    (p, c, src)
+}
+
+fn coords(p: &[Vec<f64>; 3], len: usize) -> [&[f64]; 3] {
+    [&p[0][..len], &p[1][..len], &p[2][..len]]
+}
+
+fn check_surface<K: Kernel>(k: &K, q: usize, ns: usize, seed: u64) {
+    let (p, c, src) = surface_case(q, ns, seed);
+    let m = p[0].len();
+    // The reference places each point as the vector loop does,
+    // `surface + center`, and skips coincident pairs.
+    let targets: Vec<[f64; 3]> = (0..m)
+        .map(|i| [p[0][i] + c[0], p[1][i] + c[1], p[2][i] + c[2]])
+        .collect();
+    let (want, scale) = reference(k, &targets, &src);
+    let mut got = vec![0.0; m];
+    k.surface_potentials(coords(&p, m), c, src.view(), &mut got);
+    for i in 0..m {
+        let (w, err) = (want[4 * i], (got[i] - want[4 * i]).abs());
+        assert!(
+            err <= 1e-14 * scale[i][0] || got[i].to_bits() == w.to_bits(),
+            "{} q={q} ns={ns} seed={seed} point {i}: got {:e}, want {w:e}, err {:e}",
+            k.name(),
+            got[i],
+            err / scale[i][0]
+        );
+    }
+    // Cut to any prefix, every remaining point keeps its bits.
+    for len in 1..m {
+        let mut cut = vec![0.0; len];
+        k.surface_potentials(coords(&p, len), c, src.view(), &mut cut);
+        for i in 0..len {
+            assert_eq!(
+                cut[i].to_bits(),
+                got[i].to_bits(),
+                "{} q={q} point {i} of a {len}-point prefix",
+                k.name()
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn laplace_surface_matches_scalar(q in 2usize..7, ns in 0usize..40, seed in any::<u64>()) {
+        check_surface(&Laplace, q, ns, seed);
+    }
+
+    #[test]
+    fn yukawa_surface_matches_scalar(q in 2usize..7, ns in 0usize..40, seed in any::<u64>(), lambda in 0.2f64..4.0) {
+        check_surface(&Yukawa::new(lambda), q, ns, seed);
+    }
+
+    #[test]
+    fn gauss_surface_matches_scalar(q in 2usize..7, ns in 0usize..40, seed in any::<u64>(), sigma in 0.3f64..3.0) {
+        check_surface(&Gauss::new(sigma), q, ns, seed);
+    }
+}
+
+#[test]
+fn surface_of_98_points_with_every_fix_up_lane() {
+    // q = 5: 98 points, six full blocks and a remainder of two points in
+    // one padded vector; 18 sources cover every salt at several lanes.
+    for seed in 0..6 {
+        check_surface(&Laplace, 5, 18, seed);
+        check_surface(&Yukawa::new(1.0), 5, 18, seed);
+        check_surface(&Gauss::new(0.7), 5, 18, seed);
+    }
 }
