@@ -23,9 +23,9 @@
 //!   predicate (all inputs arrived) and dynamically registered
 //!   continuations, exactly the machinery DASHMM builds its implicit DAG
 //!   from (paper §IV, Figure 2),
-//! * a per-locality scheduler with per-worker deques and randomized work
-//!   stealing, plus graded **task priorities** ([`Priority`]) — the
-//!   extension the paper's conclusions call for,
+//! * a per-locality scheduler with one shared injector, per-worker deques
+//!   and randomized work stealing — the priority-oblivious scheduler the
+//!   paper measured (its proposed priorities are studied in `dashmm-sim`),
 //! * low-overhead event tracing and the utilization-fraction analysis of
 //!   §V-B (Equations 1–2).
 
@@ -48,6 +48,8 @@ pub use dashmm_obs::{
 pub use fault::{FaultPlan, FrameFate, KillSpec, StallSpec, ENV_FAULTS};
 pub use lco::{LcoOp, LcoSpec};
 pub use ledger::{ConvictionReason, LedgerSnapshot, PeerFailure, ProgressLedger};
-pub use parcel::{decode_f64s, decode_f64s_into, encode_f64s, ActionId, Parcel, Priority};
+pub use parcel::{
+    decode_f64s, decode_f64s_into, encode_f64s, ActionId, Parcel, PARCEL_HEADER_BYTES,
+};
 pub use runtime::{RunReport, Runtime, RuntimeConfig, TaskCtx};
 pub use transport::{CoalesceConfig, SharedMem, Transport, TransportHooks, TransportStats};

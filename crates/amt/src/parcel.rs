@@ -9,51 +9,10 @@ use crate::addr::GlobalAddress;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ActionId(pub u32);
 
-/// Graded task priority.  The paper's scheduling extension (§V-C/§VI) is a
-/// binary high/normal bit; the priority-lattice pass generalises it to
-/// [`Priority::CLASSES`] ordered classes where level 0 is the most urgent
-/// and level `CLASSES - 1` the least.  Smaller level ⇒ drained first.
-///
-/// [`Priority::High`] (level 0) and [`Priority::Normal`] (the middle
-/// class) are retained as named constants: binary-mode callers and the
-/// paper-faithful ablation baseline use exactly those two, while the
-/// lattice emits the full range via [`Priority::class`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Priority(u8);
-
-impl Priority {
-    /// Number of priority classes carried on the wire and indexed by the
-    /// scheduler's run queues.  Must match the DAG lattice's
-    /// `PRIORITY_CLASSES` (asserted where the two crates meet).
-    pub const CLASSES: u8 = 8;
-
-    /// Most urgent class — what the paper's binary extension calls "high".
-    #[allow(non_upper_case_globals)]
-    pub const High: Priority = Priority(0);
-
-    /// Default class for unranked work, the middle of the lattice so a
-    /// computed lattice can both promote and demote relative to it.
-    #[allow(non_upper_case_globals)]
-    pub const Normal: Priority = Priority(Self::CLASSES / 2);
-
-    /// Graded priority at `level`, clamped to the valid range.
-    #[inline]
-    pub fn class(level: u8) -> Priority {
-        Priority(level.min(Self::CLASSES - 1))
-    }
-
-    /// The class level, `0..CLASSES` (0 = most urgent).
-    #[inline]
-    pub fn level(self) -> u8 {
-        self.0
-    }
-}
-
-impl Default for Priority {
-    fn default() -> Self {
-        Priority::Normal
-    }
-}
+/// Bytes of a parcel's fixed header on the wire: action `u32`, target
+/// `u64`, payload length `u32`.  The socket codec writes exactly this
+/// header, so [`Parcel::wire_bytes`] counts what a socket carries.
+pub const PARCEL_HEADER_BYTES: usize = 16;
 
 /// An active message: an action to perform at a global address, with
 /// argument data.
@@ -66,40 +25,22 @@ pub struct Parcel {
     pub target: GlobalAddress,
     /// Argument bytes.
     pub payload: Vec<u8>,
-    /// Scheduling priority at the destination.
-    pub priority: Priority,
 }
 
 impl Parcel {
-    /// Construct a normal-priority parcel.
+    /// Construct a parcel.
     pub fn new(action: ActionId, target: GlobalAddress, payload: Vec<u8>) -> Self {
         Parcel {
             action,
             target,
             payload,
-            priority: Priority::Normal,
-        }
-    }
-
-    /// Construct a parcel at an explicit graded priority.
-    pub fn with_priority(
-        action: ActionId,
-        target: GlobalAddress,
-        payload: Vec<u8>,
-        priority: Priority,
-    ) -> Self {
-        Parcel {
-            action,
-            target,
-            payload,
-            priority,
         }
     }
 
     /// Total bytes on the wire (header + payload), the quantity the
     /// network statistics count.
     pub fn wire_bytes(&self) -> u64 {
-        16 + self.payload.len() as u64
+        (PARCEL_HEADER_BYTES + self.payload.len()) as u64
     }
 }
 
@@ -173,28 +114,5 @@ mod tests {
     fn wire_bytes_include_header() {
         let p = Parcel::new(ActionId(1), GlobalAddress::new(0, 0), vec![0; 24]);
         assert_eq!(p.wire_bytes(), 40);
-    }
-
-    #[test]
-    fn priorities() {
-        let p = Parcel::new(ActionId(0), GlobalAddress::new(0, 0), vec![]);
-        assert_eq!(p.priority, Priority::Normal);
-        let g = Parcel::with_priority(
-            ActionId(0),
-            GlobalAddress::new(0, 0),
-            vec![],
-            Priority::class(2),
-        );
-        assert_eq!(g.priority.level(), 2);
-    }
-
-    #[test]
-    fn priority_grading() {
-        assert_eq!(Priority::High.level(), 0);
-        assert_eq!(Priority::Normal.level(), Priority::CLASSES / 2);
-        assert!(Priority::High < Priority::Normal);
-        // Out-of-range levels clamp to the least-urgent class.
-        assert_eq!(Priority::class(200).level(), Priority::CLASSES - 1);
-        assert_eq!(Priority::default(), Priority::Normal);
     }
 }

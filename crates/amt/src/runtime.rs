@@ -1,7 +1,7 @@
 //! The runtime: localities, scheduler, global operations.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Instant, SystemTime};
 
@@ -14,7 +14,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::addr::GlobalAddress;
 use crate::lco::{LcoCell, LcoSpec, LcoState};
 use crate::ledger::PeerFailure;
-use crate::parcel::{decode_f64s, encode_f64s, ActionId, Parcel, Priority};
+use crate::parcel::{decode_f64s, encode_f64s, ActionId, Parcel};
 use crate::transport::{SharedMem, Transport, TransportHooks};
 
 /// Runtime configuration.
@@ -42,16 +42,7 @@ impl Default for RuntimeConfig {
 /// Either an active-message parcel or a locality-local lightweight thread.
 enum Task {
     Parcel(Parcel),
-    Local(Box<dyn FnOnce(&TaskCtx) + Send>, Priority),
-}
-
-impl Task {
-    fn priority(&self) -> Priority {
-        match self {
-            Task::Parcel(p) => p.priority,
-            Task::Local(_, pr) => *pr,
-        }
-    }
+    Local(Box<dyn FnOnce(&TaskCtx) + Send>),
 }
 
 /// Action function signature: invoked at the target's locality.
@@ -62,26 +53,10 @@ pub const ACTION_LCO_SET: ActionId = ActionId(0);
 /// Built-in action: register a continuation parcel on an LCO.
 pub const ACTION_REGISTER_CONT: ActionId = ActionId(1);
 
-/// Indexed run-queue classes (one shared injector per [`Priority`] level).
-const N_CLASSES: usize = Priority::CLASSES as usize;
-
-/// Every `STARVATION_PERIOD`-th dequeue serves the *least* urgent occupied
-/// class instead of the most urgent one, so low classes drain (slowly)
-/// even under a sustained stream of urgent work.
-const STARVATION_PERIOD: u64 = 61;
-
 struct Locality {
-    /// One injector per priority class, indexed by [`Priority::level`]
-    /// (0 = most urgent).  Replaces the former high/normal pair: a dequeue
-    /// is a masked scan over at most `N_CLASSES` bits rather than a linear
-    /// walk of a combined deque.
-    queues: [Injector<Task>; N_CLASSES],
-    /// Bit `c` set ⇒ `queues[c]` may be non-empty.  A hint: set after every
-    /// push, cleared (and racily re-verified) on an empty steal, so no task
-    /// can be stranded with its bit lost.
-    occupancy: AtomicU32,
-    /// Dequeues served, driving the anti-starvation escape hatch.
-    served: AtomicU64,
+    /// Work from outside the locality's workers: seeds, parcels off the
+    /// network or from sibling localities.  Workers batch-steal from it.
+    injector: Injector<Task>,
     /// The LCO slab.  [`Runtime::lco_new`] grows it between runs; during a
     /// run every worker holds a clone of the `Arc` taken at run start and
     /// indexes it without a lock.
@@ -94,60 +69,11 @@ struct Locality {
 impl Locality {
     fn new() -> Self {
         Locality {
-            queues: std::array::from_fn(|_| Injector::new()),
-            occupancy: AtomicU32::new(0),
-            served: AtomicU64::new(0),
+            injector: Injector::new(),
             lcos: Mutex::new(Arc::default()),
             blocks: RwLock::new(Vec::new()),
             msgs_sent: AtomicU64::new(0),
             bytes_sent: AtomicU64::new(0),
-        }
-    }
-
-    /// Push onto the class queue and publish the occupancy bit.
-    fn push_class(&self, priority: Priority, task: Task) {
-        let level = priority.level() as usize;
-        self.queues[level].push(task);
-        self.occupancy.fetch_or(1 << level, Ordering::Release);
-    }
-
-    /// Queue `level` came up empty: clear its hint bit, then re-set it if a
-    /// concurrent push raced the clear.
-    fn note_empty(&self, level: usize) {
-        self.occupancy
-            .fetch_and(!(1u32 << level), Ordering::Release);
-        if !self.queues[level].is_empty() {
-            self.occupancy.fetch_or(1 << level, Ordering::Release);
-        }
-    }
-
-    /// Batch-steal from class `level` into the worker's deque.
-    fn try_pop_batch(&self, level: usize, local: &Worker<Task>) -> Option<Task> {
-        loop {
-            match self.queues[level].steal_batch_and_pop(local) {
-                Steal::Success(t) => return Some(t),
-                Steal::Empty => {
-                    self.note_empty(level);
-                    return None;
-                }
-                Steal::Retry => {}
-            }
-        }
-    }
-
-    /// Steal a single task from class `level` (no batching — used by the
-    /// anti-starvation hatch so low-priority work is not bulk-promoted
-    /// into the worker's local deque).
-    fn try_steal_one(&self, level: usize) -> Option<Task> {
-        loop {
-            match self.queues[level].steal() {
-                Steal::Success(t) => return Some(t),
-                Steal::Empty => {
-                    self.note_empty(level);
-                    return None;
-                }
-                Steal::Retry => {}
-            }
         }
     }
 }
@@ -296,7 +222,7 @@ impl Runtime {
         // do not make a valid call are dropped and counted, not a panic.
         let a0 = rt.register_action(Arc::new(|ctx: &TaskCtx, target, payload: &[u8]| {
             let landed = payload.len().is_multiple_of(8)
-                && ctx.reduce_local(target.index, &decode_f64s(payload), Priority::Normal, true);
+                && ctx.reduce_local(target.index, &decode_f64s(payload), true);
             if !landed {
                 ctx.rt.dropped_parcels.fetch_add(1, Ordering::Relaxed);
             }
@@ -463,7 +389,7 @@ impl Runtime {
         if !self.is_local(locality) {
             return;
         }
-        self.enqueue(locality, Task::Local(Box::new(f), Priority::Normal));
+        self.enqueue(locality, Task::Local(Box::new(f)));
     }
 
     /// Enqueue a seed parcel (dropped for localities hosted elsewhere, as
@@ -482,7 +408,7 @@ impl Runtime {
             "enqueue targets locality {locality}, which another process hosts"
         );
         self.pending.fetch_add(1, Ordering::SeqCst);
-        self.localities[locality as usize].push_class(task.priority(), task);
+        self.localities[locality as usize].injector.push(task);
     }
 
     /// Execute until quiescence: every enqueued task (and everything they
@@ -586,16 +512,13 @@ impl Runtime {
             // the pending counter returns to zero and `reset()` (and a
             // subsequent recovery run) stay usable after the abort.
             for loc in &self.localities {
-                for q in &loc.queues {
-                    loop {
-                        match q.steal() {
-                            Steal::Success(_) => {}
-                            Steal::Empty => break,
-                            Steal::Retry => {}
-                        }
+                loop {
+                    match loc.injector.steal() {
+                        Steal::Success(_) => {}
+                        Steal::Empty => break,
+                        Steal::Retry => {}
                     }
                 }
-                loc.occupancy.store(0, Ordering::SeqCst);
             }
             self.pending.store(0, Ordering::SeqCst);
         }
@@ -716,59 +639,14 @@ impl Runtime {
         loc: &Locality,
         worker: usize,
     ) -> Option<Task> {
-        // Indexed multi-level dequeue: the occupancy mask turns "find the
-        // most urgent non-empty class" into a handful of bit tests instead
-        // of the former linear high-first deque scan.
-        let normal = Priority::Normal.level() as usize;
-        let mask = loc.occupancy.load(Ordering::Acquire);
-        if mask & !(1 << normal) != 0 {
-            // Anti-starvation escape hatch: while graded (non-`Normal`)
-            // work is queued, periodically serve the least urgent occupied
-            // class so Normal-and-below work still drains under a sustained
-            // stream of urgent tasks.  A run that only ever emits `Normal`
-            // work (a flat plan) never enters here: the graded queue fed
-            // one class is the priority-oblivious scheduler the paper
-            // measures.
-            let turn = loc.served.fetch_add(1, Ordering::Relaxed);
-            if turn % STARVATION_PERIOD == STARVATION_PERIOD - 1 {
-                // Least-urgent work may live in a shared class queue or —
-                // after a batch steal promoted it — in the local deque.
-                let most = mask.trailing_zeros();
-                let least = 31 - mask.leading_zeros();
-                if least > most {
-                    if let Some(t) = loc.try_steal_one(least as usize) {
-                        return Some(t);
-                    }
-                }
-                if let Some(t) = ctx.local.pop() {
-                    return Some(t);
-                }
-            }
-        }
-        // Classes more urgent than Normal pre-empt the worker's own deque
-        // (the role the high injector used to play).
-        if mask != 0 {
-            for level in 0..normal {
-                if mask & (1 << level) != 0 {
-                    if let Some(t) = loc.try_pop_batch(level, &ctx.local) {
-                        return Some(t);
-                    }
-                }
-            }
-        }
         if let Some(t) = ctx.local.pop() {
             return Some(t);
         }
-        // Remaining classes, most urgent first (re-read the mask: urgent
-        // work may have arrived while the local deque drained).
-        let mask = loc.occupancy.load(Ordering::Acquire);
-        if mask != 0 {
-            for level in 0..N_CLASSES {
-                if mask & (1 << level) != 0 {
-                    if let Some(t) = loc.try_pop_batch(level, &ctx.local) {
-                        return Some(t);
-                    }
-                }
+        loop {
+            match loc.injector.steal_batch_and_pop(&ctx.local) {
+                Steal::Success(t) => return Some(t),
+                Steal::Empty => break,
+                Steal::Retry => {}
             }
         }
         // Randomized stealing from sibling workers.
@@ -808,7 +686,7 @@ impl Runtime {
                     }
                 }
             }
-            Task::Local(f, _) => f(ctx),
+            Task::Local(f) => f(ctx),
         }
     }
 }
@@ -817,7 +695,6 @@ fn encode_continuation(parcel: &Parcel, include_data: bool, out: &mut Vec<u8>) {
     out.extend_from_slice(&parcel.action.0.to_le_bytes());
     out.extend_from_slice(&parcel.target.pack().to_le_bytes());
     out.push(include_data as u8);
-    out.push(parcel.priority.level());
     out.extend_from_slice(&(parcel.payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&parcel.payload);
 }
@@ -825,13 +702,12 @@ fn encode_continuation(parcel: &Parcel, include_data: bool, out: &mut Vec<u8>) {
 /// Decode a continuation registration; `None` unless `bytes` is exactly
 /// one [`encode_continuation`] of a parcel to one of `localities`.
 fn decode_continuation(bytes: &[u8], localities: u32) -> Option<(Parcel, bool)> {
-    let (head, payload) = bytes.split_at_checked(18)?;
+    let (head, payload) = bytes.split_at_checked(17)?;
     let word = |at: usize| u32::from_le_bytes(head[at..at + 4].try_into().expect("4 bytes"));
     let target =
         GlobalAddress::unpack(u64::from_le_bytes(head[4..12].try_into().expect("8 bytes")));
-    let priority = Priority::class(head[13]);
-    (word(14) as usize == payload.len() && target.locality < localities).then(|| {
-        let parcel = Parcel::with_priority(ActionId(word(0)), target, payload.to_vec(), priority);
+    (word(13) as usize == payload.len() && target.locality < localities).then(|| {
+        let parcel = Parcel::new(ActionId(word(0)), target, payload.to_vec());
         (parcel, head[12] != 0)
     })
 }
@@ -858,25 +734,8 @@ impl<'a> TaskCtx<'a> {
 
     /// Spawn a locality-local lightweight thread.
     pub fn spawn(&self, f: impl FnOnce(&TaskCtx) + Send + 'static) {
-        self.spawn_with_priority(f, Priority::Normal);
-    }
-
-    /// Spawn with an explicit priority.
-    pub fn spawn_with_priority(
-        &self,
-        f: impl FnOnce(&TaskCtx) + Send + 'static,
-        priority: Priority,
-    ) {
         self.rt.pending.fetch_add(1, Ordering::SeqCst);
-        let task = Task::Local(Box::new(f), priority);
-        if priority != Priority::Normal {
-            // Graded work goes through the shared class queues so every
-            // worker sees its rank; Normal work stays on the cheap local
-            // deque as before.
-            self.rt.localities[self.locality as usize].push_class(priority, task);
-        } else {
-            self.local.push(task);
-        }
+        self.local.push(Task::Local(Box::new(f)));
     }
 
     /// Send a parcel; local targets are enqueued directly, other
@@ -885,13 +744,7 @@ impl<'a> TaskCtx<'a> {
     pub fn send(&self, parcel: Parcel) {
         if parcel.target.locality == self.locality {
             self.rt.pending.fetch_add(1, Ordering::SeqCst);
-            let task = Task::Parcel(parcel);
-            let priority = task.priority();
-            if priority != Priority::Normal {
-                self.rt.localities[self.locality as usize].push_class(priority, task);
-            } else {
-                self.local.push(task);
-            }
+            self.local.push(Task::Parcel(parcel));
         } else if self.rt.is_local(parcel.target.locality) {
             let src = &self.rt.localities[self.locality as usize];
             src.msgs_sent.fetch_add(1, Ordering::Relaxed);
@@ -911,20 +764,13 @@ impl<'a> TaskCtx<'a> {
     /// the LCO's expected inputs, its continuations are spawned as a new
     /// lightweight thread at the LCO's locality.
     pub fn lco_set(&self, addr: GlobalAddress, data: &[f64]) {
-        self.lco_set_with_priority(addr, data, Priority::Normal);
-    }
-
-    /// [`TaskCtx::lco_set`] with an explicit continuation priority.
-    pub fn lco_set_with_priority(&self, addr: GlobalAddress, data: &[f64], priority: Priority) {
         if addr.locality != self.locality {
             let mut payload = Vec::with_capacity(data.len() * 8);
             encode_f64s(data, &mut payload);
-            let mut p = Parcel::new(ACTION_LCO_SET, addr, payload);
-            p.priority = priority;
-            self.send(p);
+            self.send(Parcel::new(ACTION_LCO_SET, addr, payload));
             return;
         }
-        self.reduce_local(addr.index, data, priority, false);
+        self.reduce_local(addr.index, data, false);
     }
 
     /// Fold `data` into this locality's LCO `index` and, if it was the last
@@ -932,7 +778,7 @@ impl<'a> TaskCtx<'a> {
     /// inputs off a wire: one the LCO cannot take — past the slab, after
     /// the trigger, the wrong length — is refused (`false`), where local
     /// code that sends it panics.
-    fn reduce_local(&self, index: u32, data: &[f64], priority: Priority, checked: bool) -> bool {
+    fn reduce_local(&self, index: u32, data: &[f64], checked: bool) -> bool {
         let Some(cell) = self.lcos.get(index as usize) else {
             assert!(
                 checked,
@@ -967,7 +813,7 @@ impl<'a> TaskCtx<'a> {
                     .borrow_mut()
                     .record_instant(CLASS_LCO_TRIGGER, now);
             }
-            self.spawn_with_priority(move |ctx| ctx.fire(index, &payload, waiting), priority);
+            self.spawn(move |ctx| ctx.fire(index, &payload, waiting));
         }
         true
     }
@@ -1603,90 +1449,6 @@ mod tests {
         assert_eq!(r.lco_get(a), Some(vec![6.0]));
         // Triggered cells refuse re-arming.
         assert!(!r.lco_rearm(a, 1));
-    }
-
-    #[test]
-    fn normal_work_drains_under_sustained_high_load() {
-        // Starvation regression for the indexed multi-level run queue: a
-        // self-replenishing chain of High tasks keeps the urgent class
-        // permanently occupied on a single worker.  Without the escape
-        // hatch, strict priority order would run the entire chain before
-        // any Normal task; the hatch must interleave Normal work while the
-        // chain is still alive.
-        const CHAIN: u64 = 4000;
-        const NORMALS: u64 = 30;
-        let r = Runtime::new(RuntimeConfig {
-            localities: 1,
-            workers_per_locality: 1,
-            obs: ObsLevel::Off,
-        });
-        let high_done = Arc::new(AtomicU64::new(0));
-        let normal_seen_at = Arc::new(Mutex::new(Vec::new()));
-        for _ in 0..NORMALS {
-            let hd = high_done.clone();
-            let seen = normal_seen_at.clone();
-            r.seed(0, move |_| {
-                seen.lock().push(hd.load(Ordering::SeqCst));
-            });
-        }
-        fn link(ctx: &TaskCtx, remaining: u64, done: Arc<AtomicU64>) {
-            done.fetch_add(1, Ordering::SeqCst);
-            if remaining > 0 {
-                ctx.spawn_with_priority(move |c| link(c, remaining - 1, done), Priority::High);
-            }
-        }
-        {
-            let hd = high_done.clone();
-            r.seed(0, move |ctx| link(ctx, CHAIN - 1, hd));
-        }
-        r.run();
-        assert_eq!(high_done.load(Ordering::SeqCst), CHAIN);
-        let seen = normal_seen_at.lock();
-        assert_eq!(seen.len() as u64, NORMALS);
-        assert!(
-            seen.iter().all(|&at| at < CHAIN),
-            "every Normal task must run while High work is still flowing; \
-             saw completions at {:?} of {} chain tasks",
-            *seen,
-            CHAIN
-        );
-    }
-
-    #[test]
-    fn classes_dequeue_most_urgent_first() {
-        // One worker, seeds parked behind a blocked gate: after release,
-        // tasks must drain class 0 → class 7 regardless of enqueue order.
-        let r = Runtime::new(RuntimeConfig {
-            localities: 1,
-            workers_per_locality: 1,
-            obs: ObsLevel::Off,
-        });
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let act = {
-            let o = order.clone();
-            r.register_action(Arc::new(move |_ctx, target, _payload: &[u8]| {
-                o.lock().push(target.index as u8);
-            }))
-        };
-        let o = order.clone();
-        r.seed(0, move |ctx| {
-            let _ = &o;
-            for level in (0..Priority::CLASSES).rev() {
-                ctx.send(Parcel::with_priority(
-                    act,
-                    GlobalAddress::new(0, level as u32),
-                    vec![],
-                    Priority::class(level),
-                ));
-            }
-        });
-        r.run();
-        let got = order.lock().clone();
-        assert_eq!(
-            got,
-            (0..Priority::CLASSES).collect::<Vec<u8>>(),
-            "graded parcels drain most-urgent class first"
-        );
     }
 
     #[test]

@@ -1,13 +1,11 @@
 //! Stress and behavioural tests of the AMT runtime beyond the unit level:
-//! stealing, priorities, wide fan-in/fan-out, cross-locality continuation
+//! stealing, wide fan-in/fan-out, cross-locality continuation
 //! chains.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dashmm_amt::{
-    encode_f64s, GlobalAddress, LcoSpec, ObsLevel, Parcel, Priority, Runtime, RuntimeConfig,
-};
+use dashmm_amt::{encode_f64s, GlobalAddress, LcoSpec, ObsLevel, Parcel, Runtime, RuntimeConfig};
 
 fn rt(localities: usize, workers: usize) -> Arc<Runtime> {
     Runtime::new(RuntimeConfig {
@@ -43,29 +41,6 @@ fn work_is_stolen_across_workers() {
         active >= 2,
         "expected work to involve ≥ 2 workers: {counts:?}"
     );
-}
-
-#[test]
-fn single_worker_priority_order() {
-    // One worker: seed low tasks first, then a high task; the high task
-    // must run before the queued low tasks.
-    let r = rt(1, 1);
-    let order: Arc<std::sync::Mutex<Vec<u32>>> = Arc::new(std::sync::Mutex::new(Vec::new()));
-    // A blocker task enqueues everything else while the worker is busy.
-    let o = Arc::clone(&order);
-    r.seed(0, move |ctx| {
-        for i in 0..5u32 {
-            let o2 = Arc::clone(&o);
-            ctx.spawn_with_priority(move |_| o2.lock().unwrap().push(i), Priority::Normal);
-        }
-        let o3 = Arc::clone(&o);
-        ctx.spawn_with_priority(move |_| o3.lock().unwrap().push(100), Priority::High);
-    });
-    r.run();
-    let seq = order.lock().unwrap().clone();
-    assert_eq!(seq.len(), 6);
-    let high_pos = seq.iter().position(|&x| x == 100).unwrap();
-    assert_eq!(high_pos, 0, "high-priority task must run first: {seq:?}");
 }
 
 #[test]

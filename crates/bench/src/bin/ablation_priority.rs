@@ -12,8 +12,8 @@
 //!   so up-sweep edges split into high-priority tasks);
 //! * **lattice** — every DAG node ranked by weighted distance to the
 //!   critical sink ([`dashmm_dag::SchedPlan::lattice`]), classes carried
-//!   through run queues, coalesced parcels and flush ordering, so upward,
-//!   transfer and downward work interleave instead of phasing;
+//!   through the simulated run queues, so upward, transfer and downward
+//!   work interleave instead of phasing;
 //! * **lattice+feedback** — the same lattice warmed by the FIFO run's
 //!   observed per-class critical-path time
 //!   ([`dashmm_dag::LatticeHint::from_per_class_ns`]).
@@ -25,12 +25,12 @@
 //!    schedule;
 //! 2. critical-path wall time at high core counts (64/128 localities):
 //!    shortening per schedule, per-class on-path time;
-//! 3. a *measured* threaded-runtime comparison (real evaluation, span
-//!    traces).
+//! 3. the *measured* FIFO baseline on the threaded runtime (real
+//!    evaluation, span traces): the priority-oblivious scheduler the paper
+//!    measured, and the only one the runtime has.
 //!
-//! All four schedules are [`SchedPolicy`] values whose plan the simulator
-//! replays through the same `on_fire` dispatch the runtime executes, so
-//! the sim rows model the measured schedules by construction.
+//! All four schedules are [`SchedPlan`] values the simulator replays
+//! through its per-class ready queues; the runtime executes none of them.
 //!
 //! With `--trough-gate` the pipeline gates become hard failures (nonzero
 //! exit), which is how the CI smoke lane enforces them.  The lattice-vs-FIFO
@@ -42,7 +42,7 @@
 
 use dashmm_amt::{utilization_total, ObsLevel, TraceSet};
 use dashmm_bench::{banner, build_workload, cost_model, distribute, socket, Opts};
-use dashmm_core::{DashmmBuilder, LatticeHint, Method, SchedPolicy};
+use dashmm_core::{DashmmBuilder, LatticeHint, Method, SchedPlan};
 use dashmm_dag::Dag;
 use dashmm_kernels::{KernelKind, Laplace};
 use dashmm_obs::critical_path;
@@ -74,7 +74,7 @@ fn run_sim(
     cost: &CostModel,
     net: &NetworkModel,
     localities: usize,
-    sched: &SchedPolicy,
+    plan: &SchedPlan,
 ) -> SimResult {
     let cfg = SimConfig {
         localities,
@@ -82,7 +82,7 @@ fn run_sim(
         trace: true,
         levelwise: false,
     };
-    simulate(dag, &sched.plan(dag), cost, net, &cfg)
+    simulate(dag, plan, cost, net, &cfg)
 }
 
 /// Mean utilization over the middle of the run (intervals 20–60).
@@ -149,7 +149,6 @@ fn main() {
         "Ablation — FIFO vs binary priority vs computed priority lattice (paper §VI)",
         &format!("n={} threshold={}", base.n, base.threshold),
     );
-    let lattice = SchedPolicy::Lattice(LatticeHint::uniform());
     let net = NetworkModel::gemini();
     let mut all_ok = true;
 
@@ -192,10 +191,11 @@ fn main() {
         );
         for localities in [2usize, 4, 16] {
             distribute(&w.problem, &mut w.asm, localities as u32);
-            let run = |sched| run_sim(&w.asm.dag, &cost, &net, localities, sched);
-            let fifo = run(&SchedPolicy::Fifo);
-            let bin = run(&SchedPolicy::Binary);
-            let lat = run(&lattice);
+            let dag = &w.asm.dag;
+            let run = |plan| run_sim(dag, &cost, &net, localities, &plan);
+            let fifo = run(SchedPlan::flat(dag));
+            let bin = run(SchedPlan::binary(dag));
+            let lat = run(SchedPlan::lattice(dag, &LatticeHint::uniform()));
             let (uf, ub, ul) = (
                 utilization_of(&fifo.trace),
                 utilization_of(&bin.trace),
@@ -239,11 +239,12 @@ fn main() {
         );
         for localities in [64usize, 128] {
             distribute(&w.problem, &mut w.asm, localities as u32);
-            let run = |sched| run_sim(&w.asm.dag, &cost, &net, localities, sched);
-            let fifo = run(&SchedPolicy::Fifo);
+            let dag = &w.asm.dag;
+            let run = |plan| run_sim(dag, &cost, &net, localities, &plan);
+            let fifo = run(SchedPlan::flat(dag));
             estimates.push(starved_region_estimate(&fifo));
-            let bin = run(&SchedPolicy::Binary);
-            let lat = run(&lattice);
+            let bin = run(SchedPlan::binary(dag));
+            let lat = run(SchedPlan::lattice(dag, &LatticeHint::uniform()));
             let (cp_f, cp_b, cp_l) = match (
                 critical_path(&w.asm.dag, &fifo.trace),
                 critical_path(&w.asm.dag, &bin.trace),
@@ -257,9 +258,8 @@ fn main() {
             };
             // Critical-path feedback: weight the lattice by where the FIFO
             // run's path actually spent its time.
-            let warm = run(&SchedPolicy::Lattice(LatticeHint::from_per_class_ns(
-                &cp_f.per_class_ns,
-            )));
+            let hint = LatticeHint::from_per_class_ns(&cp_f.per_class_ns);
+            let warm = run(SchedPlan::lattice(dag, &hint));
             let cp_w = critical_path(&w.asm.dag, &warm.trace).expect("warm trace tagged");
             println!(
                 "{:>6}  {:>12.2}  {:>12.2}  {:>12.2}  {:>12.2}   ({} / {} / {} / {} ops)",
@@ -315,9 +315,9 @@ fn main() {
         }
     }
 
-    // ---- Study 3: measured threaded runtime ------------------------------
+    // ---- Study 3: measured threaded runtime (FIFO) -----------------------
     println!(
-        "\n--- measured threaded runtime (2 localities × {} workers) ---",
+        "\n--- measured threaded runtime, FIFO (2 localities × {} workers) ---",
         base.workers
     );
     let mn = base.n.min(60_000);
@@ -326,38 +326,24 @@ fn main() {
     let charges: Vec<f64> = (0..mn)
         .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
         .collect();
-    let measure = |policy: SchedPolicy| {
-        let eval = DashmmBuilder::new(Laplace)
-            .method(Method::AdvancedFmm)
-            .threshold(base.threshold)
-            .machine(2, base.workers)
-            .obs(ObsLevel::Full)
-            .schedule(policy)
-            .build(&sources, &charges, &targets);
-        // Critical path from the first run's trace (mixing spans from
-        // several runs would splice chains across run boundaries); best of
-        // 3 wall times to absorb host noise.
-        let out = eval.evaluate();
-        let cp = critical_path(eval.dag(), &out.report.trace);
-        let mut best_ms = out.eval_ms;
-        for _ in 0..2 {
-            best_ms = best_ms.min(eval.evaluate().eval_ms);
-        }
-        (best_ms, cp, eval.plan().fingerprint())
-    };
-    let (fifo_ms, fifo_cp, _) = measure(SchedPolicy::Fifo);
-    let (bin_ms, bin_cp, _) = measure(SchedPolicy::Binary);
-    let (lat_ms, lat_cp, lat_fp) = measure(lattice.clone());
-    let cp_ns =
-        |cp: &Option<dashmm_obs::CriticalPathReport>| cp.as_ref().map(|c| c.wall_ns).unwrap_or(0);
+    let eval = DashmmBuilder::new(Laplace)
+        .method(Method::AdvancedFmm)
+        .threshold(base.threshold)
+        .machine(2, base.workers)
+        .obs(ObsLevel::Full)
+        .build(&sources, &charges, &targets);
+    // Critical path from the first run's trace (mixing spans from several
+    // runs would splice chains across run boundaries); best of 3 wall
+    // times to absorb host noise.
+    let out = eval.evaluate();
+    let fifo_cp_ns = critical_path(eval.dag(), &out.report.trace).map_or(0, |c| c.wall_ns);
+    let mut fifo_ms = out.eval_ms;
+    for _ in 0..2 {
+        fifo_ms = fifo_ms.min(eval.evaluate().eval_ms);
+    }
     println!(
-        "measured eval (best of 3): FIFO {fifo_ms:.1} ms, binary {bin_ms:.1} ms, lattice {lat_ms:.1} ms"
-    );
-    println!(
-        "measured critical path: FIFO {:.2} ms, binary {:.2} ms, lattice {:.2} ms",
-        cp_ns(&fifo_cp) as f64 / 1e6,
-        cp_ns(&bin_cp) as f64 / 1e6,
-        cp_ns(&lat_cp) as f64 / 1e6,
+        "measured eval (best of 3): {fifo_ms:.1} ms, critical path {:.2} ms",
+        fifo_cp_ns as f64 / 1e6
     );
 
     // ---- Gates ----------------------------------------------------------
@@ -426,22 +412,11 @@ fn main() {
         "lattice narrows the fig4 utilization trough (strictly at 512 cores, never materially wider)",
         troughs_ok,
     );
-    // The measured CP *ordering* is advisory: wall-clock span timings on a
-    // shared/oversubscribed host swing far more than any sane tolerance
-    // (single-core containers timeslice all workers onto one CPU).  The
-    // hard measured gate is that both runs produced a tagged critical path
-    // at all; the sim gates above carry the ordering claims.
-    println!(
-        "[info] measured CP ordering is advisory (host-dependent): lattice/fifo ratio {:.2}",
-        if cp_ns(&fifo_cp) > 0 {
-            cp_ns(&lat_cp) as f64 / cp_ns(&fifo_cp) as f64
-        } else {
-            f64::NAN
-        }
-    );
+    // Wall-clock span timings on a shared host are not reproducible, so
+    // the measured gate is that the run produced a tagged critical path.
     all_ok &= check(
-        "measured runs produced tagged critical paths (FIFO and lattice)",
-        cp_ns(&lat_cp) > 0 && cp_ns(&fifo_cp) > 0,
+        "the measured FIFO run produced a tagged critical path",
+        fifo_cp_ns > 0,
     );
 
     // ---- BENCH_pipeline.json -------------------------------------------
@@ -473,12 +448,7 @@ fn main() {
                 ("n", Value::from(mn)),
                 ("workers", Value::from(base.workers)),
                 ("fifo_eval_ms", Value::from(fifo_ms)),
-                ("binary_eval_ms", Value::from(bin_ms)),
-                ("lattice_eval_ms", Value::from(lat_ms)),
-                ("fifo_cp_ns", Value::from(cp_ns(&fifo_cp))),
-                ("binary_cp_ns", Value::from(cp_ns(&bin_cp))),
-                ("lattice_cp_ns", Value::from(cp_ns(&lat_cp))),
-                ("lattice_fingerprint", Value::from(format!("{lat_fp:016x}"))),
+                ("fifo_cp_ns", Value::from(fifo_cp_ns)),
             ]),
         ),
         ("ok", Value::from(all_ok)),

@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 
 use dashmm_amt::{CoalesceConfig, FaultPlan, PeerFailure, Transport, ENV_FAULTS};
 use dashmm_bench::{banner, cost_model, Opts, TransportMode};
-use dashmm_core::{DashmmBuilder, Method};
+use dashmm_core::{DashmmBuilder, Method, SchedPlan};
 use dashmm_kernels::{Kernel, KernelKind, Laplace, Yukawa};
 use dashmm_net::{
     bootstrap, f64s_to_bytes, merge_sum_f64, CommMetrics, LaunchReport, Role, SocketTransport,
@@ -342,7 +342,7 @@ fn rank_eval<K: Kernel>(
     net.coalesce = transport.coalesce_config();
     let sim = simulate(
         eval.dag(),
-        eval.plan(),
+        &SchedPlan::flat(eval.dag()),
         &cost,
         &net,
         &SimConfig {

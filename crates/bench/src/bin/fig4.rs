@@ -18,7 +18,7 @@
 use dashmm_amt::{utilization_total, ObsLevel};
 use dashmm_bench::report::{downsample, sparkline, write_csv};
 use dashmm_bench::{banner, build_workload, cost_model, distribute, obsout, socket, Opts};
-use dashmm_core::{DashmmBuilder, LatticeHint, Method, SchedPlan, SchedPolicy};
+use dashmm_core::{DashmmBuilder, LatticeHint, Method, SchedPlan};
 use dashmm_kernels::Laplace;
 use dashmm_sim::{simulate, NetworkModel, SimConfig};
 
@@ -165,9 +165,9 @@ fn main() {
         lat_dips.iter().zip(&dips).all(|(l, f)| l <= &(f + 1e-9)) && lat_dips[2] < dips[2],
     );
 
-    // With span tracing or the trough gate enabled, repeat the trough
-    // comparison on the *measured* threaded runtime: same workload, 2
-    // localities sharing an in-process transport, FIFO vs lattice.
+    // With span tracing or the trough gate enabled, measure the FIFO
+    // trough on the threaded runtime: same workload, 2 localities sharing
+    // an in-process transport.
     if opts.obs.spans() || opts.trough_gate {
         ok &= measured_troughs(&opts);
     }
@@ -186,64 +186,42 @@ fn main() {
     }
 }
 
-/// Measured utilization-trough comparison: evaluate the workload on the
-/// real runtime (2 localities × `--workers`) under FIFO and under the
-/// computed lattice and derive the fig4 terminal-dip width from the span
-/// traces.  The dip comparison is advisory — wall-clock trace shapes on a
-/// shared/oversubscribed host are not reproducible enough to gate on (the
-/// hard gates are the deterministic sim troughs above, which replay the
-/// same plan type the runtime executes).  The run still gates on both
-/// schedules completing with span traces.
+/// Measured utilization trough: evaluate the workload on the real runtime
+/// (2 localities × `--workers`), whose one scheduler is the FIFO baseline
+/// the paper measured, and derive the fig4 terminal-dip width from the
+/// span trace.  The shape is printed, not gated — wall-clock trace shapes
+/// on a shared host are not reproducible (the hard gates are the
+/// deterministic sim troughs above).  The run gates on completing with a
+/// span trace.
 fn measured_troughs(opts: &Opts) -> bool {
     println!(
-        "\n--- measured troughs (threaded runtime, 2 localities × {} workers) ---",
+        "\n--- measured trough (threaded runtime, FIFO, 2 localities × {} workers) ---",
         opts.workers
     );
-    let mn = opts.n.min(60_000);
     let capped = Opts {
-        n: mn,
+        n: opts.n.min(60_000),
         ..opts.clone()
     };
     let (sources, targets, charges) = capped.ensembles();
-    let run = |policy: SchedPolicy| {
-        let eval = DashmmBuilder::new(Laplace)
-            .method(Method::AdvancedFmm)
-            .threshold(opts.threshold)
-            .machine(2, opts.workers)
-            .obs(ObsLevel::Full)
-            .schedule(policy)
-            .build(&sources, &charges, &targets);
-        let out = eval.evaluate();
-        let u = utilization_total(&out.report.trace, INTERVALS);
-        (
-            out.eval_ms,
-            dip_width(&u),
-            plateau(&u),
-            out.report.tasks,
-            out.report.messages,
-        )
-    };
-    let (fifo_ms, fifo_dip, fifo_plateau, fifo_tasks, fifo_msgs) = run(SchedPolicy::Fifo);
-    let (lat_ms, lat_dip, lat_plateau, lat_tasks, lat_msgs) =
-        run(SchedPolicy::Lattice(LatticeHint::uniform()));
+    let eval = DashmmBuilder::new(Laplace)
+        .method(Method::AdvancedFmm)
+        .threshold(opts.threshold)
+        .machine(2, opts.workers)
+        .obs(ObsLevel::Full)
+        .build(&sources, &charges, &targets);
+    let out = eval.evaluate();
+    let u = utilization_total(&out.report.trace, INTERVALS);
+    let (fifo_plateau, fifo_tasks) = (plateau(&u), out.report.tasks);
     println!(
-        "fifo    {fifo_ms:>8.1} ms  plateau {:>5.1}%  dip width {:>4.1}%  ({fifo_tasks} tasks, {fifo_msgs} msgs)",
+        "fifo    {:>8.1} ms  plateau {:>5.1}%  dip width {:>4.1}%  ({fifo_tasks} tasks, {} msgs)",
+        out.eval_ms,
         fifo_plateau * 100.0,
-        fifo_dip * 100.0
-    );
-    println!(
-        "lattice {lat_ms:>8.1} ms  plateau {:>5.1}%  dip width {:>4.1}%  ({lat_tasks} tasks, {lat_msgs} msgs)",
-        lat_plateau * 100.0,
-        lat_dip * 100.0
-    );
-    println!(
-        "[info] measured dip comparison is advisory (host-dependent): lattice {:.1}% vs fifo {:.1}%",
-        lat_dip * 100.0,
-        fifo_dip * 100.0
+        dip_width(&u) * 100.0,
+        out.report.messages
     );
     check(
-        "both measured schedules completed with span traces",
-        fifo_tasks > 0 && lat_tasks > 0 && fifo_plateau > 0.0 && lat_plateau > 0.0,
+        "the measured FIFO run completed with span traces",
+        fifo_tasks > 0 && fifo_plateau > 0.0,
     )
 }
 

@@ -14,7 +14,7 @@ pub mod socket;
 use std::sync::Arc;
 
 use dashmm_amt::ObsLevel;
-use dashmm_core::{assemble, per_op_avg_us, Assembly, LatticeHint, Method, Problem, SchedPolicy};
+use dashmm_core::{assemble, per_op_avg_us, Assembly, Method, Problem};
 use dashmm_dag::{DistributionPolicy, FmmPolicy, NodeClass};
 use dashmm_expansion::{AccuracyParams, OperatorLibrary};
 use dashmm_kernels::{Kernel, KernelKind, Laplace, Yukawa};
@@ -61,25 +61,12 @@ pub struct Opts {
     /// the dead rank, re-own its DAG slice, and gate on the *recovered*
     /// answer instead of on a clean abort.
     pub recover: bool,
-    /// Scheduling policy for measured runs (`--schedule fifo|binary|lattice`;
-    /// the lattice takes the uniform hint).
-    pub sched: SchedPolicy,
     /// Promote the pipelined-scheduling shape checks (utilization troughs,
     /// critical-path shortening) to hard failures (`--trough-gate`).  Kept
     /// separate from `--obs-gate` because the trough shapes only hold at
     /// realistic problem sizes, while the tracing-overhead gate runs on
     /// tiny smoke workloads.
     pub trough_gate: bool,
-}
-
-/// Parse `--schedule`'s `fifo` / `binary` / `lattice`.
-fn parse_schedule(s: &str) -> Option<SchedPolicy> {
-    match s {
-        "fifo" => Some(SchedPolicy::Fifo),
-        "binary" => Some(SchedPolicy::Binary),
-        "lattice" => Some(SchedPolicy::Lattice(LatticeHint::uniform())),
-        _ => None,
-    }
 }
 
 /// How localities are realised when a binary actually evaluates (rather
@@ -121,7 +108,6 @@ impl Default for Opts {
             faults: None,
             budget_s: None,
             recover: false,
-            sched: SchedPolicy::Fifo,
             trough_gate: false,
         }
     }
@@ -144,8 +130,7 @@ impl Opts {
        [--cost paper|measured|paper-refreshed] [--no-coalesce] \
        [--localities L] [--workers W] [--transport shared|socket] \
        [--obs off|counters|full] [--obs-gate PCT] \
-       [--faults SPEC] [--budget-s SECS] [--recover] \
-       [--schedule fifo|binary|lattice] [--trough-gate]",
+       [--faults SPEC] [--budget-s SECS] [--recover] [--trough-gate]",
                 args.first().map(String::as_str).unwrap_or("bench")
             );
             std::process::exit(2);
@@ -245,11 +230,6 @@ impl Opts {
                 "--recover" => {
                     o.recover = true;
                     i += 1;
-                }
-                "--schedule" => {
-                    o.sched = parse_schedule(value(i, "--schedule"))
-                        .unwrap_or_else(|| usage("--schedule expects fifo|binary|lattice"));
-                    i += 2;
                 }
                 "--trough-gate" => {
                     o.trough_gate = true;

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dashmm_amt::{CoalesceConfig, Transport};
-use dashmm_core::{DashmmBuilder, Method};
+use dashmm_core::{DashmmBuilder, Method, SchedPlan};
 use dashmm_kernels::{Kernel, KernelKind, Laplace, Yukawa};
 use dashmm_net::{bootstrap, f64s_to_bytes, merge_sum_f64, Role, SocketTransport};
 use dashmm_obs::json::{obj, Value};
@@ -105,7 +105,6 @@ fn rank_eval<K: Kernel>(
         .threshold(opts.threshold)
         .machine(opts.localities, opts.workers)
         .obs(opts.obs)
-        .schedule(opts.sched.clone())
         .transport(Arc::clone(transport) as Arc<dyn Transport>)
         .build(&sources, &charges, &targets);
     let t0 = Instant::now();
@@ -123,11 +122,6 @@ fn rank_eval<K: Kernel>(
         m.per_dest.iter().map(|d| d.bytes).sum::<u64>() as f64,
     ]);
     let traffic = transport.gather(&my_traffic).expect("traffic gather");
-    // Every rank built its plan independently over its own copy of the DAG.
-    let plan_fp = eval.plan().fingerprint();
-    let plan_fps = transport
-        .gather(&plan_fp.to_le_bytes())
-        .expect("plan fingerprint gather");
     println!("{}", m.digest(rank));
 
     // Gather every rank's span trace at rank 0 (collective, so all ranks
@@ -156,16 +150,6 @@ fn rank_eval<K: Kernel>(
         println!(
             "[rank 0] merged potentials vs single-process: rel err {e:.2e} [{}]",
             if e < 1e-12 { "ok" } else { "MISMATCH" }
-        );
-        // SPMD determinism: the ranks must have scheduled by identical
-        // plans (the same class of invariant as the placement tie-break).
-        let fps = plan_fps.expect("rank 0 gets fingerprint parts");
-        let spmd = fps.iter().all(|fp| fp == &fps[0]);
-        ok &= spmd;
-        println!(
-            "[rank 0] plan fingerprint {plan_fp:016x} identical on all {} ranks [{}]",
-            fps.len(),
-            if spmd { "ok" } else { "MISMATCH" }
         );
         let communicated = m.per_dest.iter().any(|d| d.parcels > 0 && d.frames > 0);
         ok &= communicated;
@@ -247,10 +231,11 @@ fn rank_eval<K: Kernel>(
                 trace: false,
                 levelwise: false,
             };
-            let sim = simulate(eval.dag(), eval.plan(), &cost, &net, &sim_cfg);
+            let plan = SchedPlan::flat(eval.dag());
+            let sim = simulate(eval.dag(), &plan, &cost, &net, &sim_cfg);
             println!(
                 "[rank 0] simulated: {:.1} ms makespan, {} messages, {} bytes \
-                 (same DAG, plan, distribution and coalescing config)",
+                 (same DAG, distribution and coalescing config; FIFO plan)",
                 sim.makespan_us / 1e3,
                 sim.messages,
                 sim.bytes

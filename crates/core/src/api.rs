@@ -9,8 +9,7 @@ use std::time::Instant;
 
 use dashmm_amt::{ObsLevel, PeerFailure, RunReport, Runtime, RuntimeConfig, Transport};
 use dashmm_dag::{
-    BlockPolicy, Dag, DagStats, DistributionPolicy, FmmPolicy, LatticeHint, NodeClass, SchedPlan,
-    SingleLocality,
+    BlockPolicy, Dag, DagStats, DistributionPolicy, FmmPolicy, NodeClass, SingleLocality,
 };
 use dashmm_expansion::{AccuracyParams, OperatorLibrary};
 use dashmm_kernels::Kernel;
@@ -33,37 +32,6 @@ pub enum Policy {
     Fmm,
 }
 
-/// Which scheduling plan the evaluation runs under — the builder-facing
-/// spelling of the three [`SchedPlan`] constructors.
-#[derive(Clone, Debug, Default)]
-pub enum SchedPolicy {
-    /// [`SchedPlan::flat`]: no priorities, every task runs at `Normal` (the
-    /// measured FIFO baseline of paper §V).
-    #[default]
-    Fifo,
-    /// [`SchedPlan::binary`]: the paper's proposed fix (§VI) — the
-    /// source-tree up-sweep (`S` and `M` nodes) runs `High`, everything
-    /// else `Normal`.
-    Binary,
-    /// [`SchedPlan::lattice`]: every DAG node ranked by its weighted
-    /// distance to the critical sink, boundary nodes with remote consumers
-    /// boosted one class.  The hint tilts operator weights from a previous
-    /// run's measured per-class timings; [`LatticeHint::uniform`] works
-    /// from nothing.
-    Lattice(LatticeHint),
-}
-
-impl SchedPolicy {
-    /// Build this policy's plan over a (distributed) DAG.
-    pub fn plan(&self, dag: &Dag) -> SchedPlan {
-        match self {
-            SchedPolicy::Fifo => SchedPlan::flat(dag),
-            SchedPolicy::Binary => SchedPlan::binary(dag),
-            SchedPolicy::Lattice(hint) => SchedPlan::lattice(dag, hint),
-        }
-    }
-}
-
 /// Builder for a DASHMM evaluation.
 pub struct DashmmBuilder<K: Kernel> {
     kernel: K,
@@ -72,7 +40,6 @@ pub struct DashmmBuilder<K: Kernel> {
     threshold: usize,
     localities: usize,
     workers: usize,
-    schedule: SchedPolicy,
     obs: ObsLevel,
     gradients: bool,
     policy: Policy,
@@ -91,7 +58,6 @@ impl<K: Kernel> DashmmBuilder<K> {
             threshold: 60,
             localities: 1,
             workers: 2,
-            schedule: SchedPolicy::Fifo,
             obs: ObsLevel::Off,
             gradients: false,
             policy: Policy::Fmm,
@@ -124,15 +90,6 @@ impl<K: Kernel> DashmmBuilder<K> {
         assert!(localities >= 1 && workers_per_locality >= 1);
         self.localities = localities;
         self.workers = workers_per_locality;
-        self
-    }
-
-    /// Select the scheduling policy: FIFO, the paper's binary priority,
-    /// or the computed priority lattice (optionally warmed by a previous
-    /// run's per-operator timings).  This is the only scheduling option:
-    /// it picks the constructor of the [`SchedPlan`] the runtime executes.
-    pub fn schedule(mut self, p: SchedPolicy) -> Self {
-        self.schedule = p;
         self
     }
 
@@ -242,15 +199,11 @@ impl<K: Kernel> DashmmBuilder<K> {
             Some(t) => Runtime::with_transport(rt_cfg, t),
             None => Runtime::new(rt_cfg),
         };
-        // The plan is a pure function of the distributed (replicated) DAG,
-        // so every SPMD process builds identical classes.
-        let plan = Arc::new(self.schedule.plan(&asm.dag));
         Evaluation {
             problem,
             lib,
             asm: Arc::new(asm),
             runtime,
-            plan,
             gradients: self.gradients,
             recover: self.recover,
             graph: Mutex::new(None),
@@ -285,7 +238,6 @@ pub struct Evaluation<K: Kernel> {
     lib: Arc<OperatorLibrary<K>>,
     asm: Arc<Assembly>,
     runtime: Arc<Runtime>,
-    plan: Arc<SchedPlan>,
     gradients: bool,
     recover: bool,
     /// The LCO network on `runtime`: built by the first `evaluate()`,
@@ -441,7 +393,6 @@ impl<K: Kernel> Evaluation<K> {
                 Arc::clone(&self.problem),
                 Arc::clone(&self.lib),
                 Arc::clone(&self.asm),
-                Arc::clone(&self.plan),
                 self.gradients,
                 &self.runtime,
             )
@@ -453,13 +404,6 @@ impl<K: Kernel> Evaluation<K> {
     /// The explicit DAG.
     pub fn dag(&self) -> &Dag {
         &self.asm.dag
-    }
-
-    /// The scheduling plan every evaluation of this DAG runs under — pass
-    /// it to `dashmm_sim::simulate` to model the schedule the runtime
-    /// executes.
-    pub fn plan(&self) -> &SchedPlan {
-        &self.plan
     }
 
     /// DAG statistics (paper Tables I and II).
@@ -663,39 +607,6 @@ mod tests {
             sliced < whole,
             "regions ({sliced} B) must undercut whole nodes ({whole} B)"
         );
-    }
-
-    #[test]
-    fn lattice_mode_same_answer_and_fingerprint() {
-        let n = 800;
-        let sources = uniform_cube(n, 1);
-        let targets = uniform_cube(n, 2);
-        let charges = vec![1.0; n];
-        let build = |schedule: SchedPolicy| {
-            DashmmBuilder::new(Laplace)
-                .threshold(20)
-                .machine(2, 2)
-                .schedule(schedule)
-                .build(&sources, &charges, &targets)
-        };
-        let base = build(SchedPolicy::Fifo);
-        let b = base.evaluate();
-        assert!(base.plan().is_flat());
-        // The binary plan: same answer as the flat one.
-        let e = rel_err(
-            &build(SchedPolicy::Binary).evaluate().potentials,
-            &b.potentials,
-        );
-        assert!(e < 1e-12, "priority must not change results: {e:.2e}");
-        let lat = build(SchedPolicy::Lattice(LatticeHint::uniform()));
-        let e = rel_err(&lat.evaluate().potentials, &b.potentials);
-        assert!(e < 1e-12, "lattice must not change results: {e:.2e}");
-        let fp = lat.plan().fingerprint();
-        assert_ne!(base.plan().fingerprint(), fp);
-        // The classes are a pure function of the DAG: a separately built
-        // identical evaluation reproduces the value.
-        let again = build(SchedPolicy::Lattice(LatticeHint::uniform()));
-        assert_eq!(again.plan().fingerprint(), fp);
     }
 
     #[test]

@@ -21,10 +21,9 @@ use std::sync::{Arc, Weak};
 
 use dashmm_amt::{
     decode_f64s_into, encode_f64s, ActionId, EdgeBatcher, GlobalAddress, LcoOp, LcoSpec, Parcel,
-    Priority, ProgressLedger, Runtime, TaskCtx, CLASS_NONE, CLASS_RECOVERY,
-    DEFAULT_BATCH_THRESHOLD,
+    ProgressLedger, Runtime, TaskCtx, CLASS_NONE, CLASS_RECOVERY, DEFAULT_BATCH_THRESHOLD,
 };
-use dashmm_dag::{Dag, DagEdge, EdgeOp, EdgePart, Fire, NodeClass, SchedPlan, PRIORITY_CLASSES};
+use dashmm_dag::{Dag, DagEdge, EdgeOp, NodeClass};
 use dashmm_expansion::{batch as opbatch, ops, BatchWorkspace, LevelTables, OperatorLibrary};
 use dashmm_kernels::Kernel;
 use dashmm_tree::Point3;
@@ -32,10 +31,6 @@ use parking_lot::RwLock;
 
 use crate::assemble::{unpack_i2i, Assembly};
 use crate::problem::Problem;
-
-// The runtime's priority classes and the plan's must agree for plan classes
-// to map onto task and parcel priorities byte-for-byte.
-const _: () = assert!(Priority::CLASSES as usize == PRIORITY_CLASSES);
 
 /// Operator identity shared by a batch of edges: what the build sweep
 /// numbers each distinct key by.
@@ -160,11 +155,6 @@ pub struct ExecCtx<K: Kernel> {
     levels: Vec<Option<Arc<LevelTables>>>,
     /// The explicit DAG and box correspondence.
     pub asm: Arc<Assembly>,
-    /// The scheduling plan: every task, LCO continuation and parcel this
-    /// context emits takes its class from it.  Built once per
-    /// [`crate::Evaluation`] from the distributed DAG, so every SPMD
-    /// process holds identical classes.
-    plan: Arc<SchedPlan>,
     /// Also compute field gradients at the targets.
     pub gradients: bool,
     /// This evaluation's charges in source-tree Morton order, swapped in
@@ -226,16 +216,10 @@ impl<K: Kernel> ExecCtx<K> {
         problem: Arc<Problem>,
         lib: Arc<OperatorLibrary<K>>,
         asm: Arc<Assembly>,
-        plan: Arc<SchedPlan>,
         gradients: bool,
         rt: &Runtime,
     ) -> Arc<Self> {
         let dag = &asm.dag;
-        assert_eq!(
-            plan.classes().len(),
-            dag.num_nodes(),
-            "one plan class per DAG node"
-        );
         let n_loc = rt.num_localities();
         let batch = BatchPlan::build(&problem, &lib, &asm, rt);
         let levels = edge_tables(&lib, dag);
@@ -265,7 +249,6 @@ impl<K: Kernel> ExecCtx<K> {
                 lib,
                 levels,
                 asm,
-                plan,
                 gradients,
                 charges: RwLock::new(Vec::new()),
                 lcos: (0..n_nodes).map(|_| AtomicU64::new(0)).collect(),
@@ -331,12 +314,6 @@ impl<K: Kernel> ExecCtx<K> {
     /// The LCO address of DAG node `id`.
     fn lco(&self, id: u32) -> GlobalAddress {
         GlobalAddress::unpack(self.lcos[id as usize].load(Ordering::Relaxed))
-    }
-
-    /// Scheduling priority for work producing into DAG node `dst` — and so
-    /// of the continuation `dst` fires: its plan class.
-    fn node_priority(&self, dst: u32) -> Priority {
-        Priority::class(self.plan.class(dst))
     }
 
     /// Per-node count of incoming near-field `S→T` edges.  These arrive
@@ -448,22 +425,10 @@ impl<K: Kernel> ExecCtx<K> {
             let node = self.asm.dag.node(id);
             let locality = node.locality.min(n_loc - 1);
             let this = Arc::clone(self);
-            let prio = self.node_priority(id);
             rt.seed(locality, move |ctx| {
                 // Each seed its own (empty) payload: batch entries clone
                 // it, so sharing one would share its reference count.
-                let data: Arc<[f64]> = Arc::from(Vec::new());
-                if prio != Priority::Normal {
-                    // Re-spawn at the seed's own class so ranked work
-                    // leads from the very first dequeue.
-                    let this2 = Arc::clone(&this);
-                    ctx.spawn_with_priority(
-                        move |ctx2| this2.process_out_edges(ctx2, id, &data),
-                        prio,
-                    );
-                } else {
-                    this.process_out_edges(ctx, id, &data);
-                }
+                this.process_out_edges(ctx, id, &Arc::from(Vec::new()));
             });
         }
     }
@@ -720,36 +685,13 @@ impl<K: Kernel> ExecCtx<K> {
     /// The continuation of a triggered node: transform the stored data
     /// along every out-edge; local edges inline, remote edges coalesced
     /// into one parcel per destination locality.
-    ///
-    /// What the node spawns is the plan's decision ([`SchedPlan::on_fire`]):
-    /// either this task processes the whole list, or — when the list holds
-    /// both urgent and bulk edges — it processes the urgent slice now and
-    /// defers the bulk to a second task at the class the plan fixed for it.
-    fn process_out_edges(self: &Arc<Self>, ctx: &TaskCtx, id: u32, data: &Arc<[f64]>) {
+    fn process_out_edges(&self, ctx: &TaskCtx, id: u32, data: &Arc<[f64]>) {
         self.ledger.note_fired(id);
-        match self.plan.on_fire(id) {
-            Fire::One { .. } => self.process_edge_part(ctx, id, data, EdgePart::All),
-            Fire::Split { bulk_class, .. } => {
-                self.process_edge_part(ctx, id, data, EdgePart::Urgent);
-                let (this, data) = (Arc::clone(self), Arc::clone(data));
-                ctx.spawn_with_priority(
-                    move |ctx2| this.process_edge_part(ctx2, id, &data, EdgePart::Bulk),
-                    Priority::class(bulk_class),
-                );
-            }
-        }
-    }
-
-    /// Process the `part` slice of the node's out-edges.
-    fn process_edge_part(&self, ctx: &TaskCtx, id: u32, data: &Arc<[f64]>, part: EdgePart) {
         let dag = &self.asm.dag;
         let node = dag.node(id);
         // (locality, edge flat indices)
         let mut remote: Vec<(u32, Vec<u32>)> = Vec::new();
         for (i, e) in dag.out_edges(id).iter().enumerate() {
-            if !self.plan.selects(part, e) {
-                continue;
-            }
             let eid = node.first_edge + i as u32;
             let dst_loc = self.lco(e.dst).locality;
             if dst_loc == ctx.locality {
@@ -764,11 +706,10 @@ impl<K: Kernel> ExecCtx<K> {
         for (loc, edge_ids) in remote {
             let ranges = self.bundle_ranges(id, &edge_ids);
             let payload = encode_bundle(id, &edge_ids, data, &ranges);
-            ctx.send(Parcel::with_priority(
+            ctx.send(Parcel::new(
                 self.remote_action,
                 GlobalAddress::new(loc, 0),
                 payload,
-                Priority::class(self.plan.bundle_class(dag, &edge_ids)),
             ));
         }
     }
@@ -834,7 +775,6 @@ impl<K: Kernel> ExecCtx<K> {
         let n = self.lib.params().surface_points();
         let stree = self.problem.tree.source();
         let ttree = self.problem.tree.target();
-        let prio = self.node_priority(e.dst);
         if let Some(key) = self.batch.edge_key[eid as usize] {
             let window = self.source_range(src_id, e);
             let slot = if e.op != EdgeOp::I2I {
@@ -872,7 +812,7 @@ impl<K: Kernel> ExecCtx<K> {
                 let t = self.tables(src_node.level);
                 with_scratch(n, |ws, m| {
                     ops::s2m(kernel, t, stree.center_of(src_node.box_id), pts, q, ws, m);
-                    ctx.lco_set_with_priority(dst, m, prio);
+                    ctx.lco_set(dst, m);
                 });
             }
             EdgeOp::M2M
@@ -892,7 +832,7 @@ impl<K: Kernel> ExecCtx<K> {
                 let t = self.tables(dst_node.level);
                 with_scratch(n, |ws, out| {
                     ops::s2l(kernel, t, ttree.center_of(dst_node.box_id), pts, q, ws, out);
-                    ctx.lco_set_with_priority(dst, out, prio);
+                    ctx.lco_set(dst, out);
                 });
             }
             EdgeOp::L2T => {
@@ -902,12 +842,12 @@ impl<K: Kernel> ExecCtx<K> {
                 if self.gradients {
                     with_scratch(4 * pts.len(), |ws, out| {
                         ops::l2t_grad(kernel, t, center, data, pts, ws, out);
-                        ctx.lco_set_with_priority(dst, out, prio);
+                        ctx.lco_set(dst, out);
                     });
                 } else {
                     with_scratch(pts.len(), |ws, out| {
                         ops::l2t(kernel, t, center, data, pts, ws, out);
-                        ctx.lco_set_with_priority(dst, out, prio);
+                        ctx.lco_set(dst, out);
                     });
                 }
             }
@@ -918,12 +858,12 @@ impl<K: Kernel> ExecCtx<K> {
                 if self.gradients {
                     with_scratch(4 * pts.len(), |ws, out| {
                         ops::m2t_grad(kernel, t, center, data, pts, ws, out);
-                        ctx.lco_set_with_priority(dst, out, prio);
+                        ctx.lco_set(dst, out);
                     });
                 } else {
                     with_scratch(pts.len(), |ws, out| {
                         ops::m2t(kernel, t, center, data, pts, ws, out);
-                        ctx.lco_set_with_priority(dst, out, prio);
+                        ctx.lco_set(dst, out);
                     });
                 }
             }
@@ -943,13 +883,10 @@ impl<K: Kernel> ExecCtx<K> {
         let clock = || if timed { ctx.now_ns() } else { 0 };
         let mut prev = clock();
         let start = prev;
-        // Plan classes differ between destinations inside one operator
-        // batch, so the LCO-set priority is looked up per entry.
-        let prio = |i: usize| self.node_priority(self.asm.dag.edges()[batch[i].eid as usize].dst);
         // Hand edge `i`'s contribution to its destination and close its
         // span where the previous edge's ended.
         let mut set = |i: usize, data: &[f64]| {
-            ctx.lco_set_with_priority(batch[i].dst, data, prio(i));
+            ctx.lco_set(batch[i].dst, data);
             let now = clock();
             ctx.record_span(class, batch[i].eid, prev, now);
             prev = now;
@@ -993,7 +930,6 @@ impl<K: Kernel> ExecCtx<K> {
                     let stree = self.problem.tree.source();
                     let dst_node = self.asm.dag.node(*dst);
                     let tpts = self.problem.tree.target().points_of(dst_node.box_id);
-                    let prio = prio(0);
                     let charges = self.charges.read();
                     let blocks = batch.iter().map(|b| {
                         let sb = stree.node(b.src_box);
@@ -1012,7 +948,7 @@ impl<K: Kernel> ExecCtx<K> {
                         } else {
                             ops::p2p_fused(kernel, blocks, tpts, ws, out);
                         }
-                        ctx.lco_set_with_priority(batch[0].dst, out, prio);
+                        ctx.lco_set(batch[0].dst, out);
                     });
                     let end = clock();
                     let m = batch.len() as u64;

@@ -45,7 +45,7 @@ pub mod resident;
 pub mod step;
 pub mod verify;
 
-pub use api::{DashmmBuilder, EvalOutput, Evaluation, Policy, RecoveryInfo, SchedPolicy};
+pub use api::{DashmmBuilder, EvalOutput, Evaluation, Policy, RecoveryInfo};
 pub use assemble::{assemble, Assembly};
 pub use dashmm_dag::{LatticeHint, SchedPlan};
 pub use exec::RecoveryStats;

@@ -11,7 +11,7 @@
 //! which keeps it unit-testable; the transport's progress engine owns the
 //! I/O and feeds it timestamps.
 
-use dashmm_amt::{CoalesceConfig, Parcel, Priority};
+use dashmm_amt::{CoalesceConfig, Parcel};
 
 use crate::metrics::FlushReason;
 use crate::wire::{encode_parcel, parcel_wire_len, seal_parcels, PARCELS_AT};
@@ -31,9 +31,6 @@ pub struct Flush {
     pub parcels: u32,
     /// What triggered the flush.
     pub reason: FlushReason,
-    /// Most urgent priority level among the flushed parcels (0 = most
-    /// urgent) — the key batched flush decisions are ordered by.
-    pub urgency: u8,
 }
 
 struct DestBuf {
@@ -41,9 +38,6 @@ struct DestBuf {
     frame: Vec<u8>,
     count: u32,
     first_ns: u64,
-    /// Most urgent priority level buffered (lattice class, 0 = most
-    /// urgent).  Reset to the least urgent level whenever the buffer seals.
-    urgency: u8,
 }
 
 impl DestBuf {
@@ -55,7 +49,6 @@ impl DestBuf {
             frame,
             count: 0,
             first_ns: 0,
-            urgency: Priority::CLASSES - 1,
         }
     }
 
@@ -64,7 +57,6 @@ impl DestBuf {
     }
 
     fn push(&mut self, parcel: &Parcel) {
-        self.urgency = self.urgency.min(parcel.priority.level());
         encode_parcel(parcel, &mut self.frame);
         self.count += 1;
     }
@@ -77,7 +69,6 @@ impl DestBuf {
             frame,
             parcels: self.count,
             reason,
-            urgency: self.urgency,
         }
     }
 }
@@ -144,17 +135,8 @@ impl Coalescer {
         out
     }
 
-    /// Order due destinations most-urgent-buffer first (ties broken by
-    /// destination index, keeping the order deterministic) so boundary
-    /// `M→L`-family parcels don't idle behind bulk traffic when several
-    /// buffers seal in one progress step.
-    fn order_by_urgency(&self, mut due: Vec<u32>) -> Vec<u32> {
-        due.sort_by_key(|&d| (self.bufs[d as usize].urgency, d));
-        due
-    }
-
     /// Seal every buffer whose oldest parcel is older than the flush
-    /// interval, most urgent destination first.
+    /// interval, in destination order.
     pub fn flush_aged(&mut self, now_ns: u64) -> Vec<Flush> {
         let deadline = self.cfg.max_delay_us * 1_000;
         let due: Vec<u32> = (0..self.bufs.len() as u32)
@@ -163,22 +145,18 @@ impl Coalescer {
                 b.count > 0 && now_ns.saturating_sub(b.first_ns) >= deadline
             })
             .collect();
-        self.order_by_urgency(due)
-            .into_iter()
+        due.into_iter()
             .map(|d| self.seal(d, FlushReason::Interval))
             .collect()
     }
 
-    /// Seal every non-empty buffer (idle or shutdown drain), most urgent
-    /// destination first.
+    /// Seal every non-empty buffer (idle or shutdown drain), in
+    /// destination order.
     pub fn flush_all(&mut self, reason: FlushReason) -> Vec<Flush> {
         let due: Vec<u32> = (0..self.bufs.len() as u32)
             .filter(|&d| self.bufs[d as usize].count > 0)
             .collect();
-        self.order_by_urgency(due)
-            .into_iter()
-            .map(|d| self.seal(d, reason))
-            .collect()
+        due.into_iter().map(|d| self.seal(d, reason)).collect()
     }
 
     /// Whether every buffer is empty.
@@ -216,7 +194,7 @@ mod tests {
         for _ in 0..10 {
             flushes.extend(c.push(1, &parcel(1, 30), 0));
         }
-        // 47 encoded bytes each: four fit under 200, the fifth overflows.
+        // 46 encoded bytes each: four fit under 200, the fifth overflows.
         assert!(!flushes.is_empty());
         let f = &flushes[0];
         assert_eq!(f.dest, 1);
@@ -263,50 +241,21 @@ mod tests {
     }
 
     #[test]
-    fn flushes_order_urgent_destinations_first() {
-        use dashmm_amt::Priority;
-        // Destination 3 holds only bulk (Normal) traffic, destination 1
-        // holds an urgent boundary parcel: a drain must ship 1 before 3
-        // even though 1 > 0 in index order… and destination 0's bulk
-        // buffer must not jump the queue either.
-        let mut c = Coalescer::new(4, 0, cfg(1 << 20));
-        let mut bulk0 = parcel(0, 16);
-        bulk0.priority = Priority::Normal;
-        let mut urgent1 = parcel(1, 16);
-        urgent1.priority = Priority::class(1);
-        let mut bulk3 = parcel(3, 16);
-        bulk3.priority = Priority::Normal;
-        assert!(c.push(0, &bulk0, 0).is_empty());
-        assert!(c.push(3, &bulk3, 0).is_empty());
-        assert!(c.push(1, &urgent1, 0).is_empty());
-        let fs = c.flush_all(FlushReason::Idle);
-        let dests: Vec<u32> = fs.iter().map(|f| f.dest).collect();
-        assert_eq!(dests, vec![1, 0, 3], "urgent first, then index order");
-        assert_eq!(fs[0].urgency, 1);
-        assert_eq!(fs[1].urgency, Priority::Normal.level());
-        // Sealing resets the urgency watermark.
-        let mut again = parcel(1, 16);
-        again.priority = Priority::Normal;
-        c.push(1, &again, 0);
-        let fs = c.flush_all(FlushReason::Idle);
-        assert_eq!(fs[0].urgency, Priority::Normal.level());
-    }
-
-    #[test]
-    fn aged_flushes_order_urgent_destinations_first() {
-        use dashmm_amt::Priority;
-        let mut c = Coalescer::new(3, 0, cfg(1 << 20));
-        let mut bulk = parcel(0, 8);
-        bulk.priority = Priority::Normal;
-        let mut urgent = parcel(2, 8);
-        urgent.priority = Priority::High;
-        c.push(0, &bulk, 0);
-        c.push(2, &urgent, 0);
-        let aged = c.flush_aged(1_000_000_000);
-        assert_eq!(aged.len(), 2);
-        assert_eq!(aged[0].dest, 2);
-        assert_eq!(aged[0].urgency, 0);
-        assert_eq!(aged[1].dest, 0);
+    fn flushes_ship_in_destination_order() {
+        // Buffers filled out of index order, some aged and some not: both
+        // drains seal destinations in index order, whatever the push order.
+        let mut c = Coalescer::new(5, 0, cfg(1 << 20));
+        for (dest, at) in [(3, 0), (1, 5_000_000), (4, 0), (0, 0)] {
+            assert!(c.push(dest, &parcel(dest, 16), at).is_empty());
+        }
+        let dests = |fs: &[Flush]| fs.iter().map(|f| f.dest).collect::<Vec<u32>>();
+        let aged = c.flush_aged(1_000_000);
+        assert_eq!(dests(&aged), vec![0, 3, 4], "aged buffers, index order");
+        for dest in [4, 2] {
+            c.push(dest, &parcel(dest, 16), 2_000_000);
+        }
+        assert_eq!(dests(&c.flush_all(FlushReason::Idle)), vec![1, 2, 4]);
+        assert!(c.is_empty());
     }
 
     /// The frame the send path finishes in place is, byte for byte, the one
@@ -322,7 +271,6 @@ mod tests {
             .map(|i| {
                 let mut p = parcel(1, 3 + 40 * i as usize);
                 p.payload.iter_mut().for_each(|b| *b = i.wrapping_mul(37));
-                p.priority = Priority::class(i % Priority::CLASSES);
                 p
             })
             .collect();

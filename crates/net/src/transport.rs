@@ -6,9 +6,9 @@
 //! on [`CoalesceConfig::max_queue_bytes`] (backpressure) instead of growing
 //! the queue without bound.  The progress thread owns all socket I/O: it
 //! drains reads through a streaming [`FrameDecoder`] into the scheduler
-//! (honouring parcel priority — delivery goes through the runtime's
-//! priority-aware enqueue), retires write queues, ages out coalescing
-//! buffers, and runs distributed termination detection.
+//! (delivery pushes onto the destination locality's injector), retires
+//! write queues, ages out coalescing buffers, and runs distributed
+//! termination detection.
 //!
 //! ## Reliability
 //!
@@ -88,8 +88,9 @@ use crate::coalesce::{Coalescer, Flush};
 use crate::metrics::{CommMetrics, FlushReason};
 use crate::reliable::{RetransmitConfig, SeqReceiver, SeqSender};
 use crate::wire::{
-    ack_body, decode_ack_body, decode_parcels_body, decode_seq_parcels_body, encode_frame,
-    parcel_wire_len, seal_seq_parcels, FrameDecoder, FrameKind, SharedFrame, HEADER_BYTES,
+    ack_body, decode_ack_body, decode_gather_body, decode_parcels_body, decode_seq_parcels_body,
+    decode_status_body, decode_u32_body, encode_frame, gather_body, parcel_wire_len,
+    seal_seq_parcels, status_body, FrameDecoder, FrameKind, SharedFrame, WireError, HEADER_BYTES,
 };
 
 /// Trace class of socket-write spans (owned by `dashmm-obs`).
@@ -513,12 +514,8 @@ impl SocketTransport {
     pub fn gather(&self, part: &[u8]) -> std::io::Result<Option<Vec<Vec<u8>>>> {
         let s = &self.shared;
         let gen = s.gather_gen.fetch_add(1, Ordering::SeqCst) + 1;
-        let mut body = Vec::with_capacity(8 + part.len());
-        body.extend_from_slice(&gen.to_le_bytes());
-        body.extend_from_slice(&(part.len() as u32).to_le_bytes());
-        body.extend_from_slice(part);
         if s.rank != 0 {
-            enqueue_control(s, 0, FrameKind::Gather, &body);
+            enqueue_control(s, 0, FrameKind::Gather, &gather_body(gen, part));
             return Ok(None);
         }
         {
@@ -1027,18 +1024,18 @@ fn process_parcels_body(s: &Shared, src: u32, body: &[u8], start: u64) {
 
 /// Handle one inbound frame on the progress thread.
 fn handle_frame(s: &Shared, src: u32, kind: FrameKind, body: &[u8], peer_closed: &mut bool) {
-    let le_u32 = |b: &[u8]| u32::from_le_bytes(b[..4].try_into().unwrap());
-    let le_u64 = |b: &[u8]| u64::from_le_bytes(b[..8].try_into().unwrap());
+    // A body that does not decode comes from a broken peer: fatal, naming
+    // the rank and the frame kind, never an index panic.
+    let bad = |e: WireError| -> ! {
+        fatal(&format!(
+            "rank {}: bad {kind:?} frame from {src}: {e}",
+            s.rank
+        ))
+    };
     match kind {
         FrameKind::SeqParcels => {
             let start = s.hooks.get().map(|h| (h.now_ns)()).unwrap_or(0);
-            let (seq, ack, inner) = match decode_seq_parcels_body(body) {
-                Ok(x) => x,
-                Err(e) => fatal(&format!(
-                    "rank {}: bad seq-parcels frame from {src}: {e}",
-                    s.rank
-                )),
-            };
+            let (seq, ack, inner) = decode_seq_parcels_body(body).unwrap_or_else(|e| bad(e));
             let outcome = {
                 let mut arq = s.arq.lock();
                 arq.senders[src as usize].on_ack(ack);
@@ -1061,10 +1058,7 @@ fn handle_frame(s: &Shared, src: u32, kind: FrameKind, body: &[u8], peer_closed:
             }
         }
         FrameKind::Ack => {
-            let ack = match decode_ack_body(body) {
-                Ok(a) => a,
-                Err(e) => fatal(&format!("rank {}: bad ack from {src}: {e}", s.rank)),
-            };
+            let ack = decode_ack_body(body).unwrap_or_else(|e| bad(e));
             s.arq.lock().senders[src as usize].on_ack(ack);
         }
         FrameKind::Heartbeat => {
@@ -1082,18 +1076,12 @@ fn handle_frame(s: &Shared, src: u32, kind: FrameKind, body: &[u8], peer_closed:
             }
         }
         FrameKind::Status => {
-            if body.len() != 28 {
-                fatal(&format!(
-                    "rank {}: bad STATUS length {}",
-                    s.rank,
-                    body.len()
-                ));
-            }
+            let (epoch, seq, sent, recv) = decode_status_body(body).unwrap_or_else(|e| bad(e));
             let st = RankStatus {
-                epoch: le_u32(body),
-                seq: le_u64(&body[4..]),
-                sent: le_u64(&body[12..]),
-                recv: le_u64(&body[20..]),
+                epoch,
+                seq,
+                sent,
+                recv,
             };
             let mut c = s.coord.lock();
             if st.seq >= c.status[src as usize].seq {
@@ -1101,18 +1089,17 @@ fn handle_frame(s: &Shared, src: u32, kind: FrameKind, body: &[u8], peer_closed:
             }
         }
         FrameKind::Done => {
-            let epoch = le_u32(body);
+            let epoch = decode_u32_body(body).unwrap_or_else(|e| bad(e));
             s.done_epoch.fetch_max(epoch, Ordering::SeqCst);
         }
         FrameKind::Barrier => {
-            let gen = le_u32(body);
+            let gen = decode_u32_body(body).unwrap_or_else(|e| bad(e));
             let mut c = s.coord.lock();
             c.barrier_arrived[src as usize] = c.barrier_arrived[src as usize].max(gen);
         }
         FrameKind::Gather => {
-            let gen = le_u32(body);
-            let len = le_u32(&body[4..]) as usize;
-            let part = body[8..8 + len].to_vec();
+            let (gen, part) = decode_gather_body(body).unwrap_or_else(|e| bad(e));
+            let part = part.to_vec();
             {
                 let mut c = s.coord.lock();
                 let ranks = s.ranks as usize;
@@ -1123,7 +1110,7 @@ fn handle_frame(s: &Shared, src: u32, kind: FrameKind, body: &[u8], peer_closed:
             check_gather_complete(s, gen);
         }
         FrameKind::BarrierRelease => {
-            let gen = le_u32(body);
+            let gen = decode_u32_body(body).unwrap_or_else(|e| bad(e));
             let mut sync = s.sync.lock().unwrap();
             sync.barrier_release_gen = sync.barrier_release_gen.max(gen);
             drop(sync);
@@ -1542,11 +1529,6 @@ fn progress_loop(s: &Shared) {
                     };
                     candidates.extend(out.coalescer.flush_all(reason));
                 }
-                // High-rank destinations hit the wire first: boundary
-                // parcels must not idle behind bulk flushes or behind
-                // previously deferred low-priority bodies.  The sort is
-                // stable, so equal-urgency flushes keep FIFO order.
-                candidates.sort_by_key(|f| f.urgency);
                 for f in candidates {
                     let dest = f.dest as usize;
                     let dest_bytes: usize = out.queues[dest].iter().map(|(fr, _)| fr.len()).sum();
@@ -1598,11 +1580,7 @@ fn progress_loop(s: &Shared) {
                 if s.rank == 0 {
                     s.coord.lock().status[0] = st;
                 } else {
-                    let mut body = Vec::with_capacity(28);
-                    body.extend_from_slice(&st.epoch.to_le_bytes());
-                    body.extend_from_slice(&st.seq.to_le_bytes());
-                    body.extend_from_slice(&st.sent.to_le_bytes());
-                    body.extend_from_slice(&st.recv.to_le_bytes());
+                    let body = status_body(st.epoch, st.seq, st.sent, st.recv);
                     enqueue_control(s, 0, FrameKind::Status, &body);
                 }
             }

@@ -18,7 +18,7 @@
 //!
 //! ```text
 //! body:    epoch u32 | count u32 | parcel*
-//! parcel:  action u32 | target u64 | priority u8 | payload_len u32 | payload
+//! parcel:  action u32 | target u64 | payload_len u32 | payload
 //! ```
 //!
 //! Decoding never panics: malformed input of any kind maps to a
@@ -30,7 +30,9 @@
 use std::fmt;
 use std::io::Read;
 
-use dashmm_amt::{ActionId, GlobalAddress, Parcel, Priority};
+use dashmm_amt::{ActionId, GlobalAddress, Parcel};
+
+pub use dashmm_amt::PARCEL_HEADER_BYTES;
 
 /// Frame magic: "DNET" read as a little-endian `u32`.
 pub const MAGIC: u32 = 0x444E_4554;
@@ -38,8 +40,6 @@ pub const MAGIC: u32 = 0x444E_4554;
 pub const VERSION: u8 = 1;
 /// Bytes in a frame header.
 pub const HEADER_BYTES: usize = 16;
-/// Fixed bytes of one encoded parcel before its payload.
-pub const PARCEL_HEADER_BYTES: usize = 17;
 /// Upper bound on a frame body; larger lengths are treated as corruption
 /// rather than honoured as allocations.
 pub const MAX_FRAME_BODY: usize = 64 << 20;
@@ -54,15 +54,18 @@ pub enum FrameKind {
     PortMap = 2,
     /// Coalesced parcels (see module docs).
     Parcels = 3,
-    /// Termination report to rank 0: `epoch u32 | seq u64 | sent u64 | recv u64`.
+    /// Termination report to rank 0: `epoch u32 | seq u64 | sent u64 |
+    /// recv u64` (see [`decode_status_body`]).
     Status = 4,
-    /// Rank 0 → all: the epoch in the body has quiesced globally.
+    /// Rank 0 → all: the epoch in the body (`epoch u32`) has quiesced
+    /// globally.
     Done = 5,
     /// Barrier arrival at rank 0: `generation u32`.
     Barrier = 6,
-    /// Rank 0 → all: barrier generation released.
+    /// Rank 0 → all: barrier generation released: `generation u32`.
     BarrierRelease = 7,
-    /// Gather contribution to rank 0: `generation u32 | len u32 | bytes`.
+    /// Gather contribution to rank 0: `generation u32 | len u32 | bytes`
+    /// (see [`gather_body`]).
     Gather = 8,
     /// Orderly connection close.
     Bye = 9,
@@ -148,7 +151,8 @@ pub enum WireError {
     /// The input ends mid-structure (only a terminal condition for whole
     /// buffers; the streaming decoder just waits for more bytes).
     Truncated,
-    /// A parcel inside a `Parcels` body is malformed.
+    /// A frame body's fields disagree with its length, or a parcel inside
+    /// a `Parcels` body is malformed.
     BadParcel,
 }
 
@@ -161,7 +165,7 @@ impl fmt::Display for WireError {
             WireError::Oversize(n) => write!(f, "frame body of {n} bytes exceeds limit"),
             WireError::Corrupt => write!(f, "frame checksum mismatch"),
             WireError::Truncated => write!(f, "truncated frame"),
-            WireError::BadParcel => write!(f, "malformed parcel in frame body"),
+            WireError::BadParcel => write!(f, "malformed frame body"),
         }
     }
 }
@@ -457,9 +461,6 @@ pub fn encode_parcel(p: &Parcel, out: &mut Vec<u8>) {
     out.reserve(parcel_wire_len(p));
     out.extend_from_slice(&p.action.0.to_le_bytes());
     out.extend_from_slice(&p.target.pack().to_le_bytes());
-    // Graded priority class on the wire (0 = most urgent); the receiver's
-    // scheduler indexes its run queues by this byte.
-    out.push(p.priority.level());
     out.extend_from_slice(&(p.payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&p.payload);
 }
@@ -472,18 +473,15 @@ pub fn decode_parcel(buf: &[u8]) -> Result<(Parcel, usize), WireError> {
     }
     let action = ActionId(le_u32(buf));
     let target = GlobalAddress::unpack(le_u64(&buf[4..]));
-    if buf[12] >= Priority::CLASSES {
-        return Err(WireError::BadParcel);
-    }
-    let priority = Priority::class(buf[12]);
-    let plen = le_u32(&buf[13..]) as usize;
+    let plen = le_u32(&buf[12..]) as usize;
     if plen > MAX_FRAME_BODY || buf.len() < PARCEL_HEADER_BYTES + plen {
         return Err(WireError::Truncated);
     }
     let payload = buf[PARCEL_HEADER_BYTES..PARCEL_HEADER_BYTES + plen].to_vec();
-    let mut p = Parcel::new(action, target, payload);
-    p.priority = priority;
-    Ok((p, PARCEL_HEADER_BYTES + plen))
+    Ok((
+        Parcel::new(action, target, payload),
+        PARCEL_HEADER_BYTES + plen,
+    ))
 }
 
 /// Build a [`FrameKind::Parcels`] body around already-encoded parcels.
@@ -575,14 +573,69 @@ pub fn decode_ack_body(body: &[u8]) -> Result<u64, WireError> {
     Ok(le_u64(body))
 }
 
+/// `body` when it is exactly `N` bytes: [`WireError::Truncated`] if
+/// shorter, [`WireError::BadParcel`] if longer.
+fn exact<const N: usize>(body: &[u8]) -> Result<&[u8; N], WireError> {
+    match body.len().cmp(&N) {
+        std::cmp::Ordering::Less => Err(WireError::Truncated),
+        std::cmp::Ordering::Greater => Err(WireError::BadParcel),
+        std::cmp::Ordering::Equal => Ok(body.try_into().expect("N bytes")),
+    }
+}
+
+/// Decode the `epoch u32` / `generation u32` body of a [`FrameKind::Done`],
+/// [`FrameKind::Barrier`] or [`FrameKind::BarrierRelease`] frame.
+pub fn decode_u32_body(body: &[u8]) -> Result<u32, WireError> {
+    exact::<4>(body).map(|b| u32::from_le_bytes(*b))
+}
+
+/// Build a [`FrameKind::Status`] body.
+pub fn status_body(epoch: u32, seq: u64, sent: u64, recv: u64) -> Vec<u8> {
+    let mut body = Vec::with_capacity(28);
+    body.extend_from_slice(&epoch.to_le_bytes());
+    body.extend_from_slice(&seq.to_le_bytes());
+    body.extend_from_slice(&sent.to_le_bytes());
+    body.extend_from_slice(&recv.to_le_bytes());
+    body
+}
+
+/// Decode a [`FrameKind::Status`] body into `(epoch, seq, sent, recv)`.
+pub fn decode_status_body(body: &[u8]) -> Result<(u32, u64, u64, u64), WireError> {
+    let b = exact::<28>(body)?;
+    Ok((
+        le_u32(b),
+        le_u64(&b[4..]),
+        le_u64(&b[12..]),
+        le_u64(&b[20..]),
+    ))
+}
+
+/// Build a [`FrameKind::Gather`] body around one rank's contribution.
+pub fn gather_body(generation: u32, part: &[u8]) -> Vec<u8> {
+    let mut body = Vec::with_capacity(8 + part.len());
+    body.extend_from_slice(&generation.to_le_bytes());
+    body.extend_from_slice(&(part.len() as u32).to_le_bytes());
+    body.extend_from_slice(part);
+    body
+}
+
+/// Decode a [`FrameKind::Gather`] body into `(generation, part)`; the
+/// declared length must match the bytes that follow it exactly.
+pub fn decode_gather_body(body: &[u8]) -> Result<(u32, &[u8]), WireError> {
+    let (head, part) = body.split_at_checked(8).ok_or(WireError::Truncated)?;
+    match (le_u32(&head[4..]) as usize).cmp(&part.len()) {
+        std::cmp::Ordering::Greater => Err(WireError::Truncated),
+        std::cmp::Ordering::Less => Err(WireError::BadParcel),
+        std::cmp::Ordering::Equal => Ok((le_u32(head), part)),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parcel(prio: Priority, payload: Vec<u8>) -> Parcel {
-        let mut p = Parcel::new(ActionId(7), GlobalAddress::new(3, 41), payload);
-        p.priority = prio;
-        p
+    fn parcel(payload: Vec<u8>) -> Parcel {
+        Parcel::new(ActionId(7), GlobalAddress::new(3, 41), payload)
     }
 
     /// The textbook one-table, one-byte-per-step CRC-32: the oracle the
@@ -689,39 +742,22 @@ mod tests {
     }
 
     #[test]
-    fn parcel_roundtrip_preserves_priority() {
-        for prio in (0..Priority::CLASSES).map(Priority::class) {
-            let p = parcel(prio, vec![1, 2, 3, 4, 5]);
-            let mut buf = Vec::new();
-            encode_parcel(&p, &mut buf);
-            assert_eq!(buf.len(), parcel_wire_len(&p));
-            let (q, used) = decode_parcel(&buf).unwrap();
-            assert_eq!(used, buf.len());
-            assert_eq!(q.action, p.action);
-            assert_eq!(q.target, p.target);
-            assert_eq!(q.priority, p.priority);
-            assert_eq!(q.payload, p.payload);
-        }
-    }
-
-    #[test]
-    fn bad_priority_byte_rejected() {
-        // Any byte at or past the graded class count is malformed.
-        for bad in [Priority::CLASSES, Priority::CLASSES + 1, u8::MAX] {
-            let mut buf = Vec::new();
-            encode_parcel(&parcel(Priority::Normal, vec![]), &mut buf);
-            buf[12] = bad;
-            assert_eq!(decode_parcel(&buf).unwrap_err(), WireError::BadParcel);
-        }
+    fn parcel_roundtrip() {
+        let p = parcel(vec![1, 2, 3, 4, 5]);
+        let mut buf = Vec::new();
+        encode_parcel(&p, &mut buf);
+        assert_eq!(buf.len(), parcel_wire_len(&p));
+        assert_eq!(buf.len() as u64, p.wire_bytes());
+        let (q, used) = decode_parcel(&buf).unwrap();
+        assert_eq!(used, buf.len());
+        assert_eq!(q.action, p.action);
+        assert_eq!(q.target, p.target);
+        assert_eq!(q.payload, p.payload);
     }
 
     #[test]
     fn parcels_body_roundtrip() {
-        let ps = [
-            parcel(Priority::High, vec![1; 9]),
-            parcel(Priority::Normal, vec![]),
-            parcel(Priority::Normal, vec![7; 100]),
-        ];
+        let ps = [parcel(vec![1; 9]), parcel(vec![]), parcel(vec![7; 100])];
         let mut blob = Vec::new();
         for p in &ps {
             encode_parcel(p, &mut blob);
@@ -898,5 +934,56 @@ mod tests {
     fn ack_body_roundtrip() {
         assert_eq!(decode_ack_body(&ack_body(u64::MAX)).unwrap(), u64::MAX);
         assert_eq!(decode_ack_body(&[1, 2]), Err(WireError::Truncated));
+    }
+
+    #[test]
+    fn coordination_bodies_roundtrip() {
+        assert_eq!(decode_u32_body(&7u32.to_le_bytes()), Ok(7));
+        assert_eq!(
+            decode_status_body(&status_body(3, 9, 100, 99)),
+            Ok((3, 9, 100, 99))
+        );
+        assert_eq!(
+            decode_gather_body(&gather_body(5, &[1, 2, 3])),
+            Ok((5, &[1u8, 2, 3][..]))
+        );
+        assert_eq!(decode_gather_body(&gather_body(6, &[])), Ok((6, &[][..])));
+    }
+
+    #[test]
+    fn hostile_coordination_bodies_are_errors_not_panics() {
+        // Empty and truncated bodies.
+        for len in 0..4 {
+            assert_eq!(decode_u32_body(&[0; 4][..len]), Err(WireError::Truncated));
+        }
+        let status = status_body(1, 2, 3, 4);
+        for len in 0..status.len() {
+            assert_eq!(
+                decode_status_body(&status[..len]),
+                Err(WireError::Truncated)
+            );
+        }
+        let gather = gather_body(1, &[9; 5]);
+        for len in 0..gather.len() {
+            assert_eq!(
+                decode_gather_body(&gather[..len]),
+                Err(WireError::Truncated),
+                "cut at {len}"
+            );
+        }
+        // Overlong bodies: bytes past the fields.
+        assert_eq!(decode_u32_body(&[0; 5]), Err(WireError::BadParcel));
+        let mut long = status.clone();
+        long.push(0);
+        assert_eq!(decode_status_body(&long), Err(WireError::BadParcel));
+        let mut long = gather.clone();
+        long.push(0);
+        assert_eq!(decode_gather_body(&long), Err(WireError::BadParcel));
+        // A declared length that overruns the body, up to u32::MAX.
+        for declared in [6u32, 1 << 20, u32::MAX] {
+            let mut b = gather.clone();
+            b[4..8].copy_from_slice(&declared.to_le_bytes());
+            assert_eq!(decode_gather_body(&b), Err(WireError::Truncated));
+        }
     }
 }

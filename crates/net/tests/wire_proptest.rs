@@ -2,30 +2,23 @@
 //! an encode/decode roundtrip bitwise-identically, and truncated, corrupted
 //! or garbage input is rejected with a [`WireError`] — never a panic.
 
-use dashmm_amt::{ActionId, GlobalAddress, Parcel, Priority};
+use dashmm_amt::{ActionId, GlobalAddress, Parcel};
 use dashmm_net::wire::{
     decode_frame, decode_frame_exact, decode_parcel, decode_parcels_body, encode_frame,
     encode_parcel, parcel_wire_len, parcels_body, FrameDecoder, FrameKind, HEADER_BYTES,
 };
 use proptest::prelude::*;
 
-/// Arbitrary parcels: any action, any packed global address, both
-/// priorities, payloads from empty to a few cache lines.
+/// Arbitrary parcels: any action, any packed global address, payloads
+/// from empty to a few cache lines.
 fn arb_parcel() -> impl Strategy<Value = Parcel> {
     (
         any::<u32>(),
         (any::<u32>(), any::<u32>()),
-        any::<bool>(),
         prop::collection::vec(0u8..=255, 0..96),
     )
-        .prop_map(|(action, (loc, idx), high, payload)| {
-            let mut p = Parcel::new(ActionId(action), GlobalAddress::new(loc, idx), payload);
-            p.priority = if high {
-                Priority::High
-            } else {
-                Priority::Normal
-            };
-            p
+        .prop_map(|(action, (loc, idx), payload)| {
+            Parcel::new(ActionId(action), GlobalAddress::new(loc, idx), payload)
         })
 }
 
@@ -44,6 +37,8 @@ proptest! {
     fn parcel_roundtrip_is_bitwise_identical(p in arb_parcel()) {
         let bytes = encoded(&p);
         prop_assert_eq!(bytes.len(), parcel_wire_len(&p));
+        // One header size: the runtime's byte count is what a socket carries.
+        prop_assert_eq!(bytes.len() as u64, p.wire_bytes());
         let (q, used) = decode_parcel(&bytes).expect("roundtrip decodes");
         prop_assert_eq!(used, bytes.len());
         prop_assert_eq!(q.action.0, p.action.0);

@@ -1,11 +1,11 @@
 //! Property-based tests of the AMT runtime's dataflow semantics: for an
 //! arbitrary weighted DAG of summing LCOs, executing it through the
-//! runtime — under any worker count, locality count, or priority setting —
-//! must produce exactly the values of a sequential reference evaluation.
+//! runtime — under any worker count or locality count — must produce
+//! exactly the values of a sequential reference evaluation.
 
 use std::sync::Arc;
 
-use dashmm::runtime::{LcoSpec, ObsLevel, Parcel, Priority, Runtime, RuntimeConfig, TaskCtx};
+use dashmm::runtime::{LcoSpec, ObsLevel, Parcel, Runtime, RuntimeConfig, TaskCtx};
 use proptest::prelude::*;
 
 /// A random layered DAG: `layers` of up to `width` nodes; each non-seed
@@ -75,7 +75,7 @@ fn random_dag() -> impl Strategy<Value = RandomDag> {
 }
 
 /// Execute the random DAG on the runtime and return every node's value.
-fn run_on_runtime(dag: &RandomDag, localities: usize, workers: usize, priority: bool) -> Vec<f64> {
+fn run_on_runtime(dag: &RandomDag, localities: usize, workers: usize) -> Vec<f64> {
     let rt = Runtime::new(RuntimeConfig {
         localities,
         workers_per_locality: workers,
@@ -117,18 +117,8 @@ fn run_on_runtime(dag: &RandomDag, localities: usize, workers: usize, priority: 
         }))
     };
     for i in 0..n {
-        let mut payload = (i as u32).to_le_bytes().to_vec();
         // Continuation appends the LCO data after our 4-byte header.
-        let parcel = Parcel {
-            action: forward,
-            target: lcos[i],
-            payload: std::mem::take(&mut payload),
-            priority: if priority && i % 2 == 0 {
-                Priority::High
-            } else {
-                Priority::Normal
-            },
-        };
+        let parcel = Parcel::new(forward, lcos[i], (i as u32).to_le_bytes().to_vec());
         let lco = lcos[i];
         rt.seed(lco.locality, {
             let parcel = parcel.clone();
@@ -155,7 +145,7 @@ proptest! {
     #[test]
     fn runtime_matches_reference(dag in random_dag(), workers in 1usize..4) {
         let want = dag.reference();
-        let got = run_on_runtime(&dag, 1, workers, false);
+        let got = run_on_runtime(&dag, 1, workers);
         for (g, w) in got.iter().zip(&want) {
             prop_assert!((g - w).abs() < 1e-9, "got {g}, want {w}");
         }
@@ -164,18 +154,10 @@ proptest! {
     #[test]
     fn distribution_is_transparent(dag in random_dag(), localities in 2usize..5) {
         let want = dag.reference();
-        let got = run_on_runtime(&dag, localities, 2, false);
+        let got = run_on_runtime(&dag, localities, 2);
         for (g, w) in got.iter().zip(&want) {
             prop_assert!((g - w).abs() < 1e-9, "got {g}, want {w}");
         }
     }
 
-    #[test]
-    fn parcel_priorities_are_semantics_preserving(dag in random_dag()) {
-        let want = dag.reference();
-        let got = run_on_runtime(&dag, 2, 2, true);
-        for (g, w) in got.iter().zip(&want) {
-            prop_assert!((g - w).abs() < 1e-9, "got {g}, want {w}");
-        }
-    }
 }

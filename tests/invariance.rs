@@ -1,14 +1,11 @@
 //! Invariance properties of the full evaluator: the *answer* must not
-//! depend on how the evaluation is parallelised, distributed, scheduled, or
-//! which policy placed the DAG — only on the mathematical problem.
+//! depend on how the evaluation is parallelised, distributed, or which
+//! policy placed the DAG — only on the mathematical problem.
 
 use dashmm::kernels::Laplace;
 use dashmm::tree::{uniform_cube, Point3};
-use dashmm::{api::Policy, DashmmBuilder, LatticeHint, Method, SchedPolicy};
+use dashmm::{api::Policy, DashmmBuilder, Method};
 use proptest::prelude::*;
-
-/// The flat (priority-oblivious) plan most cases run under.
-const FIFO: SchedPolicy = SchedPolicy::Fifo;
 
 fn evaluate(
     sources: &[Point3],
@@ -17,14 +14,12 @@ fn evaluate(
     localities: usize,
     workers: usize,
     policy: Policy,
-    schedule: SchedPolicy,
 ) -> Vec<f64> {
     DashmmBuilder::new(Laplace)
         .method(Method::AdvancedFmm)
         .threshold(20)
         .machine(localities, workers)
         .policy(policy)
-        .schedule(schedule)
         .build(sources, charges, targets)
         .evaluate()
         .potentials
@@ -48,9 +43,9 @@ fn invariant_under_machine_shape() {
     let sources = uniform_cube(n, 31);
     let targets = uniform_cube(n, 32);
     let charges: Vec<f64> = (0..n).map(|i| ((i % 7) as f64 - 3.0) / 3.0).collect();
-    let base = evaluate(&sources, &targets, &charges, 1, 1, Policy::Fmm, FIFO);
+    let base = evaluate(&sources, &targets, &charges, 1, 1, Policy::Fmm);
     for (loc, wrk) in [(1, 3), (2, 2), (4, 1), (3, 2)] {
-        let other = evaluate(&sources, &targets, &charges, loc, wrk, Policy::Fmm, FIFO);
+        let other = evaluate(&sources, &targets, &charges, loc, wrk, Policy::Fmm);
         let d = max_abs_diff(&base, &other) / scale(&base);
         assert!(
             d < 1e-12,
@@ -65,29 +60,11 @@ fn invariant_under_policy() {
     let sources = uniform_cube(n, 33);
     let targets = uniform_cube(n, 34);
     let charges = vec![0.5; n];
-    let base = evaluate(&sources, &targets, &charges, 3, 1, Policy::Single, FIFO);
+    let base = evaluate(&sources, &targets, &charges, 3, 1, Policy::Single);
     for policy in [Policy::Block, Policy::Fmm] {
-        let other = evaluate(&sources, &targets, &charges, 3, 1, policy, FIFO);
+        let other = evaluate(&sources, &targets, &charges, 3, 1, policy);
         let d = max_abs_diff(&base, &other) / scale(&base);
         assert!(d < 1e-12, "policy {policy:?} changed results by {d:.2e}");
-    }
-}
-
-#[test]
-fn invariant_under_scheduling_plan() {
-    let n = 600;
-    let sources = uniform_cube(n, 35);
-    let targets = uniform_cube(n, 36);
-    let charges = vec![1.0; n];
-    let run = |plan| evaluate(&sources, &targets, &charges, 2, 2, Policy::Fmm, plan);
-    let a = run(FIFO);
-    for (name, plan) in [
-        ("flat", FIFO),
-        ("binary", SchedPolicy::Binary),
-        ("lattice", SchedPolicy::Lattice(LatticeHint::uniform())),
-    ] {
-        let d = max_abs_diff(&a, &run(plan)) / scale(&a);
-        assert!(d <= 1e-12, "the {name} plan changed results by {d:.2e}");
     }
 }
 
@@ -102,8 +79,8 @@ fn rebuilt_evaluations_are_bitwise_identical() {
     let sources = uniform_cube(n, 91);
     let targets = uniform_cube(n, 92);
     let charges = vec![1.0; n];
-    let a = evaluate(&sources, &targets, &charges, 1, 1, Policy::Fmm, FIFO);
-    let b = evaluate(&sources, &targets, &charges, 1, 1, Policy::Fmm, FIFO);
+    let a = evaluate(&sources, &targets, &charges, 1, 1, Policy::Fmm);
+    let b = evaluate(&sources, &targets, &charges, 1, 1, Policy::Fmm);
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
     }
@@ -118,9 +95,9 @@ fn linearity_in_charges() {
     let q1: Vec<f64> = (0..n).map(|i| (i % 3) as f64).collect();
     let q2: Vec<f64> = (0..n).map(|i| ((i + 1) % 4) as f64 * 0.25).collect();
     let qs: Vec<f64> = q1.iter().zip(&q2).map(|(a, b)| a + b).collect();
-    let f1 = evaluate(&sources, &targets, &q1, 1, 2, Policy::Fmm, FIFO);
-    let f2 = evaluate(&sources, &targets, &q2, 1, 2, Policy::Fmm, FIFO);
-    let fs = evaluate(&sources, &targets, &qs, 1, 2, Policy::Fmm, FIFO);
+    let f1 = evaluate(&sources, &targets, &q1, 1, 2, Policy::Fmm);
+    let f2 = evaluate(&sources, &targets, &q2, 1, 2, Policy::Fmm);
+    let fs = evaluate(&sources, &targets, &qs, 1, 2, Policy::Fmm);
     for i in 0..n {
         let want = f1[i] + f2[i];
         assert!(
@@ -156,8 +133,8 @@ proptest! {
         }
         let targets: Vec<Point3> = sources.iter().map(|p| *p + Point3::new(0.01, -0.02, 0.015)).collect();
         let charges = vec![1.0; sources.len()];
-        let a = evaluate(&sources, &targets, &charges, 1, 2, Policy::Fmm, FIFO);
-        let b = evaluate(&sources, &targets, &charges, 3, 1, Policy::Block, FIFO);
+        let a = evaluate(&sources, &targets, &charges, 1, 2, Policy::Fmm);
+        let b = evaluate(&sources, &targets, &charges, 3, 1, Policy::Block);
         let d = max_abs_diff(&a, &b) / scale(&a);
         prop_assert!(d < 1e-12, "distribution changed results by {d:.2e}");
     }

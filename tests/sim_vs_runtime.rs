@@ -1,6 +1,7 @@
 //! Cross-validation of the discrete-event simulator against the real
-//! threaded runtime: both execute the *same explicit DAG* under the *same
-//! scheduling plan*, and every edge is applied exactly once in each, so the
+//! threaded runtime: both execute the *same explicit DAG* — the simulator
+//! under the flat (FIFO) plan the runtime's one scheduler amounts to — and
+//! every edge is applied exactly once in each, so the
 //! per-operator-class event counts of a traced real run and a traced
 //! simulated run must agree exactly.
 
@@ -38,7 +39,7 @@ fn simulator_and_runtime_execute_identical_edge_sets() {
     let real = eval.evaluate();
     let real_counts = class_counts(&real.report.trace);
 
-    // Simulator over the very DAG and plan the runtime executed.
+    // Simulator over the very DAG the runtime executed, FIFO like it.
     let cfg = SimConfig {
         localities: 2,
         cores_per_locality: 1,
@@ -47,7 +48,7 @@ fn simulator_and_runtime_execute_identical_edge_sets() {
     };
     let sim = simulate(
         eval.dag(),
-        eval.plan(),
+        &SchedPlan::flat(eval.dag()),
         &CostModel::paper_table2(),
         &NetworkModel::gemini(),
         &cfg,
