@@ -9,8 +9,8 @@
 //!                 s = √(λ² + κ²)
 //! ```
 //!
-//! Discretising the outer integral with a Gauss–Legendre rule and `α` with
-//! the trapezoid rule yields a finite sum of **exponential basis functions**
+//! Discretising the outer integral with a rule in `s` and `α` with the
+//! trapezoid rule yields a finite sum of **exponential basis functions**
 //! in which *translation is diagonal* — the property the merge-and-shift
 //! technique exploits (the paper's `M→I`, `I→I`, `I→L` operators).  This is
 //! the same structure as the exponential expansions of Cheng–Greengard–
@@ -23,17 +23,23 @@
 //! whose integrand is entire in `s` — so one Gauss–Legendre panel on
 //! `[κ, κ + (ln(1/ε)+1)/z_min]` converges spectrally for every screening
 //! and `κ = 0` is not a special case.  [`PlaneWaveQuad::build`] takes the
-//! fewest nodes whose own error is under half of `ε`.  Node `k` then needs
-//! `M_k` trapezoid angles; by Jacobi–Anger the `M`-point trapezoid leaves
-//! the alias `2·w_k e^{-s_k z}·Σ_{p≥1} ±J_{pM}(λ_k ρ) cos(pMφ)`, so `M_k`
-//! is the smallest even count whose leading term stays under the node's
-//! share of what is left of `ε`.  That count tracks `λ_k ρ_max` only while
-//! the node's weight `w_k e^{-s_k z_min}` is worth resolving: nodes in the
-//! exponentially damped tail collapse to `M = 2`, as in CGR's tables.
+//! fewest such nodes whose own error is under half of `ε`, then shortens
+//! the rule by node elimination: drop the least significant node, refit
+//! every `(s_k, w_k)` to the kernel by damped Gauss–Newton, and keep going
+//! while the error holds — a generalized Gaussian rule in the manner of
+//! Cheng–Greengard–Rokhlin, fitted to exactly this family of integrands
+//! (16 → 10 nodes at three digits).  Node `k` then needs `M_k` trapezoid
+//! angles; by Jacobi–Anger the `M`-point trapezoid leaves the alias
+//! `2·w_k e^{-s_k z}·Σ_{p≥1} ±J_{pM}(λ_k ρ) cos(pMφ)`, so `M_k` is the
+//! smallest even count whose leading term stays under the node's share of
+//! what is left of `ε`.  That count tracks `λ_k ρ_max` only while the
+//! node's weight `w_k e^{-s_k z_min}` is worth resolving: a node in the
+//! exponentially damped tail collapses to `M = 2`, as in CGR's tables
+//! (Gauss–Legendre's last few nodes were such a tail; the fit leaves none).
 //! Finally the counts are trimmed against the modelled residual itself
 //! (which knows the signs the bound ignores), and the assembled terms are
-//! validated on a finer sweep; a rule that fails goes back for one more
-//! node.
+//! validated on a finer sweep; a rule that fails steps back one node along
+//! the elimination.
 //!
 //! All coordinates are normalised to the box side of the tree level in
 //! question; the validity region `z ∈ [1, 4]`, `ρ ≤ 4√2` covers exactly the
@@ -43,6 +49,7 @@
 //! depends on the depth in the hierarchy").
 
 use crate::gauss::gauss_legendre;
+use dashmm_linalg::{cholesky, Matrix};
 
 /// Requirements for a plane-wave quadrature.
 #[derive(Clone, Copy, Debug)]
@@ -83,10 +90,14 @@ impl QuadSpec {
         self.kappa + ((1.0 / self.eps).ln() + 1.0) / self.z_min
     }
 
+    /// `λ = √(s² − κ²)`.
+    fn lambda(&self, s: f64) -> f64 {
+        ((s - self.kappa) * (s + self.kappa)).sqrt()
+    }
+
     /// `λ` at [`QuadSpec::s_max`].
     fn lambda_max(&self) -> f64 {
-        let s = self.s_max();
-        ((s - self.kappa) * (s + self.kappa)).sqrt()
+        self.lambda(self.s_max())
     }
 
     /// Exact kernel in normalised coordinates.
@@ -109,6 +120,10 @@ const VALIDATE_DENSITY: f64 = 2.0 * TRIM_DENSITY;
 const TRIM_TARGET: f64 = 0.9;
 /// Fraction of `ε` the `s` rule alone (angular integral exact) may spend.
 const RADIAL_SHARE: f64 = 0.5;
+/// Fraction of that share a fitted `s` rule may spend on the grid it is
+/// fitted on; the rest is headroom for what lies between its `ρ` samples,
+/// where a fit is free to let its error bulge.
+const FIT_TARGET: f64 = 0.9;
 // What the `s` rule leaves of the trim's target is shared out to the angles.
 const _: () = assert!(RADIAL_SHARE < TRIM_TARGET);
 /// `sup_x |J_M(x)| < 0.6749·M^{-1/3}` (Landau).
@@ -145,7 +160,8 @@ pub struct PlaneWaveQuad {
 
 impl PlaneWaveQuad {
     /// Build a quadrature satisfying `spec`: the shortest Gauss–Legendre
-    /// rule in `s` whose own error leaves room for the angles, the smallest
+    /// rule in `s` whose own error leaves room for the angles, shortened by
+    /// node elimination into a rule fitted to the kernel, the smallest
     /// angular count per node the aliasing model allows, trimmed against
     /// the measured residual, and validated term by term on a finer sweep.
     /// Panics only if no rule passes, which indicates an unsatisfiable spec.
@@ -164,38 +180,63 @@ impl PlaneWaveQuad {
         assert!(spec.z_min > 0.0 && spec.z_max > spec.z_min);
         let sweep = Sweep::new(&spec, TRIM_DENSITY);
         let cos_m = sweep.cos_multiples(negligible_order(spec.lambda_max() * spec.rho_max));
-        let target = TRIM_TARGET * spec.eps;
+        let fit = RadialFit::new(&spec, &sweep);
+        let share = RADIAL_SHARE * spec.eps;
         let mut last_err = f64::INFINITY;
         for n in 2..=MAX_NODES {
-            let mut model = ErrorModel::new(&spec, &sweep, &cos_m, n);
-            let radial = sup_abs(&model.residual);
-            if radial > RADIAL_SHARE * spec.eps {
+            let (s, w) = gauss_legendre(n, spec.kappa, spec.s_max());
+            let start = Radial { s, w };
+            let radial = fit.sup(&start);
+            if radial > share {
                 last_err = radial;
                 continue;
             }
-            let mut counts = model.angular_counts((target - radial) / n as f64);
-            for k in 0..n {
-                let alias = model.alias(k, counts[k]);
-                model.deposit(k, &alias);
+            // Shortest first: a rule that fails validation steps back one
+            // node along the chain, down to the Gauss–Legendre rule itself.
+            for radial in fit.eliminate(start, FIT_TARGET * share).iter().rev() {
+                match Self::attempt(spec, &sweep, &cos_m, radial) {
+                    Ok(q) => return q,
+                    Err(err) => last_err = err,
+                }
             }
-            // The counts bound each node's leading alias only; the residual
-            // has the last word.
-            last_err = sup_abs(&model.residual);
-            if last_err > target {
-                continue;
-            }
-            model.trim(&mut counts, target);
-            let mut q = Self::assemble(spec, &model, &counts);
-            q.validated_error = q.validate();
-            if q.validated_error <= spec.eps {
-                return q;
-            }
-            last_err = q.validated_error;
         }
         panic!(
             "plane-wave quadrature failed to reach eps={} (best error {last_err:.3e})",
             spec.eps
         );
+    }
+
+    /// Angles for the `s` rule `radial`: the smallest counts the aliasing
+    /// model allows, trimmed against the residual, validated on the finer
+    /// sweep.  Returns the error that rejected it otherwise.
+    fn attempt(spec: QuadSpec, sweep: &Sweep, cos_m: &[f64], radial: &Radial) -> Result<Self, f64> {
+        let target = TRIM_TARGET * spec.eps;
+        let mut model = ErrorModel::new(&spec, sweep, cos_m, radial);
+        let n = radial.s.len();
+        // The angles need a positive share of what the `s` rule leaves.
+        let left = target - sup_abs(&model.residual);
+        if left <= 0.0 {
+            return Err(target - left);
+        }
+        let mut counts = model.angular_counts(left / n as f64);
+        for k in 0..n {
+            let alias = model.alias(k, counts[k]);
+            model.deposit(k, &alias);
+        }
+        // The counts bound each node's leading alias only; the residual
+        // has the last word.
+        let err = sup_abs(&model.residual);
+        if err > target {
+            return Err(err);
+        }
+        model.trim(&mut counts, target);
+        let mut q = Self::assemble(spec, &model, &counts);
+        q.validated_error = q.validate();
+        if q.validated_error <= spec.eps {
+            Ok(q)
+        } else {
+            Err(q.validated_error)
+        }
     }
 
     /// The rule with `counts[k]` trapezoid angles on the model's node `k`.
@@ -403,6 +444,46 @@ fn bessel_j(n: usize, x: f64) -> Vec<f64> {
     j
 }
 
+/// `J_0(j h)` and `J_1(j h)` for `j = 0..j0.len()`.  The `M`-angle
+/// trapezoid rule on `J_0(x) = (1/2π)∫ cos(x sin θ) dθ` and
+/// `J_1(x) = (1/2π)∫ sin θ sin(x sin θ) dθ` leaves, by Jacobi–Anger, only
+/// orders `pM` and `pM ± 1`, negligible once `M` passes
+/// [`negligible_order`] of the largest argument; both integrands are even
+/// about `θ = 0` and `θ = π/2`, so a quarter of the angles carry the sum.
+/// Along the grid an angle's phase `j h sin θ` is linear in `j`, so its
+/// cosines and sines follow from one `sin_cos` by the Chebyshev
+/// recurrence, run for four angles at once so that no step waits on the
+/// one before.
+fn bessel_j01_grid(h: f64, j0: &mut [f64], j1: &mut [f64]) {
+    const LANES: usize = 4;
+    let m = (negligible_order(h * (j0.len() - 1) as f64) + 1).next_multiple_of(4);
+    let quarter = m / 4;
+    j0.fill(0.0);
+    j1.fill(0.0);
+    for first in (0..=quarter).step_by(LANES) {
+        // Per lane: the weights of `cos` and `sin`, `2 cos(h sin θ)`, and the
+        // recurrence's state at `j − 1` and `j`.  Idle lanes weigh nothing.
+        let (mut wc, mut ws, mut twice) = ([0.0; LANES], [0.0; LANES], [0.0; LANES]);
+        let (mut c_prev, mut c, mut s_prev, mut s) =
+            ([0.0; LANES], [1.0; LANES], [0.0; LANES], [0.0; LANES]);
+        for (l, i) in (first..=quarter).take(LANES).enumerate() {
+            let sin_t = (std::f64::consts::TAU * i as f64 / m as f64).sin();
+            let weight = if i == 0 || i == quarter { 2.0 } else { 4.0 } / m as f64;
+            let (sin_p, cos_p) = (h * sin_t).sin_cos();
+            (wc[l], ws[l], twice[l]) = (weight, weight * sin_t, 2.0 * cos_p);
+            (c_prev[l], s_prev[l]) = (cos_p, -sin_p);
+        }
+        for (a, b) in j0.iter_mut().zip(j1.iter_mut()) {
+            for l in 0..LANES {
+                *a += wc[l] * c[l];
+                *b += ws[l] * s[l];
+                (c_prev[l], c[l]) = (c[l], twice[l] * c[l] - c_prev[l]);
+                (s_prev[l], s[l]) = (s[l], twice[l] * s[l] - s_prev[l]);
+            }
+        }
+    }
+}
+
 /// The error of a rule under construction, on one sweep, split the way it
 /// arises.  Integrating `α` out exactly leaves the `s` rule's own
 /// (*radial*) error `Σ_k w_k e^{-s_k z} J_0(λ_k ρ) − K`; the `M`-point
@@ -415,7 +496,7 @@ struct ErrorModel<'a> {
     sweep: &'a Sweep,
     s: Vec<f64>,
     lambda: Vec<f64>,
-    /// Gauss–Legendre weight in `s` (which carries the Yukawa `λ/s`).
+    /// Weight in `s` (which carries the Yukawa `λ/s`).
     weight: Vec<f64>,
     /// `weight[k] e^{-s_k z} / K(z_min)`, `[k][z]`.
     decay: Vec<Vec<f64>>,
@@ -429,13 +510,11 @@ struct ErrorModel<'a> {
 }
 
 impl<'a> ErrorModel<'a> {
-    /// The `n`-node rule in `s` with every angular integral exact.
-    fn new(spec: &QuadSpec, sweep: &'a Sweep, cos_m: &'a [f64], n: usize) -> Self {
-        let (s, weight) = gauss_legendre(n, spec.kappa, spec.s_max());
-        let lambda: Vec<f64> = s
-            .iter()
-            .map(|&s| ((s - spec.kappa) * (s + spec.kappa)).sqrt())
-            .collect();
+    /// The `s` rule `radial` with every angular integral exact.
+    fn new(spec: &QuadSpec, sweep: &'a Sweep, cos_m: &'a [f64], radial: &Radial) -> Self {
+        let Radial { s, w: weight } = radial.clone();
+        let n = s.len();
+        let lambda: Vec<f64> = s.iter().map(|&s| spec.lambda(s)).collect();
         let scale = spec.exact(spec.z_min);
         let decay: Vec<Vec<f64>> = (0..n)
             .map(|k| {
@@ -489,7 +568,7 @@ impl<'a> ErrorModel<'a> {
             .map(|k| {
                 let at_rho_max = &self.bessel[(k + 1) * n_rho - 1];
                 let x_max = self.lambda[k] * self.sweep.rho[n_rho - 1];
-                let lead = 2.0 * self.decay[k][0];
+                let lead = 2.0 * self.decay[k][0].abs();
                 (2..)
                     .step_by(2)
                     .find(|&m| {
@@ -565,6 +644,286 @@ impl<'a> ErrorModel<'a> {
                 counts[k] -= 2;
             }
         }
+    }
+}
+
+/// A rule in `s`: nodes and weights, with every angular integral exact.
+#[derive(Clone, Debug)]
+struct Radial {
+    s: Vec<f64>,
+    w: Vec<f64>,
+}
+
+impl Radial {
+    /// `|w_k| e^{-s_k z}`: what node `k` contributes at its strongest.
+    fn significance(&self, k: usize, z: f64) -> f64 {
+        self.w[k].abs() * (-self.s[k] * z).exp()
+    }
+
+    /// The nodes in increasing `s`, which a refit may have reordered.
+    fn sorted(self) -> Self {
+        let mut by_s: Vec<usize> = (0..self.s.len()).collect();
+        by_s.sort_by(|&a, &b| self.s[a].total_cmp(&self.s[b]));
+        Radial {
+            s: by_s.iter().map(|&i| self.s[i]).collect(),
+            w: by_s.iter().map(|&i| self.w[i]).collect(),
+        }
+    }
+
+    fn without(&self, k: usize) -> Self {
+        let keep = |v: &[f64]| [&v[..k], &v[k + 1..]].concat();
+        Radial {
+            s: keep(&self.s),
+            w: keep(&self.w),
+        }
+    }
+}
+
+/// Most Gauss–Newton steps one refit takes.
+const FIT_STEPS: usize = 40;
+/// A refit stops once a step gains less than this fraction of the sum of
+/// squares.
+const FIT_STALL: f64 = 1e-3;
+/// `z` samples of the fit per e-fold of the fastest term, `e^{-s_max z}`.
+const FIT_Z_PER_EFOLD: f64 = 2.0;
+
+/// The `s` rule's own error, `Σ_k w_k e^{-s_k z} J_0(λ_k ρ) − K`, relative
+/// to `K(z_min)` (it does not depend on the azimuth), and the node
+/// elimination that shortens a rule against it: a generalized Gaussian rule
+/// fitted to this family of integrands, as in Cheng–Greengard–Rokhlin,
+/// rather than Gauss–Legendre's polynomials.  The grid is the trim sweep's
+/// `ρ` and a `z` fine enough for the fastest decay: on the sweep's own
+/// eight `z` intervals a fit moves its error between the samples.
+struct RadialFit<'a> {
+    spec: &'a QuadSpec,
+    z: Vec<f64>,
+    rho: &'a [f64],
+    /// `K(z, ρ) / K(z_min)`, `[z][ρ]`.
+    kernel: Vec<f64>,
+}
+
+/// Each node's terms are separable in `(z, ρ)`, and so are their
+/// derivatives: `∂/∂w_k = e_k ⊗ a_k` and `∂/∂s_k = −w_k (z e_k ⊗ a_k +
+/// e_k ⊗ b_k)`, with `e_k = e^{-s_k z}/K(z_min)`, `a_k = J_0(λ_k ρ)` and
+/// `b_k = −∂_s J_0(λ_k ρ) = (s_k/λ_k) ρ J_1(λ_k ρ)`.
+struct Factors {
+    /// `e_k`, `[k][z]`.
+    e: Vec<f64>,
+    /// `a_k`, `[k][ρ]`.
+    a: Vec<f64>,
+    /// `b_k`, `[k][ρ]`.
+    b: Vec<f64>,
+}
+
+fn dot(u: &[f64], v: &[f64]) -> f64 {
+    u.iter().zip(v).map(|(x, y)| x * y).sum()
+}
+
+impl<'a> RadialFit<'a> {
+    fn new(spec: &'a QuadSpec, sweep: &'a Sweep) -> Self {
+        let span = spec.z_max - spec.z_min;
+        let intervals = (FIT_Z_PER_EFOLD * span * spec.s_max()).ceil();
+        let z: Vec<f64> = (0..=intervals as usize)
+            .map(|i| spec.z_min + span * i as f64 / intervals)
+            .collect();
+        let scale = spec.exact(spec.z_min);
+        let kernel = z
+            .iter()
+            .flat_map(|z| {
+                sweep
+                    .rho
+                    .iter()
+                    .map(move |rho| spec.exact(rho.hypot(*z)) / scale)
+            })
+            .collect();
+        RadialFit {
+            spec,
+            z,
+            rho: &sweep.rho,
+            kernel,
+        }
+    }
+
+    /// `sup |residual|` of `rule`.
+    fn sup(&self, rule: &Radial) -> f64 {
+        let mut residual = vec![0.0; self.kernel.len()];
+        self.residual(rule, &mut residual);
+        sup_abs(&residual)
+    }
+
+    /// The residual of `rule` into `out`, `[z][ρ]`, and the factors of its
+    /// terms.
+    fn residual(&self, rule: &Radial, out: &mut [f64]) -> Factors {
+        let (n_z, n_rho) = (self.z.len(), self.rho.len());
+        let scale = self.spec.exact(self.spec.z_min);
+        let mut f = Factors {
+            e: Vec::with_capacity(rule.s.len() * n_z),
+            a: vec![0.0; rule.s.len() * n_rho],
+            b: vec![0.0; rule.s.len() * n_rho],
+        };
+        let d_rho = self.rho[1] - self.rho[0];
+        for (k, &s) in rule.s.iter().enumerate() {
+            f.e.extend(self.z.iter().map(|z| (-s * z).exp() / scale));
+            let lambda = self.spec.lambda(s);
+            let (a, b) = (
+                &mut f.a[k * n_rho..][..n_rho],
+                &mut f.b[k * n_rho..][..n_rho],
+            );
+            bessel_j01_grid(lambda * d_rho, a, b);
+            // `(s/λ) ρ J_1(λρ) → s ρ²/2` as `λ → 0`.
+            for (b, &rho) in b.iter_mut().zip(self.rho) {
+                *b = if lambda > 0.0 {
+                    s / lambda * rho * *b
+                } else {
+                    0.5 * s * rho * rho
+                };
+            }
+        }
+        for ((row, kernel), iz) in out
+            .chunks_exact_mut(n_rho)
+            .zip(self.kernel.chunks_exact(n_rho))
+            .zip(0..)
+        {
+            row.iter_mut().zip(kernel).for_each(|(o, k)| *o = -k);
+            for (k, &w) in rule.w.iter().enumerate() {
+                let we = w * f.e[k * n_z + iz];
+                for (o, a) in row.iter_mut().zip(&f.a[k * n_rho..][..n_rho]) {
+                    *o += we * a;
+                }
+            }
+        }
+        f
+    }
+
+    /// `JᵀJ` (lower triangle) and `Jᵀr` of the residual `r` in the
+    /// parameters `(s_0…s_{n−1}, w_0…w_{n−1})`, from inner products of the
+    /// factors along `z` and along `ρ`.
+    fn normal_equations(&self, rule: &Radial, f: &Factors, r: &[f64]) -> (Matrix, Vec<f64>) {
+        let (n, n_z, n_rho) = (rule.s.len(), self.z.len(), self.rho.len());
+        let z = &self.z;
+        let e = |k: usize| &f.e[k * n_z..][..n_z];
+        let (a, b) = (
+            |k: usize| &f.a[k * n_rho..][..n_rho],
+            |k: usize| &f.b[k * n_rho..][..n_rho],
+        );
+        let w = &rule.w;
+        let mut normal = Matrix::zeros(2 * n, 2 * n);
+        for k in 0..n {
+            for l in 0..=k {
+                let (mut ee, mut ez, mut zz) = (0.0, 0.0, 0.0);
+                for ((ek, el), z) in e(k).iter().zip(e(l)).zip(z) {
+                    ee += ek * el;
+                    ez += z * ek * el;
+                    zz += z * z * ek * el;
+                }
+                let (aa, ab, ba, bb) = (
+                    dot(a(k), a(l)),
+                    dot(a(k), b(l)),
+                    dot(b(k), a(l)),
+                    dot(b(k), b(l)),
+                );
+                normal[(k, l)] = w[k] * w[l] * (zz * aa + ez * (ab + ba) + ee * bb);
+                normal[(n + k, n + l)] = ee * aa;
+                normal[(n + k, l)] = -w[l] * (ez * aa + ee * ab);
+                normal[(n + l, k)] = -w[k] * (ez * aa + ee * ba);
+            }
+        }
+        let mut gradient = vec![0.0; 2 * n];
+        for k in 0..n {
+            for ((row, &ek), z) in r.chunks_exact(n_rho).zip(e(k)).zip(z) {
+                let (ra, rb) = (dot(row, a(k)), dot(row, b(k)));
+                gradient[k] -= w[k] * ek * (z * ra + rb);
+                gradient[n + k] += ek * ra;
+            }
+        }
+        (normal, gradient)
+    }
+
+    /// Refit every `(s_k, w_k)` of `rule` by damped Gauss–Newton
+    /// (Levenberg–Marquardt) on the sum of squares, each `s` kept in
+    /// `[κ, s_max]`, until the sup of the residual is `good_enough` or a
+    /// step stalls.  Returns that sup.
+    fn refit(&self, rule: &mut Radial, good_enough: f64) -> f64 {
+        let n = rule.s.len();
+        let mut residual = vec![0.0; self.kernel.len()];
+        let mut factors = self.residual(rule, &mut residual);
+        let mut sse = dot(&residual, &residual);
+        let mut trial_residual = residual.clone();
+        let mut damping = 1e-3;
+        for _ in 0..FIT_STEPS {
+            if sup_abs(&residual) <= good_enough {
+                break;
+            }
+            let (normal, gradient) = self.normal_equations(rule, &factors, &residual);
+            let floor = 1e-12 * (0..2 * n).map(|j| normal[(j, j)]).fold(0.0, f64::max);
+            let mut gained = None;
+            while damping < 1e12 {
+                let mut damped = normal.clone();
+                for j in 0..2 * n {
+                    damped[(j, j)] += damping * normal[(j, j)].max(floor);
+                }
+                let Some(factor) = cholesky(&damped) else {
+                    damping *= 10.0;
+                    continue;
+                };
+                let mut step: Vec<f64> = gradient.iter().map(|g| -g).collect();
+                factor.solve_in_place(&mut step);
+                let trial = Radial {
+                    s: (0..n)
+                        .map(|k| (rule.s[k] + step[k]).clamp(self.spec.kappa, self.spec.s_max()))
+                        .collect(),
+                    w: (0..n).map(|k| rule.w[k] + step[n + k]).collect(),
+                };
+                let trial_factors = self.residual(&trial, &mut trial_residual);
+                let trial_sse = dot(&trial_residual, &trial_residual);
+                if trial_sse < sse {
+                    gained = Some(sse - trial_sse);
+                    (*rule, factors, sse) = (trial, trial_factors, trial_sse);
+                    std::mem::swap(&mut residual, &mut trial_residual);
+                    damping = (damping * 0.3).max(1e-12);
+                    break;
+                }
+                damping *= 4.0;
+            }
+            match gained {
+                Some(gain) if gain > FIT_STALL * (sse + gain) => {}
+                _ => break,
+            }
+        }
+        sup_abs(&residual)
+    }
+
+    /// Shorten `rule` one node at a time while the refitted residual stays
+    /// within `target`, removing the least significant node at `z_min`
+    /// each time, then refit the shortest rule until a step stalls and keep
+    /// that if it still holds.  Returns the chain of accepted rules, `rule`
+    /// first, each sorted by `s`.
+    fn eliminate(&self, rule: Radial, target: f64) -> Vec<Radial> {
+        let mut chain = vec![rule];
+        loop {
+            let rule = chain.last().expect("the chain starts non-empty");
+            if rule.s.len() == 1 {
+                break;
+            }
+            let z_min = self.spec.z_min;
+            let least = (0..rule.s.len())
+                .min_by(|&a, &b| {
+                    rule.significance(a, z_min)
+                        .total_cmp(&rule.significance(b, z_min))
+                })
+                .expect("the rule is non-empty");
+            let mut trial = rule.without(least);
+            if self.refit(&mut trial, target) > target {
+                break;
+            }
+            chain.push(trial.sorted());
+        }
+        let last = chain.last_mut().expect("the chain starts non-empty");
+        let mut polished = last.clone();
+        if self.refit(&mut polished, 0.0) <= target {
+            *last = polished.sorted();
+        }
+        chain
     }
 }
 
@@ -749,6 +1108,39 @@ mod tests {
         }
     }
 
+    /// The fitted `s` rule alone, every angular integral exact, holds its
+    /// share of `ε` between the points it was fitted on: the trim sweep's
+    /// `(z, ρ)` grid with every interval cut in three.  An overfitted rule
+    /// would meet the share only on the grid.
+    #[test]
+    fn radial_rule_holds_its_share_between_fit_points() {
+        for q in rules() {
+            let spec = q.spec;
+            let sweep = thirds(&Sweep::new(&spec, TRIM_DENSITY));
+            let nodes: Vec<(f64, f64, f64)> = q
+                .nodes()
+                .map(|run| (q.s[run.start], q.lambda[run.start], q.w[run].iter().sum()))
+                .collect();
+            let mut worst = 0.0f64;
+            for &z in &sweep.z {
+                for &rho in &sweep.rho {
+                    let rule: f64 = nodes
+                        .iter()
+                        .map(|&(s, lambda, w)| w * (-s * z).exp() * bessel_j(0, lambda * rho)[0])
+                        .sum();
+                    worst = worst.max((rule - spec.exact(rho.hypot(z))).abs());
+                }
+            }
+            let err = worst / spec.exact(spec.z_min);
+            assert!(
+                err <= RADIAL_SHARE * spec.eps,
+                "eps {} kappa {}: radial error {err}",
+                spec.eps,
+                spec.kappa
+            );
+        }
+    }
+
     #[test]
     fn build_is_deterministic() {
         for a in rules().iter().step_by(3) {
@@ -863,7 +1255,15 @@ mod tests {
             assert_eq!(legacy_terms(QuadSpec::for_l2(1e-3, kappa)), recorded);
         }
         let three_digit = &rules()[..KAPPAS.len()];
-        assert!(three_digit[0].num_terms() <= 200);
+        assert!(three_digit[0].num_terms() <= 130);
+        for q in three_digit.iter().filter(|q| q.spec.kappa <= 0.5) {
+            assert!(
+                q.num_terms() <= 135,
+                "kappa {}: {} terms",
+                q.spec.kappa,
+                q.num_terms()
+            );
+        }
         for q in three_digit {
             let (new, old) = (q.num_terms(), legacy_terms(q.spec));
             assert!(
@@ -873,6 +1273,7 @@ mod tests {
             );
         }
         let six_digit = &rules()[KAPPAS.len()..];
+        assert!(six_digit[0].num_terms() <= 671);
         for (q3, q6) in three_digit.iter().zip(six_digit) {
             assert!(q6.num_terms() > q3.num_terms());
         }
@@ -933,14 +1334,35 @@ mod tests {
         }
     }
 
+    #[test]
+    fn bessel_j01_on_a_grid_matches_bessel_j() {
+        for h in [0.0, 1e-9, 0.3, 0.85, 1.7] {
+            let (mut j0, mut j1) = (vec![0.0; 90], vec![0.0; 90]);
+            bessel_j01_grid(h, &mut j0, &mut j1);
+            for (j, (a, b)) in j0.iter().zip(&j1).enumerate() {
+                let want = bessel_j(1, h * j as f64);
+                assert!(
+                    (a - want[0]).abs() <= 1e-13,
+                    "J_0({h}·{j}): {a} vs {}",
+                    want[0]
+                );
+                assert!(
+                    (b - want[1]).abs() <= 1e-13,
+                    "J_1({h}·{j}): {b} vs {}",
+                    want[1]
+                );
+            }
+        }
+    }
+
     /// The damped tail.  The threshold is `ε/5`, not the `ε/4` one might
     /// hope for: two angles on a node of damped weight `d` alias up to
-    /// `2 sup|J_2| d = 0.97 d`, the tail's weights roughly halve from node
-    /// to node (three digits: … 0.48, 0.24, 0.11, 0.04 `ε`), so a tail
-    /// starting below `t` costs `≈ 2 t`, and the trim has
-    /// `(TRIM_TARGET − RADIAL_SHARE) ε = 0.4 ε` to spend: `t ≈ ε/5`.  At
-    /// `ε/4` the three-digit Laplace node weighing `0.24 ε` is the one
-    /// exception (4 angles).
+    /// `2 sup|J_2| d = 0.97 d`, a Gauss–Legendre tail's weights roughly
+    /// halve from node to node (three digits: … 0.48, 0.24, 0.11, 0.04 `ε`),
+    /// so a tail starting below `t` costs `≈ 2 t`, and the trim has
+    /// `(TRIM_TARGET − RADIAL_SHARE) ε = 0.4 ε` to spend: `t ≈ ε/5`.  The
+    /// fitted rules' lightest nodes weigh more than `ε` and keep their
+    /// angles; the bound still holds for any node that is that light.
     #[test]
     fn damped_tail_collapses_to_two_angles() {
         for q in rules() {
@@ -952,10 +1374,6 @@ mod tests {
                     "eps {eps} kappa {kappa}: λ = {lambda} weighs {weight} and has {terms} terms"
                 );
             }
-            // … and the tail exists: the top node is one of them, while
-            // the legacy formula gave it the most angles of all.
-            assert_eq!(nodes.last().unwrap().0, 1);
-            assert!(nodes.iter().any(|n| n.0 > 8));
         }
     }
 
