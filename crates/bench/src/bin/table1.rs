@@ -65,10 +65,11 @@ fn main() {
         println!("{name:<6} {count:>10}  {size:>14}  {dn:>7}/{dx:<7}  {on:>7}/{ox:<7}");
     }
 
-    // Σ node bytes per class: the LCO network one `evaluate()` installs, by
-    // owner.  The paper prints one size for M / Is / It / L, so its column
-    // is count × size; its S and T sizes are ranges and stay blank.
-    println!("\n--- bytes by owner (Σ node payload per class) ---");
+    // Σ node bytes per class, by owner: each node's size is the message it
+    // sends along an out-edge.  The paper prints one size for M / Is / It /
+    // L, so its column is count × size; its S and T sizes are ranges and
+    // stay blank.
+    println!("\n--- bytes by owner (Σ node message size per class) ---");
     println!("Type     this run [MB]   B/point     paper [MB]   B/point");
     let points = 2.0 * opts.n as f64;
     let (mut ours, mut paper) = (0u64, 0u64);
@@ -95,6 +96,14 @@ fn main() {
         ours as f64 / points,
         paper as f64 / 1e6,
         paper as f64 / PAPER_POINTS
+    );
+    // What a run keeps: an `It` is a gate that gathers its in-edges into a
+    // buffer it hands on, so it holds nothing between inputs.
+    let resident = ours - stats.nodes[NodeClass::It.index()].size_total;
+    println!(
+        "resident {:>13.1} {:>9.1}   (held at run time: It is 0)",
+        resident as f64 / 1e6,
+        resident as f64 / points
     );
 
     // Shape checks the reproduction should satisfy.

@@ -5,15 +5,20 @@
 //! *complete* answer — within 1e-12 of the fault-free single-process
 //! reference.  Exactly-once delivery is enforced by the runtime itself:
 //! an over-subscribed LCO panics the rank thread, which fails the join.
+//!
+//! Two sever points: early, as soon as the victim is sending, and late,
+//! once it has shipped most of its bundles — by then the survivors' `It`
+//! gates have fired, so the replay re-gathers them.
 
+use std::collections::BTreeSet;
 use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use dashmm_amt::{CoalesceConfig, Transport};
 use dashmm_core::{DashmmBuilder, EvalOutput, Method};
 use dashmm_kernels::Laplace;
-use dashmm_net::{RetransmitConfig, SocketTransport};
+use dashmm_net::{CommMetrics, RetransmitConfig, SocketTransport};
 use dashmm_tree::uniform_cube;
 
 const RANKS: u32 = 3;
@@ -80,8 +85,25 @@ fn rank_eval(
     out
 }
 
+/// The cases share the host's cores: one mesh at a time keeps each sever
+/// point where its case puts it.
+static ONE_MESH: Mutex<()> = Mutex::new(());
+
 #[test]
 fn severed_rank_is_recovered_by_survivors() {
+    recovered_after_sever(|m, _| m.frames_sent() > 5);
+}
+
+#[test]
+fn severed_late_rank_is_recovered_by_survivors() {
+    recovered_after_sever(|m, bundles| m.parcels_sent() >= bundles * 3 / 4);
+}
+
+/// Run the mesh and sever the victim once `sever_at(counters, bundles)`
+/// holds for its transport's counters, `bundles` being how many bundles it
+/// sends in a fault-free run: one per (node, remote locality) pair.
+fn recovered_after_sever(sever_at: fn(&CommMetrics, u64) -> bool) {
+    let _one = ONE_MESH.lock().unwrap_or_else(|e| e.into_inner());
     // Watchdog: a wedged recovery must fail loudly, never hang the suite.
     std::thread::spawn(|| {
         std::thread::sleep(Duration::from_secs(180));
@@ -92,21 +114,34 @@ fn severed_rank_is_recovered_by_survivors() {
     let targets = uniform_cube(N, 12);
     let charges = vec![1.0; N];
 
+    let shape = DashmmBuilder::new(Laplace)
+        .method(Method::AdvancedFmm)
+        .threshold(THRESHOLD)
+        .machine(RANKS as usize, WORKERS)
+        .build(&sources, &charges, &targets);
+    let dag = shape.dag();
+    let bundles: u64 = (0..dag.num_nodes() as u32)
+        .filter(|&id| dag.node(id).locality == DEAD)
+        .map(|id| {
+            let remote = dag.out_edges(id).iter().map(|e| dag.node(e.dst).locality);
+            remote.filter(|&l| l != DEAD).collect::<BTreeSet<_>>().len() as u64
+        })
+        .sum();
+
     let transports = mesh();
     let victim = Arc::clone(&transports[DEAD as usize]);
     // Process-death model: once the victim's run is demonstrably underway
-    // (parcel frames on the wire), sever it from the mesh without a
-    // goodbye — peers observe the hangup exactly as a crash.
+    // (parcels on the wire), sever it from the mesh without a goodbye —
+    // peers observe the hangup exactly as a crash.
     let killer = std::thread::spawn({
         let victim = Arc::clone(&victim);
         move || {
             let deadline = Instant::now() + Duration::from_secs(30);
-            loop {
-                let frames: u64 = victim.metrics().per_dest.iter().map(|d| d.frames).sum();
-                if frames > 5 {
-                    break;
-                }
-                assert!(Instant::now() < deadline, "victim never started sending");
+            while !sever_at(&victim.metrics(), bundles) {
+                assert!(
+                    Instant::now() < deadline,
+                    "victim never reached the sever point"
+                );
                 std::thread::sleep(Duration::from_millis(1));
             }
             victim.sever();

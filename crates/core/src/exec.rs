@@ -2,12 +2,18 @@
 //!
 //! Each expansion node becomes one user-defined LCO (paper §IV, Figure 2):
 //! its stored data is the expansion, arriving inputs *reduce* into it
-//! (element-wise addition, or offset-addressed addition for the multi-slot
-//! intermediate nodes), and when the final input lands the runtime spawns
-//! one continuation that processes the node's out-edge list.  Local edges
-//! are transformed and set sequentially; remote edges are coalesced into a
+//! (element-wise addition, or offset-addressed addition into the slots of
+//! an `Is` node), and when the final input lands the runtime spawns one
+//! continuation that processes the node's out-edge list.  Local edges are
+//! transformed and set sequentially; remote edges are coalesced into a
 //! single parcel per destination locality carrying the expansion data and
 //! the edge descriptors, evaluated as normal on arrival.
+//!
+//! An `It` node stores nothing.  Its LCO is a gate that counts its `I→I`
+//! in-edges; their sources, the fired `Is` payloads (or a bundle's copy of
+//! them), are published at the locality that holds them.  When the gate's
+//! last input lands, one task gathers every in-edge's translation into a
+//! fresh buffer, in edge order, and hands it to the node's `I→L`.
 //!
 //! The network is built once per [`crate::Evaluation`] and re-armed for
 //! every later evaluation ([`ExecCtx::rearm`]): the paper's iterative use
@@ -27,7 +33,7 @@ use dashmm_dag::{Dag, DagEdge, EdgeOp, NodeClass};
 use dashmm_expansion::{batch as opbatch, ops, BatchWorkspace, LevelTables, OperatorLibrary};
 use dashmm_kernels::Kernel;
 use dashmm_tree::Point3;
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use crate::assemble::{unpack_i2i, Assembly};
 use crate::problem::Problem;
@@ -99,6 +105,39 @@ struct BatchPlan {
     expected: Vec<Vec<u32>>,
 }
 
+/// What each `It` node gathers when its gate fires: its `I→I` in-edges in
+/// edge order, one CSR over the DAG's nodes (every other class has an
+/// empty row).  An edge order groups the edges of one source together, so
+/// a gather reads each distinct source once.
+struct GatherPlan {
+    /// Per DAG node, its first entry in `edges`; then `edges.len()`.
+    first: Vec<u32>,
+    edges: Vec<GatherEdge>,
+    /// Per distinct `(level, direction, translation)`: the direction's
+    /// window the shift lands in, and its diagonal factors.
+    factors: Vec<(u8, Arc<Vec<f64>>)>,
+}
+
+/// One `I→I` edge into an `It`.
+#[derive(Clone, Copy)]
+struct GatherEdge {
+    /// Source `Is` node.
+    src: u32,
+    /// Start of the slot the edge reads in the source's data.
+    off: u32,
+    /// Index into [`GatherPlan::factors`].
+    fac: u32,
+    /// Flat DAG edge index, tagged onto the edge's span.
+    eid: u32,
+}
+
+impl GatherPlan {
+    /// Node `id`'s in-edges.
+    fn of(&self, id: u32) -> &[GatherEdge] {
+        &self.edges[self.first[id as usize] as usize..self.first[id as usize + 1] as usize]
+    }
+}
+
 /// One deposited edge awaiting its batch.
 struct BatchEntry {
     /// Flat DAG edge index, tagged onto the flush span so the observed
@@ -113,8 +152,8 @@ struct BatchEntry {
     len: usize,
     /// Destination LCO.
     dst: GlobalAddress,
-    /// Destination offset prefix for `I→I` and `M→I` (offset-add LCOs);
-    /// unused otherwise.
+    /// Destination offset prefix for `M→I` and the merge shifts (the
+    /// offset-add `Is` LCOs); unused otherwise.
     slot: f64,
     /// Source-tree box of the edge's source node (`S→T` gathers particle
     /// blocks from the tree rather than from `src`); unused otherwise.
@@ -143,6 +182,9 @@ fn with_scratch<R>(len: usize, f: impl FnOnce(&mut BatchWorkspace, &mut Vec<f64>
     })
 }
 
+/// One node's data as published at one locality, for the `It` gathers.
+type SourceSlot = Mutex<Option<Arc<[f64]>>>;
+
 /// The built evaluation graph: the LCO network of one DAG on one runtime,
 /// with everything a task needs to transform an expansion along an edge.
 pub struct ExecCtx<K: Kernel> {
@@ -168,6 +210,15 @@ pub struct ExecCtx<K: Kernel> {
     /// Action evaluating a coalesced remote-edge parcel.
     remote_action: ActionId,
     batch: BatchPlan,
+    gather: GatherPlan,
+    /// Per hosted locality, per DAG node: the `Is` data the `It` gathers
+    /// there read — the fired payload where it fired, a bundle's scattered
+    /// copy elsewhere.  Kept until [`ExecCtx::rearm`], for recovery's
+    /// re-gather; empty for the localities another process hosts.
+    published: Vec<Box<[SourceSlot]>>,
+    /// Every `It` continuation's gathered buffer, for the tests to compare.
+    #[cfg(test)]
+    fired_its: Mutex<Vec<(u32, Arc<[f64]>)>>,
     /// Per-locality edge batchers grouping out-edges by shared operator,
     /// refilled from [`BatchPlan::expected`] at every re-arm so the last
     /// deposit of every key always flushes.
@@ -221,7 +272,7 @@ impl<K: Kernel> ExecCtx<K> {
     ) -> Arc<Self> {
         let dag = &asm.dag;
         let n_loc = rt.num_localities();
-        let batch = BatchPlan::build(&problem, &lib, &asm, rt);
+        let (batch, gather) = BatchPlan::build(&problem, &lib, &asm, rt);
         let levels = edge_tables(&lib, dag);
         let batchers = (0..n_loc)
             .map(|_| EdgeBatcher::new(batch.ops.len(), DEFAULT_BATCH_THRESHOLD))
@@ -237,6 +288,12 @@ impl<K: Kernel> ExecCtx<K> {
         ));
         transport.set_ledger(Arc::clone(&ledger));
         let (n_nodes, n_edges) = (dag.num_nodes(), dag.edges().len());
+        let published = (0..n_loc)
+            .map(|loc| {
+                let hosted = if rt.is_local(loc) { n_nodes } else { 0 };
+                (0..hosted).map(|_| Mutex::new(None)).collect()
+            })
+            .collect();
         let exec = Arc::new_cyclic(|this: &Weak<Self>| {
             let this = Weak::clone(this);
             let remote_action = rt.register_action(Arc::new(move |ctx, _target, payload| {
@@ -254,6 +311,10 @@ impl<K: Kernel> ExecCtx<K> {
                 lcos: (0..n_nodes).map(|_| AtomicU64::new(0)).collect(),
                 remote_action,
                 batch,
+                gather,
+                published,
+                #[cfg(test)]
+                fired_its: Mutex::new(Vec::new()),
                 batchers,
                 applied: (0..n_edges).map(|_| AtomicU8::new(0)).collect(),
                 dedup_skipped: AtomicU64::new(0),
@@ -277,10 +338,11 @@ impl<K: Kernel> ExecCtx<K> {
     }
 
     /// Arm the graph for one evaluation with `charges` (source-tree Morton
-    /// order): every LCO back to its installed input count ([`Runtime::rearm`]),
-    /// the `applied` bitmap cleared, every batcher refilled from
-    /// the build's counts, the ledger and the per-evaluation counters
-    /// zeroed.  Between runs only; must precede [`ExecCtx::seed`].
+    /// order): every published source dropped, every LCO back to its
+    /// installed input count ([`Runtime::rearm`]), the `applied` bitmap
+    /// cleared, every batcher refilled from the build's counts, the ledger
+    /// and the per-evaluation counters zeroed.  Between runs only; must
+    /// precede [`ExecCtx::seed`].
     pub fn rearm(&self, rt: &Runtime, charges: Vec<f64>) {
         assert_eq!(
             charges.len(),
@@ -288,6 +350,11 @@ impl<K: Kernel> ExecCtx<K> {
             "one charge per source"
         );
         *self.charges.write() = charges;
+        // The published payloads share the `Is` LCOs' data, which the
+        // runtime re-arms only once nothing else holds it.
+        for slot in self.published.iter().flat_map(|p| p.iter()) {
+            *slot.lock() = None;
+        }
         rt.rearm();
         for a in &self.applied {
             a.store(0, Ordering::Relaxed);
@@ -336,13 +403,24 @@ impl<K: Kernel> ExecCtx<K> {
 
     /// The LCO specification of a non-`S` DAG node, shared between the
     /// build and the fresh allocations recovery makes for re-owned nodes.
+    /// An `It` is a gate over its `I→I` in-edges whose continuation
+    /// gathers them ([`ExecCtx::gather`]), so it holds no payload.
     fn node_spec(self: &Arc<Self>, id: u32, e_s2t: u32) -> LcoSpec {
         let node = self.asm.dag.node(id);
+        let inputs = node.in_degree - e_s2t + e_s2t.div_ceil(DEFAULT_BATCH_THRESHOLD as u32);
+        if node.class == NodeClass::It {
+            let this = Arc::clone(self);
+            return LcoSpec::and_gate(inputs).with_trigger(Box::new(move |ctx, _| {
+                let data = this.gather(ctx.locality, id, Some(ctx));
+                #[cfg(test)]
+                this.fired_its.lock().push((id, Arc::clone(&data)));
+                this.process_out_edges(ctx, id, &data);
+            }));
+        }
         let op = match node.class {
-            NodeClass::Is | NodeClass::It => LcoOp::Custom(Box::new(offset_add)),
+            NodeClass::Is => LcoOp::Custom(Box::new(offset_add)),
             _ => LcoOp::Add,
         };
-        let inputs = node.in_degree - e_s2t + e_s2t.div_ceil(DEFAULT_BATCH_THRESHOLD as u32);
         let mut spec = LcoSpec {
             size: self.data_len(id),
             inputs,
@@ -373,6 +451,21 @@ impl<K: Kernel> ExecCtx<K> {
         )
     }
 
+    /// LCO payload bytes resident at the localities this process hosts,
+    /// by node class.
+    #[cfg(test)]
+    pub(crate) fn payload_audit(&self, rt: &Runtime) -> [u64; 6] {
+        let mut bytes = [0u64; 6];
+        for id in 0..self.lcos.len() as u32 {
+            let addr = self.lco(id);
+            if addr.index != u32::MAX && rt.is_local(addr.locality) {
+                let len = rt.lco_get(addr).map_or(0, |d| d.len());
+                bytes[self.asm.dag.node(id).class.index()] += 8 * len as u64;
+            }
+        }
+        bytes
+    }
+
     /// Whether every LCO of the graph has triggered.
     #[cfg(test)]
     pub(crate) fn all_triggered(&self, rt: &Runtime) -> bool {
@@ -381,7 +474,8 @@ impl<K: Kernel> ExecCtx<K> {
             .all(|addr| addr.index == u32::MAX || rt.lco_triggered(addr))
     }
 
-    /// Data length (in `f64`s) of a node's LCO.
+    /// Data length (in `f64`s) of a node's expansion: what its LCO holds,
+    /// or for an `It`, what its gather builds and a bundle of it carries.
     fn data_len(&self, id: u32) -> usize {
         let node = self.asm.dag.node(id);
         match node.class {
@@ -410,12 +504,7 @@ impl<K: Kernel> ExecCtx<K> {
         if e.op != EdgeOp::I2I {
             return 0..self.data_len(src_id);
         }
-        let layout = self.asm.is_layout[src_id as usize];
-        let (off, w) = match unpack_i2i(e.tag) {
-            (dir_idx, 0, _) => (layout.own_offset(dir_idx), layout.own_w),
-            (_, src_slot, _) => (layout.merged_offset(src_slot - 1), layout.merged_w),
-        };
-        off..off + w as usize
+        i2i_window(&self.asm, src_id, e)
     }
 
     /// Seed the evaluation: spawn the zero-input nodes' continuations.
@@ -608,13 +697,7 @@ impl<K: Kernel> ExecCtx<K> {
                 if into_reowned == 0 {
                     continue;
                 }
-                // Seeds (zero-input nodes) all fired in run 1; everything
-                // else fired iff its LCO triggered.
-                let data: Arc<[f64]> = if node.in_degree == 0 {
-                    Arc::from(Vec::new())
-                } else if let Some(data) = rt.lco_get(lcos[id as usize]) {
-                    Arc::from(data)
-                } else {
+                let Some(data) = self.fired_data(rt, loc, id) else {
                     continue; // will fire on its own in the recovery run
                 };
                 stats.replayed_sources += 1;
@@ -646,6 +729,23 @@ impl<K: Kernel> ExecCtx<K> {
             }
         }
         stats
+    }
+
+    /// The data node `id` fired with in the run just ended at `loc`, its
+    /// owner, for a replay; `None` if it has not fired.  Seeds (zero-input
+    /// nodes) all fired; everything else fired iff its LCO triggered.  An
+    /// `It` stores nothing, but its sources stay published until the next
+    /// re-arm, so it is gathered again.
+    fn fired_data(&self, rt: &Runtime, loc: u32, id: u32) -> Option<Arc<[f64]>> {
+        let node = self.asm.dag.node(id);
+        let addr = self.lco(id);
+        if node.in_degree == 0 {
+            Some(Arc::from(Vec::new()))
+        } else if node.class == NodeClass::It {
+            rt.lco_triggered(addr).then(|| self.gather(loc, id, None))
+        } else {
+            rt.lco_get(addr).map(Arc::from)
+        }
     }
 
     /// Read back the potentials (and gradients, when enabled) in
@@ -684,11 +784,13 @@ impl<K: Kernel> ExecCtx<K> {
 
     /// The continuation of a triggered node: transform the stored data
     /// along every out-edge; local edges inline, remote edges coalesced
-    /// into one parcel per destination locality.
+    /// into one parcel per destination locality.  A fired `Is` is first
+    /// published here, for the `It` gathers of this locality.
     fn process_out_edges(&self, ctx: &TaskCtx, id: u32, data: &Arc<[f64]>) {
         self.ledger.note_fired(id);
         let dag = &self.asm.dag;
         let node = dag.node(id);
+        self.publish(ctx.locality, id, data);
         // (locality, edge flat indices)
         let mut remote: Vec<(u32, Vec<u32>)> = Vec::new();
         for (i, e) in dag.out_edges(id).iter().enumerate() {
@@ -741,23 +843,26 @@ impl<K: Kernel> ExecCtx<K> {
             self.malformed_parcels.fetch_add(1, Ordering::Relaxed);
             return;
         };
+        self.publish(ctx.locality, id, &data);
         for eid in eids {
             let e = dag.edges()[eid as usize];
             self.apply_edge(ctx, id, eid, &e, &data);
         }
     }
 
-    /// Apply one edge: transform `data` and set the destination LCO.
+    /// Apply one edge: transform `data` and set the destination LCO.  An
+    /// `I→I` edge into an `It` only signals the gate.
     ///
     /// The operators that share one matrix per (operator, level) —
-    /// `M→M`, `M→L`, `L→L`, `M→I`, `I→I`, `I→L` — and the near-field
-    /// `S→T` edges (which share a target leaf) are not applied here; they
-    /// deposit into this locality's [`EdgeBatcher`] and the whole batch is
-    /// flushed through the blocked multi-RHS (or fused SoA near-field)
-    /// path when full (or when its last expected edge arrives).  Each
-    /// batched contribution is bitwise independent of which batch the edge
-    /// lands in, so only the LCO reduction *order* can differ — exactly the
-    /// freedom concurrent per-edge application already had.
+    /// `M→M`, `M→L`, `L→L`, `M→I`, the `I→I` merge shifts, `I→L` — and the
+    /// near-field `S→T` edges (which share a target leaf) are not applied
+    /// here; they deposit into this locality's [`EdgeBatcher`] and the
+    /// whole batch is flushed through the blocked multi-RHS (or fused SoA
+    /// near-field) path when full (or when its last expected edge
+    /// arrives).  Each batched contribution is bitwise independent of
+    /// which batch the edge lands in, so only the LCO reduction *order* can
+    /// differ — exactly the freedom concurrent per-edge application already
+    /// had.
     fn apply_edge(&self, ctx: &TaskCtx, src_id: u32, eid: u32, e: &DagEdge, data: &Arc<[f64]>) {
         // Exactly-once commit point: the first application (or batch
         // deposit) of an edge at its apply locality wins; recovery replay
@@ -775,14 +880,17 @@ impl<K: Kernel> ExecCtx<K> {
         let n = self.lib.params().surface_points();
         let stree = self.problem.tree.source();
         let ttree = self.problem.tree.target();
+        if e.op == EdgeOp::I2I && dst_node.class == NodeClass::It {
+            // The translation itself runs in the gate's gather.
+            ctx.lco_set(dst, &[]);
+            return;
+        }
         if let Some(key) = self.batch.edge_key[eid as usize] {
             let window = self.source_range(src_id, e);
-            let slot = if e.op != EdgeOp::I2I {
-                0.0
-            } else if dst_node.class == NodeClass::It {
-                (unpack_i2i(e.tag).0 * window.len()) as f64
-            } else {
+            let slot = if e.op == EdgeOp::I2I {
                 self.asm.is_layout[e.dst as usize].merged_offset(unpack_i2i(e.tag).2) as f64
+            } else {
+                0.0
             };
             let entry = BatchEntry {
                 eid,
@@ -870,6 +978,51 @@ impl<K: Kernel> ExecCtx<K> {
         });
     }
 
+    /// Publish node `id`'s data at `locality` for the `It` gathers there,
+    /// if it is an `Is`.  A later publication (a recovery replay) replaces
+    /// the earlier one; it reads a superset of the same values.
+    fn publish(&self, locality: u32, id: u32, data: &Arc<[f64]>) {
+        if self.asm.dag.node(id).class == NodeClass::Is {
+            *self.published[locality as usize][id as usize].lock() = Some(Arc::clone(data));
+        }
+    }
+
+    /// `It` node `id`'s incoming expansion, gathered at `locality`: every
+    /// in-edge's diagonal shift of its published source, accumulated in
+    /// edge order into a zeroed buffer, so the result does not depend on
+    /// the schedule.  With a task context, each edge is traced as one
+    /// `I→I` span, the gather's interval split evenly between them: the
+    /// shifts are equal work, and a clock read per edge would add a
+    /// measurable share to each.
+    fn gather(&self, locality: u32, id: u32, ctx: Option<&TaskCtx>) -> Arc<[f64]> {
+        let len = self.data_len(id);
+        let w = len / 6;
+        let mut data: Arc<[f64]> = std::iter::repeat_n(0.0, len).collect();
+        let buf = Arc::get_mut(&mut data).expect("not shared yet");
+        let published = &self.published[locality as usize];
+        let ctx = ctx.filter(|ctx| ctx.obs_level().enabled());
+        let start = ctx.map_or(0, TaskCtx::now_ns);
+        let edges = self.gather.of(id);
+        for run in edges.chunk_by(|a, b| a.src == b.src) {
+            let src = published[run[0].src as usize]
+                .lock()
+                .clone()
+                .expect("every source of a fired It is published where it fires");
+            for g in run {
+                let (dir, fac) = &self.gather.factors[g.fac as usize];
+                let at = *dir as usize * w;
+                let off = g.off as usize;
+                ops::i2i_apply(fac, &src[off..off + w], &mut buf[at..at + w]);
+            }
+        }
+        if let Some(ctx) = ctx {
+            let class = EdgeOp::I2I.index() as u8;
+            let eids = edges.iter().map(|g| g.eid);
+            record_split_spans(ctx, class, start, ctx.now_ns(), eids);
+        }
+        data
+    }
+
     /// Apply one full batch of same-operator edges through the blocked
     /// multi-RHS path and set every destination LCO.  The batch's wall
     /// time is split into chained per-edge spans (each starting where the
@@ -950,13 +1103,8 @@ impl<K: Kernel> ExecCtx<K> {
                         }
                         ctx.lco_set(batch[0].dst, out);
                     });
-                    let end = clock();
-                    let m = batch.len() as u64;
-                    for (i, b) in batch.iter().enumerate() {
-                        let a = start + (end - start) * i as u64 / m;
-                        let z = start + (end - start) * (i as u64 + 1) / m;
-                        ctx.record_span(class, b.eid, a, z);
-                    }
+                    let eids = batch.iter().map(|b| b.eid);
+                    record_split_spans(ctx, class, start, clock(), eids);
                 }
             }
         });
@@ -970,25 +1118,49 @@ impl BatchPlan {
     /// at the destination LCO's locality, so the counts are exact and the
     /// last deposit of every key flushes.  Only localities this process
     /// hosts are counted — an edge applied at a remote process deposits
-    /// into *its* batcher.
+    /// into *its* batcher.  The `I→I` edges into an `It` are not batched:
+    /// the same sweep lists them per `It`, with their factors resolved
+    /// once per key, as the [`GatherPlan`].
     fn build<K: Kernel>(
         problem: &Problem,
         lib: &OperatorLibrary<K>,
         asm: &Assembly,
         rt: &Runtime,
-    ) -> BatchPlan {
+    ) -> (BatchPlan, GatherPlan) {
         let dag = &asm.dag;
         let n_loc = rt.num_localities();
         let mut index: HashMap<BatchKey, u32> = HashMap::new();
         let mut ops = Vec::new();
         let mut edge_key = vec![None; dag.edges().len()];
         let mut expected: Vec<Vec<u32>> = vec![Vec::new(); n_loc as usize];
+        let mut fac_index: HashMap<BatchKey, u32> = HashMap::new();
+        let mut factors = Vec::new();
+        // (destination, edge), in edge order.
+        let mut gathered: Vec<(u32, GatherEdge)> = Vec::new();
         for id in 0..dag.num_nodes() as u32 {
             let first = dag.node(id).first_edge as usize;
             for (i, e) in dag.out_edges(id).iter().enumerate() {
                 let Some(key) = batch_key(problem, lib, asm, id, e) else {
                     continue;
                 };
+                if let BatchKey::I2I { dir, .. } = key {
+                    if dag.node(e.dst).class == NodeClass::It {
+                        let fac = *fac_index.entry(key).or_insert_with(|| {
+                            factors.push((dir, i2i_factor(lib, key)));
+                            factors.len() as u32 - 1
+                        });
+                        let off = i2i_window(asm, id, e).start as u32;
+                        let eid = (first + i) as u32;
+                        let g = GatherEdge {
+                            src: id,
+                            off,
+                            fac,
+                            eid,
+                        };
+                        gathered.push((e.dst, g));
+                        continue;
+                    }
+                }
                 let k = *index.entry(key).or_insert_with(|| {
                     ops.push(key_op(lib, key));
                     expected.iter_mut().for_each(|counts| counts.push(0));
@@ -1001,11 +1173,41 @@ impl BatchPlan {
                 }
             }
         }
-        BatchPlan {
+        // Counting sort by destination; stable, so each row keeps edge order.
+        let mut first = vec![0u32; dag.num_nodes() + 1];
+        for (dst, _) in &gathered {
+            first[*dst as usize + 1] += 1;
+        }
+        for i in 1..first.len() {
+            first[i] += first[i - 1];
+        }
+        let mut next = first.clone();
+        let mut edges = vec![
+            GatherEdge {
+                src: 0,
+                off: 0,
+                fac: 0,
+                eid: 0
+            };
+            gathered.len()
+        ];
+        for (dst, g) in gathered {
+            edges[next[dst as usize] as usize] = g;
+            next[dst as usize] += 1;
+        }
+        let batch = BatchPlan {
             ops,
             edge_key,
             expected,
-        }
+        };
+        (
+            batch,
+            GatherPlan {
+                first,
+                edges,
+                factors,
+            },
+        )
     }
 }
 
@@ -1116,17 +1318,52 @@ fn key_op<K: Kernel>(lib: &OperatorLibrary<K>, key: BatchKey) -> KeyOp {
         BatchKey::L2L { level, octant } => KeyOp::L2L(lib.tables(level), octant),
         BatchKey::M2I { level } => KeyOp::M2I(lib.tables(level)),
         BatchKey::I2L { level } => KeyOp::I2L(lib.tables(level)),
-        BatchKey::I2I { level, dir, delta } => {
-            let t = lib.tables(level);
-            let quarter = t.side() * 0.25;
-            let delta = Point3::new(
-                delta.0 as f64 * quarter,
-                delta.1 as f64 * quarter,
-                delta.2 as f64 * quarter,
-            );
-            KeyOp::I2I(t.i2i(dashmm_tree::Direction::ALL[dir as usize], delta))
-        }
+        BatchKey::I2I { .. } => KeyOp::I2I(i2i_factor(lib, key)),
         BatchKey::S2T { dst } => KeyOp::S2T(dst),
+    }
+}
+
+/// The diagonal factors of an `I→I` key, from the tables' factor cache.
+fn i2i_factor<K: Kernel>(lib: &OperatorLibrary<K>, key: BatchKey) -> Arc<Vec<f64>> {
+    let BatchKey::I2I { level, dir, delta } = key else {
+        unreachable!("an I→I key");
+    };
+    let t = lib.tables(level);
+    let quarter = t.side() * 0.25;
+    let delta = Point3::new(
+        delta.0 as f64 * quarter,
+        delta.1 as f64 * quarter,
+        delta.2 as f64 * quarter,
+    );
+    t.i2i(dashmm_tree::Direction::ALL[dir as usize], delta)
+}
+
+/// The slot of `Is` node `src_id` that `I→I` edge `e` reads: one of its
+/// own direction windows, or one merged slot.
+fn i2i_window(asm: &Assembly, src_id: u32, e: &DagEdge) -> Range<usize> {
+    let layout = asm.is_layout[src_id as usize];
+    let (off, w) = match unpack_i2i(e.tag) {
+        (dir_idx, 0, _) => (layout.own_offset(dir_idx), layout.own_w),
+        (_, src_slot, _) => (layout.merged_offset(src_slot - 1), layout.merged_w),
+    };
+    off..off + w as usize
+}
+
+/// Attribute `[start, end)` to the edges `eids` as chained spans of equal
+/// length, one per edge: the account of an interval that did their work
+/// together.
+fn record_split_spans(
+    ctx: &TaskCtx,
+    class: u8,
+    start: u64,
+    end: u64,
+    eids: impl ExactSizeIterator<Item = u32>,
+) {
+    let m = eids.len() as u64;
+    for (i, eid) in eids.enumerate() {
+        let a = start + (end - start) * i as u64 / m;
+        let z = start + (end - start) * (i as u64 + 1) / m;
+        ctx.record_span(class, eid, a, z);
     }
 }
 
@@ -1189,8 +1426,8 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// Offset-addressed addition: `input[0]` is the destination offset, the
-/// rest is added element-wise there (the reduction of the multi-slot
-/// intermediate LCOs).
+/// rest is added element-wise there (the reduction of the multi-slot `Is`
+/// LCOs).
 fn offset_add(data: &mut [f64], input: &[f64]) {
     let off = input[0] as usize;
     let vals = &input[1..];
@@ -1284,7 +1521,8 @@ mod tests {
 
     /// Bytes off the wire that are not a bundle of this DAG — truncated,
     /// out of range, inconsistent or plain garbage — are each counted and
-    /// dropped: nothing panics and the answer does not move.
+    /// dropped: nothing panics, nothing is published for a gather, no gate
+    /// moves, and the answer does not move.
     #[test]
     fn malformed_bundles_are_counted_dropped_and_harmless() {
         use crate::{DashmmBuilder, Method};
@@ -1374,13 +1612,28 @@ mod tests {
             table.push(("garbage", garbage.collect()));
         }
 
+        // The gates of the `It`s the genuine bundle would signal.
+        let gates: Vec<GlobalAddress> = eids
+            .iter()
+            .map(|&eid| dag.edges()[eid as usize].dst)
+            .filter(|&dst| dag.node(dst).class == NodeClass::It)
+            .map(|dst| exec.lco(dst))
+            .collect();
+        assert!(!gates.is_empty(), "the bundle feeds no It");
+        let armed: Vec<u32> = gates.iter().map(|&g| rt.lco_remaining(g)).collect();
+
         let action = exec.remote_action;
         let sent = table.len() as u64;
-        rt.seed(0, move |ctx| {
-            for (_, payload) in table {
+        for (what, payload) in table {
+            rt.seed(0, move |ctx| {
                 ctx.send(Parcel::new(action, GlobalAddress::new(1, 0), payload));
-            }
-        });
+            });
+            rt.run();
+            let published = exec.published[1].iter().filter(|p| p.lock().is_some());
+            assert_eq!(published.count(), 0, "{what}: published at locality 1");
+            let now: Vec<u32> = gates.iter().map(|&g| rt.lco_remaining(g)).collect();
+            assert_eq!(now, armed, "{what}: moved a gate");
+        }
         exec.seed(rt);
         rt.run();
         assert_eq!(exec.malformed_parcels(), sent);
@@ -1394,6 +1647,147 @@ mod tests {
             worst <= 1e-12,
             "dropped garbage moved the answer: {worst:.2e}"
         );
+    }
+
+    /// Build, run on the re-armed graph, and keep it for inspection.
+    fn ran<K: Kernel>(
+        kernel: K,
+        sphere: bool,
+        machine: (usize, usize),
+    ) -> (crate::Evaluation<K>, Arc<ExecCtx<K>>) {
+        use dashmm_tree::{sphere_surface, uniform_cube};
+        let n = 1500;
+        let (sources, targets) = if sphere {
+            (sphere_surface(n, 5), sphere_surface(n, 6))
+        } else {
+            (uniform_cube(n, 5), uniform_cube(n, 6))
+        };
+        let charges: Vec<f64> = (0..n).map(|i| ((i * 7) % 5) as f64 - 2.0).collect();
+        let eval = crate::DashmmBuilder::new(kernel)
+            .method(crate::Method::AdvancedFmm)
+            .threshold(20)
+            .machine(machine.0, machine.1)
+            .build(&sources, &charges, &targets);
+        let exec = eval.armed_graph();
+        exec.seed(eval.runtime());
+        eval.runtime().run();
+        (eval, exec)
+    }
+
+    fn bitwise(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    /// Every `It`'s buffer, from the continuation, from a recovery replay
+    /// and from the per-edge reference, is the same bits; and given the same
+    /// sources it does not depend on the number of workers.
+    fn gather_case<K: Kernel + Clone>(kernel: K, sphere: bool) {
+        let (eval, exec) = ran(kernel.clone(), sphere, (1, 2));
+        let (rt, dag) = (eval.runtime(), eval.dag());
+        let (stree, ttree) = (eval.problem().tree.source(), eval.problem().tree.target());
+        // The in-edges of every node, in edge order, straight from the DAG.
+        let mut into: Vec<Vec<(u32, DagEdge)>> = vec![Vec::new(); dag.num_nodes()];
+        for id in 0..dag.num_nodes() as u32 {
+            for e in dag.out_edges(id) {
+                into[e.dst as usize].push((id, *e));
+            }
+        }
+        let fired: HashMap<u32, Arc<[f64]>> = exec.fired_its.lock().iter().cloned().collect();
+        let its: Vec<u32> = (0..dag.num_nodes() as u32)
+            .filter(|&id| dag.node(id).class == NodeClass::It)
+            .collect();
+        assert_eq!(fired.len(), its.len(), "every It fired once");
+        let (mut own, mut merged) = (0, 0);
+        for &id in &its {
+            let len = exec.data_len(id);
+            let w = len / 6;
+            let (mut want, mut shifted) = (vec![0.0; len], vec![0.0; w]);
+            for (src, e) in &into[id as usize] {
+                let (dir, src_slot, _) = unpack_i2i(e.tag);
+                let src_node = dag.node(*src);
+                let level = src_node.level + u8::from(src_slot != 0);
+                let delta = ttree.center_of(dag.node(id).box_id) - stree.center_of(src_node.box_id);
+                let fac = exec
+                    .lib
+                    .tables(level)
+                    .i2i(dashmm_tree::Direction::ALL[dir], delta);
+                let data = rt.lco_get(exec.lco(*src)).expect("every Is fired");
+                ops::i2i_write(&fac, &data[exec.source_range(*src, e)], &mut shifted);
+                for (d, v) in want[dir * w..(dir + 1) * w].iter_mut().zip(&shifted) {
+                    *d += v;
+                }
+                if src_slot == 0 {
+                    own += 1;
+                } else {
+                    merged += 1;
+                }
+            }
+            let got = &fired[&id];
+            assert!(bitwise(got, &want), "It {id}: not the per-edge sum");
+            let replay = exec.fired_data(rt, 0, id).expect("a fired It replays");
+            assert!(bitwise(&replay, got), "It {id}: the replay differs");
+        }
+        assert!(own > 0 && merged > 0, "own {own}, merged {merged}");
+
+        // One worker: each `Is` sums its inputs in another order, so feed
+        // the two-worker graph the one-worker sources, then gather again.
+        let (eval1, exec1) = ran(kernel, sphere, (1, 1));
+        let scale = fired
+            .values()
+            .flat_map(|b| b.iter())
+            .fold(0.0, |m, v| f64::max(m, v.abs()));
+        for (id, one) in exec1.fired_its.lock().iter() {
+            let d = one
+                .iter()
+                .zip(fired[id].iter())
+                .fold(0.0, |m, (a, b)| f64::max(m, (a - b).abs()));
+            assert!(d <= 1e-12 * scale, "It {id}: one worker vs two {d:.2e}");
+        }
+        for id in 0..dag.num_nodes() as u32 {
+            if dag.node(id).class == NodeClass::Is {
+                let data = eval1
+                    .runtime()
+                    .lco_get(exec1.lco(id))
+                    .expect("every Is fired");
+                exec.publish(0, id, &Arc::from(data));
+            }
+        }
+        for (id, one) in exec1.fired_its.lock().iter() {
+            assert!(
+                bitwise(&exec.gather(0, *id, None), one),
+                "It {id}: depends on the workers"
+            );
+        }
+    }
+
+    #[test]
+    fn gather_equals_the_per_edge_reference_laplace_cube() {
+        gather_case(dashmm_kernels::Laplace, false);
+    }
+
+    #[test]
+    fn gather_equals_the_per_edge_reference_yukawa_sphere() {
+        gather_case(dashmm_kernels::Yukawa::new(1.0), true);
+    }
+
+    /// After a run no `It` holds a payload, while every other class holds
+    /// exactly its expansions.
+    #[test]
+    fn no_it_payload_is_resident() {
+        for machine in [(1, 2), (2, 2)] {
+            let (eval, exec) = ran(dashmm_kernels::Laplace, false, machine);
+            let dag = eval.dag();
+            let mut want = [0u64; 6];
+            for id in 0..dag.num_nodes() as u32 {
+                let class = dag.node(id).class;
+                if !matches!(class, NodeClass::S | NodeClass::It) {
+                    want[class.index()] += 8 * exec.data_len(id) as u64;
+                }
+            }
+            let got = exec.payload_audit(eval.runtime());
+            assert_eq!(got, want, "{machine:?}: payload bytes by class");
+            assert!(want[NodeClass::Is.index()] > 0 && want[NodeClass::T.index()] > 0);
+        }
     }
 
     #[test]

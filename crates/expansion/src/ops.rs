@@ -299,7 +299,7 @@ pub fn i2i_apply(fac: &[f64], src: &[f64], dst: &mut [f64]) {
 
 /// [`i2i_apply`] into a buffer whose previous contents are discarded: the
 /// same products, without the read of (and the zero-fill of) `dst`.
-pub(crate) fn i2i_write(fac: &[f64], src: &[f64], dst: &mut [f64]) {
+pub fn i2i_write(fac: &[f64], src: &[f64], dst: &mut [f64]) {
     i2i_kernel::<false>(fac, src, dst);
 }
 
