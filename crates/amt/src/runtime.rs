@@ -292,6 +292,11 @@ impl Runtime {
         self.with_lco(addr, |st| st.triggered.then(|| st.data.to_vec()))
     }
 
+    /// Length of the LCO at `addr`'s data as allocated, triggered or not.
+    pub fn lco_len(&self, addr: GlobalAddress) -> usize {
+        self.with_lco(addr, |st| st.data.len())
+    }
+
     /// Whether the LCO at `addr` has triggered.
     pub fn lco_triggered(&self, addr: GlobalAddress) -> bool {
         self.with_lco(addr, |st| st.triggered)

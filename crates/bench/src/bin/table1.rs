@@ -7,8 +7,16 @@
 //!
 //! Run: `cargo run --release -p dashmm-bench --bin table1 [--n N] [--dist cube|sphere]`
 
-use dashmm_bench::{banner, build_workload, socket, Opts};
+use std::collections::BTreeSet;
+
+use dashmm_bench::{banner, socket, Opts};
+use dashmm_core::assemble::unpack_i2i;
+use dashmm_core::{DashmmBuilder, Evaluation};
 use dashmm_dag::{DagStats, NodeClass};
+use dashmm_kernels::{Kernel, KernelKind, Laplace, Yukawa};
+
+/// Localities the DAG is distributed over.
+const LOCALITIES: usize = 4;
 
 /// Points (sources + targets) of the paper's Table I workload.
 const PAPER_POINTS: f64 = 60e6;
@@ -38,19 +46,34 @@ fn main() {
             opts.dist, opts.kernel, opts.n, opts.threshold
         ),
     );
-    let w = build_workload(&opts, 4);
-    w.asm.dag.validate().expect("assembled DAG must validate");
-    if w.problem.tree.source().depth() < 3 {
+    let rule_holds = match opts.kernel {
+        KernelKind::Laplace => table(&opts, Laplace),
+        KernelKind::Yukawa(lam) => table(&opts, Yukawa::new(lam)),
+    };
+    if !rule_holds {
+        std::process::exit(1);
+    }
+}
+
+/// Print the table for `kernel`'s evaluation; whether its resident `Is`
+/// payload is what the stored-window rule says.
+fn table<K: Kernel>(opts: &Opts, kernel: K) -> bool {
+    let (sources, targets, charges) = opts.ensembles();
+    let eval = DashmmBuilder::new(kernel)
+        .threshold(opts.threshold)
+        .machine(LOCALITIES, 1)
+        .build(&sources, &charges, &targets);
+    eval.dag().validate().expect("assembled DAG must validate");
+    let depth = eval.problem().tree.source().depth();
+    if depth < 3 {
         eprintln!(
-            "note: n={} at threshold {} yields a tree of depth {} — too shallow for \
+            "note: n={} at threshold {} yields a tree of depth {depth} — too shallow for \
              representative L2 structure; the shape checks below assume a deeper tree \
              (use --n 100000 or more)",
-            opts.n,
-            opts.threshold,
-            w.problem.tree.source().depth()
+            opts.n, opts.threshold,
         );
     }
-    let stats = DagStats::compute(&w.asm.dag);
+    let stats = DagStats::compute(eval.dag());
 
     println!("\n--- this implementation ---");
     print!("{}", stats.node_table());
@@ -97,13 +120,19 @@ fn main() {
         paper as f64 / 1e6,
         paper as f64 / PAPER_POINTS
     );
-    // What a run keeps: an `It` is a gate that gathers its in-edges into a
-    // buffer it hands on, so it holds nothing between inputs.
-    let resident = ours - stats.nodes[NodeClass::It.index()].size_total;
+    // What a run keeps, read off the built LCO network: an `It` is a gate
+    // that gathers its in-edges into a buffer it hands on, an `Is` stores
+    // the own windows read after its `M→I` flush, the particles of `S` live
+    // in the tree, and a `T` holds one potential per target.
+    let held = eval.resident_payload();
+    let resident: u64 = held.iter().sum();
+    let held_is = held[NodeClass::Is.index()];
     println!(
-        "resident {:>13.1} {:>9.1}   (held at run time: It is 0)",
+        "resident {:>13.1} {:>9.1}   (held at run time: It 0, Is {:.1} of {:.1})",
         resident as f64 / 1e6,
-        resident as f64 / points
+        resident as f64 / points,
+        held_is as f64 / 1e6,
+        stats.nodes[NodeClass::Is.index()].size_total as f64 / 1e6,
     );
 
     // Shape checks the reproduction should satisfy.
@@ -140,6 +169,45 @@ fn main() {
     check("M out-degree small (M2M + M2I)", m.dout_max <= 3);
     check("T nodes are sinks", t.dout_max == 0);
     check("S nodes are sources", s.din_max == 0);
+    let rule = stored_window_bytes(&eval);
+    let holds = held_is == rule;
+    check(
+        &format!(
+            "resident Is is the stored-window rule's ({:.1} MB held, {:.1} MB by the rule)",
+            held_is as f64 / 1e6,
+            rule as f64 / 1e6
+        ),
+        holds,
+    );
+    holds
+}
+
+/// The `Is` bytes the stored-window rule keeps, from the DAG and its
+/// localities alone: per `Is`, the distinct own windows a translation into
+/// an `It` or a merge shift into another locality's `Is` reads, plus every
+/// merged slot.
+fn stored_window_bytes<K: Kernel>(eval: &Evaluation<K>) -> u64 {
+    let (dag, asm) = (eval.dag(), eval.assembly());
+    let mut bytes = 0;
+    for id in 0..dag.num_nodes() as u32 {
+        let node = dag.node(id);
+        if node.class != NodeClass::Is {
+            continue;
+        }
+        let read: BTreeSet<usize> = dag
+            .out_edges(id)
+            .iter()
+            .filter(|e| {
+                let dst = dag.node(e.dst);
+                let (_, src_slot, _) = unpack_i2i(e.tag);
+                src_slot == 0 && (dst.class == NodeClass::It || dst.locality != node.locality)
+            })
+            .map(|e| unpack_i2i(e.tag).0)
+            .collect();
+        let l = asm.is_layout[id as usize];
+        bytes += 8 * (read.len() as u64 * l.own_w as u64 + (l.n_merged * l.merged_w) as u64);
+    }
+    bytes
 }
 
 fn check(what: &str, ok: bool) {

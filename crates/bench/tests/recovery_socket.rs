@@ -17,6 +17,7 @@ use std::time::{Duration, Instant};
 
 use dashmm_amt::{CoalesceConfig, Transport};
 use dashmm_core::{DashmmBuilder, EvalOutput, Method};
+use dashmm_dag::{EdgeOp, NodeClass};
 use dashmm_kernels::Laplace;
 use dashmm_net::{CommMetrics, RetransmitConfig, SocketTransport};
 use dashmm_tree::uniform_cube;
@@ -127,6 +128,17 @@ fn recovered_after_sever(sever_at: fn(&CommMetrics, u64) -> bool) {
             remote.filter(|&l| l != DEAD).collect::<BTreeSet<_>>().len() as u64
         })
         .sum();
+    // A merge shift into a parent on another rank is bundled, not applied
+    // by its member's `M→I` flush, and re-owning either end re-decides
+    // which windows the member stores: without one, neither path runs.
+    let cross_merges = (0..dag.num_nodes() as u32)
+        .flat_map(|id| dag.out_edges(id).iter().map(move |e| (id, e)))
+        .filter(|(id, e)| {
+            let (src, dst) = (dag.node(*id), dag.node(e.dst));
+            e.op == EdgeOp::I2I && dst.class == NodeClass::Is && src.locality != dst.locality
+        })
+        .count();
+    assert!(cross_merges > 0, "no merge shift crosses ranks");
 
     let transports = mesh();
     let victim = Arc::clone(&transports[DEAD as usize]);

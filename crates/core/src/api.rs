@@ -387,7 +387,14 @@ impl<K: Kernel> Evaluation<K> {
     /// The LCO network in `graph` — built first, on a runtime cleared of
     /// any earlier one, if there is none — armed with `charges`.
     fn armed(&self, graph: &mut Option<Arc<ExecCtx<K>>>, charges: Vec<f64>) -> Arc<ExecCtx<K>> {
-        let exec = graph.get_or_insert_with(|| {
+        let exec = self.built(graph);
+        exec.rearm(&self.runtime, charges);
+        Arc::clone(exec)
+    }
+
+    /// The LCO network in `graph`, built first if there is none.
+    fn built<'g>(&self, graph: &'g mut Option<Arc<ExecCtx<K>>>) -> &'g Arc<ExecCtx<K>> {
+        graph.get_or_insert_with(|| {
             self.runtime.reset();
             ExecCtx::new(
                 Arc::clone(&self.problem),
@@ -396,14 +403,27 @@ impl<K: Kernel> Evaluation<K> {
                 self.gradients,
                 &self.runtime,
             )
-        });
-        exec.rearm(&self.runtime, charges);
-        Arc::clone(exec)
+        })
+    }
+
+    /// Payload bytes by node class ([`NodeClass::index`]) that the LCO
+    /// network holds at the localities this process hosts: what an
+    /// evaluation keeps resident of its expansions.  An `It` holds none and
+    /// an `Is` only the windows read after its `M→I` flush.  Builds the
+    /// network if no evaluation has; runs nothing.
+    pub fn resident_payload(&self) -> [u64; 6] {
+        self.built(&mut self.graph.lock())
+            .payload_bytes(&self.runtime)
     }
 
     /// The explicit DAG.
     pub fn dag(&self) -> &Dag {
         &self.asm.dag
+    }
+
+    /// The assembled DAG with its box correspondence and `Is` layouts.
+    pub fn assembly(&self) -> &Assembly {
+        &self.asm
     }
 
     /// DAG statistics (paper Tables I and II).

@@ -40,19 +40,9 @@ pub struct IsLayout {
 }
 
 impl IsLayout {
-    /// Offset of the own region for a direction.
-    pub fn own_offset(&self, dir: usize) -> usize {
-        debug_assert!(self.own_w > 0, "own region absent");
-        dir * self.own_w as usize
-    }
-
-    /// Offset of merged slot `k`.
-    pub fn merged_offset(&self, k: u32) -> usize {
-        debug_assert!(k < self.n_merged);
-        6 * self.own_w as usize + (k * self.merged_w) as usize
-    }
-
-    /// Total data length in `f64`s.
+    /// Total data length in `f64`s: the node's message size.  Its LCO
+    /// stores less (`core::exec`): only the own regions something reads
+    /// after the `M→I` flush.
     pub fn total_len(&self) -> usize {
         6 * self.own_w as usize + (self.n_merged * self.merged_w) as usize
     }
@@ -790,16 +780,12 @@ mod tests {
     }
 
     #[test]
-    fn layout_offsets() {
+    fn layout_length() {
         let l = IsLayout {
             own_w: 10,
             merged_w: 6,
             n_merged: 3,
         };
-        assert_eq!(l.own_offset(0), 0);
-        assert_eq!(l.own_offset(5), 50);
-        assert_eq!(l.merged_offset(0), 60);
-        assert_eq!(l.merged_offset(2), 72);
         assert_eq!(l.total_len(), 78);
     }
 }

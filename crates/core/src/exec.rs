@@ -2,12 +2,18 @@
 //!
 //! Each expansion node becomes one user-defined LCO (paper §IV, Figure 2):
 //! its stored data is the expansion, arriving inputs *reduce* into it
-//! (element-wise addition, or offset-addressed addition into the slots of
-//! an `Is` node), and when the final input lands the runtime spawns one
-//! continuation that processes the node's out-edge list.  Local edges are
-//! transformed and set sequentially; remote edges are coalesced into a
-//! single parcel per destination locality carrying the expansion data and
-//! the edge descriptors, evaluated as normal on arrival.
+//! (element-wise addition, or offset-addressed addition into the stored
+//! slots of an `Is` node), and when the final input lands the runtime
+//! spawns one continuation that processes the node's out-edge list.  Local
+//! edges are transformed and set sequentially; remote edges are coalesced
+//! into a single parcel per destination locality carrying the expansion
+//! data and the edge descriptors, evaluated as normal on arrival.
+//!
+//! An `Is` node stores only the own-direction windows something reads
+//! after its `M→I` flush: a translation into an `It`, or a merge shift into
+//! a parent on another locality.  Every merge shift into a parent on the
+//! same locality is applied inside that flush, from the fresh six-direction
+//! panel, so its window is never stored ([`stored_mask`]).
 //!
 //! An `It` node stores nothing.  Its LCO is a gate that counts its `I→I`
 //! in-edges; their sources, the fired `Is` payloads (or a bundle's copy of
@@ -19,7 +25,7 @@
 //! every later evaluation ([`ExecCtx::rearm`]): the paper's iterative use
 //! case pays for allocation, the batch plan and the action table once.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -105,37 +111,76 @@ struct BatchPlan {
     expected: Vec<Vec<u32>>,
 }
 
-/// What each `It` node gathers when its gate fires: its `I→I` in-edges in
-/// edge order, one CSR over the DAG's nodes (every other class has an
-/// empty row).  An edge order groups the edges of one source together, so
-/// a gather reads each distinct source once.
-struct GatherPlan {
-    /// Per DAG node, its first entry in `edges`; then `edges.len()`.
-    first: Vec<u32>,
-    edges: Vec<GatherEdge>,
-    /// Per distinct `(level, direction, translation)`: the direction's
-    /// window the shift lands in, and its diagonal factors.
+/// The `I→I` edges no batcher carries, listed by the build sweep with
+/// their factors resolved once per key: what each `It` gathers when its
+/// gate fires, and the merge shifts each `Is`'s `M→I` flush applies.
+struct ShiftPlan {
+    /// Per `It`, its in-edges in edge order.  An edge order groups the
+    /// edges of one source together, so a gather reads each distinct
+    /// source once.
+    gather: Rows<GatherEdge>,
+    /// Per `Is`, its merge shifts into parents, in edge order.
+    merge: Rows<MergeEdge>,
+    /// Per distinct `(level, direction, translation)`: the direction (the
+    /// window read and the window or slot it lands in), and its diagonal
+    /// factors.
     factors: Vec<(u8, Arc<Vec<f64>>)>,
 }
 
+/// Entries grouped by DAG node, one CSR: every node has a row, most of
+/// them empty.
+struct Rows<T> {
+    /// Per DAG node, its first entry in `items`; then `items.len()`.
+    first: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T> Rows<T> {
+    /// `entries`, each `(node, entry)`, grouped into the rows of `n` nodes;
+    /// a row keeps the order its entries came in.
+    fn new(n: usize, mut entries: Vec<(u32, T)>) -> Self {
+        entries.sort_by_key(|&(row, _)| row);
+        let mut first = vec![0u32; n + 1];
+        for &(row, _) in &entries {
+            first[row as usize + 1] += 1;
+        }
+        for i in 1..first.len() {
+            first[i] += first[i - 1];
+        }
+        let items = entries.into_iter().map(|(_, entry)| entry).collect();
+        Rows { first, items }
+    }
+
+    /// Node `id`'s row.
+    fn of(&self, id: u32) -> &[T] {
+        &self.items[self.first[id as usize] as usize..self.first[id as usize + 1] as usize]
+    }
+}
+
 /// One `I→I` edge into an `It`.
-#[derive(Clone, Copy)]
 struct GatherEdge {
     /// Source `Is` node.
     src: u32,
-    /// Start of the slot the edge reads in the source's data.
-    off: u32,
-    /// Index into [`GatherPlan::factors`].
+    /// The source slot, as the edge's tag holds it: 0 for the own window
+    /// of the factor's direction, `k + 1` for merged slot `k`.
+    slot: u32,
+    /// Index into [`ShiftPlan::factors`].
     fac: u32,
     /// Flat DAG edge index, tagged onto the edge's span.
     eid: u32,
 }
 
-impl GatherPlan {
-    /// Node `id`'s in-edges.
-    fn of(&self, id: u32) -> &[GatherEdge] {
-        &self.edges[self.first[id as usize] as usize..self.first[id as usize + 1] as usize]
-    }
+/// One merge shift: an own window of an `Is` into a merged slot of its
+/// parent's.
+struct MergeEdge {
+    /// Flat DAG edge index.
+    eid: u32,
+    /// The parent's `Is` node.
+    dst: u32,
+    /// The parent's merged slot.
+    slot: u32,
+    /// Index into [`ShiftPlan::factors`].
+    fac: u32,
 }
 
 /// One deposited edge awaiting its batch.
@@ -152,8 +197,8 @@ struct BatchEntry {
     len: usize,
     /// Destination LCO.
     dst: GlobalAddress,
-    /// Destination offset prefix for `M→I` and the merge shifts (the
-    /// offset-add `Is` LCOs); unused otherwise.
+    /// Destination offset prefix for a merge shift (the offset-add `Is`
+    /// LCOs); unused otherwise.
     slot: f64,
     /// Source-tree box of the edge's source node (`S→T` gathers particle
     /// blocks from the tree rather than from `src`); unused otherwise.
@@ -166,6 +211,8 @@ thread_local! {
     /// Per-worker result buffer for the per-edge operators, so the hot
     /// path stops allocating one `Vec` per applied edge.
     static EDGE_OUT: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+    /// Per-worker list of the merge shifts one `M→I` flush applies.
+    static FUSED: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Run `f` with the worker's operator workspace and a zeroed result
@@ -210,7 +257,11 @@ pub struct ExecCtx<K: Kernel> {
     /// Action evaluating a coalesced remote-edge parcel.
     remote_action: ActionId,
     batch: BatchPlan,
-    gather: GatherPlan,
+    shifts: ShiftPlan,
+    /// Per DAG node: the own-direction windows an `Is` LCO stores, one bit
+    /// per direction ([`stored_mask`]); 0 for every other class.  Set with
+    /// the node's LCO, at build and by recovery, between runs only.
+    stored: Vec<AtomicU8>,
     /// Per hosted locality, per DAG node: the `Is` data the `It` gathers
     /// there read — the fired payload where it fired, a bundle's scattered
     /// copy elsewhere.  Kept until [`ExecCtx::rearm`], for recovery's
@@ -272,7 +323,11 @@ impl<K: Kernel> ExecCtx<K> {
     ) -> Arc<Self> {
         let dag = &asm.dag;
         let n_loc = rt.num_localities();
-        let (batch, gather) = BatchPlan::build(&problem, &lib, &asm, rt);
+        let (batch, shifts) = BatchPlan::build(&problem, &lib, &asm, rt);
+        let owner = |id: u32| dag.node(id).locality.min(n_loc - 1);
+        let stored = (0..dag.num_nodes() as u32)
+            .map(|id| AtomicU8::new(stored_mask(dag, id, owner)))
+            .collect();
         let levels = edge_tables(&lib, dag);
         let batchers = (0..n_loc)
             .map(|_| EdgeBatcher::new(batch.ops.len(), DEFAULT_BATCH_THRESHOLD))
@@ -311,7 +366,8 @@ impl<K: Kernel> ExecCtx<K> {
                 lcos: (0..n_nodes).map(|_| AtomicU64::new(0)).collect(),
                 remote_action,
                 batch,
-                gather,
+                shifts,
+                stored,
                 published,
                 #[cfg(test)]
                 fired_its: Mutex::new(Vec::new()),
@@ -451,15 +507,14 @@ impl<K: Kernel> ExecCtx<K> {
         )
     }
 
-    /// LCO payload bytes resident at the localities this process hosts,
+    /// LCO payload bytes allocated at the localities this process hosts,
     /// by node class.
-    #[cfg(test)]
-    pub(crate) fn payload_audit(&self, rt: &Runtime) -> [u64; 6] {
+    pub(crate) fn payload_bytes(&self, rt: &Runtime) -> [u64; 6] {
         let mut bytes = [0u64; 6];
         for id in 0..self.lcos.len() as u32 {
             let addr = self.lco(id);
             if addr.index != u32::MAX && rt.is_local(addr.locality) {
-                let len = rt.lco_get(addr).map_or(0, |d| d.len());
+                let len = rt.lco_len(addr);
                 bytes[self.asm.dag.node(id).class.index()] += 8 * len as u64;
             }
         }
@@ -481,7 +536,11 @@ impl<K: Kernel> ExecCtx<K> {
         match node.class {
             NodeClass::S => 0,
             NodeClass::M | NodeClass::L => self.lib.params().surface_points(),
-            NodeClass::Is => self.asm.is_layout[id as usize].total_len(),
+            NodeClass::Is => {
+                let layout = self.asm.is_layout[id as usize];
+                let own = self.stored(id).count_ones() * layout.own_w;
+                (own + layout.n_merged * layout.merged_w) as usize
+            }
             NodeClass::It => 6 * self.tables(node.level).planewave_len(),
             NodeClass::T => {
                 let per = if self.gradients { 4 } else { 1 };
@@ -504,7 +563,39 @@ impl<K: Kernel> ExecCtx<K> {
         if e.op != EdgeOp::I2I {
             return 0..self.data_len(src_id);
         }
-        i2i_window(&self.asm, src_id, e)
+        let (dir, src_slot, _) = unpack_i2i(e.tag);
+        let layout = self.asm.is_layout[src_id as usize];
+        let w = if src_slot == 0 {
+            layout.own_w
+        } else {
+            layout.merged_w
+        };
+        let at = self.slot_offset(src_id, dir, src_slot);
+        at..at + w as usize
+    }
+
+    /// The own windows `Is` node `id`'s LCO stores ([`stored_mask`]).
+    fn stored(&self, id: u32) -> u8 {
+        self.stored[id as usize].load(Ordering::Relaxed)
+    }
+
+    /// Where slot `src_slot` of `Is` node `id` starts in its data, the slot
+    /// numbered as an `I→I` tag numbers it: 0 for the own window of
+    /// direction `dir`, `k + 1` for merged slot `k`.  The stored own
+    /// windows come first, in direction order, then the merged slots.
+    fn slot_offset(&self, id: u32, dir: usize, src_slot: u32) -> usize {
+        let layout = self.asm.is_layout[id as usize];
+        let mask = self.stored(id);
+        match src_slot {
+            0 => {
+                debug_assert!(mask & 1 << dir != 0, "Is {id} stores no window {dir}");
+                (mask & ((1 << dir) - 1)).count_ones() as usize * layout.own_w as usize
+            }
+            k => {
+                let own = mask.count_ones() * layout.own_w;
+                (own + (k - 1) * layout.merged_w) as usize
+            }
+        }
     }
 
     /// Seed the evaluation: spawn the zero-input nodes' continuations.
@@ -533,8 +624,9 @@ impl<K: Kernel> ExecCtx<K> {
     ///
     /// Steps: (1) every node the dead locality owned is re-owned to a
     /// survivor picked by a stable hash of its Morton key — and gets a
-    /// fresh LCO (full input count) there; (2) parked batches whose
-    /// drain expectations can no longer be met are drained now and
+    /// fresh LCO (full input count) there, an `Is` storing the windows the
+    /// new ownership leaves unfused ([`stored_mask`]); (2) parked batches
+    /// whose drain expectations can no longer be met are drained now and
     /// force-flushed by a seeded recovery task; (3) batch expectations are
     /// re-registered from the not-yet-applied edge set; (4) untriggered
     /// local LCOs are re-armed to expect exactly the inputs still coming;
@@ -558,19 +650,17 @@ impl<K: Kernel> ExecCtx<K> {
 
         // (1) Deterministic re-ownership + fresh LCOs, in node-id order so
         // the SPMD-mirrored allocation yields identical addresses on every
-        // surviving process.
+        // surviving process.  A re-owned `Is`'s stored windows depend on
+        // where its parents now live, so every owner is settled first.
         let orig_owner: Vec<u32> = (0..n as u32)
             .map(|id| dag.node(id).locality.min(n_loc - 1))
             .collect();
-        let mut is_reowned = vec![false; n];
+        let mut owner = orig_owner.clone();
+        let is_reowned: Vec<bool> = orig_owner.iter().map(|&o| o == dead).collect();
         {
             let stree = self.problem.tree.source();
             let ttree = self.problem.tree.target();
-            for id in 0..n as u32 {
-                if orig_owner[id as usize] != dead {
-                    continue;
-                }
-                is_reowned[id as usize] = true;
+            for id in (0..n as u32).filter(|&id| is_reowned[id as usize]) {
                 let node = dag.node(id);
                 let (key, salt) = match node.class {
                     NodeClass::S => (stree.node(node.box_id).key, 1u64),
@@ -581,17 +671,28 @@ impl<K: Kernel> ExecCtx<K> {
                     NodeClass::T => (ttree.node(node.box_id).key, 6),
                 };
                 let h = splitmix64(key.code() ^ ((key.level as u64) << 48) ^ (salt << 56));
-                let new_owner = survivors[(h % survivors.len() as u64) as usize];
-                let addr = if node.class == NodeClass::S {
-                    GlobalAddress::new(new_owner, u32::MAX)
-                } else {
-                    rt.lco_new(new_owner, self.node_spec(id, s2t_in[id as usize]))
-                };
-                self.lcos[id as usize].store(addr.pack(), Ordering::Relaxed);
-                stats.reowned_nodes += 1;
+                owner[id as usize] = survivors[(h % survivors.len() as u64) as usize];
             }
         }
+        for id in (0..n as u32).filter(|&id| is_reowned[id as usize]) {
+            let new_owner = owner[id as usize];
+            let addr = if dag.node(id).class == NodeClass::S {
+                GlobalAddress::new(new_owner, u32::MAX)
+            } else {
+                self.set_stored(id, stored_mask(dag, id, |x| owner[x as usize]));
+                rt.lco_new(new_owner, self.node_spec(id, s2t_in[id as usize]))
+            };
+            self.lcos[id as usize].store(addr.pack(), Ordering::Relaxed);
+            stats.reowned_nodes += 1;
+        }
         let lcos: Vec<GlobalAddress> = (0..n as u32).map(|id| self.lco(id)).collect();
+        // Per `Is`, its `M→I` in-edge (`u32::MAX` if it has no own windows).
+        let mut m2i_into = vec![u32::MAX; n];
+        for (eid, e) in dag.edges().iter().enumerate() {
+            if e.op == EdgeOp::M2I {
+                m2i_into[e.dst as usize] = eid as u32;
+            }
+        }
 
         for loc in 0..n_loc {
             if loc == dead || !rt.is_local(loc) {
@@ -603,6 +704,17 @@ impl<K: Kernel> ExecCtx<K> {
             // applied at, the dead locality).
             let drained = batcher.drain_parked();
             stats.parked_batches += drained.len() as u64;
+            let parked: HashSet<u32> = drained
+                .iter()
+                .flat_map(|(_, es)| es)
+                .map(|e| e.eid)
+                .collect();
+            // Whether an `Is` here still has its `M→I` flush to come, which
+            // applies its merge shifts into parents here itself.
+            let flush_due = |id: u32| {
+                let m2i = m2i_into[id as usize];
+                is_reowned[id as usize] || !bit(m2i) || parked.contains(&m2i)
+            };
             let mut p_non: HashMap<u32, u32> = HashMap::new();
             let mut p_s2t: HashSet<u32> = HashSet::new();
             for (key, entries) in &drained {
@@ -619,7 +731,8 @@ impl<K: Kernel> ExecCtx<K> {
 
             // (3) Re-register batch expectations and count the not-yet-
             // applied in-edges per destination this locality now owns:
-            // exactly these deposits will arrive in the recovery run.
+            // exactly these inputs will arrive in the recovery run, all
+            // deposited but the merge shifts a flush still due applies.
             let mut u_non = vec![0u32; n];
             let mut u_s2t = vec![0u32; n];
             for id in 0..n as u32 {
@@ -634,8 +747,13 @@ impl<K: Kernel> ExecCtx<K> {
                     } else {
                         u_non[e.dst as usize] += 1;
                     }
-                    if let Some(k) = self.batch.edge_key[eid as usize] {
-                        batcher.expect(k as usize, 1);
+                    let fused = e.op == EdgeOp::I2I
+                        && dag.node(e.dst).class == NodeClass::Is
+                        && lcos[id as usize].locality == loc
+                        && flush_due(id);
+                    match self.batch.edge_key[eid as usize] {
+                        Some(k) if !fused => batcher.expect(k as usize, 1),
+                        _ => {}
                     }
                 }
             }
@@ -731,6 +849,36 @@ impl<K: Kernel> ExecCtx<K> {
         stats
     }
 
+    /// Give `Is` node `id` the stored windows `mask`, as recovery re-owns it
+    /// with a fresh LCO, and re-lay the copies of it published here for the
+    /// `It` gathers: a window both masks store keeps its values, and every
+    /// window a gather reads is one.
+    fn set_stored(&self, id: u32, mask: u8) {
+        let old = self.stored(id);
+        self.stored[id as usize].store(mask, Ordering::Relaxed);
+        if mask == old {
+            return;
+        }
+        let layout = self.asm.is_layout[id as usize];
+        let w = layout.own_w as usize;
+        let merged = (layout.n_merged * layout.merged_w) as usize;
+        let offset = |mask: u8, dir: usize| (mask & ((1 << dir) - 1)).count_ones() as usize * w;
+        for slot in self.published.iter().filter_map(|p| p.get(id as usize)) {
+            let mut slot = slot.lock();
+            let Some(data) = slot.as_ref() else {
+                continue;
+            };
+            let mut moved = vec![0.0; self.data_len(id)];
+            for dir in (0..6).filter(|dir| old & mask & 1 << dir != 0) {
+                let (from, to) = (offset(old, dir), offset(mask, dir));
+                moved[to..to + w].copy_from_slice(&data[from..from + w]);
+            }
+            let (from, to) = (offset(old, 6), offset(mask, 6));
+            moved[to..to + merged].copy_from_slice(&data[from..from + merged]);
+            *slot = Some(moved.into());
+        }
+    }
+
     /// The data node `id` fired with in the run just ended at `loc`, its
     /// owner, for a replay; `None` if it has not fired.  Seeds (zero-input
     /// nodes) all fired; everything else fired iff its LCO triggered.  An
@@ -785,7 +933,9 @@ impl<K: Kernel> ExecCtx<K> {
     /// The continuation of a triggered node: transform the stored data
     /// along every out-edge; local edges inline, remote edges coalesced
     /// into one parcel per destination locality.  A fired `Is` is first
-    /// published here, for the `It` gathers of this locality.
+    /// published here, for the `It` gathers of this locality.  A local edge
+    /// already committed is skipped: the merge shifts its `M→I` flush
+    /// applied, or a replay's duplicate.
     fn process_out_edges(&self, ctx: &TaskCtx, id: u32, data: &Arc<[f64]>) {
         self.ledger.note_fired(id);
         let dag = &self.asm.dag;
@@ -797,7 +947,9 @@ impl<K: Kernel> ExecCtx<K> {
             let eid = node.first_edge + i as u32;
             let dst_loc = self.lco(e.dst).locality;
             if dst_loc == ctx.locality {
-                self.apply_edge(ctx, id, eid, e, data);
+                if self.applied[eid as usize].load(Ordering::Acquire) == 0 {
+                    self.apply_edge(ctx, id, eid, e, data);
+                }
             } else {
                 match remote.iter_mut().find(|(l, _)| *l == dst_loc) {
                     Some((_, v)) => v.push(eid),
@@ -888,7 +1040,8 @@ impl<K: Kernel> ExecCtx<K> {
         if let Some(key) = self.batch.edge_key[eid as usize] {
             let window = self.source_range(src_id, e);
             let slot = if e.op == EdgeOp::I2I {
-                self.asm.is_layout[e.dst as usize].merged_offset(unpack_i2i(e.tag).2) as f64
+                let (dir, _, dst_slot) = unpack_i2i(e.tag);
+                self.slot_offset(e.dst, dir, dst_slot + 1) as f64
             } else {
                 0.0
             };
@@ -1002,17 +1155,17 @@ impl<K: Kernel> ExecCtx<K> {
         let published = &self.published[locality as usize];
         let ctx = ctx.filter(|ctx| ctx.obs_level().enabled());
         let start = ctx.map_or(0, TaskCtx::now_ns);
-        let edges = self.gather.of(id);
+        let edges = self.shifts.gather.of(id);
         for run in edges.chunk_by(|a, b| a.src == b.src) {
             let src = published[run[0].src as usize]
                 .lock()
                 .clone()
                 .expect("every source of a fired It is published where it fires");
             for g in run {
-                let (dir, fac) = &self.gather.factors[g.fac as usize];
-                let at = *dir as usize * w;
-                let off = g.off as usize;
-                ops::i2i_apply(fac, &src[off..off + w], &mut buf[at..at + w]);
+                let (dir, fac) = &self.shifts.factors[g.fac as usize];
+                let dir = *dir as usize;
+                let off = self.slot_offset(g.src, dir, g.slot);
+                ops::i2i_apply(fac, &src[off..off + w], &mut buf[dir * w..(dir + 1) * w]);
             }
         }
         if let Some(ctx) = ctx {
@@ -1021,6 +1174,61 @@ impl<K: Kernel> ExecCtx<K> {
             record_split_spans(ctx, class, start, ctx.now_ns(), eids);
         }
         data
+    }
+
+    /// Hand `Is` node `id` its `M→I` contribution from `panel`, its six
+    /// fresh own windows: the windows it stores through `set`, then every
+    /// merge shift into a parent at this locality, shifted and offset-added
+    /// into the parent's merged slot, its span closed with `close`.  The
+    /// windows go first, so the span that opens with the batch's product is
+    /// the `M→I` edge's.  The shifts are committed through `applied` before
+    /// that, as the node can fire on it and its continuation must skip
+    /// them; the rest go out from the stored windows.
+    fn flush_m2i(
+        &self,
+        ctx: &TaskCtx,
+        id: u32,
+        panel: &[f64],
+        set: impl FnOnce(&[f64]),
+        close: &impl Fn(u8, u32),
+    ) {
+        let merges = self.shifts.merge.of(id);
+        let w = self.asm.is_layout[id as usize].own_w as usize;
+        let mask = self.stored(id);
+        FUSED.with(|fused| {
+            let fused = &mut *fused.borrow_mut();
+            fused.clear();
+            for (k, m) in merges.iter().enumerate() {
+                if self.lco(m.dst).locality != ctx.locality {
+                    continue;
+                }
+                if self.applied[m.eid as usize].swap(1, Ordering::AcqRel) == 0 {
+                    fused.push(k as u32);
+                } else {
+                    self.dedup_skipped.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            EDGE_OUT.with(|out| {
+                let out = &mut *out.borrow_mut();
+                out.clear();
+                out.push(0.0);
+                for dir in (0..6).filter(|dir| mask & 1 << dir != 0) {
+                    out.extend_from_slice(&panel[dir * w..(dir + 1) * w]);
+                }
+                set(out);
+                let class = EdgeOp::I2I.index() as u8;
+                for &k in fused.iter() {
+                    let m = &merges[k as usize];
+                    let (dir, fac) = &self.shifts.factors[m.fac as usize];
+                    let dir = *dir as usize;
+                    out.resize(1 + w, 0.0);
+                    out[0] = self.slot_offset(m.dst, dir, m.slot + 1) as f64;
+                    ops::i2i_write(fac, &panel[dir * w..(dir + 1) * w], &mut out[1..]);
+                    ctx.lco_set(self.lco(m.dst), out);
+                    close(class, m.eid);
+                }
+            });
+        });
     }
 
     /// Apply one full batch of same-operator edges through the blocked
@@ -1034,15 +1242,17 @@ impl<K: Kernel> ExecCtx<K> {
         // clock reads (one per edge) as well.
         let timed = ctx.obs_level().enabled();
         let clock = || if timed { ctx.now_ns() } else { 0 };
-        let mut prev = clock();
-        let start = prev;
-        // Hand edge `i`'s contribution to its destination and close its
-        // span where the previous edge's ended.
+        let prev = Cell::new(clock());
+        let start = prev.get();
+        // Close edge `eid`'s span of `class` where the previous edge's ended.
+        let close = |class: u8, eid: u32| {
+            let now = clock();
+            ctx.record_span(class, eid, prev.replace(now), now);
+        };
+        // Hand edge `i`'s contribution to its destination and close its span.
         let mut set = |i: usize, data: &[f64]| {
             ctx.lco_set(batch[i].dst, data);
-            let now = clock();
-            ctx.record_span(class, batch[i].eid, prev, now);
-            prev = now;
+            close(class, batch[i].eid);
         };
         // A batch never exceeds the flush threshold, so the source windows
         // fit a fixed array: no per-flush allocation.
@@ -1062,8 +1272,8 @@ impl<K: Kernel> ExecCtx<K> {
                 // The offset-add destinations take `[offset, values…]`:
                 // their operators leave `buf[0]` free for the offset.
                 KeyOp::M2I(t) => opbatch::m2i_batch(t, refs, ws, |i, buf| {
-                    buf[0] = batch[i].slot;
-                    set(i, buf);
+                    let id = self.asm.dag.edges()[batch[i].eid as usize].dst;
+                    self.flush_m2i(ctx, id, &buf[1..], |own| set(i, own), &close);
                 }),
                 KeyOp::I2L(t) => opbatch::i2l_batch(t, refs, ws, &mut set),
                 KeyOp::I2I(fac) => opbatch::i2i_batch_prefixed(fac, refs, ws, |i, buf| {
@@ -1120,94 +1330,82 @@ impl BatchPlan {
     /// hosts are counted — an edge applied at a remote process deposits
     /// into *its* batcher.  The `I→I` edges into an `It` are not batched:
     /// the same sweep lists them per `It`, with their factors resolved
-    /// once per key, as the [`GatherPlan`].
+    /// once per key, in the [`ShiftPlan`].  So are the merge shifts, per
+    /// member `Is`; they keep a key, but only those whose parent is on
+    /// another locality are counted, as the `M→I` flush applies the rest.
     fn build<K: Kernel>(
         problem: &Problem,
         lib: &OperatorLibrary<K>,
         asm: &Assembly,
         rt: &Runtime,
-    ) -> (BatchPlan, GatherPlan) {
+    ) -> (BatchPlan, ShiftPlan) {
         let dag = &asm.dag;
         let n_loc = rt.num_localities();
+        let owner = |id: u32| dag.node(id).locality.min(n_loc - 1);
         let mut index: HashMap<BatchKey, u32> = HashMap::new();
         let mut ops = Vec::new();
         let mut edge_key = vec![None; dag.edges().len()];
         let mut expected: Vec<Vec<u32>> = vec![Vec::new(); n_loc as usize];
         let mut fac_index: HashMap<BatchKey, u32> = HashMap::new();
         let mut factors = Vec::new();
-        // (destination, edge), in edge order.
+        // (destination, edge) and (source, edge), in edge order.
         let mut gathered: Vec<(u32, GatherEdge)> = Vec::new();
+        let mut merges: Vec<(u32, MergeEdge)> = Vec::new();
         for id in 0..dag.num_nodes() as u32 {
             let first = dag.node(id).first_edge as usize;
             for (i, e) in dag.out_edges(id).iter().enumerate() {
                 let Some(key) = batch_key(problem, lib, asm, id, e) else {
                     continue;
                 };
+                let eid = (first + i) as u32;
                 if let BatchKey::I2I { dir, .. } = key {
+                    let fac = *fac_index.entry(key).or_insert_with(|| {
+                        factors.push((dir, i2i_factor(lib, key)));
+                        factors.len() as u32 - 1
+                    });
+                    let (_, src_slot, dst_slot) = unpack_i2i(e.tag);
                     if dag.node(e.dst).class == NodeClass::It {
-                        let fac = *fac_index.entry(key).or_insert_with(|| {
-                            factors.push((dir, i2i_factor(lib, key)));
-                            factors.len() as u32 - 1
-                        });
-                        let off = i2i_window(asm, id, e).start as u32;
-                        let eid = (first + i) as u32;
                         let g = GatherEdge {
                             src: id,
-                            off,
+                            slot: src_slot,
                             fac,
                             eid,
                         };
                         gathered.push((e.dst, g));
                         continue;
                     }
+                    let m = MergeEdge {
+                        eid,
+                        dst: e.dst,
+                        slot: dst_slot,
+                        fac,
+                    };
+                    merges.push((id, m));
                 }
                 let k = *index.entry(key).or_insert_with(|| {
                     ops.push(key_op(lib, key));
                     expected.iter_mut().for_each(|counts| counts.push(0));
                     ops.len() as u32 - 1
                 });
-                edge_key[first + i] = Some(k);
-                let apply = dag.node(e.dst).locality.min(n_loc - 1);
-                if rt.is_local(apply) {
+                edge_key[eid as usize] = Some(k);
+                let apply = owner(e.dst);
+                let fused = e.op == EdgeOp::I2I && owner(id) == apply;
+                if rt.is_local(apply) && !fused {
                     expected[apply as usize][k as usize] += 1;
                 }
             }
-        }
-        // Counting sort by destination; stable, so each row keeps edge order.
-        let mut first = vec![0u32; dag.num_nodes() + 1];
-        for (dst, _) in &gathered {
-            first[*dst as usize + 1] += 1;
-        }
-        for i in 1..first.len() {
-            first[i] += first[i - 1];
-        }
-        let mut next = first.clone();
-        let mut edges = vec![
-            GatherEdge {
-                src: 0,
-                off: 0,
-                fac: 0,
-                eid: 0
-            };
-            gathered.len()
-        ];
-        for (dst, g) in gathered {
-            edges[next[dst as usize] as usize] = g;
-            next[dst as usize] += 1;
         }
         let batch = BatchPlan {
             ops,
             edge_key,
             expected,
         };
-        (
-            batch,
-            GatherPlan {
-                first,
-                edges,
-                factors,
-            },
-        )
+        let shifts = ShiftPlan {
+            gather: Rows::new(dag.num_nodes(), gathered),
+            merge: Rows::new(dag.num_nodes(), merges),
+            factors,
+        };
+        (batch, shifts)
     }
 }
 
@@ -1338,15 +1536,24 @@ fn i2i_factor<K: Kernel>(lib: &OperatorLibrary<K>, key: BatchKey) -> Arc<Vec<f64
     t.i2i(dashmm_tree::Direction::ALL[dir as usize], delta)
 }
 
-/// The slot of `Is` node `src_id` that `I→I` edge `e` reads: one of its
-/// own direction windows, or one merged slot.
-fn i2i_window(asm: &Assembly, src_id: u32, e: &DagEdge) -> Range<usize> {
-    let layout = asm.is_layout[src_id as usize];
-    let (off, w) = match unpack_i2i(e.tag) {
-        (dir_idx, 0, _) => (layout.own_offset(dir_idx), layout.own_w),
-        (_, src_slot, _) => (layout.merged_offset(src_slot - 1), layout.merged_w),
-    };
-    off..off + w as usize
+/// The own windows `Is` node `id` stores under the ownership `owner`, one
+/// bit per direction (0 for any other class): those a translation into an
+/// `It` reads, and those a merge shift into a parent on another locality
+/// reads.  A merge into a parent at the node's own locality is applied by
+/// the node's `M→I` flush, from the panel, and needs nothing stored.
+fn stored_mask(dag: &Dag, id: u32, owner: impl Fn(u32) -> u32) -> u8 {
+    if dag.node(id).class != NodeClass::Is {
+        return 0;
+    }
+    let mut mask = 0;
+    for e in dag.out_edges(id) {
+        let (dir, src_slot, _) = unpack_i2i(e.tag);
+        let translation = dag.node(e.dst).class == NodeClass::It;
+        if src_slot == 0 && (translation || owner(e.dst) != owner(id)) {
+            mask |= 1 << dir;
+        }
+    }
+    mask
 }
 
 /// Attribute `[start, end)` to the edges `eids` as chained spans of equal
@@ -1770,23 +1977,204 @@ mod tests {
         gather_case(dashmm_kernels::Yukawa::new(1.0), true);
     }
 
-    /// After a run no `It` holds a payload, while every other class holds
-    /// exactly its expansions.
+    /// After a run no `It` holds a payload, an `Is` only the own windows a
+    /// translation or a merge shift into another locality reads plus its
+    /// merged slots, and every other class exactly its expansions.  The
+    /// `Is` bytes are counted from the DAG and its localities alone.
     #[test]
     fn no_it_payload_is_resident() {
+        use std::collections::HashSet;
         for machine in [(1, 2), (2, 2)] {
             let (eval, exec) = ran(dashmm_kernels::Laplace, false, machine);
-            let dag = eval.dag();
+            let (dag, asm) = (eval.dag(), eval.assembly());
             let mut want = [0u64; 6];
             for id in 0..dag.num_nodes() as u32 {
-                let class = dag.node(id).class;
-                if !matches!(class, NodeClass::S | NodeClass::It) {
-                    want[class.index()] += 8 * exec.data_len(id) as u64;
+                let node = dag.node(id);
+                want[node.class.index()] += match node.class {
+                    NodeClass::S | NodeClass::It => 0,
+                    NodeClass::Is => {
+                        let read: HashSet<usize> = dag
+                            .out_edges(id)
+                            .iter()
+                            .filter(|e| unpack_i2i(e.tag).1 == 0)
+                            .filter(|e| {
+                                let dst = dag.node(e.dst);
+                                dst.class == NodeClass::It || dst.locality != node.locality
+                            })
+                            .map(|e| unpack_i2i(e.tag).0)
+                            .collect();
+                        let l = asm.is_layout[id as usize];
+                        8 * (read.len() as u64 * l.own_w as u64 + (l.n_merged * l.merged_w) as u64)
+                    }
+                    _ => 8 * exec.data_len(id) as u64,
+                };
+            }
+            let got = exec.payload_bytes(eval.runtime());
+            assert_eq!(got, want, "{machine:?}: payload bytes by class");
+            let is = want[NodeClass::Is.index()];
+            assert!(is > 0 && want[NodeClass::T.index()] > 0);
+            let message =
+                dashmm_dag::DagStats::compute(dag).nodes[NodeClass::Is.index()].size_total;
+            assert!(
+                2 * is < message,
+                "{machine:?}: Is holds {is} B of its {message} B of messages"
+            );
+        }
+    }
+
+    /// Every merged slot of every `Is` after a run is the sum over its
+    /// members of the member's `M→I` window shifted to the parent, made here
+    /// per edge: whether the member's flush applied the shift (a parent on
+    /// its locality) or a bundle carried the window (one on another).  No
+    /// fused shift counts as a replay.
+    fn fused_merges_case<K: Kernel + Clone>(kernel: K, sphere: bool) {
+        use dashmm_tree::Direction;
+        for machine in [(1, 2), (2, 2)] {
+            let (eval, exec) = ran(kernel.clone(), sphere, machine);
+            let (rt, dag, asm) = (eval.runtime(), eval.dag(), eval.assembly());
+            let stree = eval.problem().tree.source();
+            assert_eq!(exec.dedup_skipped(), 0, "{machine:?}: replays counted");
+            // Per (parent, merged slot): its members' shifted windows.
+            let mut want: HashMap<(u32, u32), Vec<f64>> = HashMap::new();
+            let (mut fused, mut bundled) = (0, 0);
+            for id in 0..dag.num_nodes() as u32 {
+                let node = dag.node(id);
+                let merges = dag.out_edges(id).iter().filter(|e| {
+                    node.class == NodeClass::Is && dag.node(e.dst).class == NodeClass::Is
+                });
+                for e in merges {
+                    let (dir, _, slot) = unpack_i2i(e.tag);
+                    let d = Direction::ALL[dir];
+                    let t = exec.lib.tables(node.level);
+                    let m_id = asm.m_of[node.box_id as usize] as u32;
+                    let m = rt.lco_get(exec.lco(m_id)).expect("every M fired");
+                    let w = asm.is_layout[id as usize].own_w as usize;
+                    let (mut window, mut shifted) = (vec![0.0; w], vec![0.0; w]);
+                    ops::m2i(&t, d, &m, &mut window);
+                    let parent = dag.node(e.dst);
+                    let delta = stree.center_of(parent.box_id) - stree.center_of(node.box_id);
+                    ops::i2i_write(&t.i2i(d, delta), &window, &mut shifted);
+                    let sum = want.entry((e.dst, slot)).or_insert_with(|| vec![0.0; w]);
+                    sum.iter_mut().zip(&shifted).for_each(|(s, v)| *s += v);
+                    if parent.locality == node.locality {
+                        fused += 1;
+                    } else {
+                        bundled += 1;
+                    }
                 }
             }
-            let got = exec.payload_audit(eval.runtime());
-            assert_eq!(got, want, "{machine:?}: payload bytes by class");
-            assert!(want[NodeClass::Is.index()] > 0 && want[NodeClass::T.index()] > 0);
+            assert!(fused > 0, "{machine:?}: no merge shift was fused");
+            assert!(
+                machine.0 == 1 || bundled > 0,
+                "{machine:?}: none was bundled"
+            );
+            for (&(id, slot), want) in &want {
+                let data = rt.lco_get(exec.lco(id)).expect("every Is fired");
+                let at = exec.slot_offset(id, 0, slot + 1);
+                let got = &data[at..at + want.len()];
+                let scale = want.iter().fold(0.0, |m, v| f64::max(m, v.abs()));
+                let d = got
+                    .iter()
+                    .zip(want)
+                    .fold(0.0, |m, (a, b)| f64::max(m, (a - b).abs()));
+                assert!(
+                    d <= 1e-13 * scale,
+                    "{machine:?}: Is {id} slot {slot} off by {d:.2e} of {scale:.2e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fused_merges_equal_the_per_edge_reference_laplace_cube() {
+        fused_merges_case(dashmm_kernels::Laplace, false);
+    }
+
+    #[test]
+    fn fused_merges_equal_the_per_edge_reference_yukawa_sphere() {
+        fused_merges_case(dashmm_kernels::Yukawa::new(1.0), true);
+    }
+
+    /// The stored-window rule on hand-set owners: a merge shift into a
+    /// parent with the member's owner stores nothing, one into another
+    /// owner's parent stores its window, and re-owning one end onto the
+    /// other's locality stores nothing again.
+    #[test]
+    fn stored_windows_follow_the_merge_parents_owner() {
+        let (eval, _) = ran(dashmm_kernels::Laplace, false, (1, 1));
+        let dag = eval.dag();
+        // A member, its parent, and a direction only merge shifts read.
+        let (member, parent, dir) = (0..dag.num_nodes() as u32)
+            .filter(|&id| dag.node(id).class == NodeClass::Is)
+            .find_map(|id| {
+                let own = |e: &&DagEdge| unpack_i2i(e.tag).1 == 0;
+                let edges = || dag.out_edges(id).iter().filter(own);
+                let into = |e: &DagEdge| dag.node(e.dst).class;
+                let m = edges().find(|e| into(e) == NodeClass::Is)?;
+                let dir = unpack_i2i(m.tag).0;
+                let read = |e: &&DagEdge| unpack_i2i(e.tag).0 == dir && into(e) == NodeClass::It;
+                edges().find(read).is_none().then_some((id, m.dst, dir))
+            })
+            .expect("a direction only merges read");
+        let bit = 1u8 << dir;
+        let owners = |m: u32, p: u32| {
+            move |id: u32| match id {
+                _ if id == member => m,
+                _ if id == parent => p,
+                _ => 0,
+            }
+        };
+        for (m, p, want, case) in [
+            (0, 0, 0, "same owner"),
+            (0, 1, bit, "split owners"),
+            (1, 1, 0, "the member re-owned onto its parent's locality"),
+            (2, 1, bit, "the member re-owned elsewhere"),
+        ] {
+            assert_eq!(stored_mask(dag, member, owners(m, p)) & bit, want, "{case}");
+        }
+    }
+
+    /// Recovery gives a re-owned `Is` a new stored mask; a copy of it
+    /// published for the gathers is re-laid to match, every window both
+    /// masks store and every merged slot keeping its values.
+    #[test]
+    fn a_new_stored_mask_relays_the_published_copies() {
+        let (eval, exec) = ran(dashmm_kernels::Laplace, false, (1, 2));
+        let dag = eval.dag();
+        let id = (0..dag.num_nodes() as u32)
+            .find(|&id| {
+                let l = eval.assembly().is_layout[id as usize];
+                dag.node(id).class == NodeClass::Is && l.own_w > 0 && l.n_merged > 0
+            })
+            .expect("an Is with own windows and merged slots");
+        let old = exec.stored(id);
+        let before = exec.published[0][id as usize]
+            .lock()
+            .clone()
+            .expect("published");
+        // The windows of `dirs`, then the merged slots, where they sit now.
+        let l = eval.assembly().is_layout[id as usize];
+        let windows = |dirs: u8| {
+            let own = (0..6).filter(|d| dirs & 1 << d != 0);
+            own.map(|d| exec.slot_offset(id, d, 0)..exec.slot_offset(id, d, 0) + l.own_w as usize)
+                .chain((1..=l.n_merged).map(|k| {
+                    let at = exec.slot_offset(id, 0, k);
+                    at..at + l.merged_w as usize
+                }))
+                .collect::<Vec<_>>()
+        };
+        let mask = old ^ 0b10_1010;
+        let from = windows(old & mask);
+        exec.set_stored(id, mask);
+        let to = windows(old & mask);
+        let after = exec.published[0][id as usize]
+            .lock()
+            .clone()
+            .expect("published");
+        assert_eq!(after.len(), exec.data_len(id));
+        assert_eq!(from.len(), to.len());
+        for (a, b) in from.into_iter().zip(to) {
+            assert!(bitwise(&after[b], &before[a]), "a window moved wrong");
         }
     }
 
