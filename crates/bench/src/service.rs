@@ -248,6 +248,63 @@ mod service_tests {
     }
 
     #[test]
+    fn stepping_server_applies_a_repeated_index_in_list_order() {
+        use dashmm_net::{EvalClient, EvalServer, RespStatus, ServiceConfig};
+        let w = ServiceWorkload {
+            points: 2000,
+            ..ServiceWorkload::default()
+        };
+        let engine = std::sync::Arc::new(SteppingResident::new(w.build_engine()));
+        let start = engine.0.read().unwrap().current_sources();
+        let mut server =
+            EvalServer::bind_stepping("127.0.0.1:0", engine.clone(), ServiceConfig::default())
+                .unwrap();
+        let mut client = EvalClient::connect(&format!("127.0.0.1:{}", server.port())).unwrap();
+        // Point 7 crosses leaves, then moves again in the same request.
+        let moves = [
+            (7, [0.6, 0.0, -0.3]),
+            (3, [0.01, 0.0, 0.0]),
+            (7, [0.0, 0.02, 0.0]),
+        ];
+        let resp = client.step(0, &moves, &[]).unwrap();
+        assert_eq!(resp.status, RespStatus::Ok);
+        // The next request is served, by an engine that equals a rebuild
+        // over the sources with both of point 7's deltas applied in order.
+        let targets = w.request_targets(0, 0, 8);
+        let after = client.eval(0, &targets).unwrap();
+        assert_eq!(after.status, RespStatus::Ok);
+        let fmm = engine.0.read().unwrap();
+        let now = fmm.current_sources();
+        let (p, q) = (start[7], now[7]);
+        assert_eq!(
+            (q.x, q.y, q.z),
+            (p.x + 0.6 + 0.0, p.y + 0.0 + 0.02, p.z - 0.3 + 0.0)
+        );
+        assert_eq!(now[3].x, start[3].x + 0.01);
+        assert!((0..start.len()).all(|i| i == 3 || i == 7 || now[i] == start[i]));
+        let fresh = ResidentFmm::build_in_domain(
+            Laplace,
+            &now,
+            &fmm.current_charges(),
+            ResidentConfig {
+                theta: w.theta,
+                build: BuildParams {
+                    threshold: w.threshold,
+                    ..BuildParams::default()
+                },
+                ..ResidentConfig::default()
+            },
+            *fmm.domain(),
+        );
+        let mut want = vec![0.0; targets.len()];
+        fresh.evaluate(&targets, &mut want);
+        assert_eq!(after.potentials, want);
+        drop(fmm);
+        client.close().unwrap();
+        server.shutdown();
+    }
+
+    #[test]
     fn ready_line_roundtrip() {
         let line = format!("{}{} points=100 depth=3", READY_PREFIX, 54321);
         assert_eq!(parse_ready_line(&line), Some(54321));

@@ -4,12 +4,14 @@
 //! engine.  Per step:
 //!
 //! 1. **Refit** — sparse displacements and charge updates are applied to
-//!    the resident [`dashmm_refit::RefitTree`]: points that stay inside
-//!    their leaf are updated in place, leaf-crossers are re-binned, and
-//!    only boxes whose occupancy crossed the refinement threshold split or
-//!    merge.  Leaves whose contents changed are marked dirty and the marks
-//!    climb their ancestor chains, so the set of boxes whose multipole can
-//!    differ from a from-scratch rebuild is known exactly.
+//!    the resident [`dashmm_refit::RefitTree`], in list order: the moves
+//!    are grouped by leaf, each touched leaf block is updated in place and
+//!    re-sorted once, the points whose final position left their leaf are
+//!    re-binned, and only boxes whose occupancy crossed the refinement
+//!    threshold split or merge.  Leaves whose contents changed are marked
+//!    dirty and the marks climb their ancestor chains, so the set of boxes
+//!    whose multipole can differ from a from-scratch rebuild is known
+//!    exactly.
 //! 2. **Upward pass** — the build's own batched pass
 //!    (`ResidentFmm::upward_pass`, see the `resident` module docs) runs
 //!    over the dirty boxes only, on every core: all dirty leaves in one
@@ -121,7 +123,7 @@ mod tests {
     use dashmm_expansion::{ops, BatchWorkspace};
     use dashmm_kernels::Laplace;
     use dashmm_linalg::Matrix;
-    use dashmm_tree::{uniform_cube, BuildParams, Domain};
+    use dashmm_tree::{uniform_cube, BuildParams, Domain, Point3};
     use std::collections::HashMap;
 
     fn charges(n: usize) -> Vec<f64> {
@@ -335,6 +337,124 @@ mod tests {
                 "box {id}: batched vs per-box diff {:.3e} of the terms' magnitude",
                 diff / norm
             );
+        }
+    }
+
+    /// A rebuild in the same domain over the stepped engine's current
+    /// sources and charges has the same boxes, every leaf holds its points
+    /// in the same order, and every multipole is equal bit for bit.
+    fn assert_bitwise_rebuild(fmm: &ResidentFmm<Laplace>, cfg: ResidentConfig, what: &str) {
+        let fresh = ResidentFmm::build_in_domain(
+            Laplace,
+            &fmm.current_sources(),
+            &fmm.current_charges(),
+            cfg,
+            *fmm.domain(),
+        );
+        let (tree, fresh_tree) = (fmm.tree(), fresh.tree());
+        let by_key: HashMap<_, _> = fresh_tree
+            .alive_ids()
+            .map(|id| (fresh_tree.node(id).key, id))
+            .collect();
+        assert_eq!(
+            tree.num_alive_boxes(),
+            fresh_tree.num_alive_boxes(),
+            "{what}"
+        );
+        for id in tree.alive_ids() {
+            let node = tree.node(id);
+            let fid = by_key[&node.key];
+            if node.is_leaf() {
+                assert_eq!(
+                    tree.leaf_ids(id),
+                    fresh_tree.leaf_ids(fid),
+                    "{what}: leaf order"
+                );
+            }
+            let bits = |m: &[f64]| m.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(fmm.multipole(id)),
+                bits(fresh.multipole(fid)),
+                "{what}: box {:?}",
+                node.key
+            );
+        }
+    }
+
+    #[test]
+    fn repeated_indices_step_equal_rebuild_bitwise() {
+        let n = 3000;
+        let cfg = ResidentConfig {
+            build: BuildParams {
+                threshold: 20,
+                ..BuildParams::default()
+            },
+            ..ResidentConfig::default()
+        };
+        let sources = uniform_cube(n, 19);
+        let domain = Domain::containing(&[&sources], cfg.pad);
+        let mut fmm = ResidentFmm::build_in_domain(Laplace, &sources, &charges(n), cfg, domain);
+        let side = domain.side();
+        for step in 0..3 {
+            // Every 11th point moves twice (far, then back part of the
+            // way), and a few a third time, in one list.
+            let mut moves = Vec::new();
+            for round in 0..3 {
+                for i in (step..n).step_by(11 * (round + 1)) {
+                    let s = if round == 1 { -0.6 } else { 1.0 };
+                    moves.push(Displacement {
+                        index: i as u32,
+                        delta: [s * 0.1 * side, 0.03 * side, -s * 0.05 * side],
+                    });
+                }
+            }
+            let report = fmm.step(&moves, &[]);
+            assert!(report.refit.rebinned > 0);
+            assert_bitwise_rebuild(&fmm, cfg, &format!("step {step}"));
+        }
+    }
+
+    #[test]
+    fn coincident_points_step_equal_rebuild_bitwise() {
+        // Dyadic coordinates and deltas: every sum is exact, so a twin
+        // moved away and back coincides with its partner again.
+        let grid = |x: f64| (x * 1024.0).round() / 1024.0;
+        let mut sources: Vec<Point3> = uniform_cube(600, 3)
+            .iter()
+            .map(|p| Point3::new(grid(p.x), grid(p.y), grid(p.z)))
+            .collect();
+        for t in 0..40 {
+            sources[300 + t] = sources[t];
+        }
+        let cfg = ResidentConfig {
+            build: BuildParams {
+                threshold: 8,
+                ..BuildParams::default()
+            },
+            ..ResidentConfig::default()
+        };
+        let q: Vec<f64> = (0..sources.len()).map(|i| 1.0 + (i % 7) as f64).collect();
+        let domain = Domain::containing(&[&sources], cfg.pad);
+        let mut fmm = ResidentFmm::build_in_domain(Laplace, &sources, &q, cfg, domain);
+        for twin in [0, 300] {
+            let away: Vec<Displacement> = (twin..twin + 40)
+                .map(|i| Displacement {
+                    index: i as u32,
+                    delta: [0.25, -0.125, 0.5],
+                })
+                .collect();
+            let back: Vec<Displacement> = away
+                .iter()
+                .map(|m| Displacement {
+                    index: m.index,
+                    delta: [-0.25, 0.125, -0.5],
+                })
+                .collect();
+            fmm.step(&away, &[]);
+            assert_bitwise_rebuild(&fmm, cfg, &format!("twins {twin}.. away"));
+            fmm.step(&back, &[]);
+            assert_bitwise_rebuild(&fmm, cfg, &format!("twins {twin}.. back"));
+            assert_eq!(fmm.current_sources(), sources, "the twins are back");
         }
     }
 

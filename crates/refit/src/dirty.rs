@@ -15,7 +15,7 @@ use crate::tree::RefitTree;
 
 /// Reason bits for a dirty box.
 pub mod reason {
-    /// A point moved but stayed inside this leaf.
+    /// A point of this leaf moved and stayed inside it.
     pub const GEOMETRY: u8 = 1;
     /// Points entered or left this leaf (or it was split/merged).
     pub const MEMBERSHIP: u8 = 2;

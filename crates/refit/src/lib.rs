@@ -92,19 +92,20 @@ mod tests {
         (moves, charges)
     }
 
-    /// Map key → (count, is_leaf, sorted point ids for leaves).
+    /// Map key → (count, is_leaf, point ids of a leaf in block order).
+    /// The order is part of the shape: a leaf's expansion sums its points
+    /// in that order.
     fn shape_of_rebuild(
         domain: Domain,
-        mirror: &Mirror,
+        pts: &[Point3],
+        params: BuildParams,
     ) -> BTreeMap<MortonKey, (usize, bool, Vec<u32>)> {
-        let tree = Octree::build(domain, &mirror.pts, params());
+        let tree = Octree::build(domain, pts, params);
         let mut m = BTreeMap::new();
         for id in 0..tree.num_nodes() as u32 {
             let n = tree.node(id);
             let ids = if n.is_leaf() {
-                let mut v: Vec<u32> = tree.permutation()[n.first..n.first + n.count].to_vec();
-                v.sort_unstable();
-                v
+                tree.permutation()[n.first..n.first + n.count].to_vec()
             } else {
                 Vec::new()
             };
@@ -118,15 +119,27 @@ mod tests {
         for id in rt.alive_ids() {
             let n = rt.node(id);
             let ids = if n.is_leaf() {
-                let mut v = rt.leaf_ids(id).to_vec();
-                v.sort_unstable();
-                v
+                rt.leaf_ids(id).to_vec()
             } else {
                 Vec::new()
             };
             assert!(m.insert(n.key, (n.count, n.is_leaf(), ids)).is_none());
         }
         m
+    }
+
+    /// The refit's tree equals the rebuild's, leaf order included, and
+    /// every point's position and charge read back through its index.
+    fn assert_matches_rebuild(rt: &RefitTree, domain: Domain, mirror: &Mirror, what: &str) {
+        assert_eq!(
+            shape_of_refit(rt),
+            shape_of_rebuild(domain, &mirror.pts, *rt.params()),
+            "refit diverged from rebuild {what}"
+        );
+        for i in 0..mirror.pts.len() {
+            assert_eq!(rt.position_of(i as u32), mirror.pts[i], "point {i} {what}");
+            assert_eq!(rt.charge_of(i as u32), mirror.q[i], "charge {i} {what}");
+        }
     }
 
     #[test]
@@ -147,18 +160,100 @@ mod tests {
             let (moves, charges) = random_step(&mut rng, &mut mirror, 5, vel);
             let stats = rt.apply_step(&moves, &charges, &mut dirty);
             saw_structure |= stats.structural();
-            assert_eq!(
-                shape_of_refit(&rt),
-                shape_of_rebuild(domain, &mirror),
-                "refit diverged from rebuild at step {step}"
-            );
-            // Point index stays consistent.
-            for i in (0..mirror.pts.len()).step_by(131) {
-                assert_eq!(rt.position_of(i as u32), mirror.pts[i]);
-                assert_eq!(rt.charge_of(i as u32), mirror.q[i]);
-            }
+            assert_matches_rebuild(&rt, domain, &mirror, &format!("at step {step}"));
         }
         assert!(saw_structure, "test never exercised splits/merges");
+    }
+
+    #[test]
+    fn displacements_apply_in_list_order_when_a_point_repeats() {
+        let (domain, mut rt, mut mirror) = setup(2000, 23);
+        let mut rng = StdRng::seed_from_u64(29);
+        let side = domain.side();
+        let mut dirty = DirtySet::new();
+        for step in 0..4 {
+            let (mut moves, charges) = random_step(&mut rng, &mut mirror, 9, 0.01 * side);
+            // Repeat some movers: a kick that is undone later in the list,
+            // then far kicks (across leaves) each followed by a small one,
+            // with point 7 listed four times.
+            let mut extra = vec![Displacement {
+                index: 11,
+                delta: [0.0, 0.0, 0.2 * side],
+            }];
+            for (k, &i) in [7u32, 1828, 400, 1999, 7].iter().enumerate() {
+                let far = 0.15 * side * if k % 2 == 0 { 1.0 } else { -1.0 };
+                for delta in [[far, 0.0, 0.5 * far], [0.0, 0.002 * side, 0.0]] {
+                    extra.push(Displacement { index: i, delta });
+                }
+            }
+            extra.push(Displacement {
+                index: 11,
+                delta: [0.0, 0.0, -0.2 * side],
+            });
+            for m in &extra {
+                let p = &mut mirror.pts[m.index as usize];
+                *p = Point3::new(p.x + m.delta[0], p.y + m.delta[1], p.z + m.delta[2]);
+            }
+            moves.extend(extra);
+            let stats = rt.apply_step(&moves, &charges, &mut dirty);
+            assert_eq!(stats.moved, moves.len());
+            assert!(stats.rebinned > 0, "step {step} moved nobody across a leaf");
+            assert_matches_rebuild(&rt, domain, &mirror, &format!("at step {step}"));
+        }
+    }
+
+    #[test]
+    fn coincident_points_keep_the_rebuild_order() {
+        // Dyadic coordinates make every sum below exact, so a twin that
+        // moves away and back lands on its partner bit for bit.
+        let grid = |x: f64| (x * 1024.0).round() / 1024.0;
+        let mut pts: Vec<Point3> = uniform_cube(400, 5)
+            .iter()
+            .map(|p| Point3::new(grid(p.x), grid(p.y), grid(p.z)))
+            .collect();
+        for t in 0..20 {
+            pts[200 + t] = pts[t];
+        }
+        let params = BuildParams {
+            threshold: 8,
+            ..params()
+        };
+        let q: Vec<f64> = (0..pts.len()).map(|i| 1.0 + i as f64).collect();
+        let domain = Domain::containing(&[&pts], 0.05);
+        let mut rt = RefitTree::from_octree(&Octree::build(domain, &pts, params), &q);
+        let mut mirror = Mirror { pts, q };
+        let mut dirty = DirtySet::new();
+        assert_matches_rebuild(&rt, domain, &mirror, "after the build");
+        for twin in [0, 200] {
+            let away: Vec<Displacement> = (twin..twin + 20)
+                .map(|i| Displacement {
+                    index: i as u32,
+                    delta: [0.25, -0.125, 0.0],
+                })
+                .collect();
+            let back: Vec<Displacement> = away
+                .iter()
+                .map(|m| Displacement {
+                    index: m.index,
+                    delta: [-0.25, 0.125, 0.0],
+                })
+                .collect();
+            for (moves, what) in [(&away, "away"), (&back, "back")] {
+                for m in moves {
+                    let p = &mut mirror.pts[m.index as usize];
+                    *p = Point3::new(p.x + m.delta[0], p.y + m.delta[1], p.z + m.delta[2]);
+                }
+                rt.apply_step(moves, &[], &mut dirty);
+                assert_matches_rebuild(&rt, domain, &mirror, &format!("twins {twin}.. {what}"));
+            }
+            for t in 0..20 {
+                assert_eq!(
+                    mirror.pts[t],
+                    mirror.pts[200 + t],
+                    "twins must coincide again"
+                );
+            }
+        }
     }
 
     #[test]

@@ -3,13 +3,19 @@
 //! [`Octree`](dashmm_tree::Octree) stores points as one Morton-sorted
 //! array with contiguous `first..first+count` ranges per box — ideal for
 //! a one-shot build, hostile to incremental updates.  [`RefitTree`]
-//! trades that for per-leaf **blocks** (`ids`/`pts`/`q` triples) plus a
+//! trades that for per-leaf **blocks** (`ids`/`pts`/`q`/`codes`) plus a
 //! point→(leaf, slot) index, so a time step touches exactly the leaves
-//! whose membership changed:
+//! whose contents changed.  Displacements apply in list order:
 //!
-//! * a displaced point that stays inside its leaf is updated in place,
-//! * a leaf-crossing point is removed (`swap_remove`) and re-binned by a
-//!   root descent over the level grids,
+//! * a **gather** keys every move by the leaf its point sits in and sorts
+//!   the keys, so moves of one leaf are adjacent and keep list order;
+//! * a **leaf pass** opens each touched block once, writes its movers'
+//!   positions and codes in place, extracts (order kept) the points whose
+//!   *final* code left the leaf, and re-sorts the block once while it is
+//!   still in cache.  It prefetches a few movers ahead, so the cache
+//!   misses of the scattered blocks overlap;
+//! * the leavers are re-binned by a root descent along their codes' bit
+//!   paths into already settled destination blocks;
 //! * leaves whose occupancy crosses the refinement threshold are split
 //!   or merged with **exactly the builder's rules** (split while
 //!   `count > threshold && level < max_level`, collapse the topmost
@@ -17,12 +23,12 @@
 //!   subtrees), so the refitted topology is identical to what
 //!   `Octree::build` over the current positions would produce.
 //!
-//! That last invariant is what makes refit-vs-rebuild verification to
-//! 1e-12 possible: untouched leaves keep their points in the original
-//! Morton order (bitwise-equal expansions), and touched boxes differ
-//! from a rebuild only by in-leaf summation order.  Node and block slots
-//! are recycled through free lists and every buffer is reused across
-//! steps, so a converged stepping loop allocates nothing.
+//! Every block is kept sorted by `(deep code, original id)`, the builder's
+//! own total order, so each leaf holds its points in the order a rebuild
+//! would and every expansion computed over the blocks equals the
+//! rebuild's bit for bit, coincident points included.  Node and block
+//! slots are recycled through free lists and every buffer is reused
+//! across steps, so a converged stepping loop allocates nothing.
 
 use dashmm_tree::morton::{deep_code, MAX_LEVEL};
 use dashmm_tree::{BuildParams, Domain, MortonKey, Octree, Point3};
@@ -74,12 +80,39 @@ impl RefitStats {
     }
 }
 
+/// A point in transit: original id, position, charge, deep code.
+type Entry = (u32, Point3, f64, u64);
+
+/// Movers the leaf pass looks ahead, per stage: a mover's node line and
+/// `point_slot` entry are requested this many movers before its turn,
+/// then its block header, then its `pts`/`codes` slots.  Each stage reads
+/// only lines the previous one requested, so the misses of a dozen movers
+/// overlap instead of being taken one after another.
+const AHEAD_NODE: usize = 16;
+const AHEAD_BLOCK: usize = 8;
+const AHEAD_SLOT: usize = 4;
+
+/// Ask for the cache line holding `p`.  A hint: it never faults and
+/// changes no result.
+#[inline(always)]
+fn prefetch<T>(p: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch performs no access; any address is allowed.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(p.cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
+
 /// Per-leaf point storage: parallel `ids`/`pts`/`q`/`codes` arrays, kept
-/// sorted by deep Morton code.  The sort order is the load-bearing
-/// invariant: it is exactly the order `Octree::build` visits a leaf's
-/// points, so expansions computed over blocks are *bitwise* equal to a
-/// from-scratch rebuild — not merely close — and step-vs-rebuild
-/// verification needs no rounding allowance from the tree's side.
+/// sorted by `(deep Morton code, original id)`.  The sort order is the
+/// load-bearing invariant: it is exactly the order `Octree::build` visits
+/// a leaf's points, coincident ones included, so expansions computed over
+/// blocks are *bitwise* equal to a from-scratch rebuild — not merely
+/// close — and step-vs-rebuild verification needs no rounding allowance
+/// from the tree's side.
 #[derive(Default)]
 struct LeafBlock {
     ids: Vec<u32>,
@@ -110,10 +143,23 @@ impl LeafBlock {
         self.codes.push(code);
     }
 
-    /// Insert at the sorted position; returns it.  Leaves hold at most
-    /// `threshold` points, so the shifts are trivially cheap.
+    /// The sort key of slot `s`: deep code, then original id.
+    #[inline]
+    fn key(&self, s: usize) -> (u64, u32) {
+        (self.codes[s], self.ids[s])
+    }
+
+    /// Insert at the `(code, id)` position; returns it.  A leaf holds at
+    /// most `threshold` points below `max_level` (any number at it, where
+    /// coincident points pile up), so the shifts are cheap.
     fn insert_sorted(&mut self, id: u32, p: Point3, q: f64, code: u64) -> usize {
-        let pos = self.codes.partition_point(|&c| c < code);
+        let lo = self.codes.partition_point(|&c| c < code);
+        let pos = lo
+            + self.ids[lo..]
+                .iter()
+                .zip(&self.codes[lo..])
+                .take_while(|&(&i, &c)| c == code && i < id)
+                .count();
         self.ids.insert(pos, id);
         self.pts.insert(pos, p);
         self.q.insert(pos, q);
@@ -121,14 +167,58 @@ impl LeafBlock {
         pos
     }
 
-    /// Shift-remove (keeps the order of the remaining points).
-    fn remove_at(&mut self, slot: usize) -> (u32, Point3, f64) {
-        self.codes.remove(slot);
-        (
-            self.ids.remove(slot),
-            self.pts.remove(slot),
-            self.q.remove(slot),
-        )
+    /// Settle the block after its movers were written in place.  With
+    /// `extract`, every entry whose code fails `inside` goes to `out` in
+    /// block order and the rest close up; then the block is re-sorted by
+    /// `(code, id)` with an insertion sort, which is linear in the block
+    /// plus the distance the movers travel.  Returns the range of slots
+    /// whose entry changed: `point_slot` is stale there.
+    fn settle(
+        &mut self,
+        inside: impl Fn(u64) -> bool,
+        extract: bool,
+        out: &mut Vec<Entry>,
+    ) -> std::ops::Range<usize> {
+        let (mut first, mut end) = (self.len(), 0);
+        if extract {
+            let mut w = 0;
+            for r in 0..self.len() {
+                if inside(self.codes[r]) {
+                    self.ids[w] = self.ids[r];
+                    self.pts[w] = self.pts[r];
+                    self.q[w] = self.q[r];
+                    self.codes[w] = self.codes[r];
+                    w += 1;
+                } else {
+                    out.push((self.ids[r], self.pts[r], self.q[r], self.codes[r]));
+                    first = first.min(r);
+                }
+            }
+            self.ids.truncate(w);
+            self.pts.truncate(w);
+            self.q.truncate(w);
+            self.codes.truncate(w);
+            if first < w {
+                end = w;
+            }
+        }
+        for j in 1..self.len() {
+            let key = self.key(j);
+            if self.key(j - 1) <= key {
+                continue;
+            }
+            let mut i = j - 1;
+            while i > 0 && self.key(i - 1) > key {
+                i -= 1;
+            }
+            self.ids[i..=j].rotate_right(1);
+            self.pts[i..=j].rotate_right(1);
+            self.q[i..=j].rotate_right(1);
+            self.codes[i..=j].rotate_right(1);
+            first = first.min(i);
+            end = end.max(j + 1);
+        }
+        first..end
     }
 
     fn capacity_bytes(&self) -> usize {
@@ -185,7 +275,9 @@ pub struct RefitTree {
     point_slot: Vec<u32>,
     num_alive: usize,
     depth: u8,
-    rebin_scratch: Vec<(u32, Point3, f64, u64)>,
+    /// The step's moves keyed `(leaf << 32) | list position`.
+    move_keys: Vec<u64>,
+    rebin_scratch: Vec<Entry>,
     touched_scratch: Vec<u32>,
     split_queue: Vec<u32>,
 }
@@ -244,6 +336,7 @@ impl RefitTree {
             point_slot,
             num_alive,
             depth: tree.depth(),
+            move_keys: Vec::new(),
             rebin_scratch: Vec::new(),
             touched_scratch: Vec::new(),
             split_queue: Vec::new(),
@@ -364,13 +457,15 @@ impl RefitTree {
             + block_bytes
             + 4 * (self.free_nodes.capacity() + self.free_blocks.capacity())
             + 4 * (self.point_leaf.capacity() + self.point_slot.capacity())
-            + std::mem::size_of::<(u32, Point3, f64, u64)>() * self.rebin_scratch.capacity()
+            + 8 * self.move_keys.capacity()
+            + std::mem::size_of::<Entry>() * self.rebin_scratch.capacity()
             + 4 * (self.touched_scratch.capacity() + self.split_queue.capacity())
     }
 
     /// Apply one step of sparse updates: charges first, then
-    /// displacements (a point that both moves and changes charge carries
-    /// its new charge to its new leaf), then the structural fix-ups that
+    /// displacements in list order (a point that both moves and changes
+    /// charge carries its new charge to its new leaf; a point listed twice
+    /// moves by both deltas, in turn), then the structural fix-ups that
     /// restore the builder's topology invariants.  Leaves with changed
     /// contents are marked in `dirty` (callers run
     /// [`DirtySet::propagate`] afterwards).
@@ -394,41 +489,32 @@ impl RefitTree {
             stats.charge_updates += 1;
         }
 
-        // Displacements: the new deep code decides everything — leaf
-        // membership (compare its bit-prefix against the leaf key) and
-        // the sorted position.  In-leaf movers are repositioned inside
-        // their block; leaf-crossers are removed now and re-binned below.
-        debug_assert!(self.rebin_scratch.is_empty());
-        for m in moves {
+        // Displacements apply in list order.  Gather: key every move by
+        // the leaf its point sits in now, so that the leaf pass visits each
+        // touched block once.  Within a leaf the keys keep list order, and
+        // a point listed twice keys the same leaf both times.
+        assert!(
+            moves.len() <= u32::MAX as usize,
+            "more displacements than a step can key"
+        );
+        let mut keys = std::mem::take(&mut self.move_keys);
+        keys.clear();
+        for (k, m) in moves.iter().enumerate() {
             let i = m.index as usize;
             assert!(i < self.point_leaf.len(), "displacement index out of range");
-            let leaf = self.point_leaf[i];
-            let slot = self.point_slot[i] as usize;
-            let key = self.nodes[leaf as usize].key;
-            let b = self.nodes[leaf as usize].block as usize;
-            let p = self.blocks[b].pts[slot];
-            let np = Point3::new(p.x + m.delta[0], p.y + m.delta[1], p.z + m.delta[2]);
-            stats.moved += 1;
-            let (dx, dy, dz) = self.domain.grid_coords(&np, MAX_LEVEL);
-            let code = deep_code(dx, dy, dz);
-            let s = MAX_LEVEL - key.level;
-            if (dx >> s, dy >> s, dz >> s) == (key.x, key.y, key.z) {
-                let (id, _, q) = self.blocks[b].remove_at(slot);
-                let pos = self.blocks[b].insert_sorted(id, np, q, code);
-                self.refresh_slots(b, pos.min(slot));
-                dirty.mark(leaf, reason::GEOMETRY);
-            } else {
-                let (id, _, q) = self.remove_point(leaf, slot);
-                debug_assert_eq!(id, m.index);
-                dirty.mark(leaf, reason::MEMBERSHIP);
-                self.rebin_scratch.push((id, np, q, code));
-                stats.rebinned += 1;
-            }
+            keys.push(u64::from(self.point_leaf[i]) << 32 | k as u64);
         }
+        keys.sort_unstable();
+        stats.moved = moves.len();
+        debug_assert!(self.rebin_scratch.is_empty());
+        self.leaf_pass(moves, &keys, dirty);
+        self.move_keys = keys;
 
-        // Re-bin by root descent along the new deep code's bit path (the
-        // very bits the builder's sort keys on, so binning is identical).
+        // Re-bin the leavers by root descent along their deep code's bit
+        // path (the very bits the builder's sort keys on, so binning is
+        // identical).
         let rebin = std::mem::take(&mut self.rebin_scratch);
+        stats.rebinned = rebin.len();
         for &(id, p, q, code) in &rebin {
             self.insert_point(id, p, q, code, dirty, &mut stats);
         }
@@ -517,6 +603,7 @@ impl RefitTree {
                 .unwrap_or(0);
         }
         debug_assert_eq!(self.nodes[0].count, self.num_points());
+        debug_assert!(self.touched_leaves_settled(dirty));
         stats
     }
 
@@ -576,7 +663,7 @@ impl RefitTree {
     }
 
     /// Re-point `point_slot` for every entry of block `b` from position
-    /// `from` on (shift-inserts/removes move the tail by one).
+    /// `from` on (a shift-insert moves the tail by one).
     fn refresh_slots(&mut self, b: usize, from: usize) {
         for s in from..self.blocks[b].len() {
             let id = self.blocks[b].ids[s];
@@ -584,18 +671,100 @@ impl RefitTree {
         }
     }
 
-    /// Remove the point at `slot` of `leaf` (order-preserving), fixing
-    /// shifted slots and decrementing subtree counts up to the root.
-    fn remove_point(&mut self, leaf: u32, slot: usize) -> (u32, Point3, f64) {
-        let b = self.nodes[leaf as usize].block as usize;
-        let out = self.blocks[b].remove_at(slot);
-        self.refresh_slots(b, slot);
-        let mut cur = leaf as i32;
-        while cur >= 0 {
-            self.nodes[cur as usize].count -= 1;
-            cur = self.nodes[cur as usize].parent;
+    /// Apply the moves in `keys` (the gather's order: ascending leaf
+    /// slot, list order within a leaf) in place, and settle each touched
+    /// block right after its last mover, while it is still in cache:
+    /// points whose *final* code left the leaf go to `rebin_scratch`, the
+    /// rest are re-sorted, and their slots refreshed.
+    fn leaf_pass(&mut self, moves: &[Displacement], keys: &[u64], dirty: &mut DirtySet) {
+        let RefitTree {
+            domain,
+            nodes,
+            blocks,
+            point_slot,
+            rebin_scratch,
+            ..
+        } = self;
+        let leaf_of = |key: u64| (key >> 32) as usize;
+        let move_of = |key: u64| &moves[key as u32 as usize];
+        let mut group = 0;
+        let mut left = false;
+        for (j, &key) in keys.iter().enumerate() {
+            if let Some(&ahead) = keys.get(j + AHEAD_NODE) {
+                prefetch(&nodes[leaf_of(ahead)]);
+                prefetch(&point_slot[move_of(ahead).index as usize]);
+            }
+            if let Some(&ahead) = keys.get(j + AHEAD_BLOCK) {
+                prefetch(&blocks[nodes[leaf_of(ahead)].block as usize]);
+            }
+            if let Some(&ahead) = keys.get(j + AHEAD_SLOT) {
+                let blk = &blocks[nodes[leaf_of(ahead)].block as usize];
+                let slot = point_slot[move_of(ahead).index as usize] as usize;
+                prefetch(blk.pts.as_ptr().wrapping_add(slot));
+                prefetch(blk.codes.as_ptr().wrapping_add(slot));
+            }
+
+            let leaf = leaf_of(key);
+            let node = &nodes[leaf];
+            let (leaf_key, blk) = (node.key, &mut blocks[node.block as usize]);
+            let (shift, leaf_code) = (3 * u32::from(MAX_LEVEL - leaf_key.level), leaf_key.code());
+            let inside = |code: u64| code >> shift == leaf_code;
+            let m = move_of(key);
+            let slot = point_slot[m.index as usize] as usize;
+            let p = blk.pts[slot];
+            let np = Point3::new(p.x + m.delta[0], p.y + m.delta[1], p.z + m.delta[2]);
+            let (dx, dy, dz) = domain.grid_coords(&np, MAX_LEVEL);
+            let code = deep_code(dx, dy, dz);
+            blk.pts[slot] = np;
+            blk.codes[slot] = code;
+            left |= !inside(code);
+            group += 1;
+            if keys.get(j + 1).is_some_and(|&next| leaf_of(next) == leaf) {
+                continue;
+            }
+
+            // The leaf's last mover: settle its block.
+            let before = rebin_scratch.len();
+            for s in blk.settle(inside, left, rebin_scratch) {
+                point_slot[blk.ids[s] as usize] = s as u32;
+            }
+            let leavers = rebin_scratch.len() - before;
+            if leavers > 0 {
+                let mut cur = leaf as i32;
+                while cur >= 0 {
+                    nodes[cur as usize].count -= leavers;
+                    cur = nodes[cur as usize].parent;
+                }
+                dirty.mark(leaf as u32, reason::MEMBERSHIP);
+            }
+            if group > leavers {
+                dirty.mark(leaf as u32, reason::GEOMETRY);
+            }
+            (group, left) = (0, false);
         }
-        out
+    }
+
+    /// The post-condition of [`Self::apply_step`] on every leaf it
+    /// touched: the block is sorted by `(code, id)`, every code lies in
+    /// the leaf, the count matches, and each point's `(leaf, slot)` points
+    /// back at its entry.
+    fn touched_leaves_settled(&self, dirty: &DirtySet) -> bool {
+        dirty.touched().iter().all(|&id| {
+            let n = &self.nodes[id as usize];
+            if !n.alive || !n.is_leaf() {
+                return true;
+            }
+            let blk = &self.blocks[n.block as usize];
+            let shift = 3 * u32::from(MAX_LEVEL - n.key.level);
+            blk.len() == n.count
+                && (1..blk.len()).all(|s| blk.key(s - 1) < blk.key(s))
+                && (0..blk.len()).all(|s| {
+                    let p = blk.ids[s] as usize;
+                    blk.codes[s] >> shift == n.key.code()
+                        && self.point_leaf[p] == id
+                        && self.point_slot[p] as usize == s
+                })
+        })
     }
 
     /// Insert a point by descending the bit path of its deep `code`,

@@ -74,7 +74,10 @@ impl Octree {
         assert!(!points.is_empty(), "octree requires at least one point");
         assert!(params.max_level <= MAX_LEVEL);
 
-        // Deep-grid Morton codes, then a single sort.
+        // Deep-grid Morton codes, then a single sort.  It is stable over
+        // index order, so the order is `(code, index)`: coincident points
+        // come out in index order, the order the refit keeps its leaf
+        // blocks in.
         let mut order: Vec<u32> = (0..points.len() as u32).collect();
         let codes: Vec<u64> = points
             .iter()
@@ -83,7 +86,7 @@ impl Octree {
                 deep_code(x, y, z)
             })
             .collect();
-        order.sort_unstable_by_key(|&i| codes[i as usize]);
+        order.sort_by_key(|&i| codes[i as usize]);
         let sorted_codes: Vec<u64> = order.iter().map(|&i| codes[i as usize]).collect();
         let sorted_points: Vec<Point3> = order.iter().map(|&i| points[i as usize]).collect();
 
