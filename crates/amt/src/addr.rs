@@ -3,7 +3,7 @@
 /// A global address: which locality owns the object and its slot there.
 ///
 /// Mirrors HPX-5's global address space at the granularity this workspace
-/// needs: LCOs and memory blocks are registered into per-locality slabs and
+/// needs: LCOs are registered into per-locality slabs and
 /// addressed uniformly from anywhere; the runtime routes operations on
 /// non-local addresses through parcels.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]

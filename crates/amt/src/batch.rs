@@ -80,12 +80,6 @@ impl<E> EdgeBatcher<E> {
         }
     }
 
-    /// Register `count` further expected deposits for `key` (counts
-    /// accumulate) — for recovery, which re-registers what is still due.
-    pub fn expect(&self, key: usize, count: usize) {
-        self.bucket(key).lock().remaining += count;
-    }
-
     fn bucket(&self, key: usize) -> &Mutex<Bucket<E>> {
         self.buckets
             .get(key)
@@ -131,10 +125,10 @@ impl<E> EdgeBatcher<E> {
     ///
     /// For recovery after a locality loss: deposits that will never
     /// arrive (their source died) would hold buckets open forever, so the
-    /// coordinator drains everything, re-registers fresh expectations
-    /// from a post-re-ownership sweep, and force-applies the returned
-    /// parked batches itself.  Must not race active deposits (called
-    /// between runs, at survivor quiescence).
+    /// coordinator drains everything, [`EdgeBatcher::refill`]s it with what
+    /// the rest of the run brings, and deposits the returned entries again.
+    /// Must not race active deposits (called between runs, at survivor
+    /// quiescence).
     pub fn drain_parked(&self) -> Vec<(usize, Vec<E>)> {
         let mut parked = Vec::new();
         for (key, bucket) in self.buckets.iter().enumerate() {
@@ -178,15 +172,6 @@ mod tests {
         // Final expected deposit flushes a batch of one.
         assert_eq!(b.deposit(0, 14), Some(vec![14]));
         assert_eq!(b.parked(), 0);
-    }
-
-    #[test]
-    fn expectations_accumulate() {
-        let b = EdgeBatcher::new(1, 10);
-        b.expect(0, 1);
-        b.expect(0, 1);
-        assert!(b.deposit(0, 1).is_none());
-        assert_eq!(b.deposit(0, 2), Some(vec![1, 2]));
     }
 
     #[test]
@@ -242,7 +227,7 @@ mod tests {
         assert_eq!(b.parked(), 0);
         assert_eq!(b.remaining(), 0, "expectations cleared wholesale");
         // The batcher is reusable with fresh expectations.
-        b.expect(0, 1);
+        b.refill(&[1, 0, 0]);
         assert_eq!(b.deposit(0, 7), Some(vec![7]));
     }
 

@@ -3,8 +3,8 @@
 //! An LCO co-locates data and control (paper §III): it has input slots, a
 //! reduction that folds each arriving input into the stored data, a
 //! predicate that declares the LCO *triggered* (here: all expected inputs
-//! arrived), and continuations — parcels or local closures — that run as
-//! new lightweight threads once triggered.  DASHMM's implicit DAG is a
+//! arrived), and a continuation — a local closure — that runs as a new
+//! lightweight thread once triggered.  DASHMM's implicit DAG is a
 //! network of user-defined LCOs whose stored data is an expansion and whose
 //! single continuation processes the node's out-edge list (paper §IV,
 //! Figure 2).
@@ -14,10 +14,8 @@
 
 use std::sync::Arc;
 
-use dashmm_obs::CLASS_NONE;
 use parking_lot::Mutex;
 
-use crate::parcel::Parcel;
 use crate::runtime::TaskCtx;
 
 /// How an arriving input is folded into the stored data.
@@ -51,9 +49,6 @@ pub struct LcoSpec {
     pub op: LcoOp,
     /// Optional local continuation closure (DASHMM's out-edge processor).
     pub on_trigger: Option<TriggerFn>,
-    /// Trace class recorded for input reductions into this LCO
-    /// ([`CLASS_NONE`] disables tracing for this LCO).
-    pub trace_class: u8,
 }
 
 impl LcoSpec {
@@ -64,7 +59,6 @@ impl LcoSpec {
             inputs: 1,
             op: LcoOp::Overwrite,
             on_trigger: None,
-            trace_class: CLASS_NONE,
         }
     }
 
@@ -75,7 +69,6 @@ impl LcoSpec {
             inputs: n,
             op: LcoOp::Gate,
             on_trigger: None,
-            trace_class: CLASS_NONE,
         }
     }
 
@@ -86,19 +79,12 @@ impl LcoSpec {
             inputs: n,
             op: LcoOp::Add,
             on_trigger: None,
-            trace_class: CLASS_NONE,
         }
     }
 
     /// Attach a trigger closure.
     pub fn with_trigger(mut self, f: TriggerFn) -> Self {
         self.on_trigger = Some(f);
-        self
-    }
-
-    /// Record reductions into this LCO under a trace class.
-    pub fn with_trace_class(mut self, class: u8) -> Self {
-        self.trace_class = class;
         self
     }
 }
@@ -109,7 +95,6 @@ pub(crate) struct LcoCell {
     inputs: u32,
     /// Outside the lock: the continuation runs it without taking one.
     pub(crate) on_trigger: Option<TriggerFn>,
-    pub(crate) trace_class: u8,
 }
 
 pub(crate) struct LcoState {
@@ -122,9 +107,6 @@ pub(crate) struct LcoState {
     /// zeroes it before folding in.
     stale: bool,
     op: LcoOp,
-    /// Continuation parcels registered before the trigger; drained when it
-    /// fires.  `include_data == true` appends the LCO data to the payload.
-    pub(crate) waiting: Vec<(Parcel, bool)>,
 }
 
 impl LcoCell {
@@ -140,18 +122,16 @@ impl LcoCell {
                 triggered: spec.inputs == 0,
                 stale: false,
                 op: spec.op,
-                waiting: Vec::new(),
             }),
             inputs: spec.inputs,
             on_trigger: spec.on_trigger,
-            trace_class: spec.trace_class,
         }
     }
 
-    /// Arm again for another run: the allocation-time input count, no
-    /// registered continuations, and a payload zeroed lazily by its first
-    /// input if any input reached it since it was last zero (an LCO with
-    /// no inputs is zeroed here and stays triggered).
+    /// Arm again for another run: the allocation-time input count, and a
+    /// payload zeroed lazily by its first input if any input reached it
+    /// since it was last zero (an LCO with no inputs is zeroed here and
+    /// stays triggered).
     pub(crate) fn rearm(&self) {
         let mut st = self.state.lock();
         let st = &mut *st;
@@ -163,7 +143,6 @@ impl LcoCell {
         }
         st.remaining = self.inputs;
         st.triggered = self.inputs == 0;
-        st.waiting.clear();
     }
 }
 
@@ -270,7 +249,6 @@ mod tests {
             inputs: 2,
             op: LcoOp::Custom(Box::new(|d, i| d[0] = d[0].max(i[0]))),
             on_trigger: None,
-            trace_class: CLASS_NONE,
         };
         let cell = LcoCell::new(spec);
         let mut st = cell.state.lock();
@@ -288,7 +266,6 @@ mod tests {
             inputs: 2,
             op: LcoOp::Custom(Box::new(|d, i| d[i[0] as usize] += i[1])),
             on_trigger: None,
-            trace_class: CLASS_NONE,
         };
         let cell = LcoCell::new(spec);
         for round in 0..3 {

@@ -5,23 +5,23 @@
 //! messages), executing within a **global address space**, synchronising
 //! through **LCOs** (local control objects) — event-driven, globally
 //! addressable objects that co-locate data and control: they reduce inputs,
-//! evaluate a trigger predicate, and run registered continuations as new
-//! lightweight threads.  *Sending a parcel is the only way of spawning a
+//! evaluate a trigger predicate, and run a continuation as a new
+//! lightweight thread.  *Sending a parcel is the only way of spawning a
 //! thread*; in shared memory it simply happens that every target address is
 //! local.
 //!
 //! This crate reproduces that model:
 //!
-//! * [`GlobalAddress`] — `(locality, index)` pairs addressing LCOs and
-//!   memory blocks across [`Runtime`] localities (threads standing in for
-//!   the paper's MPI-rank-like localities),
+//! * [`GlobalAddress`] — `(locality, index)` pairs addressing LCOs across
+//!   [`Runtime`] localities (threads standing in for the paper's
+//!   MPI-rank-like localities),
 //! * [`Parcel`]s carrying a registered action, a target address and a byte
 //!   payload; remote work may *only* travel as parcels (closures are
 //!   restricted to the local locality, keeping the code honest about what
 //!   could execute distributed),
 //! * [`LcoSpec`] / LCO cells — input slots, a reduction, a trigger
-//!   predicate (all inputs arrived) and dynamically registered
-//!   continuations, exactly the machinery DASHMM builds its implicit DAG
+//!   predicate (all inputs arrived) and a trigger closure as the
+//!   continuation, exactly the machinery DASHMM builds its implicit DAG
 //!   from (paper §IV, Figure 2),
 //! * a per-locality scheduler with one shared injector, per-worker deques
 //!   and randomized work stealing — the priority-oblivious scheduler the

@@ -1,6 +1,5 @@
 //! Stress and behavioural tests of the AMT runtime beyond the unit level:
-//! stealing, wide fan-in/fan-out, cross-locality continuation
-//! chains.
+//! stealing, wide fan-in/fan-out, delayed cascades, parcel payloads.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -92,46 +91,11 @@ fn fan_out_tree_across_localities() {
         *r2.lock().unwrap() = Some(action);
         action
     };
-    r.seed_parcel(Parcel::new(
-        spawn_action,
-        GlobalAddress::new(0, 0),
-        vec![10],
-    ));
+    let root = Parcel::new(spawn_action, GlobalAddress::new(0, 0), vec![10]);
+    r.seed(0, move |ctx| ctx.send(root));
     let rep = r.run();
     assert_eq!(r.lco_get(sum), Some(vec![leaves as f64]));
     assert!(rep.tasks as usize >= 2 * leaves - 1);
-}
-
-#[test]
-fn continuation_chain_across_localities() {
-    // future(loc 0) → future(loc 1) → future(loc 2) → ... wrap-around,
-    // driven purely by continuations carrying data.
-    let localities = 4;
-    let r = rt(localities, 1);
-    let hops = 16;
-    let mut futs = Vec::new();
-    for i in 0..=hops {
-        futs.push(r.lco_new((i % localities) as u32, LcoSpec::future(1)));
-    }
-    for i in 0..hops {
-        let src = futs[i];
-        let dst = futs[i + 1];
-        r.seed(src.locality, move |ctx| {
-            ctx.register_continuation(
-                src,
-                Parcel::new(dashmm_amt::runtime::ACTION_LCO_SET, dst, vec![]),
-                true,
-            );
-        });
-    }
-    let first = futs[0];
-    r.seed(first.locality, move |ctx| ctx.lco_set(first, &[42.0]));
-    let rep = r.run();
-    assert_eq!(r.lco_get(futs[hops]), Some(vec![42.0]));
-    assert!(
-        rep.messages >= hops as u64 - 2,
-        "most hops cross localities"
-    );
 }
 
 #[test]

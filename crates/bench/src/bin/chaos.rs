@@ -20,9 +20,11 @@
 //!   spec has none): the survivors fence the dead rank, re-own its DAG
 //!   slice, replay the orphaned work, and must produce the *complete*
 //!   answer (rel err ≤ 1e-12 vs the fault-free reference) and exit 0.
-//!   Rank 0 writes `results/BENCH_recovery.json` with the measured
-//!   recovery latency, replayed-edge counts, the recompute cost next to
-//!   the fault-free wall-clock, and the simulator's recovery estimate.
+//!   Each survivor then evaluates once more on the same network, which
+//!   must recover nothing and give the same answer.  Rank 0 writes
+//!   `results/BENCH_recovery.json` with the measured recovery latency,
+//!   replayed-edge counts, the recompute cost next to the fault-free
+//!   wall-clock, and the simulator's recovery estimate.
 //! - **Parity** (sim/runtime): the simulator replays the same seeded plan
 //!   over the same DAG and its retransmit rate must land within a
 //!   tolerance band of the measured one.
@@ -261,17 +263,49 @@ fn rank_eval<K: Kernel>(
         }
     }
 
+    // Under `--recover` every survivor evaluates once more on the same
+    // network.  A recovered loss stays recovered: its nodes keep their new
+    // owners, so this evaluation must recover nothing.
+    let mut code = 0;
+    let again = opts.recover.then(|| eval.evaluate());
+    if let Some(again) = &again {
+        if let (Some(failure), None) = (again.report.lost_peer, &again.recovery) {
+            return degraded(rank, failure, opts, &plan, &eval, &m, wall_ms);
+        }
+        let recovered_again = out.recovery.is_some() && again.recovery.is_some();
+        if recovered_again {
+            code = 1;
+        }
+        println!(
+            "[{}] rank {rank}: the second evaluation on the same network {}",
+            if recovered_again { "MISMATCH" } else { "ok" },
+            if again.recovery.is_some() {
+                "recovered a loss"
+            } else {
+                "recovered nothing"
+            }
+        );
+    }
+
     // The answer under faults must match the fault-free single-process
     // reference bit-for-bit (to merge rounding): gather and verify.  In a
     // recovered run the dead rank's gather slot is empty — drop it before
     // merging.
-    let parts = match transport.gather(&f64s_to_bytes(&out.potentials)) {
-        Ok(p) => p,
-        Err(_) => {
-            return transport.failed_peer_info().map_or(1, |dead| {
+    let gather = |potentials: &[f64]| {
+        transport.gather(&f64s_to_bytes(potentials)).map_err(|_| {
+            transport.failed_peer_info().map_or(1, |dead| {
                 degraded(rank, dead, opts, &plan, &eval, &m, wall_ms)
             })
-        }
+        })
+    };
+    let parts = match gather(&out.potentials) {
+        Ok(p) => p,
+        Err(code) => return code,
+    };
+    let again_parts = match again.as_ref().map(|again| gather(&again.potentials)) {
+        Some(Ok(p)) => p,
+        Some(Err(code)) => return code,
+        None => None,
     };
     let my_rel = f64s_to_bytes(&[
         m.retransmit_frames as f64,
@@ -288,11 +322,12 @@ fn rank_eval<K: Kernel>(
         }
     };
 
-    let Some(parts) = parts else { return 0 };
+    let Some(parts) = parts else { return code };
     // Rank 0: verify, print the reliability story, check sim parity.
-    let mut code = 0;
-    let parts: Vec<_> = parts.into_iter().filter(|p| !p.is_empty()).collect();
-    let merged = merge_sum_f64(&parts);
+    let merged = |parts: Vec<Vec<u8>>| {
+        let parts: Vec<_> = parts.into_iter().filter(|p| !p.is_empty()).collect();
+        merge_sum_f64(&parts)
+    };
     let t_ref = Instant::now();
     let reference = DashmmBuilder::new(kernel)
         .method(Method::AdvancedFmm)
@@ -301,7 +336,7 @@ fn rank_eval<K: Kernel>(
         .build(&sources, &charges, &targets)
         .evaluate();
     let reference_ms = t_ref.elapsed().as_secs_f64() * 1e3;
-    let e = rel_err(&merged, &reference.potentials);
+    let e = rel_err(&merged(parts), &reference.potentials);
     let exact = e < 1e-12;
     if !exact {
         code = 1;
@@ -311,6 +346,18 @@ fn rank_eval<K: Kernel>(
          rel err {e:.2e} [{}]",
         if exact { "ok" } else { "MISMATCH" }
     );
+    if let Some(parts) = again_parts {
+        let e = rel_err(&merged(parts), &reference.potentials);
+        let exact = e < 1e-12;
+        if !exact {
+            code = 1;
+        }
+        println!(
+            "[rank 0] second evaluation's merged potentials vs the same reference: \
+             rel err {e:.2e} [{}]",
+            if exact { "ok" } else { "MISMATCH" }
+        );
+    }
     let rel_parts: Vec<_> = rel_parts
         .expect("rank 0 gets reliability parts")
         .into_iter()

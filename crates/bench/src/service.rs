@@ -124,11 +124,20 @@ impl dashmm_net::EvalEngine for SteppingResident {
 }
 
 impl SteppingResident {
+    /// Apply one step, or refuse it whole (`None`, nothing applied) if an
+    /// index is out of range or a delta or charge is not finite.
     fn apply_step(
         &self,
         moves: &[(u32, [f64; 3])],
         charges: &[(u32, f64)],
     ) -> Option<dashmm_core::StepReport> {
+        let values = moves.iter().flat_map(|(_, d)| d);
+        if values
+            .chain(charges.iter().map(|(_, q)| q))
+            .any(|x| !x.is_finite())
+        {
+            return None;
+        }
         let mut fmm = self.0.write().expect("engine lock");
         let n = fmm.num_sources() as u32;
         if moves
@@ -300,6 +309,56 @@ mod service_tests {
         fresh.evaluate(&targets, &mut want);
         assert_eq!(after.potentials, want);
         drop(fmm);
+        client.close().unwrap();
+        server.shutdown();
+    }
+
+    /// A step carrying a non-finite delta or charge is refused whole: the
+    /// server answers `BadRequest`, no source moves, and later answers are
+    /// bitwise those before it.
+    #[test]
+    fn stepping_server_refuses_a_non_finite_step() {
+        use dashmm_net::{EvalClient, EvalServer, RespStatus, ServiceConfig};
+        let w = ServiceWorkload {
+            points: 2000,
+            ..ServiceWorkload::default()
+        };
+        let engine = std::sync::Arc::new(SteppingResident::new(w.build_engine()));
+        let start = engine.0.read().unwrap().current_sources();
+        let mut server =
+            EvalServer::bind_stepping("127.0.0.1:0", engine.clone(), ServiceConfig::default())
+                .unwrap();
+        let mut client = EvalClient::connect(&format!("127.0.0.1:{}", server.port())).unwrap();
+        let targets = w.request_targets(0, 0, 8);
+        let before = client.eval(0, &targets).unwrap();
+        assert_eq!(before.status, RespStatus::Ok);
+        // A finite move rides along, so a partial application would show.
+        let nudge = (3, [0.01, 0.0, 0.0]);
+        let no_charges: &[(u32, f64)] = &[];
+        for (what, moves, charges) in [
+            (
+                "a NaN delta",
+                vec![nudge, (5, [f64::NAN, 0.0, 0.0])],
+                no_charges,
+            ),
+            (
+                "an infinite delta",
+                vec![(5, [f64::INFINITY, 0.0, 0.0])],
+                no_charges,
+            ),
+            ("a NaN charge", vec![nudge], &[(5, f64::NAN)][..]),
+        ] {
+            let resp = client.step(0, &moves, charges).unwrap();
+            assert_eq!(resp.status, RespStatus::BadRequest, "{what}");
+            assert!(
+                engine.0.read().unwrap().current_sources() == start,
+                "{what}: moved"
+            );
+            let after = client.eval(0, &targets).unwrap();
+            assert_eq!(after.status, RespStatus::Ok, "{what}");
+            let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&after.potentials), bits(&before.potentials), "{what}");
+        }
         client.close().unwrap();
         server.shutdown();
     }

@@ -9,6 +9,10 @@
 //! Two sever points: early, as soon as the victim is sending, and late,
 //! once it has shipped most of its bundles — by then the survivors' `It`
 //! gates have fired, so the replay re-gathers them.
+//!
+//! Each survivor evaluates three times on the same `Evaluation`: the
+//! first recovers, and the later ones re-arm the network on the ownership
+//! recovery left, with nothing to recover and the same answer.
 
 use std::collections::BTreeSet;
 use std::net::{TcpListener, TcpStream};
@@ -27,6 +31,8 @@ const DEAD: u32 = 2;
 const N: usize = 2_500;
 const THRESHOLD: usize = 20;
 const WORKERS: usize = 2;
+/// Evaluations per survivor on one `Evaluation`.
+const EVALS: usize = 3;
 
 fn socket_pair() -> (TcpStream, TcpStream) {
     let l = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -68,22 +74,24 @@ fn mesh() -> Vec<Arc<SocketTransport>> {
         .collect()
 }
 
+/// `evals` evaluations on one `Evaluation` of this rank.
 fn rank_eval(
     transport: Arc<SocketTransport>,
+    evals: usize,
     sources: &[dashmm_tree::Point3],
     charges: &[f64],
     targets: &[dashmm_tree::Point3],
-) -> EvalOutput {
-    let out = DashmmBuilder::new(Laplace)
+) -> Vec<EvalOutput> {
+    let eval = DashmmBuilder::new(Laplace)
         .method(Method::AdvancedFmm)
         .threshold(THRESHOLD)
         .machine(RANKS as usize, WORKERS)
         .transport(Arc::clone(&transport) as Arc<dyn Transport>)
         .recover(true)
-        .build(sources, charges, targets)
-        .evaluate();
+        .build(sources, charges, targets);
+    let outs = (0..evals).map(|_| eval.evaluate()).collect();
     transport.shutdown();
-    out
+    outs
 }
 
 /// The cases share the host's cores: one mesh at a time keeps each sever
@@ -162,15 +170,18 @@ fn recovered_after_sever(sever_at: fn(&CommMetrics, u64) -> bool) {
 
     let ranks: Vec<_> = transports
         .into_iter()
-        .map(|t| {
+        .enumerate()
+        .map(|(rank, t)| {
             let (s, c, g) = (sources.clone(), charges.clone(), targets.clone());
-            std::thread::spawn(move || rank_eval(t, &s, &c, &g))
+            let evals = if rank as u32 == DEAD { 1 } else { EVALS };
+            std::thread::spawn(move || rank_eval(t, evals, &s, &c, &g))
         })
         .collect();
     // A panicking rank thread (e.g. an over-subscribed LCO — an
     // exactly-once violation) fails the join here.
-    let outs: Vec<EvalOutput> = ranks.into_iter().map(|h| h.join().unwrap()).collect();
+    let runs: Vec<Vec<EvalOutput>> = ranks.into_iter().map(|h| h.join().unwrap()).collect();
     killer.join().unwrap();
+    let outs: Vec<&EvalOutput> = runs.iter().map(|r| &r[0]).collect();
 
     // Both survivors convicted rank 2 and recovered instead of aborting.
     let mut reowned = Vec::new();
@@ -205,18 +216,42 @@ fn recovered_after_sever(sever_at: fn(&CommMetrics, u64) -> bool) {
         .machine(1, WORKERS)
         .build(&sources, &charges, &targets)
         .evaluate();
-    let merged: Vec<f64> = (0..N)
-        .map(|i| outs[0].potentials[i] + outs[1].potentials[i])
-        .collect();
-    let num: f64 = merged
-        .iter()
-        .zip(&reference.potentials)
-        .map(|(a, b)| (a - b) * (a - b))
-        .sum();
-    let den: f64 = reference.potentials.iter().map(|b| b * b).sum();
-    let rel = (num / den).sqrt();
+    let rel_err = |call: usize| {
+        let merged = (0..N).map(|i| runs[0][call].potentials[i] + runs[1][call].potentials[i]);
+        let num: f64 = merged
+            .zip(&reference.potentials)
+            .map(|(a, b)| (a - b) * (a - b))
+            .sum();
+        let den: f64 = reference.potentials.iter().map(|b| b * b).sum();
+        (num / den).sqrt()
+    };
+    let rel = rel_err(0);
     assert!(
         rel < 1e-12,
         "recovered potentials diverge from the fault-free reference: rel err {rel:.2e}"
     );
+
+    // The later evaluations re-arm the network on the survivors: nothing
+    // is lost or recovered again, and the answer stays the reference's.
+    for call in 1..EVALS {
+        for (rank, run) in runs.iter().enumerate().take(DEAD as usize) {
+            let out = &run[call];
+            assert!(
+                out.recovery.is_none(),
+                "rank {rank}, evaluation {}: recovered again",
+                call + 1
+            );
+            assert!(
+                out.report.lost_peer.is_none(),
+                "rank {rank}, evaluation {}: reports a lost peer",
+                call + 1
+            );
+        }
+        let rel = rel_err(call);
+        assert!(
+            rel < 1e-12,
+            "evaluation {} after the recovery diverges from the reference: rel err {rel:.2e}",
+            call + 1
+        );
+    }
 }

@@ -125,7 +125,8 @@ impl<K: Kernel> DashmmBuilder<K> {
     /// Survive a locality failure: when the transport convicts and fences
     /// a dead peer mid-run, re-own its DAG nodes across the survivors,
     /// replay the orphaned slice, and finish the evaluation with correct
-    /// results instead of returning partial output.  Requires a fencing
+    /// results instead of returning partial output; later evaluations of
+    /// the same [`Evaluation`] run on the survivors.  Requires a fencing
     /// transport (e.g. `dashmm-net` with `DASHMM_RECOVER=1`); losing
     /// rank 0 or a second rank during recovery is out of scope.
     pub fn recover(mut self, on: bool) -> Self {
@@ -240,9 +241,8 @@ pub struct Evaluation<K: Kernel> {
     runtime: Arc<Runtime>,
     gradients: bool,
     recover: bool,
-    /// The LCO network on `runtime`: built by the first `evaluate()`,
-    /// re-armed by every later one, dropped after a run that lost a peer
-    /// (recovery re-owned its LCOs).
+    /// The LCO network on `runtime`: built by the first `evaluate()` and
+    /// re-armed by every later one, on the ownership a recovery left.
     graph: Mutex<Option<Arc<ExecCtx<K>>>>,
     /// Milliseconds spent building the dual tree.
     pub tree_ms: f64,
@@ -282,7 +282,9 @@ pub struct EvalOutput {
     /// Present when a locality failed mid-run and the survivors recovered
     /// the evaluation ([`DashmmBuilder::recover`]): the potentials are
     /// complete despite `report.lost_peer` being set.  `None` with
-    /// `report.lost_peer` set means the output is partial.
+    /// `report.lost_peer` set means the output is partial.  A peer an
+    /// earlier evaluation recovered from is not reported again: later
+    /// evaluations run on the survivors alone and complete with both `None`.
     pub recovery: Option<RecoveryInfo>,
     /// Parcels this process dropped because their bytes did not describe a
     /// bundle of its DAG, or any valid runtime call
@@ -328,6 +330,9 @@ impl<K: Kernel> Evaluation<K> {
         exec.seed(&self.runtime);
         let t0 = Instant::now();
         let mut report = self.runtime.run();
+        // A peer an earlier evaluation recovered from owns nothing of the
+        // network any more: this run lost nothing.
+        report.lost_peer = report.lost_peer.filter(|f| exec.uses(f.rank));
         let mut recovery = None;
         if self.recover && report.fenced {
             if let Some(failure) = report.lost_peer {
@@ -362,9 +367,6 @@ impl<K: Kernel> Evaluation<K> {
         }
         let eval_ms = t0.elapsed().as_secs_f64() * 1e3;
         let (pot, grad) = exec.extract(&self.runtime);
-        if report.lost_peer.is_some() {
-            *graph = None;
-        }
         let malformed_parcels = exec.malformed_parcels() + report.dropped_parcels;
         EvalOutput {
             potentials: self.problem.unsort_potentials(&pot),
@@ -384,8 +386,8 @@ impl<K: Kernel> Evaluation<K> {
         }
     }
 
-    /// The LCO network in `graph` — built first, on a runtime cleared of
-    /// any earlier one, if there is none — armed with `charges`.
+    /// The LCO network in `graph` — built first if there is none — armed
+    /// with `charges`.
     fn armed(&self, graph: &mut Option<Arc<ExecCtx<K>>>, charges: Vec<f64>) -> Arc<ExecCtx<K>> {
         let exec = self.built(graph);
         exec.rearm(&self.runtime, charges);
@@ -395,7 +397,6 @@ impl<K: Kernel> Evaluation<K> {
     /// The LCO network in `graph`, built first if there is none.
     fn built<'g>(&self, graph: &'g mut Option<Arc<ExecCtx<K>>>) -> &'g Arc<ExecCtx<K>> {
         graph.get_or_insert_with(|| {
-            self.runtime.reset();
             ExecCtx::new(
                 Arc::clone(&self.problem),
                 Arc::clone(&self.lib),

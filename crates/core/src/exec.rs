@@ -33,7 +33,7 @@ use std::sync::{Arc, Weak};
 
 use dashmm_amt::{
     decode_f64s_into, encode_f64s, ActionId, EdgeBatcher, GlobalAddress, LcoOp, LcoSpec, Parcel,
-    ProgressLedger, Runtime, TaskCtx, CLASS_NONE, CLASS_RECOVERY, DEFAULT_BATCH_THRESHOLD,
+    ProgressLedger, Runtime, TaskCtx, CLASS_RECOVERY, DEFAULT_BATCH_THRESHOLD,
 };
 use dashmm_dag::{Dag, DagEdge, EdgeOp, NodeClass};
 use dashmm_expansion::{batch as opbatch, ops, BatchWorkspace, LevelTables, OperatorLibrary};
@@ -106,9 +106,15 @@ struct BatchPlan {
     ops: Vec<KeyOp>,
     /// Per flat DAG edge: its key, `None` for the per-edge operators.
     edge_key: Vec<Option<u32>>,
-    /// Per locality, per key: the deposits one run brings.  Zero at the
+}
+
+/// What a run still brings under the owner column ([`ExecCtx::due`]).
+struct Due {
+    /// Per locality, per batch key: the deposits due.  Zero at the
     /// localities another process hosts — their edges drain there.
-    expected: Vec<Vec<u32>>,
+    deposits: Vec<Vec<u32>>,
+    /// Per DAG node: the LCO inputs due.
+    inputs: Vec<u32>,
 }
 
 /// The `I→I` edges no batcher carries, listed by the build sweep with
@@ -249,10 +255,11 @@ pub struct ExecCtx<K: Kernel> {
     /// This evaluation's charges in source-tree Morton order, swapped in
     /// by [`ExecCtx::rearm`].
     charges: RwLock<Vec<f64>>,
-    /// LCO address per DAG node, packed (S nodes hold a placeholder).
-    /// Written at build and by recovery, between runs only: spawning a
-    /// run's workers orders those writes before every read, so the loads
-    /// are relaxed.
+    /// LCO address per DAG node, packed: the owner column.  Its locality
+    /// is where the node lives, an `S` node's index a placeholder.  Filled
+    /// from the DAG at build and rewritten only by recovery, between runs:
+    /// spawning a run's workers orders those writes before every read, so
+    /// the loads are relaxed.
     lcos: Vec<AtomicU64>,
     /// Action evaluating a coalesced remote-edge parcel.
     remote_action: ActionId,
@@ -271,14 +278,18 @@ pub struct ExecCtx<K: Kernel> {
     #[cfg(test)]
     fired_its: Mutex<Vec<(u32, Arc<[f64]>)>>,
     /// Per-locality edge batchers grouping out-edges by shared operator,
-    /// refilled from [`BatchPlan::expected`] at every re-arm so the last
-    /// deposit of every key always flushes.
+    /// refilled from `expected` at every re-arm so the last deposit of
+    /// every key always flushes.
     batchers: Vec<EdgeBatcher<BatchEntry>>,
+    /// Per locality, per batch key: the deposits a whole run brings under
+    /// the owner column ([`ExecCtx::due`]); recomputed by recovery.
+    expected: Mutex<Vec<Vec<u32>>>,
     /// One byte per flat DAG edge, set when the edge's contribution is
     /// committed at its apply locality (inline application, or deposit into
     /// a batcher).  Replay after a locality loss re-fires whole out-edge
     /// lists; this bitmap absorbs the re-sends so every LCO input is
-    /// counted exactly once.
+    /// counted exactly once.  Recovery clears the bits of the entries it
+    /// drains from the batchers, which it deposits again.
     applied: Vec<AtomicU8>,
     /// Replayed edge applications suppressed by the `applied` bitmap.
     dedup_skipped: AtomicU64,
@@ -289,8 +300,8 @@ pub struct ExecCtx<K: Kernel> {
     ledger: Arc<ProgressLedger>,
 }
 
-/// What one call to [`ExecCtx::prepare_recovery`] rebuilt, for the
-/// recovery section of run reports and `BENCH_recovery.json`.
+/// What one call to [`ExecCtx::prepare_recovery`] re-owned and replayed,
+/// for the recovery section of run reports and `BENCH_recovery.json`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RecoveryStats {
     /// DAG nodes re-owned away from the dead locality.
@@ -303,17 +314,18 @@ pub struct RecoveryStats {
     pub replayed_edges: u64,
     /// Untriggered local LCOs whose expected-input count was re-armed.
     pub rearmed_lcos: u64,
-    /// Parked batches force-flushed at the start of the recovery run.
+    /// Parked batches drained and deposited again in the recovery run.
     pub parked_batches: u64,
 }
 
 impl<K: Kernel> ExecCtx<K> {
     /// Build the graph on `rt`: number the batch keys and resolve their
     /// operators, register the coalesced-parcel action, hand the transport
-    /// a progress ledger, and allocate one LCO per DAG node at its assigned
-    /// locality.  Every SPMD process builds it in the same order, so the
-    /// addresses and the action id agree.  [`ExecCtx::rearm`] before each
-    /// run.
+    /// a progress ledger, fill the owner column from the DAG's assignment,
+    /// count what a run brings under it, and allocate one LCO per DAG node
+    /// at its owner.  Every SPMD process builds it in the same order, so
+    /// the addresses and the action id agree.  [`ExecCtx::rearm`] before
+    /// each run.
     pub fn new(
         problem: Arc<Problem>,
         lib: Arc<OperatorLibrary<K>>,
@@ -323,11 +335,7 @@ impl<K: Kernel> ExecCtx<K> {
     ) -> Arc<Self> {
         let dag = &asm.dag;
         let n_loc = rt.num_localities();
-        let (batch, shifts) = BatchPlan::build(&problem, &lib, &asm, rt);
-        let owner = |id: u32| dag.node(id).locality.min(n_loc - 1);
-        let stored = (0..dag.num_nodes() as u32)
-            .map(|id| AtomicU8::new(stored_mask(dag, id, owner)))
-            .collect();
+        let (batch, shifts) = BatchPlan::build(&problem, &lib, &asm);
         let levels = edge_tables(&lib, dag);
         let batchers = (0..n_loc)
             .map(|_| EdgeBatcher::new(batch.ops.len(), DEFAULT_BATCH_THRESHOLD))
@@ -349,6 +357,14 @@ impl<K: Kernel> ExecCtx<K> {
                 (0..hosted).map(|_| Mutex::new(None)).collect()
             })
             .collect();
+        // The owner column, every node a placeholder at its owner until its
+        // LCO is allocated.
+        let lcos = (0..n_nodes as u32)
+            .map(|id| {
+                let owner = dag.node(id).locality.min(n_loc - 1);
+                AtomicU64::new(GlobalAddress::new(owner, u32::MAX).pack())
+            })
+            .collect();
         let exec = Arc::new_cyclic(|this: &Weak<Self>| {
             let this = Weak::clone(this);
             let remote_action = rt.register_action(Arc::new(move |ctx, _target, payload| {
@@ -363,42 +379,42 @@ impl<K: Kernel> ExecCtx<K> {
                 asm,
                 gradients,
                 charges: RwLock::new(Vec::new()),
-                lcos: (0..n_nodes).map(|_| AtomicU64::new(0)).collect(),
+                lcos,
                 remote_action,
                 batch,
                 shifts,
-                stored,
+                stored: (0..n_nodes).map(|_| AtomicU8::new(0)).collect(),
                 published,
                 #[cfg(test)]
                 fired_its: Mutex::new(Vec::new()),
                 batchers,
+                expected: Mutex::new(Vec::new()),
                 applied: (0..n_edges).map(|_| AtomicU8::new(0)).collect(),
                 dedup_skipped: AtomicU64::new(0),
                 malformed_parcels: AtomicU64::new(0),
                 ledger,
             }
         });
-        let s2t_in = exec.s2t_in_counts();
-        for id in 0..n_nodes as u32 {
-            let node = exec.asm.dag.node(id);
-            let locality = node.locality.min(n_loc - 1);
-            // Source data lives in the trees; S "nodes" are seed tasks.
-            let addr = if node.class == NodeClass::S {
-                GlobalAddress::new(locality, u32::MAX)
-            } else {
-                rt.lco_new(locality, exec.node_spec(id, s2t_in[id as usize]))
-            };
+        let (dag, owner) = (&exec.asm.dag, |id: u32| exec.owner(id));
+        for (id, stored) in exec.stored.iter().enumerate() {
+            stored.store(stored_mask(dag, id as u32, owner), Ordering::Relaxed);
+        }
+        let whole = exec.due(rt, false);
+        for id in (0..n_nodes as u32).filter(|&id| dag.node(id).class != NodeClass::S) {
+            let addr = rt.lco_new(owner(id), exec.node_spec(id, whole.inputs[id as usize]));
             exec.lcos[id as usize].store(addr.pack(), Ordering::Relaxed);
         }
+        *exec.expected.lock() = whole.deposits;
         exec
     }
 
     /// Arm the graph for one evaluation with `charges` (source-tree Morton
-    /// order): every published source dropped, every LCO back to its
-    /// installed input count ([`Runtime::rearm`]), the `applied` bitmap
-    /// cleared, every batcher refilled from the build's counts, the ledger
-    /// and the per-evaluation counters zeroed.  Between runs only; must
-    /// precede [`ExecCtx::seed`].
+    /// order): every published source dropped, every batch a run cut short
+    /// by a lost peer left parked dropped, every LCO back to its installed
+    /// input count ([`Runtime::rearm`]), the `applied` bitmap cleared, every
+    /// batcher refilled with what a whole run brings, the ledger and the
+    /// per-evaluation counters zeroed.  Between runs only; must precede
+    /// [`ExecCtx::seed`].
     pub fn rearm(&self, rt: &Runtime, charges: Vec<f64>) {
         assert_eq!(
             charges.len(),
@@ -406,16 +422,20 @@ impl<K: Kernel> ExecCtx<K> {
             "one charge per source"
         );
         *self.charges.write() = charges;
-        // The published payloads share the `Is` LCOs' data, which the
-        // runtime re-arms only once nothing else holds it.
+        // The published payloads and the parked batch entries share the
+        // LCOs' data, which the runtime re-arms only once nothing else
+        // holds it.
         for slot in self.published.iter().flat_map(|p| p.iter()) {
             *slot.lock() = None;
+        }
+        for b in &self.batchers {
+            b.drain_parked();
         }
         rt.rearm();
         for a in &self.applied {
             a.store(0, Ordering::Relaxed);
         }
-        for (b, expected) in self.batchers.iter().zip(&self.batch.expected) {
+        for (b, expected) in self.batchers.iter().zip(self.expected.lock().iter()) {
             b.refill(expected);
         }
         self.ledger.clear();
@@ -439,31 +459,79 @@ impl<K: Kernel> ExecCtx<K> {
         GlobalAddress::unpack(self.lcos[id as usize].load(Ordering::Relaxed))
     }
 
-    /// Per-node count of incoming near-field `S→T` edges.  These arrive
-    /// fused: one LCO contribution per *flushed batch* instead of one per
-    /// edge, so a target leaf with `e` near-field edges expects
-    /// `⌈e/threshold⌉` inputs from them.  The DAG itself is untouched —
-    /// only the LCO accounting changes.
-    fn s2t_in_counts(&self) -> Vec<u32> {
+    /// The locality DAG node `id` lives at, read off the owner column.
+    fn owner(&self, id: u32) -> u32 {
+        self.lco(id).locality
+    }
+
+    /// Whether any DAG node lives at `locality`.  Once recovery has re-owned
+    /// a lost peer's nodes, a later run that sees the peer lost again lost
+    /// nothing of this graph.
+    pub fn uses(&self, locality: u32) -> bool {
+        (0..self.lcos.len() as u32).any(|id| self.owner(id) == locality)
+    }
+
+    /// What a run still brings under the owner column: per locality this
+    /// process hosts and batch key, the deposits due; per node, the LCO
+    /// inputs due.  With `resume` unset, a whole run; set, the rest of a
+    /// run a lost peer cut short, whose committed edges the `applied`
+    /// bitmap holds.
+    ///
+    /// A flushed `S→T` batch is one input to its target leaf, so `e`
+    /// near-field deposits bring `⌈e/threshold⌉` inputs.  A merge shift
+    /// into a parent at its member's locality is applied by the member's
+    /// `M→I` flush, not deposited, while that flush is still to come.
+    fn due(&self, rt: &Runtime, resume: bool) -> Due {
         let dag = &self.asm.dag;
-        let mut s2t_in = vec![0u32; dag.num_nodes()];
-        for id in 0..dag.num_nodes() as u32 {
-            for e in dag.out_edges(id) {
+        let n = dag.num_nodes();
+        let n_loc = rt.num_localities() as usize;
+        let mut deposits = vec![vec![0u32; self.batch.ops.len()]; n_loc];
+        let mut inputs = vec![0u32; n];
+        let mut s2t = vec![0u32; n];
+        let applied = |eid: usize| resume && self.applied[eid].load(Ordering::Acquire) != 0;
+        // Per `Is`: whether its `M→I` flush has run.
+        let mut flushed = vec![false; n];
+        for (eid, e) in dag.edges().iter().enumerate() {
+            if e.op == EdgeOp::M2I && applied(eid) {
+                flushed[e.dst as usize] = true;
+            }
+        }
+        let owner = |id: u32| self.owner(id);
+        for id in 0..n as u32 {
+            let first = dag.node(id).first_edge as usize;
+            for (eid, e) in (first..).zip(dag.out_edges(id)) {
+                if applied(eid) {
+                    continue;
+                }
+                let dst = e.dst as usize;
                 if e.op == EdgeOp::S2T {
-                    s2t_in[e.dst as usize] += 1;
+                    s2t[dst] += 1;
+                } else {
+                    inputs[dst] += 1;
+                }
+                let apply = owner(e.dst);
+                let deposited = !merged_in_flush(dag, id, e, owner) || flushed[id as usize];
+                match self.batch.edge_key[eid] {
+                    Some(k) if deposited && rt.is_local(apply) => {
+                        deposits[apply as usize][k as usize] += 1;
+                    }
+                    _ => {}
                 }
             }
         }
-        s2t_in
+        for (inputs, &e) in inputs.iter_mut().zip(&s2t) {
+            *inputs += e.div_ceil(DEFAULT_BATCH_THRESHOLD as u32);
+        }
+        Due { deposits, inputs }
     }
 
-    /// The LCO specification of a non-`S` DAG node, shared between the
-    /// build and the fresh allocations recovery makes for re-owned nodes.
-    /// An `It` is a gate over its `I→I` in-edges whose continuation
-    /// gathers them ([`ExecCtx::gather`]), so it holds no payload.
-    fn node_spec(self: &Arc<Self>, id: u32, e_s2t: u32) -> LcoSpec {
+    /// The LCO specification of non-`S` DAG node `id`, expecting `inputs`
+    /// inputs, shared between the build and the fresh allocations recovery
+    /// makes for re-owned nodes.  An `It` is a gate over its `I→I` in-edges
+    /// whose continuation gathers them ([`ExecCtx::gather`]), so it holds no
+    /// payload.
+    fn node_spec(self: &Arc<Self>, id: u32, inputs: u32) -> LcoSpec {
         let node = self.asm.dag.node(id);
-        let inputs = node.in_degree - e_s2t + e_s2t.div_ceil(DEFAULT_BATCH_THRESHOLD as u32);
         if node.class == NodeClass::It {
             let this = Arc::clone(self);
             return LcoSpec::and_gate(inputs).with_trigger(Box::new(move |ctx, _| {
@@ -482,7 +550,6 @@ impl<K: Kernel> ExecCtx<K> {
             inputs,
             op,
             on_trigger: None,
-            trace_class: CLASS_NONE,
         };
         if node.out_degree > 0 {
             let this = Arc::clone(self);
@@ -600,12 +667,9 @@ impl<K: Kernel> ExecCtx<K> {
 
     /// Seed the evaluation: spawn the zero-input nodes' continuations.
     pub fn seed(self: &Arc<Self>, rt: &Runtime) {
-        let n_loc = rt.num_localities();
         for id in self.asm.seeds() {
-            let node = self.asm.dag.node(id);
-            let locality = node.locality.min(n_loc - 1);
             let this = Arc::clone(self);
-            rt.seed(locality, move |ctx| {
+            rt.seed(self.owner(id), move |ctx| {
                 // Each seed its own (empty) payload: batch entries clone
                 // it, so sharing one would share its reference count.
                 this.process_out_edges(ctx, id, &Arc::from(Vec::new()));
@@ -613,29 +677,30 @@ impl<K: Kernel> ExecCtx<K> {
         }
     }
 
-    /// Rebuild the orphaned DAG slice after locality `dead` was convicted
+    /// Re-own the orphaned DAG slice after locality `dead` was convicted
     /// and fenced, positioning the runtime for one more [`Runtime::run`]
     /// that completes the evaluation on the survivors.  Must run between
     /// runs (no tasks in flight), on every surviving process, with the
     /// same `dead`; every step is deterministic over replicated state, so
     /// the survivors reach identical re-ownership and identical fresh LCO
-    /// addresses without a coordination round.  The graph cannot be
-    /// re-armed afterwards: the caller drops it.
+    /// addresses without a coordination round.  The graph stays usable:
+    /// later re-arms run it on the new ownership.
     ///
     /// Steps: (1) every node the dead locality owned is re-owned to a
-    /// survivor picked by a stable hash of its Morton key — and gets a
-    /// fresh LCO (full input count) there, an `Is` storing the windows the
-    /// new ownership leaves unfused ([`stored_mask`]); (2) parked batches
-    /// whose drain expectations can no longer be met are drained now and
-    /// force-flushed by a seeded recovery task; (3) batch expectations are
-    /// re-registered from the not-yet-applied edge set; (4) untriggered
-    /// local LCOs are re-armed to expect exactly the inputs still coming;
-    /// (5) fired local sources with an out-edge into a re-owned
-    /// destination are replayed, and re-owned seed nodes are re-seeded at
-    /// their new owner.  The `applied` bitmap absorbs every duplicate the
-    /// replay re-fires, so LCO accounting stays exact.
+    /// survivor picked by a stable hash of its Morton key, in the owner
+    /// column; (2) each gets a fresh LCO there, expecting what a whole run
+    /// brings (`ExecCtx::due`), an `Is` storing the windows the new
+    /// ownership leaves unfused ([`stored_mask`]), and later re-arms refill
+    /// the batchers with the whole run's deposits; (3) the parked batches
+    /// are drained and their edges taken out of the `applied` bitmap, the
+    /// batchers refilled and the untriggered local LCOs re-armed with what
+    /// the rest of the run brings; (4) a seeded recovery task deposits the
+    /// drained entries again, fired local sources with an out-edge into a
+    /// re-owned destination are replayed,
+    /// and re-owned seed nodes are re-seeded at their new owner.  The
+    /// `applied` bitmap absorbs every duplicate the replay re-fires, so
+    /// LCO accounting stays exact.
     pub fn prepare_recovery(self: &Arc<Self>, rt: &Runtime, dead: u32) -> RecoveryStats {
-        use std::collections::HashSet;
         let dag = &self.asm.dag;
         let n_loc = rt.num_localities();
         assert!(
@@ -643,174 +708,107 @@ impl<K: Kernel> ExecCtx<K> {
             "recovery covers losing a non-root locality (lost rank {dead} of {n_loc})"
         );
         let survivors: Vec<u32> = (0..n_loc).filter(|&r| r != dead).collect();
-        let s2t_in = self.s2t_in_counts();
-        let n = dag.num_nodes();
-        let mut stats = RecoveryStats::default();
-        let bit = |eid: u32| self.applied[eid as usize].load(Ordering::Acquire) != 0;
+        let n = dag.num_nodes() as u32;
+        let orig_owner: Vec<u32> = (0..n).map(|id| self.owner(id)).collect();
+        let is_reowned = |id: u32| orig_owner[id as usize] == dead;
+        let reowned: Vec<u32> = (0..n).filter(|&id| is_reowned(id)).collect();
+        let mut stats = RecoveryStats {
+            reowned_nodes: reowned.len() as u64,
+            ..RecoveryStats::default()
+        };
 
-        // (1) Deterministic re-ownership + fresh LCOs, in node-id order so
-        // the SPMD-mirrored allocation yields identical addresses on every
-        // surviving process.  A re-owned `Is`'s stored windows depend on
-        // where its parents now live, so every owner is settled first.
-        let orig_owner: Vec<u32> = (0..n as u32)
-            .map(|id| dag.node(id).locality.min(n_loc - 1))
-            .collect();
-        let mut owner = orig_owner.clone();
-        let is_reowned: Vec<bool> = orig_owner.iter().map(|&o| o == dead).collect();
-        {
-            let stree = self.problem.tree.source();
-            let ttree = self.problem.tree.target();
-            for id in (0..n as u32).filter(|&id| is_reowned[id as usize]) {
-                let node = dag.node(id);
-                let (key, salt) = match node.class {
-                    NodeClass::S => (stree.node(node.box_id).key, 1u64),
-                    NodeClass::M => (stree.node(node.box_id).key, 2),
-                    NodeClass::Is => (stree.node(node.box_id).key, 3),
-                    NodeClass::It => (ttree.node(node.box_id).key, 4),
-                    NodeClass::L => (ttree.node(node.box_id).key, 5),
-                    NodeClass::T => (ttree.node(node.box_id).key, 6),
-                };
-                let h = splitmix64(key.code() ^ ((key.level as u64) << 48) ^ (salt << 56));
-                owner[id as usize] = survivors[(h % survivors.len() as u64) as usize];
-            }
-        }
-        for id in (0..n as u32).filter(|&id| is_reowned[id as usize]) {
-            let new_owner = owner[id as usize];
-            let addr = if dag.node(id).class == NodeClass::S {
-                GlobalAddress::new(new_owner, u32::MAX)
-            } else {
-                self.set_stored(id, stored_mask(dag, id, |x| owner[x as usize]));
-                rt.lco_new(new_owner, self.node_spec(id, s2t_in[id as usize]))
+        // (1) Every owner is settled first: a re-owned `Is`'s stored
+        // windows depend on where its parents now live.
+        let stree = self.problem.tree.source();
+        let ttree = self.problem.tree.target();
+        for &id in &reowned {
+            let node = dag.node(id);
+            let (key, salt) = match node.class {
+                NodeClass::S => (stree.node(node.box_id).key, 1u64),
+                NodeClass::M => (stree.node(node.box_id).key, 2),
+                NodeClass::Is => (stree.node(node.box_id).key, 3),
+                NodeClass::It => (ttree.node(node.box_id).key, 4),
+                NodeClass::L => (ttree.node(node.box_id).key, 5),
+                NodeClass::T => (ttree.node(node.box_id).key, 6),
             };
-            self.lcos[id as usize].store(addr.pack(), Ordering::Relaxed);
-            stats.reowned_nodes += 1;
-        }
-        let lcos: Vec<GlobalAddress> = (0..n as u32).map(|id| self.lco(id)).collect();
-        // Per `Is`, its `M→I` in-edge (`u32::MAX` if it has no own windows).
-        let mut m2i_into = vec![u32::MAX; n];
-        for (eid, e) in dag.edges().iter().enumerate() {
-            if e.op == EdgeOp::M2I {
-                m2i_into[e.dst as usize] = eid as u32;
-            }
+            let h = splitmix64(key.code() ^ ((key.level as u64) << 48) ^ (salt << 56));
+            let owner = survivors[(h % survivors.len() as u64) as usize];
+            self.lcos[id as usize].store(
+                GlobalAddress::new(owner, u32::MAX).pack(),
+                Ordering::Relaxed,
+            );
         }
 
-        for loc in 0..n_loc {
-            if loc == dead || !rt.is_local(loc) {
+        // (2) Fresh LCOs, in node-id order so the SPMD-mirrored allocation
+        // yields identical addresses on every surviving process.
+        let whole = self.due(rt, false);
+        let owner = |id: u32| self.owner(id);
+        for &id in reowned
+            .iter()
+            .filter(|&&id| dag.node(id).class != NodeClass::S)
+        {
+            self.set_stored(id, stored_mask(dag, id, owner));
+            let addr = rt.lco_new(owner(id), self.node_spec(id, whole.inputs[id as usize]));
+            self.lcos[id as usize].store(addr.pack(), Ordering::Relaxed);
+        }
+        *self.expected.lock() = whole.deposits;
+
+        // (3) The batches parked behind deposits that will never come (their
+        // sources died, or applied at the dead locality) are drained, and
+        // their edges uncommitted: they are deposited again with the rest.
+        let hosted: Vec<u32> = survivors.into_iter().filter(|&l| rt.is_local(l)).collect();
+        let drained: Vec<_> = hosted
+            .iter()
+            .map(|&loc| (loc, self.batchers[loc as usize].drain_parked()))
+            .collect();
+        let entries = drained.iter().flat_map(|(_, batches)| batches);
+        for b in entries.flat_map(|(_, entries)| entries) {
+            self.applied[b.eid as usize].store(0, Ordering::Relaxed);
+        }
+        let due = self.due(rt, true);
+        for &loc in &hosted {
+            self.batchers[loc as usize].refill(&due.deposits[loc as usize]);
+        }
+        for id in 0..n {
+            let addr = self.lco(id);
+            if addr.index == u32::MAX || !rt.is_local(addr.locality) || rt.lco_triggered(addr) {
                 continue;
             }
-            let batcher = &self.batchers[loc as usize];
-            // (2) Drain the batches parked behind expectations that run 1
-            // could no longer satisfy (their missing edges came from, or
-            // applied at, the dead locality).
-            let drained = batcher.drain_parked();
-            stats.parked_batches += drained.len() as u64;
-            let parked: HashSet<u32> = drained
-                .iter()
-                .flat_map(|(_, es)| es)
-                .map(|e| e.eid)
-                .collect();
-            // Whether an `Is` here still has its `M→I` flush to come, which
-            // applies its merge shifts into parents here itself.
-            let flush_due = |id: u32| {
-                let m2i = m2i_into[id as usize];
-                is_reowned[id as usize] || !bit(m2i) || parked.contains(&m2i)
-            };
-            let mut p_non: HashMap<u32, u32> = HashMap::new();
-            let mut p_s2t: HashSet<u32> = HashSet::new();
-            for (key, entries) in &drained {
-                // A force-flushed S2T batch makes one fused contribution;
-                // every other parked entry contributes per edge.
-                if matches!(self.batch.ops[*key], KeyOp::S2T(_)) {
-                    p_s2t.insert(entries[0].dst.index);
-                } else {
-                    for e in entries {
-                        *p_non.entry(e.dst.index).or_default() += 1;
-                    }
-                }
-            }
-
-            // (3) Re-register batch expectations and count the not-yet-
-            // applied in-edges per destination this locality now owns:
-            // exactly these inputs will arrive in the recovery run, all
-            // deposited but the merge shifts a flush still due applies.
-            let mut u_non = vec![0u32; n];
-            let mut u_s2t = vec![0u32; n];
-            for id in 0..n as u32 {
-                let node = dag.node(id);
-                for (i, e) in dag.out_edges(id).iter().enumerate() {
-                    let eid = node.first_edge + i as u32;
-                    if bit(eid) || lcos[e.dst as usize].locality != loc {
-                        continue;
-                    }
-                    if e.op == EdgeOp::S2T {
-                        u_s2t[e.dst as usize] += 1;
-                    } else {
-                        u_non[e.dst as usize] += 1;
-                    }
-                    let fused = e.op == EdgeOp::I2I
-                        && dag.node(e.dst).class == NodeClass::Is
-                        && lcos[id as usize].locality == loc
-                        && flush_due(id);
-                    match self.batch.edge_key[eid as usize] {
-                        Some(k) if !fused => batcher.expect(k as usize, 1),
-                        _ => {}
-                    }
-                }
-            }
-
-            // (4) Re-arm every untriggered local LCO with the exact number
-            // of contributions still due: unapplied per-edge inputs,
-            // parked entries about to be force-flushed, and the batched
-            // near-field flush count.
-            for id in 0..n as u32 {
-                let node = dag.node(id);
-                let addr = lcos[id as usize];
-                if node.class == NodeClass::S || addr.locality != loc || rt.lco_triggered(addr) {
-                    continue;
-                }
-                let pn = p_non.get(&addr.index).copied().unwrap_or(0);
-                let ps = u32::from(p_s2t.contains(&addr.index));
-                let remaining = u_non[id as usize]
-                    + pn
-                    + ps
-                    + u_s2t[id as usize].div_ceil(DEFAULT_BATCH_THRESHOLD as u32);
-                if remaining > 0 {
+            match due.inputs[id as usize] {
+                0 => debug_assert_eq!(
+                    dag.node(id).in_degree,
+                    0,
+                    "untriggered LCO {id} with nothing left to arrive"
+                ),
+                remaining => {
                     rt.lco_rearm(addr, remaining);
                     stats.rearmed_lcos += 1;
-                } else {
-                    debug_assert_eq!(
-                        node.in_degree, 0,
-                        "untriggered LCO {id} with nothing left to arrive"
-                    );
                 }
             }
+        }
 
-            // (5a) Force-flush the drained parked batches inside the run.
-            if !drained.is_empty() {
-                let this = Arc::clone(self);
-                rt.seed(loc, move |ctx| {
-                    ctx.record_instant(CLASS_RECOVERY);
-                    for (key, entries) in &drained {
-                        this.flush_batch(ctx, &this.batch.ops[*key], entries);
+        // (4a) Deposit the drained entries again, inside the run.
+        for (loc, batches) in drained.into_iter().filter(|(_, b)| !b.is_empty()) {
+            stats.parked_batches += batches.len() as u64;
+            let this = Arc::clone(self);
+            rt.seed(loc, move |ctx| {
+                ctx.record_instant(CLASS_RECOVERY);
+                for (key, entries) in batches {
+                    for b in entries.into_iter().filter(|b| this.commit(b.eid)) {
+                        this.deposit(ctx, key, b);
                     }
-                });
-            }
-
-            // (5b) Replay fired local sources feeding a re-owned
+                }
+            });
+        }
+        for &loc in &hosted {
+            // (4b) Replay fired local sources feeding a re-owned
             // destination; the dedup bitmap swallows the edges that
             // already landed elsewhere.
-            for id in 0..n as u32 {
-                if orig_owner[id as usize] != loc {
-                    continue;
-                }
-                let node = dag.node(id);
-                if node.out_degree == 0 {
-                    continue;
-                }
+            for id in (0..n).filter(|&id| orig_owner[id as usize] == loc) {
                 let into_reowned = dag
                     .out_edges(id)
                     .iter()
-                    .filter(|e| is_reowned[e.dst as usize])
+                    .filter(|e| is_reowned(e.dst))
                     .count() as u64;
                 if into_reowned == 0 {
                     continue;
@@ -827,14 +825,10 @@ impl<K: Kernel> ExecCtx<K> {
                 });
             }
 
-            // (5c) Re-seed the re-owned seed nodes this locality adopted.
-            for id in 0..n as u32 {
+            // (4c) Re-seed the re-owned seed nodes this locality adopted.
+            for &id in reowned.iter().filter(|&&id| owner(id) == loc) {
                 let node = dag.node(id);
-                if !is_reowned[id as usize]
-                    || node.in_degree != 0
-                    || node.out_degree == 0
-                    || lcos[id as usize].locality != loc
-                {
+                if node.in_degree != 0 || node.out_degree == 0 {
                     continue;
                 }
                 stats.replayed_sources += 1;
@@ -945,7 +939,7 @@ impl<K: Kernel> ExecCtx<K> {
         let mut remote: Vec<(u32, Vec<u32>)> = Vec::new();
         for (i, e) in dag.out_edges(id).iter().enumerate() {
             let eid = node.first_edge + i as u32;
-            let dst_loc = self.lco(e.dst).locality;
+            let dst_loc = self.owner(e.dst);
             if dst_loc == ctx.locality {
                 if self.applied[eid as usize].load(Ordering::Acquire) == 0 {
                     self.apply_edge(ctx, id, eid, e, data);
@@ -985,7 +979,7 @@ impl<K: Kernel> ExecCtx<K> {
         let bundle = split_bundle(payload).and_then(|(id, eids, values)| {
             let node = dag.nodes().get(id as usize)?;
             let own = node.first_edge..node.first_edge + node.out_degree;
-            let here = |eid: u32| self.lco(dag.edges()[eid as usize].dst).locality;
+            let here = |eid: u32| self.owner(dag.edges()[eid as usize].dst);
             let valid = |&eid: &u32| own.contains(&eid) && here(eid) == ctx.locality;
             eids.iter().all(valid).then_some(())?;
             let data = scatter(values, self.data_len(id), &self.bundle_ranges(id, &eids))?;
@@ -1016,12 +1010,7 @@ impl<K: Kernel> ExecCtx<K> {
     /// differ — exactly the freedom concurrent per-edge application already
     /// had.
     fn apply_edge(&self, ctx: &TaskCtx, src_id: u32, eid: u32, e: &DagEdge, data: &Arc<[f64]>) {
-        // Exactly-once commit point: the first application (or batch
-        // deposit) of an edge at its apply locality wins; recovery replay
-        // re-fires whole out-edge lists and every duplicate dies here
-        // before it can reach (and over-subscribe) the destination LCO.
-        if self.applied[eid as usize].swap(1, Ordering::AcqRel) != 0 {
-            self.dedup_skipped.fetch_add(1, Ordering::Relaxed);
+        if !self.commit(eid) {
             return;
         }
         let dag = &self.asm.dag;
@@ -1058,10 +1047,7 @@ impl<K: Kernel> ExecCtx<K> {
             // chained per-edge spans are the single account of each edge
             // (exactly one event per DAG edge, no double-counted busy
             // time in Eq. 2).  The deposit itself is untraced.
-            let ready = self.batchers[ctx.locality as usize].deposit(key as usize, entry);
-            if let Some(batch) = ready {
-                self.flush_batch(ctx, &self.batch.ops[key as usize], &batch);
-            }
+            self.deposit(ctx, key as usize, entry);
             return;
         }
         ctx.traced_tagged(e.op.index() as u8, eid, || match e.op {
@@ -1131,6 +1117,26 @@ impl<K: Kernel> ExecCtx<K> {
         });
     }
 
+    /// Commit edge `eid` at its apply locality: the exactly-once point.  The
+    /// first application (or batch deposit) wins; recovery replay re-fires
+    /// whole out-edge lists, and every duplicate is counted and refused
+    /// here before it can reach (and over-subscribe) the destination LCO.
+    fn commit(&self, eid: u32) -> bool {
+        let first = self.applied[eid as usize].swap(1, Ordering::AcqRel) == 0;
+        if !first {
+            self.dedup_skipped.fetch_add(1, Ordering::Relaxed);
+        }
+        first
+    }
+
+    /// Deposit `entry` into this locality's batcher under `key`, and flush
+    /// the batch it completes.
+    fn deposit(&self, ctx: &TaskCtx, key: usize, entry: BatchEntry) {
+        if let Some(batch) = self.batchers[ctx.locality as usize].deposit(key, entry) {
+            self.flush_batch(ctx, &self.batch.ops[key], &batch);
+        }
+    }
+
     /// Publish node `id`'s data at `locality` for the `It` gathers there,
     /// if it is an `Is`.  A later publication (a recovery replay) replaces
     /// the earlier one; it reads a superset of the same values.
@@ -1195,17 +1201,14 @@ impl<K: Kernel> ExecCtx<K> {
         let merges = self.shifts.merge.of(id);
         let w = self.asm.is_layout[id as usize].own_w as usize;
         let mask = self.stored(id);
+        let (dag, owner) = (&self.asm.dag, |x: u32| self.owner(x));
         FUSED.with(|fused| {
             let fused = &mut *fused.borrow_mut();
             fused.clear();
             for (k, m) in merges.iter().enumerate() {
-                if self.lco(m.dst).locality != ctx.locality {
-                    continue;
-                }
-                if self.applied[m.eid as usize].swap(1, Ordering::AcqRel) == 0 {
+                let e = &dag.edges()[m.eid as usize];
+                if merged_in_flush(dag, id, e, owner) && self.commit(m.eid) {
                     fused.push(k as u32);
-                } else {
-                    self.dedup_skipped.fetch_add(1, Ordering::Relaxed);
                 }
             }
             EDGE_OUT.with(|out| {
@@ -1322,30 +1325,22 @@ impl<K: Kernel> ExecCtx<K> {
 }
 
 impl BatchPlan {
-    /// Sweep the DAG once: number every distinct key of a batched edge,
-    /// resolve what its flushes apply, and count per apply locality the
-    /// deposits a run brings.  Both local and coalesced remote edges apply
-    /// at the destination LCO's locality, so the counts are exact and the
-    /// last deposit of every key flushes.  Only localities this process
-    /// hosts are counted — an edge applied at a remote process deposits
-    /// into *its* batcher.  The `I→I` edges into an `It` are not batched:
-    /// the same sweep lists them per `It`, with their factors resolved
-    /// once per key, in the [`ShiftPlan`].  So are the merge shifts, per
-    /// member `Is`; they keep a key, but only those whose parent is on
-    /// another locality are counted, as the `M→I` flush applies the rest.
+    /// Sweep the DAG once: number every distinct key of a batched edge and
+    /// resolve what its flushes apply; [`ExecCtx::due`] counts the deposits
+    /// each key's batcher expects.  The `I→I` edges into an `It` are not
+    /// batched: the same sweep lists them per `It`, with their factors
+    /// resolved once per key, in the [`ShiftPlan`].  So are the merge
+    /// shifts, per member `Is`; they keep a key, for the merges the `M→I`
+    /// flush does not apply.
     fn build<K: Kernel>(
         problem: &Problem,
         lib: &OperatorLibrary<K>,
         asm: &Assembly,
-        rt: &Runtime,
     ) -> (BatchPlan, ShiftPlan) {
         let dag = &asm.dag;
-        let n_loc = rt.num_localities();
-        let owner = |id: u32| dag.node(id).locality.min(n_loc - 1);
         let mut index: HashMap<BatchKey, u32> = HashMap::new();
         let mut ops = Vec::new();
         let mut edge_key = vec![None; dag.edges().len()];
-        let mut expected: Vec<Vec<u32>> = vec![Vec::new(); n_loc as usize];
         let mut fac_index: HashMap<BatchKey, u32> = HashMap::new();
         let mut factors = Vec::new();
         // (destination, edge) and (source, edge), in edge order.
@@ -1384,22 +1379,12 @@ impl BatchPlan {
                 }
                 let k = *index.entry(key).or_insert_with(|| {
                     ops.push(key_op(lib, key));
-                    expected.iter_mut().for_each(|counts| counts.push(0));
                     ops.len() as u32 - 1
                 });
                 edge_key[eid as usize] = Some(k);
-                let apply = owner(e.dst);
-                let fused = e.op == EdgeOp::I2I && owner(id) == apply;
-                if rt.is_local(apply) && !fused {
-                    expected[apply as usize][k as usize] += 1;
-                }
             }
         }
-        let batch = BatchPlan {
-            ops,
-            edge_key,
-            expected,
-        };
+        let batch = BatchPlan { ops, edge_key };
         let shifts = ShiftPlan {
             gather: Rows::new(dag.num_nodes(), gathered),
             merge: Rows::new(dag.num_nodes(), merges),
@@ -1536,20 +1521,26 @@ fn i2i_factor<K: Kernel>(lib: &OperatorLibrary<K>, key: BatchKey) -> Arc<Vec<f64
     t.i2i(dashmm_tree::Direction::ALL[dir as usize], delta)
 }
 
+/// Whether `e`, an out-edge of node `src`, is a merge shift into a parent
+/// at the member's own locality under the ownership `owner`: the member's
+/// `M→I` flush applies it from the fresh panel, so it is never deposited
+/// and reads no stored window.
+fn merged_in_flush(dag: &Dag, src: u32, e: &DagEdge, owner: impl Fn(u32) -> u32) -> bool {
+    e.op == EdgeOp::I2I && dag.node(e.dst).class == NodeClass::Is && owner(src) == owner(e.dst)
+}
+
 /// The own windows `Is` node `id` stores under the ownership `owner`, one
 /// bit per direction (0 for any other class): those a translation into an
-/// `It` reads, and those a merge shift into a parent on another locality
-/// reads.  A merge into a parent at the node's own locality is applied by
-/// the node's `M→I` flush, from the panel, and needs nothing stored.
-fn stored_mask(dag: &Dag, id: u32, owner: impl Fn(u32) -> u32) -> u8 {
+/// `It` reads, and those a merge shift its `M→I` flush does not apply
+/// reads.
+fn stored_mask(dag: &Dag, id: u32, owner: impl Fn(u32) -> u32 + Copy) -> u8 {
     if dag.node(id).class != NodeClass::Is {
         return 0;
     }
     let mut mask = 0;
     for e in dag.out_edges(id) {
         let (dir, src_slot, _) = unpack_i2i(e.tag);
-        let translation = dag.node(e.dst).class == NodeClass::It;
-        if src_slot == 0 && (translation || owner(e.dst) != owner(id)) {
+        if src_slot == 0 && !merged_in_flush(dag, id, e, owner) {
             mask |= 1 << dir;
         }
     }

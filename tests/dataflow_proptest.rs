@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use dashmm::runtime::{LcoSpec, ObsLevel, Parcel, Runtime, RuntimeConfig, TaskCtx};
+use dashmm::runtime::{GlobalAddress, LcoSpec, ObsLevel, Runtime, RuntimeConfig, TaskCtx};
 use proptest::prelude::*;
 
 /// A random layered DAG: `layers` of up to `width` nodes; each non-seed
@@ -89,42 +89,28 @@ fn run_on_runtime(dag: &RandomDag, localities: usize, workers: usize) -> Vec<f64
             out_edges[src].push((dst, w));
         }
     }
-    let out_edges = Arc::new(out_edges);
 
-    // One LCO per node, round-robin across localities.
-    let mut lcos = Vec::with_capacity(n);
-    for (i, ins) in dag.in_edges.iter().enumerate() {
-        let loc = (i % localities) as u32;
-        let inputs = ins.len().max(1) as u32; // seeds get one set
-        lcos.push(rt.lco_new(loc, LcoSpec::reduce_sum(1, inputs)));
-    }
-    let lcos = Arc::new(lcos);
-
-    // Each node's trigger propagates its value along its out-edges.  We use
-    // continuations-with-data plus a forwarding action so values cross
-    // localities as parcels, exactly like the expansion DAG.
-    let forward = {
-        let out_edges = Arc::clone(&out_edges);
-        let lcos = Arc::clone(&lcos);
-        rt.register_action(Arc::new(move |ctx: &TaskCtx, target, payload: &[u8]| {
-            // payload = edge index (u32) then the LCO data (1 f64).
-            let node = u32::from_le_bytes(payload[0..4].try_into().unwrap()) as usize;
-            let value = f64::from_le_bytes(payload[4..12].try_into().unwrap());
-            let _ = target;
-            for &(dst, w) in &out_edges[node] {
-                ctx.lco_set(lcos[dst], &[w * value]);
+    // One LCO per node, round-robin across localities, whose trigger sends
+    // `weight * value` along its out-edges; a value bound for another
+    // locality crosses as a parcel, exactly like the expansion DAG.  Sources
+    // have smaller indices, so allocating from the last node down hands
+    // every trigger its destinations' addresses.
+    let mut lcos: Vec<Option<GlobalAddress>> = vec![None; n];
+    for i in (0..n).rev() {
+        let targets: Vec<(GlobalAddress, f64)> = out_edges[i]
+            .iter()
+            .map(|&(dst, w)| (lcos[dst].expect("allocated"), w))
+            .collect();
+        let inputs = dag.in_edges[i].len().max(1) as u32; // seeds get one set
+        let forward = move |ctx: &TaskCtx, data: &Arc<[f64]>| {
+            for &(dst, w) in &targets {
+                ctx.lco_set(dst, &[w * data[0]]);
             }
-        }))
-    };
-    for i in 0..n {
-        // Continuation appends the LCO data after our 4-byte header.
-        let parcel = Parcel::new(forward, lcos[i], (i as u32).to_le_bytes().to_vec());
-        let lco = lcos[i];
-        rt.seed(lco.locality, {
-            let parcel = parcel.clone();
-            move |ctx| ctx.register_continuation(lco, parcel, true)
-        });
+        };
+        let spec = LcoSpec::reduce_sum(1, inputs).with_trigger(Box::new(forward));
+        lcos[i] = Some(rt.lco_new((i % localities) as u32, spec));
     }
+    let lcos: Vec<GlobalAddress> = lcos.into_iter().map(|a| a.expect("allocated")).collect();
     // Seed values.
     for (i, ins) in dag.in_edges.iter().enumerate() {
         if ins.is_empty() {
