@@ -167,6 +167,12 @@ pub trait Transport: Send + Sync {
         false
     }
 
+    /// Switch recovery mode on or off: with it on, a fencing transport's
+    /// [`Transport::fence_peer`] accepts a convicted peer instead of
+    /// refusing.  `DashmmBuilder::build` sets it from the builder's one
+    /// `recover` flag.  Default: no-op (nothing to fence).
+    fn set_recover(&self, _on: bool) {}
+
     /// Install the progress ledger the transport should update with ARQ
     /// ack watermarks and gossip to peers on the heartbeat path.  Called
     /// by the executor once per built evaluation graph (re-armed between

@@ -97,9 +97,6 @@ fn main() {
             );
             std::process::exit(2);
         }
-        // Reaches every re-executed rank's transport via the environment,
-        // like the fault plan itself.
-        std::env::set_var("DASHMM_RECOVER", "1");
     }
     // Every process (launcher and re-executed ranks alike) arms its own
     // watchdog: a chaos run may abort, but it must never hang.

@@ -4,14 +4,16 @@
 //! expansions) once, binds a TCP port, prints the ready line
 //! (`SERVE ready port=<p> ...`) and serves evaluation requests until a
 //! client sends the administrative shutdown frame.  On exit it prints the
-//! service counters and, with `--summary PATH`, writes them as JSON.
+//! service counters and, with `--summary PATH`, writes the build time and
+//! the final stats snapshot as JSON.
 //!
 //! With `--stats-interval S` the server also polls its own stats
 //! endpoint every `S` seconds over a loopback client connection and
 //! prints a one-line digest to stderr (note: each poll advances the
 //! snapshot's rate window, so leave this off when an external poller
-//! owns the window).  The final telemetry snapshot always lands in the
-//! `--summary` JSON under `"telemetry"`.
+//! owns the window).  The final snapshot (`dashmm-stats-v2`, the
+//! server's one record) lands in the `--summary` JSON under
+//! `"telemetry"`.
 //!
 //! ```text
 //! serve [--points N] [--seed S] [--theta X] [--threshold T]
@@ -132,7 +134,6 @@ fn main() {
         tile_targets: args.tile,
         admission: args.admission,
         eval_workers: args.workers,
-        ..ServiceConfig::default()
     };
     let depth = fmm.depth();
     let points = fmm.num_sources();
@@ -214,8 +215,6 @@ fn main() {
     if let Some(path) = args.summary {
         let summary = obj(vec![
             ("build_s", Value::from(build_s)),
-            ("stats", stats.to_json()),
-            ("spans", server.service_section()),
             ("telemetry", telemetry),
         ]);
         if let Err(e) = write_summary(&path, &summary) {

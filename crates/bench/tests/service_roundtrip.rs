@@ -178,7 +178,6 @@ fn mid_batch_disconnect_leaves_reset_usable() {
             max_total_targets: 64,
         },
         eval_workers: 1,
-        ..ServiceConfig::default()
     };
     let mut server = EvalServer::bind("127.0.0.1:0", engine, cfg).expect("bind");
     let addr = format!("127.0.0.1:{}", server.port());

@@ -127,8 +127,10 @@ impl<K: Kernel> DashmmBuilder<K> {
     /// replay the orphaned slice, and finish the evaluation with correct
     /// results instead of returning partial output; later evaluations of
     /// the same [`Evaluation`] run on the survivors.  Requires a fencing
-    /// transport (e.g. `dashmm-net` with `DASHMM_RECOVER=1`); losing
-    /// rank 0 or a second rank during recovery is out of scope.
+    /// transport (e.g. `dashmm-net`'s socket transport), whose recovery
+    /// mode [`DashmmBuilder::build`] sets from this flag, so it is the
+    /// one switch; losing rank 0 or a second rank during recovery is out
+    /// of scope.
     pub fn recover(mut self, on: bool) -> Self {
         self.recover = on;
         self
@@ -197,7 +199,10 @@ impl<K: Kernel> DashmmBuilder<K> {
             obs: self.obs,
         };
         let runtime = match self.transport {
-            Some(t) => Runtime::with_transport(rt_cfg, t),
+            Some(t) => {
+                t.set_recover(self.recover);
+                Runtime::with_transport(rt_cfg, t)
+            }
             None => Runtime::new(rt_cfg),
         };
         Evaluation {

@@ -276,91 +276,6 @@ impl CommMetrics {
             ),
         ])
     }
-
-    /// Multi-line human-readable summary, prefixed per line with `[rank r]`.
-    pub fn summary(&self, rank: u32) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        for (d, m) in self.per_dest.iter().enumerate() {
-            if m.parcels == 0 && m.frames == 0 {
-                continue;
-            }
-            let _ = writeln!(
-                s,
-                "[rank {rank}] -> rank {d}: {} parcels, {} bytes, {} frames ({:.1} parcels/frame)",
-                m.parcels,
-                m.bytes,
-                m.frames,
-                if m.frames > 0 {
-                    m.parcels as f64 / m.frames as f64
-                } else {
-                    0.0
-                },
-            );
-        }
-        let hist: Vec<String> = self
-            .batch_hist
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| format!("2^{i}:{c}"))
-            .collect();
-        let _ = writeln!(s, "[rank {rank}] batch-size histogram: {}", hist.join(" "));
-        let reasons: Vec<String> = self
-            .flush_reasons
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| format!("{}:{c}", REASON_NAMES[i]))
-            .collect();
-        let _ = writeln!(
-            s,
-            "[rank {rank}] flushes: {}; max queued {} B; {} backpressure stalls",
-            reasons.join(" "),
-            self.max_queued_bytes,
-            self.backpressure_stalls,
-        );
-        let _ = writeln!(
-            s,
-            "[rank {rank}] rx: {} frames, {} parcels, {} bytes",
-            self.rx_frames, self.rx_parcels, self.rx_bytes,
-        );
-        if self.retransmit_frames + self.dup_frames_rx + self.corrupt_frames_rx + self.acks_tx > 0
-            || self.injected_total() > 0
-        {
-            let _ = writeln!(
-                s,
-                "[rank {rank}] reliability: {} retransmits, {} dup frames suppressed, \
-                 {} corrupt frames discarded, {} standalone acks, {} heartbeats; \
-                 injected drop:{} dup:{} corrupt:{} delay:{} reorder:{}",
-                self.retransmit_frames,
-                self.dup_frames_rx,
-                self.corrupt_frames_rx,
-                self.acks_tx,
-                self.heartbeats_tx,
-                self.injected[0],
-                self.injected[1],
-                self.injected[2],
-                self.injected[3],
-                self.injected[4],
-            );
-        }
-        if self.retransmit_queue_peak > 0 || self.arq_backpressure_stalls > 0 {
-            let _ = writeln!(
-                s,
-                "[rank {rank}] arq queue: peak {} B, {} bounded-queue stalls",
-                self.retransmit_queue_peak, self.arq_backpressure_stalls,
-            );
-        }
-        if let Some(f) = &self.failure {
-            let _ = writeln!(
-                s,
-                "[rank {rank}] peer down: {f}; {} parcels dropped at fence",
-                self.fenced_dropped_parcels,
-            );
-        }
-        s
-    }
 }
 
 #[cfg(test)]
@@ -379,18 +294,6 @@ mod tests {
         assert_eq!(m.batch_hist[4], 1);
         assert_eq!(m.flush_reasons[FlushReason::Size as usize], 2);
         assert_eq!(m.per_dest[1].frames, 4);
-    }
-
-    #[test]
-    fn summary_mentions_active_destinations_only() {
-        let mut m = CommMetrics::new(3);
-        m.per_dest[2].parcels = 5;
-        m.per_dest[2].bytes = 500;
-        m.record_flush(2, 5, FlushReason::Size);
-        let s = m.summary(0);
-        assert!(s.contains("-> rank 2"));
-        assert!(!s.contains("-> rank 1"));
-        assert!((m.mean_batch() - 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -36,12 +36,18 @@
 //!   end-to-end latency exactly).  The breakdown is echoed in each
 //!   [`FrameKind::EvalResponse`], recorded into the streaming
 //!   log-bucketed histograms of a [`dashmm_obs::TelemetryHub`]
-//!   (lock-free, bounded memory), and a recent window of full spans is
-//!   retained in a bounded [`dashmm_obs::RequestTrace`].  Any client
-//!   may poll a live JSON stats snapshot with a
+//!   (lock-free, bounded memory).  The hub and the counters under the
+//!   core lock are the server's one record: any client may poll it as a
+//!   live JSON stats snapshot (`dashmm-stats-v2`) with a
 //!   [`FrameKind::StatsRequest`] frame — counters, per-phase latency
 //!   histograms, queue depths, step-engine reuse ratios, uptime, and
 //!   interval-windowed deltas so rates are computable from two polls.
+//! - **Codec**: every body is written through `BodyWriter` and read
+//!   through one bounds-checked `BodyCursor`, so a truncated, trailing
+//!   or hostile-count body is a [`WireError`], never a panic.  Values
+//!   that decode but cannot be computed (a non-finite target, delta or
+//!   charge) are refused whole as [`RespStatus::BadRequest`] at the
+//!   server's one boundary, before admission.
 //!
 //! The numerical engine is abstracted behind [`EvalEngine`], so this
 //! module stays free of kernel/expansion dependencies and unit tests can
@@ -55,9 +61,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use dashmm_obs::json::{obj, Value};
-use dashmm_obs::{LatencySummary, RequestSpan, RequestTrace, TelemetryHub};
+use dashmm_obs::{LatencySummary, TelemetryHub};
 
-use crate::wire::{encode_frame, Frame, FrameDecoder, FrameKind, WireError};
+use crate::wire::{
+    encode_frame, read_body, write_body, BodyCursor, Frame, FrameDecoder, FrameKind, WireError,
+};
 
 /// Upper bound on targets in one request; a declared count beyond it is
 /// rejected as hostile before any allocation, mirroring the frame
@@ -178,14 +186,6 @@ pub struct EvalResponseMsg {
     pub potentials: Vec<f64>,
 }
 
-fn le_u32(b: &[u8]) -> u32 {
-    u32::from_le_bytes(b[..4].try_into().unwrap())
-}
-
-fn le_u64(b: &[u8]) -> u64 {
-    u64::from_le_bytes(b[..8].try_into().unwrap())
-}
-
 /// Encode an [`FrameKind::EvalRequest`] body:
 /// `req_id u64 | tenant u32 | count u32 | (x, y, z) f64 × count`.
 pub fn encode_request(req_id: u64, tenant: u32, targets: &[[f64; 3]]) -> Vec<u8> {
@@ -193,16 +193,12 @@ pub fn encode_request(req_id: u64, tenant: u32, targets: &[[f64; 3]]) -> Vec<u8>
         targets.len() <= MAX_REQUEST_TARGETS,
         "request over the target limit"
     );
-    let mut body = Vec::with_capacity(REQUEST_HEADER_BYTES + 24 * targets.len());
-    body.extend_from_slice(&req_id.to_le_bytes());
-    body.extend_from_slice(&tenant.to_le_bytes());
-    body.extend_from_slice(&(targets.len() as u32).to_le_bytes());
-    for t in targets {
-        body.extend_from_slice(&t[0].to_le_bytes());
-        body.extend_from_slice(&t[1].to_le_bytes());
-        body.extend_from_slice(&t[2].to_le_bytes());
-    }
-    body
+    write_body(REQUEST_HEADER_BYTES + 24 * targets.len(), |w| {
+        w.u64(req_id).u32(tenant).u32(targets.len() as u32);
+        for t in targets {
+            w.f64(t[0]).f64(t[1]).f64(t[2]);
+        }
+    })
 }
 
 /// Decode an [`FrameKind::EvalRequest`] body.  Never panics: a declared
@@ -210,34 +206,18 @@ pub fn encode_request(req_id: u64, tenant: u32, targets: &[[f64; 3]]) -> Vec<u8>
 /// any allocation, and a length that disagrees with the count is
 /// [`WireError::Truncated`] / [`WireError::BadParcel`].
 pub fn decode_request(body: &[u8]) -> Result<EvalRequestMsg, WireError> {
-    if body.len() < REQUEST_HEADER_BYTES {
-        return Err(WireError::Truncated);
-    }
-    let req_id = le_u64(body);
-    let tenant = le_u32(&body[8..]);
-    let count = le_u32(&body[12..]) as usize;
-    if count > MAX_REQUEST_TARGETS {
-        return Err(WireError::Oversize(count));
-    }
-    let want = REQUEST_HEADER_BYTES + 24 * count;
-    if body.len() < want {
-        return Err(WireError::Truncated);
-    }
-    if body.len() > want {
-        return Err(WireError::BadParcel);
-    }
-    let mut targets = Vec::with_capacity(count);
-    for chunk in body[REQUEST_HEADER_BYTES..].chunks_exact(24) {
-        targets.push([
-            f64::from_le_bytes(chunk[..8].try_into().unwrap()),
-            f64::from_le_bytes(chunk[8..16].try_into().unwrap()),
-            f64::from_le_bytes(chunk[16..24].try_into().unwrap()),
-        ]);
-    }
-    Ok(EvalRequestMsg {
-        req_id,
-        tenant,
-        targets,
+    read_body(body, |c| {
+        let (req_id, tenant, count) = (c.u64()?, c.u32()?, c.u32()? as usize);
+        let mut t = c.counted(count, MAX_REQUEST_TARGETS, 24)?;
+        let mut targets = Vec::with_capacity(count);
+        for _ in 0..count {
+            targets.push([t.f64()?, t.f64()?, t.f64()?]);
+        }
+        Ok(EvalRequestMsg {
+            req_id,
+            tenant,
+            targets,
+        })
     })
 }
 
@@ -251,79 +231,57 @@ pub fn encode_response(
     potentials: &[f64],
 ) -> Vec<u8> {
     debug_assert!(status == RespStatus::Ok || potentials.is_empty());
-    let mut body = Vec::with_capacity(RESPONSE_HEADER_BYTES + 8 * potentials.len());
-    body.extend_from_slice(&req_id.to_le_bytes());
-    body.push(status as u8);
-    for us in [
-        phases.queue_us,
-        phases.fuse_us,
-        phases.compute_us,
-        phases.reply_us,
-        phases.total_us,
-    ] {
-        body.extend_from_slice(&us.to_le_bytes());
-    }
-    body.extend_from_slice(&(potentials.len() as u32).to_le_bytes());
-    for p in potentials {
-        body.extend_from_slice(&p.to_le_bytes());
-    }
-    body
+    write_body(RESPONSE_HEADER_BYTES + 8 * potentials.len(), |w| {
+        w.u64(req_id).u8(status as u8);
+        let p = phases;
+        for us in [p.queue_us, p.fuse_us, p.compute_us, p.reply_us, p.total_us] {
+            w.f32(us);
+        }
+        w.u32(potentials.len() as u32);
+        for &p in potentials {
+            w.f64(p);
+        }
+    })
 }
 
 /// Decode an [`FrameKind::EvalResponse`] body (same hardening rules as
-/// [`decode_request`]).
+/// [`decode_request`]; an unknown status byte is [`WireError::BadParcel`]).
 pub fn decode_response(body: &[u8]) -> Result<EvalResponseMsg, WireError> {
-    if body.len() < RESPONSE_HEADER_BYTES {
-        return Err(WireError::Truncated);
-    }
-    let req_id = le_u64(body);
-    let status = RespStatus::from_u8(body[8]).ok_or(WireError::BadParcel)?;
-    let us =
-        |i: usize| -> f32 { f32::from_le_bytes(body[9 + 4 * i..13 + 4 * i].try_into().unwrap()) };
-    let phases = PhaseBreakdown {
-        queue_us: us(0),
-        fuse_us: us(1),
-        compute_us: us(2),
-        reply_us: us(3),
-        total_us: us(4),
-    };
-    let count = le_u32(&body[29..]) as usize;
-    if count > MAX_REQUEST_TARGETS {
-        return Err(WireError::Oversize(count));
-    }
-    let want = RESPONSE_HEADER_BYTES + 8 * count;
-    if body.len() < want {
-        return Err(WireError::Truncated);
-    }
-    if body.len() > want {
-        return Err(WireError::BadParcel);
-    }
-    let potentials = body[RESPONSE_HEADER_BYTES..]
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    Ok(EvalResponseMsg {
-        req_id,
-        status,
-        phases,
-        potentials,
+    read_body(body, |c| {
+        let (req_id, status) = (c.u64()?, c.u8()?);
+        let phases = PhaseBreakdown {
+            queue_us: c.f32()?,
+            fuse_us: c.f32()?,
+            compute_us: c.f32()?,
+            reply_us: c.f32()?,
+            total_us: c.f32()?,
+        };
+        let count = c.u32()? as usize;
+        let status = RespStatus::from_u8(status).ok_or(WireError::BadParcel)?;
+        let mut p = c.counted(count, MAX_REQUEST_TARGETS, 8)?;
+        let mut potentials = Vec::with_capacity(count);
+        for _ in 0..count {
+            potentials.push(p.f64()?);
+        }
+        Ok(EvalResponseMsg {
+            req_id,
+            status,
+            phases,
+            potentials,
+        })
     })
 }
 
 /// Encode a [`FrameKind::StatsRequest`] body: `req_id u64`.
 pub fn encode_stats_request(req_id: u64) -> Vec<u8> {
-    req_id.to_le_bytes().to_vec()
+    write_body(8, |w| {
+        w.u64(req_id);
+    })
 }
 
 /// Decode a [`FrameKind::StatsRequest`] body (exactly eight bytes).
 pub fn decode_stats_request(body: &[u8]) -> Result<u64, WireError> {
-    if body.len() < 8 {
-        return Err(WireError::Truncated);
-    }
-    if body.len() > 8 {
-        return Err(WireError::BadParcel);
-    }
-    Ok(le_u64(body))
+    read_body(body, BodyCursor::u64)
 }
 
 /// Encode a [`FrameKind::StatsResponse`] body: `req_id u64 | len u32 |
@@ -333,36 +291,23 @@ pub fn encode_stats_response(req_id: u64, snapshot_json: &str) -> Vec<u8> {
         snapshot_json.len() <= STATS_MAX_SNAPSHOT_BYTES,
         "stats snapshot over the byte cap"
     );
-    let mut body = Vec::with_capacity(STATS_RESPONSE_HEADER_BYTES + snapshot_json.len());
-    body.extend_from_slice(&req_id.to_le_bytes());
-    body.extend_from_slice(&(snapshot_json.len() as u32).to_le_bytes());
-    body.extend_from_slice(snapshot_json.as_bytes());
-    body
+    write_body(STATS_RESPONSE_HEADER_BYTES + snapshot_json.len(), |w| {
+        w.u64(req_id)
+            .u32(snapshot_json.len() as u32)
+            .bytes(snapshot_json.as_bytes());
+    })
 }
 
 /// Decode a [`FrameKind::StatsResponse`] body.  A declared length over
 /// [`STATS_MAX_SNAPSHOT_BYTES`] is [`WireError::Oversize`] *before* any
 /// allocation; non-UTF-8 payload is [`WireError::BadParcel`].
 pub fn decode_stats_response(body: &[u8]) -> Result<(u64, String), WireError> {
-    if body.len() < STATS_RESPONSE_HEADER_BYTES {
-        return Err(WireError::Truncated);
-    }
-    let req_id = le_u64(body);
-    let len = le_u32(&body[8..]) as usize;
-    if len > STATS_MAX_SNAPSHOT_BYTES {
-        return Err(WireError::Oversize(len));
-    }
-    let want = STATS_RESPONSE_HEADER_BYTES + len;
-    if body.len() < want {
-        return Err(WireError::Truncated);
-    }
-    if body.len() > want {
-        return Err(WireError::BadParcel);
-    }
-    let json = std::str::from_utf8(&body[STATS_RESPONSE_HEADER_BYTES..])
-        .map_err(|_| WireError::BadParcel)?
-        .to_string();
-    Ok((req_id, json))
+    read_body(body, |c| {
+        let (req_id, len) = (c.u64()?, c.u32()? as usize);
+        let json = c.counted(len, STATS_MAX_SNAPSHOT_BYTES, 1)?.rest();
+        let json = std::str::from_utf8(json).map_err(|_| WireError::BadParcel)?;
+        Ok((req_id, json.to_string()))
+    })
 }
 
 /// One decoded source-update (time-step) request.
@@ -391,22 +336,17 @@ pub fn encode_step_request(
         moves.len() <= MAX_STEP_UPDATES && charges.len() <= MAX_STEP_UPDATES,
         "step request over the update limit"
     );
-    let mut body = Vec::with_capacity(STEP_HEADER_BYTES + 28 * moves.len() + 12 * charges.len());
-    body.extend_from_slice(&req_id.to_le_bytes());
-    body.extend_from_slice(&tenant.to_le_bytes());
-    body.extend_from_slice(&(moves.len() as u32).to_le_bytes());
-    body.extend_from_slice(&(charges.len() as u32).to_le_bytes());
-    for (idx, d) in moves {
-        body.extend_from_slice(&idx.to_le_bytes());
-        body.extend_from_slice(&d[0].to_le_bytes());
-        body.extend_from_slice(&d[1].to_le_bytes());
-        body.extend_from_slice(&d[2].to_le_bytes());
-    }
-    for (idx, q) in charges {
-        body.extend_from_slice(&idx.to_le_bytes());
-        body.extend_from_slice(&q.to_le_bytes());
-    }
-    body
+    let cap = STEP_HEADER_BYTES + 28 * moves.len() + 12 * charges.len();
+    write_body(cap, |w| {
+        w.u64(req_id).u32(tenant);
+        w.u32(moves.len() as u32).u32(charges.len() as u32);
+        for &(idx, d) in moves {
+            w.u32(idx).f64(d[0]).f64(d[1]).f64(d[2]);
+        }
+        for &(idx, q) in charges {
+            w.u32(idx).f64(q);
+        }
+    })
 }
 
 /// Decode a [`FrameKind::StepSources`] body (same hardening rules as
@@ -414,49 +354,25 @@ pub fn encode_step_request(
 /// any allocation, length disagreements are [`WireError::Truncated`] /
 /// [`WireError::BadParcel`]).
 pub fn decode_step_request(body: &[u8]) -> Result<StepRequestMsg, WireError> {
-    if body.len() < STEP_HEADER_BYTES {
-        return Err(WireError::Truncated);
-    }
-    let req_id = le_u64(body);
-    let tenant = le_u32(&body[8..]);
-    let n_moves = le_u32(&body[12..]) as usize;
-    let n_charges = le_u32(&body[16..]) as usize;
-    if n_moves > MAX_STEP_UPDATES {
-        return Err(WireError::Oversize(n_moves));
-    }
-    if n_charges > MAX_STEP_UPDATES {
-        return Err(WireError::Oversize(n_charges));
-    }
-    let want = STEP_HEADER_BYTES + 28 * n_moves + 12 * n_charges;
-    if body.len() < want {
-        return Err(WireError::Truncated);
-    }
-    if body.len() > want {
-        return Err(WireError::BadParcel);
-    }
-    let mut moves = Vec::with_capacity(n_moves);
-    for chunk in body[STEP_HEADER_BYTES..STEP_HEADER_BYTES + 28 * n_moves].chunks_exact(28) {
-        moves.push((
-            le_u32(chunk),
-            [
-                f64::from_le_bytes(chunk[4..12].try_into().unwrap()),
-                f64::from_le_bytes(chunk[12..20].try_into().unwrap()),
-                f64::from_le_bytes(chunk[20..28].try_into().unwrap()),
-            ],
-        ));
-    }
-    let mut charges = Vec::with_capacity(n_charges);
-    for chunk in body[STEP_HEADER_BYTES + 28 * n_moves..].chunks_exact(12) {
-        charges.push((
-            le_u32(chunk),
-            f64::from_le_bytes(chunk[4..12].try_into().unwrap()),
-        ));
-    }
-    Ok(StepRequestMsg {
-        req_id,
-        tenant,
-        moves,
-        charges,
+    read_body(body, |c| {
+        let (req_id, tenant) = (c.u64()?, c.u32()?);
+        let (n_moves, n_charges) = (c.u32()? as usize, c.u32()? as usize);
+        let mut m = c.counted(n_moves, MAX_STEP_UPDATES, 28)?;
+        let mut q = c.counted(n_charges, MAX_STEP_UPDATES, 12)?;
+        let mut moves = Vec::with_capacity(n_moves);
+        for _ in 0..n_moves {
+            moves.push((m.u32()?, [m.f64()?, m.f64()?, m.f64()?]));
+        }
+        let mut charges = Vec::with_capacity(n_charges);
+        for _ in 0..n_charges {
+            charges.push((q.u32()?, q.f64()?));
+        }
+        Ok(StepRequestMsg {
+            req_id,
+            tenant,
+            moves,
+            charges,
+        })
     })
 }
 
@@ -890,8 +806,6 @@ pub struct ServiceConfig {
     pub admission: AdmissionConfig,
     /// Evaluation worker threads draining the aggregator.
     pub eval_workers: usize,
-    /// Request-span ring capacity.
-    pub trace_capacity: usize,
 }
 
 impl Default for ServiceConfig {
@@ -900,7 +814,6 @@ impl Default for ServiceConfig {
             tile_targets: 1024,
             admission: AdmissionConfig::default(),
             eval_workers: 1,
-            trace_capacity: dashmm_obs::DEFAULT_REQUEST_TRACE_CAPACITY,
         }
     }
 }
@@ -953,48 +866,6 @@ impl ServiceStats {
             self.totals.tile_requests as f64 / self.totals.tiles as f64
         }
     }
-
-    /// JSON object for `BENCH_service.json` / run summaries.
-    pub fn to_json(&self) -> Value {
-        let tenants = self
-            .tenants
-            .iter()
-            .map(|t| {
-                obj(vec![
-                    ("tenant", Value::from(u64::from(t.tenant))),
-                    ("admitted_requests", Value::from(t.admitted_requests)),
-                    ("admitted_targets", Value::from(t.admitted_targets)),
-                    ("shed_requests", Value::from(t.shed_requests)),
-                    ("completed_requests", Value::from(t.completed_requests)),
-                    ("dropped_requests", Value::from(t.dropped_requests)),
-                    ("queued_targets", Value::from(t.queued_targets)),
-                ])
-            })
-            .collect();
-        obj(vec![
-            (
-                "admitted_requests",
-                Value::from(self.totals.admitted_requests),
-            ),
-            ("shed_requests", Value::from(self.totals.shed_requests)),
-            (
-                "completed_requests",
-                Value::from(self.totals.completed_requests),
-            ),
-            (
-                "evaluated_targets",
-                Value::from(self.totals.evaluated_targets),
-            ),
-            ("tiles", Value::from(self.totals.tiles)),
-            ("mean_tile_requests", Value::from(self.mean_tile_requests())),
-            ("bad_requests", Value::from(self.totals.bad_requests)),
-            ("step_requests", Value::from(self.totals.step_requests)),
-            ("connections", Value::from(self.totals.connections)),
-            ("protocol_errors", Value::from(self.totals.protocol_errors)),
-            ("latency", self.latency.to_json()),
-            ("tenants", Value::Arr(tenants)),
-        ])
-    }
 }
 
 /// Everything the worker/reader threads share under one lock, so the
@@ -1003,7 +874,6 @@ struct Core {
     agg: RequestAggregator,
     adm: Admission,
     totals: ServiceTotals,
-    trace: RequestTrace,
     /// Shutdown requested (admin frame or [`EvalServer::shutdown`]).
     draining: bool,
 }
@@ -1051,14 +921,10 @@ struct Shared {
     stepper: Option<Arc<dyn StepEngine>>,
     /// Lock-free telemetry plane (histograms, engine/step counters);
     /// lives outside the core lock so recording never contends with it.
-    hub: Arc<TelemetryHub>,
+    hub: TelemetryHub,
     /// Baseline for the snapshot's interval-windowed deltas (advanced by
     /// every poll, from any client).
     prev_poll: Mutex<Option<PrevPoll>>,
-    /// Optional ARQ/transport counter source (see
-    /// [`EvalServer::set_comm_source`]); its JSON rides the snapshot's
-    /// `"comm"` section.
-    comm: Mutex<Option<Arc<dyn Fn() -> Value + Send + Sync>>>,
     core: Mutex<Core>,
     work_cv: Condvar,
     /// Signals [`EvalServer::wait`]ers that draining finished.
@@ -1077,25 +943,28 @@ impl Shared {
         );
     }
 
-    /// Build the live stats snapshot (schema `dashmm-stats-v1`): totals,
+    /// Count a request refused whole in `bad_requests` and answer it
+    /// [`RespStatus::BadRequest`], echoing its id when the body's first
+    /// eight bytes (every request's `req_id`) arrived.
+    fn refuse(&self, conn: &ConnHandle, body: &[u8]) {
+        self.core.lock().expect("core lock").totals.bad_requests += 1;
+        let req_id = BodyCursor::new(body).u64().unwrap_or(0);
+        self.send_status(conn, req_id, RespStatus::BadRequest);
+    }
+
+    /// Build the live stats snapshot (schema `dashmm-stats-v2`): totals,
     /// per-tenant counters, queue depths, per-phase latency histograms,
     /// engine/step sections, uptime, and deltas since the previous poll.
     fn stats_snapshot_json(&self) -> String {
         let uptime_us = self.hub.uptime_us();
         self.hub.stats_polls.inc();
-        let (totals, tenants, acct, queued_requests, trace_row) = {
+        let (totals, tenants, acct, queued_requests) = {
             let core = self.core.lock().expect("core lock");
             (
                 core.totals,
                 core.adm.snapshot(),
                 core.agg.accounting(),
                 core.agg.queued_requests(),
-                obj(vec![
-                    ("recorded", Value::from(core.trace.recorded)),
-                    ("retained", Value::from(core.trace.len())),
-                    ("overwritten", Value::from(core.trace.overwritten)),
-                    ("capacity", Value::from(core.trace.capacity())),
-                ]),
             )
         };
         let prev = {
@@ -1122,12 +991,8 @@ impl Shared {
             })
             .collect();
         let d = |now: u64, then: u64| Value::from(now.saturating_sub(then));
-        let comm = match self.comm.lock().expect("comm lock").as_ref() {
-            Some(source) => source(),
-            None => Value::Null,
-        };
         let snapshot = obj(vec![
-            ("schema", Value::from("dashmm-stats-v1")),
+            ("schema", Value::from("dashmm-stats-v2")),
             ("seq", Value::from(self.hub.stats_polls.get())),
             ("uptime_us", Value::from(uptime_us)),
             (
@@ -1160,8 +1025,6 @@ impl Shared {
             ("latency", self.hub.phases.to_json()),
             ("engine", self.hub.engine_json()),
             ("step", self.hub.step_json()),
-            ("trace", trace_row),
-            ("comm", comm),
             (
                 "window",
                 obj(vec![
@@ -1247,14 +1110,12 @@ impl EvalServer {
             cfg,
             engine,
             stepper,
-            hub: Arc::new(TelemetryHub::new()),
+            hub: TelemetryHub::new(),
             prev_poll: Mutex::new(None),
-            comm: Mutex::new(None),
             core: Mutex::new(Core {
                 agg: RequestAggregator::new(),
                 adm: Admission::new(cfg.admission),
                 totals: ServiceTotals::default(),
-                trace: RequestTrace::new(cfg.trace_capacity),
                 draining: false,
             }),
             work_cv: Condvar::new(),
@@ -1295,9 +1156,9 @@ impl EvalServer {
         self.port
     }
 
-    /// Snapshot the counters, per-tenant rows and latency percentiles.
-    /// Latency comes from the streaming end-to-end histogram (every
-    /// request ever served), not the bounded span ring.
+    /// Snapshot the counters, per-tenant rows and latency percentiles
+    /// (read off the streaming end-to-end histogram, which sees every
+    /// request ever served).
     pub fn stats(&self) -> ServiceStats {
         let latency = LatencySummary::from_snapshot(&self.shared.hub.phases.total.snapshot());
         let core = self.shared.core.lock().expect("core lock");
@@ -1309,31 +1170,11 @@ impl EvalServer {
         }
     }
 
-    /// The live telemetry plane (histograms, engine/step counters).
-    /// Shared so engine adapters or co-hosted subsystems can record into
-    /// it directly.
-    pub fn telemetry(&self) -> Arc<TelemetryHub> {
-        Arc::clone(&self.shared.hub)
-    }
-
     /// The stats snapshot JSON a [`FrameKind::StatsRequest`] would
     /// receive, for in-process consumers (bench summaries).  Note this
     /// advances the windowed-delta baseline exactly like a wire poll.
     pub fn stats_json(&self) -> String {
         self.shared.stats_snapshot_json()
-    }
-
-    /// Publish transport/ARQ counters in the snapshot's `"comm"` section
-    /// (e.g. `|| transport.metrics().to_json()` for a co-hosted
-    /// `SocketTransport`).  The source is polled on every stats request.
-    pub fn set_comm_source(&self, source: Arc<dyn Fn() -> Value + Send + Sync>) {
-        *self.shared.comm.lock().expect("comm lock") = Some(source);
-    }
-
-    /// The `service` run-summary section (request-span latency ring).
-    pub fn service_section(&self) -> Value {
-        let core = self.shared.core.lock().expect("core lock");
-        dashmm_obs::service_section(&core.trace)
     }
 
     /// Block until a client's [`FrameKind::Shutdown`] frame (or a local
@@ -1403,7 +1244,6 @@ impl EvalServer {
         core.agg.reset();
         core.adm.reset();
         core.totals = ServiceTotals::default();
-        core.trace.clear();
         drop(core);
         *self.shared.prev_poll.lock().expect("prev poll lock") = None;
     }
@@ -1499,23 +1339,22 @@ fn conn_send_stats(handle: &ConnHandle, req_id: u64, json: &str) {
     );
 }
 
-/// Handle one decoded frame; `false` ends the connection.
+/// Whether every value can be computed with: no NaN, no ±∞.
+fn all_finite<'a>(values: impl IntoIterator<Item = &'a f64>) -> bool {
+    values.into_iter().all(|x| x.is_finite())
+}
+
+/// Handle one decoded frame; `false` ends the connection.  This is the
+/// service's one input boundary: a body that does not decode, or decodes
+/// to values that cannot be computed, is refused whole here
+/// ([`Shared::refuse`]) and never reaches admission or the engine.
 fn handle_frame(frame: Frame, conn_id: u64, handle: &ConnHandle, shared: &Shared) -> bool {
     match frame.kind {
         FrameKind::EvalRequest => {
             let req = match decode_request(&frame.body) {
-                Ok(req) => req,
-                Err(_) => {
-                    // Salvage the request id when the header made it.
-                    let req_id = if frame.body.len() >= 8 {
-                        le_u64(&frame.body)
-                    } else {
-                        0
-                    };
-                    let mut core = shared.core.lock().expect("core lock");
-                    core.totals.bad_requests += 1;
-                    drop(core);
-                    shared.send_status(handle, req_id, RespStatus::BadRequest);
+                Ok(req) if all_finite(req.targets.iter().flatten()) => req,
+                _ => {
+                    shared.refuse(handle, &frame.body);
                     return true;
                 }
             };
@@ -1550,28 +1389,14 @@ fn handle_frame(frame: Frame, conn_id: u64, handle: &ConnHandle, shared: &Shared
             true
         }
         FrameKind::StepSources => {
-            let req = match decode_step_request(&frame.body) {
-                Ok(req) => req,
-                Err(_) => {
-                    let req_id = if frame.body.len() >= 8 {
-                        le_u64(&frame.body)
-                    } else {
-                        0
-                    };
-                    let mut core = shared.core.lock().expect("core lock");
-                    core.totals.bad_requests += 1;
-                    drop(core);
-                    shared.send_status(handle, req_id, RespStatus::BadRequest);
-                    return true;
-                }
-            };
-            let Some(stepper) = shared.stepper.as_ref() else {
-                // This server cannot mutate its sources; tell the client
-                // rather than silently ignoring the update.
-                let mut core = shared.core.lock().expect("core lock");
-                core.totals.bad_requests += 1;
-                drop(core);
-                shared.send_status(handle, req.req_id, RespStatus::BadRequest);
+            let req = decode_step_request(&frame.body).ok().filter(|r| {
+                let deltas = r.moves.iter().flat_map(|(_, d)| d);
+                all_finite(deltas.chain(r.charges.iter().map(|(_, q)| q)))
+            });
+            // A server that cannot mutate its sources says so rather than
+            // silently ignoring the update.
+            let (Some(req), Some(stepper)) = (req, shared.stepper.as_ref()) else {
+                shared.refuse(handle, &frame.body);
                 return true;
             };
             let draining = shared.core.lock().expect("core lock").draining;
@@ -1583,29 +1408,17 @@ fn handle_frame(frame: Frame, conn_id: u64, handle: &ConnHandle, shared: &Shared
             // [`StepEngine`]); holding the core lock here would stall every
             // reader behind the refit.
             let outcome = stepper.step_traced(&req.moves, &req.charges);
-            let mut core = shared.core.lock().expect("core lock");
-            if outcome.applied {
-                core.totals.step_requests += 1;
-            } else {
-                core.totals.bad_requests += 1;
+            if !outcome.applied {
+                shared.refuse(handle, &frame.body);
+                return true;
             }
-            drop(core);
-            if outcome.applied {
-                shared.hub.record_step(
-                    outcome.reused_expansions,
-                    outcome.recomputed_expansions,
-                    outcome.total_us,
-                );
-            }
-            shared.send_status(
-                handle,
-                req.req_id,
-                if outcome.applied {
-                    RespStatus::Ok
-                } else {
-                    RespStatus::BadRequest
-                },
+            shared.core.lock().expect("core lock").totals.step_requests += 1;
+            shared.hub.record_step(
+                outcome.reused_expansions,
+                outcome.recomputed_expansions,
+                outcome.total_us,
             );
+            shared.send_status(handle, req.req_id, RespStatus::Ok);
             true
         }
         FrameKind::StatsRequest => {
@@ -1614,17 +1427,7 @@ fn handle_frame(frame: Frame, conn_id: u64, handle: &ConnHandle, shared: &Shared
                     let json = shared.stats_snapshot_json();
                     conn_send_stats(handle, req_id, &json);
                 }
-                Err(_) => {
-                    let req_id = if frame.body.len() >= 8 {
-                        le_u64(&frame.body)
-                    } else {
-                        0
-                    };
-                    let mut core = shared.core.lock().expect("core lock");
-                    core.totals.bad_requests += 1;
-                    drop(core);
-                    shared.send_status(handle, req_id, RespStatus::BadRequest);
-                }
+                Err(_) => shared.refuse(handle, &frame.body),
             }
             true
         }
@@ -1686,8 +1489,8 @@ fn eval_loop(shared: Arc<Shared>) {
             engine_brk.near_pairs,
         );
 
-        // Route each request's slice back to its connection and release
-        // its admission, recording the span.
+        // Route each request's slice back to its connection, release its
+        // admission, and record its phases.
         let conns = {
             let map = shared.conns.lock().expect("conn map");
             tile.segments
@@ -1742,16 +1545,6 @@ fn eval_loop(shared: Arc<Shared>) {
                 .hub
                 .phases
                 .record(queue_us, fuse_us, compute_us, reply_us, total_us);
-            core.trace.push(RequestSpan {
-                req_id: seg.req_id,
-                tenant: seg.tenant,
-                targets: seg.len as u32,
-                queue_us,
-                fuse_us,
-                compute_us,
-                reply_us,
-                total_us,
-            });
         }
         shared.done_cv.notify_all();
     }
@@ -2027,7 +1820,7 @@ mod tests {
         assert_eq!(decode_stats_request(&[0; 7]), Err(WireError::Truncated));
         assert_eq!(decode_stats_request(&[0; 9]), Err(WireError::BadParcel));
 
-        let json = r#"{"schema":"dashmm-stats-v1"}"#;
+        let json = r#"{"schema":"dashmm-stats-v2"}"#;
         let body = encode_stats_response(5, json);
         assert_eq!(decode_stats_response(&body), Ok((5, json.to_string())));
         // A hostile declared length is rejected before any allocation.
@@ -2356,7 +2149,7 @@ mod tests {
         let s1 = client.stats().unwrap();
         assert_eq!(
             s1.get("schema").and_then(Value::as_str),
-            Some("dashmm-stats-v1")
+            Some("dashmm-stats-v2")
         );
         let num = |v: &Value, path: [&str; 2]| {
             v.get(path[0])
@@ -2413,24 +2206,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_comm_source_is_published() {
-        let server =
-            EvalServer::bind("127.0.0.1:0", plane_engine(), ServiceConfig::default()).unwrap();
-        let metrics = crate::CommMetrics::new(2);
-        server.set_comm_source(Arc::new(move || metrics.to_json()));
-        let addr = format!("127.0.0.1:{}", server.port());
-        let mut client = EvalClient::connect(&addr).unwrap();
-        let s = client.stats().unwrap();
-        let comm = s.get("comm").expect("comm section");
-        assert_ne!(
-            comm.to_json(),
-            "null",
-            "comm populated when a source is set"
-        );
-        client.close().unwrap();
-    }
-
-    #[test]
     fn stats_json_has_tenant_rows() {
         let mut server =
             EvalServer::bind("127.0.0.1:0", plane_engine(), ServiceConfig::default()).unwrap();
@@ -2440,13 +2215,53 @@ mod tests {
         client.eval(9, &pts(3, 0.0)).unwrap();
         client.close().unwrap();
         server.shutdown();
-        let v = server.stats().to_json();
+        let v = dashmm_obs::json::parse(&server.stats_json()).unwrap();
         let tenants = v.get("tenants").and_then(Value::as_arr).unwrap();
         assert_eq!(tenants.len(), 2);
         assert_eq!(
-            v.get("completed_requests").and_then(Value::as_f64),
+            v.get("totals")
+                .and_then(|t| t.get("completed_requests"))
+                .and_then(Value::as_f64),
             Some(2.0)
         );
         assert!(v.get("latency").is_some());
+        for gone in ["trace", "comm"] {
+            assert!(v.get(gone).is_none(), "{gone} section is gone");
+        }
+    }
+
+    #[test]
+    fn non_finite_targets_are_refused_and_the_connection_lives() {
+        let mut server =
+            EvalServer::bind("127.0.0.1:0", plane_engine(), ServiceConfig::default()).unwrap();
+        let addr = format!("127.0.0.1:{}", server.port());
+        let mut client = EvalClient::connect(&addr).unwrap();
+        let targets = pts(4, 0.5);
+        let before = client.eval(0, &targets).unwrap();
+        assert_eq!(before.status, RespStatus::Ok);
+        let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (what, bad) in [
+            ("a NaN target", [f64::NAN, 0.0, 0.0]),
+            ("an infinite target", [0.0, f64::NEG_INFINITY, 0.0]),
+        ] {
+            let mut poisoned = targets.clone();
+            poisoned[2] = bad;
+            let resp = client.eval(0, &poisoned).unwrap();
+            assert_eq!(resp.status, RespStatus::BadRequest, "{what}");
+            assert!(resp.potentials.is_empty(), "{what}");
+            let after = client.eval(0, &targets).unwrap();
+            assert_eq!(after.status, RespStatus::Ok, "{what}");
+            assert_eq!(bits(&after.potentials), bits(&before.potentials), "{what}");
+        }
+        client.close().unwrap();
+        server.shutdown();
+        let stats = server.stats();
+        assert_eq!(stats.totals.bad_requests, 2);
+        assert_eq!(
+            stats.totals.admitted_requests, 3,
+            "refused requests are never admitted"
+        );
+        assert_eq!(stats.totals.completed_requests, 3);
+        assert!(stats.accounting.balanced());
     }
 }

@@ -222,8 +222,8 @@ struct Shared {
     epoch: AtomicU32,
     done_epoch: AtomicU32,
     peer_down: AtomicU32,
-    /// Recovery mode (`DASHMM_RECOVER=1` or `set_recover`): a convicted
-    /// peer is fenced instead of aborting the run.
+    /// Recovery mode ([`Transport::set_recover`]): a convicted peer is
+    /// fenced instead of aborting the run.
     recover: AtomicBool,
     /// A convicted peer has been fenced: termination detection and
     /// collectives run over the survivor set.
@@ -363,9 +363,7 @@ impl SocketTransport {
             epoch: AtomicU32::new(0),
             done_epoch: AtomicU32::new(0),
             peer_down: AtomicU32::new(PEER_NONE),
-            recover: AtomicBool::new(
-                std::env::var("DASHMM_RECOVER").is_ok_and(|v| v == "1" || v == "true"),
-            ),
+            recover: AtomicBool::new(false),
             fenced: AtomicBool::new(false),
             severed: AtomicBool::new(false),
             failure: Mutex::new(None),
@@ -405,13 +403,6 @@ impl SocketTransport {
     /// The fault plan in force, if any.
     pub fn fault_plan(&self) -> Option<FaultPlan> {
         self.shared.faults
-    }
-
-    /// Switch recovery mode on or off (also set by `DASHMM_RECOVER=1` at
-    /// construction).  With recovery on, [`Transport::fence_peer`] accepts
-    /// a convicted peer (other than rank 0) instead of refusing.
-    pub fn set_recover(&self, on: bool) {
-        self.shared.recover.store(on, Ordering::SeqCst);
     }
 
     /// Test hook modelling a process death: abruptly sever this rank from
@@ -708,6 +699,12 @@ impl Transport for SocketTransport {
                 reason: ConvictionReason::HeartbeatTimeout,
             })
         })
+    }
+
+    /// With recovery on, [`Transport::fence_peer`] accepts a convicted
+    /// peer (other than rank 0) instead of refusing.
+    fn set_recover(&self, on: bool) {
+        self.shared.recover.store(on, Ordering::SeqCst);
     }
 
     fn fence_peer(&self, dead: u32) -> bool {

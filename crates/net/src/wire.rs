@@ -22,10 +22,14 @@
 //! ```
 //!
 //! Decoding never panics: malformed input of any kind maps to a
-//! [`WireError`].  A frame's integrity is protected end to end — a flipped
-//! bit anywhere in the body fails the checksum, and a corrupted length
-//! field either exceeds [`MAX_FRAME_BODY`] (rejected as [`WireError::Oversize`])
-//! or misaligns the magic of the following frame.
+//! [`WireError`].  Every body — and the frame header — is read through
+//! one `BodyCursor` and written through one `BodyWriter`, so the
+//! truncation, trailing-byte and hostile-count rules live in one place
+//! (the service codec in `service.rs` uses the same pair).  A frame's
+//! integrity is protected end to end — a flipped bit anywhere in the
+//! body fails the checksum, and a corrupted length field either exceeds
+//! [`MAX_FRAME_BODY`] (rejected as [`WireError::Oversize`]) or misaligns
+//! the magic of the following frame.
 
 use std::fmt;
 use std::io::Read;
@@ -83,7 +87,8 @@ pub enum FrameKind {
     /// count u32 | (x, y, z) f64 × count` (see `service::encode_request`).
     EvalRequest = 13,
     /// Service reply (server → client): `req_id u64 | status u8 |
-    /// count u32 | potential f64 × count`.
+    /// (queue, fuse, compute, reply, total) f32 | count u32 |
+    /// potential f64 × count` (see `service::encode_response`).
     EvalResponse = 14,
     /// Administrative shutdown of a resident evaluation server (empty
     /// body); the server finishes in-flight work and exits its run loop.
@@ -242,12 +247,128 @@ pub fn encode_frame(kind: FrameKind, src: u16, body: &[u8]) -> Vec<u8> {
     out
 }
 
-fn le_u32(b: &[u8]) -> u32 {
-    u32::from_le_bytes(b[..4].try_into().unwrap())
+/// The reading side of every frame body: little-endian takes off the
+/// front of a borrowed buffer.  A take past the end is
+/// [`WireError::Truncated`]; a declared count over its cap is
+/// [`WireError::Oversize`] before anything is allocated
+/// ([`BodyCursor::counted`]); bytes left over at [`BodyCursor::finish`]
+/// are [`WireError::BadParcel`].  No take panics.
+#[derive(Debug)]
+pub(crate) struct BodyCursor<'a> {
+    buf: &'a [u8],
+    at: usize,
 }
 
-fn le_u64(b: &[u8]) -> u64 {
-    u64::from_le_bytes(b[..8].try_into().unwrap())
+macro_rules! takes {
+    ($($name:ident: $ty:ty),*) => {$(
+        #[doc = concat!("Take one little-endian `", stringify!($ty), "`.")]
+        #[inline]
+        pub fn $name(&mut self) -> Result<$ty, WireError> {
+            const N: usize = std::mem::size_of::<$ty>();
+            let mut b = [0; N];
+            b.copy_from_slice(self.bytes(N)?);
+            Ok(<$ty>::from_le_bytes(b))
+        }
+    )*};
+}
+
+impl<'a> BodyCursor<'a> {
+    /// A cursor at the start of `buf`.
+    pub fn new(buf: &'a [u8]) -> Self {
+        BodyCursor { buf, at: 0 }
+    }
+
+    /// Take the next `n` bytes.
+    #[inline]
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        let rest = &self.buf[self.at..];
+        if n > rest.len() {
+            return Err(WireError::Truncated);
+        }
+        self.at += n;
+        Ok(&rest[..n])
+    }
+
+    takes!(u8: u8, u16: u16, u32: u32, u64: u64, f32: f32, f64: f64);
+
+    /// Take `count` records of `width` bytes each, as a cursor over
+    /// exactly those bytes.  A `count` over `cap` is
+    /// [`WireError::Oversize`], checked before the take, so a hostile
+    /// declaration never sizes an allocation.
+    #[inline]
+    pub fn counted(&mut self, count: usize, cap: usize, width: usize) -> Result<Self, WireError> {
+        if count > cap {
+            return Err(WireError::Oversize(count));
+        }
+        self.bytes(count.saturating_mul(width)).map(BodyCursor::new)
+    }
+
+    /// Take everything left.
+    pub fn rest(&mut self) -> &'a [u8] {
+        let rest = &self.buf[self.at..];
+        self.at = self.buf.len();
+        rest
+    }
+
+    /// Bytes taken so far.
+    pub fn consumed(&self) -> usize {
+        self.at
+    }
+
+    /// End of the body: any byte not taken is [`WireError::BadParcel`].
+    pub fn finish(self) -> Result<(), WireError> {
+        if self.at == self.buf.len() {
+            Ok(())
+        } else {
+            Err(WireError::BadParcel)
+        }
+    }
+}
+
+/// Decode the whole of `body` with `read`: its takes fail
+/// [`WireError::Truncated`], and bytes it leaves fail
+/// [`WireError::BadParcel`].
+pub(crate) fn read_body<'a, T>(
+    body: &'a [u8],
+    read: impl FnOnce(&mut BodyCursor<'a>) -> Result<T, WireError>,
+) -> Result<T, WireError> {
+    let mut c = BodyCursor::new(body);
+    let value = read(&mut c)?;
+    c.finish()?;
+    Ok(value)
+}
+
+/// The writing side of every frame body, the mirror of [`BodyCursor`]:
+/// little-endian puts appended to a buffer, chained.
+pub(crate) struct BodyWriter<'a>(pub &'a mut Vec<u8>);
+
+macro_rules! puts {
+    ($($name:ident: $ty:ty),*) => {$(
+        #[doc = concat!("Append one little-endian `", stringify!($ty), "`.")]
+        #[inline]
+        pub fn $name(&mut self, v: $ty) -> &mut Self {
+            self.0.extend_from_slice(&v.to_le_bytes());
+            self
+        }
+    )*};
+}
+
+impl BodyWriter<'_> {
+    puts!(u8: u8, u32: u32, u64: u64, f32: f32, f64: f64);
+
+    /// Append raw bytes.
+    #[inline]
+    pub fn bytes(&mut self, b: &[u8]) -> &mut Self {
+        self.0.extend_from_slice(b);
+        self
+    }
+}
+
+/// A fresh body of at most `capacity` bytes, written by `fill`.
+pub(crate) fn write_body(capacity: usize, fill: impl FnOnce(&mut BodyWriter)) -> Vec<u8> {
+    let mut body = Vec::with_capacity(capacity);
+    fill(&mut BodyWriter(&mut body));
+    body
 }
 
 /// Validate the frame at the front of `buf` without copying it:
@@ -264,25 +385,25 @@ fn peek_frame(buf: &[u8], max_body: usize) -> Result<Option<(FrameKind, u16, usi
         }
         return Ok(None);
     }
-    if le_u32(buf) != MAGIC {
+    let mut h = BodyCursor::new(buf);
+    if h.u32()? != MAGIC {
         return Err(WireError::BadMagic);
     }
-    if buf[4] != VERSION {
-        return Err(WireError::BadVersion(buf[4]));
+    let version = h.u8()?;
+    if version != VERSION {
+        return Err(WireError::BadVersion(version));
     }
-    let kind = FrameKind::from_u8(buf[5]).ok_or(WireError::BadKind(buf[5]))?;
-    let src = u16::from_le_bytes(buf[6..8].try_into().unwrap());
-    let len = le_u32(&buf[8..]) as usize;
+    let kind = h.u8()?;
+    let kind = FrameKind::from_u8(kind).ok_or(WireError::BadKind(kind))?;
+    let (src, len, crc) = (h.u16()?, h.u32()? as usize, h.u32()?);
     if len > max_body.min(MAX_FRAME_BODY) {
         return Err(WireError::Oversize(len));
     }
-    if buf.len() < HEADER_BYTES + len {
-        return Ok(None);
+    match h.bytes(len) {
+        Err(_) => Ok(None),
+        Ok(body) if crc32(body) != crc => Err(WireError::Corrupt),
+        Ok(_) => Ok(Some((kind, src, len))),
     }
-    if crc32(&buf[HEADER_BYTES..HEADER_BYTES + len]) != le_u32(&buf[12..]) {
-        return Err(WireError::Corrupt);
-    }
-    Ok(Some((kind, src, len)))
 }
 
 /// Decode one frame from the front of `buf`.  `Ok(Some((frame, consumed)))`
@@ -420,8 +541,8 @@ impl FrameDecoder {
                 Err(WireError::Corrupt) if self.skip_corrupt => {
                     // The header (magic/version/kind/length) validated, so
                     // the frame's extent is trustworthy: hop over it.
-                    let len = le_u32(&self.buf[self.pos + 8..]) as usize;
-                    self.pos += HEADER_BYTES + len;
+                    let len = BodyCursor::new(&self.buf[self.pos + 8..]).u32()?;
+                    self.pos += HEADER_BYTES + len as usize;
                     self.corrupt_skipped += 1;
                 }
                 Err(e) => {
@@ -459,58 +580,46 @@ pub fn parcel_wire_len(p: &Parcel) -> usize {
 /// Append one encoded parcel.
 pub fn encode_parcel(p: &Parcel, out: &mut Vec<u8>) {
     out.reserve(parcel_wire_len(p));
-    out.extend_from_slice(&p.action.0.to_le_bytes());
-    out.extend_from_slice(&p.target.pack().to_le_bytes());
-    out.extend_from_slice(&(p.payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&p.payload);
+    BodyWriter(out)
+        .u32(p.action.0)
+        .u64(p.target.pack())
+        .u32(p.payload.len() as u32)
+        .bytes(&p.payload);
+}
+
+/// Take one parcel off `c`.
+fn take_parcel(c: &mut BodyCursor) -> Result<Parcel, WireError> {
+    let action = ActionId(c.u32()?);
+    let target = GlobalAddress::unpack(c.u64()?);
+    let len = c.u32()? as usize;
+    Ok(Parcel::new(action, target, c.bytes(len)?.to_vec()))
 }
 
 /// Decode one parcel from the front of `buf`; returns it plus the bytes
 /// consumed.
 pub fn decode_parcel(buf: &[u8]) -> Result<(Parcel, usize), WireError> {
-    if buf.len() < PARCEL_HEADER_BYTES {
-        return Err(WireError::Truncated);
-    }
-    let action = ActionId(le_u32(buf));
-    let target = GlobalAddress::unpack(le_u64(&buf[4..]));
-    let plen = le_u32(&buf[12..]) as usize;
-    if plen > MAX_FRAME_BODY || buf.len() < PARCEL_HEADER_BYTES + plen {
-        return Err(WireError::Truncated);
-    }
-    let payload = buf[PARCEL_HEADER_BYTES..PARCEL_HEADER_BYTES + plen].to_vec();
-    Ok((
-        Parcel::new(action, target, payload),
-        PARCEL_HEADER_BYTES + plen,
-    ))
+    let mut c = BodyCursor::new(buf);
+    let p = take_parcel(&mut c)?;
+    Ok((p, c.consumed()))
 }
 
 /// Build a [`FrameKind::Parcels`] body around already-encoded parcels.
 pub fn parcels_body(epoch: u32, count: u32, encoded: &[u8]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(8 + encoded.len());
-    body.extend_from_slice(&epoch.to_le_bytes());
-    body.extend_from_slice(&count.to_le_bytes());
-    body.extend_from_slice(encoded);
-    body
+    write_body(8 + encoded.len(), |w| {
+        w.u32(epoch).u32(count).bytes(encoded);
+    })
 }
 
 /// Decode a [`FrameKind::Parcels`] body into its epoch and parcels.
 pub fn decode_parcels_body(body: &[u8]) -> Result<(u32, Vec<Parcel>), WireError> {
-    if body.len() < 8 {
-        return Err(WireError::Truncated);
-    }
-    let epoch = le_u32(body);
-    let count = le_u32(&body[4..]) as usize;
-    let mut parcels = Vec::with_capacity(count.min(1024));
-    let mut at = 8;
-    for _ in 0..count {
-        let (p, used) = decode_parcel(&body[at..])?;
-        at += used;
-        parcels.push(p);
-    }
-    if at != body.len() {
-        return Err(WireError::BadParcel);
-    }
-    Ok((epoch, parcels))
+    read_body(body, |c| {
+        let (epoch, count) = (c.u32()?, c.u32()? as usize);
+        let mut parcels = Vec::with_capacity(count.min(1024));
+        for _ in 0..count {
+            parcels.push(take_parcel(c)?);
+        }
+        Ok((epoch, parcels))
+    })
 }
 
 /// Bytes prefixed to a [`FrameKind::SeqParcels`] body ahead of the inner
@@ -522,19 +631,14 @@ pub const SEQ_HEADER_BYTES: usize = 16;
 /// [`seal_seq_parcels`], kept as its oracle.
 #[cfg(test)]
 pub(crate) fn seq_parcels_body(seq: u64, ack: u64, parcels: &[u8]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(SEQ_HEADER_BYTES + parcels.len());
-    body.extend_from_slice(&seq.to_le_bytes());
-    body.extend_from_slice(&ack.to_le_bytes());
-    body.extend_from_slice(parcels);
-    body
+    write_body(SEQ_HEADER_BYTES + parcels.len(), |w| {
+        w.u64(seq).u64(ack).bytes(parcels);
+    })
 }
 
 /// Split a [`FrameKind::SeqParcels`] body into `(seq, ack, parcels body)`.
 pub fn decode_seq_parcels_body(body: &[u8]) -> Result<(u64, u64, &[u8]), WireError> {
-    if body.len() < SEQ_HEADER_BYTES {
-        return Err(WireError::Truncated);
-    }
-    Ok((le_u64(body), le_u64(&body[8..]), &body[SEQ_HEADER_BYTES..]))
+    read_body(body, |c| Ok((c.u64()?, c.u64()?, c.rest())))
 }
 
 /// Room a parcel frame built in place keeps ahead of its first parcel: the
@@ -562,72 +666,48 @@ pub fn seal_seq_parcels(frame: &mut [u8], src: u16, seq: u64, ack: u64) {
 
 /// Build a [`FrameKind::Ack`] body.
 pub fn ack_body(ack: u64) -> Vec<u8> {
-    ack.to_le_bytes().to_vec()
+    write_body(8, |w| {
+        w.u64(ack);
+    })
 }
 
-/// Decode a [`FrameKind::Ack`] body.
+/// Decode a [`FrameKind::Ack`] body (exactly eight bytes).
 pub fn decode_ack_body(body: &[u8]) -> Result<u64, WireError> {
-    if body.len() < 8 {
-        return Err(WireError::Truncated);
-    }
-    Ok(le_u64(body))
-}
-
-/// `body` when it is exactly `N` bytes: [`WireError::Truncated`] if
-/// shorter, [`WireError::BadParcel`] if longer.
-fn exact<const N: usize>(body: &[u8]) -> Result<&[u8; N], WireError> {
-    match body.len().cmp(&N) {
-        std::cmp::Ordering::Less => Err(WireError::Truncated),
-        std::cmp::Ordering::Greater => Err(WireError::BadParcel),
-        std::cmp::Ordering::Equal => Ok(body.try_into().expect("N bytes")),
-    }
+    read_body(body, BodyCursor::u64)
 }
 
 /// Decode the `epoch u32` / `generation u32` body of a [`FrameKind::Done`],
 /// [`FrameKind::Barrier`] or [`FrameKind::BarrierRelease`] frame.
 pub fn decode_u32_body(body: &[u8]) -> Result<u32, WireError> {
-    exact::<4>(body).map(|b| u32::from_le_bytes(*b))
+    read_body(body, BodyCursor::u32)
 }
 
 /// Build a [`FrameKind::Status`] body.
 pub fn status_body(epoch: u32, seq: u64, sent: u64, recv: u64) -> Vec<u8> {
-    let mut body = Vec::with_capacity(28);
-    body.extend_from_slice(&epoch.to_le_bytes());
-    body.extend_from_slice(&seq.to_le_bytes());
-    body.extend_from_slice(&sent.to_le_bytes());
-    body.extend_from_slice(&recv.to_le_bytes());
-    body
+    write_body(28, |w| {
+        w.u32(epoch).u64(seq).u64(sent).u64(recv);
+    })
 }
 
 /// Decode a [`FrameKind::Status`] body into `(epoch, seq, sent, recv)`.
 pub fn decode_status_body(body: &[u8]) -> Result<(u32, u64, u64, u64), WireError> {
-    let b = exact::<28>(body)?;
-    Ok((
-        le_u32(b),
-        le_u64(&b[4..]),
-        le_u64(&b[12..]),
-        le_u64(&b[20..]),
-    ))
+    read_body(body, |c| Ok((c.u32()?, c.u64()?, c.u64()?, c.u64()?)))
 }
 
 /// Build a [`FrameKind::Gather`] body around one rank's contribution.
 pub fn gather_body(generation: u32, part: &[u8]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(8 + part.len());
-    body.extend_from_slice(&generation.to_le_bytes());
-    body.extend_from_slice(&(part.len() as u32).to_le_bytes());
-    body.extend_from_slice(part);
-    body
+    write_body(8 + part.len(), |w| {
+        w.u32(generation).u32(part.len() as u32).bytes(part);
+    })
 }
 
 /// Decode a [`FrameKind::Gather`] body into `(generation, part)`; the
 /// declared length must match the bytes that follow it exactly.
 pub fn decode_gather_body(body: &[u8]) -> Result<(u32, &[u8]), WireError> {
-    let (head, part) = body.split_at_checked(8).ok_or(WireError::Truncated)?;
-    match (le_u32(&head[4..]) as usize).cmp(&part.len()) {
-        std::cmp::Ordering::Greater => Err(WireError::Truncated),
-        std::cmp::Ordering::Less => Err(WireError::BadParcel),
-        std::cmp::Ordering::Equal => Ok((le_u32(head), part)),
-    }
+    read_body(body, |c| {
+        let (generation, len) = (c.u32()?, c.u32()? as usize);
+        Ok((generation, c.bytes(len)?))
+    })
 }
 
 #[cfg(test)]
@@ -934,6 +1014,36 @@ mod tests {
     fn ack_body_roundtrip() {
         assert_eq!(decode_ack_body(&ack_body(u64::MAX)).unwrap(), u64::MAX);
         assert_eq!(decode_ack_body(&[1, 2]), Err(WireError::Truncated));
+    }
+
+    #[test]
+    fn fixed_size_bodies_are_exact() {
+        // Every fixed-size body: one byte short is `Truncated`, one byte
+        // long is `BadParcel`.
+        use crate::service::{decode_stats_request, encode_stats_request};
+        type Decode = fn(&[u8]) -> Result<(), WireError>;
+        let rows: [(&str, Vec<u8>, Decode); 4] = [
+            ("Ack", ack_body(7), |b| decode_ack_body(b).map(drop)),
+            (
+                "Done/Barrier/BarrierRelease",
+                7u32.to_le_bytes().to_vec(),
+                |b| decode_u32_body(b).map(drop),
+            ),
+            ("Status", status_body(1, 2, 3, 4), |b| {
+                decode_status_body(b).map(drop)
+            }),
+            ("StatsRequest", encode_stats_request(9), |b| {
+                decode_stats_request(b).map(drop)
+            }),
+        ];
+        for (name, body, decode) in rows {
+            assert_eq!(decode(&body), Ok(()), "{name}");
+            let short = &body[..body.len() - 1];
+            assert_eq!(decode(short), Err(WireError::Truncated), "{name} short");
+            let mut long = body;
+            long.push(0);
+            assert_eq!(decode(&long), Err(WireError::BadParcel), "{name} long");
+        }
     }
 
     #[test]

@@ -22,7 +22,6 @@ pub mod json;
 pub mod merge;
 pub mod recorder;
 pub mod refit;
-pub mod service;
 pub mod summary;
 pub mod telemetry;
 pub mod trace;
@@ -40,13 +39,9 @@ pub use merge::{
 };
 pub use recorder::{ClassCounters, ClassStat, ObsLevel, SpanRing, DEFAULT_RING_CAPACITY};
 pub use refit::{refit_section, StepObs};
-pub use service::{
-    request_latency, service_section, LatencySummary, RequestSpan, RequestTrace,
-    DEFAULT_REQUEST_TRACE_CAPACITY,
-};
 pub use telemetry::{
-    bucket_bounds, bucket_index, Counter, Gauge, HistSnapshot, LogHistogram, PhaseHists,
-    TelemetryHub, MAX_TRACKED, NUM_BUCKETS, PHASES, SUB_BUCKET_COUNT,
+    bucket_bounds, bucket_index, Counter, Gauge, HistSnapshot, LatencySummary, LogHistogram,
+    PhaseHists, TelemetryHub, MAX_TRACKED, NUM_BUCKETS, PHASES, SUB_BUCKET_COUNT,
 };
 pub use trace::{utilization_by_class, utilization_total, TraceSet};
 pub use validate::{

@@ -393,6 +393,83 @@ impl PhaseHists {
     }
 }
 
+/// Latency distribution summary (microseconds, nearest-rank percentiles).
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct LatencySummary {
+    /// Samples the percentiles were computed over.
+    pub count: usize,
+    /// Mean.
+    pub mean_us: f64,
+    /// Median.
+    pub p50_us: f64,
+    /// 95th percentile.
+    pub p95_us: f64,
+    /// 99th percentile.
+    pub p99_us: f64,
+    /// 99.9th percentile.
+    pub p999_us: f64,
+    /// Maximum.
+    pub max_us: f64,
+}
+
+impl LatencySummary {
+    /// Summarise a set of latency samples (sorts `samples` in place).
+    ///
+    /// This is the exact O(n log n) path; long-lived servers should use
+    /// [`LatencySummary::from_snapshot`] on a streaming histogram
+    /// instead, which is O(buckets) and bounded-memory.
+    pub fn from_samples(samples: &mut [f64]) -> LatencySummary {
+        if samples.is_empty() {
+            return LatencySummary::default();
+        }
+        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+        let n = samples.len();
+        let rank = |p: f64| -> f64 {
+            // Nearest-rank: the smallest sample with at least p·n samples
+            // at or below it.
+            let k = ((p * n as f64).ceil() as usize).clamp(1, n);
+            samples[k - 1]
+        };
+        LatencySummary {
+            count: n,
+            mean_us: samples.iter().sum::<f64>() / n as f64,
+            p50_us: rank(0.50),
+            p95_us: rank(0.95),
+            p99_us: rank(0.99),
+            p999_us: rank(0.999),
+            max_us: samples[n - 1],
+        }
+    }
+
+    /// Summarise a histogram snapshot.  Percentiles are within one
+    /// bucket width (≤1/[`SUB_BUCKET_COUNT`]
+    /// relative) of the exact nearest-rank values.
+    pub fn from_snapshot(s: &HistSnapshot) -> LatencySummary {
+        LatencySummary {
+            count: s.count() as usize,
+            mean_us: s.mean(),
+            p50_us: s.quantile(0.50) as f64,
+            p95_us: s.quantile(0.95) as f64,
+            p99_us: s.quantile(0.99) as f64,
+            p999_us: s.quantile(0.999) as f64,
+            max_us: s.max() as f64,
+        }
+    }
+
+    /// JSON object for summaries (`{count, mean_us, p50_us, ...}`).
+    pub fn to_json(&self) -> Value {
+        obj(vec![
+            ("count", Value::from(self.count)),
+            ("mean_us", Value::from(self.mean_us)),
+            ("p50_us", Value::from(self.p50_us)),
+            ("p95_us", Value::from(self.p95_us)),
+            ("p99_us", Value::from(self.p99_us)),
+            ("p999_us", Value::from(self.p999_us)),
+            ("max_us", Value::from(self.max_us)),
+        ])
+    }
+}
+
 /// Shared telemetry plane for a resident server: phase histograms,
 /// engine-internal breakdown, step-engine reuse counters, and uptime.
 /// Everything is atomic — the hub lives outside the server's core lock
@@ -674,5 +751,69 @@ mod tests {
         );
         let ratio = v.get("reuse_ratio").and_then(Value::as_f64).unwrap();
         assert!((ratio - 0.85).abs() < 1e-12);
+    }
+
+    #[test]
+    fn percentiles_nearest_rank() {
+        let mut s: Vec<f64> = (1..=100).map(|i| i as f64).collect();
+        let l = LatencySummary::from_samples(&mut s);
+        assert_eq!(l.count, 100);
+        assert_eq!(l.p50_us, 50.0);
+        assert_eq!(l.p95_us, 95.0);
+        assert_eq!(l.p99_us, 99.0);
+        assert_eq!(l.p999_us, 100.0);
+        assert_eq!(l.max_us, 100.0);
+        assert!((l.mean_us - 50.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn single_sample_everywhere() {
+        let mut s = vec![7.0];
+        let l = LatencySummary::from_samples(&mut s);
+        assert_eq!(
+            (l.p50_us, l.p95_us, l.p99_us, l.max_us),
+            (7.0, 7.0, 7.0, 7.0)
+        );
+    }
+
+    #[test]
+    fn empty_summary_is_zero() {
+        let l = LatencySummary::from_samples(&mut []);
+        assert_eq!(l.count, 0);
+        assert_eq!(l.p99_us, 0.0);
+    }
+
+    #[test]
+    fn histogram_summary_tracks_exact_within_one_bucket() {
+        // The satellite acceptance check: histogram p99 must be within
+        // one bucket width of the exact nearest-rank p99.
+        let h = LogHistogram::new();
+        let mut samples: Vec<f64> = Vec::new();
+        let mut x = 123456789u64;
+        for _ in 0..50_000 {
+            // xorshift64 samples spread over ~3 decades.
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let v = (x % 1_000_000) as f64;
+            h.record_us(v);
+            samples.push(v);
+        }
+        let exact = LatencySummary::from_samples(&mut samples);
+        let approx = LatencySummary::from_snapshot(&h.snapshot());
+        assert_eq!(approx.count, exact.count);
+        for (a, e) in [
+            (approx.p50_us, exact.p50_us),
+            (approx.p95_us, exact.p95_us),
+            (approx.p99_us, exact.p99_us),
+            (approx.p999_us, exact.p999_us),
+        ] {
+            let (lo, hi) = bucket_bounds(bucket_index(e as u64));
+            assert!(
+                a >= lo as f64 && a <= hi as f64,
+                "histogram {a} outside bucket [{lo},{hi}] of exact {e}"
+            );
+        }
+        assert_eq!(approx.max_us, exact.max_us);
     }
 }

@@ -198,11 +198,11 @@ fn validate_histogram(h: &Value, name: &str) -> Result<u64, String> {
     Ok(count as u64)
 }
 
-/// Validate a `dashmm-stats-v1` telemetry snapshot: schema tag, non-
+/// Validate a `dashmm-stats-v2` telemetry snapshot: schema tag, non-
 /// negative counters, per-tenant request conservation
 /// (`admitted + shed == received`), balanced queue accounting, histogram
 /// invariants (see [`validate_histogram`]) for every latency phase and
-/// engine operator, trace-ring bookkeeping, and a present rate window.
+/// engine operator, and a present rate window.
 /// A `BENCH_service.json` wrapping the snapshot under `"server_stats"`
 /// is unwrapped first, so CI can point at either file.
 pub fn validate_stats_snapshot(text: &str) -> Result<StatsSnapshotStats, String> {
@@ -214,7 +214,7 @@ pub fn validate_stats_snapshot(text: &str) -> Result<StatsSnapshotStats, String>
             .ok_or("neither a snapshot (no \"schema\") nor a wrapper (no \"server_stats\")")?
     };
     match v.get("schema").and_then(Value::as_str) {
-        Some("dashmm-stats-v1") => {}
+        Some("dashmm-stats-v2") => {}
         Some(other) => return Err(format!("unknown schema {other:?}")),
         None => return Err("missing string \"schema\"".into()),
     }
@@ -319,29 +319,7 @@ pub fn validate_stats_snapshot(text: &str) -> Result<StatsSnapshotStats, String>
         out.histograms += 1;
     }
 
-    let trace = v.get("trace").ok_or("missing \"trace\"")?;
-    let tn = |k: &str| {
-        trace
-            .get(k)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("trace: missing numeric {k:?}"))
-    };
-    let (recorded, retained) = (tn("recorded")?, tn("retained")?);
-    let (overwritten, capacity) = (tn("overwritten")?, tn("capacity")?);
-    if retained > capacity {
-        return Err(format!(
-            "trace: retained {retained} exceeds capacity {capacity}"
-        ));
-    }
-    if recorded != retained + overwritten {
-        return Err(format!(
-            "trace: recorded {recorded} != retained {retained} + overwritten {overwritten}"
-        ));
-    }
-
     v.get("step").ok_or("missing \"step\"")?;
-    // "comm" must be present but may be null (no transport attached).
-    v.get("comm").ok_or("missing \"comm\"")?;
     let window = v.get("window").ok_or("missing \"window\"")?;
     let interval = window
         .get("interval_us")
@@ -407,7 +385,7 @@ mod tests {
         let hist = h.snapshot().to_json().to_json();
         format!(
             concat!(
-                "{{\"schema\":\"dashmm-stats-v1\",\"seq\":1,\"uptime_us\":100.0,",
+                "{{\"schema\":\"dashmm-stats-v2\",\"seq\":1,\"uptime_us\":100.0,",
                 "\"totals\":{{\"admitted_requests\":2,\"shed_requests\":0,",
                 "\"completed_requests\":2,\"evaluated_targets\":10,\"tiles\":1,",
                 "\"bad_requests\":0,\"step_requests\":0,\"connections\":1,",
@@ -423,9 +401,6 @@ mod tests {
                 "\"engine\":{{\"m2t_us\":{h},\"p2p_us\":{h},",
                 "\"far_pairs\":1,\"near_pairs\":2}},",
                 "\"step\":{{}},",
-                "\"trace\":{{\"recorded\":2,\"retained\":2,\"overwritten\":0,",
-                "\"capacity\":10}},",
-                "\"comm\":null,",
                 "\"window\":{{\"interval_us\":100.0}}}}"
             ),
             h = hist
@@ -466,11 +441,8 @@ mod tests {
         assert!(validate_stats_snapshot(&bad)
             .unwrap_err()
             .contains("bucket counts"));
-        // Trace ring bookkeeping.
-        let bad = sample_snapshot().replace("\"recorded\":2", "\"recorded\":5");
-        assert!(validate_stats_snapshot(&bad).unwrap_err().contains("trace"));
         // Unknown schema tag.
-        let bad = sample_snapshot().replace("dashmm-stats-v1", "dashmm-stats-v0");
+        let bad = sample_snapshot().replace("dashmm-stats-v2", "dashmm-stats-v1");
         assert!(validate_stats_snapshot(&bad)
             .unwrap_err()
             .contains("schema"));
