@@ -20,7 +20,8 @@
 //! `kill=R@MS` kills rank `R` dead `MS` milliseconds into the run (no
 //! goodbye, no flush — a crash).  `stall=R@MS+DUR` freezes rank `R`'s
 //! progress thread for `DUR` ms starting at `MS` (a GC-pause-like brownout
-//! the run must ride out).
+//! the run must ride out).  Both clocks start when the first evaluation
+//! hands the transport its progress ledger, as it builds its LCO network.
 //!
 //! [`CoalesceConfig`]: crate::transport::CoalesceConfig
 

@@ -85,7 +85,7 @@ fn main() {
             // Recovery is only provable against an actual death: kill the
             // last rank mid-run (never rank 0 — losing the coordinator is
             // out of recovery's scope).
-            spec = format!("{spec},kill={}@120", opts.localities - 1);
+            spec = format!("{spec},kill={}@15", opts.localities - 1);
             plan = FaultPlan::parse(&spec).expect("augmented fault spec parses");
         }
         let kill = plan.kill.expect("recover mode has a kill");

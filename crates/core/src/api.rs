@@ -4,7 +4,7 @@
 //! machine; no knowledge of the runtime is required — the second design
 //! objective of DASHMM (paper §I).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use dashmm_amt::{ObsLevel, PeerFailure, RunReport, Runtime, RuntimeConfig, Transport};
@@ -213,6 +213,7 @@ impl<K: Kernel> DashmmBuilder<K> {
             gradients: self.gradients,
             recover: self.recover,
             graph: Mutex::new(None),
+            network_ms: OnceLock::new(),
             tree_ms,
             dag_ms,
         }
@@ -249,6 +250,8 @@ pub struct Evaluation<K: Kernel> {
     /// The LCO network on `runtime`: built by the first `evaluate()` and
     /// re-armed by every later one, on the ownership a recovery left.
     graph: Mutex<Option<Arc<ExecCtx<K>>>>,
+    /// Milliseconds spent building the network, once it is built.
+    network_ms: OnceLock<f64>,
     /// Milliseconds spent building the dual tree.
     pub tree_ms: f64,
     /// Milliseconds spent assembling the explicit DAG.
@@ -402,14 +405,25 @@ impl<K: Kernel> Evaluation<K> {
     /// The LCO network in `graph`, built first if there is none.
     fn built<'g>(&self, graph: &'g mut Option<Arc<ExecCtx<K>>>) -> &'g Arc<ExecCtx<K>> {
         graph.get_or_insert_with(|| {
-            ExecCtx::new(
+            let t0 = Instant::now();
+            let exec = ExecCtx::new(
                 Arc::clone(&self.problem),
                 Arc::clone(&self.lib),
                 Arc::clone(&self.asm),
                 self.gradients,
                 &self.runtime,
-            )
+            );
+            let _ = self.network_ms.set(t0.elapsed().as_secs_f64() * 1e3);
+            exec
         })
+    }
+
+    /// Milliseconds the first `evaluate()` spent building the LCO network
+    /// (the batch plan, the owner column and one LCO per DAG node), or
+    /// `None` before any evaluation.  [`Evaluation::resident_payload`]
+    /// builds the network too, and then pays this instead.
+    pub fn network_ms(&self) -> Option<f64> {
+        self.network_ms.get().copied()
     }
 
     /// Payload bytes by node class ([`NodeClass::index`]) that the LCO
@@ -734,8 +748,17 @@ mod tests {
         let eval = DashmmBuilder::new(Laplace)
             .threshold(20)
             .build(&sources, &charges, &targets);
+        assert_eq!(eval.network_ms(), None, "no network before an evaluation");
         let a = eval.evaluate();
+        let built = eval
+            .network_ms()
+            .expect("the first evaluation builds the network");
         let b = eval.evaluate();
+        assert_eq!(
+            eval.network_ms(),
+            Some(built),
+            "later evaluations re-arm it"
+        );
         for (x, y) in a.potentials.iter().zip(&b.potentials) {
             assert!((x - y).abs() < 1e-12);
         }

@@ -16,13 +16,15 @@
 //! the same group, which is what reduces the per-box translation count from
 //! up to 189 toward the ~40 the paper cites.
 
-use std::collections::BTreeMap;
+use std::ops::Range;
+use std::sync::mpsc;
 
 use dashmm_dag::{Dag, DagBuilder, EdgeOp, NodeClass};
 use dashmm_expansion::OperatorLibrary;
 use dashmm_kernels::Kernel;
-use dashmm_tree::{Direction, InteractionLists, Octree};
+use dashmm_tree::{Direction, DualTree, InteractionLists, Octree};
 
+use crate::exec::{LevelIndex, Levels};
 use crate::problem::{Method, Problem};
 
 /// Data layout of an `Is` node: six own-direction regions (width `own_w`
@@ -98,12 +100,162 @@ impl Assembly {
     }
 }
 
-struct MergedSlotInfo {
-    /// Slot index within the parent's `Is` node.
-    slot: u32,
-    /// Member source boxes (children of the parent).
+/// One merged slot of a source parent's `Is` node.
+struct MergedSlot {
+    /// Direction index of the group's translations.
+    dir: u8,
+    /// Octants of the member children.
+    mask: u8,
+    /// The member source boxes, in list order at first appearance: a range
+    /// of [`Analysis::members`].
+    members: Range<usize>,
+}
+
+/// What the analysis pass finds out before any node exists: which nodes
+/// each box needs, the merged slots, and the translations.
+struct Analysis {
+    m_needed: Vec<bool>,
+    s_used: Vec<bool>,
+    is_own: Vec<bool>,
+    it_needed: Vec<bool>,
+    has_l: Vec<bool>,
+    /// Per source parent box, its merged slots; a slot's number is its
+    /// index in the row, the order in which the targets first asked for it.
+    slots: Vec<Vec<MergedSlot>>,
+    /// The member boxes of every merged slot.
     members: Vec<u32>,
-    dir: Direction,
+    /// Translations: (src_box, src_slot, dir, tgt_box).
+    trans: Vec<(u32, u32, Direction, u32)>,
+}
+
+impl Analysis {
+    /// Sweep the targets' lists once.  In the advanced method, a target's
+    /// `L2` entries are grouped by `(direction, source parent)`, groups in
+    /// that order and members in list order: a group of two or more is
+    /// served from a merged slot of its parent, keyed by `(direction,
+    /// member mask)`, a single member from its own `Is`.  Nothing is
+    /// numbered in a hashed order, so every process numbers the slots, and
+    /// so the nodes and edges, alike.
+    fn run(src: &Octree, tgt: &Octree, lists: &InteractionLists, advanced: bool) -> Self {
+        let ns = src.num_nodes();
+        let nt = tgt.num_nodes();
+        let mut m_direct = vec![false; ns];
+        let mut s_used = vec![false; ns];
+        let mut is_own = vec![false; ns];
+        let mut it_needed = vec![false; nt];
+        let mut l_direct = vec![false; nt];
+        let mut slots: Vec<Vec<MergedSlot>> = (0..ns).map(|_| Vec::new()).collect();
+        let mut members = Vec::new();
+        let mut trans = Vec::new();
+        // One target's L2 entries, each packed as direction, parent and
+        // list index, high to low bits: sorted, they run in groups by
+        // (direction, parent), each group in list order.
+        let mut group: Vec<u64> = Vec::new();
+        let dir_of = |key: u64| (key >> 56) as u8;
+        let parent_of = |key: u64| (key >> 16) as u32;
+        for t in 0..nt as u32 {
+            let bl = lists.of(t);
+            for &s in &bl.l1 {
+                s_used[s as usize] = true;
+            }
+            for &s in &bl.l4 {
+                s_used[s as usize] = true;
+                l_direct[t as usize] = true;
+            }
+            for &s in &bl.l3 {
+                m_direct[s as usize] = true;
+            }
+            if bl.l2.is_empty() {
+                continue;
+            }
+            l_direct[t as usize] = true;
+            if !advanced {
+                for e in &bl.l2 {
+                    m_direct[e.source as usize] = true;
+                }
+                continue;
+            }
+            it_needed[t as usize] = true;
+            group.clear();
+            for (i, e) in bl.l2.iter().enumerate() {
+                let parent = src.node(e.source).parent;
+                debug_assert!(parent >= 0, "L2 sources are at level ≥ 2");
+                // The list records where the source sits relative to the
+                // target; the expansion must propagate the opposite way.
+                let dir = e.direction.opposite().index() as u64;
+                debug_assert!(i < 1 << 16, "an L2 list holds at most 189 entries");
+                group.push(dir << 56 | (parent as u64) << 16 | i as u64);
+            }
+            group.sort_unstable();
+            for run in group.chunk_by(|&a, &b| a >> 16 == b >> 16) {
+                let (dir_idx, parent) = (dir_of(run[0]), parent_of(run[0]));
+                let dir = Direction::ALL[dir_idx as usize];
+                let member = |&key: &u64| bl.l2[(key & 0xffff) as usize].source;
+                if run.len() == 1 {
+                    let s = member(&run[0]);
+                    is_own[s as usize] = true;
+                    trans.push((s, 0, dir, t));
+                    continue;
+                }
+                let mask = run
+                    .iter()
+                    .fold(0u8, |m, e| m | 1 << src.node(member(e)).key.octant());
+                let row = &mut slots[parent as usize];
+                let slot = match row.iter().position(|m| (m.dir, m.mask) == (dir_idx, mask)) {
+                    Some(slot) => slot,
+                    None => {
+                        let at = members.len();
+                        for e in run {
+                            is_own[member(e) as usize] = true;
+                            members.push(member(e));
+                        }
+                        row.push(MergedSlot {
+                            dir: dir_idx,
+                            mask,
+                            members: at..members.len(),
+                        });
+                        row.len() - 1
+                    }
+                };
+                trans.push((parent, slot as u32 + 1, dir, t));
+            }
+        }
+        // Own outgoing expansions are formed from the multipole.
+        for b in 0..ns {
+            if is_own[b] {
+                m_direct[b] = true;
+            }
+        }
+        // M is needed wherever an ancestor needs it (children feed parents).
+        let mut m_needed = m_direct;
+        for b in 0..ns {
+            let p = src.node(b as u32).parent;
+            if p >= 0 && m_needed[p as usize] {
+                m_needed[b] = true;
+            }
+        }
+        for b in 0..ns {
+            if m_needed[b] && src.node(b as u32).is_leaf() {
+                s_used[b] = true;
+            }
+        }
+        // L content flows down the target tree.
+        let mut has_l = vec![false; nt];
+        for t in 0..nt {
+            let p = tgt.node(t as u32).parent;
+            has_l[t] = l_direct[t] || it_needed[t] || (p >= 0 && has_l[p as usize]);
+        }
+        Analysis {
+            m_needed,
+            s_used,
+            is_own,
+            it_needed,
+            has_l,
+            slots,
+            members,
+            trans,
+        }
+    }
 }
 
 /// Assemble the explicit DAG for a problem and method.
@@ -112,136 +264,66 @@ pub fn assemble<K: Kernel>(
     method: Method,
     lib: &OperatorLibrary<K>,
 ) -> Assembly {
-    let src = problem.tree.source();
-    let tgt = problem.tree.target();
-    let lists = problem.tree.interaction_lists();
     match method {
         Method::BarnesHut { theta } => assemble_bh(problem, theta, lib),
-        _ => assemble_fmm(problem, method, lib, src, tgt, &lists),
+        _ => assemble_fmm(&problem.tree, method, lib),
     }
 }
 
+/// The tables of every level `levels` names, built in the order named.
+fn far_field_tables<K: Kernel>(lib: &OperatorLibrary<K>, levels: mpsc::Receiver<u8>) -> Levels {
+    let mut tables = LevelIndex::new(lib);
+    for level in levels {
+        tables.get(level);
+    }
+    tables.into_tables()
+}
+
 #[allow(clippy::too_many_lines)]
-fn assemble_fmm<K: Kernel>(
-    _problem: &Problem,
-    method: Method,
-    lib: &OperatorLibrary<K>,
-    src: &Octree,
-    tgt: &Octree,
-    lists: &InteractionLists,
-) -> Assembly {
+fn assemble_fmm<K: Kernel>(tree: &DualTree, method: Method, lib: &OperatorLibrary<K>) -> Assembly {
+    let (src, tgt) = (tree.source(), tree.target());
     let ns = src.num_nodes();
     let nt = tgt.num_nodes();
     let advanced = method.uses_planewave();
     let n_exp = lib.params().surface_points();
     let exp_bytes = (n_exp * 8) as u32;
-    let pw_len = |level: u8| lib.tables(level).planewave_len() as u32;
 
-    // ---- Analysis pass -------------------------------------------------
-    let mut m_direct = vec![false; ns];
-    let mut s_used = vec![false; ns];
-    let mut is_own = vec![false; ns];
-    let mut it_needed = vec![false; nt];
-    let mut l_direct = vec![false; nt];
-    // Merged slots per source parent box.
-    let mut merged_count = vec![0u32; ns];
-    // BTreeMaps keep slot and edge creation order deterministic across
-    // processes (HashMap order varies with the hasher seed, which would
-    // reorder floating-point reductions between otherwise identical runs).
-    let mut merged_slots: BTreeMap<(u32, u8, u8), MergedSlotInfo> = BTreeMap::new();
-    // Translations: (src_box, src_slot, dir, tgt_box).
-    let mut trans: Vec<(u32, u32, Direction, u32)> = Vec::new();
-
-    let mut groups: BTreeMap<(u8, u32), Vec<u32>> = BTreeMap::new();
-    for t in 0..nt as u32 {
-        let bl = lists.of(t);
-        for &s in &bl.l1 {
-            s_used[s as usize] = true;
-        }
-        for &s in &bl.l4 {
-            s_used[s as usize] = true;
-            l_direct[t as usize] = true;
-        }
-        for &s in &bl.l3 {
-            m_direct[s as usize] = true;
-        }
-        if bl.l2.is_empty() {
-            continue;
-        }
-        l_direct[t as usize] = true;
-        if !advanced {
-            for e in &bl.l2 {
-                m_direct[e.source as usize] = true;
+    // ---- Lists and analysis, beside the far-field tables -----------------
+    // The advanced method sizes its `Is`/`It` nodes by the plane-wave
+    // length of the levels that carry `L2` entries.  The lists name those
+    // levels as they find them, and a helper thread builds their tables
+    // while the lists and the analysis run.  Nothing here reads the library
+    // until the helper is joined, so no level is built twice.
+    let (lists, an, far) = std::thread::scope(|scope| {
+        let (tx, rx) = mpsc::channel();
+        let far = scope.spawn(move || far_field_tables(lib, rx));
+        let lists = tree.interaction_lists_with(|level| {
+            if advanced {
+                tx.send(level)
+                    .expect("the table builder outlives the lists");
             }
-            continue;
-        }
-        it_needed[t as usize] = true;
-        groups.clear();
-        for e in &bl.l2 {
-            let parent = src.node(e.source).parent;
-            debug_assert!(parent >= 0, "L2 sources are at level ≥ 2");
-            // The list records where the source sits relative to the
-            // target; the expansion must propagate the opposite way.
-            let dir = e.direction.opposite();
-            groups
-                .entry((dir.index() as u8, parent as u32))
-                .or_default()
-                .push(e.source);
-        }
-        for ((dir_idx, parent), members) in std::mem::take(&mut groups) {
-            let dir = Direction::ALL[dir_idx as usize];
-            if members.len() >= 2 {
-                let mut mask = 0u8;
-                for &m in &members {
-                    mask |= 1 << src.node(m).key.octant();
-                }
-                let info = merged_slots
-                    .entry((parent, dir_idx, mask))
-                    .or_insert_with(|| {
-                        let slot = merged_count[parent as usize];
-                        merged_count[parent as usize] += 1;
-                        for &m in &members {
-                            is_own[m as usize] = true;
-                        }
-                        MergedSlotInfo {
-                            slot,
-                            members: members.clone(),
-                            dir,
-                        }
-                    });
-                trans.push((parent, info.slot + 1, dir, t));
-            } else {
-                let s = members[0];
-                is_own[s as usize] = true;
-                trans.push((s, 0, dir, t));
-            }
-        }
-    }
-    // Own outgoing expansions are formed from the multipole.
-    for b in 0..ns {
-        if is_own[b] {
-            m_direct[b] = true;
-        }
-    }
-    // M is needed wherever an ancestor needs it (children feed parents).
-    let mut m_needed = m_direct;
-    for b in 0..ns {
-        let p = src.node(b as u32).parent;
-        if p >= 0 && m_needed[p as usize] {
-            m_needed[b] = true;
-        }
-    }
-    for b in 0..ns {
-        if m_needed[b] && src.node(b as u32).is_leaf() {
-            s_used[b] = true;
-        }
-    }
-    // L content flows down the target tree.
-    let mut has_l = vec![false; nt];
-    for t in 0..nt {
-        let p = tgt.node(t as u32).parent;
-        has_l[t] = l_direct[t] || it_needed[t] || (p >= 0 && has_l[p as usize]);
-    }
+        });
+        drop(tx);
+        let an = Analysis::run(src, tgt, &lists, advanced);
+        let far = far.join().expect("far-field table build panicked");
+        (lists, an, far)
+    });
+    let pw_len = |level: u8| {
+        far.get(level as usize)
+            .and_then(Option::as_ref)
+            .expect("every plane-wave level carries an L2 entry")
+            .planewave_len() as u32
+    };
+    let Analysis {
+        m_needed,
+        s_used,
+        is_own,
+        it_needed,
+        has_l,
+        slots,
+        members,
+        trans,
+    } = an;
 
     // ---- Node creation -------------------------------------------------
     let mut b = DagBuilder::new();
@@ -268,7 +350,7 @@ fn assemble_fmm<K: Kernel>(
     if advanced {
         for s in 0..ns as u32 {
             let own = is_own[s as usize];
-            let nm = merged_count[s as usize];
+            let nm = slots[s as usize].len() as u32;
             if !own && nm == 0 {
                 continue;
             }
@@ -343,21 +425,32 @@ fn assemble_fmm<K: Kernel>(
             }
         }
     }
-    // Merge shifts: member own region → parent merged slot.
-    for ((parent, _dir_idx, _mask), info) in &merged_slots {
-        let dst = is_of[*parent as usize];
+    // Merge shifts: member own region → parent merged slot, by parent,
+    // then by the slot's (direction, mask).
+    let mut order: Vec<usize> = Vec::new();
+    for (parent, row) in slots.iter().enumerate() {
+        if row.is_empty() {
+            continue;
+        }
+        let dst = is_of[parent];
         debug_assert!(dst >= 0);
         let layout = is_layout[dst as usize];
-        for &m in &info.members {
-            let src_is = is_of[m as usize];
-            debug_assert!(src_is >= 0);
-            b.add_edge(
-                src_is as u32,
-                EdgeOp::I2I,
-                dst as u32,
-                layout.merged_w * 8,
-                pack_i2i(info.dir.index(), 0, info.slot),
-            );
+        order.clear();
+        order.extend(0..row.len());
+        order.sort_unstable_by_key(|&k| (row[k].dir, row[k].mask));
+        for &k in &order {
+            let slot = &row[k];
+            for &m in &members[slot.members.clone()] {
+                let src_is = is_of[m as usize];
+                debug_assert!(src_is >= 0);
+                b.add_edge(
+                    src_is as u32,
+                    EdgeOp::I2I,
+                    dst as u32,
+                    layout.merged_w * 8,
+                    pack_i2i(slot.dir as usize, 0, k as u32),
+                );
+            }
         }
     }
     // Translations into It nodes.

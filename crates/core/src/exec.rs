@@ -13,7 +13,7 @@
 //! after its `M→I` flush: a translation into an `It`, or a merge shift into
 //! a parent on another locality.  Every merge shift into a parent on the
 //! same locality is applied inside that flush, from the fresh six-direction
-//! panel, so its window is never stored ([`stored_mask`]).
+//! panel, so its window is never stored (`stored_mask`).
 //!
 //! An `It` node stores nothing.  Its LCO is a gate that counts its `I→I`
 //! in-edges; their sources, the fired `Is` payloads (or a bundle's copy of
@@ -27,6 +27,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Weak};
@@ -142,10 +143,9 @@ struct Rows<T> {
 }
 
 impl<T> Rows<T> {
-    /// `entries`, each `(node, entry)`, grouped into the rows of `n` nodes;
-    /// a row keeps the order its entries came in.
-    fn new(n: usize, mut entries: Vec<(u32, T)>) -> Self {
-        entries.sort_by_key(|&(row, _)| row);
+    /// `entries`, each `(node, entry)`, grouped into the rows of `n` nodes
+    /// by a counting pass; a row keeps the order its entries came in.
+    fn new(n: usize, entries: Vec<(u32, T)>) -> Self {
         let mut first = vec![0u32; n + 1];
         for &(row, _) in &entries {
             first[row as usize + 1] += 1;
@@ -153,7 +153,17 @@ impl<T> Rows<T> {
         for i in 1..first.len() {
             first[i] += first[i - 1];
         }
-        let items = entries.into_iter().map(|(_, entry)| entry).collect();
+        let mut next = first.clone();
+        let mut placed: Vec<Option<T>> = (0..entries.len()).map(|_| None).collect();
+        for (row, entry) in entries {
+            let at = &mut next[row as usize];
+            placed[*at as usize] = Some(entry);
+            *at += 1;
+        }
+        let items = placed
+            .into_iter()
+            .map(|e| e.expect("every slot placed"))
+            .collect();
         Rows { first, items }
     }
 
@@ -246,8 +256,8 @@ pub struct ExecCtx<K: Kernel> {
     /// Operator tables.
     pub lib: Arc<OperatorLibrary<K>>,
     /// The tables the per-edge operators apply, by level, resolved at
-    /// build ([`edge_tables`]) so applying an edge looks nothing up.
-    levels: Vec<Option<Arc<LevelTables>>>,
+    /// build ([`BatchPlan::build`]) so applying an edge looks nothing up.
+    levels: Levels,
     /// The explicit DAG and box correspondence.
     pub asm: Arc<Assembly>,
     /// Also compute field gradients at the targets.
@@ -335,8 +345,7 @@ impl<K: Kernel> ExecCtx<K> {
     ) -> Arc<Self> {
         let dag = &asm.dag;
         let n_loc = rt.num_localities();
-        let (batch, shifts) = BatchPlan::build(&problem, &lib, &asm);
-        let levels = edge_tables(&lib, dag);
+        let (batch, shifts, levels) = BatchPlan::build(&problem, &lib, &asm);
         let batchers = (0..n_loc)
             .map(|_| EdgeBatcher::new(batch.ops.len(), DEFAULT_BATCH_THRESHOLD))
             .collect();
@@ -690,7 +699,7 @@ impl<K: Kernel> ExecCtx<K> {
     /// survivor picked by a stable hash of its Morton key, in the owner
     /// column; (2) each gets a fresh LCO there, expecting what a whole run
     /// brings (`ExecCtx::due`), an `Is` storing the windows the new
-    /// ownership leaves unfused ([`stored_mask`]), and later re-arms refill
+    /// ownership leaves unfused (`stored_mask`), and later re-arms refill
     /// the batchers with the whole run's deposits; (3) the parked batches
     /// are drained and their edges taken out of the `applied` bitmap, the
     /// batchers refilled and the untriggered local LCOs re-armed with what
@@ -1324,6 +1333,100 @@ impl<K: Kernel> ExecCtx<K> {
     }
 }
 
+impl BatchKey {
+    /// Dense slots per level: `M→M` and `L→L` by octant, `M→L` by offset
+    /// (each axis in `-3..=3`), `M→I`, `I→L`.
+    const LEVEL_SLOTS: usize = 8 + 8 + 343 + 2;
+
+    /// The key's slot in a dense index that leads with one `S→T` slot per
+    /// DAG node of the `n_nodes`; `None` for `I→I`, whose keys are hashed.
+    fn dense_slot(self, n_nodes: usize) -> Option<usize> {
+        let (level, within) = match self {
+            BatchKey::S2T { dst } => return Some(dst as usize),
+            BatchKey::M2M { level, octant } => (level, octant as usize),
+            BatchKey::L2L { level, octant } => (level, 8 + octant as usize),
+            BatchKey::M2L { level, offset } => {
+                let axis = |o: i8| {
+                    assert!(
+                        (-3..=3).contains(&o),
+                        "M→L offset {offset:?} beyond 3 boxes"
+                    );
+                    (o + 3) as usize
+                };
+                let (x, y, z) = (axis(offset.0), axis(offset.1), axis(offset.2));
+                (level, 16 + (x * 7 + y) * 7 + z)
+            }
+            BatchKey::M2I { level } => (level, Self::LEVEL_SLOTS - 2),
+            BatchKey::I2L { level } => (level, Self::LEVEL_SLOTS - 1),
+            BatchKey::I2I { .. } => return None,
+        };
+        Some(n_nodes + level as usize * Self::LEVEL_SLOTS + within)
+    }
+}
+
+/// An `I→I` key packed into one word, for [`WordHasher`].
+fn pack_i2i_key(level: u8, dir: u8, delta: (i16, i16, i16)) -> u64 {
+    (level as u64) << 56
+        | (dir as u64) << 48
+        | (delta.0 as u16 as u64) << 32
+        | (delta.1 as u16 as u64) << 16
+        | delta.2 as u16 as u64
+}
+
+/// A one-multiply hasher for keys that are already one word.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        let h = word.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Operator tables by level, `None` for a level nobody asked for.
+pub(crate) type Levels = Vec<Option<Arc<LevelTables>>>;
+
+/// Each level's tables, resolved from the library on a level's first use,
+/// then by index.
+pub(crate) struct LevelIndex<'a, K: Kernel> {
+    lib: &'a OperatorLibrary<K>,
+    tables: Levels,
+}
+
+impl<'a, K: Kernel> LevelIndex<'a, K> {
+    pub(crate) fn new(lib: &'a OperatorLibrary<K>) -> Self {
+        LevelIndex {
+            lib,
+            tables: Vec::new(),
+        }
+    }
+
+    pub(crate) fn get(&mut self, level: u8) -> &Arc<LevelTables> {
+        let l = level as usize;
+        if self.tables.len() <= l {
+            self.tables.resize(l + 1, None);
+        }
+        let lib = self.lib;
+        self.tables[l].get_or_insert_with(|| lib.tables(level))
+    }
+
+    /// The levels resolved so far.
+    pub(crate) fn into_tables(self) -> Levels {
+        self.tables
+    }
+}
+
 impl BatchPlan {
     /// Sweep the DAG once: number every distinct key of a batched edge and
     /// resolve what its flushes apply; [`ExecCtx::due`] counts the deposits
@@ -1331,33 +1434,65 @@ impl BatchPlan {
     /// batched: the same sweep lists them per `It`, with their factors
     /// resolved once per key, in the [`ShiftPlan`].  So are the merge
     /// shifts, per member `Is`; they keep a key, for the merges the `M→I`
-    /// flush does not apply.
+    /// flush does not apply.  Keys and factors are numbered in edge order,
+    /// looked up densely by destination or `(level, octant | offset)`, and
+    /// hashed by one word for `I→I`.
+    ///
+    /// The sweep also resolves the tables the per-edge operators apply:
+    /// `S→M`, `M→T` and `L→T` read their source node's level, `S→L` its
+    /// destination's, and an `It` node's length is its level's plane-wave
+    /// length.  Only levels some node or edge uses are resolved, so the
+    /// build builds no table the evaluation would not.
     fn build<K: Kernel>(
         problem: &Problem,
         lib: &OperatorLibrary<K>,
         asm: &Assembly,
-    ) -> (BatchPlan, ShiftPlan) {
+    ) -> (BatchPlan, ShiftPlan, Levels) {
         let dag = &asm.dag;
-        let mut index: HashMap<BatchKey, u32> = HashMap::new();
+        let n_nodes = dag.num_nodes();
+        let mut levels = LevelIndex::new(lib);
+        // Every dense key's level is one of its edge's nodes' levels.
+        let n_levels = dag.nodes().iter().map(|n| n.level as usize + 1).max();
+        let n_levels = n_levels.unwrap_or(0);
+        let mut dense = vec![NO_ID; n_nodes + n_levels * BatchKey::LEVEL_SLOTS];
+        // Per `I→I` key: its factor id, and its key id (`NO_ID` until a
+        // merge shift uses it).
+        let mut i2i: HashMap<u64, (u32, u32), BuildHasherDefault<WordHasher>> = HashMap::default();
         let mut ops = Vec::new();
         let mut edge_key = vec![None; dag.edges().len()];
-        let mut fac_index: HashMap<BatchKey, u32> = HashMap::new();
         let mut factors = Vec::new();
         // (destination, edge) and (source, edge), in edge order.
         let mut gathered: Vec<(u32, GatherEdge)> = Vec::new();
         let mut merges: Vec<(u32, MergeEdge)> = Vec::new();
-        for id in 0..dag.num_nodes() as u32 {
-            let first = dag.node(id).first_edge as usize;
+        for id in 0..n_nodes as u32 {
+            let node = dag.node(id);
+            if node.class == NodeClass::It {
+                levels.get(node.level);
+            }
+            let first = node.first_edge as usize;
             for (i, e) in dag.out_edges(id).iter().enumerate() {
+                match e.op {
+                    EdgeOp::S2M | EdgeOp::M2T | EdgeOp::L2T => {
+                        levels.get(node.level);
+                    }
+                    EdgeOp::S2L => {
+                        levels.get(dag.node(e.dst).level);
+                    }
+                    _ => {}
+                }
                 let Some(key) = batch_key(problem, lib, asm, id, e) else {
                     continue;
                 };
                 let eid = (first + i) as u32;
-                if let BatchKey::I2I { dir, .. } = key {
-                    let fac = *fac_index.entry(key).or_insert_with(|| {
-                        factors.push((dir, i2i_factor(lib, key)));
-                        factors.len() as u32 - 1
-                    });
+                let k = if let BatchKey::I2I { level, dir, delta } = key {
+                    let ids = i2i
+                        .entry(pack_i2i_key(level, dir, delta))
+                        .or_insert((NO_ID, NO_ID));
+                    if ids.0 == NO_ID {
+                        factors.push((dir, i2i_factor(levels.get(level), dir, delta)));
+                        ids.0 = factors.len() as u32 - 1;
+                    }
+                    let fac = ids.0;
                     let (_, src_slot, dst_slot) = unpack_i2i(e.tag);
                     if dag.node(e.dst).class == NodeClass::It {
                         let g = GatherEdge {
@@ -1376,23 +1511,34 @@ impl BatchPlan {
                         fac,
                     };
                     merges.push((id, m));
-                }
-                let k = *index.entry(key).or_insert_with(|| {
-                    ops.push(key_op(lib, key));
-                    ops.len() as u32 - 1
-                });
+                    if ids.1 == NO_ID {
+                        ops.push(KeyOp::I2I(Arc::clone(&factors[fac as usize].1)));
+                        ids.1 = ops.len() as u32 - 1;
+                    }
+                    ids.1
+                } else {
+                    let slot = key.dense_slot(n_nodes).expect("a dense key");
+                    if dense[slot] == NO_ID {
+                        ops.push(key_op(&mut levels, key));
+                        dense[slot] = ops.len() as u32 - 1;
+                    }
+                    dense[slot]
+                };
                 edge_key[eid as usize] = Some(k);
             }
         }
         let batch = BatchPlan { ops, edge_key };
         let shifts = ShiftPlan {
-            gather: Rows::new(dag.num_nodes(), gathered),
-            merge: Rows::new(dag.num_nodes(), merges),
+            gather: Rows::new(n_nodes, gathered),
+            merge: Rows::new(n_nodes, merges),
             factors,
         };
-        (batch, shifts)
+        (batch, shifts, levels.into_tables())
     }
 }
+
+/// No id assigned yet, in the build sweep's dense and hashed indexes.
+const NO_ID: u32 = u32::MAX;
 
 /// Batching key for an edge whose operator is applied batched, `None`
 /// for the per-edge operators (the particle-facing `S→M`, `S→L`,
@@ -1444,7 +1590,8 @@ fn batch_key<K: Kernel>(
             } else {
                 src_node.level + 1
             };
-            let quarter = lib.tables(level).side() * 0.25;
+            // The side a level's tables are built for.
+            let quarter = lib.side_at(level) * 0.25;
             let center = |class: NodeClass, box_id: u32| match class {
                 NodeClass::S | NodeClass::M | NodeClass::Is => stree.center_of(box_id),
                 _ => ttree.center_of(box_id),
@@ -1462,56 +1609,24 @@ fn batch_key<K: Kernel>(
     }
 }
 
-/// The tables the per-edge operators apply, by level: `S→M`, `M→T` and
-/// `L→T` read their source node's level, `S→L` its destination's, and an
-/// `It` node's length is its level's plane-wave length.  Only levels some
-/// edge uses are resolved, so the build builds no table the evaluation
-/// would not.
-fn edge_tables<K: Kernel>(lib: &OperatorLibrary<K>, dag: &Dag) -> Vec<Option<Arc<LevelTables>>> {
-    let mut levels: Vec<Option<Arc<LevelTables>>> = Vec::new();
-    let mut resolve = |level: u8| {
-        let l = level as usize;
-        if levels.len() <= l {
-            levels.resize(l + 1, None);
-        }
-        levels[l].get_or_insert_with(|| lib.tables(level));
-    };
-    for id in 0..dag.num_nodes() as u32 {
-        let node = dag.node(id);
-        if node.class == NodeClass::It {
-            resolve(node.level);
-        }
-        for e in dag.out_edges(id) {
-            match e.op {
-                EdgeOp::S2M | EdgeOp::M2T | EdgeOp::L2T => resolve(node.level),
-                EdgeOp::S2L => resolve(dag.node(e.dst).level),
-                _ => {}
-            }
-        }
-    }
-    levels
-}
-
-/// What every flush of `key` applies, from the same tables and the same
-/// `i2i` factor cache a per-flush lookup would reach.
-fn key_op<K: Kernel>(lib: &OperatorLibrary<K>, key: BatchKey) -> KeyOp {
+/// What every flush of `key`, any key but `I→I`'s, applies: its level's
+/// tables and its own fields.
+fn key_op<K: Kernel>(levels: &mut LevelIndex<'_, K>, key: BatchKey) -> KeyOp {
+    let mut tables = |level: u8| Arc::clone(levels.get(level));
     match key {
-        BatchKey::M2M { level, octant } => KeyOp::M2M(lib.tables(level), octant),
-        BatchKey::M2L { level, offset } => KeyOp::M2L(lib.tables(level), offset),
-        BatchKey::L2L { level, octant } => KeyOp::L2L(lib.tables(level), octant),
-        BatchKey::M2I { level } => KeyOp::M2I(lib.tables(level)),
-        BatchKey::I2L { level } => KeyOp::I2L(lib.tables(level)),
-        BatchKey::I2I { .. } => KeyOp::I2I(i2i_factor(lib, key)),
+        BatchKey::M2M { level, octant } => KeyOp::M2M(tables(level), octant),
+        BatchKey::M2L { level, offset } => KeyOp::M2L(tables(level), offset),
+        BatchKey::L2L { level, octant } => KeyOp::L2L(tables(level), octant),
+        BatchKey::M2I { level } => KeyOp::M2I(tables(level)),
+        BatchKey::I2L { level } => KeyOp::I2L(tables(level)),
         BatchKey::S2T { dst } => KeyOp::S2T(dst),
+        BatchKey::I2I { .. } => unreachable!("an I→I key's operator is its factor"),
     }
 }
 
-/// The diagonal factors of an `I→I` key, from the tables' factor cache.
-fn i2i_factor<K: Kernel>(lib: &OperatorLibrary<K>, key: BatchKey) -> Arc<Vec<f64>> {
-    let BatchKey::I2I { level, dir, delta } = key else {
-        unreachable!("an I→I key");
-    };
-    let t = lib.tables(level);
+/// The diagonal factors of the `I→I` key `(dir, delta)` at the level of
+/// `t`, from the tables' factor cache.
+fn i2i_factor(t: &LevelTables, dir: u8, delta: (i16, i16, i16)) -> Arc<Vec<f64>> {
     let quarter = t.side() * 0.25;
     let delta = Point3::new(
         delta.0 as f64 * quarter,
@@ -2174,5 +2289,146 @@ mod tests {
     fn offset_add_bounds_checked() {
         let mut data = vec![0.0; 2];
         offset_add(&mut data, &[1.0, 1.0, 1.0]);
+    }
+
+    /// FNV-1a over a stream of words.
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn new() -> Self {
+            Fnv(0xcbf2_9ce4_8422_2325)
+        }
+
+        fn put(&mut self, word: u64) -> &mut Self {
+            for b in word.to_le_bytes() {
+                self.0 = (self.0 ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+            self
+        }
+    }
+
+    /// The DAG's CSR: every node's class, box, level, locality and size,
+    /// then every edge's `(src, op, dst, bytes, tag)`, in id order.
+    fn dag_hash(dag: &Dag) -> u64 {
+        let mut h = Fnv::new();
+        for n in dag.nodes() {
+            h.put(n.class.index() as u64)
+                .put(n.box_id as u64)
+                .put(n.level as u64)
+                .put(n.locality as u64)
+                .put(n.size_bytes as u64);
+        }
+        for id in 0..dag.num_nodes() as u32 {
+            for e in dag.out_edges(id) {
+                h.put(id as u64)
+                    .put(e.op.index() as u64)
+                    .put(e.dst as u64)
+                    .put(e.bytes as u64)
+                    .put(e.tag as u64);
+            }
+        }
+        h.0
+    }
+
+    /// The batch plan: every edge's key id, every key's operator in id
+    /// order (an `I→I` key by its factor's id), every factor's direction
+    /// and length in id order, and the gather and merge rows.
+    fn plan_hash<K: Kernel>(exec: &ExecCtx<K>) -> u64 {
+        let mut h = Fnv::new();
+        for k in &exec.batch.edge_key {
+            h.put(k.map_or(u64::MAX, u64::from));
+        }
+        let factors = &exec.shifts.factors;
+        for op in &exec.batch.ops {
+            h.put(op.class() as u64);
+            match op {
+                KeyOp::M2M(t, o) | KeyOp::L2L(t, o) => h.put(t.level() as u64).put(*o as u64),
+                KeyOp::M2L(t, (x, y, z)) => h
+                    .put(t.level() as u64)
+                    .put(*x as u8 as u64)
+                    .put(*y as u8 as u64)
+                    .put(*z as u8 as u64),
+                KeyOp::M2I(t) | KeyOp::I2L(t) => h.put(t.level() as u64),
+                KeyOp::I2I(f) => {
+                    let fac = factors.iter().position(|(_, g)| Arc::ptr_eq(f, g));
+                    h.put(fac.expect("an I→I key's factor is listed") as u64)
+                }
+                KeyOp::S2T(dst) => h.put(*dst as u64),
+            };
+        }
+        for (dir, f) in factors {
+            h.put(*dir as u64).put(f.len() as u64);
+        }
+        for &at in exec
+            .shifts
+            .gather
+            .first
+            .iter()
+            .chain(&exec.shifts.merge.first)
+        {
+            h.put(at as u64);
+        }
+        for g in &exec.shifts.gather.items {
+            h.put(g.src as u64)
+                .put(g.slot as u64)
+                .put(g.fac as u64)
+                .put(g.eid as u64);
+        }
+        for m in &exec.shifts.merge.items {
+            h.put(m.eid as u64)
+                .put(m.dst as u64)
+                .put(m.slot as u64)
+                .put(m.fac as u64);
+        }
+        h.0
+    }
+
+    /// Build on two localities, hash the DAG and the batch plan, evaluate
+    /// once and count the operator levels built: `(dag, plan, levels)`.
+    fn set_up<K: Kernel>(kernel: K, method: crate::Method, sphere: bool) -> (u64, u64, usize) {
+        use dashmm_tree::{sphere_surface, uniform_cube};
+        let n = 8000;
+        let (sources, targets) = if sphere {
+            (sphere_surface(n, 31), sphere_surface(n, 32))
+        } else {
+            (uniform_cube(n, 31), uniform_cube(n, 32))
+        };
+        let charges: Vec<f64> = (0..n).map(|i| ((i * 3) % 7) as f64 - 3.0).collect();
+        let eval = crate::DashmmBuilder::new(kernel)
+            .method(method)
+            .threshold(20)
+            .machine(2, 1)
+            .build(&sources, &charges, &targets);
+        let dag = dag_hash(eval.dag());
+        let plan = plan_hash(&eval.armed_graph());
+        eval.evaluate();
+        (dag, plan, eval.library().built_levels())
+    }
+
+    // The constants below were computed by this code at the parent of the
+    // change that made the cold set-up one pass per stage (commit
+    // 130dec7): the DAG, the batch plan and the operator levels built are
+    // the same as before it.
+
+    #[test]
+    fn pinned_setup_advanced_laplace_cube() {
+        let got = set_up(dashmm_kernels::Laplace, crate::Method::AdvancedFmm, false);
+        assert_eq!(got, (16047353265752061359, 16483183514291140882, 3));
+    }
+
+    #[test]
+    fn pinned_setup_advanced_yukawa_sphere() {
+        let got = set_up(
+            dashmm_kernels::Yukawa::new(2.0),
+            crate::Method::AdvancedFmm,
+            true,
+        );
+        assert_eq!(got, (7117904475300966034, 10169622935573217228, 4));
+    }
+
+    #[test]
+    fn pinned_setup_basic_laplace_cube() {
+        let got = set_up(dashmm_kernels::Laplace, crate::Method::BasicFmm, false);
+        assert_eq!(got, (4363844680364610363, 11011814329287557214, 3));
     }
 }

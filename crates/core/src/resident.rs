@@ -30,7 +30,7 @@
 //! every leaf, at every level, comes first: leaves depend on nothing, so
 //! they are one parallel sweep.  The interiors follow, deepest level
 //! first, with one barrier before each interior level.  Each level's run
-//! is cut into chunks of at most [`UPWARD_CHUNK`] boxes, and the threads
+//! is cut into chunks of at most `UPWARD_CHUNK` boxes, and the threads
 //! claim chunks from one atomic counter.  A chunk of leaves writes its
 //! check-surface potentials into a panel ([`ops::s2m_check`]) and solves
 //! them with one `uc2ue` GEMM; a chunk of interiors runs eight `M→M` GEMMs

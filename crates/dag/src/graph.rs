@@ -322,10 +322,14 @@ impl Dag {
 }
 
 /// Incremental DAG construction; freeze with [`DagBuilder::finish`].
+///
+/// Edges are collected flat, in the order they are added, and bucketed by
+/// source once, at [`DagBuilder::finish`].
 #[derive(Default)]
 pub struct DagBuilder {
     nodes: Vec<DagNode>,
-    adj: Vec<Vec<DagEdge>>,
+    /// Every edge added so far, with its source node.
+    edges: Vec<(u32, DagEdge)>,
 }
 
 impl DagBuilder {
@@ -347,7 +351,6 @@ impl DagBuilder {
             first_edge: 0,
             out_degree: 0,
         });
-        self.adj.push(Vec::new());
         id
     }
 
@@ -355,12 +358,15 @@ impl DagBuilder {
     pub fn add_edge(&mut self, src: u32, op: EdgeOp, dst: u32, bytes: u32, tag: u32) {
         debug_assert!((src as usize) < self.nodes.len());
         debug_assert!((dst as usize) < self.nodes.len());
-        self.adj[src as usize].push(DagEdge {
-            op,
-            dst,
-            bytes,
-            tag,
-        });
+        self.edges.push((
+            src,
+            DagEdge {
+                op,
+                dst,
+                bytes,
+                tag,
+            },
+        ));
         self.nodes[dst as usize].in_degree += 1;
     }
 
@@ -369,15 +375,31 @@ impl DagBuilder {
         self.nodes.len()
     }
 
-    /// Freeze into a [`Dag`] (flattens edges; does not validate — call
-    /// [`Dag::validate`] separately where the cost is acceptable).
+    /// Freeze into a [`Dag`]: a counting pass buckets the edges by source,
+    /// each node's out-edges in the order they were added (does not
+    /// validate — call [`Dag::validate`] separately where the cost is
+    /// acceptable).
     pub fn finish(mut self) -> Dag {
-        let total: usize = self.adj.iter().map(|v| v.len()).sum();
-        let mut edges = Vec::with_capacity(total);
-        for (i, mut out) in self.adj.into_iter().enumerate() {
-            self.nodes[i].first_edge = edges.len() as u32;
-            self.nodes[i].out_degree = out.len() as u32;
-            edges.append(&mut out);
+        for &(src, _) in &self.edges {
+            self.nodes[src as usize].out_degree += 1;
+        }
+        let mut next = 0u32;
+        for n in &mut self.nodes {
+            n.first_edge = next;
+            next += n.out_degree;
+        }
+        let mut cursor: Vec<u32> = self.nodes.iter().map(|n| n.first_edge).collect();
+        let placeholder = DagEdge {
+            op: EdgeOp::S2T,
+            dst: 0,
+            bytes: 0,
+            tag: 0,
+        };
+        let mut edges = vec![placeholder; self.edges.len()];
+        for (src, e) in self.edges {
+            let at = &mut cursor[src as usize];
+            edges[*at as usize] = e;
+            *at += 1;
         }
         Dag {
             nodes: self.nodes,

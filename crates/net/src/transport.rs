@@ -32,7 +32,10 @@
 //! and blocked collectives (barrier/gather) fail fast.  An injected
 //! `kill` exits the victim abruptly (no goodbye, no flush) with code 113;
 //! an injected `stall` freezes the victim's progress thread — survivors
-//! must ride it out through retransmission.
+//! must ride it out through retransmission.  Both are timed from the
+//! moment the first evaluation installs its progress ledger
+//! ([`Transport::set_ledger`]), as it starts building its LCO network, so
+//! the rank's tree and DAG set-up never count toward them.
 //!
 //! ## Termination
 //!
@@ -239,6 +242,10 @@ struct Shared {
     /// Progress ledger to update with ack watermarks and gossip on the
     /// heartbeat path, once the executor installs it.
     ledger: Mutex<Option<Arc<ProgressLedger>>>,
+    /// When the first ledger was installed — the first evaluation building
+    /// its LCO network: the clock of the fault plan's `kill` and `stall`,
+    /// so a rank's set-up never counts toward them.
+    armed: OnceLock<Instant>,
     sent: AtomicU64,
     recv: AtomicU64,
     stat_bytes_sent: AtomicU64,
@@ -369,6 +376,7 @@ impl SocketTransport {
             failure: Mutex::new(None),
             recv_from: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
             ledger: Mutex::new(None),
+            armed: OnceLock::new(),
             sent: AtomicU64::new(0),
             recv: AtomicU64::new(0),
             stat_bytes_sent: AtomicU64::new(0),
@@ -522,8 +530,8 @@ impl SocketTransport {
     }
 
     /// Drain outbound buffers, say goodbye to the peers and stop the
-    /// progress thread.  Idempotent.  Call after a final [`barrier`]
-    /// (`SocketTransport::barrier`) so no peer still expects parcels.
+    /// progress thread.  Idempotent.  Call after a final
+    /// [`barrier`](SocketTransport::barrier) so no peer still expects parcels.
     pub fn shutdown(&self) {
         self.shared.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.progress.lock().take() {
@@ -777,6 +785,7 @@ impl Transport for SocketTransport {
 
     fn set_ledger(&self, ledger: Arc<ProgressLedger>) {
         *self.shared.ledger.lock() = Some(ledger);
+        let _ = self.shared.armed.set(Instant::now());
     }
 }
 
@@ -1459,7 +1468,6 @@ fn outbound_clear(s: &Shared, out: &Outbound) -> bool {
 
 /// The per-locality progress engine.
 fn progress_loop(s: &Shared) {
-    let started = Instant::now();
     let mut last_status_ns = 0u64;
     let mut own_seq = 0u64;
     let mut bye_sent = false;
@@ -1477,9 +1485,10 @@ fn progress_loop(s: &Shared) {
             s.sync_cv.notify_all();
             return;
         }
-        // Scheduled locality faults (the injected kill never says goodbye).
-        if let Some(plan) = &s.faults {
-            let elapsed_ms = started.elapsed().as_millis() as u64;
+        // Scheduled locality faults (the injected kill never says goodbye),
+        // timed from the first evaluation's network build.
+        if let (Some(plan), Some(armed)) = (&s.faults, s.armed.get()) {
+            let elapsed_ms = armed.elapsed().as_millis() as u64;
             if let Some(k) = plan.kill {
                 if k.rank == s.rank && elapsed_ms >= k.at_ms {
                     eprintln!(

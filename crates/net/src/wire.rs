@@ -494,7 +494,7 @@ impl FrameDecoder {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Read up to [`READ_CHUNK`] bytes from `r` straight into the buffer's
+    /// Read up to `READ_CHUNK` bytes from `r` straight into the buffer's
     /// spare capacity and return how many arrived; `Ok(0)` is end of stream.
     /// An error (`WouldBlock` included) surfaces only if no byte preceded it.
     pub fn read_from(&mut self, r: &mut impl Read) -> std::io::Result<usize> {

@@ -201,7 +201,7 @@ fn validate_histogram(h: &Value, name: &str) -> Result<u64, String> {
 /// Validate a `dashmm-stats-v2` telemetry snapshot: schema tag, non-
 /// negative counters, per-tenant request conservation
 /// (`admitted + shed == received`), balanced queue accounting, histogram
-/// invariants (see [`validate_histogram`]) for every latency phase and
+/// invariants (see `validate_histogram`) for every latency phase and
 /// engine operator, and a present rate window.
 /// A `BENCH_service.json` wrapping the snapshot under `"server_stats"`
 /// is unwrapped first, so CI can point at either file.

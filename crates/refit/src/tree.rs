@@ -1,6 +1,6 @@
 //! An octree that can be *refitted* in place as points move.
 //!
-//! [`Octree`](dashmm_tree::Octree) stores points as one Morton-sorted
+//! [`dashmm_tree::Octree`] stores points as one Morton-sorted
 //! array with contiguous `first..first+count` ranges per box — ideal for
 //! a one-shot build, hostile to incremental updates.  [`RefitTree`]
 //! trades that for per-leaf **blocks** (`ids`/`pts`/`q`/`codes`) plus a

@@ -29,7 +29,7 @@ impl Default for BuildParams {
 }
 
 /// One box of the octree.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct OctreeNode {
     /// Level + integer grid coordinates of the box.
     pub key: MortonKey,

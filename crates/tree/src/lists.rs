@@ -330,23 +330,27 @@ impl DualTree {
     /// Build both trees over the smallest common cube.
     pub fn build(sources: &[Point3], targets: &[Point3], params: BuildParams) -> Self {
         let domain = Domain::containing(&[sources, targets], 1e-4);
-        DualTree {
-            source: Octree::build(domain, sources, params),
-            target: Octree::build(domain, targets, params),
-        }
+        Self::build_in(domain, sources, targets, params)
     }
 
-    /// Build with an explicit, pre-computed domain.
+    /// Build with an explicit, pre-computed domain.  The target tree is
+    /// built on a scoped helper thread beside the source tree; each build
+    /// is the serial [`Octree::build`], so the trees do not depend on the
+    /// overlap.
     pub fn build_in(
         domain: Domain,
         sources: &[Point3],
         targets: &[Point3],
         params: BuildParams,
     ) -> Self {
-        DualTree {
-            source: Octree::build(domain, sources, params),
-            target: Octree::build(domain, targets, params),
-        }
+        std::thread::scope(|s| {
+            let target = s.spawn(|| Octree::build(domain, targets, params));
+            let source = Octree::build(domain, sources, params);
+            DualTree {
+                source,
+                target: target.join().expect("target tree build panicked"),
+            }
+        })
     }
 
     /// The source tree.
@@ -367,6 +371,15 @@ impl DualTree {
     /// Run the lockstep dual-tree traversal and produce the four lists for
     /// every target box.
     pub fn interaction_lists(&self) -> InteractionLists {
+        self.interaction_lists_with(|_| {})
+    }
+
+    /// [`DualTree::interaction_lists`], calling `first_l2_at(level)` the
+    /// first time the traversal records an `L2` entry at `level`: the
+    /// levels that carry far-field translations, named long before the
+    /// traversal ends.
+    pub fn interaction_lists_with(&self, mut first_l2_at: impl FnMut(u8)) -> InteractionLists {
+        let mut l2_levels = 0u32;
         let mut lists = vec![BoxLists::default(); self.target.num_nodes()];
         let mut stack: Vec<(u32, u32)> = vec![(0, 0)];
         while let Some((s, t)) = stack.pop() {
@@ -385,6 +398,10 @@ impl DualTree {
                             direction,
                             offset: (dx as i8, dy as i8, dz as i8),
                         });
+                        if l2_levels & 1 << tn.key.level == 0 {
+                            l2_levels |= 1 << tn.key.level;
+                            first_l2_at(tn.key.level);
+                        }
                     }
                     Ordering::Greater => bl.l3.push(s),
                     Ordering::Less => bl.l4.push(s),
@@ -420,6 +437,28 @@ impl DualTree {
 mod tests {
     use super::*;
     use crate::dist::{sphere_surface, uniform_cube};
+
+    #[test]
+    fn dual_tree_is_two_serial_builds() {
+        let params = BuildParams {
+            threshold: 20,
+            max_level: 20,
+        };
+        for (src, tgt) in [
+            (uniform_cube(5000, 3), uniform_cube(4000, 4)),
+            (sphere_surface(5000, 3), uniform_cube(300, 4)),
+        ] {
+            let dt = DualTree::build(&src, &tgt, params);
+            let domain = Domain::containing(&[&src, &tgt], 1e-4);
+            assert_eq!(*dt.domain(), domain);
+            for (built, points) in [(dt.source(), &src), (dt.target(), &tgt)] {
+                let serial = Octree::build(domain, points, params);
+                assert_eq!(built.permutation(), serial.permutation());
+                assert_eq!(built.nodes(), serial.nodes());
+                assert_eq!(built.points(), serial.points());
+            }
+        }
+    }
 
     fn dual(n: usize, threshold: usize) -> DualTree {
         let src = uniform_cube(n, 11);

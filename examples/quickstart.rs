@@ -35,8 +35,12 @@ fn main() {
 
     let out = eval.evaluate();
     println!(
-        "evaluation: {:.1} ms  ({} tasks, {} inter-locality messages)",
-        out.eval_ms, out.report.tasks, out.report.messages
+        "LCO network: {:.1} ms,  evaluation: {:.1} ms  ({} tasks, {} inter-locality messages)",
+        eval.network_ms()
+            .expect("the first evaluation builds the network"),
+        out.eval_ms,
+        out.report.tasks,
+        out.report.messages
     );
 
     // Spot-check ten targets against the O(N²) oracle.
