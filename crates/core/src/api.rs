@@ -492,7 +492,13 @@ mod tests {
         (num / den).sqrt()
     }
 
-    fn accuracy_case<K: Kernel>(kernel: K, method: Method, n: usize, sphere: bool) -> f64 {
+    fn accuracy_case<K: Kernel>(
+        kernel: K,
+        method: Method,
+        n: usize,
+        sphere: bool,
+        threshold: usize,
+    ) -> f64 {
         let sources = if sphere {
             sphere_surface(n, 11)
         } else {
@@ -508,7 +514,7 @@ mod tests {
             .collect();
         let eval = DashmmBuilder::new(kernel.clone())
             .method(method)
-            .threshold(20)
+            .threshold(threshold)
             .machine(2, 2)
             .build(&sources, &charges, &targets);
         let out = eval.evaluate();
@@ -518,27 +524,47 @@ mod tests {
 
     #[test]
     fn advanced_fmm_laplace_cube_three_digits() {
-        let e = accuracy_case(Laplace, Method::AdvancedFmm, 1500, false);
+        let e = accuracy_case(Laplace, Method::AdvancedFmm, 1500, false, 20);
         assert!(e < 1e-3, "relative error {e:.2e}");
     }
 
     #[test]
     fn advanced_fmm_yukawa_cube() {
-        let e = accuracy_case(Yukawa::new(1.0), Method::AdvancedFmm, 1500, false);
+        let e = accuracy_case(Yukawa::new(1.0), Method::AdvancedFmm, 1500, false, 20);
         assert!(e < 1e-3, "relative error {e:.2e}");
     }
 
     #[test]
     fn basic_fmm_laplace_sphere() {
-        let e = accuracy_case(Laplace, Method::BasicFmm, 1500, true);
+        let e = accuracy_case(Laplace, Method::BasicFmm, 1500, true, 20);
         assert!(e < 1e-3, "relative error {e:.2e}");
     }
 
     #[test]
     fn barnes_hut_moderate_accuracy() {
-        let e = accuracy_case(Laplace, Method::BarnesHut { theta: 0.5 }, 1200, false);
+        let e = accuracy_case(Laplace, Method::BarnesHut { theta: 0.5 }, 1200, false, 20);
         // BH with multipole-only expansions: coarser than FMM but controlled.
         assert!(e < 5e-3, "relative error {e:.2e}");
+    }
+
+    /// On the sphere, lists 3 and 4 go direct where the far side is a leaf
+    /// smaller than the surface; a direct sum is exact, so the error may
+    /// only fall.  The bounds are the relative L2 errors of the same runs
+    /// at the parent of that change, where every such entry went through
+    /// an expansion.
+    #[test]
+    fn sphere_at_threshold_60_is_no_less_accurate() {
+        let n = 20_000;
+        let laplace = accuracy_case(Laplace, Method::AdvancedFmm, n, true, 60);
+        assert!(
+            laplace <= 1.261_656_952_622_326_3e-4,
+            "Laplace relative error {laplace:.17e}"
+        );
+        let yukawa = accuracy_case(Yukawa::new(1.0), Method::AdvancedFmm, n, true, 60);
+        assert!(
+            yukawa <= 1.294_136_991_177_506_6e-4,
+            "Yukawa relative error {yukawa:.17e}"
+        );
     }
 
     /// `M→I` and `I→L` ride the edge batcher: after a complete run no

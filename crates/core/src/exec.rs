@@ -2383,11 +2383,17 @@ mod tests {
         h.0
     }
 
-    /// Build on two localities, hash the DAG and the batch plan, evaluate
+    /// Build `n` sources and `n` targets, from a cube or a sphere, on two
+    /// localities at `threshold`; hash the DAG and the batch plan, evaluate
     /// once and count the operator levels built: `(dag, plan, levels)`.
-    fn set_up<K: Kernel>(kernel: K, method: crate::Method, sphere: bool) -> (u64, u64, usize) {
+    fn set_up<K: Kernel>(
+        kernel: K,
+        method: crate::Method,
+        sphere: bool,
+        n: usize,
+        threshold: usize,
+    ) -> (u64, u64, usize) {
         use dashmm_tree::{sphere_surface, uniform_cube};
-        let n = 8000;
         let (sources, targets) = if sphere {
             (sphere_surface(n, 31), sphere_surface(n, 32))
         } else {
@@ -2396,7 +2402,7 @@ mod tests {
         let charges: Vec<f64> = (0..n).map(|i| ((i * 3) % 7) as f64 - 3.0).collect();
         let eval = crate::DashmmBuilder::new(kernel)
             .method(method)
-            .threshold(20)
+            .threshold(threshold)
             .machine(2, 1)
             .build(&sources, &charges, &targets);
         let dag = dag_hash(eval.dag());
@@ -2405,15 +2411,23 @@ mod tests {
         (dag, plan, eval.library().built_levels())
     }
 
-    // The constants below were computed by this code at the parent of the
-    // change that made the cold set-up one pass per stage (commit
-    // 130dec7): the DAG, the batch plan and the operator levels built are
-    // the same as before it.
+    // The constants below were computed by this code when lists 3 and 4
+    // began to take the cheaper side (`assemble::goes_direct`).  All three
+    // 8 000-point problems at threshold 20 have list-3/4 entries whose far
+    // side is a small leaf, on the cube too, so those entries are now
+    // `S→T` edges and the DAG and the batch plan hash differently from
+    // the parent's.  The operator levels built are the parent's.
 
     #[test]
     fn pinned_setup_advanced_laplace_cube() {
-        let got = set_up(dashmm_kernels::Laplace, crate::Method::AdvancedFmm, false);
-        assert_eq!(got, (16047353265752061359, 16483183514291140882, 3));
+        let got = set_up(
+            dashmm_kernels::Laplace,
+            crate::Method::AdvancedFmm,
+            false,
+            8000,
+            20,
+        );
+        assert_eq!(got, (12163682139162686636, 13631758037319125050, 3));
     }
 
     #[test]
@@ -2422,13 +2436,55 @@ mod tests {
             dashmm_kernels::Yukawa::new(2.0),
             crate::Method::AdvancedFmm,
             true,
+            8000,
+            20,
         );
-        assert_eq!(got, (7117904475300966034, 10169622935573217228, 4));
+        assert_eq!(got, (18343621556059769480, 3725832570762186627, 4));
     }
 
     #[test]
     fn pinned_setup_basic_laplace_cube() {
-        let got = set_up(dashmm_kernels::Laplace, crate::Method::BasicFmm, false);
-        assert_eq!(got, (4363844680364610363, 11011814329287557214, 3));
+        let got = set_up(
+            dashmm_kernels::Laplace,
+            crate::Method::BasicFmm,
+            false,
+            8000,
+            20,
+        );
+        assert_eq!(got, (8522845954241082168, 16682424400672492430, 3));
+    }
+
+    /// The benchmark's cubes keep their DAG: a 20 000-point cube at
+    /// threshold 60 has no list-3 or list-4 entry, so the cost rule has
+    /// nothing to choose.  The constants were computed at the parent of
+    /// the change that made lists 3 and 4 take the cheaper side.
+    #[test]
+    fn pinned_setup_cube_at_threshold_60_keeps_its_dag() {
+        use dashmm_tree::{uniform_cube, BuildParams, DualTree};
+        let (n, threshold) = (20_000, 60);
+        let tree = DualTree::build(
+            &uniform_cube(n, 31),
+            &uniform_cube(n, 32),
+            BuildParams {
+                threshold,
+                max_level: 20,
+            },
+        );
+        let lists = tree.interaction_lists();
+        for t in 0..lists.len() as u32 {
+            let bl = lists.of(t);
+            assert!(
+                bl.l3.is_empty() && bl.l4.is_empty(),
+                "target {t} has a list-3/4 entry"
+            );
+        }
+        let (dag, plan, _) = set_up(
+            dashmm_kernels::Laplace,
+            crate::Method::AdvancedFmm,
+            false,
+            n,
+            threshold,
+        );
+        assert_eq!((dag, plan), (6691477883788811422, 1890433625553691161));
     }
 }

@@ -13,6 +13,11 @@
 //! * `L4` (*X*): leaf source boxes shallower than `Bt`, well-separated from
 //!   `Bt` but not from `Bt`'s parent — `S→L`.
 //!
+//! The lists are geometric only.  The operator that serves an `L3` or `L4`
+//! entry is chosen when the DAG is assembled: an entry whose far side is a
+//! leaf with fewer points than the expansion surface is summed directly
+//! (`S→T`) instead.
+//!
 //! The traversal descends the source and the target tree in lockstep from the
 //! root pair, so every well-separated pair is classified at the coarsest
 //! valid level, exactly as in the classic adaptive FMM.  `L2` entries carry
@@ -145,9 +150,13 @@ pub struct BoxLists {
     pub l1: Vec<u32>,
     /// `L2` / V: same-level well-separated sources (`M→L` or `M→I/I→I/I→L`).
     pub l2: Vec<ListEntry>,
-    /// `L3` / W: deeper well-separated sources under adjacent boxes (`M→T`).
+    /// `L3` / W: deeper well-separated sources under adjacent boxes (`M→T`,
+    /// or `S→T` from a source leaf smaller than the expansion surface: the
+    /// operator is chosen at assembly).
     pub l3: Vec<u32>,
-    /// `L4` / X: shallower well-separated leaf sources (`S→L`).
+    /// `L4` / X: shallower well-separated leaf sources (`S→L`, or `S→T`
+    /// into a target leaf smaller than the expansion surface: the operator
+    /// is chosen at assembly).
     pub l4: Vec<u32>,
 }
 
