@@ -19,7 +19,9 @@
 //!   weighted longest-path distance to a sink, so work on the critical chain
 //!   drains first and upward / transfer / downward phases interleave.
 //!   Boundary boxes whose results feed remote consumers are bumped one class
-//!   more urgent so their `M→L`-family parcels enter the network earliest.
+//!   more urgent so their `M→L`-family parcels enter the network earliest,
+//!   and a parcel runs one class ahead of its destination where it lands
+//!   (see [`SchedPlan::lattice`]).
 //!
 //! SPMD determinism is load-bearing: every locality builds the plan
 //! independently over the same replicated DAG, and the classes must agree
@@ -139,6 +141,9 @@ pub struct SchedPlan {
     /// Class of the node's deferred bulk task, [`NO_SPLIT`] if it fires as
     /// one task.  Fixed at construction, so a fire is a table read.
     bulk: Vec<u8>,
+    /// How many classes ahead of its most urgent destination a parcel runs
+    /// where it lands: 1 for the lattice, 0 for the flat and binary plans.
+    parcel_lead: u8,
 }
 
 impl SchedPlan {
@@ -149,6 +154,7 @@ impl SchedPlan {
         Self {
             class: vec![NORMAL_CLASS; n],
             bulk: vec![NO_SPLIT; n],
+            parcel_lead: 0,
         }
     }
 
@@ -165,7 +171,7 @@ impl SchedPlan {
                 _ => NORMAL_CLASS,
             })
             .collect();
-        Self::with_splits(dag, class, false)
+        Self::with_splits(dag, class)
     }
 
     /// Rank every node by weighted distance-to-sink, quantized into
@@ -176,9 +182,14 @@ impl SchedPlan {
     /// produced by a Kahn peel of out-degrees; ties resolve identically on
     /// every rank because only node indices order the work.
     ///
-    /// Deferred bulk is boundary-first: bulk that feeds a remote consumer
-    /// runs one class earlier, so its parcel overlaps the remaining local
-    /// bulk instead of serializing at the tail.
+    /// A parcel runs one class ahead of its destination where it lands, so
+    /// arriving edges interleave with the local work of that class instead
+    /// of queueing behind all of it.  Each parcel pays a task and a per-edge
+    /// handling overhead; a phase's parcels drained together at its end are
+    /// a utilization dip of pure overhead.  The lead sits on the receiving
+    /// side only: deferred bulk runs at its destinations' class wherever
+    /// they live, so a node's remote bulk leaves in step with its local
+    /// bulk rather than all ahead of it in one burst of arrivals.
     pub fn lattice(dag: &Dag, hint: &LatticeHint) -> Self {
         let n = dag.num_nodes();
         let mut dist = vec![0.0f64; n];
@@ -250,14 +261,16 @@ impl SchedPlan {
             }
             ranks.push(r as u8);
         }
-        Self::with_splits(dag, ranks, true)
+        Self {
+            parcel_lead: 1,
+            ..Self::with_splits(dag, ranks)
+        }
     }
 
     /// Fix every node's split from its out-edge classes: a node splits iff
     /// it has both an urgent and a bulk out-edge, and its bulk task runs at
-    /// the most urgent class among the bulk destinations — one class
-    /// earlier for a remote destination when `boundary_first`.
-    fn with_splits(dag: &Dag, class: Vec<u8>, boundary_first: bool) -> Self {
+    /// the most urgent class among the bulk destinations.
+    fn with_splits(dag: &Dag, class: Vec<u8>) -> Self {
         let bulk = (0..dag.num_nodes() as u32)
             .map(|id| {
                 let mut urgent = false;
@@ -266,8 +279,6 @@ impl SchedPlan {
                     let c = class[e.dst as usize];
                     if c < NORMAL_CLASS {
                         urgent = true;
-                    } else if boundary_first && dag.node(e.dst).locality != dag.node(id).locality {
-                        bulk = bulk.min(c - 1);
                     } else {
                         bulk = bulk.min(c);
                     }
@@ -279,7 +290,11 @@ impl SchedPlan {
                 }
             })
             .collect();
-        Self { class, bulk }
+        Self {
+            class,
+            bulk,
+            parcel_lead: 0,
+        }
     }
 
     /// Priority class of a node (0 = most urgent): the class its
@@ -324,14 +339,15 @@ impl SchedPlan {
     }
 
     /// Class of a coalesced bundle of remote edges (flat edge indices into
-    /// `dag`): the most urgent class among their destinations, so the wire
-    /// and the receiving run queue see the same plan the sender does.
+    /// `dag`): the most urgent class among their destinations, less the
+    /// plan's parcel lead, so the wire and the receiving run queue see the
+    /// same plan the sender does.
     pub fn bundle_class(&self, dag: &Dag, edge_ids: &[u32]) -> u8 {
         edge_ids
             .iter()
             .map(|&eid| self.class[dag.edges()[eid as usize].dst as usize])
             .min()
-            .unwrap_or(NORMAL_CLASS)
+            .map_or(NORMAL_CLASS, |c| c.saturating_sub(self.parcel_lead))
     }
 
     /// Nodes per class.
@@ -528,19 +544,12 @@ mod tests {
         assert_eq!(selected(&plan, &d, 0, EdgePart::Urgent), vec![1]);
         assert_eq!(selected(&plan, &d, 0, EdgePart::Bulk), vec![6]);
         assert_eq!(plan.on_fire(1), Fire::One { class: 2 });
-        // Boundary-first: moving the bulk consumer to another locality runs
-        // the deferred task one class earlier (and boosts the producer,
-        // which is already at class 0).
+        // Moving the bulk consumer to another locality boosts the producer
+        // (already at class 0) but leaves the deferred task at its
+        // destination's class: the sender does not run remote bulk ahead.
         d.set_locality(6, 1);
         let remote = SchedPlan::lattice(&d, &LatticeHint::uniform());
-        assert_eq!(
-            remote.on_fire(0),
-            Fire::Split {
-                urgent_class: 0,
-                bulk_class: 6
-            }
-        );
-        // The binary plan fixes no boundary boost.
+        assert_eq!(remote.on_fire(0), plan.on_fire(0));
         assert_eq!(
             SchedPlan::binary(&d).on_fire(0),
             Fire::Split {
@@ -548,5 +557,11 @@ mod tests {
                 bulk_class: NORMAL_CLASS
             }
         );
+        // Where it lands, a lattice parcel runs one class ahead of its most
+        // urgent destination; a binary one does not.
+        assert_eq!(remote.bundle_class(&d, &[1]), 6);
+        assert_eq!(remote.bundle_class(&d, &[1, 2]), 3);
+        assert_eq!(remote.bundle_class(&d, &[0]), 1);
+        assert_eq!(SchedPlan::binary(&d).bundle_class(&d, &[1]), NORMAL_CLASS);
     }
 }

@@ -173,7 +173,7 @@ proptest! {
     /// The dispatch contract every plan honours: `Urgent` and `Bulk`
     /// partition each out-edge list, a node splits iff both parts are
     /// non-empty, its urgent task keeps the node's own class, and its bulk
-    /// task is no more urgent than `NORMAL_CLASS - 1`.
+    /// task is no more urgent than `NORMAL_CLASS`.
     #[test]
     fn urgent_and_bulk_partition_every_out_edge_list(
         seed in any::<u64>(),
@@ -205,7 +205,7 @@ proptest! {
                     Fire::Split { urgent_class, bulk_class } => {
                         prop_assert!(urgent > 0 && bulk > 0);
                         prop_assert_eq!(urgent_class, plan.class(id));
-                        prop_assert!(bulk_class >= NORMAL_CLASS - 1);
+                        prop_assert!(bulk_class >= NORMAL_CLASS);
                         prop_assert!((bulk_class as usize) < PRIORITY_CLASSES);
                     }
                 }
