@@ -27,6 +27,7 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use dashmm_obs::codec::{read_body, BodyCursor, BodyError, BodyWriter};
 use parking_lot::Mutex;
 
 /// Why a peer was convicted dead.
@@ -110,17 +111,14 @@ impl LedgerSnapshot {
         w < self.fired.len() && (self.fired[w] >> (id % 64)) & 1 == 1
     }
 
-    /// Append the wire encoding (length-prefixed, fixed-width LE fields).
+    /// Append the wire encoding: `rank u32 | generation u64 | num_nodes u32
+    /// | n_ranks u32 | acked u64 × n_ranks | fired u64 × ⌈num_nodes / 64⌉`.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.rank.to_le_bytes());
-        out.extend_from_slice(&self.generation.to_le_bytes());
-        out.extend_from_slice(&self.num_nodes.to_le_bytes());
-        out.extend_from_slice(&(self.acked.len() as u32).to_le_bytes());
-        for a in &self.acked {
-            out.extend_from_slice(&a.to_le_bytes());
-        }
-        for w in &self.fired {
-            out.extend_from_slice(&w.to_le_bytes());
+        let mut w = BodyWriter(out);
+        w.u32(self.rank).u64(self.generation).u32(self.num_nodes);
+        w.u32(self.acked.len() as u32);
+        for &v in self.acked.iter().chain(&self.fired) {
+            w.u64(v);
         }
     }
 
@@ -128,60 +126,34 @@ impl LedgerSnapshot {
     /// inconsistency — a crash mid-gossip yields a prefix, and a prefix
     /// must not partially apply.
     pub fn decode(bytes: &[u8]) -> Option<LedgerSnapshot> {
-        // Caps mirror the wire layer's hostile-length discipline: a
-        // corrupt header must not trigger a giant allocation.
-        const MAX_RANKS: u32 = 1 << 16;
+        // Caps on the declared counts: a corrupt header must not trigger a
+        // giant allocation.
+        const MAX_RANKS: usize = 1 << 16;
         const MAX_NODES: u32 = 1 << 28;
-        let u32_at = |off: usize| -> Option<u32> {
-            bytes
-                .get(off..off + 4)
-                .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-        };
-        let u64_at = |off: usize| -> Option<u64> {
-            bytes
-                .get(off..off + 8)
-                .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-        };
-        let rank = u32_at(0)?;
-        let generation = u64_at(4)?;
-        let num_nodes = u32_at(12)?;
-        let n_ranks = u32_at(16)?;
-        if n_ranks > MAX_RANKS || num_nodes > MAX_NODES || rank >= n_ranks {
-            return None;
-        }
-        let words = (num_nodes as usize).div_ceil(64);
-        let need = 20 + 8 * (n_ranks as usize + words);
-        if bytes.len() != need {
-            return None;
-        }
-        let mut acked = Vec::with_capacity(n_ranks as usize);
-        let mut off = 20;
-        for _ in 0..n_ranks {
-            acked.push(u64_at(off)?);
-            off += 8;
-        }
-        let mut fired = Vec::with_capacity(words);
-        for _ in 0..words {
-            fired.push(u64_at(off)?);
-            off += 8;
-        }
-        // Trailing bits past num_nodes must be clear; set ones mean the
-        // header and bitmap disagree (bit-level corruption the CRC let
-        // through, or a malformed sender).
-        if num_nodes % 64 != 0 {
-            if let Some(last) = fired.last() {
-                if last >> (num_nodes % 64) != 0 {
-                    return None;
-                }
+        read_body(bytes, |c| {
+            let (rank, generation, num_nodes) = (c.u32()?, c.u64()?, c.u32()?);
+            let n_ranks = c.u32()? as usize;
+            if num_nodes > MAX_NODES || rank as usize >= n_ranks {
+                return Err(BodyError::Malformed);
             }
-        }
-        Some(LedgerSnapshot {
-            rank,
-            generation,
-            acked,
-            fired,
-            num_nodes,
+            let words = (num_nodes as usize).div_ceil(64);
+            let snap = LedgerSnapshot {
+                rank,
+                generation,
+                acked: c.records(n_ranks, MAX_RANKS, 8, BodyCursor::u64)?,
+                fired: c.records(words, words, 8, BodyCursor::u64)?,
+                num_nodes,
+            };
+            // Trailing bits past num_nodes must be clear; set ones mean the
+            // header and bitmap disagree (bit-level corruption the CRC let
+            // through, or a malformed sender).
+            let bits = num_nodes % 64;
+            match snap.fired.last() {
+                Some(last) if bits != 0 && last >> bits != 0 => Err(BodyError::Malformed),
+                _ => Ok(snap),
+            }
         })
+        .ok()
     }
 }
 

@@ -40,6 +40,7 @@ pub mod transport;
 
 pub use addr::GlobalAddress;
 pub use batch::{EdgeBatcher, DEFAULT_BATCH_THRESHOLD};
+pub use dashmm_obs::codec;
 pub use dashmm_obs::{
     class_name, utilization_by_class, utilization_total, ClassCounters, ObsLevel, TraceEvent,
     TraceSet, CLASS_LCO_TRIGGER, CLASS_NET_ACK, CLASS_NET_HEARTBEAT, CLASS_NET_RETRANSMIT,
@@ -48,8 +49,6 @@ pub use dashmm_obs::{
 pub use fault::{FaultPlan, FrameFate, KillSpec, StallSpec, ENV_FAULTS};
 pub use lco::{LcoOp, LcoSpec};
 pub use ledger::{ConvictionReason, LedgerSnapshot, PeerFailure, ProgressLedger};
-pub use parcel::{
-    decode_f64s, decode_f64s_into, encode_f64s, ActionId, Parcel, PARCEL_HEADER_BYTES,
-};
+pub use parcel::{ActionId, Parcel, PARCEL_HEADER_BYTES};
 pub use runtime::{RunReport, Runtime, RuntimeConfig, TaskCtx};
 pub use transport::{CoalesceConfig, SharedMem, Transport, TransportHooks, TransportStats};

@@ -6,6 +6,7 @@ use std::sync::Arc;
 use std::time::{Instant, SystemTime};
 
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
+use dashmm_obs::codec::{decode_f64s, encode_f64s};
 use dashmm_obs::{
     ClassCounters, ObsLevel, SpanRing, TraceEvent, TraceSet, CLASS_LCO_TRIGGER, NO_TAG,
 };
@@ -14,7 +15,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::addr::GlobalAddress;
 use crate::lco::{LcoCell, LcoSpec, LcoState};
 use crate::ledger::PeerFailure;
-use crate::parcel::{decode_f64s, encode_f64s, ActionId, Parcel};
+use crate::parcel::{ActionId, Parcel};
 use crate::transport::{SharedMem, Transport, TransportHooks};
 
 /// Runtime configuration.
@@ -210,8 +211,8 @@ impl Runtime {
         // The built-in action.  Its parcels may come off a wire: bytes
         // that do not make a valid call are dropped and counted, not a panic.
         let a0 = rt.register_action(Arc::new(|ctx: &TaskCtx, target, payload: &[u8]| {
-            let landed = payload.len().is_multiple_of(8)
-                && ctx.reduce_local(target.index, &decode_f64s(payload), true);
+            let landed = decode_f64s(payload)
+                .is_ok_and(|values| ctx.reduce_local(target.index, &values, true));
             if !landed {
                 ctx.rt.dropped_parcels.fetch_add(1, Ordering::Relaxed);
             }
@@ -879,7 +880,7 @@ mod tests {
         let r = rt(4, 2);
         let sum = r.lco_new(0, LcoSpec::reduce_sum(1, 4));
         let compute = r.register_action(Arc::new(move |ctx, _target, payload: &[u8]| {
-            let x = decode_f64s(payload)[0];
+            let x = decode_f64s(payload).unwrap()[0];
             ctx.lco_set(sum, &[x * x]);
         }));
         r.seed(0, move |ctx| {

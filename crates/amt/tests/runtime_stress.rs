@@ -4,7 +4,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dashmm_amt::{encode_f64s, GlobalAddress, LcoSpec, ObsLevel, Parcel, Runtime, RuntimeConfig};
+use dashmm_amt::codec::{decode_f64s, encode_f64s};
+use dashmm_amt::{GlobalAddress, LcoSpec, ObsLevel, Parcel, Runtime, RuntimeConfig};
 
 fn rt(localities: usize, workers: usize) -> Arc<Runtime> {
     Runtime::new(RuntimeConfig {
@@ -128,7 +129,7 @@ fn parcel_payload_roundtrip_through_network() {
     let r = rt(2, 1);
     let out = r.lco_new(1, LcoSpec::reduce_sum(3, 2));
     let action = r.register_action(Arc::new(move |ctx, _t, payload: &[u8]| {
-        let vals = dashmm_amt::decode_f64s(payload);
+        let vals = decode_f64s(payload).unwrap();
         ctx.lco_set(out, &vals);
     }));
     r.seed(0, move |ctx| {

@@ -45,9 +45,9 @@ use dashmm_bench::{banner, cost_model, Opts, TransportMode};
 use dashmm_core::{DashmmBuilder, Method, SchedPlan};
 use dashmm_kernels::{Kernel, KernelKind, Laplace, Yukawa};
 use dashmm_net::{
-    bootstrap, f64s_to_bytes, merge_sum_f64, CommMetrics, LaunchReport, Role, SocketTransport,
-    KILL_EXIT_CODE,
+    bootstrap, merge_sum_f64, CommMetrics, LaunchReport, Role, SocketTransport, KILL_EXIT_CODE,
 };
+use dashmm_obs::codec::encode_f64s;
 use dashmm_obs::json::{obj, Value};
 use dashmm_obs::summary::write_summary;
 use dashmm_sim::{simulate, NetworkModel, SimConfig};
@@ -289,7 +289,9 @@ fn rank_eval<K: Kernel>(
     // recovered run the dead rank's gather slot is empty — drop it before
     // merging.
     let gather = |potentials: &[f64]| {
-        transport.gather(&f64s_to_bytes(potentials)).map_err(|_| {
+        let mut part = Vec::new();
+        encode_f64s(potentials, &mut part);
+        transport.gather(&part).map_err(|_| {
             transport.failed_peer_info().map_or(1, |dead| {
                 degraded(rank, dead, opts, &plan, &eval, &m, wall_ms)
             })
@@ -304,12 +306,16 @@ fn rank_eval<K: Kernel>(
         Some(Err(code)) => return code,
         None => None,
     };
-    let my_rel = f64s_to_bytes(&[
-        m.retransmit_frames as f64,
-        m.per_dest.iter().map(|d| d.frames).sum::<u64>() as f64,
-        m.injected_total() as f64,
-        m.dup_frames_rx as f64,
-    ]);
+    let mut my_rel = Vec::new();
+    encode_f64s(
+        &[
+            m.retransmit_frames as f64,
+            m.per_dest.iter().map(|d| d.frames).sum::<u64>() as f64,
+            m.injected_total() as f64,
+            m.dup_frames_rx as f64,
+        ],
+        &mut my_rel,
+    );
     let rel_parts = match transport.gather(&my_rel) {
         Ok(p) => p,
         Err(_) => {
@@ -320,10 +326,14 @@ fn rank_eval<K: Kernel>(
     };
 
     let Some(parts) = parts else { return code };
-    // Rank 0: verify, print the reliability story, check sim parity.
+    // Rank 0: verify, print the reliability story, check sim parity.  A
+    // part of the wrong length merges to NaNs: a mismatch, reported.
     let merged = |parts: Vec<Vec<u8>>| {
         let parts: Vec<_> = parts.into_iter().filter(|p| !p.is_empty()).collect();
-        merge_sum_f64(&parts)
+        merge_sum_f64(&parts).unwrap_or_else(|e| {
+            println!("[rank 0] gathered potentials: {e} [MISMATCH]");
+            vec![f64::NAN; out.potentials.len()]
+        })
     };
     let t_ref = Instant::now();
     let reference = DashmmBuilder::new(kernel)
@@ -360,7 +370,11 @@ fn rank_eval<K: Kernel>(
         .into_iter()
         .filter(|p| !p.is_empty())
         .collect();
-    let sums = merge_sum_f64(&rel_parts);
+    let sums = merge_sum_f64(&rel_parts).unwrap_or_else(|e| {
+        println!("[rank 0] gathered reliability counters: {e} [MISMATCH]");
+        code = 1;
+        vec![0.0; 4]
+    });
     let (rtx, frames, injected, dups) = (
         sums[0] as u64,
         sums[1] as u64,

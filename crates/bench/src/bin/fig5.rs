@@ -95,6 +95,8 @@ fn main() {
         use dashmm_obs::summary::{
             per_op_section, per_op_stats, utilization_section, write_summary,
         };
+        let mut counters = dashmm_obs::ClassCounters::default();
+        r.trace.all_events().for_each(|e| counters.add(e));
         let summary = obj(vec![
             (
                 "workload",
@@ -105,7 +107,7 @@ fn main() {
                 ]),
             ),
             ("utilization", utilization_section(&r.trace, INTERVALS)),
-            ("per_op", per_op_section(&per_op_stats(&r.trace))),
+            ("per_op", per_op_section(&per_op_stats(&counters))),
         ]);
         let path = std::path::Path::new("results/fig5_run_summary.json");
         if write_summary(path, &summary).is_ok() {

@@ -18,8 +18,7 @@ use dashmm_core::{DashmmBuilder, EvalOutput, Method};
 use dashmm_kernels::{Kernel, KernelKind, Laplace, Yukawa};
 use dashmm_obs::json::{obj, Value};
 use dashmm_obs::summary::{
-    critical_path_section, per_op_section, per_op_stats, per_op_stats_from_counters,
-    utilization_section, write_summary,
+    critical_path_section, per_op_section, per_op_stats, utilization_section, write_summary,
 };
 use dashmm_obs::{chrome_trace, critical_path, validate_chrome_trace};
 
@@ -67,11 +66,7 @@ fn obs_study_k<K: Kernel>(name: &str, opts: &Opts, kernel: K) -> bool {
         out.report.trace_dropped,
     );
 
-    let stats = if opts.obs.spans() {
-        per_op_stats(&out.report.trace)
-    } else {
-        per_op_stats_from_counters(&out.report.counters)
-    };
+    let stats = per_op_stats(&out.report.counters);
     let mut sections: Vec<(&str, Value)> = vec![
         (
             "workload",
@@ -183,11 +178,7 @@ fn results_path(file: &str) -> PathBuf {
 /// Side channel for binaries that already hold an [`EvalOutput`] (table2):
 /// write the shared `run_summary.json` sections from it.
 pub fn write_measured_summary(name: &str, opts: &Opts, out: &EvalOutput) {
-    let stats = if out.report.trace.is_empty() {
-        per_op_stats_from_counters(&out.report.counters)
-    } else {
-        per_op_stats(&out.report.trace)
-    };
+    let stats = per_op_stats(&out.report.counters);
     let mut sections = vec![
         (
             "workload",

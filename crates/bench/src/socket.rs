@@ -17,7 +17,8 @@ use std::time::Instant;
 use dashmm_amt::{CoalesceConfig, Transport};
 use dashmm_core::{DashmmBuilder, Method, SchedPlan};
 use dashmm_kernels::{Kernel, KernelKind, Laplace, Yukawa};
-use dashmm_net::{bootstrap, f64s_to_bytes, merge_sum_f64, Role, SocketTransport};
+use dashmm_net::{bootstrap, merge_sum_f64, Role, SocketTransport};
+use dashmm_obs::codec::encode_f64s;
 use dashmm_obs::json::{obj, Value};
 use dashmm_obs::summary::{utilization_section, write_summary};
 use dashmm_obs::{encode_rank_trace, merged_chrome_trace, validate_chrome_trace};
@@ -112,15 +113,19 @@ fn rank_eval<K: Kernel>(
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     // Merge the partial potentials (each rank holds only its T boxes).
-    let parts = transport
-        .gather(&f64s_to_bytes(&out.potentials))
-        .expect("potential gather");
+    let mut part = Vec::new();
+    encode_f64s(&out.potentials, &mut part);
+    let parts = transport.gather(&part).expect("potential gather");
     // Total measured traffic across ranks.
     let m = transport.metrics();
-    let my_traffic = f64s_to_bytes(&[
-        transport.stats().parcels_sent as f64,
-        m.per_dest.iter().map(|d| d.bytes).sum::<u64>() as f64,
-    ]);
+    let mut my_traffic = Vec::new();
+    encode_f64s(
+        &[
+            transport.stats().parcels_sent as f64,
+            m.per_dest.iter().map(|d| d.bytes).sum::<u64>() as f64,
+        ],
+        &mut my_traffic,
+    );
     let traffic = transport.gather(&my_traffic).expect("traffic gather");
     println!("{}", m.digest(rank));
 
@@ -138,7 +143,11 @@ fn rank_eval<K: Kernel>(
     let mut ok = true;
     if let Some(parts) = parts {
         // Rank 0: verify and report.
-        let merged = merge_sum_f64(&parts);
+        // A part of the wrong length merges to NaNs: a mismatch, reported.
+        let merged = merge_sum_f64(&parts).unwrap_or_else(|e| {
+            println!("[rank 0] gathered potentials: {e} [MISMATCH]");
+            vec![f64::NAN; out.potentials.len()]
+        });
         let reference = DashmmBuilder::new(kernel)
             .method(Method::AdvancedFmm)
             .threshold(opts.threshold)
@@ -173,7 +182,12 @@ fn rank_eval<K: Kernel>(
                 if batched { "ok" } else { "MISMATCH" }
             );
         }
-        let sums = merge_sum_f64(&traffic.expect("rank 0 gets traffic parts"));
+        let sums =
+            merge_sum_f64(&traffic.expect("rank 0 gets traffic parts")).unwrap_or_else(|e| {
+                println!("[rank 0] gathered traffic: {e} [MISMATCH]");
+                ok = false;
+                vec![0.0; 2]
+            });
         let (msgs, bytes) = (sums[0] as u64, sums[1] as u64);
         println!("[rank 0] measured: {wall_ms:.1} ms wall, {msgs} parcels, {bytes} payload bytes");
         if let Some(blobs) = trace_parts {

@@ -28,7 +28,7 @@ use std::sync::mpsc;
 use dashmm_dag::{Dag, DagBuilder, EdgeOp, NodeClass};
 use dashmm_expansion::OperatorLibrary;
 use dashmm_kernels::Kernel;
-use dashmm_tree::{Direction, DualTree, InteractionLists, Octree};
+use dashmm_tree::{Direction, DualTree, InteractionLists, Octree, Point3};
 
 use crate::exec::{LevelIndex, Levels};
 use crate::problem::{Method, Problem};
@@ -614,9 +614,14 @@ fn assemble_fmm<K: Kernel>(tree: &DualTree, method: Method, lib: &OperatorLibrar
 /// The Barnes–Hut acceptance test: source box `s` is far enough from
 /// target box `t` for its multipole to serve it at opening angle `theta`.
 fn bh_accepts(src: &Octree, s: u32, tgt: &Octree, t: u32, theta: f64) -> bool {
-    let sh = src.half_of(s);
-    let th = tgt.half_of(t);
     let delta = src.center_of(s) - tgt.center_of(t);
+    bh_separated(delta, src.half_of(s), tgt.half_of(t), theta)
+}
+
+/// The one Barnes–Hut acceptance rule, over the offset `delta` from the
+/// target's center to the source box's center, the source and target
+/// half-widths and the opening angle.  A point target has half-width 0.
+pub(crate) fn bh_separated(delta: Point3, sh: f64, th: f64, theta: f64) -> bool {
     // Max-norm distance from the source center to the target box.
     let gap = (delta.x.abs() - th)
         .max(delta.y.abs() - th)

@@ -32,9 +32,10 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Weak};
 
+use dashmm_amt::codec::{read_body, write_body, BodyCursor, BodyError};
 use dashmm_amt::{
-    decode_f64s_into, encode_f64s, ActionId, EdgeBatcher, GlobalAddress, LcoOp, LcoSpec, Parcel,
-    ProgressLedger, Runtime, TaskCtx, CLASS_RECOVERY, DEFAULT_BATCH_THRESHOLD,
+    ActionId, EdgeBatcher, GlobalAddress, LcoOp, LcoSpec, Parcel, ProgressLedger, Runtime, TaskCtx,
+    CLASS_RECOVERY, DEFAULT_BATCH_THRESHOLD,
 };
 use dashmm_dag::{Dag, DagEdge, EdgeOp, NodeClass};
 use dashmm_expansion::{batch as opbatch, ops, BatchWorkspace, LevelTables, OperatorLibrary};
@@ -985,16 +986,15 @@ impl<K: Kernel> ExecCtx<K> {
     /// a value count other than those edges read — is dropped and counted.
     fn remote_parcel(&self, ctx: &TaskCtx, payload: &[u8]) {
         let dag = &self.asm.dag;
-        let bundle = split_bundle(payload).and_then(|(id, eids, values)| {
+        let bundle = decode_bundle(payload, |id, eids| {
             let node = dag.nodes().get(id as usize)?;
             let own = node.first_edge..node.first_edge + node.out_degree;
             let here = |eid: u32| self.owner(dag.edges()[eid as usize].dst);
             let valid = |&eid: &u32| own.contains(&eid) && here(eid) == ctx.locality;
             eids.iter().all(valid).then_some(())?;
-            let data = scatter(values, self.data_len(id), &self.bundle_ranges(id, &eids))?;
-            Some((id, eids, data))
+            Some((self.data_len(id), self.bundle_ranges(id, eids)))
         });
-        let Some((id, eids, data)) = bundle else {
+        let Ok((id, eids, data)) = bundle else {
             self.malformed_parcels.fetch_add(1, Ordering::Relaxed);
             return;
         };
@@ -1691,40 +1691,41 @@ fn distinct(mut reads: Vec<Range<usize>>) -> Vec<Range<usize>> {
 /// Encode node `id`'s remote-edge bundle for one destination locality —
 /// `id u32 | n_edges u32 | eid u32 × n_edges | data[range] f64s, per range`:
 /// the expansion travels once, and only what the bundled edges read of it.
-fn encode_bundle(id: u32, eids: &[u32], data: &[f64], ranges: &[Range<usize>]) -> Vec<u8> {
+pub fn encode_bundle(id: u32, eids: &[u32], data: &[f64], ranges: &[Range<usize>]) -> Vec<u8> {
     let n_values: usize = ranges.iter().map(Range::len).sum();
-    let mut out = Vec::with_capacity(8 + 4 * eids.len() + 8 * n_values);
-    for word in [id, eids.len() as u32].iter().chain(eids) {
-        out.extend_from_slice(&word.to_le_bytes());
-    }
-    for r in ranges {
-        encode_f64s(&data[r.clone()], &mut out);
-    }
-    out
+    write_body(8 + 4 * eids.len() + 8 * n_values, |w| {
+        w.u32(id).u32(eids.len() as u32);
+        for &eid in eids {
+            w.u32(eid);
+        }
+        for r in ranges {
+            w.f64s(&data[r.clone()]);
+        }
+    })
 }
 
-/// Split a bundle into `(id, eids, value bytes)`; `None` unless the bytes
-/// hold every edge id they announce.
-fn split_bundle(p: &[u8]) -> Option<(u32, Vec<u32>, &[u8])> {
-    let word = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4-byte chunk"));
-    let (head, rest) = p.split_at_checked(8)?;
-    let (id, n_edges) = (word(&head[..4]), word(&head[4..]) as usize);
-    let (eids, values) = rest.split_at_checked(n_edges.checked_mul(4)?)?;
-    Some((id, eids.chunks_exact(4).map(word).collect(), values))
-}
+/// A decoded bundle: node id, edge ids and the node's data.
+pub type Bundle = (u32, Vec<u32>, Arc<[f64]>);
 
-/// A node's data as its bundled edges see it: `values` decoded into
-/// `ranges` of the allocation the batch entries will share, zeros wherever
-/// no edge reads.  `None` unless `values` is exactly the ranges' worth.
-fn scatter(mut values: &[u8], data_len: usize, ranges: &[Range<usize>]) -> Option<Arc<[f64]>> {
-    let mut data: Arc<[f64]> = std::iter::repeat_n(0.0, data_len).collect();
-    let buf = Arc::get_mut(&mut data).expect("not shared yet");
-    for r in ranges {
-        let (bytes, rest) = values.split_at_checked(8 * r.len())?;
-        decode_f64s_into(bytes, &mut buf[r.clone()]).then_some(())?;
-        values = rest;
-    }
-    values.is_empty().then_some(data)
+/// Decode a bundle: its node id and edge ids, then the values those edges
+/// read, scattered into a zeroed node — the allocation the batch entries
+/// will share.  `layout` names the node's length and the windows read, or
+/// refuses (`None`) ids that are not a bundle here.
+pub fn decode_bundle(
+    body: &[u8],
+    layout: impl FnOnce(u32, &[u32]) -> Option<(usize, Vec<Range<usize>>)>,
+) -> Result<Bundle, BodyError> {
+    read_body(body, |c| {
+        let (id, n_edges) = (c.u32()?, c.u32()? as usize);
+        let eids = c.records(n_edges, usize::MAX, 4, BodyCursor::u32)?;
+        let (data_len, ranges) = layout(id, &eids).ok_or(BodyError::Malformed)?;
+        let mut data: Arc<[f64]> = std::iter::repeat_n(0.0, data_len).collect();
+        let buf = Arc::get_mut(&mut data).expect("not shared yet");
+        for r in ranges {
+            c.f64s_into(&mut buf[r])?;
+        }
+        Ok((id, eids, data))
+    })
 }
 
 /// The splitmix64 finalizer: the stable mixer behind coordination-free
@@ -1811,23 +1812,24 @@ mod tests {
             let payload = encode_bundle(id, &eids, &data, &ranges);
             let n_values = read.iter().filter(|&&r| r).count();
             proptest::prop_assert_eq!(payload.len(), 8 + 4 * eids.len() + 8 * n_values);
-            let (got_id, got_eids, bytes) = split_bundle(&payload).expect("own encoding");
+            let layout = |_: u32, _: &[u32]| Some((data_len, ranges.clone()));
+            let (got_id, got_eids, got) = decode_bundle(&payload, layout).expect("own encoding");
             proptest::prop_assert_eq!((got_id, &got_eids), (id, &eids));
-            let got = scatter(bytes, data_len, &ranges).expect("the ranges' worth of values");
             proptest::prop_assert_eq!(got.len(), data_len);
             for i in 0..data_len {
                 proptest::prop_assert_eq!(got[i], if read[i] { data[i] } else { 0.0 });
             }
-            // Neither a value short nor a byte long scatters.
-            let mut longer = bytes.to_vec();
-            longer.push(0);
-            proptest::prop_assert!(scatter(&longer, data_len, &ranges).is_none());
+            // Neither a value short nor a byte long decodes.
+            let longer = [&payload[..], &[0]].concat();
+            proptest::prop_assert!(decode_bundle(&longer, layout).is_err());
             if n_values > 0 {
-                proptest::prop_assert!(scatter(&bytes[8..], data_len, &ranges).is_none());
+                let short = &payload[..payload.len() - 8];
+                proptest::prop_assert!(decode_bundle(short, layout).is_err());
             }
-            // A bundle cut anywhere inside its descriptors does not split.
+            // A bundle cut anywhere inside its descriptors does not decode.
             for cut in 0..8 + 4 * eids.len() {
-                proptest::prop_assert!(split_bundle(&payload[..cut]).is_none(), "cut at {}", cut);
+                let cut_short = decode_bundle(&payload[..cut], layout);
+                proptest::prop_assert!(cut_short.is_err(), "cut at {}", cut);
             }
         }
     }

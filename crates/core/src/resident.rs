@@ -76,6 +76,8 @@ use dashmm_linalg::{gemm_acc_cols, gemm_acc_panels};
 use dashmm_refit::{DirtySet, RefitTree};
 use dashmm_tree::{BuildParams, Domain, Octree, Point3};
 
+use crate::assemble::bh_separated;
+
 /// Boxes per panel of the upward pass: bounds each thread's scratch (two
 /// expansion-sized panels) whatever the number of boxes.
 pub(crate) const UPWARD_CHUNK: usize = 64;
@@ -661,11 +663,9 @@ impl<K: Kernel> ResidentFmm<K> {
             far.clear();
             for k in a as usize..b as usize {
                 let ti = arena[k];
-                let delta = sc - at(ti);
-                // Point targets: the max-norm gap test of the one-shot BH
-                // assembly with a zero target half-width.
-                let gap = delta.x.abs().max(delta.y.abs()).max(delta.z.abs());
-                if gap >= 2.96 * sh && 2.0 * sh <= self.theta * delta.norm() {
+                // Point targets: the one-shot assembly's rule with a zero
+                // target half-width.
+                if bh_separated(sc - at(ti), sh, 0.0, self.theta) {
                     far.push(ti);
                 } else {
                     arena.push(ti);

@@ -3,11 +3,12 @@
 //!
 //! The paper's §VI proposal is to "present work in an order that emphasizes
 //! the critical tasks".  A [`SchedPlan`] is that order as *data* over the
-//! task graph: the measured executor and the simulator both ask it the same
-//! two questions — at what class does this node's continuation run, and does
-//! its out-edge list split into an urgent part and a deferred bulk part — and
-//! neither knows which policy produced the answers.  Three constructors
-//! cover the schedules the repo studies:
+//! task graph, for the simulator's §VI study (the threaded runtime has one
+//! run queue and no priorities).  The simulator asks it two questions — at
+//! what class does this node's continuation run, and does its out-edge list
+//! split into an urgent part and a deferred bulk part — and does not know
+//! which policy produced the answers.  Three constructors cover the
+//! schedules the repo studies:
 //!
 //! * [`SchedPlan::flat`] — every node `NORMAL_CLASS`: the paper's measured
 //!   priority-oblivious baseline (§V);
@@ -38,8 +39,8 @@ use crate::graph::{Dag, DagEdge, EdgeOp, NodeClass};
 /// per-class run queues.
 pub const PRIORITY_CLASSES: usize = 8;
 
-/// The middle class unranked work runs at — the value the runtime's
-/// `Priority::Normal` maps to.  Classes below it are *urgent*.
+/// The middle class unranked work runs at (every node of
+/// [`SchedPlan::flat`]).  Classes below it are *urgent*.
 pub const NORMAL_CLASS: u8 = (PRIORITY_CLASSES / 2) as u8;
 
 /// What a fired node spawns (see [`SchedPlan::on_fire`]).

@@ -21,6 +21,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dashmm_amt::CoalesceConfig;
+use dashmm_obs::codec::{read_body, write_body, BodyCursor, BodyError};
 
 use crate::transport::SocketTransport;
 use crate::wire::{encode_frame, Frame, FrameDecoder, FrameKind};
@@ -92,20 +93,42 @@ fn read_frame_blocking(stream: &mut TcpStream, decoder: &mut FrameDecoder) -> io
     }
 }
 
-fn hello_body(rank: u32, port: u16) -> [u8; 6] {
-    let mut b = [0u8; 6];
-    b[..4].copy_from_slice(&rank.to_le_bytes());
-    b[4..].copy_from_slice(&port.to_le_bytes());
-    b
+/// A [`FrameKind::Hello`] body: `rank u32 | listen_port u16`.
+pub fn hello_body(rank: u32, port: u16) -> Vec<u8> {
+    write_body(6, |w| {
+        w.u32(rank).u16(port);
+    })
 }
 
-fn parse_hello(frame: &Frame) -> io::Result<(u32, u16)> {
-    if frame.kind != FrameKind::Hello || frame.body.len() != 6 {
+/// Read a [`FrameKind::Hello`] frame's `(rank, listen port)`.
+pub fn parse_hello(frame: &Frame) -> io::Result<(u32, u16)> {
+    if frame.kind != FrameKind::Hello {
         return Err(err(format!("expected HELLO, got {:?}", frame.kind)));
     }
-    let rank = u32::from_le_bytes(frame.body[..4].try_into().unwrap());
-    let port = u16::from_le_bytes(frame.body[4..].try_into().unwrap());
-    Ok((rank, port))
+    read_body(&frame.body, |c| Ok((c.u32()?, c.u16()?)))
+        .map_err(|e: BodyError| err(format!("bad HELLO: {e:?}")))
+}
+
+/// A [`FrameKind::PortMap`] body: `count u32 | port u16 × count`.
+pub fn port_map_body(ports: &[u16]) -> Vec<u8> {
+    write_body(4 + 2 * ports.len(), |w| {
+        w.u32(ports.len() as u32);
+        for &p in ports {
+            w.u16(p);
+        }
+    })
+}
+
+/// Read a [`FrameKind::PortMap`] frame's mesh ports, one per rank.
+pub fn parse_port_map(frame: &Frame) -> io::Result<Vec<u16>> {
+    if frame.kind != FrameKind::PortMap {
+        return Err(err(format!("expected PORTMAP, got {:?}", frame.kind)));
+    }
+    read_body(&frame.body, |c| {
+        let count = c.u32()? as usize;
+        c.records(count, u16::MAX as usize + 1, 2, BodyCursor::u16)
+    })
+    .map_err(|e| err(format!("bad PORTMAP: {e:?}")))
 }
 
 /// Spawn `ranks` copies of the current binary and broker their rendezvous.
@@ -174,12 +197,7 @@ fn run_launcher(ranks: u32, deadline: Instant) -> io::Result<LaunchReport> {
             }
         }
     }
-    let mut body = Vec::with_capacity(4 + 2 * ranks as usize);
-    body.extend_from_slice(&ranks.to_le_bytes());
-    for p in &ports {
-        body.extend_from_slice(&p.to_le_bytes());
-    }
-    let portmap = encode_frame(FrameKind::PortMap, 0, &body);
+    let portmap = encode_frame(FrameKind::PortMap, 0, &port_map_body(&ports));
     for stream in conns.iter_mut().flatten() {
         stream.write_all(&portmap)?;
     }
@@ -220,17 +238,10 @@ fn run_rank(rank: u32, ranks: u32, cfg: CoalesceConfig) -> io::Result<Arc<Socket
         &hello_body(rank, mesh_port),
     ))?;
     let mut dec = FrameDecoder::new();
-    let frame = read_frame_blocking(&mut broker, &mut dec)?;
-    if frame.kind != FrameKind::PortMap {
-        return Err(err(format!("expected PORTMAP, got {:?}", frame.kind)));
-    }
-    let count = u32::from_le_bytes(frame.body[..4].try_into().unwrap());
-    if count != ranks || frame.body.len() != 4 + 2 * ranks as usize {
+    let ports = parse_port_map(&read_frame_blocking(&mut broker, &mut dec)?)?;
+    if ports.len() != ranks as usize {
         return Err(err("PORTMAP size mismatch".into()));
     }
-    let ports: Vec<u16> = (0..ranks as usize)
-        .map(|i| u16::from_le_bytes(frame.body[4 + 2 * i..6 + 2 * i].try_into().unwrap()))
-        .collect();
     drop(broker);
     // Full mesh: dial every lower rank, accept every higher rank.
     let mut peers: Vec<Option<TcpStream>> = (0..ranks).map(|_| None).collect();

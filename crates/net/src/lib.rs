@@ -65,38 +65,53 @@ pub use transport::{
 };
 pub use wire::{FrameKind, WireError};
 
-/// Element-wise sum of per-rank partial results gathered as raw little-
-/// endian `f64` blobs (the reduction used to merge distributed potentials).
-pub fn merge_sum_f64(parts: &[Vec<u8>]) -> Vec<f64> {
+use dashmm_obs::codec::read_body;
+
+/// Element-wise sum of per-rank partial results gathered as `f64` bodies
+/// (`dashmm_obs::codec::encode_f64s`; the reduction used to merge
+/// distributed potentials).  A part of another length than the first is an
+/// error, not a panic.
+pub fn merge_sum_f64(parts: &[Vec<u8>]) -> Result<Vec<f64>, WireError> {
     let n = parts.first().map_or(0, |p| p.len() / 8);
-    let mut acc = vec![0.0f64; n];
+    let (mut acc, mut values) = (vec![0.0f64; n], vec![0.0f64; n]);
     for part in parts {
-        assert_eq!(part.len(), n * 8, "ranks gathered differing lengths");
-        for (i, chunk) in part.chunks_exact(8).enumerate() {
-            acc[i] += f64::from_le_bytes(chunk.try_into().unwrap());
+        read_body(part, |c| c.f64s_into(&mut values))?;
+        for (a, v) in acc.iter_mut().zip(&values) {
+            *a += v;
         }
     }
-    acc
-}
-
-/// Encode a slice of `f64` as the little-endian blob [`merge_sum_f64`]
-/// consumes.
-pub fn f64s_to_bytes(xs: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(xs.len() * 8);
-    for x in xs {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-    out
+    Ok(acc)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    use dashmm_obs::codec::encode_f64s;
+
+    fn part(values: &[f64]) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_f64s(values, &mut out);
+        out
+    }
+
     #[test]
     fn merge_sums_elementwise() {
-        let a = f64s_to_bytes(&[1.0, 2.0, 3.0]);
-        let b = f64s_to_bytes(&[0.5, -2.0, 10.0]);
-        assert_eq!(merge_sum_f64(&[a, b]), vec![1.5, 0.0, 13.0]);
+        let (a, b) = (part(&[1.0, 2.0, 3.0]), part(&[0.5, -2.0, 10.0]));
+        assert_eq!(merge_sum_f64(&[a, b]), Ok(vec![1.5, 0.0, 13.0]));
+    }
+
+    #[test]
+    fn parts_of_differing_lengths_are_errors() {
+        let (a, b) = (part(&[1.0, 2.0]), part(&[1.0]));
+        assert_eq!(
+            merge_sum_f64(&[a.clone(), b.clone()]),
+            Err(WireError::Truncated)
+        );
+        assert_eq!(merge_sum_f64(&[b, a.clone()]), Err(WireError::BadParcel));
+        assert_eq!(
+            merge_sum_f64(&[a[..15].to_vec()]),
+            Err(WireError::BadParcel)
+        );
     }
 }

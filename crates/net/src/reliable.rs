@@ -39,8 +39,7 @@ pub struct RetransmitConfig {
     /// deliberately lax for a loopback transport: the receiver delivers
     /// parcels inline on its progress thread, so the effective ack RTT
     /// under load is dominated by delivery time, not the wire — a tight
-    /// timeout turns ordinary queueing into spurious retransmission storms
-    /// (`DASHMM_RTO_US` overrides).
+    /// timeout turns ordinary queueing into spurious retransmission storms.
     pub timeout_us: u64,
     /// Backoff cap: no retransmit interval exceeds this.
     pub max_backoff_us: u64,
@@ -52,8 +51,7 @@ pub struct RetransmitConfig {
     /// High-water mark on bytes held in one destination's retransmit
     /// queue.  A worker blocks in `SocketTransport::send` once the queue
     /// holds this many unacked body bytes, so a stalled peer bounds the
-    /// sender's memory instead of growing it without limit
-    /// (`DASHMM_ARQ_MAX_BYTES` overrides).
+    /// sender's memory instead of growing it without limit.
     pub max_unacked_bytes: usize,
 }
 

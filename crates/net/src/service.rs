@@ -42,12 +42,13 @@
 //!   [`FrameKind::StatsRequest`] frame — counters, per-phase latency
 //!   histograms, queue depths, step-engine reuse ratios, uptime, and
 //!   interval-windowed deltas so rates are computable from two polls.
-//! - **Codec**: every body is written through `BodyWriter` and read
-//!   through one bounds-checked `BodyCursor`, so a truncated, trailing
-//!   or hostile-count body is a [`WireError`], never a panic.  Values
-//!   that decode but cannot be computed (a non-finite target, delta or
-//!   charge) are refused whole as [`RespStatus::BadRequest`] at the
-//!   server's one boundary, before admission.
+//! - **Codec**: every body is written through `dashmm_obs::codec`'s
+//!   `BodyWriter` and read through its bounds-checked `BodyCursor`, so a
+//!   truncated, trailing or hostile-count body is a [`WireError`], never a
+//!   panic.  Values that decode but cannot be computed (a non-finite
+//!   target, delta or charge) are refused whole as
+//!   [`RespStatus::BadRequest`] at the server's one boundary, before
+//!   admission.
 //!
 //! The numerical engine is abstracted behind [`EvalEngine`], so this
 //! module stays free of kernel/expansion dependencies and unit tests can
@@ -63,9 +64,9 @@ use std::time::Instant;
 use dashmm_obs::json::{obj, Value};
 use dashmm_obs::{LatencySummary, TelemetryHub};
 
-use crate::wire::{
-    encode_frame, read_body, write_body, BodyCursor, Frame, FrameDecoder, FrameKind, WireError,
-};
+use dashmm_obs::codec::{read_body, write_body, BodyCursor};
+
+use crate::wire::{encode_frame, Frame, FrameDecoder, FrameKind, WireError};
 
 /// Upper bound on targets in one request; a declared count beyond it is
 /// rejected as hostile before any allocation, mirroring the frame
@@ -208,11 +209,9 @@ pub fn encode_request(req_id: u64, tenant: u32, targets: &[[f64; 3]]) -> Vec<u8>
 pub fn decode_request(body: &[u8]) -> Result<EvalRequestMsg, WireError> {
     read_body(body, |c| {
         let (req_id, tenant, count) = (c.u64()?, c.u32()?, c.u32()? as usize);
-        let mut t = c.counted(count, MAX_REQUEST_TARGETS, 24)?;
-        let mut targets = Vec::with_capacity(count);
-        for _ in 0..count {
-            targets.push([t.f64()?, t.f64()?, t.f64()?]);
-        }
+        let targets = c.records(count, MAX_REQUEST_TARGETS, 24, |t| {
+            Ok([t.f64()?, t.f64()?, t.f64()?])
+        })?;
         Ok(EvalRequestMsg {
             req_id,
             tenant,
@@ -237,10 +236,7 @@ pub fn encode_response(
         for us in [p.queue_us, p.fuse_us, p.compute_us, p.reply_us, p.total_us] {
             w.f32(us);
         }
-        w.u32(potentials.len() as u32);
-        for &p in potentials {
-            w.f64(p);
-        }
+        w.u32(potentials.len() as u32).f64s(potentials);
     })
 }
 
@@ -258,11 +254,7 @@ pub fn decode_response(body: &[u8]) -> Result<EvalResponseMsg, WireError> {
         };
         let count = c.u32()? as usize;
         let status = RespStatus::from_u8(status).ok_or(WireError::BadParcel)?;
-        let mut p = c.counted(count, MAX_REQUEST_TARGETS, 8)?;
-        let mut potentials = Vec::with_capacity(count);
-        for _ in 0..count {
-            potentials.push(p.f64()?);
-        }
+        let potentials = c.records(count, MAX_REQUEST_TARGETS, 8, BodyCursor::f64)?;
         Ok(EvalResponseMsg {
             req_id,
             status,
@@ -281,7 +273,7 @@ pub fn encode_stats_request(req_id: u64) -> Vec<u8> {
 
 /// Decode a [`FrameKind::StatsRequest`] body (exactly eight bytes).
 pub fn decode_stats_request(body: &[u8]) -> Result<u64, WireError> {
-    read_body(body, BodyCursor::u64)
+    Ok(read_body(body, BodyCursor::u64)?)
 }
 
 /// Encode a [`FrameKind::StatsResponse`] body: `req_id u64 | len u32 |
@@ -357,16 +349,12 @@ pub fn decode_step_request(body: &[u8]) -> Result<StepRequestMsg, WireError> {
     read_body(body, |c| {
         let (req_id, tenant) = (c.u64()?, c.u32()?);
         let (n_moves, n_charges) = (c.u32()? as usize, c.u32()? as usize);
-        let mut m = c.counted(n_moves, MAX_STEP_UPDATES, 28)?;
-        let mut q = c.counted(n_charges, MAX_STEP_UPDATES, 12)?;
-        let mut moves = Vec::with_capacity(n_moves);
-        for _ in 0..n_moves {
-            moves.push((m.u32()?, [m.f64()?, m.f64()?, m.f64()?]));
-        }
-        let mut charges = Vec::with_capacity(n_charges);
-        for _ in 0..n_charges {
-            charges.push((q.u32()?, q.f64()?));
-        }
+        let moves = c.records(n_moves, MAX_STEP_UPDATES, 28, |m| {
+            Ok((m.u32()?, [m.f64()?, m.f64()?, m.f64()?]))
+        })?;
+        let charges = c.records(n_charges, MAX_STEP_UPDATES, 12, |q| {
+            Ok((q.u32()?, q.f64()?))
+        })?;
         Ok(StepRequestMsg {
             req_id,
             tenant,

@@ -93,7 +93,8 @@ use crate::reliable::{RetransmitConfig, SeqReceiver, SeqSender};
 use crate::wire::{
     ack_body, decode_ack_body, decode_gather_body, decode_parcels_body, decode_seq_parcels_body,
     decode_status_body, decode_u32_body, encode_frame, gather_body, parcel_wire_len,
-    seal_seq_parcels, status_body, FrameDecoder, FrameKind, SharedFrame, WireError, HEADER_BYTES,
+    seal_seq_parcels, status_body, u32_body, FrameDecoder, FrameKind, SharedFrame, WireError,
+    HEADER_BYTES,
 };
 
 /// Trace class of socket-write spans (owned by `dashmm-obs`).
@@ -290,19 +291,7 @@ impl SocketTransport {
         timeout: Duration,
     ) -> Self {
         let faults = FaultPlan::from_env().filter(|p| p.active());
-        let mut rcfg = RetransmitConfig::default();
-        if let Some(us) = std::env::var("DASHMM_RTO_US")
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
-            rcfg.timeout_us = us;
-        }
-        if let Some(bytes) = std::env::var("DASHMM_ARQ_MAX_BYTES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
-            rcfg.max_unacked_bytes = bytes;
-        }
+        let rcfg = RetransmitConfig::default();
         let suspicion = Duration::from_millis(env_ms("DASHMM_SUSPICION_MS", DEFAULT_SUSPICION_MS));
         Self::with_options(rank, ranks, peers, cfg, timeout, faults, rcfg, suspicion)
     }
@@ -500,7 +489,7 @@ impl SocketTransport {
             let mut c = s.coord.lock();
             c.barrier_arrived[0] = gen;
         } else {
-            enqueue_control(s, 0, FrameKind::Barrier, &gen.to_le_bytes());
+            enqueue_control(s, 0, FrameKind::Barrier, &u32_body(gen));
         }
         self.wait_sync("barrier", gen, |sync| {
             (sync.barrier_release_gen >= gen).then_some(())
@@ -1192,7 +1181,7 @@ fn coordinate(s: &Shared) {
                     s.done_epoch.fetch_max(cur, Ordering::SeqCst);
                     for dest in 1..s.ranks {
                         if live(dest as usize) {
-                            enqueue_control(s, dest, FrameKind::Done, &cur.to_le_bytes());
+                            enqueue_control(s, dest, FrameKind::Done, &u32_body(cur));
                         }
                     }
                     c = s.coord.lock();
@@ -1216,7 +1205,7 @@ fn coordinate(s: &Shared) {
         drop(c);
         for dest in 1..s.ranks {
             if live(dest as usize) {
-                enqueue_control(s, dest, FrameKind::BarrierRelease, &next.to_le_bytes());
+                enqueue_control(s, dest, FrameKind::BarrierRelease, &u32_body(next));
             }
         }
         let mut sync = s.sync.lock().unwrap();

@@ -22,10 +22,10 @@
 //! ```
 //!
 //! Decoding never panics: malformed input of any kind maps to a
-//! [`WireError`].  Every body — and the frame header — is read through
-//! one `BodyCursor` and written through one `BodyWriter`, so the
-//! truncation, trailing-byte and hostile-count rules live in one place
-//! (the service codec in `service.rs` uses the same pair).  A frame's
+//! [`WireError`].  Every body — and the frame header — is read and written
+//! through `dashmm_obs::codec`, the one body codec of peer bytes, whose
+//! errors become [`WireError::Truncated`], [`WireError::Oversize`] and
+//! [`WireError::BadParcel`]; this module keeps the framing.  A frame's
 //! integrity is protected end to end — a flipped bit anywhere in the
 //! body fails the checksum, and a corrupted length field either exceeds
 //! [`MAX_FRAME_BODY`] (rejected as [`WireError::Oversize`]) or misaligns
@@ -35,6 +35,7 @@ use std::fmt;
 use std::io::Read;
 
 use dashmm_amt::{ActionId, GlobalAddress, Parcel};
+use dashmm_obs::codec::{read_body, write_body, BodyCursor, BodyError, BodyWriter};
 
 pub use dashmm_amt::PARCEL_HEADER_BYTES;
 
@@ -177,6 +178,16 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+impl From<BodyError> for WireError {
+    fn from(e: BodyError) -> Self {
+        match e {
+            BodyError::Truncated => WireError::Truncated,
+            BodyError::Oversize(n) => WireError::Oversize(n),
+            BodyError::Malformed => WireError::BadParcel,
+        }
+    }
+}
+
 /// One decoded frame.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Frame {
@@ -245,130 +256,6 @@ pub fn encode_frame(kind: FrameKind, src: u16, body: &[u8]) -> Vec<u8> {
     out.extend_from_slice(body);
     seal_frame(kind, src, &mut out);
     out
-}
-
-/// The reading side of every frame body: little-endian takes off the
-/// front of a borrowed buffer.  A take past the end is
-/// [`WireError::Truncated`]; a declared count over its cap is
-/// [`WireError::Oversize`] before anything is allocated
-/// ([`BodyCursor::counted`]); bytes left over at [`BodyCursor::finish`]
-/// are [`WireError::BadParcel`].  No take panics.
-#[derive(Debug)]
-pub(crate) struct BodyCursor<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-macro_rules! takes {
-    ($($name:ident: $ty:ty),*) => {$(
-        #[doc = concat!("Take one little-endian `", stringify!($ty), "`.")]
-        #[inline]
-        pub fn $name(&mut self) -> Result<$ty, WireError> {
-            const N: usize = std::mem::size_of::<$ty>();
-            let mut b = [0; N];
-            b.copy_from_slice(self.bytes(N)?);
-            Ok(<$ty>::from_le_bytes(b))
-        }
-    )*};
-}
-
-impl<'a> BodyCursor<'a> {
-    /// A cursor at the start of `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
-        BodyCursor { buf, at: 0 }
-    }
-
-    /// Take the next `n` bytes.
-    #[inline]
-    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let rest = &self.buf[self.at..];
-        if n > rest.len() {
-            return Err(WireError::Truncated);
-        }
-        self.at += n;
-        Ok(&rest[..n])
-    }
-
-    takes!(u8: u8, u16: u16, u32: u32, u64: u64, f32: f32, f64: f64);
-
-    /// Take `count` records of `width` bytes each, as a cursor over
-    /// exactly those bytes.  A `count` over `cap` is
-    /// [`WireError::Oversize`], checked before the take, so a hostile
-    /// declaration never sizes an allocation.
-    #[inline]
-    pub fn counted(&mut self, count: usize, cap: usize, width: usize) -> Result<Self, WireError> {
-        if count > cap {
-            return Err(WireError::Oversize(count));
-        }
-        self.bytes(count.saturating_mul(width)).map(BodyCursor::new)
-    }
-
-    /// Take everything left.
-    pub fn rest(&mut self) -> &'a [u8] {
-        let rest = &self.buf[self.at..];
-        self.at = self.buf.len();
-        rest
-    }
-
-    /// Bytes taken so far.
-    pub fn consumed(&self) -> usize {
-        self.at
-    }
-
-    /// End of the body: any byte not taken is [`WireError::BadParcel`].
-    pub fn finish(self) -> Result<(), WireError> {
-        if self.at == self.buf.len() {
-            Ok(())
-        } else {
-            Err(WireError::BadParcel)
-        }
-    }
-}
-
-/// Decode the whole of `body` with `read`: its takes fail
-/// [`WireError::Truncated`], and bytes it leaves fail
-/// [`WireError::BadParcel`].
-pub(crate) fn read_body<'a, T>(
-    body: &'a [u8],
-    read: impl FnOnce(&mut BodyCursor<'a>) -> Result<T, WireError>,
-) -> Result<T, WireError> {
-    let mut c = BodyCursor::new(body);
-    let value = read(&mut c)?;
-    c.finish()?;
-    Ok(value)
-}
-
-/// The writing side of every frame body, the mirror of [`BodyCursor`]:
-/// little-endian puts appended to a buffer, chained.
-pub(crate) struct BodyWriter<'a>(pub &'a mut Vec<u8>);
-
-macro_rules! puts {
-    ($($name:ident: $ty:ty),*) => {$(
-        #[doc = concat!("Append one little-endian `", stringify!($ty), "`.")]
-        #[inline]
-        pub fn $name(&mut self, v: $ty) -> &mut Self {
-            self.0.extend_from_slice(&v.to_le_bytes());
-            self
-        }
-    )*};
-}
-
-impl BodyWriter<'_> {
-    puts!(u8: u8, u32: u32, u64: u64, f32: f32, f64: f64);
-
-    /// Append raw bytes.
-    #[inline]
-    pub fn bytes(&mut self, b: &[u8]) -> &mut Self {
-        self.0.extend_from_slice(b);
-        self
-    }
-}
-
-/// A fresh body of at most `capacity` bytes, written by `fill`.
-pub(crate) fn write_body(capacity: usize, fill: impl FnOnce(&mut BodyWriter)) -> Vec<u8> {
-    let mut body = Vec::with_capacity(capacity);
-    fill(&mut BodyWriter(&mut body));
-    body
 }
 
 /// Validate the frame at the front of `buf` without copying it:
@@ -588,7 +475,7 @@ pub fn encode_parcel(p: &Parcel, out: &mut Vec<u8>) {
 }
 
 /// Take one parcel off `c`.
-fn take_parcel(c: &mut BodyCursor) -> Result<Parcel, WireError> {
+fn take_parcel(c: &mut BodyCursor) -> Result<Parcel, BodyError> {
     let action = ActionId(c.u32()?);
     let target = GlobalAddress::unpack(c.u64()?);
     let len = c.u32()? as usize;
@@ -598,9 +485,9 @@ fn take_parcel(c: &mut BodyCursor) -> Result<Parcel, WireError> {
 /// Decode one parcel from the front of `buf`; returns it plus the bytes
 /// consumed.
 pub fn decode_parcel(buf: &[u8]) -> Result<(Parcel, usize), WireError> {
-    let mut c = BodyCursor::new(buf);
-    let p = take_parcel(&mut c)?;
-    Ok((p, c.consumed()))
+    let p = take_parcel(&mut BodyCursor::new(buf))?;
+    let used = parcel_wire_len(&p);
+    Ok((p, used))
 }
 
 /// Build a [`FrameKind::Parcels`] body around already-encoded parcels.
@@ -614,7 +501,7 @@ pub fn parcels_body(epoch: u32, count: u32, encoded: &[u8]) -> Vec<u8> {
 pub fn decode_parcels_body(body: &[u8]) -> Result<(u32, Vec<Parcel>), WireError> {
     read_body(body, |c| {
         let (epoch, count) = (c.u32()?, c.u32()? as usize);
-        let mut parcels = Vec::with_capacity(count.min(1024));
+        let mut parcels = Vec::with_capacity(count.min(body.len() / PARCEL_HEADER_BYTES));
         for _ in 0..count {
             parcels.push(take_parcel(c)?);
         }
@@ -673,13 +560,21 @@ pub fn ack_body(ack: u64) -> Vec<u8> {
 
 /// Decode a [`FrameKind::Ack`] body (exactly eight bytes).
 pub fn decode_ack_body(body: &[u8]) -> Result<u64, WireError> {
-    read_body(body, BodyCursor::u64)
+    Ok(read_body(body, BodyCursor::u64)?)
+}
+
+/// Build the `epoch u32` / `generation u32` body of a [`FrameKind::Done`],
+/// [`FrameKind::Barrier`] or [`FrameKind::BarrierRelease`] frame.
+pub fn u32_body(v: u32) -> Vec<u8> {
+    write_body(4, |w| {
+        w.u32(v);
+    })
 }
 
 /// Decode the `epoch u32` / `generation u32` body of a [`FrameKind::Done`],
 /// [`FrameKind::Barrier`] or [`FrameKind::BarrierRelease`] frame.
 pub fn decode_u32_body(body: &[u8]) -> Result<u32, WireError> {
-    read_body(body, BodyCursor::u32)
+    Ok(read_body(body, BodyCursor::u32)?)
 }
 
 /// Build a [`FrameKind::Status`] body.

@@ -14,8 +14,13 @@
 //!   diagnosis),
 //! - [`validate_chrome_trace`] — the schema check CI runs on emitted
 //!   files.
+//!
+//! It also holds [`codec`], the one little-endian body codec every decoder
+//! of bytes that crossed a socket reads through (this crate is the one
+//! every layer that touches a socket already depends on).
 
 pub mod chrome;
+pub mod codec;
 pub mod critical;
 pub mod event;
 pub mod json;

@@ -11,10 +11,13 @@
 //! this aligns the per-rank monotonic timelines onto one axis.
 
 use crate::chrome::{chrome_trace_parts, ChromePart};
+use crate::codec::{read_body, write_body, BodyError};
 use crate::event::TraceEvent;
 use crate::trace::TraceSet;
 
 const MAGIC: u32 = 0x4f42_5354; // "OBST"
+/// Bytes of one encoded event: class, tag, start and end.
+const EVENT_BYTES: usize = 21;
 
 /// One rank's recorded trace plus its clock anchor.
 #[derive(Debug)]
@@ -27,81 +30,48 @@ pub struct RankTrace {
     pub trace: TraceSet,
 }
 
-/// Encode one rank's trace for the gather collective.
+/// Encode one rank's trace for the gather collective: `magic | rank |
+/// anchor | n_workers | n_lanes | (label | n_events | event*)*`.
 pub fn encode_rank_trace(rank: u32, anchor_unix_ns: u64, trace: &TraceSet) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + trace.len() * 21);
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.extend_from_slice(&rank.to_le_bytes());
-    out.extend_from_slice(&anchor_unix_ns.to_le_bytes());
-    out.extend_from_slice(&(trace.num_workers() as u32).to_le_bytes());
     let lanes: Vec<_> = trace.lanes().collect();
-    out.extend_from_slice(&(lanes.len() as u32).to_le_bytes());
-    for (label, events) in lanes {
-        let name = label.as_bytes();
-        out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        out.extend_from_slice(name);
-        out.extend_from_slice(&(events.len() as u32).to_le_bytes());
-        for e in events {
-            out.push(e.class);
-            out.extend_from_slice(&e.tag.to_le_bytes());
-            out.extend_from_slice(&e.start_ns.to_le_bytes());
-            out.extend_from_slice(&e.end_ns.to_le_bytes());
+    write_body(64 + trace.len() * EVENT_BYTES, |w| {
+        w.u32(MAGIC).u32(rank).u64(anchor_unix_ns);
+        w.u32(trace.num_workers() as u32).u32(lanes.len() as u32);
+        for (label, events) in lanes {
+            w.u32(label.len() as u32).bytes(label.as_bytes());
+            w.u32(events.len() as u32);
+            for e in events {
+                w.u8(e.class).u32(e.tag).u64(e.start_ns).u64(e.end_ns);
+            }
         }
-    }
-    out
-}
-
-fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], String> {
-    if buf.len() < n {
-        return Err("trace blob truncated".into());
-    }
-    let (head, rest) = buf.split_at(n);
-    *buf = rest;
-    Ok(head)
-}
-
-fn take_u32(buf: &mut &[u8]) -> Result<u32, String> {
-    Ok(u32::from_le_bytes(take(buf, 4)?.try_into().unwrap()))
-}
-
-fn take_u64(buf: &mut &[u8]) -> Result<u64, String> {
-    Ok(u64::from_le_bytes(take(buf, 8)?.try_into().unwrap()))
+    })
 }
 
 /// Decode a blob produced by [`encode_rank_trace`].
-pub fn decode_rank_trace(mut buf: &[u8]) -> Result<RankTrace, String> {
-    let buf = &mut buf;
-    if take_u32(buf)? != MAGIC {
-        return Err("not a rank trace blob".into());
-    }
-    let rank = take_u32(buf)?;
-    let anchor_unix_ns = take_u64(buf)?;
-    let n_workers = take_u32(buf)? as usize;
-    let n_lanes = take_u32(buf)? as usize;
-    let mut trace = TraceSet::new(n_workers);
-    for _ in 0..n_lanes {
-        let name_len = take_u32(buf)? as usize;
-        let label = String::from_utf8(take(buf, name_len)?.to_vec())
-            .map_err(|_| "lane label not UTF-8".to_string())?;
-        let n_events = take_u32(buf)? as usize;
-        let mut events = Vec::with_capacity(n_events);
-        for _ in 0..n_events {
-            let class = take(buf, 1)?[0];
-            let tag = take_u32(buf)?;
-            let start_ns = take_u64(buf)?;
-            let end_ns = take_u64(buf)?;
-            events.push(TraceEvent::tagged(class, tag, start_ns, end_ns));
+pub fn decode_rank_trace(buf: &[u8]) -> Result<RankTrace, String> {
+    read_body(buf, |c| {
+        if c.u32()? != MAGIC {
+            return Err(BodyError::Malformed);
         }
-        trace.push_lane(label, events);
-    }
-    if !buf.is_empty() {
-        return Err("trailing bytes in trace blob".into());
-    }
-    Ok(RankTrace {
-        rank,
-        anchor_unix_ns,
-        trace,
+        let (rank, anchor_unix_ns) = (c.u32()?, c.u64()?);
+        let mut trace = TraceSet::new(c.u32()? as usize);
+        for _ in 0..c.u32()? {
+            let len = c.u32()? as usize;
+            let label = std::str::from_utf8(c.bytes(len)?).map_err(|_| BodyError::Malformed)?;
+            let n_events = c.u32()? as usize;
+            let events = c.records(n_events, usize::MAX, EVENT_BYTES, |e| {
+                let (class, tag) = (e.u8()?, e.u32()?);
+                Ok(TraceEvent::tagged(class, tag, e.u64()?, e.u64()?))
+            })?;
+            trace.push_lane(label, events);
+        }
+        Ok(RankTrace {
+            rank,
+            anchor_unix_ns,
+            trace,
+        })
     })
+    .map_err(|e| format!("rank trace blob: {e:?}"))
 }
 
 /// Decode every rank's blob and compute the per-rank shift that puts all

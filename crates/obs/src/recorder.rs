@@ -76,6 +76,14 @@ impl ClassCounters {
         }
     }
 
+    /// Count one event under its class (the last class takes any beyond).
+    #[inline]
+    pub fn add(&mut self, e: &TraceEvent) {
+        let stat = &mut self.0[(e.class as usize).min(CLASS_COUNT - 1)];
+        stat.count += 1;
+        stat.total_ns += e.dur_ns();
+    }
+
     /// Total events across all classes.
     pub fn total_count(&self) -> u64 {
         self.0.iter().map(|s| s.count).sum()
@@ -139,9 +147,7 @@ impl SpanRing {
             if !self.level.enabled() {
                 return;
             }
-            let stat = &mut self.counters.0[(e.class as usize).min(CLASS_COUNT - 1)];
-            stat.count += 1;
-            stat.total_ns += e.dur_ns();
+            self.counters.add(&e);
             if self.level.spans() {
                 if self.buf.len() < self.cap {
                     self.buf.push(e);

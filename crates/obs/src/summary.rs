@@ -12,11 +12,11 @@ use dashmm_dag::EdgeOp;
 use crate::critical::{CriticalPathReport, SLACK_BUCKETS_US};
 use crate::event::class_name;
 use crate::json::{obj, Value};
-use crate::recorder::ClassCounters;
+use crate::recorder::{ClassCounters, ClassStat};
 use crate::trace::TraceSet;
 use crate::{utilization_by_class, utilization_total};
 
-/// Count and mean time per operator class, measured from a trace.
+/// Count and mean time per operator class.
 pub struct OpStat {
     /// Operator display name ("S→M" style).
     pub name: &'static str,
@@ -28,46 +28,22 @@ pub struct OpStat {
     pub total_ms: f64,
 }
 
-/// Per-operator statistics from span events (classes `0..EdgeOp::COUNT`).
-pub fn per_op_stats(trace: &TraceSet) -> Vec<OpStat> {
-    let mut sum_ns = [0u64; EdgeOp::COUNT];
-    let mut count = [0u64; EdgeOp::COUNT];
-    for e in trace.all_events() {
-        let c = e.class as usize;
-        if c < EdgeOp::COUNT {
-            sum_ns[c] += e.dur_ns();
-            count[c] += 1;
-        }
-    }
-    stats_from(&count, &sum_ns)
-}
-
-/// Per-operator statistics from aggregated counters (works at level
-/// `counters`, where no spans are kept).
-pub fn per_op_stats_from_counters(counters: &ClassCounters) -> Vec<OpStat> {
-    let mut sum_ns = [0u64; EdgeOp::COUNT];
-    let mut count = [0u64; EdgeOp::COUNT];
-    for c in 0..EdgeOp::COUNT {
-        count[c] = counters.0[c].count;
-        sum_ns[c] = counters.0[c].total_ns;
-    }
-    stats_from(&count, &sum_ns)
-}
-
-fn stats_from(count: &[u64; EdgeOp::COUNT], sum_ns: &[u64; EdgeOp::COUNT]) -> Vec<OpStat> {
+/// Per-operator statistics from a run's per-class counters, which every
+/// level but `off` fills and which stay whole when a span ring wraps.
+pub fn per_op_stats(counters: &ClassCounters) -> Vec<OpStat> {
     EdgeOp::ALL
         .iter()
         .map(|&op| {
-            let i = op.index();
+            let ClassStat { count, total_ns } = counters.0[op.index()];
             OpStat {
                 name: op.name(),
-                count: count[i],
-                avg_us: if count[i] > 0 {
-                    sum_ns[i] as f64 / 1e3 / count[i] as f64
+                count,
+                avg_us: if count > 0 {
+                    total_ns as f64 / 1e3 / count as f64
                 } else {
                     0.0
                 },
-                total_ms: sum_ns[i] as f64 / 1e6,
+                total_ms: total_ns as f64 / 1e6,
             }
         })
         .collect()
@@ -169,14 +145,16 @@ mod tests {
 
     #[test]
     fn per_op_stats_average() {
-        let mut t = TraceSet::new(1);
-        t.push_worker(vec![
+        let mut c = ClassCounters::default();
+        for e in [
             TraceEvent::span(0, 0, 2_000),
             TraceEvent::span(0, 0, 4_000),
             TraceEvent::span(3, 0, 1_000),
             TraceEvent::span(12, 0, 9_000), // net-rx: not an operator
-        ]);
-        let stats = per_op_stats(&t);
+        ] {
+            c.add(&e);
+        }
+        let stats = per_op_stats(&c);
         assert_eq!(stats.len(), EdgeOp::COUNT);
         assert_eq!(stats[0].count, 2);
         assert!((stats[0].avg_us - 3.0).abs() < 1e-12);
@@ -188,9 +166,11 @@ mod tests {
     fn sections_serialize_and_parse() {
         let mut t = TraceSet::new(2);
         t.push_worker(vec![TraceEvent::span(1, 0, 1_000)]);
+        let mut c = ClassCounters::default();
+        t.all_events().for_each(|e| c.add(e));
         let summary = obj(vec![
             ("utilization", utilization_section(&t, 4)),
-            ("per_op", per_op_section(&per_op_stats(&t))),
+            ("per_op", per_op_section(&per_op_stats(&c))),
         ]);
         let v = parse(&summary.to_json()).unwrap();
         let util = v.get("utilization").unwrap();

@@ -140,9 +140,9 @@ fn levelwise_phase(dag: &Dag, id: u32, max_level: u8) -> u32 {
 /// Replay `dag` on the virtual machine under `plan`: every task and remote
 /// bundle carries the class the plan gives it, ready queues pop
 /// most-urgent-first, and a fired node spawns what [`SchedPlan::on_fire`]
-/// says — the same calls, on the same plan type, the measured executor
-/// makes.  Pass `Evaluation::plan()` to model the schedule a real run
-/// executes, or build one over `dag` with a [`SchedPlan`] constructor.
+/// says.  Build the plan over `dag` with a [`SchedPlan`] constructor.  The
+/// plan is the simulator's alone (the §VI scheduling study): the threaded
+/// runtime has one run queue and no priorities.
 ///
 /// ```
 /// use dashmm_dag::{DagBuilder, EdgeOp, NodeClass, SchedPlan};

@@ -14,8 +14,9 @@ use std::sync::Arc;
 use dashmm::kernels::Laplace;
 use dashmm::tree::uniform_cube;
 use dashmm::{DashmmBuilder, Method};
+use dashmm_amt::codec::encode_f64s;
 use dashmm_amt::{CoalesceConfig, Transport};
-use dashmm_net::{bootstrap, f64s_to_bytes, merge_sum_f64, Role};
+use dashmm_net::{bootstrap, merge_sum_f64, Role};
 
 const LOCALITIES: u32 = 2;
 const WORKERS: usize = 2;
@@ -56,13 +57,13 @@ fn two_locality_loopback_matches_single_process() {
         .build(&sources, &charges, &targets)
         .evaluate();
 
-    let parts = transport
-        .gather(&f64s_to_bytes(&out.potentials))
-        .expect("gather");
+    let mut part = Vec::new();
+    encode_f64s(&out.potentials, &mut part);
+    let parts = transport.gather(&part).expect("gather");
     let mut ok = true;
     if let Some(parts) = parts {
         // Rank 0: merge and verify.
-        let merged = merge_sum_f64(&parts);
+        let merged = merge_sum_f64(&parts).expect("parts of one length");
         let reference = DashmmBuilder::new(Laplace)
             .method(Method::AdvancedFmm)
             .threshold(40)
